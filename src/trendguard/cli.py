@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, Duration, Timestamp, TrendGuardError
 from .ingest import (
-    Deletion,
     ParseStats,
     build_instances_from_files,
     build_trend_instances,
@@ -87,64 +86,14 @@ def _config_from(args) -> DetectorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parallel two-pass instance building over multiple files
+# Two-pass instance building, across files in a process pool with --jobs
 # ---------------------------------------------------------------------------
 
-def _match_worker(payload):
-    path, trends, locale, tz_offset = payload
-    partial = build_trend_instances(
-        trends, read_stream(path), locale, tz_offset, collect_deletions=False
-    )
-    return {key: instance.tweets for key, instance in partial.items()}
-
-
-def _deletion_worker(payload):
-    path, wanted = payload
-    found: dict[int, Timestamp] = {}
-    for event in read_stream(path):
-        if isinstance(event, Deletion) and event.tweet_id in wanted:
-            prior = found.get(event.tweet_id)
-            if prior is None or event.time < prior:
-                found[event.tweet_id] = event.time
-    return found
-
-
-def _build_instances(paths, trends, locale, tz_offset, jobs, stats: Optional[ParseStats] = None):
+def _build_instances(paths, trends, locale, tz_offset, jobs):
     if jobs <= 1 or len(paths) <= 1:
-        return build_instances_from_files(trends, paths, locale, tz_offset, stats)
-
+        return build_instances_from_files(trends, paths, locale, tz_offset)
     with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-        partials = list(pool.map(_match_worker, [(p, trends, locale, tz_offset) for p in paths]))
-
-    instances = build_trend_instances(trends, (), locale, tz_offset)
-    by_key_tweets: dict = {key: {} for key in instances}
-    for partial in partials:
-        for key, tweets in partial.items():
-            bucket = by_key_tweets[key]
-            for tweet in tweets:
-                bucket.setdefault(tweet.id, tweet)
-    wanted: dict[int, list] = {}
-    for key, bucket in by_key_tweets.items():
-        instance = instances[key]
-        instance.tweets = sorted(bucket.values(), key=lambda t: (t.created_at, t.id))
-        for tweet in instance.tweets:
-            wanted.setdefault(tweet.id, []).append((instance, tweet))
-    if wanted:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-            found_parts = list(pool.map(_deletion_worker, [(p, set(wanted)) for p in paths]))
-        merged: dict[int, Timestamp] = {}
-        for part in found_parts:
-            for tid, when in part.items():
-                prior = merged.get(tid)
-                if prior is None or when < prior:
-                    merged[tid] = when
-        for tid, when in merged.items():
-            for instance, tweet in wanted[tid]:
-                if when < tweet.created_at:
-                    instance.invalid_deletions += 1
-                else:
-                    instance.deletions[tid] = when
-    return instances
+        return build_instances_from_files(trends, paths, locale, tz_offset, map_fn=pool.map)
 
 
 def _stats_worker(path):
@@ -188,11 +137,7 @@ def _cmd_ingest(args, out: _Outputs) -> int:
         parts = [_stats_worker(path) for path in args.stream]
     total = ParseStats()
     for part in parts:
-        total.lines_read += part.lines_read
-        total.creations += part.creations
-        total.deletions += part.deletions
-        total.malformed_skipped += part.malformed_skipped
-        total.other_skipped += part.other_skipped
+        total.add(part)
     record = {
         "files": len(args.stream),
         "lines_read": total.lines_read,

@@ -18,9 +18,9 @@ import gzip
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_LOCALE,
@@ -94,12 +94,20 @@ class ParseStats:
     deletions: int = 0
     malformed_skipped: int = 0
     other_skipped: int = 0
+    # Lines a read_stream line predicate rejected without decoding them.
+    prefiltered: int = 0
 
     @property
     def consistent(self) -> bool:
         return self.lines_read == (
             self.creations + self.deletions + self.malformed_skipped + self.other_skipped
+            + self.prefiltered
         )
+
+    def add(self, other: "ParseStats") -> None:
+        """Add another read's counters to these (merging per-file reads)."""
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(self, counter.name) + getattr(other, counter.name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,11 +232,7 @@ def _extract_geo(obj: dict) -> Optional[GeoPoint]:
 
 
 def _parse_status(obj: dict) -> Creation:
-    try:
-        tweet_id = int(obj["id"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedLine("status record without usable id") from exc
-
+    tweet_id = int(obj["id"])
     user = obj.get("user")
     if isinstance(user, dict) and "id" in user:
         user_id = int(user["id"])
@@ -291,87 +295,101 @@ def _parse_status(obj: dict) -> Creation:
 
 def _parse_delete(obj: dict) -> Deletion:
     delete = obj["delete"]
-    try:
-        status = delete["status"]
-        tweet_id = int(status["id"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedLine("delete notice without usable status id") from exc
+    status = delete["status"]
+    tweet_id = int(status["id"])
     user_raw = status.get("user_id", status.get("user_id_str", 0))
     try:
         user_id = int(user_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         user_id = 0
     ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
     if ms is None:
         raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
-    try:
-        when = Timestamp.from_millis(int(ms))
-    except (TypeError, ValueError) as exc:
-        raise MalformedLine(f"delete notice for {tweet_id} has bad timestamp") from exc
-    return Deletion(tweet_id=tweet_id, user_id=user_id, time=when)
+    return Deletion(tweet_id=tweet_id, user_id=user_id, time=Timestamp.from_millis(int(ms)))
+
+
+# What the record parsers raise on a field of the wrong JSON type or value:
+# a missing key, int() of a non-number, null, list or infinity, .get on a
+# non-object, iterating a number, indexing a string by key.
+_SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def parse_stream_line(line: str) -> Union[Creation, Deletion, Skip]:
     """Parse one archive line into a Creation, Deletion, or Skip.
 
-    Raises MalformedLine on broken syntax; callers are expected to count
-    these rather than abort.
+    Raises MalformedLine on broken syntax and on any record whose fields do
+    not fit the schema; callers are expected to count these rather than
+    abort. No other exception escapes for any input string.
     """
     stripped = line.strip()
     if not stripped:
         return Skip("empty")
     try:
         obj = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
         raise MalformedLine(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLine("line is not a JSON object")
-    if "delete" in obj:
-        return _parse_delete(obj)
-    if "id" in obj and ("text" in obj or "extended_tweet" in obj):
-        return _parse_status(obj)
+    try:
+        if "delete" in obj:
+            return _parse_delete(obj)
+        if "id" in obj and ("text" in obj or "extended_tweet" in obj):
+            return _parse_status(obj)
+    except _SCHEMA_ERRORS as exc:
+        raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
     return Skip("other")
 
 
+def _codec(magic: bytes):
+    """The compression module whose magic bytes start ``magic``, or None."""
+    if magic[:2] == b"\x1f\x8b":
+        return gzip
+    if magic[:3] == b"BZh":
+        return bz2
+    return None
+
+
 def _open_source(source, compressed: Union[bool, str] = "auto") -> io.TextIOBase:
-    """Open a path or binary stream as text, transparently decompressing."""
-    if isinstance(source, (str, bytes)):
-        path = source if isinstance(source, str) else source.decode()
-        with open(path, "rb") as probe:
-            magic = probe.read(3)
-        if compressed == "auto":
-            if magic[:2] == b"\x1f\x8b":
-                return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-            if magic == b"BZh":
-                return io.TextIOWrapper(bz2.open(path, "rb"), encoding="utf-8")
-            return open(path, "r", encoding="utf-8")
-        if compressed:
-            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
+    """Open a path or binary stream as text, transparently decompressing.
+
+    ``compressed`` is "auto" (gzip or bzip2 when the magic bytes say so,
+    plain text otherwise), True (gzip or bzip2 by the magic bytes; anything
+    else raises MalformedLine) or False (plain text).
+    """
     if isinstance(source, io.TextIOBase):
         return source
-    raw = source
-    if compressed == "auto":
-        peek = raw.peek(3) if hasattr(raw, "peek") else b""
-        if peek[:2] == b"\x1f\x8b":
-            return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-        if peek[:3] == b"BZh":
-            return io.TextIOWrapper(bz2.BZ2File(raw), encoding="utf-8")
-        return io.TextIOWrapper(raw, encoding="utf-8")
-    if compressed:
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+    if isinstance(source, (str, bytes)):
+        source = source if isinstance(source, str) else source.decode()
+        with open(source, "rb") as probe:
+            magic = probe.read(3)
+    else:
+        if not hasattr(source, "peek"):
+            source = io.BufferedReader(source)
+        magic = source.peek(3)[:3]
+    codec = _codec(magic) if compressed else None
+    if compressed is True and codec is None:
+        raise MalformedLine(f"compressed input is neither gzip nor bzip2 (starts {magic!r})")
+    if codec is not None:
+        source = codec.open(source, "rb")
+    elif isinstance(source, str):
+        source = open(source, "rb")
+    return io.TextIOWrapper(source, encoding="utf-8")
 
 
 def read_stream(
     source,
     compressed: Union[bool, str] = "auto",
     stats: Optional[ParseStats] = None,
+    *,
+    keep: Optional[Callable[[str], bool]] = None,
 ) -> Iterator[TweetEvent]:
     """Stream TweetEvents from a path or binary stream, one pass, bounded memory.
 
-    Malformed lines are counted in ``stats`` and skipped. The stats object is
-    complete once the iterator is exhausted.
+    Malformed lines are counted in ``stats`` and skipped. ``keep``, when
+    given, is tested on each raw line first: a line it rejects is counted in
+    ``stats.prefiltered`` and never decoded, so it must keep every line the
+    caller could use. The stats object is complete once the iterator is
+    exhausted.
     """
     if stats is None:
         stats = ParseStats()
@@ -379,6 +397,9 @@ def read_stream(
     try:
         for line in handle:
             stats.lines_read += 1
+            if keep is not None and not keep(line):
+                stats.prefiltered += 1
+                continue
             try:
                 event = parse_stream_line(line)
             except MalformedLine:
@@ -581,6 +602,18 @@ def _note_deletion(pending: dict[int, Timestamp], tweet_id: int, when: Timestamp
         pending[tweet_id] = when
 
 
+def _builders(
+    trends: Sequence[TrendDay], tz_offset: int
+) -> dict[tuple[date, str], _InstanceBuilder]:
+    """One builder per unique (date, normalized keyword), input order kept."""
+    builders: dict[tuple[date, str], _InstanceBuilder] = {}
+    for trend in trends:
+        key = (trend.date, trend.keyword.normalized)
+        if key not in builders:
+            builders[key] = _InstanceBuilder(trend, tz_offset)
+    return builders
+
+
 def build_trend_instance(
     trend: TrendDay,
     events: Iterable[TweetEvent],
@@ -625,16 +658,12 @@ def build_trend_instances(
     that need bounded memory over large files should use
     build_instances_from_files, which attaches deletions in a second pass.
     """
-    builders: dict[tuple[date, str], _InstanceBuilder] = {}
+    builders = _builders(trends, tz_offset)
     hashtag_index: dict[str, dict[int, list[_InstanceBuilder]]] = {}
     ngram_index: dict[str, list[tuple[tuple[str, ...], dict[int, list[_InstanceBuilder]]]]] = {}
 
-    for trend in trends:
-        key = (trend.date, trend.keyword.normalized)
-        if key in builders:
-            continue
-        builder = _InstanceBuilder(trend, tz_offset)
-        builders[key] = builder
+    for builder in builders.values():
+        trend = builder.trend
         if trend.keyword.kind == HASHTAG:
             by_day = hashtag_index.setdefault(trend.keyword.normalized, {})
             by_day.setdefault(builder.day_number, []).append(builder)
@@ -678,51 +707,102 @@ def build_trend_instances(
     return {key: builder.build(pending) for key, builder in builders.items()}
 
 
+def _creation_filter(trends: Sequence[TrendDay], locale: str) -> Callable[[str], bool]:
+    """Pass one's raw-line test: keeps every line whose tweet can match one
+    of ``trends`` (why, see build_instances_from_files)."""
+    hashtags = any(trend.keyword.kind == HASHTAG for trend in trends)
+    ngrams = {tuple(trend.keyword.normalized.split())
+              for trend in trends if trend.keyword.kind != HASHTAG}
+
+    def keep(line: str) -> bool:
+        if hashtags and ("#" in line or "\\u0023" in line):
+            return True
+        if not ngrams:
+            return False
+        if "\\" in line:
+            return True
+        folded = fold_case(line, locale)
+        return any(all(token in folded for token in ngram) for ngram in ngrams)
+
+    return keep
+
+
+def _may_hold_deletion(line: str) -> bool:
+    """Pass two's raw-line test: keeps every deletion notice."""
+    return '"delete"' in line or "\\u006" in line or "\\u007" in line
+
+
+def _match_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], ParseStats]:
+    """Pass one over one file: the tweets matching each trend-day, and the
+    file's parse counters."""
+    path, trends, locale, tz_offset = job
+    stats = ParseStats()
+    events = read_stream(path, stats=stats, keep=_creation_filter(trends, locale))
+    instances = build_trend_instances(trends, events, locale, tz_offset, collect_deletions=False)
+    return {key: instance.tweets for key, instance in instances.items()}, stats
+
+
+def _deletions_in_file(job) -> dict[int, Timestamp]:
+    """Pass two over one file: the earliest notice for each wanted tweet id."""
+    path, wanted = job
+    found: dict[int, Timestamp] = {}
+    for event in read_stream(path, keep=_may_hold_deletion):
+        if isinstance(event, Deletion) and event.tweet_id in wanted:
+            _note_deletion(found, event.tweet_id, event.time)
+    return found
+
+
 def build_instances_from_files(
     trends: Sequence[TrendDay],
     paths: Sequence[str],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
     stats: Optional[ParseStats] = None,
+    map_fn: Callable = map,
 ) -> dict[tuple[date, str], TrendInstance]:
     """Two-pass streaming join over archive files with per-trend memory.
 
     Pass one collects matching tweets; pass two attaches deletion notices
     for the collected tweet ids only, so peak memory tracks trend content
-    rather than corpus size.
+    rather than corpus size. The result equals
+    ``build_trend_instances(trends, <every file's events>)``.
+
+    Each pass decodes only the lines a raw-line test keeps; the others are
+    counted as ``prefiltered``. Both tests keep a superset of the lines that
+    can change the result:
+
+    * pass one keeps a line when some trend-day is a hashtag and the line
+      holds '#' or \\u0023: a hashtag match needs a '#' in the decoded
+      text, and a JSON string can encode one in only these two ways. It also
+      keeps a line when some trend-day is an n-gram and the line holds a
+      backslash, or all of that n-gram's tokens occur in the case-folded
+      line: a line without a backslash holds its text verbatim between
+      '"' delimiters, case folding maps characters one by one, and the
+      final-sigma rule of str.lower stops at the '"', so every folded text
+      token is a substring of the folded line;
+    * pass two keeps a line holding '"delete"', \\u006 or \\u007: the key
+      "delete" appears literally or with some letters escaped, and the
+      escapes of d, e, l and t all start with \\u006 or \\u007.
+
+    ``stats`` receives pass one's counters: each archive line once.
+    ``map_fn`` runs the per-file passes, in file order; a process pool's
+    map parallelizes across files with identical results.
     """
-    if stats is None:
-        stats = ParseStats()
+    builders = _builders(trends, tz_offset)
+    for tweets_by_key, file_stats in map_fn(
+        _match_file, [(path, trends, locale, tz_offset) for path in paths]
+    ):
+        if stats is not None:
+            stats.add(file_stats)
+        for key, tweets in tweets_by_key.items():
+            builder = builders[key]
+            for tweet in tweets:
+                builder.offer_tweet(tweet)
 
-    instances = build_trend_instances(
-        trends,
-        (e for path in paths for e in read_stream(path, stats=stats)),
-        locale,
-        tz_offset,
-        collect_deletions=False,
-    )
-
-    wanted: dict[int, tuple[Tweet, list[TrendInstance]]] = {}
-    for instance in instances.values():
-        for tweet in instance.tweets:
-            if tweet.id in wanted:
-                wanted[tweet.id][1].append(instance)
-            else:
-                wanted[tweet.id] = (tweet, [instance])
-    if not wanted:
-        return instances
-
+    wanted = {tid for builder in builders.values() for tid in builder.tweets}
     pending: dict[int, Timestamp] = {}
-    for path in paths:
-        for event in read_stream(path):
-            if isinstance(event, Deletion) and event.tweet_id in wanted:
-                _note_deletion(pending, event.tweet_id, event.time)
-
-    for tid, when in pending.items():
-        tweet, targets = wanted[tid]
-        for instance in targets:
-            if when < tweet.created_at:
-                instance.invalid_deletions += 1
-            else:
-                instance.deletions[tid] = when
-    return instances
+    if wanted:
+        for found in map_fn(_deletions_in_file, [(path, wanted) for path in paths]):
+            for tid, when in found.items():
+                _note_deletion(pending, tid, when)
+    return {key: builder.build(pending) for key, builder in builders.items()}

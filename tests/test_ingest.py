@@ -86,6 +86,40 @@ class TestParseStreamLine:
         with pytest.raises(MalformedLine):
             parse_stream_line('"just a string"')
 
+    @pytest.mark.parametrize("record", [
+        # non-integer user.id, timestamp_ms and mention id
+        {"id": 1, "text": "x", "user": {"id": "abc"}, "timestamp_ms": "1000"},
+        {"id": 1, "text": "x", "user": {"id": 2}, "timestamp_ms": "soon"},
+        {"id": 1, "text": "x", "user": {"id": 2}, "timestamp_ms": "1000",
+         "entities": {"user_mentions": [{"id": "abc"}]}},
+        # null user.id
+        {"id": 1, "text": "x", "user": {"id": None}, "timestamp_ms": "1000"},
+        # entities.urls that is not a list
+        {"id": 1, "text": "x", "user": {"id": 2}, "timestamp_ms": "1000",
+         "entities": {"urls": 5}},
+        # non-empty entities that is not a dict
+        {"id": 1, "text": "x", "user": {"id": 2}, "timestamp_ms": "1000", "entities": [1]},
+        # created_at that is not a string
+        {"id": 1, "text": "x", "user": {"id": 2}, "created_at": 5},
+        # infinite ids and times (Python's json accepts Infinity)
+        {"id": float("inf"), "text": "x", "user": {"id": 2}, "timestamp_ms": "1000"},
+        {"delete": {"status": {"id": float("inf")}, "timestamp_ms": "1000"}},
+        {"delete": {"status": {"id": 1}, "timestamp_ms": float("inf")}},
+    ])
+    def test_schema_violations_are_malformed(self, record):
+        line = json.dumps(record)
+        with pytest.raises(MalformedLine):
+            parse_stream_line(line)
+        events, stats = read_stream_list(io.BytesIO((line + "\n" + DELETE_LINE).encode()))
+        assert len(events) == 1
+        assert stats.malformed_skipped == 1
+        assert stats.consistent
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, "1" * 5_000])
+    def test_undecodable_json_is_malformed(self, line):
+        with pytest.raises(MalformedLine):
+            parse_stream_line(line)
+
     def test_status_without_time_is_malformed(self):
         with pytest.raises(MalformedLine):
             parse_stream_line('{"id": 1, "text": "x", "user": {"id": 2}}')
@@ -157,6 +191,34 @@ class TestReadStream:
             path.write_bytes(bz2.compress(payload))
         events, stats = read_stream_list(str(path))
         assert len(events) == 2
+        assert stats.consistent
+
+    @pytest.mark.parametrize("codec", ["gzip", "bz2"])
+    def test_compressed_true_picks_codec_by_magic(self, tmp_path, codec):
+        payload = (STATUS_LINE + "\n" + DELETE_LINE + "\n").encode()
+        data = gzip.compress(payload) if codec == "gzip" else bz2.compress(payload)
+        path = tmp_path / "events.compressed"
+        path.write_bytes(data)
+        for source in (str(path), io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
+            events, stats = read_stream_list(source, compressed=True)
+            assert [type(e) for e in events] == [Creation, Deletion]
+            assert stats.consistent
+
+    def test_compressed_true_rejects_plain_input(self, tmp_path):
+        payload = (STATUS_LINE + "\n").encode()
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(payload)
+        for source in (str(path), io.BytesIO(payload)):
+            with pytest.raises(MalformedLine):
+                read_stream_list(source, compressed=True)
+
+    def test_prefiltered_lines_counted_not_decoded(self):
+        payload = "\n".join([STATUS_LINE, "{broken", DELETE_LINE]) + "\n"
+        stats = ParseStats()
+        events = list(read_stream(io.BytesIO(payload.encode()), stats=stats,
+                                  keep=lambda line: "delete" in line))
+        assert [type(e) for e in events] == [Deletion]
+        assert (stats.lines_read, stats.prefiltered, stats.malformed_skipped) == (3, 2, 0)
         assert stats.consistent
 
 

@@ -1,0 +1,283 @@
+"""The join's raw-line prefilters keep every line that can change its result.
+
+Property tests run the line predicates against the parser and the keyword
+matcher on generated records; differential tests compare the prefiltered
+two-pass join, serial and pooled, with the unfiltered one-pass join.
+"""
+
+import bz2
+import gzip
+import io
+import json
+import random
+from datetime import date
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from trendguard import simulator as sim_mod
+from trendguard.cli import _build_instances
+from trendguard.core import DEFAULT_TZ_OFFSET, normalize_keyword
+from trendguard.ingest import (
+    Creation,
+    Deletion,
+    MalformedLine,
+    ParseStats,
+    TrendDay,
+    _creation_filter,
+    _may_hold_deletion,
+    build_instances_from_files,
+    build_trend_instances,
+    match_keyword,
+    parse_stream_line,
+    read_stream,
+    text_tokens,
+)
+
+from conftest import DAY, DAY_NOON
+
+
+def escape_strings(encoded: str, rng: random.Random, rate: float) -> str:
+    """Rewrite random characters inside the JSON strings of ``encoded`` as
+    \\uXXXX escapes (surrogate pairs beyond the BMP), hex in random case."""
+    out = []
+    i = 0
+    in_string = False
+    while i < len(encoded):
+        char = encoded[i]
+        if char == '"':
+            in_string = not in_string
+        elif in_string and char == "\\":
+            width = 6 if encoded[i + 1] == "u" else 2
+            out.append(encoded[i:i + width])
+            i += width
+            continue
+        elif in_string and rng.random() < rate:
+            data = char.encode("utf-16-be")
+            for k in range(0, len(data), 2):
+                unit = f"{int.from_bytes(data[k:k + 2], 'big'):04x}"
+                out.append("\\u" + (unit.upper() if rng.random() < 0.5 else unit))
+            i += 1
+            continue
+        out.append(char)
+        i += 1
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Predicates against the parser and matcher
+# ---------------------------------------------------------------------------
+
+TREND_KEYWORDS = ["#konu", "#İzmir", "#ısı", "IŞIK", "ΟΔΟΣ", "tepel sobar", "İzmir ıspanak",
+                  "a/b"]
+# Spellings of the keywords' tokens in several cases, and characters whose
+# folding or JSON encoding is special.
+KEYWORD_WORDS = ["#konu", "#KONU", "#İzmir", "#IZMIR", "#ısı", "#ISI", "IŞIK", "Işık", "işik",
+                 "ΟΔΟΣ", "οδος", "tepel", "TEPEL", "sobar", "(Sobar)", "İzmir", "IZMIR",
+                 "ıspanak", "ISPANAK", "a/b"]
+ODD_WORDS = ["#", "İ", "I", "ı", "Σ", "ς", "/", '"', "\\", "x"]
+text_strategy = st.lists(
+    st.sampled_from(KEYWORD_WORDS) | st.sampled_from(ODD_WORDS) | st.text(max_size=3),
+    max_size=5,
+).map(lambda words: " ".join(words))
+ids = st.integers(min_value=0, max_value=2**62)
+millis = st.integers(min_value=0, max_value=2**41).map(str)
+
+
+@st.composite
+def creation_records(draw):
+    record = {"id": draw(ids), "text": draw(text_strategy), "user": {"id": draw(ids)},
+              "timestamp_ms": draw(millis)}
+    if draw(st.booleans()):
+        record["extended_tweet"] = {"full_text": draw(text_strategy)}
+    if draw(st.booleans()):
+        record["entities"] = {"hashtags": [{"text": draw(text_strategy)}]}
+    return record
+
+
+@st.composite
+def deletion_records(draw):
+    return {"delete": {"status": {"id": draw(ids), "user_id": draw(ids)},
+                       "timestamp_ms": draw(millis)}}
+
+
+@st.composite
+def encoded_lines(draw):
+    record = draw(st.one_of(creation_records(), deletion_records()))
+    encoded = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    rng = random.Random(draw(st.integers()))
+    line = escape_strings(encoded, rng, draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0])))
+    return line + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    line=encoded_lines(),
+    keywords=st.lists(st.sampled_from(TREND_KEYWORDS), min_size=1, unique=True),
+    locale=st.sampled_from(["tr", "en"]),
+)
+def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
+    try:
+        event = parse_stream_line(line)
+    except MalformedLine:
+        return
+    if isinstance(event, Deletion):
+        assert _may_hold_deletion(line)
+    if isinstance(event, Creation):
+        trends = [TrendDay(DAY, normalize_keyword(raw, locale)) for raw in keywords]
+        if any(match_keyword(event.tweet.text, t.keyword, locale) for t in trends):
+            assert _creation_filter(trends, locale)(line)
+
+
+@pytest.mark.parametrize("key", ["\\u0064elete", "d\\u0065lete", "de\\u006cete", "de\\u006Cete",
+                                 "dele\\u0074e", "\\u0064\\u0065\\u006C\\u0065\\u0074\\u0065"])
+def test_deletion_with_escaped_key_is_kept(key):
+    line = f'{{"{key}":{{"status":{{"id":1,"user_id":2}},"timestamp_ms":"5"}}}}'
+    assert isinstance(parse_stream_line(line), Deletion)
+    assert _may_hold_deletion(line)
+
+
+@pytest.mark.parametrize("raw, text, locale", [
+    ("#konu", "a \\u0023Konu", "tr"),          # escaped '#'
+    ("ışık tepel", "IŞIK Tepel", "tr"),          # dotless I without escapes
+    ("İzmir", "İZMİR", "tr"),
+    ("İzmir", "İzmir", "en"),                  # 'İ' lowers to two characters
+    ("ΟΔΟΣ", "ΟΔΟΣ", "tr"),                    # final sigma at the closing quote
+    ("tepel sobar", "(tepel), SOBAR!", "tr"),  # edge punctuation around tokens
+])
+def test_matching_line_is_kept(raw, text, locale):
+    line = f'{{"id":1,"text":"{text}","user":{{"id":2}},"timestamp_ms":"5"}}'
+    trend = TrendDay(DAY, normalize_keyword(raw, locale))
+    assert match_keyword(parse_stream_line(line).tweet.text, trend.keyword, locale)
+    assert _creation_filter([trend], locale)(line)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the parser: malformed lines are counted, never fatal
+# ---------------------------------------------------------------------------
+
+SCHEMA_KEYS = ["id", "text", "user", "user_id", "timestamp_ms", "created_at", "entities",
+               "hashtags", "user_mentions", "urls", "extended_tweet", "full_text", "delete",
+               "status", "geo", "coordinates", "retweeted_status", "in_reply_to_status_id",
+               "in_reply_to_user_id", "source", "lang"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1000", "Tue Jun 18 09:00:00 +0000 2019", "Aug 32"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+fuzz_lines = st.one_of(
+    st.text(),
+    json_values.map(json.dumps),
+    st.dictionaries(st.sampled_from(SCHEMA_KEYS), json_values, max_size=8).map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(fuzz_lines, max_size=8),
+       keep=st.sampled_from([None, _may_hold_deletion,
+                             _creation_filter([TrendDay(DAY, normalize_keyword("#konu")),
+                                               TrendDay(DAY, normalize_keyword("a b"))], "tr")]))
+def test_read_stream_never_raises(lines, keep):
+    stats = ParseStats()
+    for event in read_stream(io.StringIO("\n".join(lines)), stats=stats, keep=keep):
+        assert isinstance(event, (Creation, Deletion))
+    assert stats.consistent
+
+
+# ---------------------------------------------------------------------------
+# Prefiltered two-pass join == unfiltered one-pass join
+# ---------------------------------------------------------------------------
+
+def _archive_lines() -> list[str]:
+    """A small simulator archive plus lines the simulator never writes:
+    escaped keys and hashtags, a notice before its tweet's creation, a
+    later duplicate notice, and a tweet id repeated with another text."""
+    config = sim_mod.ScenarioConfig(
+        n_days=1, organic_per_day=2, attacked_per_day=1, attacks_per_day=3,
+        background_per_day=300, organic_tweets_min=40, organic_tweets_max=60,
+        adoption_tweets_min=20, adoption_tweets_max=30, bots_min=20, bots_max=40, seed=5,
+    )
+    buffer = io.StringIO()
+    sim_mod.write_stream_jsonl(buffer, sim_mod.build_stream(config).events())
+    lines = buffer.getvalue().splitlines()
+    rng = random.Random(1)
+    lines = [escape_strings(line, rng, 0.3) if i % 5 == 0 else line
+             for i, line in enumerate(lines)]
+    extra = [
+        {"id": 1, "text": "erken silinen #Konu tepel sobar", "user": {"id": 9},
+         "timestamp_ms": str(DAY_NOON * 1000)},
+        {"id": 1, "text": "ikinci kopya #başka", "user": {"id": 9},
+         "timestamp_ms": str(DAY_NOON * 1000)},
+        {"delete": {"status": {"id": 1, "user_id": 9}, "timestamp_ms": str(DAY_NOON * 1000 - 5)}},
+        {"id": 2, "text": "ΟΔΟΣ TEPEL Sobar", "user": {"id": 8},
+         "timestamp_ms": str(DAY_NOON * 1000)},
+        {"delete": {"status": {"id": 2, "user_id": 8}, "timestamp_ms": str(DAY_NOON * 1000 + 9000)}},
+        {"delete": {"status": {"id": 2, "user_id": 8}, "timestamp_ms": str(DAY_NOON * 1000 + 7000)}},
+    ]
+    lines += [escape_strings(json.dumps(r, ensure_ascii=False), rng, rate)
+              for r in extra for rate in (0.0, 0.5)]
+    rng.shuffle(lines)
+    return lines
+
+
+def _trends(lines: list[str]) -> list[TrendDay]:
+    """Hashtag trend-days from the archive's hashtags, n-gram trend-days
+    from the first two words of some of its texts, and one that never
+    matches."""
+    tags, ngrams = set(), set()
+    for line in lines:
+        event = parse_stream_line(line)
+        if isinstance(event, Creation):
+            tags.update(event.tweet.hashtags)
+            tokens = text_tokens(event.tweet.text)
+            if len(tokens) >= 2 and not tokens[0].startswith("#") and len(ngrams) < 4:
+                ngrams.add(" ".join(tokens[:2]))
+    raws = sorted(f"#{tag}" for tag in tags)[:6] + sorted(ngrams) + [
+        "#konu", "tepel sobar", "οδος tepel", "devam etmiyor"]
+    days = [DAY, date.fromordinal(DAY.toordinal() + 1)]
+    return [TrendDay(day, normalize_keyword(raw)) for raw in raws for day in days]
+
+
+def _as_comparable(instances):
+    return {key: (inst.tweets, inst.deletions, inst.invalid_deletions)
+            for key, inst in instances.items()}
+
+
+def test_two_pass_join_equals_one_pass_join(tmp_path):
+    lines = _archive_lines()
+    trends = _trends(lines)
+    plain = tmp_path / "archive.jsonl"
+    plain.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    reference = _as_comparable(build_trend_instances(trends, read_stream(str(plain))))
+    assert any(tweets for tweets, _, _ in reference.values())
+    assert any(deletions for _, deletions, _ in reference.values())
+    assert any(invalid for _, _, invalid in reference.values())
+
+    crlf = tmp_path / "archive-crlf.jsonl"
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    zipped = tmp_path / "archive.jsonl.gz"
+    zipped.write_bytes(gzip.compress(plain.read_bytes()))
+    bzipped = tmp_path / "archive.jsonl.bz2"
+    bzipped.write_bytes(bz2.compress(crlf.read_bytes()))
+    for path in (plain, crlf, zipped, bzipped):
+        stats = ParseStats()
+        joined = build_instances_from_files(trends, [str(path)], stats=stats)
+        assert _as_comparable(joined) == reference
+        assert stats.lines_read == len(lines) and stats.prefiltered > 0 and stats.consistent
+
+    # Each shard also holds a notice for tweet 2; the earliest is in the first.
+    shards = []
+    for index, codec in enumerate((gzip, bz2, None)):
+        shard = tmp_path / f"shard{index}.jsonl"
+        notice = json.dumps({"delete": {"status": {"id": 2, "user_id": 8},
+                                        "timestamp_ms": str(DAY_NOON * 1000 + 6000 + index)}})
+        data = "".join(line + "\n" for line in lines[index::3] + [notice]).encode("utf-8")
+        shard.write_bytes(codec.compress(data) if codec else data)
+        shards.append(str(shard))
+    unfiltered = (event for shard in shards for event in read_stream(shard))
+    expected = _as_comparable(build_trend_instances(trends, unfiltered))
+    for jobs in (1, 2):
+        pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
+        assert _as_comparable(pooled) == expected
