@@ -24,6 +24,7 @@ TURKISH_ALPHABET = (
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
     "çğıöşüÇĞİÖŞÜâîûÂÎÛ"
 )
+_LEXICON_CHARS = frozenset(TURKISH_ALPHABET + " ()")
 
 _EMOJI_RE = re.compile(
     "["
@@ -84,6 +85,16 @@ def strip_keyword_and_emoji(
     return " ".join(kept)
 
 
+def _lexicon_and_tokens(
+    text: str, keyword: Optional[Keyword], locale: str, allowed: frozenset[str] = _LEXICON_CHARS
+) -> tuple[bool, int]:
+    """(is lexicon, token count) of the text from one strip of keyword and emoji."""
+    stripped = strip_keyword_and_emoji(text, keyword, locale)
+    n_tokens = len(stripped.split())
+    lexicon = 2 <= n_tokens <= 9 and not stripped[0].isupper() and allowed.issuperset(stripped)
+    return lexicon, n_tokens
+
+
 def is_lexicon_tweet(
     text: str,
     keyword: Optional[Keyword] = None,
@@ -95,23 +106,13 @@ def is_lexicon_tweet(
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
     """
-    stripped = strip_keyword_and_emoji(text, keyword, locale)
-    if not stripped:
-        return False
-    allowed = set(alphabet)
-    allowed.update(" ()")
-    for ch in stripped:
-        if ch not in allowed:
-            return False
-    if stripped[0].isupper():
-        return False
-    return 2 <= len(stripped.split()) <= 9
+    return _lexicon_and_tokens(text, keyword, locale, frozenset(alphabet + " ()"))[0]
 
 
 def lexicon_token_count(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> int:
-    return len(strip_keyword_and_emoji(text, keyword, locale).split())
+    return _lexicon_and_tokens(text, keyword, locale)[1]
 
 
 def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
@@ -129,19 +130,24 @@ def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_L
 
 
 def compute_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> TweetFlags:
+    lexicon, n_tokens = _lexicon_and_tokens(tweet.text, keyword, locale)
     return TweetFlags(
-        is_lexicon=is_lexicon_tweet(tweet.text, keyword, locale),
+        is_lexicon=lexicon,
         is_single_engagement=is_single_engagement(tweet, keyword, locale),
-        token_count=lexicon_token_count(tweet.text, keyword, locale),
+        token_count=n_tokens,
     )
 
 
 def flags_for_instance(
-    instance: TrendInstance, locale: str = DEFAULT_LOCALE
+    instance: TrendInstance,
+    locale: str = DEFAULT_LOCALE,
+    tweets: Optional[Iterable[Tweet]] = None,
 ) -> dict[int, TweetFlags]:
-    """Flags for every tweet in a trend instance, keyed by tweet id."""
+    """Flags keyed by tweet id for ``tweets`` of the instance (default: all of them)."""
     keyword = instance.keyword
-    return {t.id: compute_flags(t, keyword, locale) for t in instance.tweets}
+    if tweets is None:
+        tweets = instance.tweets
+    return {t.id: compute_flags(t, keyword, locale) for t in tweets}
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,13 @@ def _cmd_metrics(args, out: _Outputs) -> int:
 def _cmd_graph(args, out: _Outputs) -> int:
     trends = load_trend_days(args.trends, args.locale)
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
+    # Both the deleted-lexicon edges and the attack times read flags of
+    # deleted tweets only.
     flags = {
-        key: flags_for_instance(instance, args.locale) for key, instance in instances.items()
+        key: flags_for_instance(
+            instance, args.locale, [t for t in instance.tweets if t.id in instance.deletions]
+        )
+        for key, instance in instances.items()
     }
     graph = graph_mod.build_graph(instances, args.predicate, flags)
     if args.single_attack:

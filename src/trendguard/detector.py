@@ -32,6 +32,8 @@ from .ingest import (
     TrendInstance,
     Tweet,
     TweetEvent,
+    _InstanceBuilder,
+    _note_deletion,
     day_number_to_date,
     extract_hashtags,
 )
@@ -211,11 +213,12 @@ def attack_candidates(
     params: AttackParams,
     require_lexicon: bool = False,
 ) -> list[tuple[Tweet, Timestamp]]:
-    """Deleted single-engagement tweets eligible for clustering.
+    """Deleted single-engagement tweets eligible for clustering, in creation order.
 
     Tweets whose lifetime exceeds theta can belong to no cluster and are
     dropped here. A user contributes at most their earliest eligible tweet,
-    so every cluster automatically has one tweet per user.
+    so every cluster automatically has one tweet per user. The order is by
+    (created milliseconds, tweet id).
     """
     eligible = []
     for tweet in instance.tweets:
@@ -231,12 +234,13 @@ def attack_candidates(
         if lifetime < 0 or lifetime > params.theta.seconds:
             continue
         eligible.append((tweet, deleted_at))
-    eligible.sort(key=lambda td: (td[0].created_at, td[0].id))
+    eligible.sort(key=lambda td: (td[0].created_at.to_millis(), td[0].id))
     per_user: dict[int, tuple[Tweet, Timestamp]] = {}
     for tweet, deleted_at in eligible:
         if tweet.user_id not in per_user:
             per_user[tweet.user_id] = (tweet, deleted_at)
-    return sorted(per_user.values(), key=lambda td: (td[0].created_at, td[0].id))
+    # Insertion order is the sorted order of each user's earliest tweet.
+    return list(per_user.values())
 
 
 def detect_attack_windows(
@@ -250,10 +254,26 @@ def detect_attack_windows(
 
     A cluster is a candidate subset with at least kappa tweets whose
     creation span fits alpha_p and deletion span fits alpha_d; maximal means
-    no eligible tweet can be added without breaking a window. Clusters are
-    enumerated by anchoring a creation window at each distinct creation time
-    and a deletion window at each distinct deletion time inside it; subset
-    clusters are discarded.
+    no eligible tweet can be added without breaking a window. Spans are in
+    whole seconds; ties within a second are ordered by milliseconds, then id.
+
+    The enumeration is an integer sweep. Candidates are ranked once by
+    (deleted milliseconds, id). For each distinct creation second s, in
+    ascending order, the creation window holds the candidates created in
+    [s, s + alpha_p], sorted by rank; for each distinct deletion second t in
+    it, ascending, the run of window positions [a, b) deleted in
+    [t, t + alpha_d] is a cluster when it has at least kappa tweets and is
+    canonical: it holds a tweet created in second s itself (else the same run,
+    possibly larger, is met under its true earliest creation second). The
+    test is one bisect into the ranks of the tweets created in second s. A
+    deletion anchor whose right end b does not pass the previous anchor's is
+    skipped: its run is a subset of the previous run, or a duplicate of it.
+    The runs, longest first and, among equal lengths, in enumeration order,
+    are then kept unless they are a subset of a run kept before them.
+
+    Events are sorted by (start, smallest tweet id). That key can tie (two
+    clusters sharing their earliest tweet); tied events keep the order of
+    the maximal list: longer first, then first enumerated.
 
     Back-to-back bursts produce families of pairwise-overlapping maximal
     clusters (a window can straddle the tail of one burst and the head of
@@ -264,62 +284,71 @@ def detect_attack_windows(
     """
     cands = attack_candidates(instance, flags, params, require_lexicon)
     n = len(cands)
-    if n < params.kappa:
+    kappa = params.kappa
+    if n < kappa:
         return []
-
-    p = [t.created_at.seconds for t, _ in cands]
     alpha_p = params.alpha_p.seconds
     alpha_d = params.alpha_d.seconds
 
+    # Candidate index j is creation order; rank r is deletion order.
+    p = [t.created_at.seconds for t, _ in cands]
+    by_rank = sorted(range(n), key=lambda j: (cands[j][1].to_millis(), cands[j][0].id))
+    rank = [0] * n
+    for r, j in enumerate(by_rank):
+        rank[j] = r
+    d = [cands[j][1].seconds for j in by_rank]
+    # past[r]: the first rank deleted after second d[r] + alpha_d.
+    past = [bisect_right(d, t + alpha_d) for t in d]
+
     raw: list[frozenset[int]] = []
-    seen_anchor = set()
-    for i in range(n):
-        if p[i] in seen_anchor:
-            continue
-        seen_anchor.add(p[i])
-        lo = bisect_left(p, p[i])
-        hi = bisect_right(p, p[i] + alpha_p)
-        window = sorted(range(lo, hi), key=lambda j: (cands[j][1], cands[j][0].id))
-        dvals = [cands[j][1].seconds for j in window]
-        seen_d = set()
-        for a in range(len(window)):
-            if dvals[a] in seen_d:
+    lo = 0
+    while lo < n:
+        mid = bisect_right(p, p[lo], lo)
+        hi = bisect_right(p, p[lo] + alpha_p, mid)
+        window = sorted(rank[lo:hi])
+        anchored = sorted(rank[lo:mid])
+        prev_t = None
+        prev_b = -1
+        for a in range(len(window) - kappa + 1):
+            r = window[a]
+            if d[r] == prev_t:
                 continue
-            seen_d.add(dvals[a])
-            b = bisect_right(dvals, dvals[a] + alpha_d)
-            members = window[a:b]
-            if len(members) < params.kappa:
+            prev_t = d[r]
+            b = bisect_left(window, past[r], a)
+            if b <= prev_b:  # a subset or duplicate of the previous run
                 continue
-            # Canonical anchor only: the run is regenerated (possibly larger)
-            # at the window anchored on its actual earliest creation.
-            if min(p[j] for j in members) != p[i]:
+            prev_b = b
+            if b - a < kappa:
                 continue
-            raw.append(frozenset(members))
+            # Canonical iff a tweet created in second p[lo] ranks in [r, window[b - 1]].
+            k = bisect_left(anchored, r)
+            if k < len(anchored) and anchored[k] <= window[b - 1]:
+                raw.append(frozenset(window[a:b]))
+        lo = mid
 
     raw.sort(key=len, reverse=True)
     maximal: list[frozenset[int]] = []
     for cluster in raw:
-        if any(cluster < kept or cluster == kept for kept in maximal):
-            continue
-        maximal.append(cluster)
+        if not any(cluster <= kept for kept in maximal):
+            maximal.append(cluster)
 
     if merge_overlapping:
         maximal = _merge_components(maximal)
 
     events = []
     for cluster in maximal:
-        members = [cands[j] for j in sorted(cluster)]
-        creations = [t.created_at.seconds for t, _ in members]
-        deletions = [d.seconds for _, d in members]
+        members = [by_rank[r] for r in cluster]
+        first, last = min(members), max(members)
+        low, high = min(cluster), max(cluster)
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(t.id for t, _ in members),
-                users=frozenset(t.user_id for t, _ in members),
-                start=min((t.created_at for t, _ in members)),
-                end=max((d for _, d in members)),
-                creation_window=Duration(max(creations) - min(creations)),
-                deletion_window=Duration(max(deletions) - min(deletions)),
-                max_lifetime=Duration(max(d.seconds - t.created_at.seconds for t, d in members)),
+                tweet_ids=frozenset(cands[j][0].id for j in members),
+                users=frozenset(cands[j][0].user_id for j in members),
+                start=cands[first][0].created_at,
+                end=cands[by_rank[high]][1],
+                creation_window=Duration(p[last] - p[first]),
+                deletion_window=Duration(d[high] - d[low]),
+                max_lifetime=Duration(max(d[r] - p[by_rank[r]] for r in cluster)),
             )
         )
     events.sort(key=lambda e: (e.start, min(e.tweet_ids)))
@@ -398,38 +427,31 @@ def scan_candidates(
     tweets that were not trending that day or the next are run through the
     feature pipeline. Positive verdicts are unsuccessful attacks.
     """
-    groups: dict[tuple[int, str], dict[int, Tweet]] = {}
+    builders: dict[tuple[int, str], _InstanceBuilder] = {}
     deletions: dict[int, Timestamp] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
             day = tweet.created_at.local_day(tz_offset)
             for tag in extract_hashtags(tweet.text, locale):
-                groups.setdefault((day, tag), {}).setdefault(tweet.id, tweet)
+                builder = builders.get((day, tag))
+                if builder is None:
+                    trend = TrendDay(date=day_number_to_date(day),
+                                     keyword=Keyword("#" + tag, tag, HASHTAG))
+                    builder = builders[(day, tag)] = _InstanceBuilder(trend, tz_offset)
+                builder.offer_tweet(tweet)
         elif isinstance(event, Deletion):
-            prior = deletions.get(event.tweet_id)
-            if prior is None or event.time < prior:
-                deletions[event.tweet_id] = event.time
+            _note_deletion(deletions, event.tweet_id, event.time)
 
     verdicts = []
-    for (day, tag), tweets in sorted(groups.items()):
-        if len(tweets) < min_tweets:
+    for (day, tag), builder in sorted(builders.items()):
+        if len(builder.tweets) < min_tweets:
             continue
-        day_date = day_number_to_date(day)
+        trend = builder.trend
         next_date = day_number_to_date(day + 1)
-        if (day_date, tag) in known_trends or (next_date, tag) in known_trends:
+        if (trend.date, tag) in known_trends or (next_date, tag) in known_trends:
             continue
-        trend = TrendDay(date=day_date, keyword=Keyword("#" + tag, tag, HASHTAG))
-        instance = TrendInstance(trend=trend)
-        instance.tweets = sorted(tweets.values(), key=lambda t: (t.created_at, t.id))
-        for tweet in instance.tweets:
-            when = deletions.get(tweet.id)
-            if when is None:
-                continue
-            if when < tweet.created_at:
-                instance.invalid_deletions += 1
-            else:
-                instance.deletions[tweet.id] = when
+        instance = builder.build(deletions)
         instance_flags = flags_for_instance(instance, locale)
         vector = count_features(instance, instance_flags)
         verdicts.append(classify_trend(vector, config, trend=trend))

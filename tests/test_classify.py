@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
 from trendguard.classify import (
+    TURKISH_ALPHABET,
     EmptyCorpus,
+    TweetFlags,
     compute_flags,
     is_lexicon_tweet,
     is_single_engagement,
     lexicon_stats,
+    lexicon_token_count,
     strip_keyword_and_emoji,
 )
 
@@ -179,3 +183,63 @@ class TestFlagsAndStats:
         table.write_csv(buffer)
         lines = buffer.getvalue().strip().splitlines()
         assert len(lines) == 7  # header + six statistics rows
+
+
+def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
+    """The lexicon rule as written before flags stripped each text once."""
+    stripped = strip_keyword_and_emoji(text, keyword, locale)
+    if not stripped:
+        return False
+    allowed = set(alphabet)
+    allowed.update(" ()")
+    for ch in stripped:
+        if ch not in allowed:
+            return False
+    if stripped[0].isupper():
+        return False
+    return 2 <= len(stripped.split()) <= 9
+
+
+# Words the lexicon rule accepts once keyword and emoji are stripped, and
+# words that break it (digits, punctuation, keycaps, capitals, mentions).
+LEXICON_WORDS = ["tepel", "sobar", "ılık", "çok", "iğdır", "istanbul", "(iki)", "(", ")",
+                 "Sobar", "İstanbul", "ISTANBUL", "Iğdır", "#tepel", "#Tepel", "#TEPEL",
+                 "#İzmir", "#izmir", "#IZMIR", "#ızmır", "\U0001F600", "\U0001F525ateş",
+                 "\u2764\ufe0f", "\U0001F468\u200d\U0001F469", "\u200d"]
+OTHER_WORDS = ["x2", "2019", "1\ufe0f\u20e3", "#\u20e3", "#diğer", "a.b", "@kişi", "-",
+               "\u00a0", "SOBAR!"]
+SEPARATORS = [" ", "  ", "\t", "\u3000"]
+FLAG_KEYWORDS = ["#tepel", "#TEPEL", "#İzmir", "#IZMIR", "tepel sobar", "Tepel SOBAR",
+                 "İstanbul ılık", "(iki) çok", "2019"]
+
+
+@st.composite
+def flag_texts(draw):
+    words = draw(st.lists(st.sampled_from(LEXICON_WORDS), max_size=11))
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.sampled_from(OTHER_WORDS) | st.text(max_size=3))
+        words.insert(draw(st.integers(0, len(words))), other)
+    return draw(st.sampled_from(SEPARATORS)).join(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=flag_texts(), raw_keyword=st.sampled_from(FLAG_KEYWORDS),
+       locale=st.sampled_from(["tr", "en"]), mentions=st.booleans(),
+       extra_tag=st.sampled_from([None, "tepel", "izmir", "diğer"]))
+def test_compute_flags_equals_the_three_classifiers(text, raw_keyword, locale, mentions,
+                                                     extra_tag):
+    keyword = normalize_keyword(raw_keyword, locale)
+    hashtags = [w.lstrip("#") for w in text.split() if w.startswith("#")]
+    if extra_tag:
+        hashtags.append(extra_tag)
+    tweet = make_tweet(1, 1, text, 0, hashtags=hashtags, mentions=(7,) if mentions else ())
+    flags = compute_flags(tweet, keyword, locale)
+    assert flags == TweetFlags(
+        is_lexicon_tweet(text, keyword, locale),
+        is_single_engagement(tweet, keyword, locale),
+        lexicon_token_count(text, keyword, locale),
+    )
+    assert flags.is_lexicon == reference_is_lexicon(text, keyword, locale)
+    assert flags.token_count == len(strip_keyword_and_emoji(text, keyword, locale).split())
+    assert is_lexicon_tweet(text, None, locale, "abc") == \
+        reference_is_lexicon(text, None, locale, "abc")

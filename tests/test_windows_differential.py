@@ -1,0 +1,214 @@
+"""Ordered differential test of the sweep-line window detection.
+
+`reference_windows` is the enumeration detect_attack_windows used before
+the sweep: one creation window per distinct creation second, one deletion
+window per distinct deletion second inside it, a canonical-anchor check by
+minimum, and a quadratic maximal-subset filter. The sweep must return the
+very same event list, order included: events sort by (start, smallest id),
+which can tie, and tied events keep the maximal list's order.
+"""
+
+import random
+from bisect import bisect_left, bisect_right
+
+import pytest
+
+from trendguard.classify import TweetFlags
+from trendguard.core import Duration, Timestamp
+from trendguard.detector import (
+    AttackEvent,
+    AttackParams,
+    _merge_components,
+    detect_attack_windows,
+)
+from trendguard.ingest import TrendInstance, Tweet
+
+from conftest import DAY, DAY_NOON, make_instance
+
+
+def reference_candidates(instance, flags, params, require_lexicon=False):
+    eligible = []
+    for tweet in instance.tweets:
+        deleted_at = instance.deletions.get(tweet.id)
+        if deleted_at is None:
+            continue
+        flag = flags[tweet.id]
+        if not flag.is_single_engagement:
+            continue
+        if require_lexicon and not flag.is_lexicon:
+            continue
+        lifetime = (deleted_at - tweet.created_at).seconds
+        if lifetime < 0 or lifetime > params.theta.seconds:
+            continue
+        eligible.append((tweet, deleted_at))
+    eligible.sort(key=lambda td: (td[0].created_at, td[0].id))
+    per_user = {}
+    for tweet, deleted_at in eligible:
+        if tweet.user_id not in per_user:
+            per_user[tweet.user_id] = (tweet, deleted_at)
+    return sorted(per_user.values(), key=lambda td: (td[0].created_at, td[0].id))
+
+
+def reference_windows(instance, flags, params, require_lexicon=False,
+                      merge_overlapping=False):
+    cands = reference_candidates(instance, flags, params, require_lexicon)
+    n = len(cands)
+    if n < params.kappa:
+        return []
+
+    p = [t.created_at.seconds for t, _ in cands]
+    alpha_p = params.alpha_p.seconds
+    alpha_d = params.alpha_d.seconds
+
+    raw = []
+    seen_anchor = set()
+    for i in range(n):
+        if p[i] in seen_anchor:
+            continue
+        seen_anchor.add(p[i])
+        lo = bisect_left(p, p[i])
+        hi = bisect_right(p, p[i] + alpha_p)
+        window = sorted(range(lo, hi), key=lambda j: (cands[j][1], cands[j][0].id))
+        dvals = [cands[j][1].seconds for j in window]
+        seen_d = set()
+        for a in range(len(window)):
+            if dvals[a] in seen_d:
+                continue
+            seen_d.add(dvals[a])
+            b = bisect_right(dvals, dvals[a] + alpha_d)
+            members = window[a:b]
+            if len(members) < params.kappa:
+                continue
+            # Canonical anchor only: the run is regenerated (possibly larger)
+            # at the window anchored on its actual earliest creation.
+            if min(p[j] for j in members) != p[i]:
+                continue
+            raw.append(frozenset(members))
+
+    raw.sort(key=len, reverse=True)
+    maximal = []
+    for cluster in raw:
+        if any(cluster < kept or cluster == kept for kept in maximal):
+            continue
+        maximal.append(cluster)
+
+    if merge_overlapping:
+        maximal = _merge_components(maximal)
+
+    events = []
+    for cluster in maximal:
+        members = [cands[j] for j in sorted(cluster)]
+        creations = [t.created_at.seconds for t, _ in members]
+        deletions = [d.seconds for _, d in members]
+        events.append(
+            AttackEvent(
+                tweet_ids=frozenset(t.id for t, _ in members),
+                users=frozenset(t.user_id for t, _ in members),
+                start=min((t.created_at for t, _ in members)),
+                end=max((d for _, d in members)),
+                creation_window=Duration(max(creations) - min(creations)),
+                deletion_window=Duration(max(deletions) - min(deletions)),
+                max_lifetime=Duration(max(d.seconds - t.created_at.seconds for t, d in members)),
+            )
+        )
+    events.sort(key=lambda e: (e.start, min(e.tweet_ids)))
+    return events
+
+
+def _bursty_instance(rng):
+    """50-300 tweets in a few bursts: shared creation seconds with distinct
+    (and some equal) milliseconds, deletion waves that share seconds, some
+    users posting twice, and some negative or over-long lifetimes."""
+    n = rng.randint(50, 300)
+    n_bursts = rng.randint(1, 4)
+    bursts = [(DAY_NOON + rng.randint(0, 1500), rng.randint(0, 240), rng.randint(0, 400),
+               rng.randint(0, 120)) for _ in range(n_bursts)]
+    millis = [0, 0, 1, 250, 500, 999]
+    tweets = []
+    deletions = {}
+    flags = {}
+    for tweet_id in rng.sample(range(1, 10 * n), n):
+        start, spread, delay, wave = rng.choice(bursts)
+        created = Timestamp(start + rng.randint(0, spread), rng.choice(millis))
+        tweets.append(Tweet(
+            id=tweet_id, user_id=rng.randint(1, n - n // 8), text="",
+            created_at=created, hashtags=("tag",), mentions=(), urls=0,
+            is_retweet=False, is_reply=False, geo=None,
+        ))
+        flags[tweet_id] = TweetFlags(is_lexicon=rng.random() < 0.8,
+                                     is_single_engagement=rng.random() < 0.9,
+                                     token_count=3)
+        roll = rng.random()
+        if roll < 0.75:
+            deleted = start + spread // 2 + delay + rng.randint(0, wave)
+        elif roll < 0.85:
+            deleted = created.seconds + rng.randint(-30, 900)
+        else:
+            continue
+        deletions[tweet_id] = Timestamp(deleted, rng.choice(millis))
+    instance = make_instance("#tag", [], {})
+    instance.tweets = sorted(tweets, key=lambda t: (t.created_at, t.id))
+    instance.deletions = deletions
+    return instance, flags
+
+
+def _random_params(rng):
+    return AttackParams(kappa=rng.randint(1, 8), alpha_p=Duration(rng.randint(0, 600)),
+                        alpha_d=Duration(rng.randint(0, 600)),
+                        theta=Duration(rng.randint(300, 900)))
+
+
+def _has_tie(events):
+    keys = [(e.start, min(e.tweet_ids)) for e in events]
+    return len(set(keys)) < len(keys)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_equals_reference_in_order(seed):
+    rng = random.Random(seed)
+    ties = 0
+    for _ in range(6):
+        instance, flags = _bursty_instance(rng)
+        params = _random_params(rng)
+        for require_lexicon in (False, True):
+            for merge in (False, True):
+                got = detect_attack_windows(instance, flags, params, require_lexicon, merge)
+                want = reference_windows(instance, flags, params, require_lexicon, merge)
+                assert got == want
+                ties += _has_tie(want)
+    assert ties, "no tied (start, min id) pair: the tie order went untested"
+
+
+def test_extreme_windows_equal_reference():
+    """alpha_p and alpha_d at 0 (one-second windows) and at 600, kappa 1 and 8."""
+    rng = random.Random(99)
+    for _ in range(4):
+        instance, flags = _bursty_instance(rng)
+        for kappa in (1, 8):
+            for alpha in (0, 600):
+                params = AttackParams(kappa=kappa, alpha_p=Duration(alpha),
+                                      alpha_d=Duration(600 - alpha), theta=Duration(900))
+                assert detect_attack_windows(instance, flags, params) == \
+                    reference_windows(instance, flags, params)
+
+
+def test_same_second_creations_keep_millisecond_order():
+    """Three tweets in one creation second, one deleted in the same second as
+    another: ranks by (deleted ms, id) and spans come from the right tweets."""
+    flags = {i: TweetFlags(True, True, 3) for i in (1, 2, 3, 4)}
+    created = {1: Timestamp(DAY_NOON, 900), 2: Timestamp(DAY_NOON, 5),
+               3: Timestamp(DAY_NOON, 400), 4: Timestamp(DAY_NOON + 1, 0)}
+    tweets = [Tweet(id=i, user_id=10 + i, text="", created_at=created[i], hashtags=("tag",),
+                    mentions=(), urls=0, is_retweet=False, is_reply=False, geo=None)
+              for i in created]
+    instance = TrendInstance(trend=make_instance("#tag", [], {}, day=DAY).trend)
+    instance.tweets = sorted(tweets, key=lambda t: (t.created_at, t.id))
+    instance.deletions = {1: Timestamp(DAY_NOON + 60, 10), 2: Timestamp(DAY_NOON + 60, 700),
+                          3: Timestamp(DAY_NOON + 61, 0), 4: Timestamp(DAY_NOON + 60, 10)}
+    params = AttackParams(kappa=2, alpha_p=Duration(0), alpha_d=Duration(0))
+    got = detect_attack_windows(instance, flags, params)
+    assert got == reference_windows(instance, flags, params)
+    assert [sorted(e.tweet_ids) for e in got] == [[1, 2]]
+    first = got[0]
+    assert first.start == Timestamp(DAY_NOON, 5)
+    assert first.end == Timestamp(DAY_NOON + 60, 700)
