@@ -26,7 +26,7 @@ scenario = replace(
     background_per_day=500,
 )
 labeled = build_stream(scenario)
-streams = group_stream_by_keyword(labeled.events(), list(labeled.keywords))
+streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
 
 window = Duration(600)
 epochs_off = trend_oracle(streams, window, mitigation=False, k=10)

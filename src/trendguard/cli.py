@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import gzip
+import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +25,6 @@ from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, Duration, Timestamp, TrendG
 from .ingest import (
     ParseStats,
     build_instances_from_files,
-    build_trend_instances,
     load_trend_days,
     load_trend_epochs,
     read_stream,
@@ -89,11 +90,19 @@ def _config_from(args) -> DetectorConfig:
 # Two-pass instance building, across files in a process pool with --jobs
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _map_fn(jobs: int, n_tasks: int):
+    """A process pool's map when both jobs and tasks exceed one, else builtin map."""
+    if jobs <= 1 or n_tasks <= 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_tasks)) as pool:
+            yield pool.map
+
+
 def _build_instances(paths, trends, locale, tz_offset, jobs):
-    if jobs <= 1 or len(paths) <= 1:
-        return build_instances_from_files(trends, paths, locale, tz_offset)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-        return build_instances_from_files(trends, paths, locale, tz_offset, map_fn=pool.map)
+    with _map_fn(jobs, len(paths)) as map_fn:
+        return build_instances_from_files(trends, paths, locale, tz_offset, map_fn=map_fn)
 
 
 def _stats_worker(path):
@@ -121,6 +130,15 @@ class _Outputs:
             return open(path, "wb")
         return open(path, mode, encoding="utf-8", newline="")
 
+    @contextmanager
+    def sink(self, args):
+        """stdout under --stdout, else the tracked file --out."""
+        if args.stdout:
+            yield sys.stdout
+        else:
+            with self.open(args.out) as handle:
+                yield handle
+
     def cleanup(self):
         for path in self.paths:
             try:
@@ -130,11 +148,8 @@ class _Outputs:
 
 
 def _cmd_ingest(args, out: _Outputs) -> int:
-    if args.jobs > 1 and len(args.stream) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.stream))) as pool:
-            parts = list(pool.map(_stats_worker, args.stream))
-    else:
-        parts = [_stats_worker(path) for path in args.stream]
+    with _map_fn(args.jobs, len(args.stream)) as map_fn:
+        parts = list(map_fn(_stats_worker, args.stream))
     total = ParseStats()
     for part in parts:
         total.add(part)
@@ -147,16 +162,12 @@ def _cmd_ingest(args, out: _Outputs) -> int:
         "other_skipped": total.other_skipped,
         "consistent": total.consistent,
     }
-    payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if args.stdout:
-        sys.stdout.write(payload)
-    else:
-        with out.open(args.out) as handle:
-            handle.write(payload)
+    with out.sink(args) as handle:
+        handle.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return 0
 
 
-def _instances_flags_features(args, out):
+def _instances_flags_features(args):
     trends = load_trend_days(args.trends, args.locale)
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
     rows = []
@@ -168,32 +179,23 @@ def _instances_flags_features(args, out):
 
 
 def _cmd_features(args, out: _Outputs) -> int:
-    rows = _instances_flags_features(args, out)
-    target = sys.stdout if args.stdout else out.open(args.out)
-    try:
-        write_feature_csv(target, [(instance, vector) for _, instance, _, vector in rows])
-    finally:
-        if target is not sys.stdout:
-            target.close()
+    rows = _instances_flags_features(args)
+    with out.sink(args) as handle:
+        write_feature_csv(handle, [(instance, vector) for _, instance, _, vector in rows])
     return 0
 
 
 def _cmd_detect(args, out: _Outputs) -> int:
     config = _config_from(args)
     params = _params_from(args)
-    rows = _instances_flags_features(args, out)
+    rows = _instances_flags_features(args)
     verdicts = []
     flags_by_key = {}
     for key, instance, flags, vector in rows:
         flags_by_key[key] = flags
         verdicts.append(classify_trend(vector, config, trend=instance.trend))
-
-    target = sys.stdout if args.stdout else out.open(args.out)
-    try:
-        write_verdicts_jsonl(target, verdicts)
-    finally:
-        if target is not sys.stdout:
-            target.close()
+    with out.sink(args) as handle:
+        write_verdicts_jsonl(handle, verdicts)
 
     if args.bots_out:
         bots = label_astrobots(
@@ -231,12 +233,8 @@ def _cmd_scan(args, out: _Outputs) -> int:
     verdicts = scan_candidates(
         events, known, config, args.locale, min_tweets=args.min_tweets, tz_offset=args.tz_offset
     )
-    target = sys.stdout if args.stdout else out.open(args.out)
-    try:
-        write_verdicts_jsonl(target, verdicts)
-    finally:
-        if target is not sys.stdout:
-            target.close()
+    with out.sink(args) as handle:
+        write_verdicts_jsonl(handle, verdicts)
     return 0
 
 
@@ -368,21 +366,15 @@ def _cmd_simulate(args, out: _Outputs) -> int:
     labeled = sim_mod.build_stream(config)
 
     out_dir = Path(args.out)
-    stream_name = "stream.jsonl.gz" if args.gzip else "stream.jsonl"
     if args.gzip:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / stream_name
-        out.paths.append(path)
-        # mtime pinned so repeated runs are byte-identical
-        with gzip.GzipFile(path, "wb", mtime=0) as raw:
-            import io
-
-            handle = io.TextIOWrapper(raw, encoding="utf-8")
+        # mtime pinned so repeated runs are byte-identical; the header names
+        # the file without its .gz suffix.
+        with out.open(out_dir / "stream.jsonl.gz", "wb") as raw, \
+                gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as packed, \
+                io.TextIOWrapper(packed, encoding="utf-8") as handle:
             sim_mod.write_stream_jsonl(handle, labeled.events())
-            handle.flush()
-            handle.detach()
     else:
-        with out.open(out_dir / stream_name) as handle:
+        with out.open(out_dir / "stream.jsonl") as handle:
             sim_mod.write_stream_jsonl(handle, labeled.events())
 
     with out.open(out_dir / "truth.csv") as handle:
@@ -395,7 +387,7 @@ def _cmd_simulate(args, out: _Outputs) -> int:
         sim_mod.save_scenario(config, handle)
     if args.epochs:
         streams = sim_mod.group_stream_by_keyword(
-            labeled.events(), list(labeled.keywords), args.locale
+            labeled.events(), labeled.keywords.values(), args.locale
         )
         ranked = sim_mod.trend_oracle(
             streams, epoch_seconds=config.epoch_seconds, mitigation=False
@@ -424,35 +416,18 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
 
 
 def _evaluate_sim_dir(args, config: DetectorConfig) -> sim_mod.EvalReport:
-    import random
-
     sim_dir = Path(args.sim)
-    scenario = sim_mod.load_scenario(str(sim_dir / "scenario.cfg"))
-    truth = sim_mod.load_truth_csv(str(sim_dir / "truth.csv"), args.locale)
-    trends = load_trend_days(str(sim_dir / "trends.csv"), args.locale)
     stream_path = sim_dir / "stream.jsonl"
     if not stream_path.exists():
         stream_path = sim_dir / "stream.jsonl.gz"
-    rng = random.Random(f"{scenario.seed}:sample")
-    events = sim_mod.sample_stream(read_stream(str(stream_path)), scenario.sample_rate, rng)
-    instances = build_trend_instances(trends, events, args.locale, scenario.tz_offset)
-    tp = fp = tn = fn = 0
-    for key, instance in instances.items():
-        flags = flags_for_instance(instance, args.locale)
-        verdict = classify_trend(count_features(instance, flags), config, trend=instance.trend)
-        actual = truth[key]
-        if verdict.attacked and actual:
-            tp += 1
-        elif verdict.attacked:
-            fp += 1
-        elif actual:
-            fn += 1
-        else:
-            tn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return sim_mod.EvalReport(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, tn=tn, fn=fn)
+    return sim_mod.score_stream(
+        config,
+        sim_mod.load_scenario(str(sim_dir / "scenario.cfg")),
+        read_stream(str(stream_path)),
+        load_trend_days(str(sim_dir / "trends.csv"), args.locale),
+        sim_mod.load_truth_csv(str(sim_dir / "truth.csv"), args.locale),
+        args.locale,
+    )
 
 
 # ---------------------------------------------------------------------------

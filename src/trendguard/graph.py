@@ -102,7 +102,8 @@ class Graph:
         return seen
 
     def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges())
+        # Every edge is counted once from each end.
+        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
 
     def subgraph(self, keep: set[Node]) -> "Graph":
         sub = Graph()

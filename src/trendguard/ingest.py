@@ -642,66 +642,72 @@ def build_trend_instance(
     return builder.build(pending)
 
 
+def _keyword_index(
+    keywords: Iterable[Keyword], locale: str
+) -> Callable[[str], list[tuple[str, str]]]:
+    """Maps a tweet text to the (kind, normalized) key of every keyword that
+    match_keyword accepts for it (an n-gram's key once per occurrence):
+    hashtags through the text's hashtags, n-grams through the token runs
+    that start with their first token."""
+    hashtags: dict[str, tuple[str, str]] = {}
+    ngrams: dict[str, set[tuple[tuple[str, ...], tuple[str, str]]]] = {}
+    for k in keywords:
+        key = (k.kind, k.normalized)
+        if k.kind == HASHTAG:
+            hashtags[k.normalized] = key
+        else:
+            tokens = tuple(k.normalized.split())
+            ngrams.setdefault(tokens[0], set()).add((tokens, key))
+
+    def contained(text: str) -> list[tuple[str, str]]:
+        found = []
+        if hashtags:
+            found = [hashtags[tag] for tag in extract_hashtags(text, locale) if tag in hashtags]
+        if ngrams:
+            tokens = text_tokens(text, locale)
+            for i, token in enumerate(tokens):
+                for ngram, key in ngrams.get(token, ()):
+                    if tuple(tokens[i : i + len(ngram)]) == ngram:
+                        found.append(key)
+        return found
+
+    return contained
+
+
 def build_trend_instances(
     trends: Sequence[TrendDay],
     events: Iterable[TweetEvent],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
-    collect_deletions: bool = True,
 ) -> dict[tuple[date, str], TrendInstance]:
     """Join many trend-days against one pass over an event collection.
 
-    Returns a mapping keyed by (date, normalized keyword). Matching is
-    indexed: hashtag keywords are looked up against the tweet's extracted
-    hashtags, n-gram keywords against its token stream. Deletion notices are
+    Returns a mapping keyed by (date, normalized keyword). Matching goes
+    through one keyword index over all trend-days. Deletion notices are
     buffered by id (memory proportional to deletions in the input); callers
     that need bounded memory over large files should use
     build_instances_from_files, which attaches deletions in a second pass.
     """
     builders = _builders(trends, tz_offset)
-    hashtag_index: dict[str, dict[int, list[_InstanceBuilder]]] = {}
-    ngram_index: dict[str, list[tuple[tuple[str, ...], dict[int, list[_InstanceBuilder]]]]] = {}
-
+    # The builders that take a tweet, by keyword and by the tweet's local
+    # day: a trend-day on day d takes tweets of days d and d-1.
+    by_keyword: dict[tuple[str, str], dict[int, list[_InstanceBuilder]]] = {}
     for builder in builders.values():
-        trend = builder.trend
-        if trend.keyword.kind == HASHTAG:
-            by_day = hashtag_index.setdefault(trend.keyword.normalized, {})
-            by_day.setdefault(builder.day_number, []).append(builder)
-        else:
-            tokens = tuple(trend.keyword.normalized.split())
-            entries = ngram_index.setdefault(tokens[0], [])
-            existing = next((e for e in entries if e[0] == tokens), None)
-            if existing is None:
-                by_day = {}
-                entries.append((tokens, by_day))
-            else:
-                by_day = existing[1]
-            by_day.setdefault(builder.day_number, []).append(builder)
-
-    def offer(by_day: dict[int, list[_InstanceBuilder]], tweet: Tweet, day: int) -> None:
-        # A tweet on local day d belongs to trend-days d (same day) and
-        # d+1 (posted the day before the trend).
-        for day_number in (day, day + 1):
-            for builder in by_day.get(day_number, ()):
-                builder.offer_tweet(tweet)
+        keyword = builder.trend.keyword
+        by_day = by_keyword.setdefault((keyword.kind, keyword.normalized), {})
+        for day in (builder.day_number, builder.day_number - 1):
+            by_day.setdefault(day, []).append(builder)
+    contained = _keyword_index((b.trend.keyword for b in builders.values()), locale)
 
     pending: dict[int, Timestamp] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
             day = tweet.created_at.local_day(tz_offset)
-            if hashtag_index:
-                for tag in extract_hashtags(tweet.text, locale):
-                    by_day = hashtag_index.get(tag)
-                    if by_day:
-                        offer(by_day, tweet, day)
-            if ngram_index:
-                tokens = text_tokens(tweet.text, locale)
-                for i, token in enumerate(tokens):
-                    for ngram_tokens, by_day in ngram_index.get(token, ()):
-                        if tuple(tokens[i : i + len(ngram_tokens)]) == ngram_tokens:
-                            offer(by_day, tweet, day)
-        elif isinstance(event, Deletion) and collect_deletions:
+            for key in contained(tweet.text):
+                for builder in by_keyword[key].get(day, ()):
+                    builder.offer_tweet(tweet)
+        elif isinstance(event, Deletion):
             _note_deletion(pending, event.tweet_id, event.time)
 
     return {key: builder.build(pending) for key, builder in builders.items()}
@@ -738,7 +744,8 @@ def _match_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], ParseStats]:
     path, trends, locale, tz_offset = job
     stats = ParseStats()
     events = read_stream(path, stats=stats, keep=_creation_filter(trends, locale))
-    instances = build_trend_instances(trends, events, locale, tz_offset, collect_deletions=False)
+    creations = (event for event in events if isinstance(event, Creation))
+    instances = build_trend_instances(trends, creations, locale, tz_offset)
     return {key: instance.tweets for key, instance in instances.items()}, stats
 
 

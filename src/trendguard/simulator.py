@@ -33,9 +33,10 @@ from .ingest import (
     TrendDay,
     Tweet,
     TweetEvent,
-    extract_hashtags,
-    text_tokens,
+    _keyword_index,
+    build_trend_instances,
 )
+from .classify import flags_for_instance
 from .detector import AttackParams, DetectorConfig, classify_trend
 from .features import count_features
 
@@ -417,13 +418,13 @@ class LabeledStream:
         self.wordlist = load_wordlist(config.wordlist_path)
         self._plan = _make_plan(config)
         self.truth: dict[tuple[date, str], bool] = {}
-        self.keywords: dict[str, str] = {}  # normalized -> raw
+        self.keywords: dict[str, Keyword] = {}  # by normalized form
         self.truth_bots: set[int] = set()
         self.truth_attacks: list[AttackRecord] = []
         self.failed_attacks: set[tuple[date, str]] = set()
         for plan in self._plan.trends:
             key = (plan.day, plan.keyword.normalized)
-            self.keywords[plan.keyword.normalized] = plan.keyword.raw
+            self.keywords[plan.keyword.normalized] = plan.keyword
             if plan.succeeded:
                 self.truth[key] = plan.attacked
             if plan.attacked and not plan.succeeded:
@@ -684,40 +685,31 @@ def _event_id(event: TweetEvent) -> int:
 
 def group_stream_by_keyword(
     events: Iterable[TweetEvent],
-    keywords: Iterable[str],
+    keywords: Iterable[Keyword],
     locale: str = DEFAULT_LOCALE,
 ) -> dict[str, list[TweetEvent]]:
-    """Split a stream into per-keyword event lists (hashtag keywords only
-    match their hashtag token; n-grams match at token boundaries). Deletions
-    follow their tweet's keyword(s).
+    """Split a stream into per-keyword event lists keyed by normalized form.
+
+    A tweet joins the list of every keyword that match_keyword accepts for
+    it (keywords that share a normalized form share one list); deletions
+    follow their tweet.
     """
-    wanted = set(keywords)
-    hashtag_keys = {k for k in wanted if " " not in k}
-    ngram_keys = [tuple(k.split()) for k in wanted if " " in k]
-    streams: dict[str, list[TweetEvent]] = {k: [] for k in wanted}
-    owner: dict[int, list[str]] = {}
+    keywords = list(keywords)
+    contained = _keyword_index(keywords, locale)
+    streams: dict[str, list[TweetEvent]] = {k.normalized: [] for k in keywords}
+    owner: dict[int, list[tuple[str, str]]] = {}
     for event in events:
         if isinstance(event, Creation):
-            tweet = event.tweet
-            hits = []
-            for tag in extract_hashtags(tweet.text, locale):
-                if tag in hashtag_keys:
-                    hits.append(tag)
-            if ngram_keys:
-                tokens = text_tokens(tweet.text, locale)
-                for ngram in ngram_keys:
-                    n = len(ngram)
-                    for i in range(len(tokens) - n + 1):
-                        if tuple(tokens[i : i + n]) == ngram:
-                            hits.append(" ".join(ngram))
-                            break
-            if hits:
-                owner[tweet.id] = hits
-                for key in hits:
-                    streams[key].append(event)
-        elif isinstance(event, Deletion):
-            for key in owner.get(event.tweet_id, ()):
-                streams[key].append(event)
+            keys = contained(event.tweet.text)
+            if keys:
+                owner[event.tweet.id] = keys
+        else:
+            keys = owner.get(event.tweet_id, ())
+        for _, name in keys:
+            stream = streams[name]
+            # A key can repeat, and keywords can share a list: add once.
+            if not stream or stream[-1] is not event:
+                stream.append(event)
     return streams
 
 
@@ -825,33 +817,34 @@ class EvalReport:
         }
 
 
-def evaluate(
+def score_stream(
     config: DetectorConfig,
-    labeled: LabeledStream,
+    scenario: ScenarioConfig,
+    events: Iterable[TweetEvent],
+    trend_days: Sequence[TrendDay],
+    truth: Mapping[tuple[date, str], bool],
     locale: str = DEFAULT_LOCALE,
 ) -> EvalReport:
-    """Sample the stream at the scenario rate, run the full detection
-    pipeline over the truth trend-days, and score verdicts against truth.
+    """Sample ``events`` at the scenario rate, run the full detection
+    pipeline over ``trend_days``, and score the verdicts against ``truth``.
     """
-    from .ingest import build_trend_instances
-    from .classify import flags_for_instance
-
-    scenario = labeled.config
+    for trend in trend_days:
+        if (trend.date, trend.keyword.normalized) not in truth:
+            raise TrendGuardError(
+                f"trend-day {trend.date.isoformat()},{trend.keyword.raw} has no truth label"
+            )
     rng = random.Random(f"{scenario.seed}:sample")
-    events = sample_stream(labeled.events(), scenario.sample_rate, rng)
-    instances = build_trend_instances(
-        labeled.trend_days(), events, locale, scenario.tz_offset
-    )
+    sampled = sample_stream(events, scenario.sample_rate, rng)
+    instances = build_trend_instances(trend_days, sampled, locale, scenario.tz_offset)
     tp = fp = tn = fn = 0
     for key, instance in instances.items():
         flags = flags_for_instance(instance, locale)
         verdict = classify_trend(count_features(instance, flags), config, trend=instance.trend)
-        truth = labeled.truth[key]
-        if verdict.attacked and truth:
+        if verdict.attacked and truth[key]:
             tp += 1
         elif verdict.attacked:
             fp += 1
-        elif truth:
+        elif truth[key]:
             fn += 1
         else:
             tn += 1
@@ -859,6 +852,17 @@ def evaluate(
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+def evaluate(
+    config: DetectorConfig,
+    labeled: LabeledStream,
+    locale: str = DEFAULT_LOCALE,
+) -> EvalReport:
+    """Score a detector configuration against a generated stream's truth."""
+    return score_stream(
+        config, labeled.config, labeled.events(), labeled.trend_days(), labeled.truth, locale
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -929,14 +933,14 @@ def write_stream_jsonl(handle, events: Iterable[TweetEvent]) -> None:
 def write_truth_csv(handle, labeled: LabeledStream) -> None:
     handle.write("date,keyword,attacked\n")
     for (day, normalized), attacked in sorted(labeled.truth.items()):
-        raw = labeled.keywords[normalized]
+        raw = labeled.keywords[normalized].raw
         handle.write(f"{day.isoformat()},{raw},{int(attacked)}\n")
 
 
 def write_trends_csv(handle, labeled: LabeledStream) -> None:
     handle.write("date,keyword\n")
     for (day, normalized) in sorted(labeled.truth):
-        handle.write(f"{day.isoformat()},{labeled.keywords[normalized]}\n")
+        handle.write(f"{day.isoformat()},{labeled.keywords[normalized].raw}\n")
 
 
 def write_bots(handle, labeled: LabeledStream) -> None:
@@ -947,7 +951,7 @@ def write_bots(handle, labeled: LabeledStream) -> None:
 def write_epochs_csv(
     handle,
     epochs: Iterable[tuple[Timestamp, Sequence[str]]],
-    keywords: Mapping[str, str],
+    keywords: Mapping[str, Keyword],
     location: str = "simulated",
 ) -> None:
     """Serialize toy-oracle output in the trend-epoch CSV format."""
@@ -961,7 +965,7 @@ def write_epochs_csv(
             "%Y-%m-%dT%H:%M:%SZ"
         )
         for rank, normalized in enumerate(ranked, start=1):
-            raw = keywords.get(normalized, normalized)
+            raw = keywords[normalized].raw if normalized in keywords else normalized
             handle.write(f"{iso},{location},{rank},{raw},\n")
 
 

@@ -219,7 +219,7 @@ def test_acceptance_6_countermeasure(default_stream):
     """Deletion penalty keeps attacks out of the toy top-10 without displacing
     organic trends."""
     labeled = default_stream
-    streams = group_stream_by_keyword(labeled.events(), list(labeled.keywords))
+    streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
     window = Duration(600)
     epochs_off = trend_oracle(streams, window, mitigation=False, k=10)
     epochs_on = trend_oracle(streams, window, mitigation=True, k=10)

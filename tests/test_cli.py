@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -206,6 +207,17 @@ class TestEvaluateCmd:
     def test_needs_sim_or_config(self, capsys):
         assert main(["evaluate"]) == 1
         assert "evaluate" in capsys.readouterr().err
+
+    def test_trend_day_missing_from_truth_exits_1(self, sim_dir, tmp_path, capsys):
+        copy = tmp_path / "sim"
+        shutil.copytree(sim_dir, copy)
+        with open(copy / "trends.csv", "a", encoding="utf-8") as handle:
+            handle.write("2019-06-18,#NotInTruth\n")
+        assert main(["evaluate", "--sim", str(copy)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("trendguard evaluate: ")
+        assert "2019-06-18,#NotInTruth" in captured.err
 
 
 @pytest.fixture(scope="module")

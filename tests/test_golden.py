@@ -1,10 +1,10 @@
 """Golden-hash guard over the CLI outputs of one small fixed scenario.
 
-Every output of `simulate`, `detect`, `metrics` and both `graph` predicates
+Every output of `simulate` (plain and `--gzip`), `ingest`, `features`,
+`detect`, `scan`, `metrics`, both `graph` predicates and `evaluate --sim`
 must stay byte-identical: a refactor or optimization that changes any of
-them fails here. The hashes below were recorded before the sweep-line
-window detection and the single-pass flags replaced the code they cover;
-re-record them only for a deliberate, documented output change.
+them fails here. Each hash was recorded before the code it covers was
+refactored; re-record them only for a deliberate, documented output change.
 """
 
 import hashlib
@@ -67,6 +67,26 @@ GOLDEN = {
         "bf57eb7307d5b4c4d53d1cf5c38722c271cf3cde8bf0561166454b956e8ba028",
     "sim/truth.csv":
         "8cf68ce52e3f94f690bc1c5e8d46767edfd96d90e4cc9bfd934cbd8c92386eb9",
+    # Added later, recorded on the commit before the keyword index, the
+    # evaluation scorer and the CLI output sink were merged.
+    "out/evaluate.json":
+        "d7d20c549fb3212de644fd71f25eea6f165ca1dd65964e09e0ed54f0cf6701ff",
+    "out/features.csv":
+        "9f12a51f256d8f3a3ff499886649756d6a12d0f2d3ebdfe226043af7f451d8e9",
+    "out/ingest.json":
+        "5a645d5398d321be875323e3754e911d56f2c5676076b06ea9830c00d3b3a604",
+    "out/scan.jsonl":
+        "7cf04250660b70af2a85628a65dbadd2f623eddf6d66633fe9831fecfdaaaa03",
+    "simgz/bots.txt":
+        "1b5e532b80e81b038c4b18ceab8d00c9f3dbc342ce678e3006019fa6fcaca961",
+    "simgz/scenario.cfg":
+        "0c03e7d387b74947768cb72a5617fb1321597bed462842f4a18a298fc781e94a",
+    "simgz/stream.jsonl.gz":
+        "efae4696efb142fd88b519bd16dc94b116e1fdbd9a22ed04b0e1d06268ec0fb4",
+    "simgz/trends.csv":
+        "bf57eb7307d5b4c4d53d1cf5c38722c271cf3cde8bf0561166454b956e8ba028",
+    "simgz/truth.csv":
+        "8cf68ce52e3f94f690bc1c5e8d46767edfd96d90e4cc9bfd934cbd8c92386eb9",
 }
 
 
@@ -85,6 +105,12 @@ def outputs(tmp_path_factory):
               "--jobs", "1"]
     runs = [
         ["simulate", "--config", str(config), "--epochs", "--out", str(sim)],
+        ["simulate", "--config", str(config), "--gzip", "--out", str(root / "simgz")],
+        ["ingest", "--stream", str(sim / "stream.jsonl"), "--out", str(out / "ingest.json"),
+         "--jobs", "1"],
+        ["features", *stream, "--out", str(out / "features.csv")],
+        ["scan", *stream, "--out", str(out / "scan.jsonl")],
+        ["evaluate", "--sim", str(sim), "--out", str(out / "evaluate.json")],
         ["detect", *stream, "--out", str(out / "verdicts.jsonl"),
          "--events-out", str(out / "events.jsonl"), "--bots-out", str(out / "bots.txt")],
         ["metrics", *stream, "--epochs", str(sim / "epochs.csv"),

@@ -236,6 +236,7 @@ class TestModularity:
         rng = random.Random(73)
         for _ in range(25):
             g = random_bipartite(rng, n_users=10, n_trends=10, p=0.2)
+            assert g.total_weight() == sum(w for *_, w in g.edges())
             if g.total_weight() == 0:
                 continue
             assignment = {node: rng.randint(0, 3) for node in g.nodes()}

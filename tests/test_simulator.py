@@ -343,7 +343,7 @@ class TestPlantedPrevalence:
 
         config = replace(default_scenario(seed=33), n_days=3, background_per_day=300)
         labeled = build_stream(config)
-        streams = group_stream_by_keyword(labeled.events(), list(labeled.keywords))
+        streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
         ranked = trend_oracle(streams, Duration(600), mitigation=False, k=10)
 
         buffer = io.StringIO()
