@@ -16,7 +16,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,7 +35,7 @@ from .features import count_features, write_feature_csv
 from .detector import (
     AttackParams,
     DetectorConfig,
-    PRESETS,
+    PRESET_FORMULAS,
     classify_trend,
     detect_attack_windows,
     label_astrobots,
@@ -51,13 +52,24 @@ def _default_locale() -> str:
     return os.environ.get("TRENDGUARD_LOCALE", DEFAULT_LOCALE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_locale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--locale", default=_default_locale(),
                         help="locale for case folding (default: tr, env TRENDGUARD_LOCALE)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_locale(parser)
     parser.add_argument("--tz-offset", type=int, default=DEFAULT_TZ_OFFSET,
                         help="reporting timezone offset in seconds (default 10800, UTC+3)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for multi-file inputs (results identical)")
+
+
+def _add_preset(parser: argparse.ArgumentParser) -> None:
+    # "custom" needs a formula, which only the library can supply.
+    parser.add_argument("--preset", default="lexicon-tree", choices=tuple(PRESET_FORMULAS))
+    parser.add_argument("--threshold", action="append", metavar="RULE=VALUE",
+                        help="override a rule threshold, e.g. 9=0.68 (repeatable)")
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -258,13 +270,9 @@ def _cmd_metrics(args, out: _Outputs) -> int:
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
 
     out_dir = Path(args.out)
-    lifecycles = {}
-    for key in sorted(instances):
-        instance = instances[key]
-        try:
-            lifecycles[key] = metrics_mod.lifecycle(instance.keyword, epochs)
-        except metrics_mod.NeverTrended:
-            continue
+    lifecycles = metrics_mod.trend_day_lifecycles(
+        (instance.trend for instance in instances.values()), epochs, args.tz_offset
+    )
 
     with out.open(out_dir / "lifecycles.csv") as handle:
         metrics_mod.write_lifecycles_csv(handle, [lifecycles[k] for k in sorted(lifecycles)])
@@ -319,8 +327,8 @@ def _cmd_graph(args, out: _Outputs) -> int:
     summary = {
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
-        "n_users": sum(1 for n in graph.nodes() if graph.kind(n) == graph_mod.USER),
-        "n_trends": sum(1 for n in graph.nodes() if graph.kind(n) == graph_mod.TREND),
+        "n_users": graph.count_kind(graph_mod.USER),
+        "n_trends": graph.count_kind(graph_mod.TREND),
     }
 
     if args.louvain and graph.n_nodes:
@@ -355,27 +363,27 @@ def _cmd_graph(args, out: _Outputs) -> int:
 
 
 def _cmd_simulate(args, out: _Outputs) -> int:
-    if args.config:
-        config = sim_mod.load_scenario(args.config)
-    else:
-        config = sim_mod.default_scenario()
+    config = sim_mod.load_scenario(args.config) if args.config else sim_mod.default_scenario()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     labeled = sim_mod.build_stream(config)
 
     out_dir = Path(args.out)
-    if args.gzip:
-        # mtime pinned so repeated runs are byte-identical; the header names
-        # the file without its .gz suffix.
-        with out.open(out_dir / "stream.jsonl.gz", "wb") as raw, \
-                gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as packed, \
-                io.TextIOWrapper(packed, encoding="utf-8") as handle:
-            sim_mod.write_stream_jsonl(handle, labeled.events())
-    else:
-        with out.open(out_dir / "stream.jsonl") as handle:
-            sim_mod.write_stream_jsonl(handle, labeled.events())
+    events = labeled.events()
+    streams: dict = {}
+    if args.epochs:
+        # The one generation pass also files each event by keyword.
+        events = sim_mod.tee_by_keyword(events, labeled.keywords.values(), streams, args.locale)
+    with ExitStack() as stack:
+        if args.gzip:
+            # mtime pinned so repeated runs are byte-identical; the header
+            # names the file without its .gz suffix.
+            raw = stack.enter_context(out.open(out_dir / "stream.jsonl.gz", "wb"))
+            packed = stack.enter_context(gzip.GzipFile(fileobj=raw, mode="wb", mtime=0))
+            handle = stack.enter_context(io.TextIOWrapper(packed, encoding="utf-8"))
+        else:
+            handle = stack.enter_context(out.open(out_dir / "stream.jsonl"))
+        sim_mod.write_stream_jsonl(handle, events)
 
     with out.open(out_dir / "truth.csv") as handle:
         sim_mod.write_truth_csv(handle, labeled)
@@ -386,9 +394,6 @@ def _cmd_simulate(args, out: _Outputs) -> int:
     with out.open(out_dir / "scenario.cfg") as handle:
         sim_mod.save_scenario(config, handle)
     if args.epochs:
-        streams = sim_mod.group_stream_by_keyword(
-            labeled.events(), labeled.keywords.values(), args.locale
-        )
         ranked = sim_mod.trend_oracle(
             streams, epoch_seconds=config.epoch_seconds, mitigation=False
         )
@@ -407,7 +412,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
         report = sim_mod.evaluate(config, labeled, args.locale)
     else:
         raise TrendGuardError("evaluate needs --sim DIR or --config FILE")
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(payload)
     if args.out:
         with out.open(args.out) as handle:
@@ -459,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="classify trends and optionally label astrobots")
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True)
-    p.add_argument("--preset", default="lexicon-tree", choices=PRESETS)
-    p.add_argument("--threshold", action="append", metavar="RULE=VALUE",
-                   help="override a rule threshold, e.g. 9=0.68 (repeatable)")
+    _add_preset(p)
     p.add_argument("--out", help="verdicts JSONL path")
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--bots-out", help="write astrobot user ids here")
@@ -476,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="classify non-trending hashtag-days (unsuccessful attacks)")
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", help="known trend-days CSV; candidates trending that day or next are skipped")
-    p.add_argument("--preset", default="lexicon-tree", choices=PRESETS)
-    p.add_argument("--threshold", action="append", metavar="RULE=VALUE")
+    _add_preset(p)
     p.add_argument("--min-tweets", type=int, default=4)
     p.add_argument("--out", help="verdicts JSONL path")
     p.add_argument("--stdout", action="store_true")
@@ -516,16 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", action="store_true",
                    help="also write toy trend-list snapshots as epochs.csv")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_locale(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a detector preset against simulator truth")
     p.add_argument("--sim", help="directory written by simulate")
     p.add_argument("--config", help="scenario file to regenerate in memory instead of --sim")
-    p.add_argument("--preset", default="lexicon-tree", choices=PRESETS)
-    p.add_argument("--threshold", action="append", metavar="RULE=VALUE")
+    _add_preset(p)
     p.add_argument("--out", help="also write the report JSON here")
-    _add_common(p)
+    _add_locale(p)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser

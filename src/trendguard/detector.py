@@ -107,9 +107,6 @@ PRESET_FORMULAS: dict[str, tuple[tuple[RuleCheck, ...], ...]] = {
     "ratio-only": ((RuleCheck("1", 17), RuleCheck("2", 0.25)),),
 }
 
-PRESETS = tuple(PRESET_FORMULAS) + ("custom",)
-
-
 @dataclass
 class DetectorConfig:
     """A preset name plus optional per-rule threshold overrides.

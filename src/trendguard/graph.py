@@ -81,6 +81,9 @@ class Graph:
     def kind(self, node: Node) -> str:
         return self._kind[node]
 
+    def count_kind(self, kind: str) -> int:
+        return sum(1 for k in self._kind.values() if k == kind)
+
     def has_node(self, node: Node) -> bool:
         return node in self._kind
 
@@ -215,25 +218,24 @@ class Partition:
 
 def modularity(graph: Graph, assignment: Mapping[Node, int]) -> float:
     """Weighted Newman modularity of a complete node-to-community assignment."""
-    nodes = graph.nodes()
-    for node in nodes:
+    for node in graph._kind:
         if node not in assignment:
             raise IncompleteAssignment(f"node {node} has no community")
     m = float(graph.total_weight())
     if m == 0.0:
         return 0.0
-    intra: dict[int, float] = {}
-    degree_sum: dict[int, float] = {}
-    for node in nodes:
-        c = assignment[node]
-        degree_sum[c] = degree_sum.get(c, 0.0) + graph.weighted_degree(node)
-    for u, v, w in graph.edges():
-        if assignment[u] == assignment[v]:
-            c = assignment[u]
-            intra[c] = intra.get(c, 0.0) + w
+    # Integer weights: the sums are exact in any order of the adjacency.
+    intra: dict[int, int] = {}  # twice the intra-community weight
+    degree_sum: dict[int, int] = {}
+    for u, nbrs in graph._adj.items():
+        c = assignment[u]
+        degree_sum[c] = degree_sum.get(c, 0) + sum(nbrs.values())
+        for v, w in nbrs.items():
+            if assignment[v] == c:
+                intra[c] = intra.get(c, 0) + w
     q = 0.0
-    for c, deg in degree_sum.items():
-        q += intra.get(c, 0.0) / m - (deg / (2.0 * m)) ** 2
+    for c in sorted(degree_sum):
+        q += intra.get(c, 0) / (2.0 * m) - (degree_sum[c] / (2.0 * m)) ** 2
     return q
 
 
@@ -329,10 +331,9 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         raise EmptyGraph("cannot partition an empty graph")
 
     index = {node: i for i, node in enumerate(nodes)}
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(nodes))}
-    for u, v, w in graph.edges():
-        adj[index[u]][index[v]] = float(w)
-        adj[index[v]][index[u]] = float(w)
+    adj = {
+        index[u]: {index[v]: float(w) for v, w in graph.neighbors(u).items()} for u in nodes
+    }
     loops: dict[int, float] = {}
     m = float(graph.total_weight())
 

@@ -25,7 +25,7 @@ from .core import (
     TrendGuardError,
     haversine_km,
 )
-from .ingest import TrendEpoch, TrendInstance, day_number_to_date
+from .ingest import TrendDay, TrendEpoch, TrendInstance, day_number_to_date
 from .detector import Verdict
 
 
@@ -98,6 +98,36 @@ def lifecycle(keyword: Keyword, epochs: Sequence[TrendEpoch]) -> TrendLifecycle:
         initial_rank=initial_rank,
         best_rank=best_rank,
     )
+
+
+def trend_day_lifecycles(
+    trends: Iterable[TrendDay],
+    epochs: Sequence[TrendEpoch],
+    tz_offset: int = DEFAULT_TZ_OFFSET,
+) -> dict[tuple[date, str], TrendLifecycle]:
+    """Each trend-day's lifecycle, keyed by (date, normalized keyword).
+
+    It is the first listing span of the keyword that enters on the trend's
+    local day, and it may run past midnight; a span still listed from the
+    day before does not enter on the day. Trend-days with no entry on their
+    day get no lifecycle.
+    """
+    first_of_day: dict[int, int] = {}
+    for i, epoch in enumerate(epochs):
+        first_of_day.setdefault(epoch.captured_at.local_day(tz_offset), i)
+    cycles = {}
+    for trend in trends:
+        day, normalized = trend.day_number(), trend.keyword.normalized
+        start = first_of_day.get(day, len(epochs))
+        while 0 < start < len(epochs) and epochs[start - 1].rank_of(normalized) is not None:
+            start += 1
+        try:
+            cycle = lifecycle(trend.keyword, epochs[start:])
+        except NeverTrended:
+            continue
+        if cycle.first_entry.local_day(tz_offset) == day:
+            cycles[(trend.date, normalized)] = cycle
+    return cycles
 
 
 def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> Duration:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, get_type_hints
 
 from .core import (
     DEFAULT_LOCALE,
@@ -88,6 +88,10 @@ def _place_keyword(words: list[str], keyword: Keyword, rng: random.Random) -> st
     return " ".join(words[:position] + keyword.raw.split() + words[position:])
 
 
+def _random_geo(rng: random.Random) -> GeoPoint:
+    return GeoPoint(rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
+
+
 def _keyword_hashtags(keyword: Keyword) -> tuple[str, ...]:
     if keyword.kind == "hashtag":
         return (keyword.raw.lstrip("#"),)
@@ -121,11 +125,7 @@ def gen_attack(
         raise InfeasibleParams(f"theta={theta}s leaves no room for deletion after creation")
     deletion_lag = max(1, deletion_lag)
 
-    span_budget = min(params.alpha_p.seconds - 1, theta - 1 - deletion_lag)
-    if params.alpha_p.seconds == 0:
-        span_budget = 0
-    if span_budget < 0:
-        span_budget = 0
+    span_budget = max(0, min(params.alpha_p.seconds - 1, theta - 1 - deletion_lag))
     if creation_span is not None:
         span_budget = min(span_budget, creation_span)
 
@@ -149,9 +149,7 @@ def gen_attack(
         tweet_id = tweet_id_start + i
         user_id = user_id_start + i
         words = gen_lexicon_text(wordlist, rng).split()
-        geo = None
-        if geo_rate > 0 and rng.random() < geo_rate:
-            geo = GeoPoint(rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
+        geo = _random_geo(rng) if geo_rate > 0 and rng.random() < geo_rate else None
         tweet = Tweet(
             id=tweet_id,
             user_id=user_id,
@@ -264,9 +262,7 @@ def gen_organic_trend(
             tags = hashtags + (extra,)
         if is_retweet:
             text = f"RT @user{rng.randint(1, 99999)}: {text}"
-        geo = None
-        if rng.random() < geo_rate:
-            geo = GeoPoint(rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
+        geo = _random_geo(rng) if rng.random() < geo_rate else None
         tweet = Tweet(
             id=tweet_id,
             user_id=user_id,
@@ -416,19 +412,15 @@ class LabeledStream:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.wordlist = load_wordlist(config.wordlist_path)
-        self._plan = _make_plan(config)
+        self._plan = _make_plan(config, self.wordlist)
         self.truth: dict[tuple[date, str], bool] = {}
         self.keywords: dict[str, Keyword] = {}  # by normalized form
         self.truth_bots: set[int] = set()
         self.truth_attacks: list[AttackRecord] = []
-        self.failed_attacks: set[tuple[date, str]] = set()
         for plan in self._plan.trends:
-            key = (plan.day, plan.keyword.normalized)
             self.keywords[plan.keyword.normalized] = plan.keyword
             if plan.succeeded:
-                self.truth[key] = plan.attacked
-            if plan.attacked and not plan.succeeded:
-                self.failed_attacks.add(key)
+                self.truth[(plan.day, plan.keyword.normalized)] = plan.attacked
             for wave in plan.waves:
                 self.truth_attacks.append(
                     AttackRecord(
@@ -460,14 +452,13 @@ def build_stream(config: ScenarioConfig) -> LabeledStream:
     return LabeledStream(config)
 
 
-def _day_start_utc(config: ScenarioConfig, day_index: int) -> int:
-    ordinal = config.start_date.toordinal() - date(1970, 1, 1).toordinal() + day_index
-    return ordinal * 86400 - config.tz_offset
+def _day_start_utc(config: ScenarioConfig, day_number: int) -> int:
+    """The UTC second at which local day ``day_number`` (days since 1970) begins."""
+    return day_number * 86400 - config.tz_offset
 
 
-def _make_plan(config: ScenarioConfig) -> _Plan:
+def _make_plan(config: ScenarioConfig, wordlist: Sequence[str]) -> _Plan:
     rng = random.Random(f"{config.seed}:plan")
-    wordlist = load_wordlist(config.wordlist_path)
     trends: list[_TrendPlan] = []
     background: list[_BackgroundPlan] = []
     tweet_id = 1_000_000
@@ -477,7 +468,7 @@ def _make_plan(config: ScenarioConfig) -> _Plan:
     for day_index in range(config.n_days):
         day_date = date.fromordinal(config.start_date.toordinal() + day_index)
         day_number = day_date.toordinal() - date(1970, 1, 1).toordinal()
-        day_start = _day_start_utc(config, day_index)
+        day_start = _day_start_utc(config, day_number)
 
         def plan_trend(kind: str, serial: int, attacked: bool, succeeded: bool) -> None:
             nonlocal tweet_id, user_id
@@ -561,10 +552,10 @@ def _make_plan(config: ScenarioConfig) -> _Plan:
 def _gen_background(
     config: ScenarioConfig,
     plan: _BackgroundPlan,
-    day_start: int,
     rng: random.Random,
     wordlist: Sequence[str],
 ) -> list[TweetEvent]:
+    day_start = _day_start_utc(config, plan.day_number)
     events: list[TweetEvent] = []
     for i in range(plan.n_tweets):
         tweet_id = plan.tweet_id_start + i
@@ -602,6 +593,14 @@ def _gen_background(
     return events
 
 
+def _event_order(event: TweetEvent) -> tuple[int, int, int, int]:
+    """Stream order: time, creations before deletions at the same instant, id."""
+    if isinstance(event, Creation):
+        when = event.tweet.created_at
+        return (when.seconds, when.millis, 0, event.tweet.id)
+    return (event.time.seconds, event.time.millis, 1, event.tweet_id)
+
+
 def _generate_events(
     config: ScenarioConfig, plan: _Plan, wordlist: Sequence[str]
 ) -> Iterator[TweetEvent]:
@@ -609,74 +608,43 @@ def _generate_events(
     trends_by_day: dict[int, list[_TrendPlan]] = {}
     for trend in plan.trends:
         trends_by_day.setdefault(trend.day_number, []).append(trend)
-    background_by_day = {b.day_number: b for b in plan.background}
+    # Events wait in the bucket of their local day. No day generates an
+    # event before its own start, so a day's bucket is complete once that
+    # day is generated; after the last day every bucket is.
+    buckets: dict[int, list[TweetEvent]] = {}
 
-    day_numbers = sorted(set(trends_by_day) | set(background_by_day))
-    buckets: dict[int, list[tuple[int, int, int, TweetEvent]]] = {}
+    def bucket(events: Iterable[TweetEvent]) -> None:
+        for event in events:
+            day = (_event_order(event)[0] + config.tz_offset) // 86400
+            buckets.setdefault(day, []).append(event)
 
-    def bucket_event(event: TweetEvent) -> None:
-        if isinstance(event, Creation):
-            when = event.tweet.created_at
-            order = (when.seconds, when.millis, 0, event.tweet.id)
-        else:
-            order = (event.time.seconds, event.time.millis, 1, event.tweet_id)
-        day = (order[0] + config.tz_offset) // 86400
-        buckets.setdefault(day, []).append((*order[:3], event))
-
-    for day_number in day_numbers:
-        day_start = day_number * 86400 - config.tz_offset
+    # The plan has one background entry per day, in day order.
+    for background in plan.background:
+        day_number = background.day_number
         for trend in trends_by_day.get(day_number, ()):
             for wave in trend.waves:
-                cluster = gen_attack(
-                    trend.keyword,
-                    config.params,
-                    wave.n_bots,
-                    wave.t0,
-                    rng,
-                    wordlist,
-                    tweet_id_start=wave.tweet_id_start,
-                    user_id_start=wave.user_id_start,
+                bucket(gen_attack(
+                    trend.keyword, config.params, wave.n_bots, wave.t0, rng, wordlist,
+                    tweet_id_start=wave.tweet_id_start, user_id_start=wave.user_id_start,
                     creation_span=config.attack_creation_span,
                     deletion_span=config.attack_deletion_span,
-                    deletion_lag=config.attack_deletion_lag,
-                    geo_rate=0.05,
-                )
-                for event in cluster.events:
-                    bucket_event(event)
+                    deletion_lag=config.attack_deletion_lag, geo_rate=0.05,
+                ).events)
             if trend.organic_users:
-                cluster = gen_organic_trend(
-                    trend.keyword,
-                    trend.organic_users,
-                    trend.organic_span,
-                    rng,
-                    wordlist,
-                    t0=trend.organic_start,
-                    tweet_id_start=trend.organic_tweet_id_start,
+                bucket(gen_organic_trend(
+                    trend.keyword, trend.organic_users, trend.organic_span, rng, wordlist,
+                    t0=trend.organic_start, tweet_id_start=trend.organic_tweet_id_start,
                     user_id_start=trend.organic_user_id_start,
                     deletion_rate=config.organic_deletion_rate,
                     lexicon_rate=config.organic_lexicon_rate,
-                )
-                for event in cluster.events:
-                    bucket_event(event)
-        background = background_by_day.get(day_number)
-        if background is not None:
-            for event in _gen_background(config, background, day_start, rng, wordlist):
-                bucket_event(event)
-        if day_number in buckets:
-            ready = buckets.pop(day_number)
-            ready.sort(key=lambda item: item[:3] + (_event_id(item[3]),))
-            for item in ready:
-                yield item[3]
+                ).events)
+        bucket(_gen_background(config, background, rng, wordlist))
 
-    for day_number in sorted(buckets):
-        ready = buckets.pop(day_number)
-        ready.sort(key=lambda item: item[:3] + (_event_id(item[3]),))
-        for item in ready:
-            yield item[3]
-
-
-def _event_id(event: TweetEvent) -> int:
-    return event.tweet.id if isinstance(event, Creation) else event.tweet_id
+        last = background is plan.background[-1]
+        for day in sorted(d for d in buckets if last or d <= day_number):
+            ready = buckets.pop(day)
+            ready.sort(key=_event_order)
+            yield from ready
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +662,25 @@ def group_stream_by_keyword(
     it (keywords that share a normalized form share one list); deletions
     follow their tweet.
     """
+    streams: dict[str, list[TweetEvent]] = {}
+    for _ in tee_by_keyword(events, keywords, streams, locale):
+        pass
+    return streams
+
+
+def tee_by_keyword(
+    events: Iterable[TweetEvent],
+    keywords: Iterable[Keyword],
+    streams: dict[str, list[TweetEvent]],
+    locale: str = DEFAULT_LOCALE,
+) -> Iterator[TweetEvent]:
+    """Yield ``events`` unchanged while filing them into ``streams`` as
+    group_stream_by_keyword does, so the pass that writes a stream can
+    group it too.
+    """
     keywords = list(keywords)
     contained = _keyword_index(keywords, locale)
-    streams: dict[str, list[TweetEvent]] = {k.normalized: [] for k in keywords}
+    streams.update((k.normalized, []) for k in keywords)
     owner: dict[int, list[tuple[str, str]]] = {}
     for event in events:
         if isinstance(event, Creation):
@@ -710,7 +694,7 @@ def group_stream_by_keyword(
             # A key can repeat, and keywords can share a list: add once.
             if not stream or stream[-1] is not event:
                 stream.append(event)
-    return streams
+        yield event
 
 
 def trend_oracle(
@@ -729,8 +713,7 @@ def trend_oracle(
     Returns (epoch time, top-k keywords best first) pairs.
     """
     per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
-    t_min: Optional[int] = None
-    t_max: Optional[int] = None
+    bounds: list[int] = []  # each keyword's first and last event time
     for key, events in streams.items():
         creations: list[tuple[int, int]] = []
         deletions: list[int] = []
@@ -742,18 +725,14 @@ def trend_oracle(
         creations.sort()
         deletions.sort()
         if creations:
-            lo, hi = creations[0][0], creations[-1][0]
-            t_min = lo if t_min is None else min(t_min, lo)
-            t_max = hi if t_max is None else max(t_max, hi)
-        if deletions:
-            t_min = deletions[0] if t_min is None else min(t_min, deletions[0])
-            t_max = deletions[-1] if t_max is None else max(t_max, deletions[-1])
+            bounds += (creations[0][0], creations[-1][0])
+        bounds += deletions[:1] + deletions[-1:]
         per_keyword[key] = (creations, deletions)
-    if t_min is None:
+    if not bounds:
         return []
 
-    first_epoch = (t_min // epoch_seconds + 1) * epoch_seconds
-    last_epoch = (t_max // epoch_seconds + 1) * epoch_seconds
+    first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
+    last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
     w = window.seconds
 
     state = {
@@ -804,17 +783,6 @@ class EvalReport:
     fp: int
     tn: int
     fn: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
 
 
 def score_stream(
@@ -986,32 +954,31 @@ def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, 
 # Flat key=value scenario files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_INT_KEYS = {
-    "n_days", "organic_per_day", "attacked_per_day", "attacks_per_day",
-    "failed_attacks_per_day", "bots_min", "bots_max", "seed", "tz_offset",
-    "epoch_seconds", "attack_creation_span", "attack_deletion_lag",
-    "attack_deletion_span", "organic_tweets_min", "organic_tweets_max",
-    "adoption_tweets_min", "adoption_tweets_max", "background_per_day",
+# Keys are the ScenarioConfig fields, with the AttackParams fields spelled
+# flat in place of `params`; each is read by the parser of its field's type.
+_SCENARIO_FIELDS = get_type_hints(ScenarioConfig)
+del _SCENARIO_FIELDS["params"]
+_PARAM_FIELDS = get_type_hints(AttackParams)
+_PARSERS = {
+    int: int,
+    float: float,
+    date: date.fromisoformat,
+    Optional[str]: str,
+    Duration: lambda text: Duration(int(text)),
 }
-_SCENARIO_FLOAT_KEYS = {
-    "sample_rate", "background_deletion_rate", "background_lexicon_rate",
-    "organic_deletion_rate", "organic_lexicon_rate",
-}
-_PARAM_KEYS = {"kappa", "alpha_p", "alpha_d", "theta"}
 
 
 def save_scenario(config: ScenarioConfig, target) -> None:
     """Write a scenario as flat `key = value` lines readable by load_scenario."""
-    lines = []
-    for key in sorted(_SCENARIO_INT_KEYS):
-        lines.append(f"{key} = {getattr(config, key)}")
-    for key in sorted(_SCENARIO_FLOAT_KEYS):
-        lines.append(f"{key} = {getattr(config, key)!r}")
+    lines = [
+        f"{key} = {getattr(config, key)!r}"
+        for kind in (int, float)
+        for key in sorted(k for k, t in _SCENARIO_FIELDS.items() if t is kind)
+    ]
     lines.append(f"start_date = {config.start_date.isoformat()}")
-    lines.append(f"kappa = {config.params.kappa}")
-    lines.append(f"alpha_p = {config.params.alpha_p.seconds}")
-    lines.append(f"alpha_d = {config.params.alpha_d.seconds}")
-    lines.append(f"theta = {config.params.theta.seconds}")
+    for key in _PARAM_FIELDS:
+        value = getattr(config.params, key)
+        lines.append(f"{key} = {value.seconds if isinstance(value, Duration) else value}")
     if config.wordlist_path:
         lines.append(f'wordlist_path = "{config.wordlist_path}"')
     text = "\n".join(lines) + "\n"
@@ -1040,24 +1007,13 @@ def load_scenario(path: str) -> ScenarioConfig:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip().strip('"').strip("'")
 
-    config = ScenarioConfig()
-    params = config.params
     kwargs = {}
+    params = {}
     for key, text in values.items():
-        if key in _SCENARIO_INT_KEYS:
-            kwargs[key] = int(text)
-        elif key in _SCENARIO_FLOAT_KEYS:
-            kwargs[key] = float(text)
-        elif key == "start_date":
-            kwargs[key] = date.fromisoformat(text)
-        elif key == "wordlist_path":
-            kwargs[key] = text
-        elif key in _PARAM_KEYS:
-            if key == "kappa":
-                params = replace(params, kappa=int(text))
-            else:
-                params = replace(params, **{key: Duration(int(text))})
+        if key in _SCENARIO_FIELDS:
+            kwargs[key] = _PARSERS[_SCENARIO_FIELDS[key]](text)
+        elif key in _PARAM_FIELDS:
+            params[key] = _PARSERS[_PARAM_FIELDS[key]](text)
         else:
             raise ValueError(f"{path}: unknown scenario key {key!r}")
-    kwargs["params"] = params
-    return replace(config, **kwargs)
+    return ScenarioConfig(params=AttackParams(**params), **kwargs)

@@ -4,6 +4,7 @@ Acceptance criteria, one test per criterion. Each prints a single
 the corresponding FAIL.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -325,6 +326,10 @@ def test_acceptance_7_scale_and_determinism(tmp_path):
 
     assert elapsed < 60.0, f"ingest+detect took {elapsed:.1f}s"
     assert first.read_bytes() == second.read_bytes()
+    # Golden hash of the verdicts on this corpus, as tests/test_golden.py
+    # pins the outputs on a simulator corpus.
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "c480b1a974e2294eeed1df31b4dd3fac188f94fc4878d69f897eb3fcea2e4ef8")
     verdicts = [json.loads(line) for line in first.read_text().splitlines()]
     assert len(verdicts) == 5
     assert all(v["features"]["n_tweets"] > 0 for v in verdicts)

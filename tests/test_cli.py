@@ -62,6 +62,24 @@ class TestSimulate:
         assert stats.creations > 0 and stats.malformed_skipped == 0
 
 
+    def test_epochs_generate_the_stream_once(self, sim_dir, tmp_path, monkeypatch):
+        from trendguard.simulator import LabeledStream
+
+        calls = []
+        events = LabeledStream.events
+
+        def counted(self):
+            calls.append(1)
+            return events(self)
+
+        monkeypatch.setattr(LabeledStream, "events", counted)
+        config = sim_dir.parent / "scenario.cfg"
+        assert main(["simulate", "--config", str(config), "--epochs",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "sim" / "epochs.csv").read_text().count("\n") > 1
+
+
 class TestIngest:
     def test_stats_json(self, sim_dir, tmp_path):
         out = tmp_path / "stats.json"
@@ -257,6 +275,50 @@ class TestMetricsCmd:
         assert len(hours) == 24
 
 
+    def test_recurring_keyword_gets_a_lifecycle_per_day(self, tmp_path):
+        """#konu trends on two days: each row takes the entry on its own day."""
+        day_one, day_two = 1560816000, 1560902400  # 2019-06-18/19 00:00Z
+        created = [day_one + 11 * 3600, day_one + 11 * 3600 + 1800,
+                   day_two + 8 * 3600, day_two + 8 * 3600 + 1200]
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(
+            json.dumps({"id": 100 + i, "text": f"selam #konu {i}", "user": {"id": 200 + i},
+                        "timestamp_ms": str(t * 1000)}) + "\n"
+            for i, t in enumerate(created)
+        ))
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#konu\n2019-06-19,#konu\n")
+        epochs = tmp_path / "epochs.csv"
+        listed = {"2019-06-18T12:00:00Z": True, "2019-06-18T12:05:00Z": True,
+                  "2019-06-18T12:10:00Z": False, "2019-06-19T09:00:00Z": True,
+                  "2019-06-19T09:05:00Z": False}
+        epochs.write_text("captured_at,location,rank,keyword,volume\n" + "".join(
+            f"{when},tr,1,#baska,\n" + (f"{when},tr,2,#konu,\n" if on else "")
+            for when, on in listed.items()
+        ))
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text("".join(
+            json.dumps({"date": d, "keyword": "konu", "attacked": False}) + "\n"
+            for d in ("2019-06-18", "2019-06-19")
+        ))
+        out_dir = tmp_path / "metrics"
+        assert main(["metrics", "--stream", str(stream), "--trends", str(trends),
+                     "--epochs", str(epochs), "--verdicts", str(verdicts),
+                     "--out", str(out_dir)]) == 0
+        assert (out_dir / "lifecycles.csv").read_text().splitlines() == [
+            "keyword,first_entry_s,first_exit_s,initial_rank,best_rank",
+            "konu,1560859200,1560859800,2,2",
+            "konu,1560934800,1560935100,2,2",
+        ]
+        # Day two's instance holds the tweets of both days (a trend-day takes
+        # its day and the day before); all four precede its 09:00Z entry.
+        assert (out_dir / "speed.csv").read_text().splitlines() == [
+            "date,keyword,speed_s,pre_entry_deletion_ratio",
+            "2019-06-18,konu,2700,0.0",
+            "2019-06-19,konu,40500,0.0",
+        ]
+
+
 class TestGraphCmd:
     def test_astrobot_network(self, sim_dir, tmp_path):
         out_dir = tmp_path / "graph"
@@ -372,6 +434,26 @@ class TestParserDefaults:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["detect", "--stream", "x", "--trends", "y",
                                        "--preset", "nope", "--out", "z"])
+        assert err.value.code == 2
+
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("flag", [["--jobs", "1"], ["--tz-offset", "0"]])
+    def test_simulate_and_evaluate_reject_pool_and_timezone_flags(self, command, flag):
+        # Neither command uses a pool, and the scenario carries its own offset.
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, "--out", "x", *flag])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--stream", "x", "--trends", "y", "--out", "z"],
+        ["scan", "--stream", "x", "--out", "z"],
+        ["evaluate", "--sim", "x"],
+    ])
+    def test_custom_preset_is_usage_error(self, argv):
+        # A custom formula can only be supplied through the library.
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([*argv, "--preset", "custom"])
         assert err.value.code == 2
 
 

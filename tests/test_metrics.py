@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from trendguard.core import Duration, GeoPoint, Timestamp, normalize_keyword
-from trendguard.ingest import load_trend_epochs
+from trendguard.ingest import TrendDay, load_trend_epochs
 from trendguard.metrics import (
     InsufficientPoints,
     NeverTrended,
@@ -14,6 +14,7 @@ from trendguard.metrics import (
     lifecycle,
     pre_entry_deletion_ratio,
     prevalence,
+    trend_day_lifecycles,
     trend_speed,
     user_travel_distance,
     volume_report,
@@ -79,6 +80,76 @@ class TestLifecycle:
         epochs = epochs_csv(rows)
         cycle = lifecycle(kw, epochs)
         assert cycle.best_rank == 3
+
+
+def listed_epochs(snapshots):
+    """(ISO time, listed keywords) pairs; '#baska' holds rank 1 throughout."""
+    rows = []
+    for when, keywords in snapshots:
+        for rank, keyword in enumerate(("#baska",) + tuple(keywords), start=1):
+            rows.append(f"{when},tr,{rank},{keyword},")
+    return epochs_csv(rows)
+
+
+def konu_day(iso):
+    return TrendDay(date=date.fromisoformat(iso), keyword=normalize_keyword("#konu", "tr"))
+
+
+# Local midnight (UTC+3) starting 2019-06-19 is 2019-06-18T21:00Z.
+TWO_DAYS = [
+    ("2019-06-18T11:55:00Z", ()),
+    ("2019-06-18T12:00:00Z", ("#konu",)),
+    ("2019-06-18T12:05:00Z", ("#konu",)),
+    ("2019-06-18T12:10:00Z", ()),
+    ("2019-06-19T08:55:00Z", ()),
+    ("2019-06-19T09:00:00Z", ("#konu",)),
+    ("2019-06-19T09:05:00Z", ()),
+]
+
+
+class TestTrendDayLifecycles:
+    def test_each_day_gets_its_own_entry(self):
+        cycles = trend_day_lifecycles(
+            [konu_day("2019-06-18"), konu_day("2019-06-19")], listed_epochs(TWO_DAYS)
+        )
+        first = cycles[(date(2019, 6, 18), "konu")]
+        second = cycles[(date(2019, 6, 19), "konu")]
+        assert (first.first_entry, first.first_exit) == (
+            Timestamp(1560859200), Timestamp(1560859800))
+        assert (second.first_entry, second.first_exit) == (
+            Timestamp(1560934800), Timestamp(1560935100))
+        # The plain lifecycle sees only the first listing span.
+        assert lifecycle(normalize_keyword("#konu", "tr"), listed_epochs(TWO_DAYS)) == first
+
+    def test_span_runs_past_midnight(self):
+        epochs = listed_epochs([
+            ("2019-06-18T20:50:00Z", ("#konu",)),
+            ("2019-06-18T21:05:00Z", ("#konu",)),
+            ("2019-06-18T21:10:00Z", ()),
+        ])
+        cycles = trend_day_lifecycles([konu_day("2019-06-18"), konu_day("2019-06-19")], epochs)
+        # The span entered on the 18th; the 19th has no entry of its own.
+        assert list(cycles) == [(date(2019, 6, 18), "konu")]
+        assert cycles[(date(2019, 6, 18), "konu")].first_exit == Timestamp(1560892200)
+
+    def test_span_from_the_day_before_is_not_an_entry(self):
+        epochs = listed_epochs([
+            ("2019-06-18T20:55:00Z", ("#konu",)),
+            ("2019-06-18T21:00:00Z", ("#konu",)),
+            ("2019-06-18T21:05:00Z", ()),
+            ("2019-06-19T06:00:00Z", ("#konu",)),
+        ])
+        cycles = trend_day_lifecycles([konu_day("2019-06-19")], epochs)
+        assert cycles[(date(2019, 6, 19), "konu")].first_entry == Timestamp(1560924000)
+
+    def test_no_entry_on_the_day_gets_no_lifecycle(self):
+        epochs = listed_epochs(TWO_DAYS)
+        # Listed on the 18th and 19th only: nothing for the 17th (which has
+        # no epochs) or for a trend-day whose keyword enters only later.
+        assert trend_day_lifecycles([konu_day("2019-06-17")], epochs) == {}
+        later = listed_epochs([("2019-06-18T12:00:00Z", ()),
+                               ("2019-06-19T09:00:00Z", ("#konu",))])
+        assert trend_day_lifecycles([konu_day("2019-06-18")], later) == {}
 
 
 def entry_at(seconds):
