@@ -43,9 +43,9 @@ clusters = detect_attack_windows(instance, flags, params)
 print(f"detected {len(clusters)} attack cluster(s):")
 for event in clusters:
     print(f"  {len(event.tweet_ids)} tweets by {len(event.users)} users | "
-          f"creation span {event.creation_window.seconds}s | "
-          f"deletion span {event.deletion_window.seconds}s | "
-          f"max lifetime {event.max_lifetime.seconds}s")
+          f"creation span {event.creation_window_s}s | "
+          f"deletion span {event.deletion_window_s}s | "
+          f"max lifetime {event.max_lifetime_s}s")
     planted = event.users & attack.user_ids
     print(f"  -> {len(planted)}/{len(event.users)} members are the planted bots")
 
@@ -56,11 +56,11 @@ print(f"  deleted lexicon tweets : {vector.n_deleted_lexicon} "
 print(f"  deleted SET tweets     : {vector.n_deleted_set} "
       f"(ratio {vector.set_deletion_ratio:.2f})")
 print(f"  initial deletions      : {vector.initial_deletions}")
-print(f"  creation/deletion spans: {vector.creation_window.seconds}s / "
-      f"{vector.deletion_window.seconds}s (whole deleted-lexicon subset; a "
+print(f"  creation/deletion spans: {vector.creation_window_s}s / "
+      f"{vector.deletion_window_s}s (whole deleted-lexicon subset; a "
       f"stray organically-deleted lookalike widens what the cluster search "
       f"pinpointed above)")
-print(f"  median lifetime        : {vector.lifetime_median:.0f}s")
+print(f"  median lifetime        : {vector.lifetime_median_s:.0f}s")
 print(f"  deletion entropy       : {vector.entropy_delete:.2f} bits over "
       f"{vector.n_deleted} deletions (coordinated deletions collapse into "
       f"a couple of minutes)")

@@ -11,7 +11,7 @@ import random
 from datetime import date
 
 from trendguard.classify import flags_for_instance
-from trendguard.core import Timestamp, Duration, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.graph import (
     DELETED_LEXICON,
     UNDELETED,
@@ -50,21 +50,21 @@ for day_offset, (campaign, keywords) in enumerate(CAMPAIGNS.items()):
         for bot in rng.sample(list(BOTS), 18):
             instance.tweets.append(Tweet(
                 id=tweet_id, user_id=bot, text=f"yarım gün oyalanma {raw}",
-                created_at=Timestamp(base + rng.randint(0, 50)),
-                hashtags=(raw[1:],), lang="tr",
+                created_ms=(base + rng.randint(0, 50)) * 1000,
+                hashtags=(raw[1:],),
             ))
-            instance.deletions[tweet_id] = Timestamp(base + 90 + rng.randint(0, 40))
+            instance.deletions[tweet_id] = (base + 90 + rng.randint(0, 40)) * 1000
             tweet_id += 1
         # Audience: kept tweets from a consistent interest group.
         for member in rng.sample(audience, 25):
             instance.tweets.append(Tweet(
                 id=tweet_id, user_id=member,
                 text=f"Kampanyaya destek olalım! {raw}",
-                created_at=Timestamp(base + 600 + rng.randint(0, 7200)),
-                hashtags=(raw[1:],), lang="tr",
+                created_ms=(base + 600 + rng.randint(0, 7200)) * 1000,
+                hashtags=(raw[1:],),
             ))
             tweet_id += 1
-        instance.tweets.sort(key=lambda t: (t.created_at, t.id))
+        instance.tweets.sort(key=lambda t: (t.created_ms, t.id))
         instances[(day, keyword.normalized)] = instance
 
 flags = {key: flags_for_instance(inst) for key, inst in instances.items()}
@@ -101,9 +101,9 @@ attack_times = {}
 for key, instance in instances.items():
     for tweet in instance.tweets:
         if tweet.id in instance.deletions and flags[key][tweet.id].is_lexicon:
-            attack_times.setdefault(tweet.user_id, []).append(tweet.created_at)
+            attack_times.setdefault(tweet.user_id, []).append(tweet.created_ms)
 summaries = community_summary(bot_partition, instances, attack_times,
-                              dormancy_threshold=Duration.days(365))
+                              dormancy_s=365 * 86400)
 for summary in summaries:
     print(f"community {summary.community}: {summary.n_users} bots over "
           f"{summary.n_trends} trends, {len(summary.dormant_users)} dormant")

@@ -9,7 +9,6 @@ whose deletions are rare and scattered, keep their slots.
 
 from dataclasses import replace
 
-from trendguard.core import Duration
 from trendguard.simulator import (
     build_stream,
     default_scenario,
@@ -28,15 +27,15 @@ scenario = replace(
 labeled = build_stream(scenario)
 streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
 
-window = Duration(600)
-epochs_off = trend_oracle(streams, window, mitigation=False, k=10)
-epochs_on = trend_oracle(streams, window, mitigation=True, k=10, penalty_weight=2.0)
+window_s = 600
+epochs_off = trend_oracle(streams, window_s, mitigation=False, k=10)
+epochs_on = trend_oracle(streams, window_s, mitigation=True, k=10, penalty_weight=2.0)
 
 
 def attack_entered(epochs, wave, horizon=600):
-    t0 = wave.t0.seconds
-    return any(t0 < ts.seconds <= t0 + horizon and wave.keyword in top
-               for ts, top in epochs)
+    t0 = wave.t0_ms // 1000
+    return any(t0 < ms // 1000 <= t0 + horizon and wave.keyword in top
+               for ms, top in epochs)
 
 
 waves = labeled.truth_attacks
@@ -55,9 +54,9 @@ print(f"\norganic trends reaching the top 10: {len(off_entered)} without "
 
 # A closer look at one attacked keyword's score trajectory.
 wave = waves[0]
-print(f"\nscore trajectory for {wave.keyword!r} (wave at t0={wave.t0.seconds}):")
-for (ts_off, top_off), (ts_on, top_on) in zip(epochs_off, epochs_on):
-    delta = ts_off.seconds - wave.t0.seconds
+print(f"\nscore trajectory for {wave.keyword!r} (wave at t0={wave.t0_ms // 1000}):")
+for (ms_off, top_off), (_, top_on) in zip(epochs_off, epochs_on):
+    delta = (ms_off - wave.t0_ms) // 1000
     if -300 <= delta <= 1200:
         place_off = top_off.index(wave.keyword) + 1 if wave.keyword in top_off else "-"
         place_on = top_on.index(wave.keyword) + 1 if wave.keyword in top_on else "-"

@@ -10,7 +10,6 @@ import io
 from dataclasses import replace
 
 from trendguard.classify import flags_for_instance
-from trendguard.core import Duration
 from trendguard.detector import DetectorConfig, classify_trend
 from trendguard.features import count_features
 from trendguard.ingest import build_trend_instances, load_trend_epochs
@@ -46,7 +45,7 @@ labeled = build_stream(scenario)
 # Trend-list snapshots come from the toy oracle (mitigation off: today's
 # platform), serialized and re-read through the epoch CSV format.
 streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-ranked = trend_oracle(streams, Duration(600), mitigation=False, k=10)
+ranked = trend_oracle(streams, 600, mitigation=False, k=10)
 buffer = io.StringIO()
 write_epochs_csv(buffer, ranked, labeled.keywords)
 buffer.seek(0)
@@ -67,14 +66,14 @@ for key, instance in sorted(instances.items()):
     except NeverTrended:
         continue
     try:
-        speed = trend_speed(instance, cycle).seconds
+        speed = trend_speed(instance, cycle)
     except NoPriorTweets:
         speed = None
     rows.append((
         "ATTACKED" if verdicts[key] else "organic ",
         instance.keyword.normalized,
         cycle.initial_rank,
-        cycle.listed_for.seconds // 60,
+        cycle.listed_for_s // 60,
         speed,
         pre_entry_deletion_ratio(instance, cycle),
     ))

@@ -13,10 +13,8 @@ against labeled synthetic streams (`simulator`).
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    Duration,
     GeoPoint,
     Keyword,
-    Timestamp,
     TrendGuardError,
     haversine_km,
     normalize_keyword,

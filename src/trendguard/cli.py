@@ -22,7 +22,7 @@ from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, Duration, Timestamp, TrendGuardError
+from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, TrendGuardError
 from .ingest import (
     ParseStats,
     build_instances_from_files,
@@ -81,10 +81,7 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
 
 def _params_from(args) -> AttackParams:
     return AttackParams(
-        kappa=args.kappa,
-        alpha_p=Duration(args.alpha_p),
-        alpha_d=Duration(args.alpha_d),
-        theta=Duration(args.theta),
+        kappa=args.kappa, alpha_p=args.alpha_p, alpha_d=args.alpha_d, theta=args.theta
     )
 
 
@@ -226,11 +223,11 @@ def _cmd_detect(args, out: _Outputs) -> int:
                         "keyword": instance.keyword.normalized,
                         "tweet_ids": sorted(event.tweet_ids),
                         "users": sorted(event.users),
-                        "start_s": event.start.seconds,
-                        "end_s": event.end.seconds,
-                        "creation_window_s": event.creation_window.seconds,
-                        "deletion_window_s": event.deletion_window.seconds,
-                        "max_lifetime_s": event.max_lifetime.seconds,
+                        "start_s": event.start_ms // 1000,
+                        "end_s": event.end_ms // 1000,
+                        "creation_window_s": event.creation_window_s,
+                        "deletion_window_s": event.deletion_window_s,
+                        "max_lifetime_s": event.max_lifetime_s,
                     }, sort_keys=True) + "\n")
     return 0
 
@@ -283,7 +280,7 @@ def _cmd_metrics(args, out: _Outputs) -> int:
             instance = instances[key]
             cycle = lifecycles[key]
             try:
-                speed = metrics_mod.trend_speed(instance, cycle).seconds
+                speed = metrics_mod.trend_speed(instance, cycle)
             except metrics_mod.NoPriorTweets:
                 speed = ""
             ratio = metrics_mod.pre_entry_deletion_ratio(instance, cycle)
@@ -338,21 +335,20 @@ def _cmd_graph(args, out: _Outputs) -> int:
         summary["modularity"] = partition.modularity
         summary["n_communities"] = len(set(partition.assignment.values()))
 
-        attack_times: dict[int, list[Timestamp]] = {}
+        attack_times: dict[int, list[int]] = {}
         for key, instance in instances.items():
             instance_flags = flags[key]
             for tweet in instance.tweets:
                 if tweet.id in instance.deletions and instance_flags[tweet.id].is_lexicon:
-                    attack_times.setdefault(tweet.user_id, []).append(tweet.created_at)
+                    attack_times.setdefault(tweet.user_id, []).append(tweet.created_ms)
         summaries = graph_mod.community_summary(
-            partition, instances, attack_times,
-            dormancy_threshold=Duration.days(args.dormancy_days),
+            partition, instances, attack_times, dormancy_s=args.dormancy_days * 86400
         )
         with out.open(out_dir / "communities.csv") as handle:
             handle.write("community,n_users,n_trends,first_seen_s,last_seen_s,n_dormant\n")
             for s in summaries:
-                first = s.first_seen.seconds if s.first_seen else ""
-                last = s.last_seen.seconds if s.last_seen else ""
+                first = "" if s.first_seen_ms is None else s.first_seen_ms // 1000
+                last = "" if s.last_seen_ms is None else s.last_seen_ms // 1000
                 handle.write(
                     f"{s.community},{s.n_users},{s.n_trends},{first},{last},{len(s.dormant_users)}\n"
                 )

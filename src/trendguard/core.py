@@ -1,9 +1,10 @@
 """
-Shared primitive types used across the pipeline: timestamps, durations,
-normalized keywords, and geo points, plus the great-circle distance helper.
+Shared primitives used across the pipeline: the time helpers, normalized
+keywords, and geo points, plus the great-circle distance helper.
 
-All values are immutable after construction and safe to share between
-threads.
+An instant is an int of epoch milliseconds (names end in ``_ms``); a span
+is an int of whole seconds (names end in ``_s``), computed by ``span_s``.
+Values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -28,71 +29,23 @@ class EmptyKeyword(TrendGuardError):
     """Raised when a keyword is empty after trimming."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Duration:
-    """A signed span of time in whole seconds."""
+def span_s(later_ms: int, earlier_ms: int) -> int:
+    """The whole seconds from one instant to another: the difference of their
+    whole seconds, so 10.900 to 70.100 is 60 s, as is 10.100 to 70.900.
 
-    seconds: int
-
-    def __add__(self, other: "Duration") -> "Duration":
-        return Duration(self.seconds + other.seconds)
-
-    def __sub__(self, other: "Duration") -> "Duration":
-        return Duration(self.seconds - other.seconds)
-
-    def __abs__(self) -> "Duration":
-        return Duration(abs(self.seconds))
-
-    def __int__(self) -> int:
-        return self.seconds
-
-    @classmethod
-    def minutes(cls, m: int) -> "Duration":
-        return cls(m * 60)
-
-    @classmethod
-    def hours(cls, h: int) -> "Duration":
-        return cls(h * 3600)
-
-    @classmethod
-    def days(cls, d: int) -> "Duration":
-        return cls(d * 86400)
-
-
-ZERO_DURATION = Duration(0)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Timestamp:
-    """A UTC instant: integer seconds since the epoch plus optional milliseconds.
-
-    Ordering is total over (seconds, millis). Subtracting two timestamps
-    yields a Duration equal to their *second* difference exactly; the
-    sub-second part only participates in ordering.
+    Every duration the pipeline reports or tests (lifetimes, windows, gaps)
+    is such a span; milliseconds only order instants and break ties.
     """
+    return later_ms // 1000 - earlier_ms // 1000
 
-    seconds: int
-    millis: int = 0
 
-    def __sub__(self, other: "Timestamp") -> Duration:
-        return Duration(self.seconds - other.seconds)
+def local_day(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
+    """Days since the epoch of the local calendar day containing the instant."""
+    return (ms // 1000 + tz_offset) // 86400
 
-    def shift(self, d: Duration) -> "Timestamp":
-        return Timestamp(self.seconds + d.seconds, self.millis)
 
-    @classmethod
-    def from_millis(cls, ms: int) -> "Timestamp":
-        return cls(ms // 1000, ms % 1000)
-
-    def to_millis(self) -> int:
-        return self.seconds * 1000 + self.millis
-
-    def local_day(self, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
-        """Days since the epoch of the local calendar day containing this instant."""
-        return (self.seconds + tz_offset) // 86400
-
-    def local_hour(self, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
-        return ((self.seconds + tz_offset) // 3600) % 24
+def local_hour(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
+    return ((ms // 1000 + tz_offset) // 3600) % 24
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    Duration,
     HASHTAG,
     Keyword,
-    Timestamp,
     TrendGuardError,
+    local_day,
+    span_s,
 )
 from .ingest import (
     Creation,
@@ -47,21 +47,22 @@ class UnknownRule(TrendGuardError):
 
 @dataclass(frozen=True, slots=True)
 class AttackParams:
-    """Quantitative attack-model parameters; all CLI-overridable.
+    """Quantitative attack-model parameters; all CLI-overridable. The three
+    windows are whole seconds.
 
     Defaults suit 1%-sampled data: clusters of at least 4 tweets created and
     deleted within five-minute windows, every tweet gone within ten minutes.
     """
 
     kappa: int = 4
-    alpha_p: Duration = Duration(300)
-    alpha_d: Duration = Duration(300)
-    theta: Duration = Duration(600)
+    alpha_p: int = 300
+    alpha_d: int = 300
+    theta: int = 600
 
     def __post_init__(self):
         if self.kappa < 1:
             raise ValueError("kappa must be at least 1")
-        if min(self.alpha_p.seconds, self.alpha_d.seconds, self.theta.seconds) < 0:
+        if min(self.alpha_p, self.alpha_d, self.theta) < 0:
             raise ValueError("window durations must be non-negative")
 
 
@@ -193,15 +194,16 @@ def classify_trend(
 
 @dataclass(frozen=True, slots=True)
 class AttackEvent:
-    """A concrete tweet cluster satisfying all attack-model conditions."""
+    """A concrete tweet cluster satisfying all attack-model conditions: from
+    its first creation to its last deletion, with its spans in seconds."""
 
     tweet_ids: frozenset[int]
     users: frozenset[int]
-    start: Timestamp
-    end: Timestamp
-    creation_window: Duration
-    deletion_window: Duration
-    max_lifetime: Duration
+    start_ms: int
+    end_ms: int
+    creation_window_s: int
+    deletion_window_s: int
+    max_lifetime_s: int
 
 
 def attack_candidates(
@@ -209,8 +211,9 @@ def attack_candidates(
     flags: Mapping[int, TweetFlags],
     params: AttackParams,
     require_lexicon: bool = False,
-) -> list[tuple[Tweet, Timestamp]]:
-    """Deleted single-engagement tweets eligible for clustering, in creation order.
+) -> list[tuple[Tweet, int]]:
+    """(tweet, deletion ms) of the deleted single-engagement tweets eligible
+    for clustering, in creation order.
 
     Tweets whose lifetime exceeds theta can belong to no cluster and are
     dropped here. A user contributes at most their earliest eligible tweet,
@@ -227,12 +230,12 @@ def attack_candidates(
             continue
         if require_lexicon and not flag.is_lexicon:
             continue
-        lifetime = (deleted_at - tweet.created_at).seconds
-        if lifetime < 0 or lifetime > params.theta.seconds:
+        lifetime = span_s(deleted_at, tweet.created_ms)
+        if lifetime < 0 or lifetime > params.theta:
             continue
         eligible.append((tweet, deleted_at))
-    eligible.sort(key=lambda td: (td[0].created_at.to_millis(), td[0].id))
-    per_user: dict[int, tuple[Tweet, Timestamp]] = {}
+    eligible.sort(key=lambda td: (td[0].created_ms, td[0].id))
+    per_user: dict[int, tuple[Tweet, int]] = {}
     for tweet, deleted_at in eligible:
         if tweet.user_id not in per_user:
             per_user[tweet.user_id] = (tweet, deleted_at)
@@ -284,16 +287,17 @@ def detect_attack_windows(
     kappa = params.kappa
     if n < kappa:
         return []
-    alpha_p = params.alpha_p.seconds
-    alpha_d = params.alpha_d.seconds
+    alpha_p = params.alpha_p
+    alpha_d = params.alpha_d
 
-    # Candidate index j is creation order; rank r is deletion order.
-    p = [t.created_at.seconds for t, _ in cands]
-    by_rank = sorted(range(n), key=lambda j: (cands[j][1].to_millis(), cands[j][0].id))
+    # Candidate index j is creation order; rank r is deletion order. p and d
+    # hold whole seconds, so their differences are spans (core.span_s).
+    p = [t.created_ms // 1000 for t, _ in cands]
+    by_rank = sorted(range(n), key=lambda j: (cands[j][1], cands[j][0].id))
     rank = [0] * n
     for r, j in enumerate(by_rank):
         rank[j] = r
-    d = [cands[j][1].seconds for j in by_rank]
+    d = [cands[j][1] // 1000 for j in by_rank]
     # past[r]: the first rank deleted after second d[r] + alpha_d.
     past = [bisect_right(d, t + alpha_d) for t in d]
 
@@ -341,14 +345,14 @@ def detect_attack_windows(
             AttackEvent(
                 tweet_ids=frozenset(cands[j][0].id for j in members),
                 users=frozenset(cands[j][0].user_id for j in members),
-                start=cands[first][0].created_at,
-                end=cands[by_rank[high]][1],
-                creation_window=Duration(p[last] - p[first]),
-                deletion_window=Duration(d[high] - d[low]),
-                max_lifetime=Duration(max(d[r] - p[by_rank[r]] for r in cluster)),
+                start_ms=cands[first][0].created_ms,
+                end_ms=cands[by_rank[high]][1],
+                creation_window_s=p[last] - p[first],
+                deletion_window_s=d[high] - d[low],
+                max_lifetime_s=max(d[r] - p[by_rank[r]] for r in cluster),
             )
         )
-    events.sort(key=lambda e: (e.start, min(e.tweet_ids)))
+    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids)))
     return events
 
 
@@ -405,7 +409,7 @@ def label_astrobots(
                 continue
             if not instance_flags[tweet.id].is_lexicon:
                 continue
-            if deleted_at.local_day(tz_offset) == tweet.created_at.local_day(tz_offset):
+            if local_day(deleted_at, tz_offset) == local_day(tweet.created_ms, tz_offset):
                 bots.add(tweet.user_id)
     return bots
 
@@ -425,20 +429,20 @@ def scan_candidates(
     feature pipeline. Positive verdicts are unsuccessful attacks.
     """
     builders: dict[tuple[int, str], _InstanceBuilder] = {}
-    deletions: dict[int, Timestamp] = {}
+    deletions: dict[int, int] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
-            day = tweet.created_at.local_day(tz_offset)
+            day = local_day(tweet.created_ms, tz_offset)
             for tag in extract_hashtags(tweet.text, locale):
                 builder = builders.get((day, tag))
                 if builder is None:
                     trend = TrendDay(date=day_number_to_date(day),
                                      keyword=Keyword("#" + tag, tag, HASHTAG))
-                    builder = builders[(day, tag)] = _InstanceBuilder(trend, tz_offset)
+                    builder = builders[(day, tag)] = _InstanceBuilder(trend)
                 builder.offer_tweet(tweet)
         elif isinstance(event, Deletion):
-            _note_deletion(deletions, event.tweet_id, event.time)
+            _note_deletion(deletions, event.tweet_id, event.time_ms)
 
     verdicts = []
     for (day, tag), builder in sorted(builders.items()):
@@ -473,7 +477,7 @@ def verdict_record(verdict: Verdict) -> dict:
             }
             for r in verdict.fired_rules
         ],
-        "features": verdict.features.to_dict(),
+        "features": asdict(verdict.features),
     }
     if verdict.trend is not None:
         record["date"] = verdict.trend.date.isoformat()

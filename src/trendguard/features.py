@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import Duration, Timestamp, TrendGuardError, ZERO_DURATION
+from .core import TrendGuardError, span_s
 from .ingest import TrendInstance, Tweet
 from .classify import TweetFlags
 
@@ -38,58 +38,16 @@ class FeatureVector:
     set_deletion_ratio: float
     lexicon_deletion_ratio: float
     initial_deletions: int
-    creation_window: Duration
-    deletion_window: Duration
-    lifetime_median: Optional[float]  # seconds
-    lifetime_mean: Optional[float]    # seconds
-    entropy_create: float             # bits
-    entropy_delete: float             # bits
-
-    def to_dict(self) -> dict:
-        return {
-            "n_tweets": self.n_tweets,
-            "n_deleted": self.n_deleted,
-            "n_nonretweet": self.n_nonretweet,
-            "n_deleted_nonretweet": self.n_deleted_nonretweet,
-            "n_set": self.n_set,
-            "n_deleted_set": self.n_deleted_set,
-            "n_lexicon": self.n_lexicon,
-            "n_deleted_lexicon": self.n_deleted_lexicon,
-            "deletion_ratio": self.deletion_ratio,
-            "nonretweet_deletion_ratio": self.nonretweet_deletion_ratio,
-            "set_deletion_ratio": self.set_deletion_ratio,
-            "lexicon_deletion_ratio": self.lexicon_deletion_ratio,
-            "initial_deletions": self.initial_deletions,
-            "creation_window_s": self.creation_window.seconds,
-            "deletion_window_s": self.deletion_window.seconds,
-            "lifetime_median_s": self.lifetime_median,
-            "lifetime_mean_s": self.lifetime_mean,
-            "entropy_create": self.entropy_create,
-            "entropy_delete": self.entropy_delete,
-        }
+    creation_window_s: int
+    deletion_window_s: int
+    lifetime_median_s: Optional[float]
+    lifetime_mean_s: Optional[float]
+    entropy_create: float  # bits
+    entropy_delete: float  # bits
 
 
-FEATURE_COLUMNS = (
-    "n_tweets",
-    "n_deleted",
-    "n_nonretweet",
-    "n_deleted_nonretweet",
-    "n_set",
-    "n_deleted_set",
-    "n_lexicon",
-    "n_deleted_lexicon",
-    "deletion_ratio",
-    "nonretweet_deletion_ratio",
-    "set_deletion_ratio",
-    "lexicon_deletion_ratio",
-    "initial_deletions",
-    "creation_window_s",
-    "deletion_window_s",
-    "lifetime_median_s",
-    "lifetime_mean_s",
-    "entropy_create",
-    "entropy_delete",
-)
+# The CSV and JSON columns are the fields, in order.
+FEATURE_COLUMNS = tuple(f.name for f in fields(FeatureVector))
 
 
 def _ratio(num: int, den: int) -> float:
@@ -97,16 +55,16 @@ def _ratio(num: int, den: int) -> float:
 
 
 def _ordered(tweets: Iterable[Tweet]) -> list[Tweet]:
-    return sorted(tweets, key=lambda t: (t.created_at, t.id))
+    return sorted(tweets, key=lambda t: (t.created_ms, t.id))
 
 
-def minute_entropy(timestamps: Iterable[Timestamp]) -> float:
+def minute_entropy(times_ms: Iterable[int]) -> float:
     """Shannon entropy (bits) of event counts per absolute epoch minute.
 
     Bins align to epoch minutes, so the value is independent of input order
     and of which event happens to come first. An empty input has entropy 0.
     """
-    counts = Counter(ts.seconds // 60 for ts in timestamps)
+    counts = Counter(ms // 60_000 for ms in times_ms)
     if not counts:
         return 0.0
     # Summation in canonical bin order keeps the value exactly
@@ -151,7 +109,7 @@ def lifetime_stats(instance: TrendInstance) -> LifetimeStats:
         deleted_at = instance.deletions.get(tweet.id)
         if deleted_at is None:
             continue
-        span = (deleted_at - tweet.created_at).seconds
+        span = span_s(deleted_at, tweet.created_ms)
         if span < 0:
             negative += 1
             continue
@@ -175,8 +133,8 @@ def _candidate_subset(
 
 def attack_windows(
     instance: TrendInstance, flags: Mapping[int, TweetFlags]
-) -> tuple[Duration, Duration]:
-    """Creation and deletion spans over the attack-candidate tweet subset.
+) -> tuple[int, int]:
+    """Creation and deletion spans (seconds) over the attack-candidate tweet subset.
 
     Raises NoCandidates when no deleted lexicon or single-engagement tweet
     exists.
@@ -184,11 +142,11 @@ def attack_windows(
     subset = _candidate_subset(instance, flags)
     if not subset:
         raise NoCandidates(f"no attack-candidate tweets for {instance.trend}")
-    creations = [t.created_at.seconds for t in subset]
-    deletions = [instance.deletions[t.id].seconds for t in subset]
+    creations = [t.created_ms for t in subset]
+    deletions = [instance.deletions[t.id] for t in subset]
     return (
-        Duration(max(creations) - min(creations)),
-        Duration(max(deletions) - min(deletions)),
+        span_s(max(creations), min(creations)),
+        span_s(max(deletions), min(deletions)),
     )
 
 
@@ -212,9 +170,9 @@ def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> 
             n_deleted_lexicon += deleted
 
     try:
-        creation_window, deletion_window = attack_windows(instance, flags)
+        creation_window_s, deletion_window_s = attack_windows(instance, flags)
     except NoCandidates:
-        creation_window = deletion_window = ZERO_DURATION
+        creation_window_s = deletion_window_s = 0
 
     lifetimes = lifetime_stats(instance)
 
@@ -232,11 +190,11 @@ def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> 
         set_deletion_ratio=_ratio(n_deleted_set, n_set),
         lexicon_deletion_ratio=_ratio(n_deleted_lexicon, n_lexicon),
         initial_deletions=initial_deletions(instance, flags),
-        creation_window=creation_window,
-        deletion_window=deletion_window,
-        lifetime_median=lifetimes.median,
-        lifetime_mean=lifetimes.mean,
-        entropy_create=minute_entropy(t.created_at for t in instance.tweets),
+        creation_window_s=creation_window_s,
+        deletion_window_s=deletion_window_s,
+        lifetime_median_s=lifetimes.median,
+        lifetime_mean_s=lifetimes.mean,
+        entropy_create=minute_entropy(t.created_ms for t in instance.tweets),
         entropy_delete=minute_entropy(instance.deletions.values()),
     )
 
@@ -246,8 +204,6 @@ def write_feature_csv(handle, rows: Iterable[tuple[TrendInstance, FeatureVector]
     writer = csv.writer(handle)
     writer.writerow(("date", "keyword") + FEATURE_COLUMNS)
     for instance, vector in rows:
-        record = vector.to_dict()
         writer.writerow(
-            [instance.trend.date.isoformat(), instance.keyword.normalized]
-            + [record[col] for col in FEATURE_COLUMNS]
+            [instance.trend.date.isoformat(), instance.keyword.normalized, *astuple(vector)]
         )

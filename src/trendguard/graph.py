@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping, Optional, Union
 
-from .core import Duration, Timestamp, TrendGuardError
+from .core import TrendGuardError, span_s
 from .ingest import TrendInstance
 from .classify import TweetFlags
 
@@ -97,11 +97,14 @@ class Graph:
         return self._adj[node]
 
     def edges(self) -> list[tuple[Node, Node, int]]:
+        """Each edge once, as (u, v, weight) with u before v, in node order."""
+        key = {node: _node_sort_key(node) for node in self._kind}
         seen = []
-        for u in self.nodes():
-            for v, w in sorted(self._adj[u].items(), key=lambda item: _node_sort_key(item[0])):
-                if _node_sort_key(u) < _node_sort_key(v):
-                    seen.append((u, v, w))
+        for u in sorted(key, key=key.__getitem__):
+            ku = key[u]
+            later = [(v, w) for v, w in self._adj[u].items() if ku < key[v]]
+            later.sort(key=lambda item: key[item[0]])
+            seen.extend((u, v, w) for v, w in later)
         return seen
 
     def total_weight(self) -> int:
@@ -212,7 +215,7 @@ def single_attack_filter(graph: Graph) -> Graph:
 
 @dataclass
 class Partition:
-    assignment: dict[Node, int]
+    assignment: dict[Node, int]  # in Graph.nodes() order
     modularity: float
 
 
@@ -384,37 +387,38 @@ class CommunitySummary:
     community: int
     n_users: int
     n_trends: int
-    first_seen: Optional[Timestamp]
-    last_seen: Optional[Timestamp]
-    dormancy_gaps: list[tuple[int, Duration]]
+    first_seen_ms: Optional[int]
+    last_seen_ms: Optional[int]
+    dormancy_gaps: list[tuple[int, int]]  # (user, seconds)
     dormant_users: list[int]
 
 
 def community_summary(
     partition: Partition,
     instances: Union[Mapping[tuple[date, str], TrendInstance], Iterable[TrendInstance]],
-    attack_times: Mapping[int, Iterable[Timestamp]],
-    dormancy_threshold: Duration = Duration.days(365),
+    attack_times: Mapping[int, Iterable[int]],
+    dormancy_s: int = 365 * 86400,
 ) -> list[CommunitySummary]:
     """Sizes, first/last attack participation, and per-user dormancy gaps.
 
-    A user's dormancy gap is the absolute difference between their last
-    attack and their last undeleted tweet anywhere in the corpus; gaps above
-    the threshold flag the user as dormant.
+    ``attack_times`` maps a user to the ms times of their attack tweets. A
+    user's dormancy gap is the absolute span between their last attack and
+    their last undeleted tweet anywhere in the corpus; gaps above
+    ``dormancy_s`` seconds flag the user as dormant.
     """
     if isinstance(instances, Mapping):
         items = list(instances.values())
     else:
         items = list(instances)
 
-    last_undeleted: dict[int, Timestamp] = {}
+    last_undeleted: dict[int, int] = {}
     for instance in items:
         for tweet in instance.tweets:
             if tweet.id in instance.deletions:
                 continue
             prior = last_undeleted.get(tweet.user_id)
-            if prior is None or tweet.created_at > prior:
-                last_undeleted[tweet.user_id] = tweet.created_at
+            if prior is None or tweet.created_ms > prior:
+                last_undeleted[tweet.user_id] = tweet.created_ms
 
     members: dict[int, list[Node]] = {}
     for node, community in partition.assignment.items():
@@ -425,9 +429,9 @@ def community_summary(
         nodes = members[community]
         users = [node[1] for node in nodes if node[0] == USER]
         n_trends = sum(1 for node in nodes if node[0] == TREND)
-        first_seen: Optional[Timestamp] = None
-        last_seen: Optional[Timestamp] = None
-        last_attack: dict[int, Timestamp] = {}
+        first_seen: Optional[int] = None
+        last_seen: Optional[int] = None
+        last_attack: dict[int, int] = {}
         for user in users:
             for ts in attack_times.get(user, ()):
                 if first_seen is None or ts < first_seen:
@@ -443,17 +447,17 @@ def community_summary(
             undeleted_at = last_undeleted.get(user)
             if undeleted_at is None:
                 continue
-            gap = abs(undeleted_at - last_attack[user])
+            gap = abs(span_s(undeleted_at, last_attack[user]))
             gaps.append((user, gap))
-            if gap > dormancy_threshold:
+            if gap > dormancy_s:
                 dormant.append(user)
         summaries.append(
             CommunitySummary(
                 community=community,
                 n_users=len(users),
                 n_trends=n_trends,
-                first_seen=first_seen,
-                last_seen=last_seen,
+                first_seen_ms=first_seen,
+                last_seen_ms=last_seen,
                 dormancy_gaps=gaps,
                 dormant_users=dormant,
             )
@@ -479,5 +483,5 @@ def write_edge_csv(handle, graph: Graph) -> None:
 def write_partition_csv(handle, partition: Partition) -> None:
     writer = csv.writer(handle)
     writer.writerow(["node", "community"])
-    for node in sorted(partition.assignment, key=_node_sort_key):
-        writer.writerow([f"{node[0]}:{node[1]}", partition.assignment[node]])
+    for node, community in partition.assignment.items():
+        writer.writerow([f"{node[0]}:{node[1]}", community])

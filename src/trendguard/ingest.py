@@ -28,9 +28,9 @@ from .core import (
     GeoPoint,
     HASHTAG,
     Keyword,
-    Timestamp,
     TrendGuardError,
     fold_case,
+    local_day,
     normalize_keyword,
 )
 
@@ -52,15 +52,13 @@ class Tweet:
     id: int
     user_id: int
     text: str
-    created_at: Timestamp
+    created_ms: int
     hashtags: tuple[str, ...] = ()
     mentions: tuple[int, ...] = ()
     urls: int = 0
     is_retweet: bool = False
     is_reply: bool = False
     geo: Optional[GeoPoint] = None
-    lang: Optional[str] = None
-    source_app: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +70,7 @@ class Creation:
 class Deletion:
     tweet_id: int
     user_id: int
-    time: Timestamp
+    time_ms: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +115,8 @@ class TrendDay:
     date: date
     keyword: Keyword
 
-    def day_number(self, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
-        # Days since the epoch of this local calendar day; tz_offset is
-        # accepted for signature symmetry but a calendar date is already local.
+    def day_number(self) -> int:
+        """Days since the epoch of this local calendar day."""
         return self.date.toordinal() - _EPOCH_ORDINAL
 
 
@@ -134,7 +131,7 @@ def day_number_to_date(day_number: int) -> date:
 class TrendEpoch:
     """One snapshot of the ranked trends list at a point in time."""
 
-    captured_at: Timestamp
+    captured_ms: int
     location: str
     entries: tuple[tuple[int, Keyword, Optional[int]], ...]  # (rank, keyword, volume)
 
@@ -149,15 +146,15 @@ class TrendEpoch:
 class TrendInstance:
     """A trend-day joined with its associated tweets and their deletion times.
 
-    ``tweets`` is sorted by (created_at, id); ``deletions`` maps tweet id to
-    the earliest deletion notice at or after the tweet's creation. Notices
-    that would imply a negative lifetime are rejected and counted in
-    ``invalid_deletions``.
+    ``tweets`` is sorted by (created_ms, id); ``deletions`` maps tweet id to
+    the time (ms) of the earliest deletion notice at or after the tweet's
+    creation. Notices that would imply a negative lifetime are rejected and
+    counted in ``invalid_deletions``.
     """
 
     trend: TrendDay
     tweets: list[Tweet] = field(default_factory=list)
-    deletions: dict[int, Timestamp] = field(default_factory=dict)
+    deletions: dict[int, int] = field(default_factory=dict)
     invalid_deletions: int = 0
 
     @property
@@ -177,7 +174,6 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 
-_SOURCE_RE = re.compile(r">([^<]*)</a>")
 _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
 
@@ -200,14 +196,14 @@ def _parse_created_at(value: str) -> int:
         raise BadTimestamp(f"unrecognized created_at: {value!r}") from exc
 
 
-def _event_time(obj: dict) -> Timestamp:
+def _event_ms(obj: dict) -> int:
     ms = obj.get("timestamp_ms")
     if ms is not None:
-        return Timestamp.from_millis(int(ms))
+        return int(ms)
     created = obj.get("created_at")
     if created is None:
         raise BadTimestamp("record has neither timestamp_ms nor created_at")
-    return Timestamp(_parse_created_at(created))
+    return _parse_created_at(created) * 1000
 
 
 def _extract_geo(obj: dict) -> Optional[GeoPoint]:
@@ -252,7 +248,7 @@ def _parse_status(obj: dict) -> Creation:
         raise MalformedLine(f"status {tweet_id} has no text")
 
     try:
-        when = _event_time(obj)
+        created_ms = _event_ms(obj)
     except BadTimestamp as exc:
         raise MalformedLine(str(exc)) from exc
 
@@ -268,18 +264,12 @@ def _parse_status(obj: dict) -> Creation:
     )
     urls = len(entities.get("urls", ()) or ())
 
-    source_app = None
-    source = obj.get("source")
-    if isinstance(source, str):
-        m = _SOURCE_RE.search(source)
-        source_app = m.group(1) if m else (source or None)
-
     return Creation(
         Tweet(
             id=tweet_id,
             user_id=user_id,
             text=text,
-            created_at=when,
+            created_ms=created_ms,
             hashtags=hashtags,
             mentions=mentions,
             urls=urls,
@@ -287,8 +277,6 @@ def _parse_status(obj: dict) -> Creation:
             is_reply=obj.get("in_reply_to_status_id") is not None
             or obj.get("in_reply_to_user_id") is not None,
             geo=_extract_geo(obj),
-            lang=obj.get("lang"),
-            source_app=source_app,
         )
     )
 
@@ -305,7 +293,7 @@ def _parse_delete(obj: dict) -> Deletion:
     ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
     if ms is None:
         raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
-    return Deletion(tweet_id=tweet_id, user_id=user_id, time=Timestamp.from_millis(int(ms)))
+    return Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=int(ms))
 
 
 # What the record parsers raise on a field of the wrong JSON type or value:
@@ -428,7 +416,9 @@ def read_stream_list(source, compressed: Union[bool, str] = "auto") -> tuple[lis
 # Trend snapshot files
 # ---------------------------------------------------------------------------
 
-def _parse_iso_timestamp(value: str) -> Timestamp:
+def _parse_iso_ms(value: str) -> int:
+    """An ISO 8601 instant as epoch ms, truncated to the second (UTC when
+    it names no offset)."""
     text = value.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -438,7 +428,7 @@ def _parse_iso_timestamp(value: str) -> Timestamp:
         raise BadTimestamp(f"unparsable timestamp: {value!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return Timestamp(int(dt.timestamp()))
+    return int(dt.timestamp()) * 1000
 
 
 def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
@@ -456,10 +446,10 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
         handle = source
     try:
         reader = csv.DictReader(handle)
-        grouped: dict[tuple[int, int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
-        order: list[tuple[int, int, str]] = []
+        grouped: dict[tuple[int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
+        order: list[tuple[int, str]] = []
         for row in reader:
-            when = _parse_iso_timestamp(row["captured_at"])
+            when = _parse_iso_ms(row["captured_at"])
             location = (row.get("location") or "").strip()
             try:
                 rank = int(row["rank"])
@@ -468,7 +458,7 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
             keyword = normalize_keyword(row["keyword"], locale)
             vol_text = (row.get("volume") or "").strip()
             volume = int(vol_text) if vol_text else None
-            key = (when.seconds, when.millis, location)
+            key = (when, location)
             if key not in grouped:
                 grouped[key] = []
                 order.append(key)
@@ -478,16 +468,12 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
             entries = sorted(grouped[key], key=lambda e: e[0])
             ranks = [r for r, _, _ in entries]
             if ranks != list(range(1, len(ranks) + 1)):
-                raise BadRank(f"epoch at {key[0]} has ranks {ranks}, expected 1..{len(ranks)}")
+                raise BadRank(f"epoch at {key[0] // 1000} has ranks {ranks}, "
+                              f"expected 1..{len(ranks)}")
             if len(entries) > 50:
-                raise BadRank(f"epoch at {key[0]} lists {len(entries)} trends, limit is 50")
-            epochs.append(
-                TrendEpoch(
-                    captured_at=Timestamp(key[0], key[1]),
-                    location=key[2],
-                    entries=tuple(entries),
-                )
-            )
+                raise BadRank(f"epoch at {key[0] // 1000} lists {len(entries)} trends, "
+                              f"limit is 50")
+            epochs.append(TrendEpoch(captured_ms=key[0], location=key[1], entries=tuple(entries)))
         return epochs
     finally:
         if close:
@@ -566,51 +552,49 @@ def match_keyword(text: str, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> 
 
 
 def _tweet_in_day_window(tweet: Tweet, trend_day_number: int, tz_offset: int) -> bool:
-    day = tweet.created_at.local_day(tz_offset)
+    day = local_day(tweet.created_ms, tz_offset)
     return day == trend_day_number or day == trend_day_number - 1
 
 
 class _InstanceBuilder:
     """Accumulates matched tweets for one trend-day."""
 
-    def __init__(self, trend: TrendDay, tz_offset: int):
+    def __init__(self, trend: TrendDay):
         self.trend = trend
-        self.day_number = trend.day_number(tz_offset)
+        self.day_number = trend.day_number()
         self.tweets: dict[int, Tweet] = {}
 
     def offer_tweet(self, tweet: Tweet) -> None:
         if tweet.id not in self.tweets:
             self.tweets[tweet.id] = tweet
 
-    def build(self, deletions: dict[int, Timestamp]) -> TrendInstance:
+    def build(self, deletions: dict[int, int]) -> TrendInstance:
         instance = TrendInstance(trend=self.trend)
-        instance.tweets = sorted(self.tweets.values(), key=lambda t: (t.created_at, t.id))
+        instance.tweets = sorted(self.tweets.values(), key=lambda t: (t.created_ms, t.id))
         for tweet in instance.tweets:
             when = deletions.get(tweet.id)
             if when is None:
                 continue
-            if when < tweet.created_at:
+            if when < tweet.created_ms:
                 instance.invalid_deletions += 1
                 continue
             instance.deletions[tweet.id] = when
         return instance
 
 
-def _note_deletion(pending: dict[int, Timestamp], tweet_id: int, when: Timestamp) -> None:
+def _note_deletion(pending: dict[int, int], tweet_id: int, when: int) -> None:
     prior = pending.get(tweet_id)
     if prior is None or when < prior:
         pending[tweet_id] = when
 
 
-def _builders(
-    trends: Sequence[TrendDay], tz_offset: int
-) -> dict[tuple[date, str], _InstanceBuilder]:
+def _builders(trends: Sequence[TrendDay]) -> dict[tuple[date, str], _InstanceBuilder]:
     """One builder per unique (date, normalized keyword), input order kept."""
     builders: dict[tuple[date, str], _InstanceBuilder] = {}
     for trend in trends:
         key = (trend.date, trend.keyword.normalized)
         if key not in builders:
-            builders[key] = _InstanceBuilder(trend, tz_offset)
+            builders[key] = _InstanceBuilder(trend)
     return builders
 
 
@@ -627,9 +611,9 @@ def build_trend_instance(
     keyword and they fall on the trend's local day or the day before;
     deletion notices attach by tweet id wherever they occur in the input.
     """
-    builder = _InstanceBuilder(trend, tz_offset)
+    builder = _InstanceBuilder(trend)
     keyword = trend.keyword
-    pending: dict[int, Timestamp] = {}
+    pending: dict[int, int] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
@@ -638,7 +622,7 @@ def build_trend_instance(
             ):
                 builder.offer_tweet(tweet)
         elif isinstance(event, Deletion):
-            _note_deletion(pending, event.tweet_id, event.time)
+            _note_deletion(pending, event.tweet_id, event.time_ms)
     return builder.build(pending)
 
 
@@ -688,7 +672,7 @@ def build_trend_instances(
     that need bounded memory over large files should use
     build_instances_from_files, which attaches deletions in a second pass.
     """
-    builders = _builders(trends, tz_offset)
+    builders = _builders(trends)
     # The builders that take a tweet, by keyword and by the tweet's local
     # day: a trend-day on day d takes tweets of days d and d-1.
     by_keyword: dict[tuple[str, str], dict[int, list[_InstanceBuilder]]] = {}
@@ -699,16 +683,16 @@ def build_trend_instances(
             by_day.setdefault(day, []).append(builder)
     contained = _keyword_index((b.trend.keyword for b in builders.values()), locale)
 
-    pending: dict[int, Timestamp] = {}
+    pending: dict[int, int] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
-            day = tweet.created_at.local_day(tz_offset)
+            day = local_day(tweet.created_ms, tz_offset)
             for key in contained(tweet.text):
                 for builder in by_keyword[key].get(day, ()):
                     builder.offer_tweet(tweet)
         elif isinstance(event, Deletion):
-            _note_deletion(pending, event.tweet_id, event.time)
+            _note_deletion(pending, event.tweet_id, event.time_ms)
 
     return {key: builder.build(pending) for key, builder in builders.items()}
 
@@ -749,13 +733,13 @@ def _match_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], ParseStats]:
     return {key: instance.tweets for key, instance in instances.items()}, stats
 
 
-def _deletions_in_file(job) -> dict[int, Timestamp]:
+def _deletions_in_file(job) -> dict[int, int]:
     """Pass two over one file: the earliest notice for each wanted tweet id."""
     path, wanted = job
-    found: dict[int, Timestamp] = {}
+    found: dict[int, int] = {}
     for event in read_stream(path, keep=_may_hold_deletion):
         if isinstance(event, Deletion) and event.tweet_id in wanted:
-            _note_deletion(found, event.tweet_id, event.time)
+            _note_deletion(found, event.tweet_id, event.time_ms)
     return found
 
 
@@ -795,7 +779,7 @@ def build_instances_from_files(
     ``map_fn`` runs the per-file passes, in file order; a process pool's
     map parallelizes across files with identical results.
     """
-    builders = _builders(trends, tz_offset)
+    builders = _builders(trends)
     for tweets_by_key, file_stats in map_fn(
         _match_file, [(path, trends, locale, tz_offset) for path in paths]
     ):
@@ -807,7 +791,7 @@ def build_instances_from_files(
                 builder.offer_tweet(tweet)
 
     wanted = {tid for builder in builders.values() for tid in builder.tweets}
-    pending: dict[int, Timestamp] = {}
+    pending: dict[int, int] = {}
     if wanted:
         for found in map_fn(_deletions_in_file, [(path, wanted) for path in paths]):
             for tid, when in found.items():

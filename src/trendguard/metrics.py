@@ -18,12 +18,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TZ_OFFSET,
-    Duration,
     GeoPoint,
     Keyword,
-    Timestamp,
     TrendGuardError,
     haversine_km,
+    local_day,
+    local_hour,
+    span_s,
 )
 from .ingest import TrendDay, TrendEpoch, TrendInstance, day_number_to_date
 from .detector import Verdict
@@ -48,14 +49,14 @@ class InconsistentTimeline(TrendGuardError):
 @dataclass(frozen=True, slots=True)
 class TrendLifecycle:
     keyword: Keyword
-    first_entry: Timestamp
-    first_exit: Timestamp
+    first_entry_ms: int
+    first_exit_ms: int
     initial_rank: int
     best_rank: int
 
     @property
-    def listed_for(self) -> Duration:
-        return self.first_exit - self.first_entry
+    def listed_for_s(self) -> int:
+        return span_s(self.first_exit_ms, self.first_entry_ms)
 
 
 def lifecycle(keyword: Keyword, epochs: Sequence[TrendEpoch]) -> TrendLifecycle:
@@ -77,24 +78,24 @@ def lifecycle(keyword: Keyword, epochs: Sequence[TrendEpoch]) -> TrendLifecycle:
         rank = epoch.rank_of(normalized)
         if first_entry is None:
             if rank is not None:
-                first_entry = epoch.captured_at
+                first_entry = epoch.captured_ms
                 initial_rank = rank
                 best_rank = rank
-                last_seen = epoch.captured_at
+                last_seen = epoch.captured_ms
         else:
             if rank is None:
-                first_exit = epoch.captured_at
+                first_exit = epoch.captured_ms
                 break
             best_rank = min(best_rank, rank)
-            last_seen = epoch.captured_at
+            last_seen = epoch.captured_ms
     if first_entry is None:
         raise NeverTrended(f"{keyword.raw!r} never appears in the epochs")
     if first_exit is None:
         first_exit = last_seen
     return TrendLifecycle(
         keyword=keyword,
-        first_entry=first_entry,
-        first_exit=first_exit,
+        first_entry_ms=first_entry,
+        first_exit_ms=first_exit,
         initial_rank=initial_rank,
         best_rank=best_rank,
     )
@@ -114,7 +115,7 @@ def trend_day_lifecycles(
     """
     first_of_day: dict[int, int] = {}
     for i, epoch in enumerate(epochs):
-        first_of_day.setdefault(epoch.captured_at.local_day(tz_offset), i)
+        first_of_day.setdefault(local_day(epoch.captured_ms, tz_offset), i)
     cycles = {}
     for trend in trends:
         day, normalized = trend.day_number(), trend.keyword.normalized
@@ -125,23 +126,25 @@ def trend_day_lifecycles(
             cycle = lifecycle(trend.keyword, epochs[start:])
         except NeverTrended:
             continue
-        if cycle.first_entry.local_day(tz_offset) == day:
+        if local_day(cycle.first_entry_ms, tz_offset) == day:
             cycles[(trend.date, normalized)] = cycle
     return cycles
 
 
-def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> Duration:
-    """Entry time minus the median creation time of pre-entry tweets."""
-    pre_entry = [t.created_at.seconds for t in instance.tweets if t.created_at < cycle.first_entry]
+def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> int:
+    """Seconds from the median creation second of the pre-entry tweets to
+    the entry second, rounded."""
+    entry_ms = cycle.first_entry_ms
+    pre_entry = [t.created_ms // 1000 for t in instance.tweets if t.created_ms < entry_ms]
     if not pre_entry:
         raise NoPriorTweets(f"no tweets precede entry of {cycle.keyword.raw!r}")
     median = statistics.median(pre_entry)
-    speed = cycle.first_entry.seconds - median
+    speed = entry_ms // 1000 - median
     if speed < 0:
         raise InconsistentTimeline(
             f"median pre-entry time is after entry for {cycle.keyword.raw!r}"
         )
-    return Duration(round(speed))
+    return round(speed)
 
 
 def pre_entry_deletion_ratio(instance: TrendInstance, cycle: TrendLifecycle) -> float:
@@ -149,11 +152,11 @@ def pre_entry_deletion_ratio(instance: TrendInstance, cycle: TrendLifecycle) -> 
     total = 0
     deleted = 0
     for tweet in instance.tweets:
-        if tweet.created_at >= cycle.first_entry:
+        if tweet.created_ms >= cycle.first_entry_ms:
             continue
         total += 1
         deleted_at = instance.deletions.get(tweet.id)
-        if deleted_at is not None and deleted_at < cycle.first_entry:
+        if deleted_at is not None and deleted_at < cycle.first_entry_ms:
             deleted += 1
     return deleted / total if total else 0.0
 
@@ -188,7 +191,7 @@ def prevalence(
     verdict_map = _as_verdict_map(verdicts)
     entrants: dict[int, set[str]] = {}
     for epoch in epochs:
-        day = epoch.captured_at.local_day(tz_offset)
+        day = local_day(epoch.captured_ms, tz_offset)
         for rank, keyword, _ in epoch.entries:
             if rank <= k:
                 entrants.setdefault(day, set()).add(keyword.normalized)
@@ -210,14 +213,15 @@ def entry_hour_histogram(
     """Counts of first-entry hour of day (24 bins, reporting timezone)."""
     bins = [0] * 24
     for cycle in lifecycles:
-        bins[cycle.first_entry.local_hour(tz_offset)] += 1
+        bins[local_hour(cycle.first_entry_ms, tz_offset)] += 1
     return bins
 
 
 def user_travel_distance(
-    points: Sequence[tuple[Timestamp, GeoPoint]], window: Duration = Duration.days(5)
+    points: Sequence[tuple[int, GeoPoint]], window_s: int = 5 * 86400
 ) -> float:
-    """Total chronological great-circle distance over points within the window.
+    """Total chronological great-circle distance over (ms, point) pairs
+    within ``window_s`` seconds.
 
     The window anchors at the earliest point. Raises InsufficientPoints when
     fewer than two points remain inside it.
@@ -226,7 +230,7 @@ def user_travel_distance(
     if not ordered:
         raise InsufficientPoints("no geotagged points")
     t0 = ordered[0][0]
-    inside = [p for p in ordered if (p[0] - t0).seconds <= window.seconds]
+    inside = [p for p in ordered if span_s(p[0], t0) <= window_s]
     if len(inside) < 2:
         raise InsufficientPoints(f"need at least 2 points in window, have {len(inside)}")
     total = 0.0
@@ -258,7 +262,7 @@ def volume_report(
     verdict_map = _as_verdict_map(verdicts)
     volume_index: dict[tuple[int, str], int] = {}
     for epoch in epochs:
-        day = epoch.captured_at.local_day(tz_offset)
+        day = local_day(epoch.captured_ms, tz_offset)
         for _, keyword, volume in epoch.entries:
             if volume is None:
                 continue
@@ -268,11 +272,9 @@ def volume_report(
     undeleted: dict[str, list[int]] = {"attacked": [], "other": []}
     volumes: dict[str, list[int]] = {"attacked": [], "other": []}
     for key, instance in instances.items():
-        day_date, normalized = key
         label = "attacked" if verdict_map.get(key, False) else "other"
         undeleted[label].append(len(instance.tweets) - len(instance.deletions))
-        day_number = day_date.toordinal() - date(1970, 1, 1).toordinal()
-        volume = volume_index.get((day_number, normalized))
+        volume = volume_index.get((instance.trend.day_number(), key[1]))
         if volume is not None:
             volumes[label].append(volume)
 
@@ -302,8 +304,8 @@ def write_lifecycles_csv(handle, lifecycles: Iterable[TrendLifecycle]) -> None:
         writer.writerow(
             [
                 cycle.keyword.normalized,
-                cycle.first_entry.seconds,
-                cycle.first_exit.seconds,
+                cycle.first_entry_ms // 1000,
+                cycle.first_exit_ms // 1000,
                 cycle.initial_rank,
                 cycle.best_rank,
             ]

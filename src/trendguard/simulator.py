@@ -20,12 +20,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, get_type_hin
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    Duration,
     GeoPoint,
     Keyword,
-    Timestamp,
     TrendGuardError,
+    local_day,
     normalize_keyword,
+    span_s,
 )
 from .ingest import (
     Creation,
@@ -120,19 +120,19 @@ def gen_attack(
     """
     if n_bots < 1:
         raise ValueError("n_bots must be at least 1")
-    theta = params.theta.seconds
+    theta = params.theta
     if theta < 2:
         raise InfeasibleParams(f"theta={theta}s leaves no room for deletion after creation")
     deletion_lag = max(1, deletion_lag)
 
-    span_budget = max(0, min(params.alpha_p.seconds - 1, theta - 1 - deletion_lag))
+    span_budget = max(0, min(params.alpha_p - 1, theta - 1 - deletion_lag))
     if creation_span is not None:
         span_budget = min(span_budget, creation_span)
 
     creations = sorted(t0 + rng.randint(0, span_budget) for _ in range(n_bots))
     span_p = creations[-1] - creations[0]
 
-    d_budget = min(params.alpha_d.seconds, theta - 1 - deletion_lag - span_p)
+    d_budget = min(params.alpha_d, theta - 1 - deletion_lag - span_p)
     if d_budget < 0:
         raise InfeasibleParams(
             f"theta={theta}s cannot cover creation span {span_p}s plus deletion lag"
@@ -154,15 +154,13 @@ def gen_attack(
             id=tweet_id,
             user_id=user_id,
             text=_place_keyword(words, keyword, rng),
-            created_at=Timestamp(created),
+            created_ms=created * 1000,
             hashtags=hashtags,
             geo=geo,
-            lang="tr",
-            source_app="Twitter for Android",
         )
-        deleted_at = Timestamp(d0 + rng.randint(0, d_budget))
+        deleted = d0 + rng.randint(0, d_budget)
         events.append(Creation(tweet))
-        events.append(Deletion(tweet_id=tweet_id, user_id=user_id, time=deleted_at))
+        events.append(Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=deleted * 1000))
         users.add(user_id)
         tweet_ids.add(tweet_id)
 
@@ -172,18 +170,17 @@ def gen_attack(
 
 def _assert_attack_conditions(events: list[TweetEvent], params: AttackParams, n_bots: int) -> None:
     creations = {e.tweet.id: e.tweet for e in events if isinstance(e, Creation)}
-    deletions = {e.tweet_id: e.time for e in events if isinstance(e, Deletion)}
-    p = [t.created_at.seconds for t in creations.values()]
-    d = [deletions[tid].seconds for tid in creations]
+    deletions = {e.tweet_id: e.time_ms for e in events if isinstance(e, Deletion)}
+    p = [t.created_ms for t in creations.values()]
+    d = [deletions[tid] for tid in creations]
+    lifetimes = [span_s(deletions[tid], t.created_ms) for tid, t in creations.items()]
     users = {t.user_id for t in creations.values()}
     ok = (
         len(creations) == n_bots
         and len(users) == n_bots
-        and max(p) - min(p) <= params.alpha_p.seconds
-        and max(d) - min(d) <= params.alpha_d.seconds
-        and all(deletions[tid].seconds - t.created_at.seconds <= params.theta.seconds
-                for tid, t in creations.items())
-        and all(deletions[tid].seconds > t.created_at.seconds for tid, t in creations.items())
+        and span_s(max(p), min(p)) <= params.alpha_p
+        and span_s(max(d), min(d)) <= params.alpha_d
+        and all(0 < life <= params.theta for life in lifetimes)
     )
     if not ok:
         raise AssertionError("generated attack violates its own model constraints")
@@ -267,15 +264,13 @@ def gen_organic_trend(
             id=tweet_id,
             user_id=user_id,
             text=text,
-            created_at=Timestamp(created),
+            created_ms=created * 1000,
             hashtags=tags,
             mentions=mentions,
             urls=urls,
             is_retweet=is_retweet,
             is_reply=is_reply,
             geo=geo,
-            lang="tr",
-            source_app="Twitter for Android",
         )
         events.append(Creation(tweet))
         users.add(user_id)
@@ -283,7 +278,7 @@ def gen_organic_trend(
         if rng.random() < deletion_rate:
             delay = rng.randint(600, max_deletion_delay)
             events.append(
-                Deletion(tweet_id=tweet_id, user_id=user_id, time=Timestamp(created + delay))
+                Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=(created + delay) * 1000)
             )
     return EventCluster(events=events, user_ids=users, tweet_ids=tweet_ids)
 
@@ -363,7 +358,7 @@ class AttackRecord:
 
     keyword: str  # normalized
     day: date
-    t0: Timestamp
+    t0_ms: int
     n_bots: int
     succeeded: bool  # whether the target was a trending keyword that day
 
@@ -426,7 +421,7 @@ class LabeledStream:
                     AttackRecord(
                         keyword=plan.keyword.normalized,
                         day=plan.day,
-                        t0=Timestamp(wave.t0),
+                        t0_ms=wave.t0 * 1000,
                         n_bots=wave.n_bots,
                         succeeded=plan.succeeded,
                     )
@@ -579,26 +574,23 @@ def _gen_background(
             id=tweet_id,
             user_id=user_id,
             text=text,
-            created_at=Timestamp(created),
+            created_ms=created * 1000,
             hashtags=tags,
-            lang="tr",
-            source_app="Twitter for Android",
         )
         events.append(Creation(tweet))
         if deleted:
             delay = rng.randint(300, 6 * 3600)
             events.append(
-                Deletion(tweet_id=tweet_id, user_id=user_id, time=Timestamp(created + delay))
+                Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=(created + delay) * 1000)
             )
     return events
 
 
-def _event_order(event: TweetEvent) -> tuple[int, int, int, int]:
-    """Stream order: time, creations before deletions at the same instant, id."""
+def _event_order(event: TweetEvent) -> tuple[int, int, int]:
+    """Stream order: time (ms), creations before deletions at the same instant, id."""
     if isinstance(event, Creation):
-        when = event.tweet.created_at
-        return (when.seconds, when.millis, 0, event.tweet.id)
-    return (event.time.seconds, event.time.millis, 1, event.tweet_id)
+        return (event.tweet.created_ms, 0, event.tweet.id)
+    return (event.time_ms, 1, event.tweet_id)
 
 
 def _generate_events(
@@ -615,7 +607,7 @@ def _generate_events(
 
     def bucket(events: Iterable[TweetEvent]) -> None:
         for event in events:
-            day = (_event_order(event)[0] + config.tz_offset) // 86400
+            day = local_day(_event_order(event)[0], config.tz_offset)
             buckets.setdefault(day, []).append(event)
 
     # The plan has one background entry per day, in day order.
@@ -699,18 +691,19 @@ def tee_by_keyword(
 
 def trend_oracle(
     streams: Mapping[str, Sequence[TweetEvent]],
-    window: Duration = Duration(600),
+    window_s: int = 600,
     mitigation: bool = False,
     k: int = 10,
     epoch_seconds: int = 300,
     penalty_weight: float = 2.0,
     locale: str = DEFAULT_LOCALE,
-) -> list[tuple[Timestamp, list[str]]]:
-    """Rank keywords every epoch by distinct posting users in a trailing window.
+) -> list[tuple[int, list[str]]]:
+    """Rank keywords every epoch by distinct posting users in a trailing
+    window of ``window_s`` seconds.
 
     With mitigation on, each deletion in the window subtracts penalty_weight
     from the score, so a mass-deleted burst scores itself out of the list.
-    Returns (epoch time, top-k keywords best first) pairs.
+    Returns (epoch time ms, top-k keywords best first) pairs.
     """
     per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
     bounds: list[int] = []  # each keyword's first and last event time
@@ -719,9 +712,9 @@ def trend_oracle(
         deletions: list[int] = []
         for event in events:
             if isinstance(event, Creation):
-                creations.append((event.tweet.created_at.seconds, event.tweet.user_id))
+                creations.append((event.tweet.created_ms // 1000, event.tweet.user_id))
             else:
-                deletions.append(event.time.seconds)
+                deletions.append(event.time_ms // 1000)
         creations.sort()
         deletions.sort()
         if creations:
@@ -733,7 +726,7 @@ def trend_oracle(
 
     first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
     last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
-    w = window.seconds
+    w = window_s
 
     state = {
         key: {"c_lo": 0, "c_hi": 0, "d_lo": 0, "d_hi": 0, "users": {}}
@@ -766,7 +759,7 @@ def trend_oracle(
             if score > 0:
                 scored.append((-score, key))
         scored.sort()
-        result.append((Timestamp(t), [key for _, key in scored[:k]]))
+        result.append((t * 1000, [key for _, key in scored[:k]]))
     return result
 
 
@@ -842,10 +835,10 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-def format_created_at(ts: Timestamp) -> str:
+def format_created_at(ms: int) -> str:
     import time as _time
 
-    tm = _time.gmtime(ts.seconds)
+    tm = _time.gmtime(ms // 1000)
     return (
         f"{_WEEKDAYS[tm.tm_wday]} {_MONTH_NAMES[tm.tm_mon - 1]} {tm.tm_mday:02d} "
         f"{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d} +0000 {tm.tm_year}"
@@ -862,12 +855,12 @@ def event_to_record(event: TweetEvent) -> dict:
                     "user_id": event.user_id,
                     "user_id_str": str(event.user_id),
                 },
-                "timestamp_ms": str(event.time.to_millis()),
+                "timestamp_ms": str(event.time_ms),
             }
         }
     tweet = event.tweet
     record = {
-        "created_at": format_created_at(tweet.created_at),
+        "created_at": format_created_at(tweet.created_ms),
         "id": tweet.id,
         "id_str": str(tweet.id),
         "text": tweet.text,
@@ -877,12 +870,10 @@ def event_to_record(event: TweetEvent) -> dict:
             "user_mentions": [{"id": m, "id_str": str(m)} for m in tweet.mentions],
             "urls": [{"url": f"https://t.co/x{i}"} for i in range(tweet.urls)],
         },
-        "timestamp_ms": str(tweet.created_at.to_millis()),
+        "timestamp_ms": str(tweet.created_ms),
+        "lang": "tr",
+        "source": '<a href="https://twitter.com/download">Twitter for Android</a>',
     }
-    if tweet.lang:
-        record["lang"] = tweet.lang
-    if tweet.source_app:
-        record["source"] = f'<a href="https://twitter.com/download">{tweet.source_app}</a>'
     if tweet.is_retweet and not tweet.text.startswith("RT @"):
         record["retweeted_status"] = {"id": tweet.id - 1}
     if tweet.is_reply:
@@ -918,7 +909,7 @@ def write_bots(handle, labeled: LabeledStream) -> None:
 
 def write_epochs_csv(
     handle,
-    epochs: Iterable[tuple[Timestamp, Sequence[str]]],
+    epochs: Iterable[tuple[int, Sequence[str]]],
     keywords: Mapping[str, Keyword],
     location: str = "simulated",
 ) -> None:
@@ -929,7 +920,7 @@ def write_epochs_csv(
     for when, ranked in epochs:
         if not ranked:
             continue
-        iso = datetime.fromtimestamp(when.seconds, tz=timezone.utc).strftime(
+        iso = datetime.fromtimestamp(when // 1000, tz=timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         )
         for rank, normalized in enumerate(ranked, start=1):
@@ -964,7 +955,6 @@ _PARSERS = {
     float: float,
     date: date.fromisoformat,
     Optional[str]: str,
-    Duration: lambda text: Duration(int(text)),
 }
 
 
@@ -976,9 +966,7 @@ def save_scenario(config: ScenarioConfig, target) -> None:
         for key in sorted(k for k, t in _SCENARIO_FIELDS.items() if t is kind)
     ]
     lines.append(f"start_date = {config.start_date.isoformat()}")
-    for key in _PARAM_FIELDS:
-        value = getattr(config.params, key)
-        lines.append(f"{key} = {value.seconds if isinstance(value, Duration) else value}")
+    lines.extend(f"{key} = {getattr(config.params, key)}" for key in _PARAM_FIELDS)
     if config.wordlist_path:
         lines.append(f'wordlist_path = "{config.wordlist_path}"')
     text = "\n".join(lines) + "\n"

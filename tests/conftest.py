@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from trendguard.core import Timestamp, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.ingest import TrendDay, TrendInstance, Tweet
 
 # Local noon on 2019-06-18 (UTC+3).
@@ -30,7 +30,7 @@ def make_tweet(
         id=tweet_id,
         user_id=user_id,
         text=text,
-        created_at=Timestamp(seconds),
+        created_ms=seconds * 1000,
         hashtags=tuple(hashtags),
         mentions=tuple(mentions),
         urls=urls,
@@ -43,9 +43,9 @@ def make_tweet(
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:
     trend = TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr"))
     instance = TrendInstance(trend=trend)
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_at, t.id))
+    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
     for tid, seconds in deletions.items():
-        instance.deletions[tid] = Timestamp(seconds)
+        instance.deletions[tid] = seconds * 1000
     return instance
 
 

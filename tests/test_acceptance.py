@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from trendguard.core import Duration, Timestamp
 from trendguard.classify import flags_for_instance, is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import initial_deletions, minute_entropy
@@ -149,9 +148,9 @@ def test_acceptance_3_attack_model_conformance():
         for event in events:
             total_events += 1
             assert len(event.tweet_ids) >= params.kappa
-            assert event.creation_window <= params.alpha_p
-            assert event.deletion_window <= params.alpha_d
-            assert event.max_lifetime <= params.theta
+            assert event.creation_window_s <= params.alpha_p
+            assert event.deletion_window_s <= params.alpha_d
+            assert event.max_lifetime_s <= params.theta
             assert len(event.users) == len(event.tweet_ids)
         if len(instance.tweets) <= 12:
             expected = oracle_clusters(instance, params)
@@ -166,7 +165,7 @@ def test_acceptance_4_feature_oracles():
     """minute_entropy and initial_deletions match their brute-force oracles."""
     rng = random.Random(7)
     for _ in range(1000):
-        stamps = [Timestamp(rng.randint(0, 7200)) for _ in range(rng.randint(0, 120))]
+        stamps = [rng.randint(0, 7200) * 1000 for _ in range(rng.randint(0, 120))]
         assert minute_entropy(stamps) == pytest.approx(entropy_oracle(stamps), abs=1e-9)
 
     for _ in range(1000):
@@ -174,7 +173,7 @@ def test_acceptance_4_feature_oracles():
         flags = flags_for_instance(instance)
         assert initial_deletions(instance, flags) == prefix_oracle(instance, flags)
 
-    burst = [Timestamp(360_000 + i) for i in range(50)]
+    burst = [(360_000 + i) * 1000 for i in range(50)]
     assert minute_entropy(burst) == 0.0
     print("\n[ACCEPTANCE 4] PASS feature oracles: entropy (1000 inputs, 1e-9), "
           "initial deletions (1000 instances), 50-tweet burst entropy == 0")
@@ -221,21 +220,21 @@ def test_acceptance_6_countermeasure(default_stream):
     organic trends."""
     labeled = default_stream
     streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-    window = Duration(600)
-    epochs_off = trend_oracle(streams, window, mitigation=False, k=10)
-    epochs_on = trend_oracle(streams, window, mitigation=True, k=10)
+    window_s = 600
+    epochs_off = trend_oracle(streams, window_s, mitigation=False, k=10)
+    epochs_on = trend_oracle(streams, window_s, mitigation=True, k=10)
 
     def entered_within(epochs, keyword, start, horizon=600):
         return any(
-            start < ts.seconds <= start + horizon and keyword in top for ts, top in epochs
+            start < ts // 1000 <= start + horizon and keyword in top for ts, top in epochs
         )
 
     waves = labeled.truth_attacks
     off_rate = sum(
-        entered_within(epochs_off, w.keyword, w.t0.seconds) for w in waves
+        entered_within(epochs_off, w.keyword, w.t0_ms // 1000) for w in waves
     ) / len(waves)
     on_rate = sum(
-        entered_within(epochs_on, w.keyword, w.t0.seconds) for w in waves
+        entered_within(epochs_on, w.keyword, w.t0_ms // 1000) for w in waves
     ) / len(waves)
     assert off_rate >= 0.95, f"only {off_rate:.1%} of attacks trend without mitigation"
     assert on_rate <= 0.05, f"{on_rate:.1%} of attacks still trend with mitigation"

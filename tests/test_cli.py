@@ -319,6 +319,62 @@ class TestMetricsCmd:
         ]
 
 
+class TestTimeRule:
+    """A span is a difference of whole seconds; ordering uses milliseconds."""
+
+    S = 1560848400  # 2019-06-18 09:00:00Z, local noon
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        s = self.S
+        # (tweet id, hashtag, created ms, deleted ms or None)
+        tweets = [
+            (1, "SureA", s * 1000 + 100, (s + 60) * 1000 + 900),
+            (2, "SureB", (s + 1000) * 1000 + 900, (s + 1060) * 1000 + 100),
+            # Same second: tweet 4 is created first by milliseconds.
+            (3, "Sira", (s + 2000) * 1000 + 900, None),
+            (4, "Sira", (s + 2000) * 1000 + 100, (s + 2100) * 1000),
+            # The notice comes 1 ms before the tweet it deletes.
+            (5, "Erken", (s + 3000) * 1000 + 500, (s + 3000) * 1000 + 499),
+        ]
+        lines = []
+        for tid, tag, created, deleted in tweets:
+            lines.append({"id": tid, "text": f"#{tag} bir iki", "user": {"id": 100 + tid},
+                          "timestamp_ms": str(created)})
+            if deleted is not None:
+                lines.append({"delete": {"status": {"id": tid, "user_id": 100 + tid},
+                                         "timestamp_ms": str(deleted)}})
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n" + "".join(
+            f"2019-06-18,#{tag}\n" for tag in ("SureA", "SureB", "Sira", "Erken")))
+        return ["--stream", str(stream), "--trends", str(trends), "--jobs", "1"]
+
+    def test_detect_lifetime_counts_whole_seconds(self, archive, tmp_path):
+        # 60.8 s of milliseconds is a lifetime of 60, within --theta 60.
+        events_out = tmp_path / "events.jsonl"
+        assert main(["detect", *archive, "--kappa", "1", "--theta", "60",
+                     "--out", str(tmp_path / "v.jsonl"), "--events-out", str(events_out)]) == 0
+        events = {e["keyword"]: e for e in map(json.loads, events_out.read_text().splitlines())}
+        assert events["surea"]["tweet_ids"] == [1]
+        assert events["surea"]["max_lifetime_s"] == 60
+        assert events["sureb"]["max_lifetime_s"] == 60
+
+    def test_features_time_rule(self, archive, tmp_path):
+        out = tmp_path / "features.csv"
+        assert main(["features", *archive, "--out", str(out)]) == 0
+        rows = {r["keyword"]: r for r in csv.DictReader(open(out))}
+        # 59.2 s of milliseconds is a lifetime of 60.
+        assert float(rows["sureb"]["lifetime_median_s"]) == 60
+        assert float(rows["surea"]["lifetime_median_s"]) == 60
+        # Tweet 4 (deleted) precedes tweet 3 (kept) by milliseconds, not by id.
+        assert rows["sira"]["initial_deletions"] == "1"
+        # A notice before its tweet's creation is not attached.
+        assert rows["erken"]["n_deleted"] == "0"
+        assert rows["erken"]["n_tweets"] == "1"
+
+
 class TestGraphCmd:
     def test_astrobot_network(self, sim_dir, tmp_path):
         out_dir = tmp_path / "graph"

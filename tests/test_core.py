@@ -4,10 +4,8 @@ import random
 import pytest
 
 from trendguard.core import (
-    Duration,
     EmptyKeyword,
     GeoPoint,
-    Timestamp,
     fold_case,
     haversine_km,
     normalize_keyword,
@@ -96,26 +94,3 @@ class TestKeyword:
         assert fold_case("II", "tr") == "ıı"
         assert fold_case("II", "en") == "ii"
 
-
-class TestTimeTypes:
-    def test_subtraction_is_second_difference(self):
-        a = Timestamp(100, 900)
-        b = Timestamp(40, 100)
-        assert (a - b) == Duration(60)
-        assert (b - a) == Duration(-60)
-
-    def test_total_order_uses_millis(self):
-        assert Timestamp(10, 500) > Timestamp(10, 400)
-        assert Timestamp(10) < Timestamp(11)
-
-    def test_local_day_and_hour(self):
-        # 2019-06-18 00:30 UTC+3 == 21:30 previous day UTC
-        seconds = (18065 * 86400) - 10800 + 1800
-        ts = Timestamp(seconds)
-        assert ts.local_day(10800) == 18065
-        assert ts.local_hour(10800) == 0
-
-    def test_duration_helpers(self):
-        assert Duration.minutes(5) == Duration(300)
-        assert Duration.days(1) == Duration(86400)
-        assert abs(Duration(-3)) == Duration(3)

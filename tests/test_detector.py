@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from trendguard.core import Duration, Timestamp
 from trendguard.ingest import Creation, Deletion
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
@@ -30,8 +29,8 @@ def fv(**overrides) -> FeatureVector:
         n_set=0, n_deleted_set=0, n_lexicon=0, n_deleted_lexicon=0,
         deletion_ratio=0.0, nonretweet_deletion_ratio=0.0,
         set_deletion_ratio=0.0, lexicon_deletion_ratio=0.0,
-        initial_deletions=0, creation_window=Duration(0), deletion_window=Duration(0),
-        lifetime_median=None, lifetime_mean=None, entropy_create=0.0, entropy_delete=0.0,
+        initial_deletions=0, creation_window_s=0, deletion_window_s=0,
+        lifetime_median_s=None, lifetime_mean_s=None, entropy_create=0.0, entropy_delete=0.0,
     )
     base.update(overrides)
     return FeatureVector(**base)
@@ -147,13 +146,13 @@ def oracle_clusters(instance, params, require_lexicon=False):
             continue
         if require_lexicon and not flags.is_lexicon:
             continue
-        life = deleted_at.seconds - tweet.created_at.seconds
-        if life < 0 or life > params.theta.seconds:
+        life = deleted_at // 1000 - tweet.created_ms // 1000
+        if life < 0 or life > params.theta:
             continue
         eligible.append((tweet, deleted_at))
 
     # One tweet per user: keep the earliest eligible tweet of each user.
-    eligible.sort(key=lambda td: (td[0].created_at, td[0].id))
+    eligible.sort(key=lambda td: (td[0].created_ms, td[0].id))
     chosen = {}
     for tweet, deleted_at in eligible:
         chosen.setdefault(tweet.user_id, (tweet, deleted_at))
@@ -162,11 +161,11 @@ def oracle_clusters(instance, params, require_lexicon=False):
     valid = []
     for size in range(len(cands), params.kappa - 1, -1):
         for combo in combinations(cands, size):
-            p = [t.created_at.seconds for t, _ in combo]
-            d = [ts.seconds for _, ts in combo]
-            if max(p) - min(p) > params.alpha_p.seconds:
+            p = [t.created_ms // 1000 for t, _ in combo]
+            d = [ts // 1000 for _, ts in combo]
+            if max(p) - min(p) > params.alpha_p:
                 continue
-            if max(d) - min(d) > params.alpha_d.seconds:
+            if max(d) - min(d) > params.alpha_d:
                 continue
             ids = frozenset(t.id for t, _ in combo)
             if not any(ids < kept for kept in valid):
@@ -175,8 +174,7 @@ def oracle_clusters(instance, params, require_lexicon=False):
 
 
 class TestDetectAttackWindows:
-    PARAMS = AttackParams(kappa=4, alpha_p=Duration(300), alpha_d=Duration(300),
-                          theta=Duration(600))
+    PARAMS = AttackParams(kappa=4, alpha_p=300, alpha_d=300, theta=600)
 
     def test_five_bots_one_event(self):
         instance = bot_instance(5)
@@ -186,9 +184,9 @@ class TestDetectAttackWindows:
         event = events[0]
         assert event.tweet_ids == frozenset(range(1, 6))
         assert len(event.users) == 5
-        assert event.creation_window <= self.PARAMS.alpha_p
-        assert event.deletion_window <= self.PARAMS.alpha_d
-        assert event.max_lifetime <= self.PARAMS.theta
+        assert event.creation_window_s <= self.PARAMS.alpha_p
+        assert event.deletion_window_s <= self.PARAMS.alpha_d
+        assert event.max_lifetime_s <= self.PARAMS.theta
 
     def test_missed_deletion_shrinks_cluster(self):
         instance = bot_instance(5, skip_delete={3})
@@ -204,7 +202,7 @@ class TestDetectAttackWindows:
 
     def test_long_lifetime_tweet_excluded(self):
         instance = bot_instance(5)
-        instance.deletions[5] = Timestamp(DAY_NOON + 3 * 3600)
+        instance.deletions[5] = (DAY_NOON + 3 * 3600) * 1000
         flags = flags_for_instance(instance)
         events = detect_attack_windows(instance, flags, self.PARAMS)
         assert len(events) == 1
@@ -214,8 +212,8 @@ class TestDetectAttackWindows:
         instance = bot_instance(5)
         extra = make_tweet(99, 100, LEX, DAY_NOON + 5, hashtags=["tag"])  # user 100 again
         instance.tweets.append(extra)
-        instance.tweets.sort(key=lambda t: (t.created_at, t.id))
-        instance.deletions[99] = Timestamp(DAY_NOON + 130)
+        instance.tweets.sort(key=lambda t: (t.created_ms, t.id))
+        instance.deletions[99] = (DAY_NOON + 130) * 1000
         flags = flags_for_instance(instance)
         events = detect_attack_windows(instance, flags, self.PARAMS)
         assert len(events) == 1
@@ -226,11 +224,11 @@ class TestDetectAttackWindows:
         first = bot_instance(4)
         second = bot_instance(4, create_base=DAY_NOON + 7200, delete_base=DAY_NOON + 7300)
         tweets = list(first.tweets)
-        deletions = {tid: ts.seconds for tid, ts in first.deletions.items()}
+        deletions = {tid: ms // 1000 for tid, ms in first.deletions.items()}
         for i, tweet in enumerate(second.tweets):
-            clone = make_tweet(50 + i, 500 + i, LEX, tweet.created_at.seconds, hashtags=["tag"])
+            clone = make_tweet(50 + i, 500 + i, LEX, tweet.created_ms // 1000, hashtags=["tag"])
             tweets.append(clone)
-            deletions[clone.id] = second.deletions[tweet.id].seconds
+            deletions[clone.id] = second.deletions[tweet.id] // 1000
         instance = make_instance("#tag", tweets, deletions)
         flags = flags_for_instance(instance)
         events = detect_attack_windows(instance, flags, self.PARAMS)
@@ -244,9 +242,9 @@ class TestDetectAttackWindows:
             flags = flags_for_instance(instance)
             for event in detect_attack_windows(instance, flags, params):
                 assert len(event.tweet_ids) >= params.kappa
-                assert event.creation_window <= params.alpha_p
-                assert event.deletion_window <= params.alpha_d
-                assert event.max_lifetime <= params.theta
+                assert event.creation_window_s <= params.alpha_p
+                assert event.deletion_window_s <= params.alpha_d
+                assert event.max_lifetime_s <= params.theta
                 assert len(event.users) == len(event.tweet_ids)
 
     def test_merge_overlapping_collapses_chained_bursts(self):
@@ -268,18 +266,18 @@ class TestDetectAttackWindows:
         assert len(merged) == 1
         assert merged[0].tweet_ids == frozenset(range(1, 9))
         assert len(merged[0].users) == 8
-        assert merged[0].max_lifetime <= self.PARAMS.theta
+        assert merged[0].max_lifetime_s <= self.PARAMS.theta
 
     def test_merge_keeps_separated_bursts_apart(self):
         instance = bot_instance(4)
         far = bot_instance(4, create_base=DAY_NOON + 7200, delete_base=DAY_NOON + 7300)
         tweets = list(instance.tweets)
-        deletions = {tid: ts.seconds for tid, ts in instance.deletions.items()}
+        deletions = {tid: ms // 1000 for tid, ms in instance.deletions.items()}
         for i, tweet in enumerate(far.tweets):
-            clone = make_tweet(70 + i, 700 + i, LEX, tweet.created_at.seconds,
+            clone = make_tweet(70 + i, 700 + i, LEX, tweet.created_ms // 1000,
                                hashtags=["tag"])
             tweets.append(clone)
-            deletions[clone.id] = far.deletions[tweet.id].seconds
+            deletions[clone.id] = far.deletions[tweet.id] // 1000
         combined = make_instance("#tag", tweets, deletions)
         flags = flags_for_instance(combined)
         merged = detect_attack_windows(combined, flags, self.PARAMS,
@@ -397,7 +395,7 @@ class TestScanCandidates:
             events.append(Creation(tweet))
             if deleted:
                 events.append(Deletion(tweet_id=tweet.id, user_id=tweet.user_id,
-                                       time=Timestamp(day_noon + 120 + i * 5)))
+                                       time_ms=(day_noon + 120 + i * 5) * 1000))
         return events
 
     def test_unsuccessful_attack_flagged(self):

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from trendguard.core import Duration, Timestamp
 from trendguard.classify import flags_for_instance
 from trendguard.features import (
     NoCandidates,
@@ -21,9 +20,9 @@ LEX = "yarım gün #tag"
 ORGANIC = "Organik bir cümle! #tag"
 
 
-def entropy_oracle(timestamps):
+def entropy_oracle(times_ms):
     """Direct -sum(p log2 p) over per-minute counts."""
-    counts = Counter(ts.seconds // 60 for ts in timestamps)
+    counts = Counter(ms // 1000 // 60 for ms in times_ms)
     total = sum(counts.values())
     if not total:
         return 0.0
@@ -32,7 +31,7 @@ def entropy_oracle(timestamps):
 
 def prefix_oracle(instance, flags):
     """Walk the creation-ordered list and count the deleted-SET prefix."""
-    ordered = sorted(instance.tweets, key=lambda t: (t.created_at, t.id))
+    ordered = sorted(instance.tweets, key=lambda t: (t.created_ms, t.id))
     count = 0
     for tweet in ordered:
         if flags[tweet.id].is_single_engagement and tweet.id in instance.deletions:
@@ -67,11 +66,11 @@ def random_instance(rng, n=None):
 
 class TestMinuteEntropy:
     def test_single_minute_burst_is_zero(self):
-        stamps = [Timestamp(1200 + i) for i in range(50)]
+        stamps = [(1200 + i) * 1000 for i in range(50)]
         assert minute_entropy(stamps) == 0.0
 
     def test_uniform_four_minutes(self):
-        stamps = [Timestamp(m * 60) for m in range(4)]
+        stamps = [m * 60 * 1000 for m in range(4)]
         assert minute_entropy(stamps) == pytest.approx(2.0)
 
     def test_empty_is_zero(self):
@@ -80,12 +79,12 @@ class TestMinuteEntropy:
     def test_matches_oracle_random(self):
         rng = random.Random(13)
         for _ in range(200):
-            stamps = [Timestamp(rng.randint(0, 600)) for _ in range(rng.randint(0, 100))]
+            stamps = [rng.randint(0, 600) * 1000 for _ in range(rng.randint(0, 100))]
             assert minute_entropy(stamps) == pytest.approx(entropy_oracle(stamps), abs=1e-9)
 
     def test_permutation_invariant(self):
         rng = random.Random(14)
-        stamps = [Timestamp(rng.randint(0, 1000)) for _ in range(60)]
+        stamps = [rng.randint(0, 1000) * 1000 for _ in range(60)]
         shuffled = stamps[:]
         rng.shuffle(shuffled)
         assert minute_entropy(stamps) == minute_entropy(shuffled)
@@ -93,8 +92,8 @@ class TestMinuteEntropy:
     def test_bounded_by_log_bins(self):
         rng = random.Random(15)
         for _ in range(100):
-            stamps = [Timestamp(rng.randint(0, 1800)) for _ in range(rng.randint(1, 80))]
-            bins = len({ts.seconds // 60 for ts in stamps})
+            stamps = [rng.randint(0, 1800) * 1000 for _ in range(rng.randint(1, 80))]
+            bins = len({ms // 1000 // 60 for ms in stamps})
             h = minute_entropy(stamps)
             assert -1e-12 <= h <= math.log2(bins) + 1e-12
 
@@ -161,13 +160,13 @@ class TestAttackWindows:
         instance = make_instance("#tag", tweets, deletions)
         flags = flags_for_instance(instance)
         cw, dw = attack_windows(instance, flags)
-        assert cw == Duration(50)
-        assert dw == Duration(75)
+        assert cw == 50
+        assert dw == 75
 
     def test_single_candidate_zero_windows(self):
         instance = make_instance("#tag", [make_tweet(1, 1, LEX, 5, hashtags=["tag"])], {1: 80})
         flags = flags_for_instance(instance)
-        assert attack_windows(instance, flags) == (Duration(0), Duration(0))
+        assert attack_windows(instance, flags) == (0, 0)
 
     def test_no_candidates_raises(self):
         instance = make_instance("#tag", [make_tweet(1, 1, LEX, 5, hashtags=["tag"])], {})
@@ -181,8 +180,8 @@ class TestAttackWindows:
         instance = make_instance("#tag", tweets, {1: 100, 2: 110, 3: 140})
         flags = flags_for_instance(instance)
         cw, dw = attack_windows(instance, flags)
-        assert cw == Duration(20)
-        assert dw == Duration(40)
+        assert cw == 20
+        assert dw == 40
 
 
 class TestCountFeatures:
@@ -200,8 +199,8 @@ class TestCountFeatures:
         assert vector.n_tweets == 0
         assert vector.deletion_ratio == 0.0
         assert vector.lexicon_deletion_ratio == 0.0
-        assert vector.creation_window == Duration(0)
-        assert vector.lifetime_median is None
+        assert vector.creation_window_s == 0
+        assert vector.lifetime_median_s is None
 
     def test_lexicon_fixture_ratios(self):
         tweets = [make_tweet(i, i, LEX, i, hashtags=["tag"]) for i in range(1, 9)]
@@ -222,16 +221,16 @@ class TestCountFeatures:
         extra_deletions = {}
         for tweet in instance.tweets:
             clone = make_tweet(tweet.id + 1000, tweet.user_id + 1000, tweet.text,
-                               tweet.created_at.seconds, hashtags=tweet.hashtags,
+                               tweet.created_ms // 1000, hashtags=tweet.hashtags,
                                mentions=tweet.mentions, urls=tweet.urls,
                                is_retweet=tweet.is_retweet, is_reply=tweet.is_reply)
             clones.append(clone)
             if tweet.id in instance.deletions:
-                extra_deletions[clone.id] = instance.deletions[tweet.id].seconds
+                extra_deletions[clone.id] = instance.deletions[tweet.id] // 1000
         doubled = make_instance(
             "#tag",
             list(instance.tweets) + clones,
-            {tid: ts.seconds for tid, ts in instance.deletions.items()} | extra_deletions,
+            {tid: ms // 1000 for tid, ms in instance.deletions.items()} | extra_deletions,
         )
         after = count_features(doubled, flags_for_instance(doubled))
         assert after.n_tweets == 2 * before.n_tweets

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from trendguard.core import Duration, Timestamp
 from trendguard.classify import flags_for_instance
 from trendguard.graph import (
     DELETED_LEXICON,
@@ -313,18 +312,18 @@ class TestCommunitySummary:
         ]
         instance = make_instance("#a", tweets, {})
         attack_times = {
-            1: [Timestamp(DAY_NOON - 370 * 86400)],  # gap over a year: dormant
-            2: [Timestamp(DAY_NOON - 10 * 86400)],
+            1: [(DAY_NOON - 370 * 86400) * 1000],  # gap over a year: dormant
+            2: [(DAY_NOON - 10 * 86400) * 1000],
         }
         summaries = community_summary(partition, [instance], attack_times,
-                                      dormancy_threshold=Duration(year))
+                                      dormancy_s=year)
         assert len(summaries) == 1
         summary = summaries[0]
         assert summary.n_users == 2 and summary.n_trends == 1
-        assert summary.first_seen == Timestamp(DAY_NOON - 370 * 86400)
-        assert summary.last_seen == Timestamp(DAY_NOON - 10 * 86400)
+        assert summary.first_seen_ms == (DAY_NOON - 370 * 86400) * 1000
+        assert summary.last_seen_ms == (DAY_NOON - 10 * 86400) * 1000
         gaps = dict(summary.dormancy_gaps)
-        assert gaps[1] == Duration(370 * 86400)
+        assert gaps[1] == 370 * 86400
         assert summary.dormant_users == [1]
 
 

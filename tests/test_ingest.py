@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from trendguard.core import Timestamp, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     BadRank,
     BadTimestamp,
@@ -62,16 +62,15 @@ class TestParseStreamLine:
         assert tweet.urls == 1
         assert not tweet.is_retweet and not tweet.is_reply
         assert tweet.geo.lat == pytest.approx(41.0)
-        assert tweet.source_app == "Twitter for Android"
         # Tue Jun 18 09:00:00 UTC 2019
-        assert tweet.created_at == Timestamp(1560848400)
+        assert tweet.created_ms == 1560848400 * 1000
 
     def test_delete_notice_millisecond_timestamp(self):
         event = parse_stream_line(DELETE_LINE)
         assert isinstance(event, Deletion)
         assert event.tweet_id == 7
         assert event.user_id == 3
-        assert event.time == Timestamp(1, 0)
+        assert event.time_ms == 1000
 
     def test_empty_line_skips(self):
         assert isinstance(parse_stream_line(""), Skip)
@@ -135,7 +134,7 @@ class TestParseStreamLine:
             }
         )
         event = parse_stream_line(line)
-        assert event.tweet.created_at == Timestamp(1560848401, 500)
+        assert event.tweet.created_ms == 1560848401 * 1000 + 500
 
     def test_retweet_and_reply_flags(self):
         line = json.dumps(
@@ -238,7 +237,7 @@ class TestTrendFiles:
         assert first.entries[0][1].normalized == "a"
         assert first.entries[0][2] == 12000
         assert first.entries[1][2] is None  # volume below reporting floor
-        assert epochs[0].captured_at < epochs[1].captured_at
+        assert epochs[0].captured_ms < epochs[1].captured_ms
 
     def test_bad_rank(self):
         csv_text = "captured_at,location,rank,keyword,volume\n2019-06-18T12:00:00Z,tr,1,#a,\n2019-06-18T12:00:00Z,tr,3,#b,\n"
@@ -293,8 +292,8 @@ def _day_events():
         make_tweet(5, 14, "yarin #tag", noon + 86400),       # day after
     ]
     events = [Creation(t) for t in tweets]
-    events.append(Deletion(tweet_id=1, user_id=10, time=Timestamp(noon + 60)))
-    events.append(Deletion(tweet_id=99, user_id=1, time=Timestamp(noon)))  # orphan
+    events.append(Deletion(tweet_id=1, user_id=10, time_ms=(noon + 60) * 1000))
+    events.append(Deletion(tweet_id=99, user_id=1, time_ms=noon * 1000))  # orphan
     return events
 
 
@@ -303,7 +302,7 @@ class TestBuildTrendInstance:
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         instance = build_trend_instance(trend, _day_events())
         assert [t.id for t in instance.tweets] == [3, 1]
-        assert instance.deletions[1] == Timestamp(DAY_NOON + 60)
+        assert instance.deletions[1] == (DAY_NOON + 60) * 1000
 
     def test_order_independence(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)
@@ -321,7 +320,7 @@ class TestBuildTrendInstance:
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = [
             Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
-            Deletion(tweet_id=1, user_id=10, time=Timestamp(DAY_NOON - 5)),
+            Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON - 5) * 1000),
         ]
         instance = build_trend_instance(trend, events)
         assert instance.deletions == {}
@@ -331,11 +330,11 @@ class TestBuildTrendInstance:
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = [
             Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
-            Deletion(tweet_id=1, user_id=10, time=Timestamp(DAY_NOON + 100)),
-            Deletion(tweet_id=1, user_id=10, time=Timestamp(DAY_NOON + 50)),
+            Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 100) * 1000),
+            Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 50) * 1000),
         ]
         instance = build_trend_instance(trend, events)
-        assert instance.deletions[1] == Timestamp(DAY_NOON + 50)
+        assert instance.deletions[1] == (DAY_NOON + 50) * 1000
 
     def test_multi_trend_join_matches_single(self, tag_keyword):
         trends = [

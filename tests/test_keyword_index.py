@@ -6,7 +6,7 @@ from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
 
-from trendguard.core import Timestamp, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     Creation,
     Deletion,
@@ -55,7 +55,7 @@ def streams(draw):
     events = [Creation(tweet) for tweet in tweets]
     for tweet in tweets:
         if draw(st.booleans()):
-            events.append(Deletion(tweet.id, tweet.user_id, Timestamp(tweet.created_at.seconds + 60)))
+            events.append(Deletion(tweet.id, tweet.user_id, (tweet.created_ms // 1000 + 60) * 1000))
     return events
 
 

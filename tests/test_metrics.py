@@ -3,7 +3,7 @@ from datetime import date
 
 import pytest
 
-from trendguard.core import Duration, GeoPoint, Timestamp, normalize_keyword
+from trendguard.core import GeoPoint, normalize_keyword
 from trendguard.ingest import TrendDay, load_trend_epochs
 from trendguard.metrics import (
     InsufficientPoints,
@@ -59,13 +59,13 @@ class TestLifecycle:
         assert cycle.initial_rank == 3
         assert cycle.best_rank == 3
         # Entry at 12:00, first epoch lacking it at 12:35.
-        assert cycle.listed_for == Duration(35 * 60)
+        assert cycle.listed_for_s == 35 * 60
 
     def test_single_epoch(self):
         kw = normalize_keyword("#konu", "tr")
         epochs = epochs_csv(epoch_rows("#konu", 5, 5))
         cycle = lifecycle(kw, epochs)
-        assert cycle.listed_for == Duration(5 * 60)
+        assert cycle.listed_for_s == 5 * 60
 
     def test_never_trended(self):
         kw = normalize_keyword("#yok", "tr")
@@ -114,10 +114,10 @@ class TestTrendDayLifecycles:
         )
         first = cycles[(date(2019, 6, 18), "konu")]
         second = cycles[(date(2019, 6, 19), "konu")]
-        assert (first.first_entry, first.first_exit) == (
-            Timestamp(1560859200), Timestamp(1560859800))
-        assert (second.first_entry, second.first_exit) == (
-            Timestamp(1560934800), Timestamp(1560935100))
+        assert (first.first_entry_ms, first.first_exit_ms) == (
+            1560859200 * 1000, 1560859800 * 1000)
+        assert (second.first_entry_ms, second.first_exit_ms) == (
+            1560934800 * 1000, 1560935100 * 1000)
         # The plain lifecycle sees only the first listing span.
         assert lifecycle(normalize_keyword("#konu", "tr"), listed_epochs(TWO_DAYS)) == first
 
@@ -130,7 +130,7 @@ class TestTrendDayLifecycles:
         cycles = trend_day_lifecycles([konu_day("2019-06-18"), konu_day("2019-06-19")], epochs)
         # The span entered on the 18th; the 19th has no entry of its own.
         assert list(cycles) == [(date(2019, 6, 18), "konu")]
-        assert cycles[(date(2019, 6, 18), "konu")].first_exit == Timestamp(1560892200)
+        assert cycles[(date(2019, 6, 18), "konu")].first_exit_ms == 1560892200 * 1000
 
     def test_span_from_the_day_before_is_not_an_entry(self):
         epochs = listed_epochs([
@@ -140,7 +140,7 @@ class TestTrendDayLifecycles:
             ("2019-06-19T06:00:00Z", ("#konu",)),
         ])
         cycles = trend_day_lifecycles([konu_day("2019-06-19")], epochs)
-        assert cycles[(date(2019, 6, 19), "konu")].first_entry == Timestamp(1560924000)
+        assert cycles[(date(2019, 6, 19), "konu")].first_entry_ms == 1560924000 * 1000
 
     def test_no_entry_on_the_day_gets_no_lifecycle(self):
         epochs = listed_epochs(TWO_DAYS)
@@ -158,8 +158,8 @@ def entry_at(seconds):
 
     return TrendLifecycle(
         keyword=kw,
-        first_entry=Timestamp(seconds),
-        first_exit=Timestamp(seconds + 1800),
+        first_entry_ms=seconds * 1000,
+        first_exit_ms=(seconds + 1800) * 1000,
         initial_rank=1,
         best_rank=1,
     )
@@ -171,7 +171,7 @@ class TestSpeedAndPreEntry:
         tweets = [make_tweet(i, i, "a #konu", DAY_NOON - 300, hashtags=["konu"])
                   for i in range(1, 6)]
         instance = make_instance("#konu", tweets, {})
-        assert trend_speed(instance, cycle) == Duration(300)
+        assert trend_speed(instance, cycle) == 300
 
     def test_median_by_hand(self):
         cycle = entry_at(DAY_NOON)
@@ -179,7 +179,7 @@ class TestSpeedAndPreEntry:
         tweets = [make_tweet(i + 1, i + 1, "a #konu", DAY_NOON + off, hashtags=["konu"])
                   for i, off in enumerate(offsets)]
         instance = make_instance("#konu", tweets, {})
-        assert trend_speed(instance, cycle) == Duration(1200)
+        assert trend_speed(instance, cycle) == 1200
 
     def test_no_prior_tweets(self):
         cycle = entry_at(DAY_NOON)
@@ -192,7 +192,7 @@ class TestSpeedAndPreEntry:
         cycle = entry_at(DAY_NOON)
         tweets = [make_tweet(1, 1, "a #konu", DAY_NOON - 10, hashtags=["konu"])]
         instance = make_instance("#konu", tweets, {})
-        assert trend_speed(instance, cycle).seconds >= 0
+        assert trend_speed(instance, cycle) >= 0
 
     def test_pre_entry_deletion_ratio(self):
         cycle = entry_at(DAY_NOON)
@@ -283,27 +283,27 @@ class TestTravelDistance:
     ANK = GeoPoint(39.93, 32.86)
 
     def test_identical_points_zero(self):
-        points = [(Timestamp(0), self.IST), (Timestamp(60), self.IST)]
+        points = [(0, self.IST), (60 * 1000, self.IST)]
         assert user_travel_distance(points) == 0.0
 
     def test_istanbul_ankara_round_trip(self):
-        points = [(Timestamp(0), self.IST), (Timestamp(3600), self.ANK),
-                  (Timestamp(7200), self.IST)]
+        points = [(0, self.IST), (3600 * 1000, self.ANK),
+                  (7200 * 1000, self.IST)]
         assert user_travel_distance(points) == pytest.approx(702, abs=10)
 
     def test_single_point_raises(self):
         with pytest.raises(InsufficientPoints):
-            user_travel_distance([(Timestamp(0), self.IST)])
+            user_travel_distance([(0, self.IST)])
 
     def test_window_excludes_late_points(self):
-        points = [(Timestamp(0), self.IST),
-                  (Timestamp(6 * 86400), self.ANK)]
+        points = [(0, self.IST),
+                  (6 * 86400 * 1000, self.ANK)]
         with pytest.raises(InsufficientPoints):
-            user_travel_distance(points, window=Duration.days(5))
+            user_travel_distance(points, window_s=5 * 86400)
 
     def test_duplicate_consecutive_point_invariant(self):
-        base = [(Timestamp(0), self.IST), (Timestamp(100), self.ANK)]
-        doubled = [base[0], (Timestamp(50), self.IST), base[1]]
+        base = [(0, self.IST), (100 * 1000, self.ANK)]
+        doubled = [base[0], (50 * 1000, self.IST), base[1]]
         assert user_travel_distance(base) == pytest.approx(user_travel_distance(doubled))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from trendguard.core import Duration, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.ingest import Creation, Deletion, read_stream_list
 from trendguard.classify import flags_for_instance, is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
@@ -64,13 +64,13 @@ class TestGenAttack:
         rng = random.Random(5)
         cluster = gen_attack(self.KW, self.PARAMS, 400, 10_000, rng, WORDLIST,
                              creation_span=60)
-        creations = [e.tweet.created_at.seconds for e in cluster.events
+        creations = [e.tweet.created_ms // 1000 for e in cluster.events
                      if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time.seconds for e in cluster.events
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
                      if isinstance(e, Deletion)}
         assert max(creations) - min(creations) < 60 or max(creations) - min(creations) == 60
         assert len(deletions) == 400
-        assert max(deletions.values()) - min(deletions.values()) <= self.PARAMS.alpha_d.seconds
+        assert max(deletions.values()) - min(deletions.values()) <= self.PARAMS.alpha_d
 
     def test_single_bot(self):
         cluster = gen_attack(self.KW, self.PARAMS, 1, 0, random.Random(1), WORDLIST)
@@ -84,7 +84,7 @@ class TestGenAttack:
         rng = random.Random(6)
         cluster = gen_attack(self.KW, self.PARAMS, 12, 50_000, rng, WORDLIST)
         tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time.seconds for e in cluster.events
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
                      if isinstance(e, Deletion)}
         instance = make_instance("#hedef", tweets, deletions)
         flags = flags_for_instance(instance)
@@ -93,21 +93,21 @@ class TestGenAttack:
         assert events[0].tweet_ids == frozenset(cluster.tweet_ids)
 
     def test_infeasible_theta(self):
-        params = AttackParams(theta=Duration(1))
+        params = AttackParams(theta=1)
         with pytest.raises(InfeasibleParams):
             gen_attack(self.KW, params, 5, 0, random.Random(0), WORDLIST)
 
     def test_tight_theta_still_feasible(self):
-        params = AttackParams(theta=Duration(3))
+        params = AttackParams(theta=3)
         cluster = gen_attack(self.KW, params, 20, 0, random.Random(0), WORDLIST)
         for event in cluster.events:
             if isinstance(event, Deletion):
                 continue
-        creations = {e.tweet.id: e.tweet.created_at.seconds for e in cluster.events
+        creations = {e.tweet.id: e.tweet.created_ms // 1000 for e in cluster.events
                      if isinstance(e, Creation)}
         for event in cluster.events:
             if isinstance(event, Deletion):
-                life = event.time.seconds - creations[event.tweet_id]
+                life = event.time_ms // 1000 - creations[event.tweet_id]
                 assert 0 < life <= 3
 
 
@@ -117,7 +117,7 @@ class TestGenOrganic:
     def test_span_coverage(self):
         rng = random.Random(11)
         cluster = gen_organic_trend(self.KW, 100, 7200, rng, WORDLIST, t0=1000)
-        creations = [e.tweet.created_at.seconds for e in cluster.events
+        creations = [e.tweet.created_ms // 1000 for e in cluster.events
                      if isinstance(e, Creation)]
         assert min(creations) >= 1000
         assert max(creations) <= 1000 + 7200
@@ -134,7 +134,7 @@ class TestGenOrganic:
         rng = random.Random(13)
         cluster = gen_organic_trend(self.KW, 3000, 7200, rng, WORDLIST, t0=500_000)
         tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time.seconds for e in cluster.events
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
                      if isinstance(e, Deletion)}
         instance = make_instance("#sohbet", tweets, deletions)
         flags = flags_for_instance(instance)
@@ -207,7 +207,7 @@ class TestLabeledStream:
         labeled = build_stream(config)
         last = None
         for event in labeled.events():
-            when = event.tweet.created_at if isinstance(event, Creation) else event.time
+            when = event.tweet.created_ms if isinstance(event, Creation) else event.time_ms
             if last is not None:
                 assert when >= last
             last = when
@@ -235,15 +235,15 @@ class TestLabeledStream:
             if isinstance(event, Creation):
                 creations[event.tweet.id] = event.tweet
             else:
-                deletions[event.tweet_id] = event.time
+                deletions[event.tweet_id] = event.time_ms
         bots = labeled.truth_bots
         bot_tweets = [t for t in creations.values() if t.user_id in bots]
         assert len(bot_tweets) >= params.kappa
-        p = [t.created_at.seconds for t in bot_tweets]
-        d = [deletions[t.id].seconds for t in bot_tweets]
-        assert max(p) - min(p) <= params.alpha_p.seconds
-        assert max(d) - min(d) <= params.alpha_d.seconds
-        assert all(0 < dt - pt <= params.theta.seconds for pt, dt in zip(p, d))
+        p = [t.created_ms // 1000 for t in bot_tweets]
+        d = [deletions[t.id] // 1000 for t in bot_tweets]
+        assert max(p) - min(p) <= params.alpha_p
+        assert max(d) - min(d) <= params.alpha_d
+        assert all(0 < dt - pt <= params.theta for pt, dt in zip(p, d))
 
     def test_round_trip_through_archive_format(self):
         config = replace(default_scenario(), n_days=1, organic_per_day=1,
@@ -262,7 +262,7 @@ class TestLabeledStream:
                 assert isinstance(b, Creation)
                 assert a.tweet.id == b.tweet.id
                 assert a.tweet.text == b.tweet.text
-                assert a.tweet.created_at == b.tweet.created_at
+                assert a.tweet.created_ms == b.tweet.created_ms
                 assert a.tweet.hashtags == b.tweet.hashtags
                 assert a.tweet.mentions == b.tweet.mentions
                 assert a.tweet.urls == b.tweet.urls
@@ -270,7 +270,7 @@ class TestLabeledStream:
                 assert a.tweet.is_reply == b.tweet.is_reply
             else:
                 assert isinstance(b, Deletion)
-                assert (a.tweet_id, a.user_id, a.time) == (b.tweet_id, b.user_id, b.time)
+                assert (a.tweet_id, a.user_id, a.time_ms) == (b.tweet_id, b.user_id, b.time_ms)
 
 
 class TestEvaluate:
@@ -307,7 +307,7 @@ class TestTrendOracle:
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
         streams = {"saldiri": cluster.events}
-        epochs = trend_oracle(streams, Duration(600), mitigation=False, k=10)
+        epochs = trend_oracle(streams, 600, mitigation=False, k=10)
         assert any("saldiri" in top for _, top in epochs)
 
     def test_attack_excluded_with_mitigation(self):
@@ -316,7 +316,7 @@ class TestTrendOracle:
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
         streams = {"saldiri": cluster.events}
-        epochs = trend_oracle(streams, Duration(600), mitigation=True, k=10)
+        epochs = trend_oracle(streams, 600, mitigation=True, k=10)
         assert not any("saldiri" in top for _, top in epochs)
 
     def test_organic_unaffected_within_noise(self):
@@ -325,10 +325,10 @@ class TestTrendOracle:
         cluster = gen_organic_trend(kw, 2000, 4 * 3600, rng, WORDLIST, t0=9000,
                                     deletion_rate=0.023)
         streams = {"dogal": cluster.events}
-        off = trend_oracle(streams, Duration(600), mitigation=False, k=10)
-        on = trend_oracle(streams, Duration(600), mitigation=True, k=10)
-        entered_off = {ts.seconds for ts, top in off if "dogal" in top}
-        entered_on = {ts.seconds for ts, top in on if "dogal" in top}
+        off = trend_oracle(streams, 600, mitigation=False, k=10)
+        on = trend_oracle(streams, 600, mitigation=True, k=10)
+        entered_off = {ts // 1000 for ts, top in off if "dogal" in top}
+        entered_on = {ts // 1000 for ts, top in on if "dogal" in top}
         assert entered_off
         assert len(entered_on) >= 0.9 * len(entered_off)
 
@@ -344,7 +344,7 @@ class TestPlantedPrevalence:
         config = replace(default_scenario(seed=33), n_days=3, background_per_day=300)
         labeled = build_stream(config)
         streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-        ranked = trend_oracle(streams, Duration(600), mitigation=False, k=10)
+        ranked = trend_oracle(streams, 600, mitigation=False, k=10)
 
         buffer = io.StringIO()
         write_epochs_csv(buffer, ranked, labeled.keywords)

@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from trendguard.classify import TweetFlags
-from trendguard.core import Duration, Timestamp
 from trendguard.detector import (
     AttackEvent,
     AttackParams,
@@ -37,16 +36,16 @@ def reference_candidates(instance, flags, params, require_lexicon=False):
             continue
         if require_lexicon and not flag.is_lexicon:
             continue
-        lifetime = (deleted_at - tweet.created_at).seconds
-        if lifetime < 0 or lifetime > params.theta.seconds:
+        lifetime = deleted_at // 1000 - tweet.created_ms // 1000
+        if lifetime < 0 or lifetime > params.theta:
             continue
         eligible.append((tweet, deleted_at))
-    eligible.sort(key=lambda td: (td[0].created_at, td[0].id))
+    eligible.sort(key=lambda td: (td[0].created_ms, td[0].id))
     per_user = {}
     for tweet, deleted_at in eligible:
         if tweet.user_id not in per_user:
             per_user[tweet.user_id] = (tweet, deleted_at)
-    return sorted(per_user.values(), key=lambda td: (td[0].created_at, td[0].id))
+    return sorted(per_user.values(), key=lambda td: (td[0].created_ms, td[0].id))
 
 
 def reference_windows(instance, flags, params, require_lexicon=False,
@@ -56,9 +55,9 @@ def reference_windows(instance, flags, params, require_lexicon=False,
     if n < params.kappa:
         return []
 
-    p = [t.created_at.seconds for t, _ in cands]
-    alpha_p = params.alpha_p.seconds
-    alpha_d = params.alpha_d.seconds
+    p = [t.created_ms // 1000 for t, _ in cands]
+    alpha_p = params.alpha_p
+    alpha_d = params.alpha_d
 
     raw = []
     seen_anchor = set()
@@ -69,7 +68,7 @@ def reference_windows(instance, flags, params, require_lexicon=False,
         lo = bisect_left(p, p[i])
         hi = bisect_right(p, p[i] + alpha_p)
         window = sorted(range(lo, hi), key=lambda j: (cands[j][1], cands[j][0].id))
-        dvals = [cands[j][1].seconds for j in window]
+        dvals = [cands[j][1] // 1000 for j in window]
         seen_d = set()
         for a in range(len(window)):
             if dvals[a] in seen_d:
@@ -98,20 +97,20 @@ def reference_windows(instance, flags, params, require_lexicon=False,
     events = []
     for cluster in maximal:
         members = [cands[j] for j in sorted(cluster)]
-        creations = [t.created_at.seconds for t, _ in members]
-        deletions = [d.seconds for _, d in members]
+        creations = [t.created_ms // 1000 for t, _ in members]
+        deletions = [d // 1000 for _, d in members]
         events.append(
             AttackEvent(
                 tweet_ids=frozenset(t.id for t, _ in members),
                 users=frozenset(t.user_id for t, _ in members),
-                start=min((t.created_at for t, _ in members)),
-                end=max((d for _, d in members)),
-                creation_window=Duration(max(creations) - min(creations)),
-                deletion_window=Duration(max(deletions) - min(deletions)),
-                max_lifetime=Duration(max(d.seconds - t.created_at.seconds for t, d in members)),
+                start_ms=min((t.created_ms for t, _ in members)),
+                end_ms=max((d for _, d in members)),
+                creation_window_s=max(creations) - min(creations),
+                deletion_window_s=max(deletions) - min(deletions),
+                max_lifetime_s=max(d // 1000 - t.created_ms // 1000 for t, d in members),
             )
         )
-    events.sort(key=lambda e: (e.start, min(e.tweet_ids)))
+    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids)))
     return events
 
 
@@ -129,10 +128,10 @@ def _bursty_instance(rng):
     flags = {}
     for tweet_id in rng.sample(range(1, 10 * n), n):
         start, spread, delay, wave = rng.choice(bursts)
-        created = Timestamp(start + rng.randint(0, spread), rng.choice(millis))
+        created = (start + rng.randint(0, spread)) * 1000 + rng.choice(millis)
         tweets.append(Tweet(
             id=tweet_id, user_id=rng.randint(1, n - n // 8), text="",
-            created_at=created, hashtags=("tag",), mentions=(), urls=0,
+            created_ms=created, hashtags=("tag",), mentions=(), urls=0,
             is_retweet=False, is_reply=False, geo=None,
         ))
         flags[tweet_id] = TweetFlags(is_lexicon=rng.random() < 0.8,
@@ -142,24 +141,24 @@ def _bursty_instance(rng):
         if roll < 0.75:
             deleted = start + spread // 2 + delay + rng.randint(0, wave)
         elif roll < 0.85:
-            deleted = created.seconds + rng.randint(-30, 900)
+            deleted = created // 1000 + rng.randint(-30, 900)
         else:
             continue
-        deletions[tweet_id] = Timestamp(deleted, rng.choice(millis))
+        deletions[tweet_id] = deleted * 1000 + rng.choice(millis)
     instance = make_instance("#tag", [], {})
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_at, t.id))
+    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
     instance.deletions = deletions
     return instance, flags
 
 
 def _random_params(rng):
-    return AttackParams(kappa=rng.randint(1, 8), alpha_p=Duration(rng.randint(0, 600)),
-                        alpha_d=Duration(rng.randint(0, 600)),
-                        theta=Duration(rng.randint(300, 900)))
+    return AttackParams(kappa=rng.randint(1, 8), alpha_p=rng.randint(0, 600),
+                        alpha_d=rng.randint(0, 600),
+                        theta=rng.randint(300, 900))
 
 
 def _has_tie(events):
-    keys = [(e.start, min(e.tweet_ids)) for e in events]
+    keys = [(e.start_ms, min(e.tweet_ids)) for e in events]
     return len(set(keys)) < len(keys)
 
 
@@ -186,8 +185,8 @@ def test_extreme_windows_equal_reference():
         instance, flags = _bursty_instance(rng)
         for kappa in (1, 8):
             for alpha in (0, 600):
-                params = AttackParams(kappa=kappa, alpha_p=Duration(alpha),
-                                      alpha_d=Duration(600 - alpha), theta=Duration(900))
+                params = AttackParams(kappa=kappa, alpha_p=alpha,
+                                      alpha_d=600 - alpha, theta=900)
                 assert detect_attack_windows(instance, flags, params) == \
                     reference_windows(instance, flags, params)
 
@@ -196,19 +195,19 @@ def test_same_second_creations_keep_millisecond_order():
     """Three tweets in one creation second, one deleted in the same second as
     another: ranks by (deleted ms, id) and spans come from the right tweets."""
     flags = {i: TweetFlags(True, True, 3) for i in (1, 2, 3, 4)}
-    created = {1: Timestamp(DAY_NOON, 900), 2: Timestamp(DAY_NOON, 5),
-               3: Timestamp(DAY_NOON, 400), 4: Timestamp(DAY_NOON + 1, 0)}
-    tweets = [Tweet(id=i, user_id=10 + i, text="", created_at=created[i], hashtags=("tag",),
+    created = {1: DAY_NOON * 1000 + 900, 2: DAY_NOON * 1000 + 5,
+               3: DAY_NOON * 1000 + 400, 4: (DAY_NOON + 1) * 1000}
+    tweets = [Tweet(id=i, user_id=10 + i, text="", created_ms=created[i], hashtags=("tag",),
                     mentions=(), urls=0, is_retweet=False, is_reply=False, geo=None)
               for i in created]
     instance = TrendInstance(trend=make_instance("#tag", [], {}, day=DAY).trend)
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_at, t.id))
-    instance.deletions = {1: Timestamp(DAY_NOON + 60, 10), 2: Timestamp(DAY_NOON + 60, 700),
-                          3: Timestamp(DAY_NOON + 61, 0), 4: Timestamp(DAY_NOON + 60, 10)}
-    params = AttackParams(kappa=2, alpha_p=Duration(0), alpha_d=Duration(0))
+    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
+    instance.deletions = {1: (DAY_NOON + 60) * 1000 + 10, 2: (DAY_NOON + 60) * 1000 + 700,
+                          3: (DAY_NOON + 61) * 1000, 4: (DAY_NOON + 60) * 1000 + 10}
+    params = AttackParams(kappa=2, alpha_p=0, alpha_d=0)
     got = detect_attack_windows(instance, flags, params)
     assert got == reference_windows(instance, flags, params)
     assert [sorted(e.tweet_ids) for e in got] == [[1, 2]]
     first = got[0]
-    assert first.start == Timestamp(DAY_NOON, 5)
-    assert first.end == Timestamp(DAY_NOON + 60, 700)
+    assert first.start_ms == DAY_NOON * 1000 + 5
+    assert first.end_ms == (DAY_NOON + 60) * 1000 + 700
