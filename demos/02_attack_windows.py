@@ -6,12 +6,13 @@ isolates exactly the burst and how the per-trend features expose it.
 """
 
 import random
+from datetime import date
 
 from trendguard.classify import flags_for_instance
 from trendguard.core import normalize_keyword
 from trendguard.detector import AttackParams, detect_attack_windows
 from trendguard.features import count_features
-from trendguard.ingest import Creation, TrendDay, build_trend_instance
+from trendguard.ingest import Creation, TrendDay, build_trend_instances
 from trendguard.simulator import gen_attack, gen_organic_trend, load_wordlist
 
 keyword = normalize_keyword("#SahteGundem", "tr")
@@ -30,9 +31,8 @@ organic = gen_organic_trend(keyword, n_users=120, span=6 * 3600, rng=rng,
                             tweet_id_start=10_000, user_id_start=10_000)
 
 events = attack.events + organic.events
-from datetime import date
 trend = TrendDay(date=date(2019, 6, 18), keyword=keyword)
-instance = build_trend_instance(trend, events)
+instance = build_trend_instances([trend], events)[(trend.date, keyword.normalized)]
 flags = flags_for_instance(instance)
 
 sample = next(e.tweet.text for e in attack.events if isinstance(e, Creation))

@@ -1,6 +1,6 @@
 """
 Per-tweet content classifiers: generated "lexicon" tweets and
-single-engagement tweets, plus the corpus-level lexicon statistics table.
+single-engagement tweets.
 
 A lexicon tweet is recognized purely from its text once the target keyword
 and emoji are stripped: only alphabetic characters (plus spaces and
@@ -9,12 +9,11 @@ disambiguation parentheses), a non-uppercase start, and 2-9 tokens.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DEFAULT_LOCALE, HASHTAG, Keyword, TrendGuardError, fold_case
+from .core import DEFAULT_LOCALE, HASHTAG, Keyword, fold_case
 from .ingest import TrendInstance, Tweet
 
 # Letters accepted by the lexicon rule: ASCII plus the Turkish alphabet
@@ -36,10 +35,6 @@ _EMOJI_RE = re.compile(
     "⃣"                 # combining enclosing keycap
     "]+"
 )
-
-
-class EmptyCorpus(TrendGuardError):
-    """lexicon_stats was called with no tweets at all."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,34 +80,23 @@ def strip_keyword_and_emoji(
     return " ".join(kept)
 
 
-def _lexicon_and_tokens(
-    text: str, keyword: Optional[Keyword], locale: str, allowed: frozenset[str] = _LEXICON_CHARS
-) -> tuple[bool, int]:
+def _lexicon_and_tokens(text: str, keyword: Optional[Keyword], locale: str) -> tuple[bool, int]:
     """(is lexicon, token count) of the text from one strip of keyword and emoji."""
     stripped = strip_keyword_and_emoji(text, keyword, locale)
     n_tokens = len(stripped.split())
-    lexicon = 2 <= n_tokens <= 9 and not stripped[0].isupper() and allowed.issuperset(stripped)
+    lexicon = 2 <= n_tokens <= 9 and not stripped[0].isupper() and _LEXICON_CHARS.issuperset(stripped)
     return lexicon, n_tokens
 
 
 def is_lexicon_tweet(
-    text: str,
-    keyword: Optional[Keyword] = None,
-    locale: str = DEFAULT_LOCALE,
-    alphabet: str = TURKISH_ALPHABET,
+    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> bool:
     """True when the text, keyword and emoji removed, looks generated:
 
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
     """
-    return _lexicon_and_tokens(text, keyword, locale, frozenset(alphabet + " ()"))[0]
-
-
-def lexicon_token_count(
-    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
-) -> int:
-    return _lexicon_and_tokens(text, keyword, locale)[1]
+    return _lexicon_and_tokens(text, keyword, locale)[0]
 
 
 def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
@@ -149,92 +133,3 @@ def flags_for_instance(
         tweets = instance.tweets
     return {t.id: compute_flags(t, keyword, locale) for t in tweets}
 
-
-# ---------------------------------------------------------------------------
-# Corpus-level lexicon statistics
-# ---------------------------------------------------------------------------
-
-STATS_ROWS = (
-    "all_tweets",
-    "deleted_tweets",
-    "deleted_lexicon_tweets",
-    "all_lexicon_tweets",
-    "deleted_lex_over_all_lex",
-    "deleted_lex_over_all_deleted",
-)
-
-
-@dataclass
-class StatsTable:
-    """Counts and deletion/lexicon ratios, trend-associated vs other tweets."""
-
-    trend_all: int = 0
-    trend_deleted: int = 0
-    trend_deleted_lexicon: int = 0
-    trend_lexicon: int = 0
-    other_all: int = 0
-    other_deleted: int = 0
-    other_deleted_lexicon: int = 0
-    other_lexicon: int = 0
-
-    @staticmethod
-    def _ratio(num: int, den: int) -> float:
-        return num / den if den else 0.0
-
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [
-            ("all_tweets", self.trend_all, self.other_all),
-            ("deleted_tweets", self.trend_deleted, self.other_deleted),
-            ("deleted_lexicon_tweets", self.trend_deleted_lexicon, self.other_deleted_lexicon),
-            ("all_lexicon_tweets", self.trend_lexicon, self.other_lexicon),
-            (
-                "deleted_lex_over_all_lex",
-                self._ratio(self.trend_deleted_lexicon, self.trend_lexicon),
-                self._ratio(self.other_deleted_lexicon, self.other_lexicon),
-            ),
-            (
-                "deleted_lex_over_all_deleted",
-                self._ratio(self.trend_deleted_lexicon, self.trend_deleted),
-                self._ratio(self.other_deleted_lexicon, self.other_deleted),
-            ),
-        ]
-
-    def write_csv(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(["statistic", "trend_tweets", "other_tweets"])
-        for label, trend_value, other_value in self.rows():
-            writer.writerow([label, trend_value, other_value])
-
-
-def lexicon_stats(
-    instances: Iterable[TrendInstance],
-    background: Iterable[tuple[Tweet, bool]] = (),
-    locale: str = DEFAULT_LOCALE,
-) -> StatsTable:
-    """Tabulate lexicon/deletion counts for trend-associated vs other tweets.
-
-    ``background`` supplies (tweet, deleted) pairs with no associated trend;
-    their lexicon flag is computed with only emoji stripped.
-    """
-    table = StatsTable()
-    saw_any = False
-    for instance in instances:
-        keyword = instance.keyword
-        for tweet in instance.tweets:
-            saw_any = True
-            deleted = tweet.id in instance.deletions
-            lexicon = is_lexicon_tweet(tweet.text, keyword, locale)
-            table.trend_all += 1
-            table.trend_deleted += deleted
-            table.trend_lexicon += lexicon
-            table.trend_deleted_lexicon += deleted and lexicon
-    for tweet, deleted in background:
-        saw_any = True
-        lexicon = is_lexicon_tweet(tweet.text, None, locale)
-        table.other_all += 1
-        table.other_deleted += deleted
-        table.other_lexicon += lexicon
-        table.other_deleted_lexicon += deleted and lexicon
-    if not saw_any:
-        raise EmptyCorpus("no tweets in either collection")
-    return table

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, TrendGuardError
 from .ingest import (
+    BadRow,
     ParseStats,
     build_instances_from_files,
     load_trend_days,
@@ -66,7 +67,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_preset(parser: argparse.ArgumentParser) -> None:
-    # "custom" needs a formula, which only the library can supply.
     parser.add_argument("--preset", default="lexicon-tree", choices=tuple(PRESET_FORMULAS))
     parser.add_argument("--threshold", action="append", metavar="RULE=VALUE",
                         help="override a rule threshold, e.g. 9=0.68 (repeatable)")
@@ -92,7 +92,9 @@ def _config_from(args) -> DetectorConfig:
         if not value:
             raise TrendGuardError(f"--threshold expects RULE=VALUE, got {item!r}")
         thresholds[rule.strip()] = float(value)
-    return DetectorConfig(preset=args.preset, thresholds=thresholds)
+    config = DetectorConfig(preset=args.preset, thresholds=thresholds)
+    config.resolved_formula()  # rejects an override that would change nothing
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +250,17 @@ def _cmd_scan(args, out: _Outputs) -> int:
 
 
 def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
+    """Whether each (date, keyword) was attacked in a detect verdicts file,
+    OR-merged over the records that share the key."""
     mapping: dict[tuple[date, str], bool] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict) or not {"date", "keyword", "attacked"} <= record.keys():
+                raise BadRow(f"{path}:{lineno}: a verdict record needs date, keyword and attacked")
             key = (date.fromisoformat(record["date"]), record["keyword"])
             mapping[key] = mapping.get(key, False) or bool(record["attacked"])
     return mapping

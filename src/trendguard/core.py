@@ -1,6 +1,6 @@
 """
-Shared primitives used across the pipeline: the time helpers, normalized
-keywords, and geo points, plus the great-circle distance helper.
+Shared primitives used across the pipeline: the time helpers and
+normalized keywords.
 
 An instant is an int of epoch milliseconds (names end in ``_ms``); a span
 is an int of whole seconds (names end in ``_s``), computed by ``span_s``.
@@ -9,10 +9,7 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-EARTH_RADIUS_KM = 6371.0
 
 # Reporting timezone offset in seconds (UTC+3, Turkey time). Day boundaries
 # and hour-of-day statistics default to this unless overridden.
@@ -46,20 +43,6 @@ def local_day(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
 
 def local_hour(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
     return ((ms // 1000 + tz_offset) // 3600) % 24
-
-
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    """A (lat, lon) pair in degrees; bounds are enforced at construction."""
-
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
 
 
 HASHTAG = "hashtag"
@@ -105,12 +88,3 @@ def normalize_keyword(raw: str, locale: str = DEFAULT_LOCALE) -> Keyword:
         return Keyword(raw=trimmed, normalized=fold_case(body, locale), kind=HASHTAG)
     return Keyword(raw=trimmed, normalized=fold_case(trimmed, locale), kind=NGRAM)
 
-
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometers (R = 6371.0 km)."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = lat2 - lat1
-    dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))

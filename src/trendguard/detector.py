@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .core import (
     DEFAULT_LOCALE,
@@ -42,7 +42,7 @@ from .features import FeatureVector, count_features
 
 
 class UnknownRule(TrendGuardError):
-    """A formula referenced a rule id that is not defined."""
+    """An unknown preset, or a threshold override for a rule its preset lacks."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +85,7 @@ GT = ">"
 
 @dataclass(frozen=True, slots=True)
 class RuleCheck:
-    """One conjunct of a preset formula: feature(rule_id) op threshold."""
+    """One conjunct of a preset clause: feature(rule_id) op threshold."""
 
     rule_id: str
     threshold: float
@@ -108,39 +108,35 @@ PRESET_FORMULAS: dict[str, tuple[tuple[RuleCheck, ...], ...]] = {
     "ratio-only": ((RuleCheck("1", 17), RuleCheck("2", 0.25)),),
 }
 
+
 @dataclass
 class DetectorConfig:
     """A preset name plus optional per-rule threshold overrides.
 
     Overrides apply to every occurrence of the rule id in the preset's
-    formula. A fully custom formula (preset="custom") supplies its own
-    DNF clause list.
+    clauses; an override for a rule the preset does not use is an error,
+    because it would change nothing.
     """
 
     preset: str = "lexicon-tree"
     thresholds: dict[str, float] = field(default_factory=dict)
-    formula: Optional[Sequence[Sequence[RuleCheck]]] = None
 
     def resolved_formula(self) -> tuple[tuple[RuleCheck, ...], ...]:
-        if self.preset == "custom":
-            if not self.formula:
-                raise UnknownRule("custom preset requires an explicit formula")
-            clauses = tuple(tuple(clause) for clause in self.formula)
-        else:
-            try:
-                clauses = PRESET_FORMULAS[self.preset]
-            except KeyError:
-                raise UnknownRule(f"unknown preset: {self.preset!r}") from None
-        resolved = []
-        for clause in clauses:
-            slots = []
-            for check in clause:
-                if check.rule_id not in RULE_FEATURES:
-                    raise UnknownRule(f"undefined rule id: {check.rule_id!r}")
-                threshold = self.thresholds.get(check.rule_id, check.threshold)
-                slots.append(RuleCheck(check.rule_id, threshold, check.op))
-            resolved.append(tuple(slots))
-        return tuple(resolved)
+        try:
+            clauses = PRESET_FORMULAS[self.preset]
+        except KeyError:
+            raise UnknownRule(f"unknown preset: {self.preset!r}") from None
+        used = {check.rule_id for clause in clauses for check in clause}
+        for rule_id in self.thresholds:
+            if rule_id not in RULE_FEATURES:
+                raise UnknownRule(f"undefined rule id: {rule_id!r}")
+            if rule_id not in used:
+                raise UnknownRule(f"rule {rule_id} is not in preset {self.preset!r}")
+        return tuple(
+            tuple(RuleCheck(check.rule_id, self.thresholds.get(check.rule_id, check.threshold),
+                            check.op) for check in clause)
+            for clause in clauses
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +160,7 @@ class Verdict:
 def classify_trend(
     features: FeatureVector, config: DetectorConfig, trend: Optional[TrendDay] = None
 ) -> Verdict:
-    """Evaluate the preset formula over a feature vector.
+    """Evaluate the preset's clauses over a feature vector.
 
     The verdict is attacked exactly when some clause has every rule passing.
     """
@@ -210,7 +206,6 @@ def attack_candidates(
     instance: TrendInstance,
     flags: Mapping[int, TweetFlags],
     params: AttackParams,
-    require_lexicon: bool = False,
 ) -> list[tuple[Tweet, int]]:
     """(tweet, deletion ms) of the deleted single-engagement tweets eligible
     for clustering, in creation order.
@@ -225,10 +220,7 @@ def attack_candidates(
         deleted_at = instance.deletions.get(tweet.id)
         if deleted_at is None:
             continue
-        flag = flags[tweet.id]
-        if not flag.is_single_engagement:
-            continue
-        if require_lexicon and not flag.is_lexicon:
+        if not flags[tweet.id].is_single_engagement:
             continue
         lifetime = span_s(deleted_at, tweet.created_ms)
         if lifetime < 0 or lifetime > params.theta:
@@ -247,7 +239,6 @@ def detect_attack_windows(
     instance: TrendInstance,
     flags: Mapping[int, TweetFlags],
     params: AttackParams,
-    require_lexicon: bool = False,
     merge_overlapping: bool = False,
 ) -> list[AttackEvent]:
     """Find every maximal attack cluster in a trend instance.
@@ -282,7 +273,7 @@ def detect_attack_windows(
     a merged event's spans describe the whole burst region and may exceed
     alpha_p/alpha_d, unlike the per-cluster guarantees of the default mode.
     """
-    cands = attack_candidates(instance, flags, params, require_lexicon)
+    cands = attack_candidates(instance, flags, params)
     n = len(cands)
     kappa = params.kappa
     if n < kappa:

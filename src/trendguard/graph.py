@@ -13,7 +13,7 @@ import csv
 import random
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .core import TrendGuardError, span_s
 from .ingest import TrendInstance
@@ -90,9 +90,6 @@ class Graph:
     def degree(self, node: Node) -> int:
         return len(self._adj[node])
 
-    def weighted_degree(self, node: Node) -> int:
-        return sum(self._adj[node].values())
-
     def neighbors(self, node: Node) -> dict[Node, int]:
         return self._adj[node]
 
@@ -132,7 +129,7 @@ def trend_node(instance: TrendInstance) -> Node:
 
 
 def build_graph(
-    instances: Union[Mapping[tuple[date, str], TrendInstance], Iterable[TrendInstance]],
+    instances: Mapping[tuple[date, str], TrendInstance],
     edge_predicate: str = UNDELETED,
     flags: Optional[Mapping[tuple[date, str], Mapping[int, TweetFlags]]] = None,
 ) -> Graph:
@@ -147,14 +144,9 @@ def build_graph(
     if edge_predicate == DELETED_LEXICON and flags is None:
         raise ValueError("deleted-lexicon predicate requires tweet flags")
 
-    if isinstance(instances, Mapping):
-        items = instances.values()
-    else:
-        items = instances
-
     graph = Graph()
-    for instance in sorted(items, key=lambda i: (i.trend.date, i.keyword.normalized)):
-        key = (instance.trend.date, instance.keyword.normalized)
+    for key in sorted(instances):
+        instance = instances[key]
         tnode = trend_node(instance)
         for tweet in instance.tweets:
             deleted = tweet.id in instance.deletions
@@ -327,7 +319,7 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
     """Two-phase Louvain over the weighted graph, deterministic given a seed.
 
     The seed only fixes the node visiting order. The reported modularity is
-    cross-checked against the standalone formula on every run.
+    cross-checked against modularity() on every run.
     """
     nodes = graph.nodes()
     if not nodes:
@@ -366,7 +358,7 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         internal = _internal_modularity(adj, loops, m)
         if abs(internal - q) > 1e-9:
             raise AssertionError(
-                f"louvain bookkeeping drifted from the modularity formula: {internal} vs {q}"
+                f"louvain bookkeeping drifted from modularity(): {internal} vs {q}"
             )
     return Partition(assignment=assignment, modularity=q)
 
@@ -395,7 +387,7 @@ class CommunitySummary:
 
 def community_summary(
     partition: Partition,
-    instances: Union[Mapping[tuple[date, str], TrendInstance], Iterable[TrendInstance]],
+    instances: Mapping[tuple[date, str], TrendInstance],
     attack_times: Mapping[int, Iterable[int]],
     dormancy_s: int = 365 * 86400,
 ) -> list[CommunitySummary]:
@@ -406,13 +398,8 @@ def community_summary(
     their last undeleted tweet anywhere in the corpus; gaps above
     ``dormancy_s`` seconds flag the user as dormant.
     """
-    if isinstance(instances, Mapping):
-        items = list(instances.values())
-    else:
-        items = list(instances)
-
     last_undeleted: dict[int, int] = {}
-    for instance in items:
+    for instance in instances.values():
         for tweet in instance.tweets:
             if tweet.id in instance.deletions:
                 continue

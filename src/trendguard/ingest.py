@@ -1,7 +1,7 @@
 """
 Parsing of archived event-stream files (line-delimited JSON status and
-delete-notice records, optionally gzip/bzip2-compressed) and trend snapshot
-CSVs, plus the join that associates tweets with trend-days.
+delete-notice records, plain or in gzip or bzip2) and trend snapshot CSVs,
+plus the join that associates tweets with trend-days.
 
 A tweet is associated with a trend when it textually contains the keyword
 and was posted on the trend's local day or the day before. Deletion notices
@@ -18,6 +18,7 @@ import gzip
 import io
 import json
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -25,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    GeoPoint,
     HASHTAG,
     Keyword,
     TrendGuardError,
@@ -47,6 +47,11 @@ class BadTimestamp(TrendGuardError):
     """A timestamp field could not be parsed."""
 
 
+class BadRow(TrendGuardError):
+    """An input file lacks a column, or a row lacks a field, that the
+    reader needs."""
+
+
 @dataclass(frozen=True, slots=True)
 class Tweet:
     id: int
@@ -58,7 +63,8 @@ class Tweet:
     urls: int = 0
     is_retweet: bool = False
     is_reply: bool = False
-    geo: Optional[GeoPoint] = None
+    # (lat, lon) the simulator writes; the parser does not read it.
+    geo: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,9 +167,6 @@ class TrendInstance:
     def keyword(self) -> Keyword:
         return self.trend.keyword
 
-    def is_deleted(self, tweet_id: int) -> bool:
-        return tweet_id in self.deletions
-
 
 # ---------------------------------------------------------------------------
 # Stream line parsing
@@ -204,27 +207,6 @@ def _event_ms(obj: dict) -> int:
     if created is None:
         raise BadTimestamp("record has neither timestamp_ms nor created_at")
     return _parse_created_at(created) * 1000
-
-
-def _extract_geo(obj: dict) -> Optional[GeoPoint]:
-    geo = obj.get("geo")
-    if isinstance(geo, dict):
-        coords = geo.get("coordinates")
-        if isinstance(coords, (list, tuple)) and len(coords) == 2:
-            try:
-                return GeoPoint(float(coords[0]), float(coords[1]))
-            except (TypeError, ValueError):
-                return None
-    coords_obj = obj.get("coordinates")
-    if isinstance(coords_obj, dict):
-        coords = coords_obj.get("coordinates")
-        if isinstance(coords, (list, tuple)) and len(coords) == 2:
-            try:
-                # GeoJSON order is (lon, lat).
-                return GeoPoint(float(coords[1]), float(coords[0]))
-            except (TypeError, ValueError):
-                return None
-    return None
 
 
 def _parse_status(obj: dict) -> Creation:
@@ -276,7 +258,6 @@ def _parse_status(obj: dict) -> Creation:
             is_retweet="retweeted_status" in obj or text.startswith("RT @"),
             is_reply=obj.get("in_reply_to_status_id") is not None
             or obj.get("in_reply_to_user_id") is not None,
-            geo=_extract_geo(obj),
         )
     )
 
@@ -337,13 +318,9 @@ def _codec(magic: bytes):
     return None
 
 
-def _open_source(source, compressed: Union[bool, str] = "auto") -> io.TextIOBase:
-    """Open a path or binary stream as text, transparently decompressing.
-
-    ``compressed`` is "auto" (gzip or bzip2 when the magic bytes say so,
-    plain text otherwise), True (gzip or bzip2 by the magic bytes; anything
-    else raises MalformedLine) or False (plain text).
-    """
+def _open_source(source) -> io.TextIOBase:
+    """Open a path or binary stream as text, decompressing gzip or bzip2
+    when the magic bytes say so."""
     if isinstance(source, io.TextIOBase):
         return source
     if isinstance(source, (str, bytes)):
@@ -354,9 +331,7 @@ def _open_source(source, compressed: Union[bool, str] = "auto") -> io.TextIOBase
         if not hasattr(source, "peek"):
             source = io.BufferedReader(source)
         magic = source.peek(3)[:3]
-    codec = _codec(magic) if compressed else None
-    if compressed is True and codec is None:
-        raise MalformedLine(f"compressed input is neither gzip nor bzip2 (starts {magic!r})")
+    codec = _codec(magic)
     if codec is not None:
         source = codec.open(source, "rb")
     elif isinstance(source, str):
@@ -366,9 +341,8 @@ def _open_source(source, compressed: Union[bool, str] = "auto") -> io.TextIOBase
 
 def read_stream(
     source,
-    compressed: Union[bool, str] = "auto",
-    stats: Optional[ParseStats] = None,
     *,
+    stats: Optional[ParseStats] = None,
     keep: Optional[Callable[[str], bool]] = None,
 ) -> Iterator[TweetEvent]:
     """Stream TweetEvents from a path or binary stream, one pass, bounded memory.
@@ -381,7 +355,7 @@ def read_stream(
     """
     if stats is None:
         stats = ParseStats()
-    handle = _open_source(source, compressed)
+    handle = _open_source(source)
     try:
         for line in handle:
             stats.lines_read += 1
@@ -405,13 +379,6 @@ def read_stream(
         handle.close()
 
 
-def read_stream_list(source, compressed: Union[bool, str] = "auto") -> tuple[list[TweetEvent], ParseStats]:
-    """Materialize a whole stream; convenience for small files and tests."""
-    stats = ParseStats()
-    events = list(read_stream(source, compressed, stats))
-    return events, stats
-
-
 # ---------------------------------------------------------------------------
 # Trend snapshot files
 # ---------------------------------------------------------------------------
@@ -431,6 +398,33 @@ def _parse_iso_ms(value: str) -> int:
     return int(dt.timestamp()) * 1000
 
 
+def _text_input(source):
+    """A context manager giving a text handle for a path or an open handle;
+    it closes only what it opened."""
+    if isinstance(source, (str, bytes)):
+        return open(source, "r", encoding="utf-8", newline="")
+    return nullcontext(source)
+
+
+def _csv_rows(handle, required: Sequence[str]) -> Iterator[dict[str, str]]:
+    """The rows of a CSV with a header line, each holding every ``required``
+    column. A header without one, or a row too short to fill one, raises
+    BadRow naming the file and line."""
+    name = getattr(handle, "name", "<input>")
+    reader = csv.DictReader(handle)
+    header = reader.fieldnames
+    if header is None:
+        return
+    for column in required:
+        if column not in header:
+            raise BadRow(f"{name}:1: no {column!r} column")
+    for row in reader:
+        for column in required:
+            if row[column] is None:
+                raise BadRow(f"{name}:{reader.line_num}: row has no {column!r} field")
+        yield row
+
+
 def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
     """Load a `captured_at,location,rank,keyword,volume` CSV into epochs.
 
@@ -438,61 +432,39 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
     contiguous sequence 1..n. An empty volume cell means the platform
     reported none.
     """
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        handle = source
-    try:
-        reader = csv.DictReader(handle)
-        grouped: dict[tuple[int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
-        order: list[tuple[int, str]] = []
-        for row in reader:
+    grouped: dict[tuple[int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
+    with _text_input(source) as handle:
+        for row in _csv_rows(handle, ("captured_at", "rank", "keyword")):
             when = _parse_iso_ms(row["captured_at"])
             location = (row.get("location") or "").strip()
             try:
                 rank = int(row["rank"])
-            except (TypeError, ValueError) as exc:
-                raise BadRank(f"unparsable rank: {row.get('rank')!r}") from exc
+            except ValueError as exc:
+                raise BadRank(f"unparsable rank: {row['rank']!r}") from exc
             keyword = normalize_keyword(row["keyword"], locale)
             vol_text = (row.get("volume") or "").strip()
             volume = int(vol_text) if vol_text else None
-            key = (when, location)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append((rank, keyword, volume))
-        epochs = []
-        for key in sorted(order):
-            entries = sorted(grouped[key], key=lambda e: e[0])
-            ranks = [r for r, _, _ in entries]
-            if ranks != list(range(1, len(ranks) + 1)):
-                raise BadRank(f"epoch at {key[0] // 1000} has ranks {ranks}, "
-                              f"expected 1..{len(ranks)}")
-            if len(entries) > 50:
-                raise BadRank(f"epoch at {key[0] // 1000} lists {len(entries)} trends, "
-                              f"limit is 50")
-            epochs.append(TrendEpoch(captured_ms=key[0], location=key[1], entries=tuple(entries)))
-        return epochs
-    finally:
-        if close:
-            handle.close()
+            grouped.setdefault((when, location), []).append((rank, keyword, volume))
+    epochs = []
+    for key in sorted(grouped):
+        entries = sorted(grouped[key], key=lambda e: e[0])
+        ranks = [r for r, _, _ in entries]
+        if ranks != list(range(1, len(ranks) + 1)):
+            raise BadRank(f"epoch at {key[0] // 1000} has ranks {ranks}, "
+                          f"expected 1..{len(ranks)}")
+        if len(entries) > 50:
+            raise BadRank(f"epoch at {key[0] // 1000} lists {len(entries)} trends, "
+                          f"limit is 50")
+        epochs.append(TrendEpoch(captured_ms=key[0], location=key[1], entries=tuple(entries)))
+    return epochs
 
 
 def load_trend_days(source, locale: str = DEFAULT_LOCALE) -> list[TrendDay]:
     """Load a `date,keyword` CSV into unique TrendDays, input order preserved."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        handle = source
-    try:
-        reader = csv.DictReader(handle)
-        seen = set()
-        days = []
-        for row in reader:
+    seen = set()
+    days = []
+    with _text_input(source) as handle:
+        for row in _csv_rows(handle, ("date", "keyword")):
             day = date.fromisoformat(row["date"].strip())
             keyword = normalize_keyword(row["keyword"], locale)
             key = (day, keyword.normalized)
@@ -500,10 +472,7 @@ def load_trend_days(source, locale: str = DEFAULT_LOCALE) -> list[TrendDay]:
                 continue
             seen.add(key)
             days.append(TrendDay(date=day, keyword=keyword))
-        return days
-    finally:
-        if close:
-            handle.close()
+    return days
 
 
 # ---------------------------------------------------------------------------
@@ -526,34 +495,6 @@ def text_tokens(text: str, locale: str = DEFAULT_LOCALE) -> list[str]:
     """Case-folded whitespace tokens with edge punctuation stripped."""
     folded = fold_case(text, locale)
     return [cleaned for token in folded.split() if (cleaned := _clean_token(token))]
-
-
-def _ngram_occurs(tokens: Sequence[str], ngram: Sequence[str]) -> bool:
-    n = len(ngram)
-    if n == 0 or n > len(tokens):
-        return False
-    first = ngram[0]
-    for i in range(len(tokens) - n + 1):
-        if tokens[i] == first and list(tokens[i : i + n]) == list(ngram):
-            return True
-    return False
-
-
-def match_keyword(text: str, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
-    """True when the tweet text contains the keyword.
-
-    Hashtag keywords match only the exact hashtag token (case-folded), so
-    '#tag' does not match '#tagging'. N-gram keywords match at token
-    boundaries, never as substrings.
-    """
-    if keyword.kind == HASHTAG:
-        return keyword.normalized in extract_hashtags(text, locale)
-    return _ngram_occurs(text_tokens(text, locale), keyword.normalized.split())
-
-
-def _tweet_in_day_window(tweet: Tweet, trend_day_number: int, tz_offset: int) -> bool:
-    day = local_day(tweet.created_ms, tz_offset)
-    return day == trend_day_number or day == trend_day_number - 1
 
 
 class _InstanceBuilder:
@@ -598,41 +539,17 @@ def _builders(trends: Sequence[TrendDay]) -> dict[tuple[date, str], _InstanceBui
     return builders
 
 
-def build_trend_instance(
-    trend: TrendDay,
-    events: Iterable[TweetEvent],
-    locale: str = DEFAULT_LOCALE,
-    tz_offset: int = DEFAULT_TZ_OFFSET,
-) -> TrendInstance:
-    """Join one trend-day against an event collection.
-
-    The result is a pure function of the event *set*: shuffling the input
-    yields an identical instance. Tweets qualify when their text matches the
-    keyword and they fall on the trend's local day or the day before;
-    deletion notices attach by tweet id wherever they occur in the input.
-    """
-    builder = _InstanceBuilder(trend)
-    keyword = trend.keyword
-    pending: dict[int, int] = {}
-    for event in events:
-        if isinstance(event, Creation):
-            tweet = event.tweet
-            if _tweet_in_day_window(tweet, builder.day_number, tz_offset) and match_keyword(
-                tweet.text, keyword, locale
-            ):
-                builder.offer_tweet(tweet)
-        elif isinstance(event, Deletion):
-            _note_deletion(pending, event.tweet_id, event.time_ms)
-    return builder.build(pending)
-
-
 def _keyword_index(
     keywords: Iterable[Keyword], locale: str
 ) -> Callable[[str], list[tuple[str, str]]]:
-    """Maps a tweet text to the (kind, normalized) key of every keyword that
-    match_keyword accepts for it (an n-gram's key once per occurrence):
-    hashtags through the text's hashtags, n-grams through the token runs
-    that start with their first token."""
+    """Maps a tweet text to the (kind, normalized) key of every keyword the
+    text contains (an n-gram's key once per occurrence).
+
+    A hashtag keyword matches only the exact hashtag token, case-folded, so
+    '#tag' does not match '#tagging'; it is found through the text's
+    hashtags. An n-gram keyword matches at token boundaries, never as a
+    substring; it is found through the token runs that start with its
+    first token."""
     hashtags: dict[str, tuple[str, str]] = {}
     ngrams: dict[str, set[tuple[tuple[str, ...], tuple[str, str]]]] = {}
     for k in keywords:

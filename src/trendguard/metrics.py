@@ -2,8 +2,11 @@
 Attack-success measurements over real-time trend snapshots: trend
 lifecycles (entry/exit/rank), speed from pre-entry tweet activity, deletion
 ratios before entry, daily prevalence of attacked trends in the top-K,
-entry-hour histograms, geotag travel distances, and the undeleted-volume
-comparison between attacked and other trends.
+entry-hour histograms, and the undeleted-volume comparison between
+attacked and other trends.
+
+Attack verdicts arrive as a mapping from (date, normalized keyword) to
+whether that trend-day was attacked.
 """
 
 from __future__ import annotations
@@ -12,22 +15,19 @@ import csv
 import statistics
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     DEFAULT_TZ_OFFSET,
-    GeoPoint,
     Keyword,
     TrendGuardError,
-    haversine_km,
     local_day,
     local_hour,
     span_s,
 )
 from .ingest import TrendDay, TrendEpoch, TrendInstance, day_number_to_date
-from .detector import Verdict
 
 
 class NeverTrended(TrendGuardError):
@@ -36,10 +36,6 @@ class NeverTrended(TrendGuardError):
 
 class NoPriorTweets(TrendGuardError):
     """No tweets precede the trend's first list entry."""
-
-
-class InsufficientPoints(TrendGuardError):
-    """Fewer than two geotagged points fall inside the window."""
 
 
 class InconsistentTimeline(TrendGuardError):
@@ -164,20 +160,8 @@ def pre_entry_deletion_ratio(instance: TrendInstance, cycle: TrendLifecycle) -> 
 VerdictMap = Mapping[tuple[date, str], bool]
 
 
-def _as_verdict_map(verdicts: Union[VerdictMap, Iterable[Verdict]]) -> VerdictMap:
-    if isinstance(verdicts, Mapping):
-        return verdicts
-    mapping = {}
-    for verdict in verdicts:
-        if verdict.trend is None:
-            continue
-        key = (verdict.trend.date, verdict.trend.keyword.normalized)
-        mapping[key] = mapping.get(key, False) or verdict.attacked
-    return mapping
-
-
 def prevalence(
-    verdicts: Union[VerdictMap, Iterable[Verdict]],
+    verdicts: VerdictMap,
     epochs: Sequence[TrendEpoch],
     k: int = 10,
     tz_offset: int = DEFAULT_TZ_OFFSET,
@@ -188,7 +172,6 @@ def prevalence(
     no entrants are omitted. The daily average of the returned fractions is
     the headline prevalence number.
     """
-    verdict_map = _as_verdict_map(verdicts)
     entrants: dict[int, set[str]] = {}
     for epoch in epochs:
         day = local_day(epoch.captured_ms, tz_offset)
@@ -198,7 +181,7 @@ def prevalence(
     result = {}
     for day, keywords in sorted(entrants.items()):
         day_date = day_number_to_date(day)
-        attacked = sum(1 for kw in keywords if verdict_map.get((day_date, kw), False))
+        attacked = sum(1 for kw in keywords if verdicts.get((day_date, kw), False))
         result[day_date] = attacked / len(keywords)
     return result
 
@@ -217,28 +200,6 @@ def entry_hour_histogram(
     return bins
 
 
-def user_travel_distance(
-    points: Sequence[tuple[int, GeoPoint]], window_s: int = 5 * 86400
-) -> float:
-    """Total chronological great-circle distance over (ms, point) pairs
-    within ``window_s`` seconds.
-
-    The window anchors at the earliest point. Raises InsufficientPoints when
-    fewer than two points remain inside it.
-    """
-    ordered = sorted(points, key=lambda p: p[0])
-    if not ordered:
-        raise InsufficientPoints("no geotagged points")
-    t0 = ordered[0][0]
-    inside = [p for p in ordered if span_s(p[0], t0) <= window_s]
-    if len(inside) < 2:
-        raise InsufficientPoints(f"need at least 2 points in window, have {len(inside)}")
-    total = 0.0
-    for (_, a), (_, b) in zip(inside, inside[1:]):
-        total += haversine_km(a, b)
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class VolumeRow:
     label: str
@@ -249,7 +210,7 @@ class VolumeRow:
 
 def volume_report(
     instances: Mapping[tuple[date, str], TrendInstance],
-    verdicts: Union[VerdictMap, Iterable[Verdict]],
+    verdicts: VerdictMap,
     epochs: Sequence[TrendEpoch],
     tz_offset: int = DEFAULT_TZ_OFFSET,
 ) -> list[VolumeRow]:
@@ -259,7 +220,6 @@ def volume_report(
     keyword on its local day; trends whose snapshots never report a volume
     contribute nothing to the volume median.
     """
-    verdict_map = _as_verdict_map(verdicts)
     volume_index: dict[tuple[int, str], int] = {}
     for epoch in epochs:
         day = local_day(epoch.captured_ms, tz_offset)
@@ -272,7 +232,7 @@ def volume_report(
     undeleted: dict[str, list[int]] = {"attacked": [], "other": []}
     volumes: dict[str, list[int]] = {"attacked": [], "other": []}
     for key, instance in instances.items():
-        label = "attacked" if verdict_map.get(key, False) else "other"
+        label = "attacked" if verdicts.get(key, False) else "other"
         undeleted[label].append(len(instance.tweets) - len(instance.deletions))
         volume = volume_index.get((instance.trend.day_number(), key[1]))
         if volume is not None:

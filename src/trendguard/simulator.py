@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, get_type_hin
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    GeoPoint,
     Keyword,
     TrendGuardError,
     local_day,
@@ -33,6 +32,7 @@ from .ingest import (
     TrendDay,
     Tweet,
     TweetEvent,
+    _csv_rows,
     _keyword_index,
     build_trend_instances,
 )
@@ -88,8 +88,8 @@ def _place_keyword(words: list[str], keyword: Keyword, rng: random.Random) -> st
     return " ".join(words[:position] + keyword.raw.split() + words[position:])
 
 
-def _random_geo(rng: random.Random) -> GeoPoint:
-    return GeoPoint(rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
+def _random_geo(rng: random.Random) -> tuple[float, float]:
+    return (rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
 
 
 def _keyword_hashtags(keyword: Keyword) -> tuple[str, ...]:
@@ -205,13 +205,12 @@ def _organic_text(
     return f"{keyword.raw} {body}"
 
 
-@dataclass(frozen=True, slots=True)
-class EngagementMix:
-    retweet: float = 0.35
-    reply: float = 0.10
-    mention: float = 0.15
-    url: float = 0.15
-    extra_hashtag: float = 0.10
+# Engagement rates of organic tweets that are not lexicon-style.
+RETWEET_RATE = 0.35
+REPLY_RATE = 0.10
+MENTION_RATE = 0.15
+URL_RATE = 0.15
+EXTRA_HASHTAG_RATE = 0.10
 
 
 def gen_organic_trend(
@@ -226,7 +225,6 @@ def gen_organic_trend(
     deletion_rate: float = 0.023,
     lexicon_rate: float = 0.02,
     max_deletion_delay: int = 12 * 3600,
-    mix: EngagementMix = EngagementMix(),
     geo_rate: float = 0.01,
 ) -> EventCluster:
     """Uncoordinated discussion: mixed engagement, background-level deletions.
@@ -245,15 +243,15 @@ def gen_organic_trend(
         user_id = user_id_start + i
         created = t0 + rng.randint(0, span)
         lexicon_style = rng.random() < lexicon_rate
-        is_retweet = not lexicon_style and rng.random() < mix.retweet
-        is_reply = not lexicon_style and not is_retweet and rng.random() < mix.reply
+        is_retweet = not lexicon_style and rng.random() < RETWEET_RATE
+        is_reply = not lexicon_style and not is_retweet and rng.random() < REPLY_RATE
         mentions = ()
-        if not lexicon_style and rng.random() < mix.mention:
+        if not lexicon_style and rng.random() < MENTION_RATE:
             mentions = (rng.randint(1, 10_000_000),)
-        urls = 1 if (not lexicon_style and rng.random() < mix.url) else 0
+        urls = 1 if (not lexicon_style and rng.random() < URL_RATE) else 0
         tags = hashtags
         text = _organic_text(keyword, wordlist, rng, lexicon_style)
-        if not lexicon_style and rng.random() < mix.extra_hashtag:
+        if not lexicon_style and rng.random() < EXTRA_HASHTAG_RATE:
             extra = rng.choice(wordlist)
             text = f"{text} #{extra}"
             tags = hashtags + (extra,)
@@ -650,9 +648,9 @@ def group_stream_by_keyword(
 ) -> dict[str, list[TweetEvent]]:
     """Split a stream into per-keyword event lists keyed by normalized form.
 
-    A tweet joins the list of every keyword that match_keyword accepts for
-    it (keywords that share a normalized form share one list); deletions
-    follow their tweet.
+    A tweet joins the list of every keyword its text contains, matched as
+    the trend-day join matches them (keywords that share a normalized form
+    share one list); deletions follow their tweet.
     """
     streams: dict[str, list[TweetEvent]] = {}
     for _ in tee_by_keyword(events, keywords, streams, locale):
@@ -696,7 +694,6 @@ def trend_oracle(
     k: int = 10,
     epoch_seconds: int = 300,
     penalty_weight: float = 2.0,
-    locale: str = DEFAULT_LOCALE,
 ) -> list[tuple[int, list[str]]]:
     """Rank keywords every epoch by distinct posting users in a trailing
     window of ``window_s`` seconds.
@@ -879,7 +876,7 @@ def event_to_record(event: TweetEvent) -> dict:
     if tweet.is_reply:
         record["in_reply_to_status_id"] = tweet.id - 1
     if tweet.geo is not None:
-        record["geo"] = {"type": "Point", "coordinates": [tweet.geo.lat, tweet.geo.lon]}
+        record["geo"] = {"type": "Point", "coordinates": list(tweet.geo)}
     return record
 
 
@@ -929,11 +926,9 @@ def write_epochs_csv(
 
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:
-    import csv as _csv
-
     truth = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in _csv.DictReader(handle):
+        for row in _csv_rows(handle, ("date", "keyword", "attacked")):
             keyword = normalize_keyword(row["keyword"], locale)
             truth[(date.fromisoformat(row["date"]), keyword.normalized)] = bool(
                 int(row["attacked"])
@@ -958,8 +953,9 @@ _PARSERS = {
 }
 
 
-def save_scenario(config: ScenarioConfig, target) -> None:
-    """Write a scenario as flat `key = value` lines readable by load_scenario."""
+def save_scenario(config: ScenarioConfig, handle) -> None:
+    """Write a scenario to a text handle as flat `key = value` lines
+    readable by load_scenario."""
     lines = [
         f"{key} = {getattr(config, key)!r}"
         for kind in (int, float)
@@ -969,12 +965,7 @@ def save_scenario(config: ScenarioConfig, target) -> None:
     lines.extend(f"{key} = {getattr(config.params, key)}" for key in _PARAM_FIELDS)
     if config.wordlist_path:
         lines.append(f'wordlist_path = "{config.wordlist_path}"')
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        target.write(text)
+    handle.write("\n".join(lines) + "\n")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import TrendDay, TrendInstance, Tweet
+from trendguard.ingest import ParseStats, TrendDay, TrendInstance, Tweet, read_stream
 
 # Local noon on 2019-06-18 (UTC+3).
 DAY = date(2019, 6, 18)
@@ -38,6 +38,12 @@ def make_tweet(
         is_reply=is_reply,
         geo=geo,
     )
+
+
+def read_all(source):
+    """Every event of a stream, with the read's counters."""
+    stats = ParseStats()
+    return list(read_stream(source, stats=stats)), stats
 
 
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:

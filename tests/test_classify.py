@@ -1,22 +1,18 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
 from trendguard.classify import (
     TURKISH_ALPHABET,
-    EmptyCorpus,
     TweetFlags,
     compute_flags,
     is_lexicon_tweet,
     is_single_engagement,
-    lexicon_stats,
-    lexicon_token_count,
     strip_keyword_and_emoji,
 )
 
-from conftest import make_instance, make_tweet
+from conftest import make_tweet
 
 
 class TestStripKeywordAndEmoji:
@@ -136,54 +132,6 @@ class TestFlagsAndStats:
         assert flags.is_lexicon and flags.is_single_engagement
         assert flags.token_count == 2
 
-    def test_all_lexicon_all_deleted(self):
-        tweets = [
-            make_tweet(i, i, "yarım gün #tag", i, hashtags=["tag"]) for i in range(1, 4)
-        ]
-        instance = make_instance("#tag", tweets, {1: 100, 2: 100, 3: 100})
-        table = lexicon_stats([instance])
-        rows = dict((label, (a, b)) for label, a, b in table.rows())
-        assert rows["deleted_lex_over_all_deleted"][0] == 1.0
-        assert rows["deleted_lex_over_all_lex"][0] == 1.0
-
-    def test_hand_counted_ratio(self):
-        # 10 deleted tweets, 3 of them lexicon.
-        tweets = []
-        deletions = {}
-        for i in range(1, 11):
-            text = "yarım gün #tag" if i <= 3 else "Organik bir cümle burada! #tag"
-            tweets.append(make_tweet(i, i, text, i, hashtags=["tag"]))
-            deletions[i] = 1000
-        instance = make_instance("#tag", tweets, deletions)
-        table = lexicon_stats([instance])
-        rows = dict((label, (a, b)) for label, a, b in table.rows())
-        assert rows["deleted_lex_over_all_deleted"][0] == pytest.approx(0.3)
-
-    def test_background_column(self):
-        background = [
-            (make_tweet(1, 1, "yarım gün", 0, hashtags=[]), True),
-            (make_tweet(2, 2, "Organik cümle.", 0, hashtags=[]), True),
-            (make_tweet(3, 3, "başka bir şey", 0, hashtags=[]), False),
-        ]
-        table = lexicon_stats([], background)
-        rows = dict((label, (a, b)) for label, a, b in table.rows())
-        assert rows["all_tweets"][1] == 3
-        assert rows["deleted_lex_over_all_deleted"][1] == pytest.approx(0.5)
-
-    def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpus):
-            lexicon_stats([], [])
-
-    def test_csv_has_six_rows(self, tmp_path):
-        import io
-
-        tweets = [make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])]
-        table = lexicon_stats([make_instance("#tag", tweets, {})])
-        buffer = io.StringIO()
-        table.write_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert len(lines) == 7  # header + six statistics rows
-
 
 def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
     """The lexicon rule as written before flags stripped each text once."""
@@ -237,9 +185,7 @@ def test_compute_flags_equals_the_three_classifiers(text, raw_keyword, locale, m
     assert flags == TweetFlags(
         is_lexicon_tweet(text, keyword, locale),
         is_single_engagement(tweet, keyword, locale),
-        lexicon_token_count(text, keyword, locale),
+        len(strip_keyword_and_emoji(text, keyword, locale).split()),
     )
     assert flags.is_lexicon == reference_is_lexicon(text, keyword, locale)
-    assert flags.token_count == len(strip_keyword_and_emoji(text, keyword, locale).split())
-    assert is_lexicon_tweet(text, None, locale, "abc") == \
-        reference_is_lexicon(text, None, locale, "abc")
+    assert is_lexicon_tweet(text, None, locale) == reference_is_lexicon(text, None, locale)

@@ -56,9 +56,9 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--gzip", "--out", str(a)]) == 0
         assert main(["simulate", "--config", str(config), "--gzip", "--out", str(b)]) == 0
         assert (a / "stream.jsonl.gz").read_bytes() == (b / "stream.jsonl.gz").read_bytes()
-        from trendguard.ingest import read_stream_list
+        from conftest import read_all
 
-        events, stats = read_stream_list(str(a / "stream.jsonl.gz"))
+        events, stats = read_all(str(a / "stream.jsonl.gz"))
         assert stats.creations > 0 and stats.malformed_skipped == 0
 
 
@@ -478,6 +478,59 @@ class TestThresholdOverride:
         assert code == 1
         assert "RULE=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule, message", [
+        ("99", "undefined rule id: '99'"),
+        ("1", "rule 1 is not in preset 'lexicon-tree'"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "scan", "evaluate"])
+    def test_threshold_that_changes_nothing_exits_1(self, sim_dir, tmp_path, capsys,
+                                                     command, rule, message):
+        out = tmp_path / "out.json"
+        inputs = {
+            "detect": ["--stream", str(sim_dir / "stream.jsonl"),
+                       "--trends", str(sim_dir / "trends.csv")],
+            "scan": ["--stream", str(sim_dir / "stream.jsonl")],
+            "evaluate": ["--sim", str(sim_dir)],
+        }[command]
+        code = main([command, *inputs, "--threshold", f"{rule}=0.5", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trendguard {command}: {message}\n"
+        assert not out.exists()
+
+
+class TestMalformedInputFiles:
+    """A malformed input file exits 1 with its path and line, not a traceback."""
+
+    @pytest.mark.parametrize("name, text, command, line", [
+        ("trends.csv", "keyword\n#a\n", "detect", 1),
+        ("trends.csv", "date,keyword\n2019-06-18,#a\n2019-06-18\n", "detect", 3),
+        ("epochs.csv", "location,rank,keyword,volume\nsim,1,#a,\n", "metrics", 1),
+        ("verdicts.jsonl", '{"date": "2019-06-18", "attacked": true}\n', "metrics", 1),
+        ("truth.csv", "date,keyword\n2019-06-18,#a\n", "evaluate", 1),
+    ])
+    def test_exits_1_naming_path_and_line(self, sim_with_epochs, tmp_path, capsys,
+                                          name, text, command, line):
+        sim = tmp_path / "sim"
+        shutil.copytree(sim_with_epochs, sim)
+        (sim / "verdicts.jsonl").write_text(
+            '{"attacked": false, "date": "2019-06-18", "keyword": "x"}\n')
+        (sim / name).write_text(text)
+        out = tmp_path / "out"
+        inputs = ["--stream", str(sim / "stream.jsonl"), "--trends", str(sim / "trends.csv")]
+        argv = {
+            "detect": ["detect", *inputs, "--out", str(out)],
+            "metrics": ["metrics", *inputs, "--epochs", str(sim / "epochs.csv"),
+                        "--verdicts", str(sim / "verdicts.jsonl"), "--out", str(out)],
+            "evaluate": ["evaluate", "--sim", str(sim)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"trendguard {command}: {sim / name}:{line}: ")
+        assert not out.exists()
+
 
 class TestParserDefaults:
     def test_env_locale_override(self, monkeypatch):
@@ -507,7 +560,6 @@ class TestParserDefaults:
         ["evaluate", "--sim", "x"],
     ])
     def test_custom_preset_is_usage_error(self, argv):
-        # A custom formula can only be supplied through the library.
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args([*argv, "--preset", "custom"])
         assert err.value.code == 2

@@ -2,16 +2,12 @@ import random
 from datetime import date
 from itertools import combinations
 
-import pytest
-
 from trendguard.ingest import Creation, Deletion
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
 from trendguard.detector import (
     AttackParams,
     DetectorConfig,
-    UnknownRule,
-    RuleCheck,
     classify_trend,
     detect_attack_windows,
     label_astrobots,
@@ -83,15 +79,6 @@ class TestClassifyTrend:
         config = DetectorConfig(preset="ratio-only")
         assert classify_trend(fv(n_deleted=17, deletion_ratio=0.25), config).attacked
         assert not classify_trend(fv(n_deleted=16, deletion_ratio=0.9), config).attacked
-
-    def test_custom_unknown_rule(self):
-        config = DetectorConfig(preset="custom", formula=[[RuleCheck("99", 1.0)]])
-        with pytest.raises(UnknownRule):
-            classify_trend(fv(), config)
-
-    def test_custom_formula(self):
-        config = DetectorConfig(preset="custom", formula=[[RuleCheck("1", 5)]])
-        assert classify_trend(fv(n_deleted=5), config).attacked
 
     def test_pure_function(self):
         features = fv(n_deleted_lexicon=4, lexicon_deletion_ratio=0.5)
@@ -355,7 +342,9 @@ class TestLabelAstrobots:
         flags = {
             (i.trend.date, i.keyword.normalized): flags_for_instance(i) for i in instances
         }
-        config = DetectorConfig(preset="custom", formula=[[RuleCheck("8", 2)]])
+        # Rule 9 holds for all three trends (ratios 1.0, 1.0, 1.0); rule 8
+        # separates them.
+        config = DetectorConfig(thresholds={"8": 2})
         verdicts = []
         for instance in instances:
             key = (instance.trend.date, instance.keyword.normalized)

@@ -58,7 +58,9 @@ def modularity_oracle(graph, assignment):
     for u in nodes:
         for v in nodes:
             a = graph.neighbors(u).get(v, 0)
-            expected = graph.weighted_degree(u) * graph.weighted_degree(v) / m2
+            k_u = sum(graph.neighbors(u).values())
+            k_v = sum(graph.neighbors(v).values())
+            expected = k_u * k_v / m2
             if assignment[u] == assignment[v]:
                 q += a - expected
     return q / m2
@@ -127,7 +129,7 @@ class TestBuildGraph:
     def test_order_independence(self):
         instances = self._instances()
         g1 = build_graph(instances, UNDELETED)
-        g2 = build_graph(list(reversed(list(instances.values()))), UNDELETED)
+        g2 = build_graph(dict(reversed(list(instances.items()))), UNDELETED)
         assert g1.edges() == g2.edges()
 
 
@@ -315,7 +317,7 @@ class TestCommunitySummary:
             1: [(DAY_NOON - 370 * 86400) * 1000],  # gap over a year: dormant
             2: [(DAY_NOON - 10 * 86400) * 1000],
         }
-        summaries = community_summary(partition, [instance], attack_times,
+        summaries = community_summary(partition, {(DAY, "a"): instance}, attack_times,
                                       dormancy_s=year)
         assert len(summaries) == 1
         summary = summaries[0]

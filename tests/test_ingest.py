@@ -16,17 +16,15 @@ from trendguard.ingest import (
     ParseStats,
     Skip,
     TrendDay,
-    build_trend_instance,
     build_trend_instances,
     load_trend_days,
     load_trend_epochs,
-    match_keyword,
     parse_stream_line,
     read_stream,
-    read_stream_list,
 )
 
-from conftest import DAY, DAY_NOON, make_tweet
+from conftest import DAY, DAY_NOON, make_tweet, read_all
+from oracles import build_trend_instance, match_keyword
 
 STATUS_LINE = json.dumps(
     {
@@ -61,7 +59,7 @@ class TestParseStreamLine:
         assert tweet.mentions == (42,)
         assert tweet.urls == 1
         assert not tweet.is_retweet and not tweet.is_reply
-        assert tweet.geo.lat == pytest.approx(41.0)
+        assert tweet.geo is None  # the record's geo is not read
         # Tue Jun 18 09:00:00 UTC 2019
         assert tweet.created_ms == 1560848400 * 1000
 
@@ -109,7 +107,7 @@ class TestParseStreamLine:
         line = json.dumps(record)
         with pytest.raises(MalformedLine):
             parse_stream_line(line)
-        events, stats = read_stream_list(io.BytesIO((line + "\n" + DELETE_LINE).encode()))
+        events, stats = read_all(io.BytesIO((line + "\n" + DELETE_LINE).encode()))
         assert len(events) == 1
         assert stats.malformed_skipped == 1
         assert stats.consistent
@@ -154,7 +152,7 @@ class TestParseStreamLine:
 class TestReadStream:
     def test_counts_valid_lines(self):
         payload = "\n".join([STATUS_LINE, STATUS_LINE, DELETE_LINE]) + "\n"
-        events, stats = read_stream_list(io.BytesIO(payload.encode()))
+        events, stats = read_all(io.BytesIO(payload.encode()))
         assert len(events) == 3
         assert (stats.creations, stats.deletions) == (2, 1)
         assert stats.malformed_skipped == 0
@@ -162,7 +160,7 @@ class TestReadStream:
 
     def test_garbage_counted_not_fatal(self):
         payload = STATUS_LINE + "\n{broken\n" + STATUS_LINE + "\n"
-        events, stats = read_stream_list(io.BytesIO(payload.encode()))
+        events, stats = read_all(io.BytesIO(payload.encode()))
         assert len(events) == 2
         assert stats.malformed_skipped == 1
         assert stats.consistent
@@ -188,7 +186,7 @@ class TestReadStream:
         else:
             path = tmp_path / "events.json.bz2"
             path.write_bytes(bz2.compress(payload))
-        events, stats = read_stream_list(str(path))
+        events, stats = read_all(str(path))
         assert len(events) == 2
         assert stats.consistent
 
@@ -199,17 +197,9 @@ class TestReadStream:
         path = tmp_path / "events.compressed"
         path.write_bytes(data)
         for source in (str(path), io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
-            events, stats = read_stream_list(source, compressed=True)
+            events, stats = read_all(source)
             assert [type(e) for e in events] == [Creation, Deletion]
             assert stats.consistent
-
-    def test_compressed_true_rejects_plain_input(self, tmp_path):
-        payload = (STATUS_LINE + "\n").encode()
-        path = tmp_path / "events.jsonl"
-        path.write_bytes(payload)
-        for source in (str(path), io.BytesIO(payload)):
-            with pytest.raises(MalformedLine):
-                read_stream_list(source, compressed=True)
 
     def test_prefiltered_lines_counted_not_decoded(self):
         payload = "\n".join([STATUS_LINE, "{broken", DELETE_LINE]) + "\n"
@@ -297,22 +287,26 @@ def _day_events():
     return events
 
 
+def _join(trend, events):
+    return build_trend_instances([trend], events)[(trend.date, trend.keyword.normalized)]
+
+
 class TestBuildTrendInstance:
     def test_day_window_and_matching(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)
-        instance = build_trend_instance(trend, _day_events())
+        instance = _join(trend, _day_events())
         assert [t.id for t in instance.tweets] == [3, 1]
         assert instance.deletions[1] == (DAY_NOON + 60) * 1000
 
     def test_order_independence(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = _day_events()
-        base = build_trend_instance(trend, events)
+        base = _join(trend, events)
         rng = random.Random(3)
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            other = build_trend_instance(trend, shuffled)
+            other = _join(trend, shuffled)
             assert [t.id for t in other.tweets] == [t.id for t in base.tweets]
             assert other.deletions == base.deletions
 
@@ -322,7 +316,7 @@ class TestBuildTrendInstance:
             Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON - 5) * 1000),
         ]
-        instance = build_trend_instance(trend, events)
+        instance = _join(trend, events)
         assert instance.deletions == {}
         assert instance.invalid_deletions == 1
 
@@ -333,7 +327,7 @@ class TestBuildTrendInstance:
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 100) * 1000),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 50) * 1000),
         ]
-        instance = build_trend_instance(trend, events)
+        instance = _join(trend, events)
         assert instance.deletions[1] == (DAY_NOON + 50) * 1000
 
     def test_multi_trend_join_matches_single(self, tag_keyword):

@@ -11,13 +11,12 @@ from trendguard.ingest import (
     Creation,
     Deletion,
     TrendDay,
-    build_trend_instance,
     build_trend_instances,
-    match_keyword,
 )
 from trendguard.simulator import group_stream_by_keyword
 
 from conftest import DAY, DAY_NOON, make_tweet
+from oracles import build_trend_instance, match_keyword
 
 # Turkish dotted/dotless I in every case, edge punctuation, hashtags that
 # extend a keyword, and bare '#'.

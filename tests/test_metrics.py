@@ -3,10 +3,9 @@ from datetime import date
 
 import pytest
 
-from trendguard.core import GeoPoint, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.ingest import TrendDay, load_trend_epochs
 from trendguard.metrics import (
-    InsufficientPoints,
     NeverTrended,
     NoPriorTweets,
     daily_average,
@@ -16,7 +15,6 @@ from trendguard.metrics import (
     prevalence,
     trend_day_lifecycles,
     trend_speed,
-    user_travel_distance,
     volume_report,
 )
 
@@ -276,35 +274,6 @@ class TestEntryHours:
                                day_start + 23 * 3600])
         bins = entry_hour_histogram(cycles)
         assert bins[2] == 2 and bins[23] == 1
-
-
-class TestTravelDistance:
-    IST = GeoPoint(41.01, 28.98)
-    ANK = GeoPoint(39.93, 32.86)
-
-    def test_identical_points_zero(self):
-        points = [(0, self.IST), (60 * 1000, self.IST)]
-        assert user_travel_distance(points) == 0.0
-
-    def test_istanbul_ankara_round_trip(self):
-        points = [(0, self.IST), (3600 * 1000, self.ANK),
-                  (7200 * 1000, self.IST)]
-        assert user_travel_distance(points) == pytest.approx(702, abs=10)
-
-    def test_single_point_raises(self):
-        with pytest.raises(InsufficientPoints):
-            user_travel_distance([(0, self.IST)])
-
-    def test_window_excludes_late_points(self):
-        points = [(0, self.IST),
-                  (6 * 86400 * 1000, self.ANK)]
-        with pytest.raises(InsufficientPoints):
-            user_travel_distance(points, window_s=5 * 86400)
-
-    def test_duplicate_consecutive_point_invariant(self):
-        base = [(0, self.IST), (100 * 1000, self.ANK)]
-        doubled = [base[0], (50 * 1000, self.IST), base[1]]
-        assert user_travel_distance(base) == pytest.approx(user_travel_distance(doubled))
 
 
 class TestVolumeReport:

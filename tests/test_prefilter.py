@@ -28,13 +28,13 @@ from trendguard.ingest import (
     _may_hold_deletion,
     build_instances_from_files,
     build_trend_instances,
-    match_keyword,
     parse_stream_line,
     read_stream,
     text_tokens,
 )
 
 from conftest import DAY, DAY_NOON
+from oracles import match_keyword
 
 
 def escape_strings(encoded: str, rng: random.Random, rate: float) -> str:

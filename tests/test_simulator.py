@@ -5,12 +5,11 @@ from dataclasses import replace
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import Creation, Deletion, read_stream_list
+from trendguard.ingest import Creation, Deletion
 from trendguard.classify import flags_for_instance, is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
 from trendguard.simulator import (
-    EngagementMix,
     InfeasibleParams,
     WordlistTooSmall,
     build_stream,
@@ -27,7 +26,7 @@ from trendguard.simulator import (
     write_stream_jsonl,
 )
 
-from conftest import make_instance
+from conftest import make_instance, read_all
 
 WORDLIST = load_wordlist()
 
@@ -146,8 +145,7 @@ class TestGenOrganic:
 
     def test_engagement_mix_produces_variety(self):
         rng = random.Random(14)
-        cluster = gen_organic_trend(self.KW, 500, 3600, rng, WORDLIST,
-                                    mix=EngagementMix())
+        cluster = gen_organic_trend(self.KW, 500, 3600, rng, WORDLIST)
         tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
         assert any(t.is_retweet for t in tweets)
         assert any(t.mentions for t in tweets)
@@ -253,7 +251,7 @@ class TestLabeledStream:
         labeled = build_stream(config)
         buffer = io.StringIO()
         write_stream_jsonl(buffer, labeled.events())
-        parsed, stats = read_stream_list(io.BytesIO(buffer.getvalue().encode()))
+        parsed, stats = read_all(io.BytesIO(buffer.getvalue().encode()))
         assert stats.malformed_skipped == 0
         original = list(labeled.events())
         assert len(parsed) == len(original)
@@ -281,9 +279,7 @@ class TestEvaluate:
                          adoption_tweets_min=20, adoption_tweets_max=40,
                          sample_rate=1.0)
         labeled = build_stream(config)
-        from trendguard.detector import RuleCheck
-
-        never = DetectorConfig(preset="custom", formula=[[RuleCheck("8", 10 ** 9)]])
+        never = DetectorConfig(thresholds={"8": 10 ** 9})
         report = evaluate(never, labeled)
         assert report.recall == 0.0
         assert report.tp == 0
@@ -360,7 +356,8 @@ class TestScenarioFiles:
         config = replace(default_scenario(), seed=99, bots_min=150,
                          sample_rate=0.02, params=AttackParams(kappa=5))
         path = tmp_path / "scenario.cfg"
-        save_scenario(config, str(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            save_scenario(config, handle)
         loaded = load_scenario(str(path))
         assert loaded == config
 
