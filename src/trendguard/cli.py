@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, replace
 from datetime import date
@@ -107,6 +106,7 @@ def _map_fn(jobs: int, n_tasks: int):
     if jobs <= 1 or n_tasks <= 1:
         yield map
     else:
+        from concurrent.futures import ProcessPoolExecutor  # not paid by serial runs
         with ProcessPoolExecutor(max_workers=min(jobs, n_tasks)) as pool:
             yield pool.map
 
@@ -258,11 +258,14 @@ def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if not isinstance(record, dict) or not {"date", "keyword", "attacked"} <= record.keys():
-                raise BadRow(f"{path}:{lineno}: a verdict record needs date, keyword and attacked")
-            key = (date.fromisoformat(record["date"]), record["keyword"])
-            mapping[key] = mapping.get(key, False) or bool(record["attacked"])
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict) or not {"date", "keyword", "attacked"} <= record.keys():
+                    raise ValueError("a verdict record needs date, keyword and attacked")
+                key = (date.fromisoformat(record["date"]), record["keyword"])
+                mapping[key] = mapping.get(key, False) or bool(record["attacked"])
+            except (TypeError, ValueError) as exc:
+                raise BadRow(f"{path}:{lineno}: {exc}") from exc
     return mapping
 
 

@@ -8,11 +8,11 @@ per-minute burst entropy of creations and deletions.
 from __future__ import annotations
 
 import csv
+import math
+import statistics
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Mapping, Optional
-
-import numpy as np
 
 from .core import TrendGuardError, span_s
 from .ingest import TrendInstance, Tweet
@@ -58,6 +58,27 @@ def _ordered(tweets: Iterable[Tweet]) -> list[Tweet]:
     return sorted(tweets, key=lambda t: (t.created_ms, t.id))
 
 
+def pairwise_sum(values: list[float]) -> float:
+    """The sum in float64 ``np.sum``'s pairwise order, equal to it bit for bit:
+    8 strided accumulators in blocks of up to 128 terms, halves split at a
+    multiple of 8 above. Explicit ``+=``: builtin sum() compensates on 3.12+."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
+        acc = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for value in values[tail:]:
+        total += value
+    return total
+
+
 def minute_entropy(times_ms: Iterable[int]) -> float:
     """Shannon entropy (bits) of event counts per absolute epoch minute.
 
@@ -69,9 +90,9 @@ def minute_entropy(times_ms: Iterable[int]) -> float:
         return 0.0
     # Summation in canonical bin order keeps the value exactly
     # permutation-invariant despite floating-point non-associativity.
-    values = np.array([counts[b] for b in sorted(counts)], dtype=np.float64)
-    probs = values / values.sum()
-    return float(-(probs * np.log2(probs)).sum())
+    total = sum(counts.values())
+    probs = [counts[b] / total for b in sorted(counts)]
+    return -pairwise_sum([p * math.log2(p) for p in probs])
 
 
 def initial_deletions(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> int:
@@ -116,8 +137,8 @@ def lifetime_stats(instance: TrendInstance) -> LifetimeStats:
         lifetimes.append(span)
     if not lifetimes:
         return LifetimeStats((), None, None, negative)
-    arr = np.array(lifetimes, dtype=np.int64)
-    return LifetimeStats(tuple(lifetimes), float(np.median(arr)), float(arr.mean()), negative)
+    return LifetimeStats(tuple(lifetimes), float(statistics.median(lifetimes)),
+                         sum(lifetimes) / len(lifetimes), negative)
 
 
 def _candidate_subset(

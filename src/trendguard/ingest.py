@@ -406,10 +406,11 @@ def _text_input(source):
     return nullcontext(source)
 
 
-def _csv_rows(handle, required: Sequence[str]) -> Iterator[dict[str, str]]:
-    """The rows of a CSV with a header line, each holding every ``required``
-    column. A header without one, or a row too short to fill one, raises
-    BadRow naming the file and line."""
+def _csv_rows(handle, required: Sequence[str], parse: Callable[[dict[str, str]], object]) -> Iterator:
+    """``parse`` of each row of a CSV with a header line, each row holding
+    every ``required`` column. A header without one, a row too short to fill
+    one, or a value ``parse`` rejects raises an error naming the file and
+    line: the package's own error keeps its class, any other is a BadRow."""
     name = getattr(handle, "name", "<input>")
     reader = csv.DictReader(handle)
     header = reader.fieldnames
@@ -422,7 +423,12 @@ def _csv_rows(handle, required: Sequence[str]) -> Iterator[dict[str, str]]:
         for column in required:
             if row[column] is None:
                 raise BadRow(f"{name}:{reader.line_num}: row has no {column!r} field")
-        yield row
+        try:
+            item = parse(row)
+        except (TrendGuardError, ValueError) as exc:
+            error = type(exc) if isinstance(exc, TrendGuardError) else BadRow
+            raise error(f"{name}:{reader.line_num}: {exc}") from exc
+        yield item
 
 
 def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
@@ -432,19 +438,16 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
     contiguous sequence 1..n. An empty volume cell means the platform
     reported none.
     """
+    def parse(row):
+        volume = (row.get("volume") or "").strip()
+        key = (_parse_iso_ms(row["captured_at"]), (row.get("location") or "").strip())
+        rank = int(row["rank"])
+        return key, (rank, normalize_keyword(row["keyword"], locale), int(volume) if volume else None)
+
     grouped: dict[tuple[int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
     with _text_input(source) as handle:
-        for row in _csv_rows(handle, ("captured_at", "rank", "keyword")):
-            when = _parse_iso_ms(row["captured_at"])
-            location = (row.get("location") or "").strip()
-            try:
-                rank = int(row["rank"])
-            except ValueError as exc:
-                raise BadRank(f"unparsable rank: {row['rank']!r}") from exc
-            keyword = normalize_keyword(row["keyword"], locale)
-            vol_text = (row.get("volume") or "").strip()
-            volume = int(vol_text) if vol_text else None
-            grouped.setdefault((when, location), []).append((rank, keyword, volume))
+        for key, entry in _csv_rows(handle, ("captured_at", "rank", "keyword"), parse):
+            grouped.setdefault(key, []).append(entry)
     epochs = []
     for key in sorted(grouped):
         entries = sorted(grouped[key], key=lambda e: e[0])
@@ -461,18 +464,14 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
 
 def load_trend_days(source, locale: str = DEFAULT_LOCALE) -> list[TrendDay]:
     """Load a `date,keyword` CSV into unique TrendDays, input order preserved."""
-    seen = set()
-    days = []
+    def parse(row):
+        return TrendDay(date.fromisoformat(row["date"].strip()), normalize_keyword(row["keyword"], locale))
+
+    days: dict[tuple[date, str], TrendDay] = {}
     with _text_input(source) as handle:
-        for row in _csv_rows(handle, ("date", "keyword")):
-            day = date.fromisoformat(row["date"].strip())
-            keyword = normalize_keyword(row["keyword"], locale)
-            key = (day, keyword.normalized)
-            if key in seen:
-                continue
-            seen.add(key)
-            days.append(TrendDay(date=day, keyword=keyword))
-    return days
+        for trend in _csv_rows(handle, ("date", "keyword"), parse):
+            days.setdefault((trend.date, trend.keyword.normalized), trend)
+    return list(days.values())
 
 
 # ---------------------------------------------------------------------------

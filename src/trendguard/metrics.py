@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     DEFAULT_TZ_OFFSET,
     Keyword,
@@ -246,8 +244,8 @@ def volume_report(
             VolumeRow(
                 label=label,
                 n_trends=len(counts),
-                median_undeleted=float(np.median(counts)) if counts else None,
-                median_volume=float(np.median(vols)) if vols else None,
+                median_undeleted=float(statistics.median(counts)) if counts else None,
+                median_volume=float(statistics.median(vols)) if vols else None,
             )
         )
     return rows

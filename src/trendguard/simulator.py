@@ -926,14 +926,12 @@ def write_epochs_csv(
 
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:
-    truth = {}
+    def parse(row):
+        key = (date.fromisoformat(row["date"]), normalize_keyword(row["keyword"], locale).normalized)
+        return key, bool(int(row["attacked"]))
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in _csv_rows(handle, ("date", "keyword", "attacked")):
-            keyword = normalize_keyword(row["keyword"], locale)
-            truth[(date.fromisoformat(row["date"]), keyword.normalized)] = bool(
-                int(row["attacked"])
-            )
-    return truth
+        return dict(_csv_rows(handle, ("date", "keyword", "attacked"), parse))
 
 
 # ---------------------------------------------------------------------------

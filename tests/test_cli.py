@@ -509,6 +509,19 @@ class TestMalformedInputFiles:
         ("epochs.csv", "location,rank,keyword,volume\nsim,1,#a,\n", "metrics", 1),
         ("verdicts.jsonl", '{"date": "2019-06-18", "attacked": true}\n', "metrics", 1),
         ("truth.csv", "date,keyword\n2019-06-18,#a\n", "evaluate", 1),
+        # A malformed value, not just a missing field, names its line too.
+        ("trends.csv", "date,keyword\n2019-13-01,#a\n", "detect", 2),
+        ("epochs.csv", "captured_at,location,rank,keyword,volume\n"
+                       "2019-06-18T12:00:00Z,sim,1,#a,12k\n", "metrics", 2),
+        ("epochs.csv", "captured_at,location,rank,keyword,volume\n"
+                       "yesterday,sim,1,#a,\n", "metrics", 2),
+        ("epochs.csv", "captured_at,location,rank,keyword,volume\n"
+                       "2019-06-18T12:00:00Z,sim,first,#a,\n", "metrics", 2),
+        ("truth.csv", "date,keyword,attacked\n2019-06-18,#a,yes\n", "evaluate", 2),
+        ("verdicts.jsonl", '{"attacked": false, "date": "2019-06-18", "keyword": "x"}\n'
+                           "not json\n", "metrics", 2),
+        ("verdicts.jsonl", '{"attacked": true, "date": "2019-06-18", "keyword": ["x"]}\n',
+         "metrics", 1),
     ])
     def test_exits_1_naming_path_and_line(self, sim_with_epochs, tmp_path, capsys,
                                           name, text, command, line):
