@@ -8,16 +8,15 @@ classify each trend, and label the participating bot accounts.
 """
 
 import random
-from dataclasses import replace
 
 from trendguard.classify import flags_for_instance
 from trendguard.detector import DetectorConfig, classify_trend, label_astrobots
 from trendguard.features import count_features
 from trendguard.ingest import build_trend_instances
-from trendguard.simulator import build_stream, default_scenario, sample_stream
+from trendguard.simulator import ScenarioConfig, build_stream, sample_stream
 
-scenario = replace(
-    default_scenario(seed=42),
+scenario = ScenarioConfig(
+    seed=42,
     n_days=7,
     organic_per_day=8,
     attacked_per_day=3,

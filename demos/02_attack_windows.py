@@ -30,12 +30,13 @@ organic = gen_organic_trend(keyword, n_users=120, span=6 * 3600, rng=rng,
                             wordlist=wordlist, t0=attack_t0 + 900,
                             tweet_id_start=10_000, user_id_start=10_000)
 
-events = attack.events + organic.events
+events = attack + organic
 trend = TrendDay(date=date(2019, 6, 18), keyword=keyword)
 instance = build_trend_instances([trend], events)[(trend.date, keyword.normalized)]
 flags = flags_for_instance(instance)
 
-sample = next(e.tweet.text for e in attack.events if isinstance(e, Creation))
+sample = next(e.tweet.text for e in attack if isinstance(e, Creation))
+planted_bots = {e.tweet.user_id for e in attack if isinstance(e, Creation)}
 print(f"a generated attack tweet: {sample!r}")
 print(f"instance: {len(instance.tweets)} tweets, {len(instance.deletions)} deleted\n")
 
@@ -46,7 +47,7 @@ for event in clusters:
           f"creation span {event.creation_window_s}s | "
           f"deletion span {event.deletion_window_s}s | "
           f"max lifetime {event.max_lifetime_s}s")
-    planted = event.users & attack.user_ids
+    planted = event.users & planted_bots
     print(f"  -> {len(planted)}/{len(event.users)} members are the planted bots")
 
 vector = count_features(instance, flags)

@@ -23,7 +23,7 @@ from trendguard.graph import (
     network_overlap,
     single_attack_filter,
 )
-from trendguard.ingest import TrendDay, TrendInstance, Tweet
+from trendguard.ingest import Creation, Deletion, TrendDay, Tweet, build_trend_instances
 
 rng = random.Random(3)
 DAY_START = 18065 * 86400 - 10800
@@ -35,37 +35,37 @@ CAMPAIGNS = {
 AUDIENCES = {"jobs": range(100, 140), "bets": range(200, 240)}
 BOTS = range(900, 930)  # shared astrobot pool; each bot hits many trends
 
-instances = {}
+trends = []
+events = []
 tweet_id = 1
 for day_offset, (campaign, keywords) in enumerate(CAMPAIGNS.items()):
     audience = list(AUDIENCES[campaign])
     for j, raw in enumerate(keywords):
-        keyword = normalize_keyword(raw, "tr")
         day = date(2019, 6, 18 + day_offset)
-        trend = TrendDay(date=day, keyword=keyword)
-        instance = TrendInstance(trend=trend)
+        trends.append(TrendDay(date=day, keyword=normalize_keyword(raw, "tr")))
         base = DAY_START + day_offset * 86400 + 10 * 3600 + j * 1800
 
         # Bots: one deleted lexicon tweet each, a subset per trend.
         for bot in rng.sample(list(BOTS), 18):
-            instance.tweets.append(Tweet(
+            events.append(Creation(Tweet(
                 id=tweet_id, user_id=bot, text=f"yarım gün oyalanma {raw}",
                 created_ms=(base + rng.randint(0, 50)) * 1000,
                 hashtags=(raw[1:],),
-            ))
-            instance.deletions[tweet_id] = (base + 90 + rng.randint(0, 40)) * 1000
+            )))
+            events.append(Deletion(tweet_id=tweet_id, user_id=bot,
+                                   time_ms=(base + 90 + rng.randint(0, 40)) * 1000))
             tweet_id += 1
         # Audience: kept tweets from a consistent interest group.
         for member in rng.sample(audience, 25):
-            instance.tweets.append(Tweet(
+            events.append(Creation(Tweet(
                 id=tweet_id, user_id=member,
                 text=f"Kampanyaya destek olalım! {raw}",
                 created_ms=(base + 600 + rng.randint(0, 7200)) * 1000,
                 hashtags=(raw[1:],),
-            ))
+            )))
             tweet_id += 1
-        instance.tweets.sort(key=lambda t: (t.created_ms, t.id))
-        instances[(day, keyword.normalized)] = instance
+
+instances = build_trend_instances(trends, events)
 
 flags = {key: flags_for_instance(inst) for key, inst in instances.items()}
 

@@ -7,17 +7,15 @@ itself out of the list the moment the deletions land, while organic trends,
 whose deletions are rare and scattered, keep their slots.
 """
 
-from dataclasses import replace
-
 from trendguard.simulator import (
+    ScenarioConfig,
     build_stream,
-    default_scenario,
     group_stream_by_keyword,
     trend_oracle,
 )
 
-scenario = replace(
-    default_scenario(seed=5),
+scenario = ScenarioConfig(
+    seed=5,
     n_days=3,
     organic_per_day=10,
     attacked_per_day=3,

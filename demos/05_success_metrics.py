@@ -7,7 +7,6 @@ a large share of top-10 entrants are attack-driven.
 """
 
 import io
-from dataclasses import replace
 
 from trendguard.classify import flags_for_instance
 from trendguard.detector import DetectorConfig, classify_trend
@@ -25,15 +24,15 @@ from trendguard.metrics import (
     volume_report,
 )
 from trendguard.simulator import (
+    ScenarioConfig,
     build_stream,
-    default_scenario,
     group_stream_by_keyword,
     trend_oracle,
     write_epochs_csv,
 )
 
-scenario = replace(
-    default_scenario(seed=19),
+scenario = ScenarioConfig(
+    seed=19,
     n_days=3,
     organic_per_day=10,
     attacked_per_day=3,

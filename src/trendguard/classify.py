@@ -43,7 +43,6 @@ class TweetFlags:
 
     is_lexicon: bool
     is_single_engagement: bool
-    token_count: int
 
 
 def _keyword_token_forms(keyword: Keyword) -> set[str]:
@@ -80,14 +79,6 @@ def strip_keyword_and_emoji(
     return " ".join(kept)
 
 
-def _lexicon_and_tokens(text: str, keyword: Optional[Keyword], locale: str) -> tuple[bool, int]:
-    """(is lexicon, token count) of the text from one strip of keyword and emoji."""
-    stripped = strip_keyword_and_emoji(text, keyword, locale)
-    n_tokens = len(stripped.split())
-    lexicon = 2 <= n_tokens <= 9 and not stripped[0].isupper() and _LEXICON_CHARS.issuperset(stripped)
-    return lexicon, n_tokens
-
-
 def is_lexicon_tweet(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> bool:
@@ -96,7 +87,9 @@ def is_lexicon_tweet(
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
     """
-    return _lexicon_and_tokens(text, keyword, locale)[0]
+    stripped = strip_keyword_and_emoji(text, keyword, locale)
+    return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()
+            and _LEXICON_CHARS.issuperset(stripped))
 
 
 def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
@@ -114,11 +107,9 @@ def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_L
 
 
 def compute_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> TweetFlags:
-    lexicon, n_tokens = _lexicon_and_tokens(tweet.text, keyword, locale)
     return TweetFlags(
-        is_lexicon=lexicon,
+        is_lexicon=is_lexicon_tweet(tweet.text, keyword, locale),
         is_single_engagement=is_single_engagement(tweet, keyword, locale),
-        token_count=n_tokens,
     )
 
 

@@ -10,6 +10,7 @@ error (partial outputs removed), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import gzip
 import io
 import json
@@ -284,7 +285,8 @@ def _cmd_metrics(args, out: _Outputs) -> int:
         metrics_mod.write_lifecycles_csv(handle, [lifecycles[k] for k in sorted(lifecycles)])
 
     with out.open(out_dir / "speed.csv") as handle:
-        handle.write("date,keyword,speed_s,pre_entry_deletion_ratio\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["date", "keyword", "speed_s", "pre_entry_deletion_ratio"])
         for key in sorted(lifecycles):
             instance = instances[key]
             cycle = lifecycles[key]
@@ -293,7 +295,7 @@ def _cmd_metrics(args, out: _Outputs) -> int:
             except metrics_mod.NoPriorTweets:
                 speed = ""
             ratio = metrics_mod.pre_entry_deletion_ratio(instance, cycle)
-            handle.write(f"{key[0].isoformat()},{key[1]},{speed},{ratio}\n")
+            writer.writerow([key[0].isoformat(), key[1], speed, ratio])
 
     per_day = metrics_mod.prevalence(verdict_map, epochs, k=args.top_k, tz_offset=args.tz_offset)
     with out.open(out_dir / "prevalence.csv") as handle:
@@ -368,7 +370,7 @@ def _cmd_graph(args, out: _Outputs) -> int:
 
 
 def _cmd_simulate(args, out: _Outputs) -> int:
-    config = sim_mod.load_scenario(args.config) if args.config else sim_mod.default_scenario()
+    config = sim_mod.load_scenario(args.config) if args.config else sim_mod.ScenarioConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     labeled = sim_mod.build_stream(config)

@@ -212,26 +212,20 @@ def attack_candidates(
 
     Tweets whose lifetime exceeds theta can belong to no cluster and are
     dropped here. A user contributes at most their earliest eligible tweet,
-    so every cluster automatically has one tweet per user. The order is by
-    (created milliseconds, tweet id).
+    so every cluster automatically has one tweet per user. The order is the
+    instance's: (created milliseconds, tweet id).
     """
-    eligible = []
+    per_user: dict[int, tuple[Tweet, int]] = {}
     for tweet in instance.tweets:
         deleted_at = instance.deletions.get(tweet.id)
-        if deleted_at is None:
+        if deleted_at is None or tweet.user_id in per_user:
             continue
         if not flags[tweet.id].is_single_engagement:
             continue
-        lifetime = span_s(deleted_at, tweet.created_ms)
-        if lifetime < 0 or lifetime > params.theta:
+        if span_s(deleted_at, tweet.created_ms) > params.theta:
             continue
-        eligible.append((tweet, deleted_at))
-    eligible.sort(key=lambda td: (td[0].created_ms, td[0].id))
-    per_user: dict[int, tuple[Tweet, int]] = {}
-    for tweet, deleted_at in eligible:
-        if tweet.user_id not in per_user:
-            per_user[tweet.user_id] = (tweet, deleted_at)
-    # Insertion order is the sorted order of each user's earliest tweet.
+        per_user[tweet.user_id] = (tweet, deleted_at)
+    # Insertion order is the creation order of each user's earliest tweet.
     return list(per_user.values())
 
 

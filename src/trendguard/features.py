@@ -14,13 +14,9 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Mapping, Optional
 
-from .core import TrendGuardError, span_s
+from .core import span_s
 from .ingest import TrendInstance, Tweet
 from .classify import TweetFlags
-
-
-class NoCandidates(TrendGuardError):
-    """attack_windows was asked for a window over an empty candidate subset."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,10 +48,6 @@ FEATURE_COLUMNS = tuple(f.name for f in fields(FeatureVector))
 
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
-
-
-def _ordered(tweets: Iterable[Tweet]) -> list[Tweet]:
-    return sorted(tweets, key=lambda t: (t.created_ms, t.id))
 
 
 def pairwise_sum(values: list[float]) -> float:
@@ -102,7 +94,7 @@ def initial_deletions(instance: TrendInstance, flags: Mapping[int, TweetFlags]) 
     the first tweet that is kept or engages anything beyond the keyword.
     """
     count = 0
-    for tweet in _ordered(instance.tweets):
+    for tweet in instance.tweets:
         flag = flags[tweet.id]
         if flag.is_single_engagement and tweet.id in instance.deletions:
             count += 1
@@ -111,34 +103,14 @@ def initial_deletions(instance: TrendInstance, flags: Mapping[int, TweetFlags]) 
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class LifetimeStats:
-    lifetimes: tuple[int, ...]       # seconds, per deleted tweet
-    median: Optional[float]          # seconds; None when nothing was deleted
-    mean: Optional[float]
-    negative_excluded: int
-
-
-def lifetime_stats(instance: TrendInstance) -> LifetimeStats:
-    """Deletion-minus-creation lifetimes over deleted tweets.
-
-    Negative lifetimes (inconsistent notices) are excluded and counted.
-    """
-    lifetimes = []
-    negative = 0
-    for tweet in instance.tweets:
-        deleted_at = instance.deletions.get(tweet.id)
-        if deleted_at is None:
-            continue
-        span = span_s(deleted_at, tweet.created_ms)
-        if span < 0:
-            negative += 1
-            continue
-        lifetimes.append(span)
+def lifetime_stats(instance: TrendInstance) -> tuple[Optional[float], Optional[float]]:
+    """Median and mean deletion-minus-creation lifetime (seconds) over the
+    deleted tweets; (None, None) when nothing was deleted."""
+    lifetimes = [span_s(instance.deletions[t.id], t.created_ms)
+                 for t in instance.tweets if t.id in instance.deletions]
     if not lifetimes:
-        return LifetimeStats((), None, None, negative)
-    return LifetimeStats(tuple(lifetimes), float(statistics.median(lifetimes)),
-                         sum(lifetimes) / len(lifetimes), negative)
+        return None, None
+    return float(statistics.median(lifetimes)), sum(lifetimes) / len(lifetimes)
 
 
 def _candidate_subset(
@@ -155,14 +127,12 @@ def _candidate_subset(
 def attack_windows(
     instance: TrendInstance, flags: Mapping[int, TweetFlags]
 ) -> tuple[int, int]:
-    """Creation and deletion spans (seconds) over the attack-candidate tweet subset.
-
-    Raises NoCandidates when no deleted lexicon or single-engagement tweet
-    exists.
+    """Creation and deletion spans (seconds) over the attack-candidate tweet
+    subset; (0, 0) when no deleted lexicon or single-engagement tweet exists.
     """
     subset = _candidate_subset(instance, flags)
     if not subset:
-        raise NoCandidates(f"no attack-candidate tweets for {instance.trend}")
+        return 0, 0
     creations = [t.created_ms for t in subset]
     deletions = [instance.deletions[t.id] for t in subset]
     return (
@@ -190,12 +160,8 @@ def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> 
             n_lexicon += 1
             n_deleted_lexicon += deleted
 
-    try:
-        creation_window_s, deletion_window_s = attack_windows(instance, flags)
-    except NoCandidates:
-        creation_window_s = deletion_window_s = 0
-
-    lifetimes = lifetime_stats(instance)
+    creation_window_s, deletion_window_s = attack_windows(instance, flags)
+    lifetime_median_s, lifetime_mean_s = lifetime_stats(instance)
 
     return FeatureVector(
         n_tweets=n_tweets,
@@ -213,8 +179,8 @@ def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> 
         initial_deletions=initial_deletions(instance, flags),
         creation_window_s=creation_window_s,
         deletion_window_s=deletion_window_s,
-        lifetime_median_s=lifetimes.median,
-        lifetime_mean_s=lifetimes.mean,
+        lifetime_median_s=lifetime_median_s,
+        lifetime_mean_s=lifetime_mean_s,
         entropy_create=minute_entropy(t.created_ms for t in instance.tweets),
         entropy_delete=minute_entropy(instance.deletions.values()),
     )

@@ -41,27 +41,22 @@ def _node_sort_key(node: Node) -> tuple[str, str]:
 
 
 class Graph:
-    """Undirected bipartite graph with positive integer edge weights."""
+    """Undirected bipartite graph with positive integer edge weights; a
+    node's kind (USER or TREND) is its first element."""
 
     def __init__(self):
         self._adj: dict[Node, dict[Node, int]] = {}
-        self._kind: dict[Node, str] = {}
 
-    def add_node(self, node: Node, kind: str) -> None:
-        if node in self._kind:
-            if self._kind[node] != kind:
-                raise ValueError(f"node {node} already present with kind {self._kind[node]}")
-            return
-        self._kind[node] = kind
-        self._adj[node] = {}
+    def add_node(self, node: Node) -> None:
+        self._adj.setdefault(node, {})
 
     def add_edge(self, u: Node, v: Node, weight: int = 1) -> None:
         if u == v:
             raise ValueError(f"self-loop on {u}")
-        if u not in self._kind or v not in self._kind:
+        if u not in self._adj or v not in self._adj:
             raise ValueError("add nodes before edges")
-        if self._kind[u] == self._kind[v]:
-            raise ValueError(f"edge within partition {self._kind[u]}: {u} -- {v}")
+        if u[0] == v[0]:
+            raise ValueError(f"edge within partition {u[0]}: {u} -- {v}")
         if weight < 1:
             raise ValueError("edge weight must be positive")
         self._adj[u][v] = self._adj[u].get(v, 0) + weight
@@ -69,23 +64,20 @@ class Graph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._kind)
+        return len(self._adj)
 
     @property
     def n_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def nodes(self) -> list[Node]:
-        return sorted(self._kind, key=_node_sort_key)
-
-    def kind(self, node: Node) -> str:
-        return self._kind[node]
+        return sorted(self._adj, key=_node_sort_key)
 
     def count_kind(self, kind: str) -> int:
-        return sum(1 for k in self._kind.values() if k == kind)
+        return sum(1 for node in self._adj if node[0] == kind)
 
     def has_node(self, node: Node) -> bool:
-        return node in self._kind
+        return node in self._adj
 
     def degree(self, node: Node) -> int:
         return len(self._adj[node])
@@ -95,7 +87,7 @@ class Graph:
 
     def edges(self) -> list[tuple[Node, Node, int]]:
         """Each edge once, as (u, v, weight) with u before v, in node order."""
-        key = {node: _node_sort_key(node) for node in self._kind}
+        key = {node: _node_sort_key(node) for node in self._adj}
         seen = []
         for u in sorted(key, key=key.__getitem__):
             ku = key[u]
@@ -110,12 +102,7 @@ class Graph:
 
     def subgraph(self, keep: set[Node]) -> "Graph":
         sub = Graph()
-        for node in keep:
-            sub.add_node(node, self._kind[node])
-        for u in keep:
-            for v, w in self._adj[u].items():
-                if v in keep and _node_sort_key(u) < _node_sort_key(v):
-                    sub.add_edge(u, v, w)
+        sub._adj = {u: {v: w for v, w in self._adj[u].items() if v in keep} for u in keep}
         return sub
 
 
@@ -157,8 +144,8 @@ def build_graph(
             if not qualifies:
                 continue
             unode = user_node(tweet.user_id)
-            graph.add_node(unode, USER)
-            graph.add_node(tnode, TREND)
+            graph.add_node(unode)
+            graph.add_node(tnode)
             graph.add_edge(unode, tnode, 1)
     return graph
 
@@ -190,13 +177,13 @@ def single_attack_filter(graph: Graph) -> Graph:
     keep = {
         node
         for node in graph.nodes()
-        if graph.kind(node) != USER or graph.degree(node) >= 2
+        if node[0] != USER or graph.degree(node) >= 2
     }
     trimmed = graph.subgraph(keep)
     keep = {
         node
         for node in trimmed.nodes()
-        if trimmed.kind(node) != TREND or trimmed.degree(node) >= 1
+        if node[0] != TREND or trimmed.degree(node) >= 1
     }
     return trimmed.subgraph(keep)
 
@@ -213,7 +200,7 @@ class Partition:
 
 def modularity(graph: Graph, assignment: Mapping[Node, int]) -> float:
     """Weighted Newman modularity of a complete node-to-community assignment."""
-    for node in graph._kind:
+    for node in graph._adj:
         if node not in assignment:
             raise IncompleteAssignment(f"node {node} has no community")
     m = float(graph.total_weight())
@@ -365,8 +352,8 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
 
 def network_overlap(a: Graph, b: Graph) -> int:
     """Number of user nodes present in both graphs."""
-    users_a = {node for node in a.nodes() if a.kind(node) == USER}
-    users_b = {node for node in b.nodes() if b.kind(node) == USER}
+    users_a = {node for node in a.nodes() if node[0] == USER}
+    users_b = {node for node in b.nodes() if node[0] == USER}
     return len(users_a & users_b)
 
 
@@ -464,7 +451,7 @@ def write_edge_csv(handle, graph: Graph) -> None:
     writer = csv.writer(handle)
     writer.writerow(["source", "target", "weight", "source_kind", "target_kind"])
     for u, v, w in graph.edges():
-        writer.writerow([_render_node(u), _render_node(v), w, graph.kind(u), graph.kind(v)])
+        writer.writerow([_render_node(u), _render_node(v), w, u[0], v[0]])
 
 
 def write_partition_csv(handle, partition: Partition) -> None:

@@ -79,13 +79,6 @@ class Deletion:
     time_ms: int
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    """A recognized but irrelevant record (limit notices, blank lines, ...)."""
-
-    reason: str = ""
-
-
 TweetEvent = Union[Creation, Deletion]
 
 
@@ -152,10 +145,11 @@ class TrendEpoch:
 class TrendInstance:
     """A trend-day joined with its associated tweets and their deletion times.
 
-    ``tweets`` is sorted by (created_ms, id); ``deletions`` maps tweet id to
-    the time (ms) of the earliest deletion notice at or after the tweet's
-    creation. Notices that would imply a negative lifetime are rejected and
-    counted in ``invalid_deletions``.
+    Only the join (``_InstanceBuilder.build``) makes one; downstream code
+    trusts that ``tweets`` holds distinct ids sorted by (created_ms, id) and
+    that ``deletions`` maps a tweet id to its earliest deletion notice (ms).
+    When that notice precedes the tweet's creation, nothing is attached,
+    whatever later notices say, and the tweet counts in ``invalid_deletions``.
     """
 
     trend: TrendDay
@@ -283,8 +277,9 @@ def _parse_delete(obj: dict) -> Deletion:
 _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def parse_stream_line(line: str) -> Union[Creation, Deletion, Skip]:
-    """Parse one archive line into a Creation, Deletion, or Skip.
+def parse_stream_line(line: str) -> Optional[TweetEvent]:
+    """Parse one archive line into a Creation or Deletion; None for a blank
+    line or a record of another kind (limit notices, ...).
 
     Raises MalformedLine on broken syntax and on any record whose fields do
     not fit the schema; callers are expected to count these rather than
@@ -292,7 +287,7 @@ def parse_stream_line(line: str) -> Union[Creation, Deletion, Skip]:
     """
     stripped = line.strip()
     if not stripped:
-        return Skip("empty")
+        return None
     try:
         obj = json.loads(stripped)
     except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
@@ -306,7 +301,7 @@ def parse_stream_line(line: str) -> Union[Creation, Deletion, Skip]:
             return _parse_status(obj)
     except _SCHEMA_ERRORS as exc:
         raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
-    return Skip("other")
+    return None
 
 
 def _codec(magic: bytes):
@@ -367,14 +362,14 @@ def read_stream(
             except MalformedLine:
                 stats.malformed_skipped += 1
                 continue
+            if event is None:
+                stats.other_skipped += 1
+                continue
             if isinstance(event, Creation):
                 stats.creations += 1
-                yield event
-            elif isinstance(event, Deletion):
-                stats.deletions += 1
-                yield event
             else:
-                stats.other_skipped += 1
+                stats.deletions += 1
+            yield event
     finally:
         handle.close()
 
@@ -505,8 +500,7 @@ class _InstanceBuilder:
         self.tweets: dict[int, Tweet] = {}
 
     def offer_tweet(self, tweet: Tweet) -> None:
-        if tweet.id not in self.tweets:
-            self.tweets[tweet.id] = tweet
+        self.tweets.setdefault(tweet.id, tweet)
 
     def build(self, deletions: dict[int, int]) -> TrendInstance:
         instance = TrendInstance(trend=self.trend)

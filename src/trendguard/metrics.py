@@ -36,10 +36,6 @@ class NoPriorTweets(TrendGuardError):
     """No tweets precede the trend's first list entry."""
 
 
-class InconsistentTimeline(TrendGuardError):
-    """Derived time quantities contradict each other (negative speed)."""
-
-
 @dataclass(frozen=True, slots=True)
 class TrendLifecycle:
     keyword: Keyword
@@ -127,18 +123,13 @@ def trend_day_lifecycles(
 
 def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> int:
     """Seconds from the median creation second of the pre-entry tweets to
-    the entry second, rounded."""
+    the entry second, rounded; never negative, as every pre-entry second is
+    at most the entry second."""
     entry_ms = cycle.first_entry_ms
     pre_entry = [t.created_ms // 1000 for t in instance.tweets if t.created_ms < entry_ms]
     if not pre_entry:
         raise NoPriorTweets(f"no tweets precede entry of {cycle.keyword.raw!r}")
-    median = statistics.median(pre_entry)
-    speed = entry_ms // 1000 - median
-    if speed < 0:
-        raise InconsistentTimeline(
-            f"median pre-entry time is after entry for {cycle.keyword.raw!r}"
-        )
-    return round(speed)
+    return round(entry_ms // 1000 - statistics.median(pre_entry))
 
 
 def pre_entry_deletion_ratio(instance: TrendInstance, cycle: TrendLifecycle) -> float:

@@ -76,13 +76,6 @@ def gen_lexicon_text(wordlist: Sequence[str], rng: random.Random) -> str:
 # Event cluster generators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EventCluster:
-    events: list[TweetEvent]
-    user_ids: set[int]
-    tweet_ids: set[int]
-
-
 def _place_keyword(words: list[str], keyword: Keyword, rng: random.Random) -> str:
     position = rng.randint(0, len(words))
     return " ".join(words[:position] + keyword.raw.split() + words[position:])
@@ -111,7 +104,7 @@ def gen_attack(
     deletion_span: Optional[int] = None,
     deletion_lag: int = 1,
     geo_rate: float = 0.0,
-) -> EventCluster:
+) -> list[TweetEvent]:
     """One attack: n_bots distinct users each post and delete one lexicon tweet.
 
     Creations land in [t0, t0 + alpha_p), deletions share an alpha_d window,
@@ -142,8 +135,6 @@ def gen_attack(
     d0 = creations[-1] + deletion_lag
 
     events: list[TweetEvent] = []
-    users = set()
-    tweet_ids = set()
     hashtags = _keyword_hashtags(keyword)
     for i, created in enumerate(creations):
         tweet_id = tweet_id_start + i
@@ -161,11 +152,9 @@ def gen_attack(
         deleted = d0 + rng.randint(0, d_budget)
         events.append(Creation(tweet))
         events.append(Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=deleted * 1000))
-        users.add(user_id)
-        tweet_ids.add(tweet_id)
 
     _assert_attack_conditions(events, params, n_bots)
-    return EventCluster(events=events, user_ids=users, tweet_ids=tweet_ids)
+    return events
 
 
 def _assert_attack_conditions(events: list[TweetEvent], params: AttackParams, n_bots: int) -> None:
@@ -211,6 +200,10 @@ REPLY_RATE = 0.10
 MENTION_RATE = 0.15
 URL_RATE = 0.15
 EXTRA_HASHTAG_RATE = 0.10
+# Of all organic tweets, the share with a geo point; and the latest an
+# organic deletion comes after its tweet (the earliest is 600 s).
+ORGANIC_GEO_RATE = 0.01
+ORGANIC_MAX_DELETION_DELAY = 12 * 3600
 
 
 def gen_organic_trend(
@@ -224,9 +217,7 @@ def gen_organic_trend(
     user_id_start: int = 1,
     deletion_rate: float = 0.023,
     lexicon_rate: float = 0.02,
-    max_deletion_delay: int = 12 * 3600,
-    geo_rate: float = 0.01,
-) -> EventCluster:
+) -> list[TweetEvent]:
     """Uncoordinated discussion: mixed engagement, background-level deletions.
 
     Each user posts once, spread uniformly over the span; deletions are rare
@@ -235,8 +226,6 @@ def gen_organic_trend(
     if span <= 0:
         raise ValueError("span must be positive")
     events: list[TweetEvent] = []
-    users = set()
-    tweet_ids = set()
     hashtags = _keyword_hashtags(keyword)
     for i in range(n_users):
         tweet_id = tweet_id_start + i
@@ -257,7 +246,7 @@ def gen_organic_trend(
             tags = hashtags + (extra,)
         if is_retweet:
             text = f"RT @user{rng.randint(1, 99999)}: {text}"
-        geo = _random_geo(rng) if rng.random() < geo_rate else None
+        geo = _random_geo(rng) if rng.random() < ORGANIC_GEO_RATE else None
         tweet = Tweet(
             id=tweet_id,
             user_id=user_id,
@@ -271,14 +260,12 @@ def gen_organic_trend(
             geo=geo,
         )
         events.append(Creation(tweet))
-        users.add(user_id)
-        tweet_ids.add(tweet_id)
         if rng.random() < deletion_rate:
-            delay = rng.randint(600, max_deletion_delay)
+            delay = rng.randint(600, ORGANIC_MAX_DELETION_DELAY)
             events.append(
                 Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=(created + delay) * 1000)
             )
-    return EventCluster(events=events, user_ids=users, tweet_ids=tweet_ids)
+    return events
 
 
 def sample_stream(
@@ -337,17 +324,13 @@ class ScenarioConfig:
     wordlist_path: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("sample_rate", "background_deletion_rate", "background_lexicon_rate",
+        for name in ("background_deletion_rate", "background_lexicon_rate",
                      "organic_deletion_rate", "organic_lexicon_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not 0.0 < self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in (0, 1]")
-
-
-def default_scenario(seed: int = 7) -> ScenarioConfig:
-    return ScenarioConfig(seed=seed)
+            raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -619,7 +602,7 @@ def _generate_events(
                     creation_span=config.attack_creation_span,
                     deletion_span=config.attack_deletion_span,
                     deletion_lag=config.attack_deletion_lag, geo_rate=0.05,
-                ).events)
+                ))
             if trend.organic_users:
                 bucket(gen_organic_trend(
                     trend.keyword, trend.organic_users, trend.organic_span, rng, wordlist,
@@ -627,7 +610,7 @@ def _generate_events(
                     user_id_start=trend.organic_user_id_start,
                     deletion_rate=config.organic_deletion_rate,
                     lexicon_rate=config.organic_lexicon_rate,
-                ).events)
+                ))
         bucket(_gen_background(config, background, rng, wordlist))
 
         last = background is plan.background[-1]
@@ -973,7 +956,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     parameters kappa/alpha_p/alpha_d/theta (seconds), start_date (ISO), and
     wordlist_path.
     """
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key: (line number, value text)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, 1):
             line = raw_line.split("#", 1)[0].strip()
@@ -982,15 +965,22 @@ def load_scenario(path: str) -> ScenarioConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip().strip('"').strip("'")
+            values[key.strip()] = (lineno, value.strip().strip('"').strip("'"))
 
     kwargs = {}
     params = {}
-    for key, text in values.items():
+    for key, (lineno, text) in values.items():
         if key in _SCENARIO_FIELDS:
-            kwargs[key] = _PARSERS[_SCENARIO_FIELDS[key]](text)
+            target, parse = kwargs, _PARSERS[_SCENARIO_FIELDS[key]]
         elif key in _PARAM_FIELDS:
-            params[key] = _PARSERS[_PARAM_FIELDS[key]](text)
+            target, parse = params, _PARSERS[_PARAM_FIELDS[key]]
         else:
-            raise ValueError(f"{path}: unknown scenario key {key!r}")
-    return ScenarioConfig(params=AttackParams(**params), **kwargs)
+            raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
+        try:
+            target[key] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return ScenarioConfig(params=AttackParams(**params), **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -5,7 +5,14 @@ from datetime import date
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import ParseStats, TrendDay, TrendInstance, Tweet, read_stream
+from trendguard.ingest import (
+    ParseStats,
+    TrendDay,
+    TrendInstance,
+    Tweet,
+    _InstanceBuilder,
+    read_stream,
+)
 
 # Local noon on 2019-06-18 (UTC+3).
 DAY = date(2019, 6, 18)
@@ -46,13 +53,19 @@ def read_all(source):
     return list(read_stream(source, stats=stats)), stats
 
 
+def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY) -> TrendInstance:
+    """The instance the join builds from these tweets and the earliest
+    deletion notice (ms) of each tweet id."""
+    builder = _InstanceBuilder(TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr")))
+    for tweet in tweets:
+        builder.offer_tweet(tweet)
+    return builder.build(deletions_ms)
+
+
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:
-    trend = TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr"))
-    instance = TrendInstance(trend=trend)
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
-    for tid, seconds in deletions.items():
-        instance.deletions[tid] = seconds * 1000
-    return instance
+    """join_instance with deletion notices given in whole seconds."""
+    return join_instance(keyword_raw, tweets,
+                         {tid: seconds * 1000 for tid, seconds in deletions.items()}, day)
 
 
 @pytest.fixture

@@ -19,8 +19,8 @@ from trendguard.detector import AttackParams, DetectorConfig, detect_attack_wind
 from trendguard.features import initial_deletions, minute_entropy
 from trendguard.graph import k_core, louvain, modularity
 from trendguard.simulator import (
+    ScenarioConfig,
     build_stream,
-    default_scenario,
     evaluate,
     gen_lexicon_text,
     group_stream_by_keyword,
@@ -35,7 +35,7 @@ from test_graph import clique_pair, peel_oracle, random_bipartite
 
 @pytest.fixture(scope="module")
 def default_stream():
-    return build_stream(default_scenario())
+    return build_stream(ScenarioConfig())
 
 
 def test_acceptance_1_detector_fidelity(default_stream):

@@ -126,11 +126,10 @@ class TestIsSingleEngagement:
 
 
 class TestFlagsAndStats:
-    def test_compute_flags_token_count(self, tag_keyword):
+    def test_compute_flags(self, tag_keyword):
         tweet = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])
         flags = compute_flags(tweet, tag_keyword)
         assert flags.is_lexicon and flags.is_single_engagement
-        assert flags.token_count == 2
 
 
 def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
@@ -185,7 +184,6 @@ def test_compute_flags_equals_the_three_classifiers(text, raw_keyword, locale, m
     assert flags == TweetFlags(
         is_lexicon_tweet(text, keyword, locale),
         is_single_engagement(tweet, keyword, locale),
-        len(strip_keyword_and_emoji(text, keyword, locale).split()),
     )
     assert flags.is_lexicon == reference_is_lexicon(text, keyword, locale)
     assert is_lexicon_tweet(text, None, locale) == reference_is_lexicon(text, None, locale)

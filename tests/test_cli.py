@@ -318,6 +318,27 @@ class TestMetricsCmd:
             "2019-06-19,konu,40500,0.0",
         ]
 
+    def test_speed_csv_quotes_a_keyword_with_a_comma(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("")
+        trends = tmp_path / "trends.csv"
+        trends.write_text('date,keyword\n2019-06-18,"foo, bar"\n')
+        epochs = tmp_path / "epochs.csv"
+        epochs.write_text('captured_at,location,rank,keyword,volume\n'
+                          '2019-06-18T12:00:00Z,tr,1,"foo, bar",\n')
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(json.dumps({"date": "2019-06-18", "keyword": "foo, bar",
+                                        "attacked": False}) + "\n")
+        out_dir = tmp_path / "metrics"
+        assert main(["metrics", "--stream", str(stream), "--trends", str(trends),
+                     "--epochs", str(epochs), "--verdicts", str(verdicts),
+                     "--out", str(out_dir)]) == 0
+        with open(out_dir / "speed.csv", newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["date", "keyword", "speed_s", "pre_entry_deletion_ratio"],
+                ["2019-06-18", "foo, bar", "", "0.0"],
+            ]
+
 
 class TestTimeRule:
     """A span is a difference of whole seconds; ordering uses milliseconds."""

@@ -29,8 +29,8 @@ def bipartite(edges):
     """Build a user-trend graph from (user_int, trend_str, weight) triples."""
     g = Graph()
     for u, t, w in edges:
-        g.add_node((USER, u), USER)
-        g.add_node((TREND, t), TREND)
+        g.add_node((USER, u))
+        g.add_node((TREND, t))
         g.add_edge((USER, u), (TREND, t), w)
     return g
 
@@ -69,9 +69,9 @@ def modularity_oracle(graph, assignment):
 def random_bipartite(rng, n_users=25, n_trends=25, p=0.08):
     g = Graph()
     for u in range(n_users):
-        g.add_node((USER, u), USER)
+        g.add_node((USER, u))
     for t in range(n_trends):
-        g.add_node((TREND, f"t{t}"), TREND)
+        g.add_node((TREND, f"t{t}"))
     for u in range(n_users):
         for t in range(n_trends):
             if rng.random() < p:
@@ -87,14 +87,14 @@ class TestGraphBasics:
 
     def test_bipartite_enforced(self):
         g = Graph()
-        g.add_node((USER, 1), USER)
-        g.add_node((USER, 2), USER)
+        g.add_node((USER, 1))
+        g.add_node((USER, 2))
         with pytest.raises(ValueError):
             g.add_edge((USER, 1), (USER, 2))
 
     def test_no_self_loops(self):
         g = Graph()
-        g.add_node((USER, 1), USER)
+        g.add_node((USER, 1))
         with pytest.raises(ValueError):
             g.add_edge((USER, 1), (USER, 1))
 
@@ -196,9 +196,9 @@ def clique_pair():
     by a single bridge edge."""
     g = Graph()
     for u in range(6):
-        g.add_node((USER, u), USER)
+        g.add_node((USER, u))
     for t in range(6):
-        g.add_node((TREND, f"t{t}"), TREND)
+        g.add_node((TREND, f"t{t}"))
     for u in range(3):
         for t in range(3):
             g.add_edge((USER, u), (TREND, f"t{t}"), 1)

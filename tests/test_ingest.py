@@ -14,7 +14,6 @@ from trendguard.ingest import (
     Deletion,
     MalformedLine,
     ParseStats,
-    Skip,
     TrendDay,
     build_trend_instances,
     load_trend_days,
@@ -71,11 +70,11 @@ class TestParseStreamLine:
         assert event.time_ms == 1000
 
     def test_empty_line_skips(self):
-        assert isinstance(parse_stream_line(""), Skip)
-        assert isinstance(parse_stream_line("   \n"), Skip)
+        assert parse_stream_line("") is None
+        assert parse_stream_line("   \n") is None
 
     def test_limit_notice_skips(self):
-        assert isinstance(parse_stream_line('{"limit":{"track":5}}'), Skip)
+        assert parse_stream_line('{"limit":{"track":5}}') is None
 
     def test_garbage_is_malformed(self):
         with pytest.raises(MalformedLine):
@@ -319,6 +318,20 @@ class TestBuildTrendInstance:
         instance = _join(trend, events)
         assert instance.deletions == {}
         assert instance.invalid_deletions == 1
+
+    def test_earliest_notice_before_creation_attaches_nothing(self, tag_keyword):
+        """The earliest notice decides: 1 ms before the creation, it leaves
+        the tweet undeleted although a later notice follows the creation."""
+        trend = TrendDay(date=DAY, keyword=tag_keyword)
+        events = [
+            Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
+            Deletion(tweet_id=1, user_id=10, time_ms=DAY_NOON * 1000 - 1),
+            Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 5) * 1000),
+        ]
+        for ordered in (events, events[::-1]):
+            instance = _join(trend, ordered)
+            assert instance.deletions == {}
+            assert instance.invalid_deletions == 1
 
     def test_earliest_deletion_wins(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)

@@ -1,6 +1,5 @@
 import io
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -11,9 +10,9 @@ from trendguard.detector import AttackParams, DetectorConfig, detect_attack_wind
 from trendguard.features import count_features
 from trendguard.simulator import (
     InfeasibleParams,
+    ScenarioConfig,
     WordlistTooSmall,
     build_stream,
-    default_scenario,
     evaluate,
     gen_attack,
     gen_lexicon_text,
@@ -63,9 +62,9 @@ class TestGenAttack:
         rng = random.Random(5)
         cluster = gen_attack(self.KW, self.PARAMS, 400, 10_000, rng, WORDLIST,
                              creation_span=60)
-        creations = [e.tweet.created_ms // 1000 for e in cluster.events
+        creations = [e.tweet.created_ms // 1000 for e in cluster
                      if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         assert max(creations) - min(creations) < 60 or max(creations) - min(creations) == 60
         assert len(deletions) == 400
@@ -73,23 +72,23 @@ class TestGenAttack:
 
     def test_single_bot(self):
         cluster = gen_attack(self.KW, self.PARAMS, 1, 0, random.Random(1), WORDLIST)
-        assert len(cluster.events) == 2
+        assert len(cluster) == 2
 
     def test_one_tweet_per_user(self):
         cluster = gen_attack(self.KW, self.PARAMS, 50, 0, random.Random(2), WORDLIST)
-        assert len(cluster.user_ids) == 50
+        assert len({e.tweet.user_id for e in cluster if isinstance(e, Creation)}) == 50
 
     def test_detector_round_trip(self):
         rng = random.Random(6)
         cluster = gen_attack(self.KW, self.PARAMS, 12, 50_000, rng, WORDLIST)
-        tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
+        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#hedef", tweets, deletions)
         flags = flags_for_instance(instance)
         events = detect_attack_windows(instance, flags, self.PARAMS)
         assert len(events) == 1
-        assert events[0].tweet_ids == frozenset(cluster.tweet_ids)
+        assert events[0].tweet_ids == frozenset(t.id for t in tweets)
 
     def test_infeasible_theta(self):
         params = AttackParams(theta=1)
@@ -99,12 +98,12 @@ class TestGenAttack:
     def test_tight_theta_still_feasible(self):
         params = AttackParams(theta=3)
         cluster = gen_attack(self.KW, params, 20, 0, random.Random(0), WORDLIST)
-        for event in cluster.events:
+        for event in cluster:
             if isinstance(event, Deletion):
                 continue
-        creations = {e.tweet.id: e.tweet.created_ms // 1000 for e in cluster.events
+        creations = {e.tweet.id: e.tweet.created_ms // 1000 for e in cluster
                      if isinstance(e, Creation)}
-        for event in cluster.events:
+        for event in cluster:
             if isinstance(event, Deletion):
                 life = event.time_ms // 1000 - creations[event.tweet_id]
                 assert 0 < life <= 3
@@ -116,7 +115,7 @@ class TestGenOrganic:
     def test_span_coverage(self):
         rng = random.Random(11)
         cluster = gen_organic_trend(self.KW, 100, 7200, rng, WORDLIST, t0=1000)
-        creations = [e.tweet.created_ms // 1000 for e in cluster.events
+        creations = [e.tweet.created_ms // 1000 for e in cluster
                      if isinstance(e, Creation)]
         assert min(creations) >= 1000
         assert max(creations) <= 1000 + 7200
@@ -126,14 +125,14 @@ class TestGenOrganic:
         rng = random.Random(12)
         cluster = gen_organic_trend(self.KW, 10_000, 7200, rng, WORDLIST,
                                     deletion_rate=0.023)
-        deletions = sum(1 for e in cluster.events if isinstance(e, Deletion))
+        deletions = sum(1 for e in cluster if isinstance(e, Deletion))
         assert deletions / 10_000 == pytest.approx(0.023, abs=0.01)
 
     def test_verdict_negative_under_default_presets(self):
         rng = random.Random(13)
         cluster = gen_organic_trend(self.KW, 3000, 7200, rng, WORDLIST, t0=500_000)
-        tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
-        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster.events
+        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
+        deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#sohbet", tweets, deletions)
         flags = flags_for_instance(instance)
@@ -146,7 +145,7 @@ class TestGenOrganic:
     def test_engagement_mix_produces_variety(self):
         rng = random.Random(14)
         cluster = gen_organic_trend(self.KW, 500, 3600, rng, WORDLIST)
-        tweets = [e.tweet for e in cluster.events if isinstance(e, Creation)]
+        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
         assert any(t.is_retweet for t in tweets)
         assert any(t.mentions for t in tweets)
         assert any(t.urls for t in tweets)
@@ -157,7 +156,7 @@ class TestSampleStream:
     def _stream(self, n):
         kw = normalize_keyword("#veri", "tr")
         rng = random.Random(15)
-        return gen_organic_trend(kw, n, 7200, rng, WORDLIST, deletion_rate=0.2).events
+        return gen_organic_trend(kw, n, 7200, rng, WORDLIST, deletion_rate=0.2)
 
     def test_rate_one_is_identity(self):
         events = self._stream(500)
@@ -186,10 +185,10 @@ class TestSampleStream:
 
 class TestLabeledStream:
     def test_deterministic_serialization(self):
-        config = replace(default_scenario(), n_days=1, organic_per_day=2,
-                         attacked_per_day=1, attacks_per_day=2, background_per_day=100,
-                         organic_tweets_min=50, organic_tweets_max=80,
-                         adoption_tweets_min=20, adoption_tweets_max=40)
+        config = ScenarioConfig(n_days=1, organic_per_day=2,
+                                attacked_per_day=1, attacks_per_day=2, background_per_day=100,
+                                organic_tweets_min=50, organic_tweets_max=80,
+                                adoption_tweets_min=20, adoption_tweets_max=40)
         first = io.StringIO()
         write_stream_jsonl(first, build_stream(config).events())
         second = io.StringIO()
@@ -198,10 +197,10 @@ class TestLabeledStream:
         assert first.getvalue()
 
     def test_events_time_ordered(self):
-        config = replace(default_scenario(), n_days=2, organic_per_day=2,
-                         attacked_per_day=1, attacks_per_day=2, background_per_day=50,
-                         organic_tweets_min=30, organic_tweets_max=60,
-                         adoption_tweets_min=10, adoption_tweets_max=20)
+        config = ScenarioConfig(n_days=2, organic_per_day=2,
+                                attacked_per_day=1, attacks_per_day=2, background_per_day=50,
+                                organic_tweets_min=30, organic_tweets_max=60,
+                                adoption_tweets_min=10, adoption_tweets_max=20)
         labeled = build_stream(config)
         last = None
         for event in labeled.events():
@@ -211,10 +210,10 @@ class TestLabeledStream:
             last = when
 
     def test_truth_shape(self):
-        config = replace(default_scenario(), n_days=2, organic_per_day=3,
-                         attacked_per_day=2, attacks_per_day=4, background_per_day=0,
-                         organic_tweets_min=30, organic_tweets_max=60,
-                         adoption_tweets_min=10, adoption_tweets_max=20)
+        config = ScenarioConfig(n_days=2, organic_per_day=3,
+                                attacked_per_day=2, attacks_per_day=4, background_per_day=0,
+                                organic_tweets_min=30, organic_tweets_max=60,
+                                adoption_tweets_min=10, adoption_tweets_max=20)
         labeled = build_stream(config)
         assert len(labeled.truth) == 10
         assert sum(labeled.truth.values()) == 4
@@ -222,9 +221,9 @@ class TestLabeledStream:
         assert len(labeled.truth_attacks) == 8  # 4 waves/day x 2 days
 
     def test_generated_attacks_satisfy_model(self):
-        config = replace(default_scenario(), n_days=1, organic_per_day=0,
-                         attacked_per_day=1, attacks_per_day=1, background_per_day=0,
-                         adoption_tweets_min=0, adoption_tweets_max=0)
+        config = ScenarioConfig(n_days=1, organic_per_day=0,
+                                attacked_per_day=1, attacks_per_day=1, background_per_day=0,
+                                adoption_tweets_min=0, adoption_tweets_max=0)
         labeled = build_stream(config)
         params = config.params
         creations = {}
@@ -244,10 +243,10 @@ class TestLabeledStream:
         assert all(0 < dt - pt <= params.theta for pt, dt in zip(p, d))
 
     def test_round_trip_through_archive_format(self):
-        config = replace(default_scenario(), n_days=1, organic_per_day=1,
-                         attacked_per_day=1, attacks_per_day=1, background_per_day=20,
-                         organic_tweets_min=20, organic_tweets_max=30,
-                         adoption_tweets_min=5, adoption_tweets_max=10)
+        config = ScenarioConfig(n_days=1, organic_per_day=1,
+                                attacked_per_day=1, attacks_per_day=1, background_per_day=20,
+                                organic_tweets_min=20, organic_tweets_max=30,
+                                adoption_tweets_min=5, adoption_tweets_max=10)
         labeled = build_stream(config)
         buffer = io.StringIO()
         write_stream_jsonl(buffer, labeled.events())
@@ -273,11 +272,11 @@ class TestLabeledStream:
 
 class TestEvaluate:
     def test_all_negative_detector_zero_recall(self):
-        config = replace(default_scenario(), n_days=1, organic_per_day=2,
-                         attacked_per_day=1, attacks_per_day=2, background_per_day=100,
-                         organic_tweets_min=50, organic_tweets_max=80,
-                         adoption_tweets_min=20, adoption_tweets_max=40,
-                         sample_rate=1.0)
+        config = ScenarioConfig(n_days=1, organic_per_day=2,
+                                attacked_per_day=1, attacks_per_day=2, background_per_day=100,
+                                organic_tweets_min=50, organic_tweets_max=80,
+                                adoption_tweets_min=20, adoption_tweets_max=40,
+                                sample_rate=1.0)
         labeled = build_stream(config)
         never = DetectorConfig(thresholds={"8": 10 ** 9})
         report = evaluate(never, labeled)
@@ -286,10 +285,10 @@ class TestEvaluate:
         assert report.tp + report.fp + report.tn + report.fn == len(labeled.truth)
 
     def test_f1_is_harmonic_mean(self):
-        config = replace(default_scenario(), n_days=2, organic_per_day=3,
-                         attacked_per_day=2, attacks_per_day=4, background_per_day=100,
-                         organic_tweets_min=50, organic_tweets_max=80,
-                         adoption_tweets_min=20, adoption_tweets_max=40)
+        config = ScenarioConfig(n_days=2, organic_per_day=3,
+                                attacked_per_day=2, attacks_per_day=4, background_per_day=100,
+                                organic_tweets_min=50, organic_tweets_max=80,
+                                adoption_tweets_min=20, adoption_tweets_max=40)
         report = evaluate(DetectorConfig(), build_stream(config))
         if report.precision + report.recall:
             expected = 2 * report.precision * report.recall / (report.precision + report.recall)
@@ -302,7 +301,7 @@ class TestTrendOracle:
         rng = random.Random(21)
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
-        streams = {"saldiri": cluster.events}
+        streams = {"saldiri": cluster}
         epochs = trend_oracle(streams, 600, mitigation=False, k=10)
         assert any("saldiri" in top for _, top in epochs)
 
@@ -311,7 +310,7 @@ class TestTrendOracle:
         rng = random.Random(21)
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
-        streams = {"saldiri": cluster.events}
+        streams = {"saldiri": cluster}
         epochs = trend_oracle(streams, 600, mitigation=True, k=10)
         assert not any("saldiri" in top for _, top in epochs)
 
@@ -320,7 +319,7 @@ class TestTrendOracle:
         rng = random.Random(22)
         cluster = gen_organic_trend(kw, 2000, 4 * 3600, rng, WORDLIST, t0=9000,
                                     deletion_rate=0.023)
-        streams = {"dogal": cluster.events}
+        streams = {"dogal": cluster}
         off = trend_oracle(streams, 600, mitigation=False, k=10)
         on = trend_oracle(streams, 600, mitigation=True, k=10)
         entered_off = {ts // 1000 for ts, top in off if "dogal" in top}
@@ -337,7 +336,7 @@ class TestPlantedPrevalence:
         from trendguard.metrics import daily_average, prevalence
         from trendguard.simulator import group_stream_by_keyword, write_epochs_csv
 
-        config = replace(default_scenario(seed=33), n_days=3, background_per_day=300)
+        config = ScenarioConfig(seed=33, n_days=3, background_per_day=300)
         labeled = build_stream(config)
         streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
         ranked = trend_oracle(streams, 600, mitigation=False, k=10)
@@ -353,8 +352,8 @@ class TestPlantedPrevalence:
 
 class TestScenarioFiles:
     def test_save_load_round_trip(self, tmp_path):
-        config = replace(default_scenario(), seed=99, bots_min=150,
-                         sample_rate=0.02, params=AttackParams(kappa=5))
+        config = ScenarioConfig(seed=99, bots_min=150,
+                                sample_rate=0.02, params=AttackParams(kappa=5))
         path = tmp_path / "scenario.cfg"
         with open(path, "w", encoding="utf-8") as handle:
             save_scenario(config, handle)
@@ -366,6 +365,19 @@ class TestScenarioFiles:
         path.write_text("mystery_knob = 5\n")
         with pytest.raises(ValueError):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("n_days = 2\nseed = abc\n", ":2: "),
+        ("start_date = 2019-02-30\n", ":1: "),
+        ("sample_rate = 2\n", ": sample_rate"),
+        ("kappa = 0\n", ": kappa"),
+    ], ids=["seed", "start_date", "sample_rate", "kappa"])
+    def test_bad_value_names_file_and_line(self, tmp_path, text, prefix):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_scenario(str(path))
+        assert str(raised.value).startswith(f"{path}{prefix}")
 
     def test_comments_and_quotes(self, tmp_path):
         path = tmp_path / "ok.cfg"

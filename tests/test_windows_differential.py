@@ -20,9 +20,9 @@ from trendguard.detector import (
     _merge_components,
     detect_attack_windows,
 )
-from trendguard.ingest import TrendInstance, Tweet
+from trendguard.ingest import Tweet
 
-from conftest import DAY, DAY_NOON, make_instance
+from conftest import DAY_NOON, join_instance
 
 
 def reference_candidates(instance, flags, params, require_lexicon=False):
@@ -117,7 +117,8 @@ def reference_windows(instance, flags, params, require_lexicon=False,
 def _bursty_instance(rng):
     """50-300 tweets in a few bursts: shared creation seconds with distinct
     (and some equal) milliseconds, deletion waves that share seconds, some
-    users posting twice, and some negative or over-long lifetimes."""
+    users posting twice, and some over-long lifetimes; the join rejects the
+    notices drawn before their tweet."""
     n = rng.randint(50, 300)
     n_bursts = rng.randint(1, 4)
     bursts = [(DAY_NOON + rng.randint(0, 1500), rng.randint(0, 240), rng.randint(0, 400),
@@ -135,8 +136,7 @@ def _bursty_instance(rng):
             is_retweet=False, is_reply=False, geo=None,
         ))
         flags[tweet_id] = TweetFlags(is_lexicon=rng.random() < 0.8,
-                                     is_single_engagement=rng.random() < 0.9,
-                                     token_count=3)
+                                     is_single_engagement=rng.random() < 0.9)
         roll = rng.random()
         if roll < 0.75:
             deleted = start + spread // 2 + delay + rng.randint(0, wave)
@@ -145,10 +145,7 @@ def _bursty_instance(rng):
         else:
             continue
         deletions[tweet_id] = deleted * 1000 + rng.choice(millis)
-    instance = make_instance("#tag", [], {})
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
-    instance.deletions = deletions
-    return instance, flags
+    return join_instance("#tag", tweets, deletions), flags
 
 
 def _random_params(rng):
@@ -193,16 +190,15 @@ def test_extreme_windows_equal_reference():
 def test_same_second_creations_keep_millisecond_order():
     """Three tweets in one creation second, one deleted in the same second as
     another: ranks by (deleted ms, id) and spans come from the right tweets."""
-    flags = {i: TweetFlags(True, True, 3) for i in (1, 2, 3, 4)}
+    flags = {i: TweetFlags(True, True) for i in (1, 2, 3, 4)}
     created = {1: DAY_NOON * 1000 + 900, 2: DAY_NOON * 1000 + 5,
                3: DAY_NOON * 1000 + 400, 4: (DAY_NOON + 1) * 1000}
     tweets = [Tweet(id=i, user_id=10 + i, text="", created_ms=created[i], hashtags=("tag",),
                     mentions=(), urls=0, is_retweet=False, is_reply=False, geo=None)
               for i in created]
-    instance = TrendInstance(trend=make_instance("#tag", [], {}, day=DAY).trend)
-    instance.tweets = sorted(tweets, key=lambda t: (t.created_ms, t.id))
-    instance.deletions = {1: (DAY_NOON + 60) * 1000 + 10, 2: (DAY_NOON + 60) * 1000 + 700,
-                          3: (DAY_NOON + 61) * 1000, 4: (DAY_NOON + 60) * 1000 + 10}
+    instance = join_instance("#tag", tweets, {
+        1: (DAY_NOON + 60) * 1000 + 10, 2: (DAY_NOON + 60) * 1000 + 700,
+        3: (DAY_NOON + 61) * 1000, 4: (DAY_NOON + 60) * 1000 + 10})
     params = AttackParams(kappa=2, alpha_p=0, alpha_d=0)
     got = detect_attack_windows(instance, flags, params)
     assert got == reference_windows(instance, flags, params)
