@@ -98,7 +98,7 @@ def _config_from(args) -> DetectorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Two-pass instance building, across files in a process pool with --jobs
+# One-pass instance building, across files in a process pool with --jobs
 # ---------------------------------------------------------------------------
 
 @contextmanager

@@ -18,9 +18,11 @@ import gzip
 import io
 import json
 import re
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -541,16 +543,16 @@ def _keyword_index(
     A hashtag keyword matches only the exact hashtag token, case-folded, so
     '#tag' does not match '#tagging'; it is found through the text's
     hashtags. An n-gram keyword matches at token boundaries, never as a
-    substring; it is found through the token runs that start with its
-    first token."""
+    substring; its tokens are cleaned as text_tokens cleans a text's, and
+    it is found through the token runs that start with its first token.
+    One with no token left (such as '!!!') matches nothing."""
     hashtags: dict[str, tuple[str, str]] = {}
     ngrams: dict[str, set[tuple[tuple[str, ...], tuple[str, str]]]] = {}
     for k in keywords:
         key = (k.kind, k.normalized)
         if k.kind == HASHTAG:
             hashtags[k.normalized] = key
-        else:
-            tokens = tuple(k.normalized.split())
+        elif tokens := tuple(text_tokens(k.normalized, locale)):
             ngrams.setdefault(tokens[0], set()).add((tokens, key))
 
     def contained(text: str) -> list[tuple[str, str]]:
@@ -578,9 +580,9 @@ def build_trend_instances(
 
     Returns a mapping keyed by (date, normalized keyword). Matching goes
     through one keyword index over all trend-days. Deletion notices are
-    buffered by id (memory proportional to deletions in the input); callers
-    that need bounded memory over large files should use
-    build_instances_from_files, which attaches deletions in a second pass.
+    buffered in a dict by id (memory proportional to deletions in the
+    input); callers joining large files should use
+    build_instances_from_files, which packs each notice into 16 bytes.
     """
     builders = _builders(trends)
     # The builders that take a tweet, by keyword and by the tweet's local
@@ -607,50 +609,96 @@ def build_trend_instances(
     return {key: builder.build(pending) for key, builder in builders.items()}
 
 
+def _escape_sensitive(token: str) -> bool:
+    """True when a text can hold ``token`` while its folded line, free of
+    \\u escapes, does not: the token has a character JSON writes as a
+    short escape, or a 'σ', which the line can fold to 'ς' after an escape
+    (why, see build_instances_from_files)."""
+    return any(char in '"\\/σ' or char < " " for char in token)
+
+
 def _creation_filter(trends: Sequence[TrendDay], locale: str) -> Callable[[str], bool]:
-    """Pass one's raw-line test: keeps every line whose tweet can match one
-    of ``trends`` (why, see build_instances_from_files)."""
+    """Keeps every line whose tweet can match one of ``trends`` (why, see
+    build_instances_from_files)."""
     hashtags = any(trend.keyword.kind == HASHTAG for trend in trends)
-    ngrams = {tuple(trend.keyword.normalized.split())
-              for trend in trends if trend.keyword.kind != HASHTAG}
+    ngrams = {tokens for trend in trends if trend.keyword.kind != HASHTAG
+              if (tokens := tuple(text_tokens(trend.keyword.normalized, locale)))}
+    escape = "\\" if any(_escape_sensitive(t) for ngram in ngrams for t in ngram) else "\\u"
 
     def keep(line: str) -> bool:
         if hashtags and ("#" in line or "\\u0023" in line):
             return True
         if not ngrams:
             return False
-        if "\\" in line:
+        if escape in line:
             return True
         folded = fold_case(line, locale)
-        return any(all(token in folded for token in ngram) for ngram in ngrams)
+        for ngram in ngrams:
+            for token in ngram:
+                if token not in folded:
+                    break
+            else:
+                return True
+        return False
 
     return keep
 
 
 def _may_hold_deletion(line: str) -> bool:
-    """Pass two's raw-line test: keeps every deletion notice."""
+    """Keeps every deletion notice (why, see build_instances_from_files)."""
     return '"delete"' in line or "\\u006" in line or "\\u007" in line
 
 
-def _match_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], ParseStats]:
-    """Pass one over one file: the tweets matching each trend-day, and the
-    file's parse counters."""
+_INT64 = 2**63
+
+
+class _Notices:
+    """Deletion notices packed as two parallel int64 columns, tweet id and
+    time: 16 bytes a notice, several times less than a dict entry. A notice
+    with a value outside int64 (the parser accepts any int) goes to
+    ``wide``, which keeps each id's earliest time."""
+
+    def __init__(self):
+        self.ids = array("q")
+        self.times = array("q")
+        self.wide: dict[int, int] = {}
+
+    def add(self, tweet_id: int, when: int) -> None:
+        if -_INT64 <= tweet_id < _INT64 and -_INT64 <= when < _INT64:
+            self.ids.append(tweet_id)
+            self.times.append(when)
+        else:
+            _note_deletion(self.wide, tweet_id, when)
+
+    def note_wanted(self, wanted: set[int], pending: dict[int, int]) -> None:
+        """Note in ``pending`` the earliest notice of each wanted tweet id."""
+        for tweet_id, when in chain(zip(self.ids, self.times), self.wide.items()):
+            if tweet_id in wanted:
+                _note_deletion(pending, tweet_id, when)
+
+
+def _scan_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], _Notices, ParseStats]:
+    """One read of one file: the tweets matching each trend-day, every
+    deletion notice, and the file's parse counters."""
     path, trends, locale, tz_offset = job
+    may_match = _creation_filter(trends, locale)
+
+    def keep(line: str) -> bool:
+        return '"delete"' in line or may_match(line) or _may_hold_deletion(line)
+
     stats = ParseStats()
-    events = read_stream(path, stats=stats, keep=_creation_filter(trends, locale))
-    creations = (event for event in events if isinstance(event, Creation))
-    instances = build_trend_instances(trends, creations, locale, tz_offset)
-    return {key: instance.tweets for key, instance in instances.items()}, stats
+    events = read_stream(path, stats=stats, keep=keep)
+    notices = _Notices()
 
+    def creations() -> Iterator[Creation]:
+        for event in events:
+            if isinstance(event, Creation):
+                yield event
+            else:
+                notices.add(event.tweet_id, event.time_ms)
 
-def _deletions_in_file(job) -> dict[int, int]:
-    """Pass two over one file: the earliest notice for each wanted tweet id."""
-    path, wanted = job
-    found: dict[int, int] = {}
-    for event in read_stream(path, keep=_may_hold_deletion):
-        if isinstance(event, Deletion) and event.tweet_id in wanted:
-            _note_deletion(found, event.tweet_id, event.time_ms)
-    return found
+    instances = build_trend_instances(trends, creations(), locale, tz_offset)
+    return {key: instance.tweets for key, instance in instances.items()}, notices, stats
 
 
 def build_instances_from_files(
@@ -661,40 +709,55 @@ def build_instances_from_files(
     stats: Optional[ParseStats] = None,
     map_fn: Callable = map,
 ) -> dict[tuple[date, str], TrendInstance]:
-    """Two-pass streaming join over archive files with per-trend memory.
+    """One-pass streaming join over archive files with per-trend memory.
 
-    Pass one collects matching tweets; pass two attaches deletion notices
-    for the collected tweet ids only, so peak memory tracks trend content
-    rather than corpus size. The result equals
-    ``build_trend_instances(trends, <every file's events>)``.
+    Each file is read once: its matching tweets are kept, and each of its
+    deletion notices is packed into 16 bytes. Once every file is read, the
+    earliest notice of each matched tweet is attached, so peak memory is the
+    matched tweets plus 16 bytes per notice, not the corpus. The result
+    equals ``build_trend_instances(trends, <every file's events>)``.
 
-    Each pass decodes only the lines a raw-line test keeps; the others are
-    counted as ``prefiltered``. Both tests keep a superset of the lines that
-    can change the result:
+    Only the lines a raw-line test keeps are decoded; the others are
+    counted as ``prefiltered``. The test keeps a line in each of these
+    cases, which together hold every line that can change the result:
 
-    * pass one keeps a line when some trend-day is a hashtag and the line
-      holds '#' or \\u0023: a hashtag match needs a '#' in the decoded
-      text, and a JSON string can encode one in only these two ways. It also
-      keeps a line when some trend-day is an n-gram and the line holds a
-      backslash, or all of that n-gram's tokens occur in the case-folded
-      line: a line without a backslash holds its text verbatim between
-      '"' delimiters, case folding maps characters one by one, and the
-      final-sigma rule of str.lower stops at the '"', so every folded text
-      token is a substring of the folded line;
-    * pass two keeps a line holding '"delete"', \\u006 or \\u007: the key
-      "delete" appears literally or with some letters escaped, and the
-      escapes of d, e, l and t all start with \\u006 or \\u007.
+    * the line holds '"delete"', \\u006 or \\u007: the key "delete"
+      appears literally or with some letters escaped, and the escapes of
+      d, e, l and t all start with \\u006 or \\u007;
+    * some trend-day is a hashtag and the line holds '#' or \\u0023: a
+      hashtag match needs a '#' in the decoded text, and a JSON string can
+      encode one in only these two ways;
+    * some trend-day is an n-gram, and the line holds \\u; or it holds a
+      backslash while some n-gram token holds '"', '\\', '/', a character
+      below U+0020 or 'σ'; or every token of some n-gram occurs in the
+      case-folded line. A matched token occurs in the folded text. Without
+      \\u, the text differs from its JSON string only at the escapes \\"
+      \\\\ \\/ \\b \\f \\n \\r \\t, which decode to '"', '\\', '/' or a
+      character below U+0020, each folding to itself; so a token holding
+      none of these lies in the fold of a run of the text that the line
+      holds verbatim. Folding maps characters one by one, except that
+      str.lower makes a capital sigma final when a cased letter precedes it
+      and none follows, skipping case-ignorable characters. Beside the run,
+      the text has an escape's decoded character or the string's end, and
+      the line a backslash, '"' or an escape's last character. None of
+      these is cased or case-ignorable, save the letters ending \\b \\f \\n
+      \\r and \\t: after one, a sigma can fold to 'ς' in the line and to
+      'σ' in the text, and a token covering it holds 'σ'. So in a line
+      that neither \\u nor such a backslash keeps, every matched token
+      occurs in the folded line.
 
-    ``stats`` receives pass one's counters: each archive line once.
-    ``map_fn`` runs the per-file passes, in file order; a process pool's
+    ``stats`` receives the read's counters: each archive line once.
+    ``map_fn`` runs the per-file reads, in file order; a process pool's
     map parallelizes across files with identical results.
     """
     builders = _builders(trends)
-    for tweets_by_key, file_stats in map_fn(
-        _match_file, [(path, trends, locale, tz_offset) for path in paths]
+    notices: list[_Notices] = []
+    for tweets_by_key, file_notices, file_stats in map_fn(
+        _scan_file, [(path, trends, locale, tz_offset) for path in paths]
     ):
         if stats is not None:
             stats.add(file_stats)
+        notices.append(file_notices)
         for key, tweets in tweets_by_key.items():
             builder = builders[key]
             for tweet in tweets:
@@ -702,8 +765,6 @@ def build_instances_from_files(
 
     wanted = {tid for builder in builders.values() for tid in builder.tweets}
     pending: dict[int, int] = {}
-    if wanted:
-        for found in map_fn(_deletions_in_file, [(path, wanted) for path in paths]):
-            for tid, when in found.items():
-                _note_deletion(pending, tid, when)
+    for file_notices in notices:
+        file_notices.note_wanted(wanted, pending)
     return {key: builder.build(pending) for key, builder in builders.items()}

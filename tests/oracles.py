@@ -41,11 +41,12 @@ def match_keyword(text: str, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> 
 
     Hashtag keywords match only the exact hashtag token (case-folded), so
     '#tag' does not match '#tagging'. N-gram keywords match at token
-    boundaries, never as substrings.
+    boundaries, never as substrings; the keyword's tokens are cleaned as
+    the text's are, so one with no token left matches nothing.
     """
     if keyword.kind == HASHTAG:
         return keyword.normalized in extract_hashtags(text, locale)
-    return _ngram_occurs(text_tokens(text, locale), keyword.normalized.split())
+    return _ngram_occurs(text_tokens(text, locale), text_tokens(keyword.normalized, locale))
 
 
 def _tweet_in_day_window(tweet: Tweet, trend_day_number: int, tz_offset: int) -> bool:

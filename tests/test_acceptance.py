@@ -332,8 +332,8 @@ def test_acceptance_7_scale_and_determinism(tmp_path):
     verdicts = [json.loads(line) for line in first.read_text().splitlines()]
     assert len(verdicts) == 5
     assert all(v["features"]["n_tweets"] > 0 for v in verdicts)
-    # Streaming two-pass join: memory tracks matched trend content, not the
-    # hundred-megabyte corpus.
+    # Streaming one-pass join: memory tracks matched trend content plus 16
+    # bytes per deletion notice, not the hundred-megabyte corpus.
     assert peak_kb < 250_000, f"detect peak RSS {peak_kb} kB"
     print(f"\n[ACCEPTANCE 7] PASS scale and determinism: 1M lines end-to-end in "
           f"{elapsed:.1f}s, peak RSS {peak_kb / 1024:.0f} MB, reruns byte-identical")

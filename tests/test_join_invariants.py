@@ -79,7 +79,7 @@ def test_one_pass_join_invariants(events):
 
 @settings(max_examples=150, deadline=None)
 @given(events=shuffled_streams(), split=st.integers(0, 60))
-def test_two_pass_join_invariants(events, split):
+def test_file_join_invariants(events, split):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for index, part in enumerate((events[:split], events[split:])):

@@ -11,6 +11,7 @@ from trendguard.ingest import (
     Creation,
     Deletion,
     TrendDay,
+    _creation_filter,
     build_trend_instances,
 )
 from trendguard.simulator import group_stream_by_keyword
@@ -28,7 +29,8 @@ WORDS = (
 )
 
 # Day offsets from DAY. "#galatasaray" and "galatasaray" share a normalized
-# form on different days; "galatasaray" and "ıstanbul" are one-word n-grams.
+# form on different days; "galatasaray" and "ıstanbul" are one-word n-grams;
+# "(galatasaray), derbi!" has edge punctuation and "..." no token at all.
 TRENDS = (
     ("#galatasaray", 0),
     ("galatasaray", 1),
@@ -38,6 +40,8 @@ TRENDS = (
     ("fener bahçe", 0),
     ("#ı", 1),
     ("İ", 2),
+    ("(galatasaray), derbi!", 0),
+    ("...", 1),
 )
 
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=7).map(" ".join)
@@ -98,3 +102,16 @@ def test_one_word_ngram_matches_the_bare_word():
     events = [Creation(make_tweet(1, 1, "Galatasaray kazandı", DAY_NOON))]
     assert match_keyword("Galatasaray kazandı", keyword)
     assert group_stream_by_keyword(events, [keyword]) == {"galatasaray": events}
+
+
+def test_ngram_keyword_tokens_are_cleaned_like_text_tokens():
+    trends = [TrendDay(DAY, normalize_keyword("foo, bar")), TrendDay(DAY, normalize_keyword("!!!"))]
+    texts = ["foo, bar baz", "foo bar baz", "!!! foo"]
+    events = [Creation(make_tweet(i, i, text, DAY_NOON)) for i, text in enumerate(texts)]
+    instances = build_trend_instances(trends, events)
+    assert [t.id for t in instances[(DAY, "foo, bar")].tweets] == [0, 1]
+    assert instances[(DAY, "!!!")].tweets == []
+    assert [match_keyword(text, trends[0].keyword) for text in texts] == [True, True, False]
+    assert not any(match_keyword(text, trends[1].keyword) for text in texts)
+    keep = _creation_filter(trends, "tr")
+    assert [keep(f'{{"id":1,"text":"{text}"}}') for text in texts] == [True, True, False]

@@ -2,7 +2,7 @@
 
 Property tests run the line predicates against the parser and the keyword
 matcher on generated records; differential tests compare the prefiltered
-two-pass join, serial and pooled, with the unfiltered one-pass join.
+file join, serial and pooled, with the unfiltered join of the same events.
 """
 
 import bz2
@@ -15,7 +15,7 @@ from datetime import date
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trendguard import simulator as sim_mod
+from trendguard import ingest, simulator as sim_mod
 from trendguard.cli import _build_instances
 from trendguard.core import DEFAULT_TZ_OFFSET, normalize_keyword
 from trendguard.ingest import (
@@ -144,12 +144,24 @@ def test_deletion_with_escaped_key_is_kept(key):
     ("İzmir", "İzmir", "en"),                  # 'İ' lowers to two characters
     ("ΟΔΟΣ", "ΟΔΟΣ", "tr"),                    # final sigma at the closing quote
     ("tepel sobar", "(tepel), SOBAR!", "tr"),  # edge punctuation around tokens
+    ("a/b", "x a\\/b", "tr"),                  # '/' written as an escape
+    ("tepel sobar", "\\u0074epel SOBAR", "tr"),  # a \u-escaped token letter
+    ("Σ", "a\\nΣ", "en"),                      # the line folds it to 'ς' after \n
 ])
 def test_matching_line_is_kept(raw, text, locale):
     line = f'{{"id":1,"text":"{text}","user":{{"id":2}},"timestamp_ms":"5"}}'
     trend = TrendDay(DAY, normalize_keyword(raw, locale))
     assert match_keyword(parse_stream_line(line).tweet.text, trend.keyword, locale)
     assert _creation_filter([trend], locale)(line)
+
+
+def test_status_line_with_escaped_source_is_dropped():
+    # Every real status line has \" in its source; it hides no token.
+    line = ('{"id":1,"text":"sadece bir tweet","source":"<a href=\\"http://x\\">app</a>",'
+            '"user":{"id":2},"timestamp_ms":"5"}')
+    trend = TrendDay(DAY, normalize_keyword("devam etmiyor"))
+    assert parse_stream_line(line).tweet.text == "sadece bir tweet"
+    assert not _creation_filter([trend], "tr")(line)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +199,7 @@ def test_read_stream_never_raises(lines, keep):
 
 
 # ---------------------------------------------------------------------------
-# Prefiltered two-pass join == unfiltered one-pass join
+# Prefiltered file join == unfiltered join of the same events
 # ---------------------------------------------------------------------------
 
 def _archive_lines() -> list[str]:
@@ -245,7 +257,21 @@ def _as_comparable(instances):
             for key, inst in instances.items()}
 
 
-def test_two_pass_join_equals_one_pass_join(tmp_path):
+def _shards(tmp_path, lines: list[str]) -> list[str]:
+    """The lines dealt into a gzip, a bzip2 and a plain shard. Each shard
+    also holds a notice for tweet 2; the earliest is in the first."""
+    shards = []
+    for index, codec in enumerate((gzip, bz2, None)):
+        shard = tmp_path / f"shard{index}.jsonl"
+        notice = json.dumps({"delete": {"status": {"id": 2, "user_id": 8},
+                                        "timestamp_ms": str(DAY_NOON * 1000 + 6000 + index)}})
+        data = "".join(line + "\n" for line in lines[index::3] + [notice]).encode("utf-8")
+        shard.write_bytes(codec.compress(data) if codec else data)
+        shards.append(str(shard))
+    return shards
+
+
+def test_prefiltered_join_equals_unfiltered_join(tmp_path):
     lines = _archive_lines()
     trends = _trends(lines)
     plain = tmp_path / "archive.jsonl"
@@ -267,17 +293,53 @@ def test_two_pass_join_equals_one_pass_join(tmp_path):
         assert _as_comparable(joined) == reference
         assert stats.lines_read == len(lines) and stats.prefiltered > 0 and stats.consistent
 
-    # Each shard also holds a notice for tweet 2; the earliest is in the first.
-    shards = []
-    for index, codec in enumerate((gzip, bz2, None)):
-        shard = tmp_path / f"shard{index}.jsonl"
-        notice = json.dumps({"delete": {"status": {"id": 2, "user_id": 8},
-                                        "timestamp_ms": str(DAY_NOON * 1000 + 6000 + index)}})
-        data = "".join(line + "\n" for line in lines[index::3] + [notice]).encode("utf-8")
-        shard.write_bytes(codec.compress(data) if codec else data)
-        shards.append(str(shard))
+    shards = _shards(tmp_path, lines)
     unfiltered = (event for shard in shards for event in read_stream(shard))
     expected = _as_comparable(build_trend_instances(trends, unfiltered))
     for jobs in (1, 2):
         pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
         assert _as_comparable(pooled) == expected
+
+
+def test_each_file_is_read_once(tmp_path, monkeypatch):
+    lines = _archive_lines()
+    shards = _shards(tmp_path, lines)
+    reads = []
+    real_read_stream = ingest.read_stream
+
+    def counting_read_stream(source, **kwargs):
+        reads.append(source)
+        return real_read_stream(source, **kwargs)
+
+    monkeypatch.setattr(ingest, "read_stream", counting_read_stream)
+    build_instances_from_files(_trends(lines), shards)
+    assert sorted(reads) == sorted(shards)
+
+
+def test_values_outside_int64_attach_as_in_the_event_join(tmp_path):
+    """The file join packs notices into int64 columns; an id or a time
+    outside int64 must still attach, or be rejected, as unpacked."""
+    created = DAY_NOON * 1000
+    events = [
+        {"id": 2**63, "text": "#konu büyük", "user": {"id": 1}, "timestamp_ms": str(created)},
+        {"id": 7, "text": "#konu eski", "user": {"id": 1}, "timestamp_ms": str(created)},
+        {"id": 8, "text": "#konu karışık", "user": {"id": 1}, "timestamp_ms": str(created)},
+        {"delete": {"status": {"id": 2**63, "user_id": 1}, "timestamp_ms": str(created + 5000)}},
+        {"delete": {"status": {"id": 7, "user_id": 1}, "timestamp_ms": str(-2**63 - 1)}},
+        {"delete": {"status": {"id": 7, "user_id": 1}, "timestamp_ms": str(created + 1000)}},
+        {"delete": {"status": {"id": 8, "user_id": 1}, "timestamp_ms": str(2**63)}},
+        {"delete": {"status": {"id": 8, "user_id": 1}, "timestamp_ms": str(created + 3000)}},
+    ]
+    shards = []
+    for index, part in enumerate((events[:3], events[3:])):
+        shard = tmp_path / f"shard{index}.jsonl"
+        shard.write_text("".join(json.dumps(r) + "\n" for r in part), encoding="utf-8")
+        shards.append(str(shard))
+    trends = [TrendDay(DAY, normalize_keyword("#konu"))]
+    unfiltered = (event for shard in shards for event in read_stream(shard))
+    expected = _as_comparable(build_trend_instances(trends, unfiltered))
+    tweets, deletions, invalid = expected[(DAY, "konu")]
+    assert [t.id for t in tweets] == [7, 8, 2**63]
+    assert deletions == {2**63: created + 5000, 8: created + 3000} and invalid == 1
+    assert _as_comparable(build_instances_from_files(trends, shards)) == expected
+    assert _as_comparable(_build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, 2)) == expected
