@@ -11,10 +11,13 @@ across runs and memory stays bounded by one day of activity.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
+import time
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, datetime, timezone
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, get_type_hints
 
 from .core import (
@@ -816,70 +819,67 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 
 def format_created_at(ms: int) -> str:
-    import time as _time
-
-    tm = _time.gmtime(ms // 1000)
+    tm = time.gmtime(ms // 1000)
     return (
         f"{_WEEKDAYS[tm.tm_wday]} {_MONTH_NAMES[tm.tm_mon - 1]} {tm.tm_mday:02d} "
         f"{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d} +0000 {tm.tm_year}"
     )
 
 
-def event_to_record(event: TweetEvent) -> dict:
-    if isinstance(event, Deletion):
-        return {
-            "delete": {
-                "status": {
-                    "id": event.tweet_id,
-                    "id_str": str(event.tweet_id),
-                    "user_id": event.user_id,
-                    "user_id_str": str(event.user_id),
-                },
-                "timestamp_ms": str(event.time_ms),
-            }
-        }
-    tweet = event.tweet
-    record = {
-        "created_at": format_created_at(tweet.created_ms),
-        "id": tweet.id,
-        "id_str": str(tweet.id),
-        "text": tweet.text,
-        "user": {"id": tweet.user_id, "id_str": str(tweet.user_id)},
-        "entities": {
-            "hashtags": [{"text": tag} for tag in tweet.hashtags],
-            "user_mentions": [{"id": m, "id_str": str(m)} for m in tweet.mentions],
-            "urls": [{"url": f"https://t.co/x{i}"} for i in range(tweet.urls)],
-        },
-        "timestamp_ms": str(tweet.created_ms),
-        "lang": "tr",
-        "source": '<a href="https://twitter.com/download">Twitter for Android</a>',
-    }
-    if tweet.is_retweet and not tweet.text.startswith("RT @"):
-        record["retweeted_status"] = {"id": tweet.id - 1}
-    if tweet.is_reply:
-        record["in_reply_to_status_id"] = tweet.id - 1
-    if tweet.geo is not None:
-        record["geo"] = {"type": "Point", "coordinates": list(tweet.geo)}
-    return record
+_SOURCE = encode_basestring('<a href="https://twitter.com/download">Twitter for Android</a>')
 
 
 def write_stream_jsonl(handle, events: Iterable[TweetEvent]) -> None:
+    """Write each event as one archive-format JSON line.
+
+    A line is ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` of
+    the event's archive record (the oracle is ``tests/oracles.py``), written
+    from a fixed template: the keys spelled in sorted order, strings through
+    the encoder ``json.dumps`` uses, `geo` through ``json.dumps`` itself, and
+    the optional keys `geo`, `in_reply_to_status_id` and `retweeted_status`
+    in their sorted slots. `created_at` is formatted once per distinct second.
+    """
+    write = handle.write
+    second = None
+    created_at = ""
     for event in events:
-        handle.write(json.dumps(event_to_record(event), sort_keys=True, ensure_ascii=False))
-        handle.write("\n")
+        if isinstance(event, Deletion):
+            tid, uid = event.tweet_id, event.user_id
+            write(f'{{"delete": {{"status": {{"id": {tid}, "id_str": "{tid}", "user_id": {uid}, '
+                  f'"user_id_str": "{uid}"}}, "timestamp_ms": "{event.time_ms}"}}}}\n')
+            continue
+        tweet = event.tweet
+        tid, uid, ms = tweet.id, tweet.user_id, tweet.created_ms
+        if ms // 1000 != second:
+            second = ms // 1000
+            created_at = format_created_at(ms)
+        hashtags = ", ".join([f'{{"text": {encode_basestring(tag)}}}' for tag in tweet.hashtags])
+        urls = ", ".join([f'{{"url": "https://t.co/x{i}"}}' for i in range(tweet.urls)])
+        mentions = ", ".join([f'{{"id": {m}, "id_str": "{m}"}}' for m in tweet.mentions])
+        geo = "" if tweet.geo is None else (
+            f'"geo": {{"coordinates": {json.dumps(tweet.geo)}, "type": "Point"}}, ')
+        reply = f'"in_reply_to_status_id": {tid - 1}, ' if tweet.is_reply else ""
+        retweet = (f'"retweeted_status": {{"id": {tid - 1}}}, '
+                   if tweet.is_retweet and not tweet.text.startswith("RT @") else "")
+        write(f'{{"created_at": "{created_at}", "entities": {{"hashtags": [{hashtags}], '
+              f'"urls": [{urls}], "user_mentions": [{mentions}]}}, {geo}"id": {tid}, '
+              f'"id_str": "{tid}", {reply}"lang": "tr", {retweet}"source": {_SOURCE}, '
+              f'"text": {encode_basestring(tweet.text)}, "timestamp_ms": "{ms}", '
+              f'"user": {{"id": {uid}, "id_str": "{uid}"}}}}\n')
 
 
 def write_truth_csv(handle, labeled: LabeledStream) -> None:
-    handle.write("date,keyword,attacked\n")
-    for (day, normalized), attacked in sorted(labeled.truth.items()):
-        raw = labeled.keywords[normalized].raw
-        handle.write(f"{day.isoformat()},{raw},{int(attacked)}\n")
+    rows = csv.writer(handle, lineterminator="\n")
+    rows.writerow(("date", "keyword", "attacked"))
+    rows.writerows((day.isoformat(), labeled.keywords[normalized].raw, int(attacked))
+                   for (day, normalized), attacked in sorted(labeled.truth.items()))
 
 
 def write_trends_csv(handle, labeled: LabeledStream) -> None:
-    handle.write("date,keyword\n")
-    for (day, normalized) in sorted(labeled.truth):
-        handle.write(f"{day.isoformat()},{labeled.keywords[normalized].raw}\n")
+    rows = csv.writer(handle, lineterminator="\n")
+    rows.writerow(("date", "keyword"))
+    rows.writerows((day.isoformat(), labeled.keywords[normalized].raw)
+                   for day, normalized in sorted(labeled.truth))
 
 
 def write_bots(handle, labeled: LabeledStream) -> None:
@@ -894,9 +894,8 @@ def write_epochs_csv(
     location: str = "simulated",
 ) -> None:
     """Serialize toy-oracle output in the trend-epoch CSV format."""
-    from datetime import datetime, timezone
-
-    handle.write("captured_at,location,rank,keyword,volume\n")
+    rows = csv.writer(handle, lineterminator="\n")
+    rows.writerow(("captured_at", "location", "rank", "keyword", "volume"))
     for when, ranked in epochs:
         if not ranked:
             continue
@@ -905,7 +904,7 @@ def write_epochs_csv(
         )
         for rank, normalized in enumerate(ranked, start=1):
             raw = keywords[normalized].raw if normalized in keywords else normalized
-            handle.write(f"{iso},{location},{rank},{raw},\n")
+            rows.writerow((iso, location, rank, raw, ""))
 
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:

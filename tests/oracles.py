@@ -1,9 +1,11 @@
 """Reference oracles for the trend-day join: one keyword tested against one
-text at a time, and one trend-day joined against an event collection.
+text at a time, and one trend-day joined against an event collection; and
+for the simulator's archive lines: one event built as its archive record.
 
 The library joins every trend-day in one pass through a keyword index
-(`trendguard.ingest.build_trend_instances`); the tests check that join
-against these direct definitions.
+(`trendguard.ingest.build_trend_instances`) and writes archive lines from a
+fixed template (`trendguard.simulator.write_stream_jsonl`); the tests check
+both against these direct definitions.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from trendguard.ingest import (
     extract_hashtags,
     text_tokens,
 )
+from trendguard.simulator import format_created_at
 
 
 def _ngram_occurs(tokens: Sequence[str], ngram: Sequence[str]) -> bool:
@@ -80,3 +83,41 @@ def build_trend_instance(
         elif isinstance(event, Deletion):
             _note_deletion(pending, event.tweet_id, event.time_ms)
     return builder.build(pending)
+
+
+def event_to_record(event: TweetEvent) -> dict:
+    if isinstance(event, Deletion):
+        return {
+            "delete": {
+                "status": {
+                    "id": event.tweet_id,
+                    "id_str": str(event.tweet_id),
+                    "user_id": event.user_id,
+                    "user_id_str": str(event.user_id),
+                },
+                "timestamp_ms": str(event.time_ms),
+            }
+        }
+    tweet = event.tweet
+    record = {
+        "created_at": format_created_at(tweet.created_ms),
+        "id": tweet.id,
+        "id_str": str(tweet.id),
+        "text": tweet.text,
+        "user": {"id": tweet.user_id, "id_str": str(tweet.user_id)},
+        "entities": {
+            "hashtags": [{"text": tag} for tag in tweet.hashtags],
+            "user_mentions": [{"id": m, "id_str": str(m)} for m in tweet.mentions],
+            "urls": [{"url": f"https://t.co/x{i}"} for i in range(tweet.urls)],
+        },
+        "timestamp_ms": str(tweet.created_ms),
+        "lang": "tr",
+        "source": '<a href="https://twitter.com/download">Twitter for Android</a>',
+    }
+    if tweet.is_retweet and not tweet.text.startswith("RT @"):
+        record["retweeted_status"] = {"id": tweet.id - 1}
+    if tweet.is_reply:
+        record["in_reply_to_status_id"] = tweet.id - 1
+    if tweet.geo is not None:
+        record["geo"] = {"type": "Point", "coordinates": list(tweet.geo)}
+    return record

@@ -69,15 +69,22 @@ def escape_strings(encoded: str, rng: random.Random, rate: float) -> str:
 # ---------------------------------------------------------------------------
 
 TREND_KEYWORDS = ["#konu", "#İzmir", "#ısı", "IŞIK", "ΟΔΟΣ", "tepel sobar", "İzmir ıspanak",
-                  "a/b"]
+                  "a/b", "Σ"]
+# Lists drawn as often as the mixed ones above: with 'a/b' in a list, the
+# filter keeps every line with a backslash, which hides how it treats 'Σ'.
+SIGMA_KEYWORDS = ["Σ", "#konu", "IŞIK"]
 # Spellings of the keywords' tokens in several cases, and characters whose
 # folding or JSON encoding is special.
 KEYWORD_WORDS = ["#konu", "#KONU", "#İzmir", "#IZMIR", "#ısı", "#ISI", "IŞIK", "Işık", "işik",
                  "ΟΔΟΣ", "οδος", "tepel", "TEPEL", "sobar", "(Sobar)", "İzmir", "IZMIR",
                  "ıspanak", "ISPANAK", "a/b"]
 ODD_WORDS = ["#", "İ", "I", "ı", "Σ", "ς", "/", '"', "\\", "x"]
+# A 'Σ' right after a short control escape: the line folds it to 'ς', since
+# the escape's letter is cased, while the text keeps 'σ'.
+SIGMA_WORDS = [control + "Σ" for control in "\n\t\r\b\f"] + ["aΣ\nΣ"]
 text_strategy = st.lists(
-    st.sampled_from(KEYWORD_WORDS) | st.sampled_from(ODD_WORDS) | st.text(max_size=3),
+    st.sampled_from(KEYWORD_WORDS) | st.sampled_from(ODD_WORDS) | st.sampled_from(SIGMA_WORDS)
+    | st.text(max_size=3),
     max_size=5,
 ).map(lambda words: " ".join(words))
 ids = st.integers(min_value=0, max_value=2**62)
@@ -110,10 +117,22 @@ def encoded_lines(draw):
     return line + draw(st.sampled_from(["\n", "\r\n", ""]))
 
 
+@st.composite
+def unescaped_creation_lines(draw):
+    """Creation lines as the archive writes them, with ensure_ascii=False
+    and no \\u escape added. The filter keeps any line with a \\u escape,
+    so only lines like these show whether it keeps a 'Σ' that the folded
+    line spells 'ς' after a short escape."""
+    record = {"id": draw(ids), "text": draw(text_strategy), "user": {"id": draw(ids)},
+              "timestamp_ms": draw(millis)}
+    return json.dumps(record, ensure_ascii=False)
+
+
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    line=encoded_lines(),
-    keywords=st.lists(st.sampled_from(TREND_KEYWORDS), min_size=1, unique=True),
+    line=encoded_lines() | unescaped_creation_lines(),
+    keywords=st.lists(st.sampled_from(TREND_KEYWORDS), min_size=1, unique=True)
+    | st.lists(st.sampled_from(SIGMA_KEYWORDS), min_size=1, unique=True),
     locale=st.sampled_from(["tr", "en"]),
 )
 def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
