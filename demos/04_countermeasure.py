@@ -25,9 +25,8 @@ scenario = ScenarioConfig(
 labeled = build_stream(scenario)
 streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
 
-window_s = 600
-epochs_off = trend_oracle(streams, window_s, mitigation=False, k=10)
-epochs_on = trend_oracle(streams, window_s, mitigation=True, k=10, penalty_weight=2.0)
+epochs_off = trend_oracle(streams, mitigation=False)
+epochs_on = trend_oracle(streams, mitigation=True)
 
 
 def attack_entered(epochs, wave, horizon=600):

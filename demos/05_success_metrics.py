@@ -44,7 +44,7 @@ labeled = build_stream(scenario)
 # Trend-list snapshots come from the toy oracle (mitigation off: today's
 # platform), serialized and re-read through the epoch CSV format.
 streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-ranked = trend_oracle(streams, 600, mitigation=False, k=10)
+ranked = trend_oracle(streams, mitigation=False)
 buffer = io.StringIO()
 write_epochs_csv(buffer, ranked, labeled.keywords)
 buffer.seek(0)

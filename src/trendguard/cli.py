@@ -49,21 +49,27 @@ from . import graph as graph_mod
 from . import simulator as sim_mod
 
 
-def _default_locale() -> str:
-    return os.environ.get("TRENDGUARD_LOCALE", DEFAULT_LOCALE)
-
-
-def _add_locale(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--locale", default=_default_locale(),
+def _add_locale_and_offset(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--locale", default=os.environ.get("TRENDGUARD_LOCALE", DEFAULT_LOCALE),
                         help="locale for case folding (default: tr, env TRENDGUARD_LOCALE)")
+    parser.add_argument("--tz-offset", type=int, default=DEFAULT_TZ_OFFSET,
+                        help="reporting timezone offset in seconds (default 10800, UTC+3)")
+
+
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for multi-file inputs (results identical)")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_locale(parser)
-    parser.add_argument("--tz-offset", type=int, default=DEFAULT_TZ_OFFSET,
-                        help="reporting timezone offset in seconds (default 10800, UTC+3)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for multi-file inputs (results identical)")
+    _add_locale_and_offset(parser)
+    _add_jobs(parser)
+
+
+def _add_sink(parser: argparse.ArgumentParser, what: str) -> None:
+    sink = parser.add_mutually_exclusive_group(required=True)
+    sink.add_argument("--out", help=f"{what} path")
+    sink.add_argument("--stdout", action="store_true", help=f"print the {what} instead")
 
 
 def _add_preset(parser: argparse.ArgumentParser) -> None:
@@ -263,8 +269,10 @@ def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
                 record = json.loads(line)
                 if not isinstance(record, dict) or not {"date", "keyword", "attacked"} <= record.keys():
                     raise ValueError("a verdict record needs date, keyword and attacked")
+                if not isinstance(record["keyword"], str) or not isinstance(record["attacked"], bool):
+                    raise ValueError("a verdict's keyword must be a string and attacked a boolean")
                 key = (date.fromisoformat(record["date"]), record["keyword"])
-                mapping[key] = mapping.get(key, False) or bool(record["attacked"])
+                mapping[key] = mapping.get(key, False) or record["attacked"]
             except (TypeError, ValueError) as exc:
                 raise BadRow(f"{path}:{lineno}: {exc}") from exc
     return mapping
@@ -380,7 +388,8 @@ def _cmd_simulate(args, out: _Outputs) -> int:
     streams: dict = {}
     if args.epochs:
         # The one generation pass also files each event by keyword.
-        events = sim_mod.tee_by_keyword(events, labeled.keywords.values(), streams, args.locale)
+        events = sim_mod.tee_by_keyword(events, labeled.keywords.values(), streams,
+                                        sim_mod.SCENARIO_LOCALE)
     with ExitStack() as stack:
         if args.gzip:
             # mtime pinned so repeated runs are byte-identical; the header
@@ -416,7 +425,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     elif args.config:
         scenario = sim_mod.load_scenario(args.config)
         labeled = sim_mod.build_stream(scenario)
-        report = sim_mod.evaluate(config, labeled, args.locale)
+        report = sim_mod.evaluate(config, labeled)
     else:
         raise TrendGuardError("evaluate needs --sim DIR or --config FILE")
     payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
@@ -436,9 +445,8 @@ def _evaluate_sim_dir(args, config: DetectorConfig) -> sim_mod.EvalReport:
         config,
         sim_mod.load_scenario(str(sim_dir / "scenario.cfg")),
         read_stream(str(stream_path)),
-        load_trend_days(str(sim_dir / "trends.csv"), args.locale),
-        sim_mod.load_truth_csv(str(sim_dir / "truth.csv"), args.locale),
-        args.locale,
+        load_trend_days(str(sim_dir / "trends.csv"), sim_mod.SCENARIO_LOCALE),
+        sim_mod.load_truth_csv(str(sim_dir / "truth.csv"), sim_mod.SCENARIO_LOCALE),
     )
 
 
@@ -455,16 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse archive files and report stream statistics")
     p.add_argument("--stream", nargs="+", required=True, help="archive file(s), .gz/.bz2 ok")
-    p.add_argument("--out", help="stats JSON path")
-    p.add_argument("--stdout", action="store_true", help="print stats instead of writing a file")
-    _add_common(p)
+    _add_sink(p, "stats JSON")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("features", help="per-trend feature vectors as CSV")
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True, help="date,keyword CSV")
-    p.add_argument("--out", help="features CSV path")
-    p.add_argument("--stdout", action="store_true")
+    _add_sink(p, "features CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_features)
 
@@ -472,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True)
     _add_preset(p)
-    p.add_argument("--out", help="verdicts JSONL path")
-    p.add_argument("--stdout", action="store_true")
+    _add_sink(p, "verdicts JSONL")
     p.add_argument("--bots-out", help="write astrobot user ids here")
     p.add_argument("--events-out", help="write per-trend attack events here")
     p.add_argument("--merge-events", action="store_true",
@@ -488,9 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trends", help="known trend-days CSV; candidates trending that day or next are skipped")
     _add_preset(p)
     p.add_argument("--min-tweets", type=int, default=4)
-    p.add_argument("--out", help="verdicts JSONL path")
-    p.add_argument("--stdout", action="store_true")
-    _add_common(p)
+    _add_sink(p, "verdicts JSONL")
+    _add_locale_and_offset(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("metrics", help="success metrics against real-time trend epochs")
@@ -525,15 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", action="store_true",
                    help="also write toy trend-list snapshots as epochs.csv")
     p.add_argument("--out", required=True, help="output directory")
-    _add_locale(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a detector preset against simulator truth")
-    p.add_argument("--sim", help="directory written by simulate")
-    p.add_argument("--config", help="scenario file to regenerate in memory instead of --sim")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--sim", help="directory written by simulate")
+    source.add_argument("--config", help="scenario file to regenerate in memory instead of --sim")
     _add_preset(p)
     p.add_argument("--out", help="also write the report JSON here")
-    _add_locale(p)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser
@@ -542,9 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None) is None and not getattr(args, "stdout", False) \
-            and args.command in ("ingest", "features", "detect", "scan"):
-        parser.error(f"{args.command}: --out or --stdout is required")
     outputs = _Outputs()
     try:
         return args.func(args, outputs)

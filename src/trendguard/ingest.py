@@ -65,8 +65,6 @@ class Tweet:
     urls: int = 0
     is_retweet: bool = False
     is_reply: bool = False
-    # (lat, lon) the simulator writes; the parser does not read it.
-    geo: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -42,6 +43,11 @@ from .ingest import (
 from .classify import flags_for_instance
 from .detector import AttackParams, DetectorConfig, classify_trend
 from .features import count_features
+
+
+# The scenario's keywords and texts are Turkish: the plan normalizes its
+# keywords in this locale, and everything that reads them back must too.
+SCENARIO_LOCALE = "tr"
 
 
 class WordlistTooSmall(TrendGuardError):
@@ -86,6 +92,18 @@ def _place_keyword(words: list[str], keyword: Keyword, rng: random.Random) -> st
 
 def _random_geo(rng: random.Random) -> tuple[float, float]:
     return (rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class GeoTweet(Tweet):
+    """A simulated tweet that carries a (lat, lon) point; the writer emits
+    it as the record's `geo`, which no reader of the archive uses."""
+
+    geo: tuple[float, float]
+
+
+def _tweet(geo: Optional[tuple[float, float]], **fields) -> Tweet:
+    return Tweet(**fields) if geo is None else GeoTweet(geo=geo, **fields)
 
 
 def _keyword_hashtags(keyword: Keyword) -> tuple[str, ...]:
@@ -144,13 +162,13 @@ def gen_attack(
         user_id = user_id_start + i
         words = gen_lexicon_text(wordlist, rng).split()
         geo = _random_geo(rng) if geo_rate > 0 and rng.random() < geo_rate else None
-        tweet = Tweet(
+        tweet = _tweet(
+            geo,
             id=tweet_id,
             user_id=user_id,
             text=_place_keyword(words, keyword, rng),
             created_ms=created * 1000,
             hashtags=hashtags,
-            geo=geo,
         )
         deleted = d0 + rng.randint(0, d_budget)
         events.append(Creation(tweet))
@@ -250,7 +268,8 @@ def gen_organic_trend(
         if is_retweet:
             text = f"RT @user{rng.randint(1, 99999)}: {text}"
         geo = _random_geo(rng) if rng.random() < ORGANIC_GEO_RATE else None
-        tweet = Tweet(
+        tweet = _tweet(
+            geo,
             id=tweet_id,
             user_id=user_id,
             text=text,
@@ -260,7 +279,6 @@ def gen_organic_trend(
             urls=urls,
             is_retweet=is_retweet,
             is_reply=is_reply,
-            geo=geo,
         )
         events.append(Creation(tweet))
         if rng.random() < deletion_rate:
@@ -453,7 +471,7 @@ def _make_plan(config: ScenarioConfig, wordlist: Sequence[str]) -> _Plan:
             nonlocal tweet_id, user_id
             word = rng.choice(wordlist)
             raw = f"#{word.capitalize()}{kind}{day_index}x{serial}"
-            keyword = normalize_keyword(raw, "tr")
+            keyword = normalize_keyword(raw, SCENARIO_LOCALE)
 
             waves: list[_Wave] = []
             if attacked:
@@ -673,20 +691,25 @@ def tee_by_keyword(
         yield event
 
 
+# The toy oracle's trailing window (seconds), list length, and the score
+# each deletion in the window costs under mitigation.
+ORACLE_WINDOW_S = 600
+ORACLE_TOP_K = 10
+ORACLE_PENALTY_WEIGHT = 2.0
+
+
 def trend_oracle(
     streams: Mapping[str, Sequence[TweetEvent]],
-    window_s: int = 600,
     mitigation: bool = False,
-    k: int = 10,
     epoch_seconds: int = 300,
-    penalty_weight: float = 2.0,
 ) -> list[tuple[int, list[str]]]:
     """Rank keywords every epoch by distinct posting users in a trailing
-    window of ``window_s`` seconds.
+    window of ORACLE_WINDOW_S seconds.
 
-    With mitigation on, each deletion in the window subtracts penalty_weight
-    from the score, so a mass-deleted burst scores itself out of the list.
-    Returns (epoch time ms, top-k keywords best first) pairs.
+    With mitigation on, each deletion in the window subtracts
+    ORACLE_PENALTY_WEIGHT from the score, so a mass-deleted burst scores
+    itself out of the list. Returns (epoch time ms, top ORACLE_TOP_K
+    keywords best first) pairs.
     """
     per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
     bounds: list[int] = []  # each keyword's first and last event time
@@ -709,7 +732,7 @@ def trend_oracle(
 
     first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
     last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
-    w = window_s
+    w = ORACLE_WINDOW_S
 
     state = {
         key: {"c_lo": 0, "c_hi": 0, "d_lo": 0, "d_hi": 0, "users": {}}
@@ -738,11 +761,11 @@ def trend_oracle(
                 st["d_lo"] += 1
             score = float(len(users))
             if mitigation:
-                score -= penalty_weight * (st["d_hi"] - st["d_lo"])
+                score -= ORACLE_PENALTY_WEIGHT * (st["d_hi"] - st["d_lo"])
             if score > 0:
                 scored.append((-score, key))
         scored.sort()
-        result.append((t * 1000, [key for _, key in scored[:k]]))
+        result.append((t * 1000, [key for _, key in scored[:ORACLE_TOP_K]]))
     return result
 
 
@@ -767,10 +790,10 @@ def score_stream(
     events: Iterable[TweetEvent],
     trend_days: Sequence[TrendDay],
     truth: Mapping[tuple[date, str], bool],
-    locale: str = DEFAULT_LOCALE,
 ) -> EvalReport:
     """Sample ``events`` at the scenario rate, run the full detection
-    pipeline over ``trend_days``, and score the verdicts against ``truth``.
+    pipeline over ``trend_days`` in the scenario's locale, and score the
+    verdicts against ``truth``.
     """
     for trend in trend_days:
         if (trend.date, trend.keyword.normalized) not in truth:
@@ -779,10 +802,10 @@ def score_stream(
             )
     rng = random.Random(f"{scenario.seed}:sample")
     sampled = sample_stream(events, scenario.sample_rate, rng)
-    instances = build_trend_instances(trend_days, sampled, locale, scenario.tz_offset)
+    instances = build_trend_instances(trend_days, sampled, SCENARIO_LOCALE, scenario.tz_offset)
     tp = fp = tn = fn = 0
     for key, instance in instances.items():
-        flags = flags_for_instance(instance, locale)
+        flags = flags_for_instance(instance, SCENARIO_LOCALE)
         verdict = classify_trend(count_features(instance, flags), config, trend=instance.trend)
         if verdict.attacked and truth[key]:
             tp += 1
@@ -798,14 +821,10 @@ def score_stream(
     return EvalReport(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def evaluate(
-    config: DetectorConfig,
-    labeled: LabeledStream,
-    locale: str = DEFAULT_LOCALE,
-) -> EvalReport:
+def evaluate(config: DetectorConfig, labeled: LabeledStream) -> EvalReport:
     """Score a detector configuration against a generated stream's truth."""
     return score_stream(
-        config, labeled.config, labeled.events(), labeled.trend_days(), labeled.truth, locale
+        config, labeled.config, labeled.events(), labeled.trend_days(), labeled.truth
     )
 
 
@@ -835,9 +854,10 @@ def write_stream_jsonl(handle, events: Iterable[TweetEvent]) -> None:
     A line is ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` of
     the event's archive record (the oracle is ``tests/oracles.py``), written
     from a fixed template: the keys spelled in sorted order, strings through
-    the encoder ``json.dumps`` uses, `geo` through ``json.dumps`` itself, and
-    the optional keys `geo`, `in_reply_to_status_id` and `retweeted_status`
-    in their sorted slots. `created_at` is formatted once per distinct second.
+    the encoder ``json.dumps`` uses, a GeoTweet's `geo` through ``json.dumps``
+    itself, and the optional keys `geo`, `in_reply_to_status_id` and
+    `retweeted_status` in their sorted slots. `created_at` is formatted once
+    per distinct second.
     """
     write = handle.write
     second = None
@@ -856,8 +876,8 @@ def write_stream_jsonl(handle, events: Iterable[TweetEvent]) -> None:
         hashtags = ", ".join([f'{{"text": {encode_basestring(tag)}}}' for tag in tweet.hashtags])
         urls = ", ".join([f'{{"url": "https://t.co/x{i}"}}' for i in range(tweet.urls)])
         mentions = ", ".join([f'{{"id": {m}, "id_str": "{m}"}}' for m in tweet.mentions])
-        geo = "" if tweet.geo is None else (
-            f'"geo": {{"coordinates": {json.dumps(tweet.geo)}, "type": "Point"}}, ')
+        geo = (f'"geo": {{"coordinates": {json.dumps(tweet.geo)}, "type": "Point"}}, '
+               if isinstance(tweet, GeoTweet) else "")
         reply = f'"in_reply_to_status_id": {tid - 1}, ' if tweet.is_reply else ""
         retweet = (f'"retweeted_status": {{"id": {tid - 1}}}, '
                    if tweet.is_retweet and not tweet.text.startswith("RT @") else "")
@@ -891,7 +911,6 @@ def write_epochs_csv(
     handle,
     epochs: Iterable[tuple[int, Sequence[str]]],
     keywords: Mapping[str, Keyword],
-    location: str = "simulated",
 ) -> None:
     """Serialize toy-oracle output in the trend-epoch CSV format."""
     rows = csv.writer(handle, lineterminator="\n")
@@ -904,7 +923,7 @@ def write_epochs_csv(
         )
         for rank, normalized in enumerate(ranked, start=1):
             raw = keywords[normalized].raw if normalized in keywords else normalized
-            rows.writerow((iso, location, rank, raw, ""))
+            rows.writerow((iso, "simulated", rank, raw, ""))
 
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:
@@ -948,23 +967,37 @@ def save_scenario(config: ScenarioConfig, handle) -> None:
     handle.write("\n".join(lines) + "\n")
 
 
+# A quoted value ends at the first matching quote that only blanks or a
+# comment follow, so a path may hold both `#` and quotes.
+_QUOTED_VALUE = re.compile(r"""(["'])(.*?)\1\s*(?:#.*)?""")
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse a flat `key = value` scenario file (TOML-style scalars only).
 
     Recognized keys are the ScenarioConfig field names, the attack
     parameters kappa/alpha_p/alpha_d/theta (seconds), start_date (ISO), and
-    wordlist_path.
+    wordlist_path. A `#` starts a comment, except inside a quoted value,
+    which runs to its closing quote.
     """
     values: dict[str, tuple[int, str]] = {}  # key: (line number, value text)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, 1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
+            head = raw_line.split("#", 1)[0]
+            if "=" not in head:
+                if head.strip():
+                    raise ValueError(f"{path}:{lineno}: expected key = value")
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = (lineno, value.strip().strip('"').strip("'"))
+            key, _, value = raw_line.partition("=")
+            value = value.strip()
+            if value[:1] in ('"', "'"):
+                quoted = _QUOTED_VALUE.fullmatch(value)
+                if quoted is None:
+                    raise ValueError(f"{path}:{lineno}: expected one quoted value")
+                value = quoted[2]
+            else:
+                value = value.split("#", 1)[0].strip()
+            values[key.strip()] = (lineno, value)
 
     kwargs = {}
     params = {}

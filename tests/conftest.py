@@ -29,7 +29,6 @@ def make_tweet(
     urls=0,
     is_retweet=False,
     is_reply=False,
-    geo=None,
 ) -> Tweet:
     if hashtags is None:
         hashtags = tuple(tag.lstrip("#") for tag in text.split() if tag.startswith("#"))
@@ -43,7 +42,6 @@ def make_tweet(
         urls=urls,
         is_retweet=is_retweet,
         is_reply=is_reply,
-        geo=geo,
     )
 
 

@@ -25,7 +25,7 @@ from trendguard.ingest import (
     extract_hashtags,
     text_tokens,
 )
-from trendguard.simulator import format_created_at
+from trendguard.simulator import GeoTweet, format_created_at
 
 
 def _ngram_occurs(tokens: Sequence[str], ngram: Sequence[str]) -> bool:
@@ -118,6 +118,6 @@ def event_to_record(event: TweetEvent) -> dict:
         record["retweeted_status"] = {"id": tweet.id - 1}
     if tweet.is_reply:
         record["in_reply_to_status_id"] = tweet.id - 1
-    if tweet.geo is not None:
+    if isinstance(tweet, GeoTweet):
         record["geo"] = {"type": "Point", "coordinates": list(tweet.geo)}
     return record

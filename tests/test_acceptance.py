@@ -220,9 +220,8 @@ def test_acceptance_6_countermeasure(default_stream):
     organic trends."""
     labeled = default_stream
     streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-    window_s = 600
-    epochs_off = trend_oracle(streams, window_s, mitigation=False, k=10)
-    epochs_on = trend_oracle(streams, window_s, mitigation=True, k=10)
+    epochs_off = trend_oracle(streams, mitigation=False)
+    epochs_on = trend_oracle(streams, mitigation=True)
 
     def entered_within(epochs, keyword, start, horizon=600):
         return any(

@@ -238,6 +238,46 @@ class TestEvaluateCmd:
         assert "2019-06-18,#NotInTruth" in captured.err
 
 
+class TestScenarioLocale:
+    """simulate and evaluate fold case as the scenario does, whatever
+    TRENDGUARD_LOCALE says: under `en` an i-initial keyword such as
+    `#Ilik...` folds to `ilik...`, under the scenario's `tr` to `ılik...`."""
+
+    WORDS = ["ilik", "irmak", "ince", "iğne", "ipek", "insan", "ileri", "isim", "iklim", "izin",
+             "bahar", "deniz", "kitap", "orman", "yol"]
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("locale")
+        wordlist = root / "words.txt"
+        wordlist.write_text("\n".join(self.WORDS) + "\n", encoding="utf-8")
+        config = root / "scenario.cfg"
+        config.write_text(SCENARIO.replace("organic_per_day = 2", "organic_per_day = 4")
+                          + f'sample_rate = 1.0\nwordlist_path = "{wordlist}"\n')
+        return config
+
+    def test_simulate_epochs_ignore_the_environment(self, config, tmp_path, monkeypatch):
+        assert main(["simulate", "--config", str(config), "--epochs",
+                     "--out", str(tmp_path / "tr")]) == 0
+        monkeypatch.setenv("TRENDGUARD_LOCALE", "en")
+        assert main(["simulate", "--config", str(config), "--epochs",
+                     "--out", str(tmp_path / "en")]) == 0
+        epochs = (tmp_path / "tr" / "epochs.csv").read_text(encoding="utf-8")
+        assert "#I" in epochs
+        assert (tmp_path / "en" / "epochs.csv").read_text(encoding="utf-8") == epochs
+
+    def test_evaluate_config_agrees_with_sim(self, config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRENDGUARD_LOCALE", "en")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        assert "#I" in (tmp_path / "sim" / "truth.csv").read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--sim", str(tmp_path / "sim")]) == 0
+        from_files = json.loads(capsys.readouterr().out)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out) == from_files
+        assert from_files["recall"] == 1.0
+
+
 @pytest.fixture(scope="module")
 def sim_with_epochs(tmp_path_factory):
     root = tmp_path_factory.mktemp("sim_epochs")
@@ -543,6 +583,12 @@ class TestMalformedInputFiles:
                            "not json\n", "metrics", 2),
         ("verdicts.jsonl", '{"attacked": true, "date": "2019-06-18", "keyword": ["x"]}\n',
          "metrics", 1),
+        # Only a JSON boolean says whether a trend-day was attacked.
+        ("verdicts.jsonl", '{"attacked": "false", "date": "2019-06-18", "keyword": "x"}\n',
+         "metrics", 1),
+        ("verdicts.jsonl", '{"attacked": false, "date": "2019-06-18", "keyword": "x"}\n'
+                           '{"attacked": 1, "date": "2019-06-18", "keyword": "x"}\n',
+         "metrics", 2),
     ])
     def test_exits_1_naming_path_and_line(self, sim_with_epochs, tmp_path, capsys,
                                           name, text, command, line):
@@ -570,7 +616,7 @@ class TestParserDefaults:
     def test_env_locale_override(self, monkeypatch):
         monkeypatch.setenv("TRENDGUARD_LOCALE", "en")
         parser = build_parser()
-        args = parser.parse_args(["ingest", "--stream", "x", "--stdout"])
+        args = parser.parse_args(["features", "--stream", "x", "--trends", "y", "--stdout"])
         assert args.locale == "en"
 
     def test_bad_preset_usage_error(self):
@@ -581,11 +627,33 @@ class TestParserDefaults:
 
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate"])
-    @pytest.mark.parametrize("flag", [["--jobs", "1"], ["--tz-offset", "0"]])
+    @pytest.mark.parametrize("flag", [["--jobs", "1"], ["--tz-offset", "0"], ["--locale", "tr"]])
     def test_simulate_and_evaluate_reject_pool_and_timezone_flags(self, command, flag):
-        # Neither command uses a pool, and the scenario carries its own offset.
+        # Neither command uses a pool, and the scenario carries its own offset
+        # and locale.
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args([command, "--out", "x", *flag])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        # ingest only counts lines: it folds no case and computes no day.
+        ["ingest", "--stream", "x", "--stdout", "--locale", "tr"],
+        ["ingest", "--stream", "x", "--stdout", "--tz-offset", "0"],
+        # scan reads its files serially.
+        ["scan", "--stream", "x", "--stdout", "--jobs", "1"],
+        # --out and --stdout are one choice.
+        ["ingest", "--stream", "x", "--out", "z", "--stdout"],
+        ["features", "--stream", "x", "--trends", "y", "--out", "z", "--stdout"],
+        ["detect", "--stream", "x", "--trends", "y", "--out", "z", "--stdout"],
+        ["scan", "--stream", "x", "--out", "z", "--stdout"],
+        # evaluate reads a simulate directory or regenerates a scenario, not both.
+        ["evaluate", "--sim", "a", "--config", "b"],
+    ], ids=["ingest-locale", "ingest-tz-offset", "scan-jobs", "ingest-out-stdout",
+            "features-out-stdout", "detect-out-stdout", "scan-out-stdout",
+            "evaluate-sim-config"])
+    def test_flags_a_command_cannot_honor_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv", [

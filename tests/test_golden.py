@@ -101,15 +101,15 @@ def outputs(tmp_path_factory):
     config.write_text(SCENARIO)
     sim = root / "sim"
     out = root / "out"
-    stream = ["--stream", str(sim / "stream.jsonl"), "--trends", str(sim / "trends.csv"),
-              "--jobs", "1"]
+    inputs = ["--stream", str(sim / "stream.jsonl"), "--trends", str(sim / "trends.csv")]
+    stream = [*inputs, "--jobs", "1"]
     runs = [
         ["simulate", "--config", str(config), "--epochs", "--out", str(sim)],
         ["simulate", "--config", str(config), "--gzip", "--out", str(root / "simgz")],
         ["ingest", "--stream", str(sim / "stream.jsonl"), "--out", str(out / "ingest.json"),
          "--jobs", "1"],
         ["features", *stream, "--out", str(out / "features.csv")],
-        ["scan", *stream, "--out", str(out / "scan.jsonl")],
+        ["scan", *inputs, "--out", str(out / "scan.jsonl")],
         ["evaluate", "--sim", str(sim), "--out", str(out / "evaluate.json")],
         ["detect", *stream, "--out", str(out / "verdicts.jsonl"),
          "--events-out", str(out / "events.jsonl"), "--bots-out", str(out / "bots.txt")],

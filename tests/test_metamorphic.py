@@ -53,12 +53,13 @@ def _write_variant(name, lines, root):
 
 def _run_all(streams, sim, out):
     """Every compared command over ``streams``; returns {relative path: bytes}."""
-    common = ["--stream", *streams, "--trends", str(sim / "trends.csv"), "--jobs", "1"]
+    inputs = ["--stream", *streams, "--trends", str(sim / "trends.csv")]
+    common = [*inputs, "--jobs", "1"]
     runs = [
         ["detect", *common, "--out", str(out / "verdicts.jsonl"),
          "--events-out", str(out / "events.jsonl"), "--bots-out", str(out / "bots.txt")],
         ["features", *common, "--out", str(out / "features.csv")],
-        ["scan", *common, "--out", str(out / "scan.jsonl")],
+        ["scan", *inputs, "--out", str(out / "scan.jsonl")],
         ["metrics", *common, "--epochs", str(sim / "epochs.csv"),
          "--verdicts", str(out / "verdicts.jsonl"), "--out", str(out / "metrics")],
         ["graph", *common, "--louvain", "--predicate", "undeleted",

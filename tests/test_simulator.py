@@ -302,7 +302,7 @@ class TestTrendOracle:
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
         streams = {"saldiri": cluster}
-        epochs = trend_oracle(streams, 600, mitigation=False, k=10)
+        epochs = trend_oracle(streams, mitigation=False)
         assert any("saldiri" in top for _, top in epochs)
 
     def test_attack_excluded_with_mitigation(self):
@@ -311,7 +311,7 @@ class TestTrendOracle:
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
         streams = {"saldiri": cluster}
-        epochs = trend_oracle(streams, 600, mitigation=True, k=10)
+        epochs = trend_oracle(streams, mitigation=True)
         assert not any("saldiri" in top for _, top in epochs)
 
     def test_organic_unaffected_within_noise(self):
@@ -320,8 +320,8 @@ class TestTrendOracle:
         cluster = gen_organic_trend(kw, 2000, 4 * 3600, rng, WORDLIST, t0=9000,
                                     deletion_rate=0.023)
         streams = {"dogal": cluster}
-        off = trend_oracle(streams, 600, mitigation=False, k=10)
-        on = trend_oracle(streams, 600, mitigation=True, k=10)
+        off = trend_oracle(streams, mitigation=False)
+        on = trend_oracle(streams, mitigation=True)
         entered_off = {ts // 1000 for ts, top in off if "dogal" in top}
         entered_on = {ts // 1000 for ts, top in on if "dogal" in top}
         assert entered_off
@@ -339,7 +339,7 @@ class TestPlantedPrevalence:
         config = ScenarioConfig(seed=33, n_days=3, background_per_day=300)
         labeled = build_stream(config)
         streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values())
-        ranked = trend_oracle(streams, 600, mitigation=False, k=10)
+        ranked = trend_oracle(streams, mitigation=False)
 
         buffer = io.StringIO()
         write_epochs_csv(buffer, ranked, labeled.keywords)
@@ -378,6 +378,28 @@ class TestScenarioFiles:
         with pytest.raises(ValueError) as raised:
             load_scenario(str(path))
         assert str(raised.value).startswith(f"{path}{prefix}")
+
+    def test_quoted_value_keeps_a_hash(self, tmp_path):
+        wordlist = tmp_path / 'wl#1 "x"' / "words.txt"
+        wordlist.parent.mkdir()
+        wordlist.write_text("\n".join(WORDLIST) + "\n", encoding="utf-8")
+        config = ScenarioConfig(n_days=1, wordlist_path=str(wordlist))
+        path = tmp_path / "scenario.cfg"
+        with open(path, "w", encoding="utf-8") as handle:
+            save_scenario(config, handle)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('seed = 8  # "quoted" in a comment\n')
+        loaded = load_scenario(str(path))
+        assert loaded == ScenarioConfig(n_days=1, seed=8, wordlist_path=str(wordlist))
+        assert build_stream(loaded).wordlist == tuple(WORDLIST)
+
+    @pytest.mark.parametrize("line", ['wordlist_path = "a#b', 'wordlist_path = "a" b'])
+    def test_broken_quoted_value_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError) as raised:
+            load_scenario(str(path))
+        assert str(raised.value).startswith(f"{path}:2: ")
 
     def test_comments_and_quotes(self, tmp_path):
         path = tmp_path / "ok.cfg"

@@ -4,14 +4,21 @@ sidecars read back through the loaders whatever a keyword holds."""
 
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import Creation, Deletion, load_trend_days, load_trend_epochs
+from trendguard.ingest import (
+    Creation,
+    Deletion,
+    Tweet,
+    load_trend_days,
+    load_trend_epochs,
+)
 from trendguard.simulator import (
+    GeoTweet,
     ScenarioConfig,
     build_stream,
     load_truth_csv,
@@ -21,7 +28,7 @@ from trendguard.simulator import (
     write_truth_csv,
 )
 
-from conftest import DAY, DAY_NOON, make_tweet
+from conftest import DAY, DAY_NOON, make_tweet, read_all
 from oracles import event_to_record
 
 
@@ -58,7 +65,7 @@ def test_two_day_stream_equals_the_oracle(seed):
                 kinds["deletion"] += 1
             else:
                 tweet = event.tweet
-                kinds["geo"] += tweet.geo is not None
+                kinds["geo"] += isinstance(tweet, GeoTweet)
                 kinds["reply"] += tweet.is_reply
                 kinds["mentions"] += bool(tweet.mentions)
             yield event
@@ -73,8 +80,9 @@ def test_two_day_stream_equals_the_oracle(seed):
 T = DAY_NOON * 1000
 
 
-def creation(tweet_id=1, text="x", ms=T, user_id=2, **fields):
-    return Creation(replace(make_tweet(tweet_id, user_id, text, 0, **fields), created_ms=ms))
+def creation(tweet_id=1, text="x", ms=T, user_id=2, geo=None, **fields):
+    tweet = replace(make_tweet(tweet_id, user_id, text, 0, **fields), created_ms=ms)
+    return Creation(tweet if geo is None else GeoTweet(geo=geo, **asdict(tweet)))
 
 
 EDGE_EVENTS = {
@@ -110,6 +118,36 @@ def test_created_at_follows_each_second():
     assert stamps[:3] == ["Tue Jun 18 09:00:00 +0000 2019", "Tue Jun 18 09:00:00 +0000 2019",
                           "Tue Jun 18 09:00:01 +0000 2019"]
     assert stamps[-3:] == ["Wed Dec 31 23:59:59 +0000 1969"] * 2 + ["Thu Jan 01 00:00:00 +0000 1970"]
+
+
+# ---------------------------------------------------------------------------
+# Writer to parser: the pipeline reads back every event the simulator wrote
+# ---------------------------------------------------------------------------
+
+def pipeline_view(event):
+    """An event as the pipeline sees it: a deletion whole, a tweet by the
+    fields of `Tweet` (a GeoTweet's point is written, never read)."""
+    if isinstance(event, Deletion):
+        return event
+    return tuple(getattr(event.tweet, f.name) for f in fields(Tweet))
+
+
+def assert_reads_back(events, path):
+    events = list(events)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_stream_jsonl(handle, events)
+    parsed, stats = read_all(str(path))
+    assert (stats.malformed_skipped, stats.lines_read) == (0, len(events))
+    assert list(map(pipeline_view, parsed)) == list(map(pipeline_view, events))
+
+
+def test_parser_reads_back_every_edge_event(tmp_path):
+    assert_reads_back(EDGE_EVENTS.values(), tmp_path / "stream.jsonl")
+
+
+def test_parser_reads_back_a_two_day_stream(tmp_path):
+    labeled = build_stream(ScenarioConfig(n_days=2, seed=7))
+    assert_reads_back(labeled.events(), tmp_path / "stream.jsonl")
 
 
 # ---------------------------------------------------------------------------

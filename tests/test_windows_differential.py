@@ -133,7 +133,7 @@ def _bursty_instance(rng):
         tweets.append(Tweet(
             id=tweet_id, user_id=rng.randint(1, n - n // 8), text="",
             created_ms=created, hashtags=("tag",), mentions=(), urls=0,
-            is_retweet=False, is_reply=False, geo=None,
+            is_retweet=False, is_reply=False,
         ))
         flags[tweet_id] = TweetFlags(is_lexicon=rng.random() < 0.8,
                                      is_single_engagement=rng.random() < 0.9)
@@ -194,7 +194,7 @@ def test_same_second_creations_keep_millisecond_order():
     created = {1: DAY_NOON * 1000 + 900, 2: DAY_NOON * 1000 + 5,
                3: DAY_NOON * 1000 + 400, 4: (DAY_NOON + 1) * 1000}
     tweets = [Tweet(id=i, user_id=10 + i, text="", created_ms=created[i], hashtags=("tag",),
-                    mentions=(), urls=0, is_retweet=False, is_reply=False, geo=None)
+                    mentions=(), urls=0, is_retweet=False, is_reply=False)
               for i in created]
     instance = join_instance("#tag", tweets, {
         1: (DAY_NOON + 60) * 1000 + 10, 2: (DAY_NOON + 60) * 1000 + 700,
