@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import DEFAULT_LOCALE, HASHTAG, Keyword, fold_case
-from .ingest import TrendInstance, Tweet
+from .ingest import TrendInstance, Tweet, _clean_token, text_tokens
 
 # Letters accepted by the lexicon rule: ASCII plus the Turkish alphabet
 # (including circumflexed vowels seen in loanwords).
@@ -54,7 +54,9 @@ def _keyword_token_forms(keyword: Keyword) -> set[str]:
 def strip_keyword_and_emoji(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> str:
-    """Remove every occurrence of the keyword token and all emoji; collapse whitespace."""
+    """Remove all emoji and every occurrence of the keyword that the join
+    matches (an n-gram as a run of cleaned tokens, with any punctuation-only
+    tokens inside the run); collapse whitespace."""
     cleaned = _EMOJI_RE.sub(" ", text)
     tokens = cleaned.split()
     if keyword is None:
@@ -65,18 +67,18 @@ def strip_keyword_and_emoji(
         kept = [t for t in tokens if fold_case(t, locale) not in forms]
         return " ".join(kept)
 
-    ngram = keyword.normalized.split()
+    ngram = text_tokens(keyword.normalized, locale)
     n = len(ngram)
-    folded = [fold_case(t, locale) for t in tokens]
-    kept = []
-    i = 0
-    while i < len(tokens):
-        if folded[i] == ngram[0] and folded[i : i + n] == ngram:
-            i += n
-            continue
-        kept.append(tokens[i])
-        i += 1
-    return " ".join(kept)
+    words = [(i, w) for i, t in enumerate(tokens) if (w := _clean_token(fold_case(t, locale)))]
+    dropped: set[int] = set()
+    k = 0
+    while n and k + n <= len(words):
+        if [w for _, w in words[k : k + n]] == ngram:
+            dropped.update(range(words[k][0], words[k + n - 1][0] + 1))
+            k += n
+        else:
+            k += 1
+    return " ".join(t for i, t in enumerate(tokens) if i not in dropped)
 
 
 def is_lexicon_tweet(

@@ -420,14 +420,12 @@ def _cmd_simulate(args, out: _Outputs) -> int:
 
 def _cmd_evaluate(args, out: _Outputs) -> int:
     config = _config_from(args)
-    if args.sim:
+    if args.sim is not None:
         report = _evaluate_sim_dir(args, config)
-    elif args.config:
+    else:
         scenario = sim_mod.load_scenario(args.config)
         labeled = sim_mod.build_stream(scenario)
         report = sim_mod.evaluate(config, labeled)
-    else:
-        raise TrendGuardError("evaluate needs --sim DIR or --config FILE")
     payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(payload)
     if args.out:
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a detector preset against simulator truth")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sim", help="directory written by simulate")
     source.add_argument("--config", help="scenario file to regenerate in memory instead of --sim")
     _add_preset(p)

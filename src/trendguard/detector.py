@@ -184,6 +184,13 @@ def classify_trend(
     )
 
 
+def score_instance(instance: TrendInstance, config: DetectorConfig, locale: str) -> Verdict:
+    """The preset's verdict on one trend-day instance: per-tweet flags, then
+    features, then the rules."""
+    flags = flags_for_instance(instance, locale)
+    return classify_trend(count_features(instance, flags), config, trend=instance.trend)
+
+
 # ---------------------------------------------------------------------------
 # Attack-window detection
 # ---------------------------------------------------------------------------
@@ -437,10 +444,7 @@ def scan_candidates(
         next_date = day_number_to_date(day + 1)
         if (trend.date, tag) in known_trends or (next_date, tag) in known_trends:
             continue
-        instance = builder.build(deletions)
-        instance_flags = flags_for_instance(instance, locale)
-        vector = count_features(instance, instance_flags)
-        verdicts.append(classify_trend(vector, config, trend=trend))
+        verdicts.append(score_instance(builder.build(deletions), config, locale))
     return verdicts
 
 

@@ -16,6 +16,7 @@ import json
 import random
 import re
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
@@ -40,9 +41,7 @@ from .ingest import (
     _keyword_index,
     build_trend_instances,
 )
-from .classify import flags_for_instance
-from .detector import AttackParams, DetectorConfig, classify_trend
-from .features import count_features
+from .detector import AttackParams, DetectorConfig, score_instance
 
 
 # The scenario's keywords and texts are Turkish: the plan normalizes its
@@ -370,14 +369,12 @@ class _Wave:
     t0: int
     n_bots: int
     tweet_id_start: int
-    user_id_start: int
 
 
 @dataclass(frozen=True, slots=True)
 class _TrendPlan:
     keyword: Keyword
     day: date
-    day_number: int
     attacked: bool
     succeeded: bool            # False for planned unsuccessful attacks
     waves: tuple[_Wave, ...]
@@ -385,22 +382,19 @@ class _TrendPlan:
     organic_span: int
     organic_users: int
     organic_tweet_id_start: int
-    organic_user_id_start: int
 
 
 @dataclass(frozen=True, slots=True)
-class _BackgroundPlan:
-    day_number: int
-    n_tweets: int
-    tweet_id_start: int
-    user_id_start: int
-    tags: tuple[str, ...]
+class _DayPlan:
+    index: int                 # days since the scenario start
+    day_number: int            # local days since 1970
+    trends: tuple[_TrendPlan, ...]
+    background_id_start: int   # first of the day's background_per_day background ids
 
 
-@dataclass
-class _Plan:
-    trends: list[_TrendPlan]
-    background: list[_BackgroundPlan]
+# Every planned tweet has a user of its own: the user of tweet id i is
+# i + _USER_ID_OFFSET.
+_USER_ID_OFFSET = 4_000_000
 
 
 class LabeledStream:
@@ -414,31 +408,28 @@ class LabeledStream:
         self.keywords: dict[str, Keyword] = {}  # by normalized form
         self.truth_bots: set[int] = set()
         self.truth_attacks: list[AttackRecord] = []
-        for plan in self._plan.trends:
-            self.keywords[plan.keyword.normalized] = plan.keyword
-            if plan.succeeded:
-                self.truth[(plan.day, plan.keyword.normalized)] = plan.attacked
-            for wave in plan.waves:
-                self.truth_attacks.append(
-                    AttackRecord(
-                        keyword=plan.keyword.normalized,
-                        day=plan.day,
-                        t0_ms=wave.t0 * 1000,
-                        n_bots=wave.n_bots,
-                        succeeded=plan.succeeded,
+        for day in self._plan:
+            for plan in day.trends:
+                self.keywords[plan.keyword.normalized] = plan.keyword
+                if plan.succeeded:
+                    self.truth[(plan.day, plan.keyword.normalized)] = plan.attacked
+                for wave in plan.waves:
+                    self.truth_attacks.append(
+                        AttackRecord(
+                            keyword=plan.keyword.normalized,
+                            day=plan.day,
+                            t0_ms=wave.t0 * 1000,
+                            n_bots=wave.n_bots,
+                            succeeded=plan.succeeded,
+                        )
                     )
-                )
-                self.truth_bots.update(
-                    range(wave.user_id_start, wave.user_id_start + wave.n_bots)
-                )
+                    first_bot = wave.tweet_id_start + _USER_ID_OFFSET
+                    self.truth_bots.update(range(first_bot, first_bot + wave.n_bots))
 
     def trend_days(self) -> list[TrendDay]:
         """The scenario's trending trend-days (successful keywords only)."""
-        return [
-            TrendDay(date=plan.day, keyword=plan.keyword)
-            for plan in self._plan.trends
-            if plan.succeeded
-        ]
+        return [TrendDay(date=day, keyword=self.keywords[normalized])
+                for day, normalized in self.truth]
 
     def events(self) -> Iterator[TweetEvent]:
         """Regenerate the identical time-ordered event stream."""
@@ -454,109 +445,84 @@ def _day_start_utc(config: ScenarioConfig, day_number: int) -> int:
     return day_number * 86400 - config.tz_offset
 
 
-def _make_plan(config: ScenarioConfig, wordlist: Sequence[str]) -> _Plan:
+def _make_plan(config: ScenarioConfig, wordlist: Sequence[str]) -> list[_DayPlan]:
     rng = random.Random(f"{config.seed}:plan")
-    trends: list[_TrendPlan] = []
-    background: list[_BackgroundPlan] = []
+    days: list[_DayPlan] = []
     tweet_id = 1_000_000
-    user_id = 5_000_000
     epoch = config.epoch_seconds
+    # Deal each day's attack waves round-robin across its attacked trends.
+    dealt, extra = divmod(config.attacks_per_day, max(1, config.attacked_per_day))
 
     for day_index in range(config.n_days):
         day_date = date.fromordinal(config.start_date.toordinal() + day_index)
         day_number = day_date.toordinal() - date(1970, 1, 1).toordinal()
         day_start = _day_start_utc(config, day_number)
+        trends: list[_TrendPlan] = []
+        # Trend kinds in planning order: "t" attacked and trending, "o"
+        # organic, "f" attacked but never trending.
+        for kind, count in (("t", config.attacked_per_day), ("o", config.organic_per_day),
+                            ("f", config.failed_attacks_per_day)):
+            for serial in range(count):
+                word = rng.choice(wordlist)
+                raw = f"#{word.capitalize()}{kind}{day_index}x{serial}"
+                keyword = normalize_keyword(raw, SCENARIO_LOCALE)
 
-        def plan_trend(kind: str, serial: int, attacked: bool, succeeded: bool) -> None:
-            nonlocal tweet_id, user_id
-            word = rng.choice(wordlist)
-            raw = f"#{word.capitalize()}{kind}{day_index}x{serial}"
-            keyword = normalize_keyword(raw, SCENARIO_LOCALE)
+                waves: list[_Wave] = []
+                if kind != "o":
+                    n_waves = max(1, dealt + (serial < extra)) if kind == "t" else rng.randint(1, 2)
+                    slots = rng.sample(range(day_start + 8 * 3600, day_start + 23 * 3600, epoch),
+                                       n_waves)
+                    for slot in sorted(slots):
+                        t0 = slot + rng.randint(5, 40)
+                        n_bots = rng.randint(config.bots_min, config.bots_max)
+                        waves.append(_Wave(t0, n_bots, tweet_id))
+                        tweet_id += n_bots
 
-            waves: list[_Wave] = []
-            if attacked:
-                n_waves = max(1, plan_waves.pop(0)) if succeeded else rng.randint(1, 2)
-                slots = rng.sample(range(day_start + 8 * 3600, day_start + 23 * 3600, epoch),
-                                   n_waves)
-                for slot in sorted(slots):
-                    t0 = slot + rng.randint(5, 40)
-                    n_bots = rng.randint(config.bots_min, config.bots_max)
-                    waves.append(_Wave(t0, n_bots, tweet_id, user_id))
-                    tweet_id += n_bots
-                    user_id += n_bots
+                organic_users = organic_start = organic_span = 0  # none for kind "f"
+                if kind == "t":
+                    organic_users = rng.randint(config.adoption_tweets_min,
+                                                config.adoption_tweets_max)
+                    organic_start = min(w.t0 for w in waves) + 1800
+                    organic_span = max(3600, day_start + 86400 - 3600 - organic_start)
+                elif kind == "o":
+                    organic_users = rng.randint(config.organic_tweets_min,
+                                                config.organic_tweets_max)
+                    organic_start = day_start + rng.randint(6 * 3600, 14 * 3600)
+                    organic_span = rng.randint(2 * 3600, 8 * 3600)
 
-            if attacked and succeeded:
-                organic_users = rng.randint(config.adoption_tweets_min, config.adoption_tweets_max)
-                organic_start = min(w.t0 for w in waves) + 1800
-                organic_span = max(3600, day_start + 86400 - 3600 - organic_start)
-            elif attacked:
-                organic_users = 0
-                organic_start = day_start
-                organic_span = 3600
-            else:
-                organic_users = rng.randint(config.organic_tweets_min, config.organic_tweets_max)
-                organic_start = day_start + rng.randint(6 * 3600, 14 * 3600)
-                organic_span = rng.randint(2 * 3600, 8 * 3600)
-
-            trends.append(
-                _TrendPlan(
-                    keyword=keyword,
-                    day=day_date,
-                    day_number=day_number,
-                    attacked=attacked,
-                    succeeded=succeeded,
-                    waves=tuple(waves),
-                    organic_start=organic_start,
-                    organic_span=organic_span,
-                    organic_users=organic_users,
-                    organic_tweet_id_start=tweet_id,
-                    organic_user_id_start=user_id,
+                trends.append(
+                    _TrendPlan(
+                        keyword=keyword,
+                        day=day_date,
+                        attacked=kind != "o",
+                        succeeded=kind != "f",
+                        waves=tuple(waves),
+                        organic_start=organic_start,
+                        organic_span=organic_span,
+                        organic_users=organic_users,
+                        organic_tweet_id_start=tweet_id,
+                    )
                 )
-            )
-            tweet_id += organic_users
-            user_id += organic_users
+                tweet_id += organic_users
 
-        # Deal the day's attack waves round-robin across its attacked trends.
-        plan_waves = [0] * config.attacked_per_day
-        if config.attacked_per_day:
-            for i in range(config.attacks_per_day):
-                plan_waves[i % config.attacked_per_day] += 1
+        days.append(_DayPlan(day_index, day_number, tuple(trends), tweet_id))
+        tweet_id += config.background_per_day
 
-        for serial in range(config.attacked_per_day):
-            plan_trend("t", serial, attacked=True, succeeded=True)
-        for serial in range(config.organic_per_day):
-            plan_trend("o", serial, attacked=False, succeeded=True)
-        for serial in range(config.failed_attacks_per_day):
-            plan_trend("f", serial, attacked=True, succeeded=False)
-
-        n_background = config.background_per_day
-        tags = tuple(f"gunluk{day_index}x{j}" for j in range(40))
-        background.append(
-            _BackgroundPlan(
-                day_number=day_number,
-                n_tweets=n_background,
-                tweet_id_start=tweet_id,
-                user_id_start=user_id,
-                tags=tags,
-            )
-        )
-        tweet_id += n_background
-        user_id += n_background
-
-    return _Plan(trends=trends, background=background)
+    return days
 
 
 def _gen_background(
     config: ScenarioConfig,
-    plan: _BackgroundPlan,
+    day: _DayPlan,
     rng: random.Random,
     wordlist: Sequence[str],
 ) -> list[TweetEvent]:
-    day_start = _day_start_utc(config, plan.day_number)
+    day_start = _day_start_utc(config, day.day_number)
+    day_tags = tuple(f"gunluk{day.index}x{j}" for j in range(40))
     events: list[TweetEvent] = []
-    for i in range(plan.n_tweets):
-        tweet_id = plan.tweet_id_start + i
-        user_id = plan.user_id_start + i
+    for i in range(config.background_per_day):
+        tweet_id = day.background_id_start + i
+        user_id = tweet_id + _USER_ID_OFFSET
         created = day_start + rng.randint(0, 86400 - 1)
         deleted = rng.random() < config.background_deletion_rate
         lexicon_style = deleted and rng.random() < config.background_lexicon_rate
@@ -567,7 +533,7 @@ def _gen_background(
         else:
             text = rng.choice(_SENTENCE_OPENERS) + " " + " ".join(words) + "."
             if rng.random() < 0.3:
-                tag = rng.choice(plan.tags)
+                tag = rng.choice(day_tags)
                 text = f"{text} #{tag}"
                 tags = (tag,)
             else:
@@ -596,12 +562,9 @@ def _event_order(event: TweetEvent) -> tuple[int, int, int]:
 
 
 def _generate_events(
-    config: ScenarioConfig, plan: _Plan, wordlist: Sequence[str]
+    config: ScenarioConfig, plan: list[_DayPlan], wordlist: Sequence[str]
 ) -> Iterator[TweetEvent]:
     rng = random.Random(f"{config.seed}:events")
-    trends_by_day: dict[int, list[_TrendPlan]] = {}
-    for trend in plan.trends:
-        trends_by_day.setdefault(trend.day_number, []).append(trend)
     # Events wait in the bucket of their local day. No day generates an
     # event before its own start, so a day's bucket is complete once that
     # day is generated; after the last day every bucket is.
@@ -612,14 +575,13 @@ def _generate_events(
             day = local_day(_event_order(event)[0], config.tz_offset)
             buckets.setdefault(day, []).append(event)
 
-    # The plan has one background entry per day, in day order.
-    for background in plan.background:
-        day_number = background.day_number
-        for trend in trends_by_day.get(day_number, ()):
+    for day_plan in plan:
+        for trend in day_plan.trends:
             for wave in trend.waves:
                 bucket(gen_attack(
                     trend.keyword, config.params, wave.n_bots, wave.t0, rng, wordlist,
-                    tweet_id_start=wave.tweet_id_start, user_id_start=wave.user_id_start,
+                    tweet_id_start=wave.tweet_id_start,
+                    user_id_start=wave.tweet_id_start + _USER_ID_OFFSET,
                     creation_span=config.attack_creation_span,
                     deletion_span=config.attack_deletion_span,
                     deletion_lag=config.attack_deletion_lag, geo_rate=0.05,
@@ -628,14 +590,14 @@ def _generate_events(
                 bucket(gen_organic_trend(
                     trend.keyword, trend.organic_users, trend.organic_span, rng, wordlist,
                     t0=trend.organic_start, tweet_id_start=trend.organic_tweet_id_start,
-                    user_id_start=trend.organic_user_id_start,
+                    user_id_start=trend.organic_tweet_id_start + _USER_ID_OFFSET,
                     deletion_rate=config.organic_deletion_rate,
                     lexicon_rate=config.organic_lexicon_rate,
                 ))
-        bucket(_gen_background(config, background, rng, wordlist))
+        bucket(_gen_background(config, day_plan, rng, wordlist))
 
-        last = background is plan.background[-1]
-        for day in sorted(d for d in buckets if last or d <= day_number):
+        last = day_plan is plan[-1]
+        for day in sorted(d for d in buckets if last or d <= day_plan.day_number):
             ready = buckets.pop(day)
             ready.sort(key=_event_order)
             yield from ready
@@ -732,41 +694,33 @@ def trend_oracle(
 
     first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
     last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
+    epochs = range(first_epoch, last_epoch + 1, epoch_seconds)
     w = ORACLE_WINDOW_S
 
-    state = {
-        key: {"c_lo": 0, "c_hi": 0, "d_lo": 0, "d_hi": 0, "users": {}}
-        for key in per_keyword
-    }
-    result = []
-    for t in range(first_epoch, last_epoch + 1, epoch_seconds):
-        scored = []
-        for key in sorted(per_keyword):
-            creations, deletions = per_keyword[key]
-            st = state[key]
-            users: dict[int, int] = st["users"]
-            while st["c_hi"] < len(creations) and creations[st["c_hi"]][0] <= t:
-                user = creations[st["c_hi"]][1]
+    scored: list[list[tuple[float, str]]] = [[] for _ in epochs]
+    for key, (creations, deletions) in per_keyword.items():
+        users: dict[int, int] = {}  # posts per user in the window
+        lo = hi = 0  # the window's creations are creations[lo:hi]
+        for t, ranked in zip(epochs, scored):
+            while hi < len(creations) and creations[hi][0] <= t:
+                user = creations[hi][1]
                 users[user] = users.get(user, 0) + 1
-                st["c_hi"] += 1
-            while st["c_lo"] < st["c_hi"] and creations[st["c_lo"]][0] <= t - w:
-                user = creations[st["c_lo"]][1]
+                hi += 1
+            while lo < hi and creations[lo][0] <= t - w:
+                user = creations[lo][1]
                 users[user] -= 1
                 if users[user] == 0:
                     del users[user]
-                st["c_lo"] += 1
-            while st["d_hi"] < len(deletions) and deletions[st["d_hi"]] <= t:
-                st["d_hi"] += 1
-            while st["d_lo"] < st["d_hi"] and deletions[st["d_lo"]] <= t - w:
-                st["d_lo"] += 1
+                lo += 1
             score = float(len(users))
             if mitigation:
-                score -= ORACLE_PENALTY_WEIGHT * (st["d_hi"] - st["d_lo"])
+                score -= ORACLE_PENALTY_WEIGHT * (
+                    bisect_right(deletions, t) - bisect_right(deletions, t - w)
+                )
             if score > 0:
-                scored.append((-score, key))
-        scored.sort()
-        result.append((t * 1000, [key for _, key in scored[:ORACLE_TOP_K]]))
-    return result
+                ranked.append((-score, key))
+    return [(t * 1000, [key for _, key in sorted(ranked)[:ORACLE_TOP_K]])
+            for t, ranked in zip(epochs, scored)]
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +759,7 @@ def score_stream(
     instances = build_trend_instances(trend_days, sampled, SCENARIO_LOCALE, scenario.tz_offset)
     tp = fp = tn = fn = 0
     for key, instance in instances.items():
-        flags = flags_for_instance(instance, SCENARIO_LOCALE)
-        verdict = classify_trend(count_features(instance, flags), config, trend=instance.trend)
+        verdict = score_instance(instance, config, SCENARIO_LOCALE)
         if verdict.attacked and truth[key]:
             tp += 1
         elif verdict.attacked:
@@ -962,8 +915,12 @@ def save_scenario(config: ScenarioConfig, handle) -> None:
     ]
     lines.append(f"start_date = {config.start_date.isoformat()}")
     lines.extend(f"{key} = {getattr(config.params, key)}" for key in _PARAM_FIELDS)
-    if config.wordlist_path:
-        lines.append(f'wordlist_path = "{config.wordlist_path}"')
+    if path := config.wordlist_path:
+        # load_scenario reads either quote; a path can hold at most one kind.
+        quote = "'" if '"' in path else '"'
+        if quote in path:
+            raise ValueError(f"wordlist_path holds both quote characters: {path}")
+        lines.append(f"wordlist_path = {quote}{path}{quote}")
     handle.write("\n".join(lines) + "\n")
 
 

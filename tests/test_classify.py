@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
@@ -13,6 +14,7 @@ from trendguard.classify import (
 )
 
 from conftest import make_tweet
+from oracles import match_keyword
 
 
 class TestStripKeywordAndEmoji:
@@ -35,6 +37,16 @@ class TestStripKeywordAndEmoji:
 
     def test_case_folded_occurrences(self, tag_keyword):
         assert strip_keyword_and_emoji("x #TAG y #Tag z", tag_keyword) == "x y z"
+
+    @pytest.mark.parametrize("keyword, text, left", [
+        ("foo, bar", "foo bar baz", "baz"),
+        ("foo bar", "baz qux foo bar!", "baz qux"),
+        ("tepel sobar", "tepel - sobar kama", "kama"),
+    ])
+    def test_ngram_stripped_where_the_join_matches(self, keyword, text, left):
+        kw = normalize_keyword(keyword, "tr")
+        assert match_keyword(text, kw, "tr")
+        assert strip_keyword_and_emoji(text, kw, "tr") == left
 
 
 class TestIsLexiconTweet:

@@ -223,8 +223,10 @@ class TestEvaluateCmd:
         assert from_files == in_memory
 
     def test_needs_sim_or_config(self, capsys):
-        assert main(["evaluate"]) == 1
-        assert "evaluate" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate"])
+        assert err.value.code == 2
+        assert "--sim" in capsys.readouterr().err
 
     def test_trend_day_missing_from_truth_exits_1(self, sim_dir, tmp_path, capsys):
         copy = tmp_path / "sim"

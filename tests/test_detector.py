@@ -2,6 +2,7 @@ import random
 from datetime import date
 from itertools import combinations
 
+from trendguard import detector
 from trendguard.ingest import Creation, Deletion
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
@@ -13,6 +14,7 @@ from trendguard.detector import (
     label_astrobots,
     scan_candidates,
 )
+from trendguard.simulator import ScenarioConfig, build_stream, evaluate
 
 from conftest import DAY, DAY_NOON, make_instance, make_tweet
 
@@ -413,3 +415,29 @@ class TestScanCandidates:
     def test_below_min_tweets_skipped(self):
         events = self._events("ufak", DAY_NOON, n=3)
         assert scan_candidates(events, set(), DetectorConfig()) == []
+
+    def test_scan_and_evaluate_reach_the_stages_through_detector(self, monkeypatch):
+        """Both scorers look the three stages up as detector module globals,
+        which is where the benchmark tracer rebinds them."""
+        calls = []
+
+        def counted(name):
+            stage = getattr(detector, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return stage(*args, **kwargs)
+            return wrapper
+
+        stages = ["flags_for_instance", "count_features", "classify_trend"]
+        for name in stages:
+            monkeypatch.setattr(detector, name, counted(name))
+        scan_candidates(self._events("gizli", DAY_NOON), set(), DetectorConfig())
+        assert calls == stages
+        calls.clear()
+        config = ScenarioConfig(n_days=1, organic_per_day=1, attacked_per_day=1,
+                                attacks_per_day=1, background_per_day=0, sample_rate=1.0,
+                                organic_tweets_min=20, organic_tweets_max=30,
+                                adoption_tweets_min=5, adoption_tweets_max=10)
+        evaluate(DetectorConfig(), build_stream(config))
+        assert calls == stages * 2

@@ -1,5 +1,7 @@
 import io
 import random
+from collections import Counter
+from datetime import timedelta
 
 import pytest
 
@@ -220,6 +222,34 @@ class TestLabeledStream:
         assert labeled.truth_bots
         assert len(labeled.truth_attacks) == 8  # 4 waves/day x 2 days
 
+    @pytest.mark.parametrize("attacks, attacked, waves", [(5, 2, [3, 2]), (1, 3, [1, 1, 1])])
+    def test_waves_dealt_round_robin(self, attacks, attacked, waves):
+        config = ScenarioConfig(n_days=2, organic_per_day=1, attacked_per_day=attacked,
+                                attacks_per_day=attacks, background_per_day=0)
+        labeled = build_stream(config)
+        for day in (config.start_date, config.start_date + timedelta(days=1)):
+            per_trend = Counter(r.keyword for r in labeled.truth_attacks if r.day == day)
+            assert list(per_trend.values()) == waves
+
+    def test_ids_distinct_and_bots_post_once_and_delete(self):
+        config = ScenarioConfig(n_days=2, organic_per_day=2, attacked_per_day=2,
+                                attacks_per_day=3, failed_attacks_per_day=1,
+                                background_per_day=100, bots_min=20, bots_max=40,
+                                organic_tweets_min=30, organic_tweets_max=60,
+                                adoption_tweets_min=10, adoption_tweets_max=20)
+        labeled = build_stream(config)
+        events = list(labeled.events())
+        tweets = [e.tweet for e in events if isinstance(e, Creation)]
+        deleted = {e.tweet_id for e in events if isinstance(e, Deletion)}
+        assert len({t.id for t in tweets}) == len(tweets)
+        assert len({t.user_id for t in tweets}) == len(tweets)
+        bots = labeled.truth_bots
+        assert len(bots) == sum(r.n_bots for r in labeled.truth_attacks)
+        assert not all(r.succeeded for r in labeled.truth_attacks)  # failed waves included
+        bot_tweets = [t for t in tweets if t.user_id in bots]
+        assert len(bot_tweets) == len(bots)
+        assert all(t.id in deleted for t in bot_tweets)
+
     def test_generated_attacks_satisfy_model(self):
         config = ScenarioConfig(n_days=1, organic_per_day=0,
                                 attacked_per_day=1, attacks_per_day=1, background_per_day=0,
@@ -359,6 +389,22 @@ class TestScenarioFiles:
             save_scenario(config, handle)
         loaded = load_scenario(str(path))
         assert loaded == config
+
+    @pytest.mark.parametrize("wordlist_path", ['/x/say "hi" #1/words.txt', "/x/it's #1/words.txt"])
+    def test_wordlist_path_round_trip(self, tmp_path, wordlist_path):
+        config = ScenarioConfig(wordlist_path=wordlist_path)
+        path = tmp_path / "scenario.cfg"
+        with open(path, "w", encoding="utf-8") as handle:
+            save_scenario(config, handle)
+        assert load_scenario(str(path)) == config
+
+    def test_wordlist_path_with_both_quotes_rejected(self):
+        wordlist_path = """/x/"a" 'b'/words.txt"""
+        handle = io.StringIO()
+        with pytest.raises(ValueError) as raised:
+            save_scenario(ScenarioConfig(wordlist_path=wordlist_path), handle)
+        assert wordlist_path in str(raised.value)
+        assert handle.getvalue() == ""
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
