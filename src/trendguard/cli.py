@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gzip
+import importlib.util
 import io
 import json
 import os
@@ -22,7 +22,14 @@ from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, TrendGuardError
+from .core import (
+    DEFAULT_LOCALE,
+    DEFAULT_TZ_OFFSET,
+    EDGE_PREDICATES,
+    PRESETS,
+    UNDELETED,
+    TrendGuardError,
+)
 from .ingest import (
     BadRow,
     ParseStats,
@@ -31,22 +38,30 @@ from .ingest import (
     load_trend_epochs,
     read_stream,
 )
-from .classify import flags_for_instance
-from .features import count_features, write_feature_csv
-from .detector import (
-    AttackParams,
-    DetectorConfig,
-    PRESET_FORMULAS,
-    classify_trend,
-    detect_attack_windows,
-    label_astrobots,
-    scan_candidates,
-    write_astrobots,
-    write_verdicts_jsonl,
-)
-from . import metrics as metrics_mod
-from . import graph as graph_mod
-from . import simulator as sim_mod
+
+
+def _lazy(name: str):
+    """trendguard.<name>, registered in sys.modules but executed only when
+    one of its attributes is first read, so a command runs only the layers
+    it uses."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+classify = _lazy("classify")
+features = _lazy("features")
+detector = _lazy("detector")
+metrics_mod = _lazy("metrics")
+graph_mod = _lazy("graph")
+sim_mod = _lazy("simulator")
 
 
 def _add_locale_and_offset(parser: argparse.ArgumentParser) -> None:
@@ -73,7 +88,7 @@ def _add_sink(parser: argparse.ArgumentParser, what: str) -> None:
 
 
 def _add_preset(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", default="lexicon-tree", choices=tuple(PRESET_FORMULAS))
+    parser.add_argument("--preset", default="lexicon-tree", choices=PRESETS)
     parser.add_argument("--threshold", action="append", metavar="RULE=VALUE",
                         help="override a rule threshold, e.g. 9=0.68 (repeatable)")
 
@@ -85,20 +100,20 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=int, default=600, help="maximum lifetime seconds")
 
 
-def _params_from(args) -> AttackParams:
-    return AttackParams(
+def _params_from(args) -> detector.AttackParams:
+    return detector.AttackParams(
         kappa=args.kappa, alpha_p=args.alpha_p, alpha_d=args.alpha_d, theta=args.theta
     )
 
 
-def _config_from(args) -> DetectorConfig:
+def _config_from(args) -> detector.DetectorConfig:
     thresholds = {}
     for item in args.threshold or ():
         rule, _, value = item.partition("=")
         if not value:
             raise TrendGuardError(f"--threshold expects RULE=VALUE, got {item!r}")
         thresholds[rule.strip()] = float(value)
-    config = DetectorConfig(preset=args.preset, thresholds=thresholds)
+    config = detector.DetectorConfig(preset=args.preset, thresholds=thresholds)
     config.resolved_formula()  # rejects an override that would change nothing
     return config
 
@@ -191,15 +206,15 @@ def _instances_flags_features(args):
     rows = []
     for key in sorted(instances):
         instance = instances[key]
-        flags = flags_for_instance(instance, args.locale)
-        rows.append((key, instance, flags, count_features(instance, flags)))
+        flags = classify.flags_for_instance(instance, args.locale)
+        rows.append((key, instance, flags, features.count_features(instance, flags)))
     return rows
 
 
 def _cmd_features(args, out: _Outputs) -> int:
     rows = _instances_flags_features(args)
     with out.sink(args) as handle:
-        write_feature_csv(handle, [(instance, vector) for _, instance, _, vector in rows])
+        features.write_feature_csv(handle, [(instance, vector) for _, instance, _, vector in rows])
     return 0
 
 
@@ -211,22 +226,22 @@ def _cmd_detect(args, out: _Outputs) -> int:
     flags_by_key = {}
     for key, instance, flags, vector in rows:
         flags_by_key[key] = flags
-        verdicts.append(classify_trend(vector, config, trend=instance.trend))
+        verdicts.append(detector.classify_trend(vector, config, trend=instance.trend))
     with out.sink(args) as handle:
-        write_verdicts_jsonl(handle, verdicts)
+        detector.write_verdicts_jsonl(handle, verdicts)
 
     if args.bots_out:
-        bots = label_astrobots(
+        bots = detector.label_astrobots(
             [instance for _, instance, _, _ in rows], verdicts, flags_by_key, args.tz_offset
         )
         with out.open(args.bots_out) as handle:
-            write_astrobots(handle, bots)
+            detector.write_astrobots(handle, bots)
 
     if args.events_out:
         with out.open(args.events_out) as handle:
             for key, instance, flags, _ in rows:
-                for event in detect_attack_windows(instance, flags, params,
-                                                   merge_overlapping=args.merge_events):
+                for event in detector.detect_attack_windows(
+                        instance, flags, params, merge_overlapping=args.merge_events):
                     handle.write(json.dumps({
                         "date": instance.trend.date.isoformat(),
                         "keyword": instance.keyword.normalized,
@@ -248,11 +263,11 @@ def _cmd_scan(args, out: _Outputs) -> int:
         for trend in load_trend_days(args.trends, args.locale):
             known.add((trend.date, trend.keyword.normalized))
     events = (e for path in args.stream for e in read_stream(path))
-    verdicts = scan_candidates(
+    verdicts = detector.scan_candidates(
         events, known, config, args.locale, min_tweets=args.min_tweets, tz_offset=args.tz_offset
     )
     with out.sink(args) as handle:
-        write_verdicts_jsonl(handle, verdicts)
+        detector.write_verdicts_jsonl(handle, verdicts)
     return 0
 
 
@@ -325,7 +340,7 @@ def _cmd_graph(args, out: _Outputs) -> int:
     # Both the deleted-lexicon edges and the attack times read flags of
     # deleted tweets only.
     flags = {
-        key: flags_for_instance(
+        key: classify.flags_for_instance(
             instance, args.locale, [t for t in instance.tweets if t.id in instance.deletions]
         )
         for key, instance in instances.items()
@@ -392,6 +407,7 @@ def _cmd_simulate(args, out: _Outputs) -> int:
                                         sim_mod.SCENARIO_LOCALE)
     with ExitStack() as stack:
         if args.gzip:
+            import gzip  # not paid by plain output
             # mtime pinned so repeated runs are byte-identical; the header
             # names the file without its .gz suffix.
             raw = stack.enter_context(out.open(out_dir / "stream.jsonl.gz", "wb"))
@@ -434,7 +450,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     return 0
 
 
-def _evaluate_sim_dir(args, config: DetectorConfig) -> sim_mod.EvalReport:
+def _evaluate_sim_dir(args, config: detector.DetectorConfig) -> sim_mod.EvalReport:
     sim_dir = Path(args.sim)
     stream_path = sim_dir / "stream.jsonl"
     if not stream_path.exists():
@@ -508,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="build and partition the user-trend network")
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True)
-    p.add_argument("--predicate", default=graph_mod.UNDELETED,
-                   choices=[graph_mod.UNDELETED, graph_mod.DELETED_LEXICON])
+    p.add_argument("--predicate", default=UNDELETED, choices=EDGE_PREDICATES)
     p.add_argument("--kcore", type=int, default=0, help="apply k-core filtering")
     p.add_argument("--single-attack", action="store_true",
                    help="drop users linked to a single trend")

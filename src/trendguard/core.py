@@ -17,6 +17,14 @@ DEFAULT_TZ_OFFSET = 3 * 3600
 
 DEFAULT_LOCALE = "tr"
 
+# Names the CLI offers as choices before it loads the layers that use them:
+# detector.PRESET_FORMULAS is keyed by PRESETS, in this order, and
+# graph.build_graph takes one of the EDGE_PREDICATES.
+PRESETS = ("lexicon-tree", "lexicon-tree-strict", "lexicon-agnostic-tree", "ratio-only")
+UNDELETED = "undeleted"
+DELETED_LEXICON = "deleted-lexicon"
+EDGE_PREDICATES = (UNDELETED, DELETED_LEXICON)
+
 
 class TrendGuardError(Exception):
     """Base class for all errors raised by this package."""

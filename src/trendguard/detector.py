@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
     HASHTAG,
+    PRESETS,
     Keyword,
     TrendGuardError,
     local_day,
@@ -98,14 +99,15 @@ class RuleCheck:
 # precision headroom. The lexicon-agnostic tree's strong branch needs many
 # deleted single-engagement tweets at a high deletion share, and its second
 # branch admits smaller bursts whose initial-deletion prefix is long.
+LEXICON_TREE, LEXICON_TREE_STRICT, LEXICON_AGNOSTIC_TREE, RATIO_ONLY = PRESETS
 PRESET_FORMULAS: dict[str, tuple[tuple[RuleCheck, ...], ...]] = {
-    "lexicon-tree": ((RuleCheck("8", 4), RuleCheck("9", 0.45, GT)),),
-    "lexicon-tree-strict": ((RuleCheck("8", 4), RuleCheck("9", 0.68)),),
-    "lexicon-agnostic-tree": (
+    LEXICON_TREE: ((RuleCheck("8", 4), RuleCheck("9", 0.45, GT)),),
+    LEXICON_TREE_STRICT: ((RuleCheck("8", 4), RuleCheck("9", 0.68)),),
+    LEXICON_AGNOSTIC_TREE: (
         (RuleCheck("5", 10), RuleCheck("6", 0.50)),
         (RuleCheck("5", 4), RuleCheck("7", 4)),
     ),
-    "ratio-only": ((RuleCheck("1", 17), RuleCheck("2", 0.25)),),
+    RATIO_ONLY: ((RuleCheck("1", 17), RuleCheck("2", 0.25)),),
 }
 
 
@@ -118,7 +120,7 @@ class DetectorConfig:
     because it would change nothing.
     """
 
-    preset: str = "lexicon-tree"
+    preset: str = LEXICON_TREE
     thresholds: dict[str, float] = field(default_factory=dict)
 
     def resolved_formula(self) -> tuple[tuple[RuleCheck, ...], ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping, Optional
 
-from .core import TrendGuardError, span_s
+from .core import DELETED_LEXICON, EDGE_PREDICATES, UNDELETED, TrendGuardError, span_s
 from .ingest import TrendInstance
 from .classify import TweetFlags
 
@@ -23,9 +23,6 @@ Node = tuple[str, object]  # ("user", int) | ("trend", str)
 
 USER = "user"
 TREND = "trend"
-
-UNDELETED = "undeleted"
-DELETED_LEXICON = "deleted-lexicon"
 
 
 class EmptyGraph(TrendGuardError):
@@ -126,7 +123,7 @@ def build_graph(
     "deleted-lexicon" predicate builds the astrobot network and requires
     per-tweet flags.
     """
-    if edge_predicate not in (UNDELETED, DELETED_LEXICON):
+    if edge_predicate not in EDGE_PREDICATES:
         raise ValueError(f"unknown edge predicate: {edge_predicate!r}")
     if edge_predicate == DELETED_LEXICON and flags is None:
         raise ValueError("deleted-lexicon predicate requires tweet flags")

@@ -11,10 +11,8 @@ instance construction is independent of event ordering.
 
 from __future__ import annotations
 
-import bz2
 import calendar
 import csv
-import gzip
 import io
 import json
 import re
@@ -203,6 +201,18 @@ def _event_ms(obj: dict) -> int:
     return _parse_created_at(created) * 1000
 
 
+# A byte of an archive that is not UTF-8, as read_stream decodes it.
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
+
+def _holds_escaped_byte(text: str) -> bool:
+    try:
+        text.encode()  # fast for the common case: no lone surrogate at all
+    except UnicodeEncodeError:
+        return _ESCAPED_BYTE_RE.search(text) is not None
+    return False
+
+
 def _parse_status(obj: dict) -> Creation:
     tweet_id = int(obj["id"])
     user = obj.get("user")
@@ -239,6 +249,8 @@ def _parse_status(obj: dict) -> Creation:
         if isinstance(m, dict) and m.get("id") is not None
     )
     urls = len(entities.get("urls", ()) or ())
+    if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
+        raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
 
     return Creation(
         Tweet(
@@ -281,9 +293,10 @@ def parse_stream_line(line: str) -> Optional[TweetEvent]:
     """Parse one archive line into a Creation or Deletion; None for a blank
     line or a record of another kind (limit notices, ...).
 
-    Raises MalformedLine on broken syntax and on any record whose fields do
-    not fit the schema; callers are expected to count these rather than
-    abort. No other exception escapes for any input string.
+    Raises MalformedLine on broken syntax, on any record whose fields do
+    not fit the schema, and on a status whose text or a hashtag holds an
+    escaped byte (see _open_source); callers are expected to count these
+    rather than abort. No other exception escapes for any input string.
     """
     stripped = line.strip()
     if not stripped:
@@ -305,17 +318,21 @@ def parse_stream_line(line: str) -> Optional[TweetEvent]:
 
 
 def _codec(magic: bytes):
-    """The compression module whose magic bytes start ``magic``, or None."""
+    """The compression module whose magic bytes start ``magic``, or None;
+    it is imported only when a file needs it."""
     if magic[:2] == b"\x1f\x8b":
+        import gzip
         return gzip
     if magic[:3] == b"BZh":
+        import bz2
         return bz2
     return None
 
 
 def _open_source(source) -> io.TextIOBase:
     """Open a path or binary stream as text, decompressing gzip or bzip2
-    when the magic bytes say so."""
+    when the magic bytes say so. A byte that is not UTF-8 decodes to its
+    escape (U+DC80-U+DCFF) instead of failing the read."""
     if isinstance(source, io.TextIOBase):
         return source
     if isinstance(source, (str, bytes)):
@@ -331,7 +348,7 @@ def _open_source(source) -> io.TextIOBase:
         source = codec.open(source, "rb")
     elif isinstance(source, str):
         source = open(source, "rb")
-    return io.TextIOWrapper(source, encoding="utf-8")
+    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
 
 
 def read_stream(
@@ -395,9 +412,10 @@ def _parse_iso_ms(value: str) -> int:
 
 def _text_input(source):
     """A context manager giving a text handle for a path or an open handle;
-    it closes only what it opened."""
+    it closes only what it opened. A path is read as UTF-8, skipping a
+    leading byte-order mark."""
     if isinstance(source, (str, bytes)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     return nullcontext(source)
 
 

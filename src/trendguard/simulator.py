@@ -39,6 +39,7 @@ from .ingest import (
     TweetEvent,
     _csv_rows,
     _keyword_index,
+    _text_input,
     build_trend_instances,
 )
 from .detector import AttackParams, DetectorConfig, score_instance
@@ -884,7 +885,7 @@ def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, 
         key = (date.fromisoformat(row["date"]), normalize_keyword(row["keyword"], locale).normalized)
         return key, bool(int(row["attacked"]))
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _text_input(path) as handle:
         return dict(_csv_rows(handle, ("date", "keyword", "attacked"), parse))
 
 

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import shutil
 import subprocess
@@ -98,6 +99,30 @@ class TestIngest:
         assert err.value.code == 2
 
 
+class TestBytesNotUtf8:
+    """A line holding a byte that is not UTF-8 is counted, never fatal."""
+
+    STATUS = json.dumps({"id": 1, "user": {"id": 7}, "text": "#Tag bir iki",
+                         "timestamp_ms": "1560848400000",
+                         "entities": {"hashtags": [{"text": "Tag"}]}})
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_three_line_archive(self, tmp_path, capsys, gzipped):
+        data = (self.STATUS + "\n").encode() + b"\xff\xfe bad bytes\n" \
+            + (self.STATUS.replace('"id": 1', '"id": 2') + "\n").encode()
+        stream = tmp_path / ("stream.jsonl.gz" if gzipped else "stream.jsonl")
+        stream.write_bytes(gzip.compress(data) if gzipped else data)
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#tag\n")
+
+        assert main(["ingest", "--stream", str(stream), "--stdout"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["lines_read"], stats["creations"], stats["malformed_skipped"]) == (3, 2, 1)
+        assert stats["consistent"]
+        assert main(["detect", "--stream", str(stream), "--trends", str(trends), "--stdout"]) == 0
+        assert json.loads(capsys.readouterr().out)["features"]["n_tweets"] == 2
+
+
 class TestDetect:
     def test_verdicts_match_truth(self, sim_dir, tmp_path):
         out = tmp_path / "verdicts.jsonl"
@@ -144,6 +169,17 @@ class TestDetect:
         assert main(args(a)) == 0
         assert main(args(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_trends_file_with_a_byte_order_mark(self, sim_dir, tmp_path):
+        bom_trends = tmp_path / "trends.csv"
+        bom_trends.write_bytes(b"\xef\xbb\xbf" + (sim_dir / "trends.csv").read_bytes())
+        outputs = []
+        for trends in (sim_dir / "trends.csv", bom_trends):
+            out = tmp_path / f"verdicts-{len(outputs)}.jsonl"
+            assert main(["detect", "--stream", str(sim_dir / "stream.jsonl"),
+                         "--trends", str(trends), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_events_out(self, sim_dir, tmp_path):
         out = tmp_path / "verdicts.jsonl"

@@ -3,6 +3,7 @@ from datetime import date
 from itertools import combinations
 
 from trendguard import detector
+from trendguard.core import PRESETS
 from trendguard.ingest import Creation, Deletion
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
@@ -32,6 +33,10 @@ def fv(**overrides) -> FeatureVector:
     )
     base.update(overrides)
     return FeatureVector(**base)
+
+
+def test_presets_are_the_names_the_cli_offers():
+    assert tuple(detector.PRESET_FORMULAS) == PRESETS
 
 
 class TestClassifyTrend:

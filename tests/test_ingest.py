@@ -3,8 +3,10 @@ import gzip
 import io
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
@@ -207,6 +209,93 @@ class TestReadStream:
                                   keep=lambda line: "delete" in line))
         assert [type(e) for e in events] == [Deletion]
         assert (stats.lines_read, stats.prefiltered, stats.malformed_skipped) == (3, 2, 0)
+        assert stats.consistent
+
+    @pytest.mark.parametrize("old, new, kept", [
+        (b"a b #Tag", b"a b \xff#Tag", False),  # in the text
+        (b'{"text": "Tag"}', b'{"text": "T\xe9ag"}', False),  # in a hashtag
+        (b"Twitter for Android", b"Twitter for \xe9Android", True),  # in a field not read
+        (STATUS_LINE.encode(), b"\xff\xfe bad bytes", False),  # a line of no JSON
+    ])
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_byte_not_utf8(self, old, new, kept, gzipped):
+        line = STATUS_LINE.encode().replace(old, new)
+        data = b"\n".join([DELETE_LINE.encode(), line, DELETE_LINE.encode()])
+        events, stats = read_all(io.BytesIO(gzip.compress(data) if gzipped else data))
+        expected = [parse_stream_line(DELETE_LINE)] * 2
+        if kept:
+            expected.insert(1, parse_stream_line(STATUS_LINE))
+        assert events == expected
+        assert (stats.lines_read, stats.malformed_skipped) == (3, 0 if kept else 1)
+        assert stats.consistent
+
+    def test_lone_surrogate_escape_is_not_a_bad_byte(self):
+        # Truncated emoji leave a lone \ud83d in real archives; it was text, not a byte.
+        line = STATUS_LINE.replace("a b #Tag", "a b #Tag \\ud83d")
+        assert parse_stream_line(line).tweet.text == "a b #Tag \ud83d"
+
+
+def _universal_lines(data: bytes) -> list[bytes]:
+    """The lines of ``data`` under universal newlines, terminators dropped."""
+    pieces = re.split(rb"\r\n|\r|\n", data)
+    return pieces[:-1] if pieces[-1] == b"" else pieces
+
+
+def _splice(args) -> bytes:
+    line, at, junk = args
+    at %= len(line) + 1
+    return line[:at] + junk + line[at:]
+
+
+_RECORDS = [STATUS_LINE.encode(), DELETE_LINE.encode(), b'{"limit":{"track":5}}', b""]
+_BYTE_LINES = st.one_of(
+    st.binary(max_size=30),
+    st.sampled_from(_RECORDS),
+    st.tuples(st.sampled_from(_RECORDS), st.integers(0, 1000),
+              st.binary(min_size=1, max_size=3)).map(_splice),
+)
+
+
+def _line_events(raw: bytes) -> list:
+    """What one archive line should yield: for UTF-8, what parse_stream_line
+    makes of its text; otherwise what it yields read alone, which is at
+    most one event, with no escaped byte in a tweet's text or hashtags."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        alone = list(read_stream(io.BytesIO(b"\n" + raw)))  # no magic bytes first
+        assert len(alone) <= 1
+        for event in alone:
+            if isinstance(event, Creation):
+                fields = event.tweet.text + "".join(event.tweet.hashtags)
+                assert not re.search("[\udc80-\udcff]", fields)
+        return alone
+    try:
+        event = parse_stream_line(text)
+    except MalformedLine:
+        return []
+    return [] if event is None else [event]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BYTE_LINES, st.sampled_from([b"\n", b"\r", b"\r\n"])), max_size=8),
+       st.booleans())
+def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
+    """Any bytes, plain or gzipped, read without error, one line at a time
+    under universal newlines."""
+    data = b"".join(line + end for line, end in lines)
+    if lines and not last_terminated:
+        data = data[: -len(lines[-1][1])]
+    raw_lines = _universal_lines(data)
+    expected = [event for raw in raw_lines for event in _line_events(raw)]
+
+    sources = [gzip.compress(data)]
+    if not data.startswith((b"\x1f\x8b", b"BZh")):  # else the magic bytes name a codec
+        sources.append(data)
+    for source in sources:
+        events, stats = read_all(io.BytesIO(source))
+        assert events == expected
+        assert stats.lines_read == len(raw_lines)
         assert stats.consistent
 
 

@@ -1,7 +1,7 @@
 import io
 import random
 from collections import Counter
-from datetime import timedelta
+from datetime import date, timedelta
 
 import pytest
 
@@ -20,6 +20,7 @@ from trendguard.simulator import (
     gen_lexicon_text,
     gen_organic_trend,
     load_scenario,
+    load_truth_csv,
     load_wordlist,
     sample_stream,
     save_scenario,
@@ -381,6 +382,14 @@ class TestPlantedPrevalence:
 
 
 class TestScenarioFiles:
+    def test_truth_csv_with_a_byte_order_mark(self, tmp_path):
+        rows = "date,keyword,attacked\n2019-06-18,#Tag,1\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(rows.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        assert load_truth_csv(str(bom)) == load_truth_csv(str(plain)) == {
+            (date(2019, 6, 18), "tag"): True}
+
     def test_save_load_round_trip(self, tmp_path):
         config = ScenarioConfig(seed=99, bots_min=150,
                                 sample_rate=0.02, params=AttackParams(kappa=5))
