@@ -7,8 +7,6 @@ trend-days, flag lexicon / single-engagement tweets, aggregate features,
 classify each trend, and label the participating bot accounts.
 """
 
-import random
-
 from trendguard.classify import flags_for_instance
 from trendguard.detector import DetectorConfig, classify_trend, label_astrobots
 from trendguard.features import count_features
@@ -29,10 +27,9 @@ n_attacked = sum(labeled.truth.values())
 print(f"scenario: {n_trends} trend-days over {scenario.n_days} days "
       f"({n_attacked} attacked), {len(labeled.truth_bots)} bot accounts")
 
-# The archive only ever shows a 1% sample; deletions survive only when the
-# tweet they refer to does.
-rng = random.Random("demo:sample")
-events = sample_stream(labeled.events(), scenario.sample_rate, rng)
+# The archive only ever shows a 1% sample, keyed by tweet id; deletions
+# survive only when the tweet they refer to does.
+events = sample_stream(labeled.events(), scenario.sample_rate, scenario.seed)
 
 instances = build_trend_instances(labeled.trend_days(), events)
 print(f"sampled corpus joined into {len(instances)} trend instances")

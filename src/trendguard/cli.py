@@ -33,7 +33,9 @@ from .core import (
 from .ingest import (
     BadRow,
     ParseStats,
+    _text_input,
     build_instances_from_files,
+    id_line_filter,
     load_trend_days,
     load_trend_epochs,
     read_stream,
@@ -275,7 +277,7 @@ def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
     """Whether each (date, keyword) was attacked in a detect verdicts file,
     OR-merged over the records that share the key."""
     mapping: dict[tuple[date, str], bool] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with _text_input(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -455,10 +457,12 @@ def _evaluate_sim_dir(args, config: detector.DetectorConfig) -> sim_mod.EvalRepo
     stream_path = sim_dir / "stream.jsonl"
     if not stream_path.exists():
         stream_path = sim_dir / "stream.jsonl.gz"
+    scenario = sim_mod.load_scenario(str(sim_dir / "scenario.cfg"))
+    keep = id_line_filter(sim_mod.id_sampler(scenario.sample_rate, scenario.seed))
     return sim_mod.score_stream(
         config,
-        sim_mod.load_scenario(str(sim_dir / "scenario.cfg")),
-        read_stream(str(stream_path)),
+        scenario,
+        read_stream(str(stream_path), keep=keep),
         load_trend_days(str(sim_dir / "trends.csv"), sim_mod.SCENARIO_LOCALE),
         sim_mod.load_truth_csv(str(sim_dir / "truth.csv"), sim_mod.SCENARIO_LOCALE),
     )

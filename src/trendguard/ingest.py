@@ -318,21 +318,25 @@ def parse_stream_line(line: str) -> Optional[TweetEvent]:
 
 
 def _codec(magic: bytes):
-    """The compression module whose magic bytes start ``magic``, or None;
-    it is imported only when a file needs it."""
+    """The compression module whose magic bytes start ``magic``, and what
+    its first read raises on bytes that are not in its format; (None, ())
+    for other bytes. The module is imported only when a file needs it."""
     if magic[:2] == b"\x1f\x8b":
         import gzip
-        return gzip
+        import zlib
+        return gzip, (OSError, EOFError, zlib.error)
     if magic[:3] == b"BZh":
         import bz2
-        return bz2
-    return None
+        return bz2, (OSError, EOFError)
+    return None, ()
 
 
 def _open_source(source) -> io.TextIOBase:
     """Open a path or binary stream as text, decompressing gzip or bzip2
-    when the magic bytes say so. A byte that is not UTF-8 decodes to its
-    escape (U+DC80-U+DCFF) instead of failing the read."""
+    when the magic bytes say so and the first read decompresses; a file
+    that fails that read is plain text that happens to start with those
+    bytes. A byte that is not UTF-8 decodes to its escape (U+DC80-U+DCFF)
+    instead of failing the read."""
     if isinstance(source, io.TextIOBase):
         return source
     if isinstance(source, (str, bytes)):
@@ -343,10 +347,19 @@ def _open_source(source) -> io.TextIOBase:
         if not hasattr(source, "peek"):
             source = io.BufferedReader(source)
         magic = source.peek(3)[:3]
-    codec = _codec(magic)
+    codec, not_codec = _codec(magic)
     if codec is not None:
-        source = codec.open(source, "rb")
-    elif isinstance(source, str):
+        start = None if isinstance(source, str) else source.tell()
+        decoded = codec.open(source, "rb")
+        try:
+            decoded.peek(1)  # stays buffered: no byte is decompressed twice
+        except not_codec:
+            decoded.close()  # closes only a file the codec opened itself
+            if start is not None:
+                source.seek(start)
+        else:
+            source = decoded
+    if isinstance(source, str):
         source = open(source, "rb")
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
 
@@ -663,6 +676,47 @@ def _creation_filter(trends: Sequence[TrendDay], locale: str) -> Callable[[str],
 def _may_hold_deletion(line: str) -> bool:
     """Keeps every deletion notice (why, see build_instances_from_files)."""
     return '"delete"' in line or "\\u006" in line or "\\u007" in line
+
+
+# "id" followed by ':' and an integer that ends its value; the group is
+# empty when anything else follows.
+_ID_VALUE_RE = re.compile(r'"id"(?:[ \t\n\r]*:[ \t\n\r]*(-?[0-9]+)[ \t\n\r]*[,}])?')
+
+
+def id_line_filter(kept: Callable[[int], bool]) -> Callable[[str], bool]:
+    """A read_stream line test that keeps every line whose event has a
+    tweet id ``kept`` accepts.
+
+    A line is kept iff it holds \\u0069 or \\u0064, or some occurrence of
+    '"id"' is not followed by JSON whitespace, ':', an integer literal
+    -?[0-9]+, whitespace and ',' or '}', or ``kept`` accepts one of the
+    integers so found. Why no event ``kept`` accepts is lost: the event's
+    id is int() of the value of a key "id", the status's own or its delete
+    notice's. Without those two escapes, the only ones of 'i' and 'd', the
+    key is spelled '"id"' in the line, and JSON puts whitespace and ':'
+    between a key and its value. When the value is a JSON integer, that
+    literal is the whole value, followed by whitespace and the ',' or '}'
+    that ends an object member, and int() gives the integer the line
+    spells; any other value (a string, a float, an exponent, true) leaves
+    the group empty, which keeps the line. Every occurrence is tested, so
+    a duplicated key (the last one wins) and the ids of nested objects are
+    covered; a '"id"' that is no key, such as the value of "lang", keeps
+    the line or adds an integer, which only keeps more. An integer with
+    more digits than int() reads keeps the line, and json.loads fails on
+    it as well.
+    """
+    def keep(line: str) -> bool:
+        if "\\u00" in line and ("\\u0069" in line or "\\u0064" in line):
+            return True
+        try:
+            for digits in _ID_VALUE_RE.findall(line):
+                if not digits or kept(int(digits)):
+                    return True
+        except ValueError:
+            return True
+        return False
+
+    return keep
 
 
 _INT64 = 2**63

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, get_type_hints
 
 from .core import (
     DEFAULT_LOCALE,
@@ -289,21 +289,41 @@ def gen_organic_trend(
     return events
 
 
-def sample_stream(
-    stream: Iterable[TweetEvent], rate: float, rng: random.Random
-) -> Iterator[TweetEvent]:
-    """Independent per-tweet sampling; a deletion survives iff its tweet did."""
+_MASK64 = 2**64 - 1
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer, a bijection of [0, 2**64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def id_sampler(rate: float, seed: int) -> Callable[[int], bool]:
+    """Whether the sample at ``rate`` under ``seed`` keeps a tweet id:
+    kept(id) iff mix64((id ^ mix64(seed)) mod 2**64) < int(rate * 2**64)."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
-    kept: set[int] = set()
+    salt = _mix64(seed & _MASK64)
+    bound = int(rate * 2**64)
+
+    def kept(tweet_id: int) -> bool:
+        return _mix64((tweet_id ^ salt) & _MASK64) < bound
+
+    return kept
+
+
+def sample_stream(stream: Iterable[TweetEvent], rate: float, seed: int) -> Iterator[TweetEvent]:
+    """The events whose tweet id ``id_sampler(rate, seed)`` keeps.
+
+    Like the platform's 1 % sample, the rule is a pure function of the id,
+    not a draw in arrival order: a deletion is kept iff its tweet is, in
+    any order, and the sample does not depend on how the stream is laid out.
+    """
+    kept = id_sampler(rate, seed)
     for event in stream:
-        if isinstance(event, Creation):
-            if rng.random() < rate:
-                kept.add(event.tweet.id)
-                yield event
-        elif isinstance(event, Deletion):
-            if event.tweet_id in kept:
-                yield event
+        if kept(event.tweet.id if isinstance(event, Creation) else event.tweet_id):
+            yield event
 
 
 # ---------------------------------------------------------------------------
@@ -746,17 +766,16 @@ def score_stream(
     trend_days: Sequence[TrendDay],
     truth: Mapping[tuple[date, str], bool],
 ) -> EvalReport:
-    """Sample ``events`` at the scenario rate, run the full detection
-    pipeline over ``trend_days`` in the scenario's locale, and score the
-    verdicts against ``truth``.
+    """Sample ``events`` by tweet id at the scenario's rate and seed
+    (sample_stream), run the full detection pipeline over ``trend_days`` in
+    the scenario's locale, and score the verdicts against ``truth``.
     """
     for trend in trend_days:
         if (trend.date, trend.keyword.normalized) not in truth:
             raise TrendGuardError(
                 f"trend-day {trend.date.isoformat()},{trend.keyword.raw} has no truth label"
             )
-    rng = random.Random(f"{scenario.seed}:sample")
-    sampled = sample_stream(events, scenario.sample_rate, rng)
+    sampled = sample_stream(events, scenario.sample_rate, scenario.seed)
     instances = build_trend_instances(trend_days, sampled, SCENARIO_LOCALE, scenario.tz_offset)
     tp = fp = tn = fn = 0
     for key, instance in instances.items():

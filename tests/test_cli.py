@@ -123,6 +123,16 @@ class TestBytesNotUtf8:
         assert json.loads(capsys.readouterr().out)["features"]["n_tweets"] == 2
 
 
+@pytest.mark.parametrize("first", [b"BZh not json", b"\x1f\x8b not json"])
+def test_plain_archive_starting_with_codec_magic_bytes(tmp_path, capsys, first):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_bytes(first + b'\n{"limit":{}}\n')
+    assert main(["ingest", "--stream", str(stream), "--stdout"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["lines_read"], stats["malformed_skipped"], stats["other_skipped"]) == (2, 1, 1)
+    assert stats["consistent"]
+
+
 class TestDetect:
     def test_verdicts_match_truth(self, sim_dir, tmp_path):
         out = tmp_path / "verdicts.jsonl"
@@ -352,6 +362,20 @@ class TestMetricsCmd:
         hours = list(csv.DictReader(open(out_dir / "entry_hours.csv")))
         assert len(hours) == 24
 
+    def test_verdicts_file_with_a_byte_order_mark(self, sim_with_epochs, tmp_path):
+        sim = sim_with_epochs
+        inputs = ["--stream", str(sim / "stream.jsonl"), "--trends", str(sim / "trends.csv")]
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["detect", *inputs, "--out", str(verdicts)]) == 0
+        bom_verdicts = tmp_path / "bom-verdicts.jsonl"
+        bom_verdicts.write_bytes(b"\xef\xbb\xbf" + verdicts.read_bytes())
+        outputs = []
+        for path in (verdicts, bom_verdicts):
+            out_dir = tmp_path / f"metrics-{len(outputs)}"
+            assert main(["metrics", *inputs, "--epochs", str(sim / "epochs.csv"),
+                         "--verdicts", str(path), "--out", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_recurring_keyword_gets_a_lifecycle_per_day(self, tmp_path):
         """#konu trends on two days: each row takes the entry on its own day."""

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_SHA256 = {
     "01_detection_pipeline.py":
-        "b3f05c101c0511d3a9047861dd30a92696047c2a99dd9010dfb057d59d19e9a2",
+        "1e9fe44fa0b6295114ce56e51335ebaa66555540c565de719060d8526b9f787b",
     "02_attack_windows.py":
         "3a32e75beb35255f9950c2ad6179d203bf552b113db7762eb259594966253875",
     "03_network_analysis.py":

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,17 @@ class TestReadStream:
         assert (stats.lines_read, stats.malformed_skipped) == (3, 0 if kept else 1)
         assert stats.consistent
 
+    @pytest.mark.parametrize("first", [b"BZh not json", b"BZh91AY&SY", b"\x1f\x8b",
+                                       b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff junk"])
+    def test_plain_archive_starting_with_codec_magic_bytes(self, tmp_path, first):
+        data = first + b'\n{"limit":{}}\n' + DELETE_LINE.encode() + b"\n"
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(data)
+        for source in (str(path), io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
+            events, stats = read_all(source)
+            assert events == [parse_stream_line(DELETE_LINE)]
+            assert (stats.lines_read, stats.malformed_skipped, stats.other_skipped) == (3, 1, 1)
+
     def test_lone_surrogate_escape_is_not_a_bad_byte(self):
         # Truncated emoji leave a lone \ud83d in real archives; it was text, not a byte.
         line = STATUS_LINE.replace("a b #Tag", "a b #Tag \\ud83d")
@@ -250,6 +262,8 @@ def _splice(args) -> bytes:
 _RECORDS = [STATUS_LINE.encode(), DELETE_LINE.encode(), b'{"limit":{"track":5}}', b""]
 _BYTE_LINES = st.one_of(
     st.binary(max_size=30),
+    st.tuples(st.sampled_from([b"\x1f\x8b", b"\x1f\x8b\x08", b"BZh", b"BZh9"]),
+              st.binary(max_size=30)).map(b"".join),  # a codec's magic bytes, first or not
     st.sampled_from(_RECORDS),
     st.tuples(st.sampled_from(_RECORDS), st.integers(0, 1000),
               st.binary(min_size=1, max_size=3)).map(_splice),
@@ -277,12 +291,27 @@ def _line_events(raw: bytes) -> list:
     return [] if event is None else [event]
 
 
+def _starts_a_compressed_stream(data: bytes) -> bool:
+    """Whether ``data`` starts with a codec's magic bytes and the codec's
+    first read accepts it: read_stream then reads it as that codec, and a
+    later corrupt part fails the read."""
+    for magic, codec in ((b"\x1f\x8b", gzip), (b"BZh", bz2)):
+        if data.startswith(magic):
+            try:
+                codec.open(io.BytesIO(data)).peek(1)
+            except (OSError, EOFError, zlib.error):
+                return False
+            return True
+    return False
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_BYTE_LINES, st.sampled_from([b"\n", b"\r", b"\r\n"])), max_size=8),
        st.booleans())
 def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
-    """Any bytes, plain or gzipped, read without error, one line at a time
-    under universal newlines."""
+    """Any bytes, gzipped or plain, read without error, one line at a time
+    under universal newlines; plain bytes that start with a codec's magic
+    bytes count as plain unless the codec's first read accepts them."""
     data = b"".join(line + end for line, end in lines)
     if lines and not last_terminated:
         data = data[: -len(lines[-1][1])]
@@ -290,7 +319,7 @@ def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
     expected = [event for raw in raw_lines for event in _line_events(raw)]
 
     sources = [gzip.compress(data)]
-    if not data.startswith((b"\x1f\x8b", b"BZh")):  # else the magic bytes name a codec
+    if not _starts_a_compressed_stream(data):
         sources.append(data)
     for source in sources:
         events, stats = read_all(io.BytesIO(source))

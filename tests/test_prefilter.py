@@ -208,6 +208,7 @@ fuzz_lines = st.one_of(
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lines=st.lists(fuzz_lines, max_size=8),
        keep=st.sampled_from([None, _may_hold_deletion,
+                             ingest.id_line_filter(sim_mod.id_sampler(0.5, 1)),
                              _creation_filter([TrendDay(DAY, normalize_keyword("#konu")),
                                                TrendDay(DAY, normalize_keyword("a b"))], "tr")]))
 def test_read_stream_never_raises(lines, keep):
@@ -362,3 +363,120 @@ def test_values_outside_int64_attach_as_in_the_event_join(tmp_path):
     assert deletions == {2**63: created + 5000, 8: created + 3000} and invalid == 1
     assert _as_comparable(build_instances_from_files(trends, shards)) == expected
     assert _as_comparable(_build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, 2)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The sample's id test: every line whose tweet id the sample keeps is decoded
+# ---------------------------------------------------------------------------
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\r\n", "\n "])
+# Mostly unescaped: an escaped key keeps its line whatever follows.
+_ID_KEYS = st.sampled_from(['"id"'] * 6 + ['"\\u0069d"', '"i\\u0064"', '"\\u0069\\u0064"'])
+_ID_VALUES = st.one_of(
+    st.integers().map(str),                                          # any size, negative
+    st.integers(2**63 - 5, 2**80).map(str),                          # beyond int64
+    st.integers(-2**64, 2**64).map(lambda n: f'"{n}"'),             # a string
+    st.integers(-10**6, 10**6).map(lambda n: f"{n}.0"),             # a float
+    st.tuples(st.integers(0, 999), st.integers(0, 3)).map(lambda p: f"{p[0]}e{p[1]}"),
+    st.sampled_from(["true", "null", "0", "-0", "007"]),
+)
+_TEXTS = st.sampled_from(["bir iki", 'dedi ki \\"id\\": 7,', 'x\\"id\\"}', "id", ""])
+
+
+@st.composite
+def _id_member(draw, keys=_ID_KEYS):
+    return (f"{draw(_WS)}{draw(keys)}{draw(_WS)}:{draw(_WS)}{draw(_ID_VALUES)}{draw(_WS)}")
+
+
+@st.composite
+def _json_object(draw, members):
+    return "{" + ",".join(draw(st.permutations(members))) + draw(_WS) + "}"
+
+
+@st.composite
+def _id_lines(draw):
+    """Status and deletion records written by hand, so that the key "id" and
+    its value take every spelling JSON allows: duplicated, escaped, padded,
+    nested, and beside a string "id"."""
+    ids = draw(st.lists(_id_member(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        status = draw(_json_object([*ids, ' "user_id": 3']))
+        delete = draw(_json_object([f' "status": {status}', ' "timestamp_ms": "5"']))
+        return "{" + draw(_WS) + f'"delete": {delete}' + draw(_WS) + "}"
+    user = draw(st.one_of(st.just(' "user_id": 3'),
+                          _json_object([draw(_id_member())]).map(' "user": {}'.format)))
+    members = [*ids, f' "text": "{draw(_TEXTS)}"', ' "timestamp_ms": "5"', user]
+    if draw(st.booleans()):
+        mention = draw(_json_object([draw(_id_member())]))
+        members.append(f' "entities": {{"user_mentions": [{mention}]}}')
+    if draw(st.booleans()):
+        members.append(f' "retweeted_status": {draw(_json_object([draw(_id_member())]))}')
+    if draw(st.booleans()):
+        members.append(draw(st.sampled_from([' "lang": "id"', ' "lang":"id"'])))
+    return draw(_json_object(members))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(line=_id_lines(), rate=st.sampled_from([0.01, 0.5, 0.5, 1.0]),
+       seed=st.integers(-2**65, 2**65))
+def test_id_filter_keeps_every_line_the_sample_keeps(line, rate, seed):
+    kept = sim_mod.id_sampler(rate, seed)
+    try:
+        event = parse_stream_line(line)
+    except MalformedLine:
+        return
+    if event is None:
+        return
+    tweet_id = event.tweet.id if isinstance(event, Creation) else event.tweet_id
+    if kept(tweet_id):
+        assert ingest.id_line_filter(kept)(line)
+
+
+@pytest.mark.parametrize("value", ["5e2", "5E+2", "500.0", '"500"', '" 500"', "true"])
+def test_id_filter_keeps_a_value_that_is_no_integer_literal(value):
+    line = f'{{"id": {value}, "text": "x", "user_id": 3, "timestamp_ms": "5"}}'
+    tweet_id = parse_stream_line(line).tweet.id
+    assert ingest.id_line_filter({tweet_id}.__contains__)(line)
+
+
+def test_id_filter_drops_a_line_whose_ids_are_not_kept():
+    keep = ingest.id_line_filter({7}.__contains__)
+    line = '{"id": 5, "text": "x", "user": {"id": 6}, "timestamp_ms": "5"}'
+    assert not keep(line)
+    assert keep(line.replace('"id": 6', '"id": 7'))
+    assert keep(line.replace('"text"', '"lang": "id", "text"'))
+
+
+def test_id_filter_keeps_an_id_too_long_for_int():
+    line = '{"id": ' + "9" * 5000 + ', "text": "x", "user": {"id": 1}, "timestamp_ms": "5"}'
+    assert ingest.id_line_filter(lambda tweet_id: False)(line)
+    with pytest.raises(MalformedLine):
+        parse_stream_line(line)
+
+
+def _simulator_lines() -> list[str]:
+    config = sim_mod.ScenarioConfig(n_days=1, organic_per_day=3, attacked_per_day=2,
+                                    attacks_per_day=6, background_per_day=300, seed=5)
+    buffer = io.StringIO()
+    sim_mod.write_stream_jsonl(buffer, sim_mod.build_stream(config).events())
+    return buffer.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("source", ["simulator", "escaped"])
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_id_filtered_read_samples_as_the_full_read(tmp_path, source, gzipped):
+    lines = _simulator_lines() if source == "simulator" else _archive_lines()
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(gzip.compress(data) if gzipped else data)
+    rate, seed = 0.05, 5
+    stats = ParseStats()
+    keep = ingest.id_line_filter(sim_mod.id_sampler(rate, seed))
+    filtered = list(sim_mod.sample_stream(read_stream(str(path), stats=stats, keep=keep),
+                                          rate, seed))
+    full = list(sim_mod.sample_stream(read_stream(str(path)), rate, seed))
+    assert filtered == full
+    assert {type(event) for event in full} == {Creation, Deletion}
+    assert stats.lines_read == len(lines) and stats.consistent
+    if source == "simulator":  # two to four ids a line, 5 % of them kept
+        assert stats.prefiltered > 0.75 * len(lines)

@@ -19,6 +19,7 @@ from trendguard.simulator import (
     gen_attack,
     gen_lexicon_text,
     gen_organic_trend,
+    id_sampler,
     load_scenario,
     load_truth_csv,
     load_wordlist,
@@ -28,7 +29,7 @@ from trendguard.simulator import (
     write_stream_jsonl,
 )
 
-from conftest import make_instance, read_all
+from conftest import make_instance, make_tweet, read_all
 
 WORDLIST = load_wordlist()
 
@@ -163,19 +164,19 @@ class TestSampleStream:
 
     def test_rate_one_is_identity(self):
         events = self._stream(500)
-        sampled = list(sample_stream(events, 1.0, random.Random(0)))
+        sampled = list(sample_stream(events, 1.0, 0))
         assert sampled == events
 
     def test_binomial_bounds(self):
         events = self._stream(40_000)
-        sampled = list(sample_stream(events, 0.01, random.Random(1)))
+        sampled = list(sample_stream(events, 0.01, 1))
         kept = sum(1 for e in sampled if isinstance(e, Creation))
         # 3 sigma around np = 400
         assert abs(kept - 400) <= 3 * (40_000 * 0.01 * 0.99) ** 0.5
 
     def test_no_orphan_deletions(self):
         events = self._stream(5000)
-        sampled = list(sample_stream(events, 0.05, random.Random(2)))
+        sampled = list(sample_stream(events, 0.05, 2))
         created = {e.tweet.id for e in sampled if isinstance(e, Creation)}
         for event in sampled:
             if isinstance(event, Deletion):
@@ -183,7 +184,37 @@ class TestSampleStream:
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            list(sample_stream([], 0.0, random.Random(0)))
+            list(sample_stream([], 0.0, 0))
+
+    def test_kept_by_id_in_any_order(self):
+        events = self._stream(5000)
+        sampled = list(sample_stream(events, 0.05, 3))
+        shuffled = list(events)
+        random.Random(4).shuffle(shuffled)
+        assert sorted(sample_stream(shuffled, 0.05, 3), key=repr) == sorted(sampled, key=repr)
+        kept = id_sampler(0.05, 3)
+        assert sampled == [e for e in events
+                           if kept(e.tweet.id if isinstance(e, Creation) else e.tweet_id)]
+
+    def test_deletion_before_its_creation_is_kept(self):
+        kept = id_sampler(0.05, 3)
+        tweet_id = next(i for i in range(10**6) if kept(i))
+        creation = Creation(make_tweet(tweet_id, 9, "bir iki", 1000))
+        deletion = Deletion(tweet_id=tweet_id, user_id=9, time_ms=2_000_000)
+        assert list(sample_stream([deletion, creation], 0.05, 3)) == [deletion, creation]
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 7])
+    def test_rule_is_splitmix64_of_the_id(self, seed):
+        def mix64(z):  # the published splitmix64 finalizer
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            return z ^ (z >> 31)
+
+        kept = id_sampler(0.3, seed)
+        for tweet_id in [0, 1, 2**63 - 1, -5, 2**64 + 3, *range(100, 400)]:
+            expected = mix64((tweet_id ^ mix64(seed % 2**64)) % 2**64) < int(0.3 * 2**64)
+            assert kept(tweet_id) == expected
+        assert all(map(id_sampler(1.0, seed), [0, 2**64 - 1, -1]))
 
 
 class TestLabeledStream:
