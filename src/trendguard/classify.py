@@ -45,28 +45,24 @@ class TweetFlags:
     is_single_engagement: bool
 
 
-def _keyword_token_forms(keyword: Keyword) -> set[str]:
-    if keyword.kind == HASHTAG:
-        return {keyword.normalized, "#" + keyword.normalized}
-    return set()
-
-
 def strip_keyword_and_emoji(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> str:
     """Remove all emoji and every occurrence of the keyword that the join
-    matches (an n-gram as a run of cleaned tokens, with any punctuation-only
-    tokens inside the run); collapse whitespace."""
-    cleaned = _EMOJI_RE.sub(" ", text)
-    tokens = cleaned.split()
-    if keyword is None:
-        return " ".join(tokens)
-
-    if keyword.kind == HASHTAG:
-        forms = _keyword_token_forms(keyword)
+    matches; collapse whitespace. A hashtag goes after the emoji, as the
+    join reads '#foo' followed by an emoji as '#foo'; an n-gram goes before
+    them, as the join reads 'foo', an emoji and 'bar' written together as
+    one token: it goes as a run of the text's whitespace tokens, cleaned as
+    text_tokens cleans them, with any punctuation-only tokens inside."""
+    if keyword is None or keyword.kind == HASHTAG:
+        tokens = _EMOJI_RE.sub(" ", text).split()
+        if keyword is None:
+            return " ".join(tokens)
+        forms = {keyword.normalized, "#" + keyword.normalized}
         kept = [t for t in tokens if fold_case(t, locale) not in forms]
         return " ".join(kept)
 
+    tokens = text.split()
     ngram = text_tokens(keyword.normalized, locale)
     n = len(ngram)
     words = [(i, w) for i, t in enumerate(tokens) if (w := _clean_token(fold_case(t, locale)))]
@@ -78,7 +74,8 @@ def strip_keyword_and_emoji(
             k += n
         else:
             k += 1
-    return " ".join(t for i, t in enumerate(tokens) if i not in dropped)
+    kept = " ".join(t for i, t in enumerate(tokens) if i not in dropped)
+    return " ".join(_EMOJI_RE.sub(" ", kept).split())
 
 
 def is_lexicon_tweet(

@@ -264,10 +264,8 @@ def _cmd_scan(args, out: _Outputs) -> int:
     if args.trends:
         for trend in load_trend_days(args.trends, args.locale):
             known.add((trend.date, trend.keyword.normalized))
-    events = (e for path in args.stream for e in read_stream(path))
-    verdicts = detector.scan_candidates(
-        events, known, config, args.locale, min_tweets=args.min_tweets, tz_offset=args.tz_offset
-    )
+    instances = build_instances_from_files(None, args.stream, args.locale, args.tz_offset)
+    verdicts = detector.scan_candidates(instances, known, config, args.locale, args.min_tweets)
     with out.sink(args) as handle:
         detector.write_verdicts_jsonl(handle, verdicts)
     return 0

@@ -13,31 +13,18 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from datetime import date
+from datetime import date, timedelta
 from typing import Iterable, Mapping, Optional
 
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
-    HASHTAG,
     PRESETS,
-    Keyword,
     TrendGuardError,
     local_day,
     span_s,
 )
-from .ingest import (
-    Creation,
-    Deletion,
-    TrendDay,
-    TrendInstance,
-    Tweet,
-    TweetEvent,
-    _InstanceBuilder,
-    _note_deletion,
-    day_number_to_date,
-    extract_hashtags,
-)
+from .ingest import TrendDay, TrendInstance, Tweet
 from .classify import TweetFlags, flags_for_instance
 from .features import FeatureVector, count_features
 
@@ -409,44 +396,27 @@ def label_astrobots(
 
 
 def scan_candidates(
-    events: Iterable[TweetEvent],
+    instances: Mapping[tuple[date, str], TrendInstance],
     known_trends: set[tuple[date, str]],
     config: DetectorConfig,
     locale: str = DEFAULT_LOCALE,
     min_tweets: int = 4,
-    tz_offset: int = DEFAULT_TZ_OFFSET,
 ) -> list[Verdict]:
     """Classify hashtag-days that never made the trends list.
 
-    Hashtags are grouped per local day; groups with at least ``min_tweets``
-    tweets that were not trending that day or the next are run through the
-    feature pipeline. Positive verdicts are unsuccessful attacks.
+    ``instances`` are the hashtag-days the join discovers (trends None).
+    Those with at least ``min_tweets`` tweets that were not trending that
+    day or the next are scored, in key order. Positive verdicts are
+    unsuccessful attacks.
     """
-    builders: dict[tuple[int, str], _InstanceBuilder] = {}
-    deletions: dict[int, int] = {}
-    for event in events:
-        if isinstance(event, Creation):
-            tweet = event.tweet
-            day = local_day(tweet.created_ms, tz_offset)
-            for tag in extract_hashtags(tweet.text, locale):
-                builder = builders.get((day, tag))
-                if builder is None:
-                    trend = TrendDay(date=day_number_to_date(day),
-                                     keyword=Keyword("#" + tag, tag, HASHTAG))
-                    builder = builders[(day, tag)] = _InstanceBuilder(trend)
-                builder.offer_tweet(tweet)
-        elif isinstance(event, Deletion):
-            _note_deletion(deletions, event.tweet_id, event.time_ms)
-
     verdicts = []
-    for (day, tag), builder in sorted(builders.items()):
-        if len(builder.tweets) < min_tweets:
+    for day, tag in sorted(instances):
+        instance = instances[day, tag]
+        if len(instance.tweets) < min_tweets:
             continue
-        trend = builder.trend
-        next_date = day_number_to_date(day + 1)
-        if (trend.date, tag) in known_trends or (next_date, tag) in known_trends:
+        if (day, tag) in known_trends or (day + timedelta(days=1), tag) in known_trends:
             continue
-        verdicts.append(score_instance(builder.build(deletions), config, locale))
+        verdicts.append(score_instance(instance, config, locale))
     return verdicts
 
 

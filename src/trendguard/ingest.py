@@ -331,14 +331,15 @@ def _codec(magic: bytes):
     return None, ()
 
 
-def _open_source(source) -> io.TextIOBase:
+def _open_source(source) -> tuple[io.TextIOBase, tuple]:
     """Open a path or binary stream as text, decompressing gzip or bzip2
     when the magic bytes say so and the first read decompresses; a file
     that fails that read is plain text that happens to start with those
     bytes. A byte that is not UTF-8 decodes to its escape (U+DC80-U+DCFF)
-    instead of failing the read."""
+    instead of failing the read. Returns the handle and what its codec
+    raises on a later block that does not decompress (() for plain text)."""
     if isinstance(source, io.TextIOBase):
-        return source
+        return source, ()
     if isinstance(source, (str, bytes)):
         source = source if isinstance(source, str) else source.decode()
         with open(source, "rb") as probe:
@@ -357,11 +358,12 @@ def _open_source(source) -> io.TextIOBase:
             decoded.close()  # closes only a file the codec opened itself
             if start is not None:
                 source.seek(start)
+            not_codec = ()
         else:
             source = decoded
     if isinstance(source, str):
         source = open(source, "rb")
-    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
 def read_stream(
@@ -372,15 +374,17 @@ def read_stream(
 ) -> Iterator[TweetEvent]:
     """Stream TweetEvents from a path or binary stream, one pass, bounded memory.
 
-    Malformed lines are counted in ``stats`` and skipped. ``keep``, when
-    given, is tested on each raw line first: a line it rejects is counted in
+    Malformed lines are counted in ``stats`` and skipped. A compressed file
+    that is cut or corrupt after its first block ends its read there, and
+    the rest counts as one malformed line. ``keep``, when given, is tested
+    on each raw line first: a line it rejects is counted in
     ``stats.prefiltered`` and never decoded, so it must keep every line the
     caller could use. The stats object is complete once the iterator is
     exhausted.
     """
     if stats is None:
         stats = ParseStats()
-    handle = _open_source(source)
+    handle, codec_errors = _open_source(source)
     try:
         for line in handle:
             stats.lines_read += 1
@@ -400,6 +404,9 @@ def read_stream(
             else:
                 stats.deletions += 1
             yield event
+    except codec_errors:
+        stats.lines_read += 1
+        stats.malformed_skipped += 1
     finally:
         handle.close()
 
@@ -600,7 +607,7 @@ def _keyword_index(
 
 
 def build_trend_instances(
-    trends: Sequence[TrendDay],
+    trends: Optional[Sequence[TrendDay]],
     events: Iterable[TweetEvent],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
@@ -612,7 +619,28 @@ def build_trend_instances(
     buffered in a dict by id (memory proportional to deletions in the
     input); callers joining large files should use
     build_instances_from_files, which packs each notice into 16 bytes.
+
+    With ``trends`` None the join discovers its trend-days: a creation goes
+    to the instance (its local date, tag) of each tag of extract_hashtags,
+    on its own day only, each made on first use with the keyword '#tag'.
     """
+    pending: dict[int, int] = {}
+    if trends is None:
+        builders: dict[tuple[date, str], _InstanceBuilder] = {}
+        for event in events:
+            if isinstance(event, Creation):
+                tweet = event.tweet
+                day = day_number_to_date(local_day(tweet.created_ms, tz_offset))
+                for tag in extract_hashtags(tweet.text, locale):
+                    builder = builders.get((day, tag))
+                    if builder is None:
+                        trend = TrendDay(day, Keyword("#" + tag, tag, HASHTAG))
+                        builder = builders[day, tag] = _InstanceBuilder(trend)
+                    builder.offer_tweet(tweet)
+            elif isinstance(event, Deletion):
+                _note_deletion(pending, event.tweet_id, event.time_ms)
+        return {key: builder.build(pending) for key, builder in builders.items()}
+
     builders = _builders(trends)
     # The builders that take a tweet, by keyword and by the tweet's local
     # day: a trend-day on day d takes tweets of days d and d-1.
@@ -624,7 +652,6 @@ def build_trend_instances(
             by_day.setdefault(day, []).append(builder)
     contained = _keyword_index((b.trend.keyword for b in builders.values()), locale)
 
-    pending: dict[int, int] = {}
     for event in events:
         if isinstance(event, Creation):
             tweet = event.tweet
@@ -646,11 +673,11 @@ def _escape_sensitive(token: str) -> bool:
     return any(char in '"\\/σ' or char < " " for char in token)
 
 
-def _creation_filter(trends: Sequence[TrendDay], locale: str) -> Callable[[str], bool]:
-    """Keeps every line whose tweet can match one of ``trends`` (why, see
-    build_instances_from_files)."""
-    hashtags = any(trend.keyword.kind == HASHTAG for trend in trends)
-    ngrams = {tokens for trend in trends if trend.keyword.kind != HASHTAG
+def _creation_filter(trends: Optional[Sequence[TrendDay]], locale: str) -> Callable[[str], bool]:
+    """Keeps every line whose tweet can match one of ``trends``, or hold a
+    hashtag when ``trends`` is None (why, see build_instances_from_files)."""
+    hashtags = trends is None or any(trend.keyword.kind == HASHTAG for trend in trends)
+    ngrams = {tokens for trend in trends or () if trend.keyword.kind != HASHTAG
               if (tokens := tuple(text_tokens(trend.keyword.normalized, locale)))}
     escape = "\\" if any(_escape_sensitive(t) for ngram in ngrams for t in ngram) else "\\u"
 
@@ -747,9 +774,9 @@ class _Notices:
                 _note_deletion(pending, tweet_id, when)
 
 
-def _scan_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], _Notices, ParseStats]:
-    """One read of one file: the tweets matching each trend-day, every
-    deletion notice, and the file's parse counters."""
+def _scan_file(job) -> tuple[dict[tuple[date, str], TrendInstance], _Notices, ParseStats]:
+    """One read of one file: the file's instance of each trend-day, with no
+    deletion attached, every deletion notice, and the file's parse counters."""
     path, trends, locale, tz_offset = job
     may_match = _creation_filter(trends, locale)
 
@@ -767,12 +794,11 @@ def _scan_file(job) -> tuple[dict[tuple[date, str], list[Tweet]], _Notices, Pars
             else:
                 notices.add(event.tweet_id, event.time_ms)
 
-    instances = build_trend_instances(trends, creations(), locale, tz_offset)
-    return {key: instance.tweets for key, instance in instances.items()}, notices, stats
+    return build_trend_instances(trends, creations(), locale, tz_offset), notices, stats
 
 
 def build_instances_from_files(
-    trends: Sequence[TrendDay],
+    trends: Optional[Sequence[TrendDay]],
     paths: Sequence[str],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
@@ -785,7 +811,8 @@ def build_instances_from_files(
     deletion notices is packed into 16 bytes. Once every file is read, the
     earliest notice of each matched tweet is attached, so peak memory is the
     matched tweets plus 16 bytes per notice, not the corpus. The result
-    equals ``build_trend_instances(trends, <every file's events>)``.
+    equals ``build_trend_instances(trends, <every file's events>)``, also in
+    its discovery case, ``trends`` None, which finds every hashtag-day.
 
     Only the lines a raw-line test keeps are decoded; the others are
     counted as ``prefiltered``. The test keeps a line in each of these
@@ -794,9 +821,10 @@ def build_instances_from_files(
     * the line holds '"delete"', \\u006 or \\u007: the key "delete"
       appears literally or with some letters escaped, and the escapes of
       d, e, l and t all start with \\u006 or \\u007;
-    * some trend-day is a hashtag and the line holds '#' or \\u0023: a
-      hashtag match needs a '#' in the decoded text, and a JSON string can
-      encode one in only these two ways;
+    * some trend-day is a hashtag, or the join discovers its trend-days,
+      and the line holds '#' or \\u0023: a hashtag match needs a '#' in
+      the decoded text, and a JSON string can encode one in only these two
+      ways;
     * some trend-day is an n-gram, and the line holds \\u; or it holds a
       backslash while some n-gram token holds '"', '\\', '/', a character
       below U+0020 or 'σ'; or every token of some n-gram occurs in the
@@ -820,17 +848,19 @@ def build_instances_from_files(
     ``map_fn`` runs the per-file reads, in file order; a process pool's
     map parallelizes across files with identical results.
     """
-    builders = _builders(trends)
+    builders = _builders(trends or ())
     notices: list[_Notices] = []
-    for tweets_by_key, file_notices, file_stats in map_fn(
+    for instances, file_notices, file_stats in map_fn(
         _scan_file, [(path, trends, locale, tz_offset) for path in paths]
     ):
         if stats is not None:
             stats.add(file_stats)
         notices.append(file_notices)
-        for key, tweets in tweets_by_key.items():
-            builder = builders[key]
-            for tweet in tweets:
+        for key, instance in instances.items():
+            builder = builders.get(key)
+            if builder is None:  # a trend-day the discovery case found
+                builder = builders[key] = _InstanceBuilder(instance.trend)
+            for tweet in instance.tweets:
                 builder.offer_tweet(tweet)
 
     wanted = {tid for builder in builders.values() for tid in builder.tweets}

@@ -955,10 +955,11 @@ def load_scenario(path: str) -> ScenarioConfig:
     Recognized keys are the ScenarioConfig field names, the attack
     parameters kappa/alpha_p/alpha_d/theta (seconds), start_date (ISO), and
     wordlist_path. A `#` starts a comment, except inside a quoted value,
-    which runs to its closing quote.
+    which runs to its closing quote. The file may start with a byte-order
+    mark.
     """
     values: dict[str, tuple[int, str]] = {}  # key: (line number, value text)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _text_input(path) as handle:
         for lineno, raw_line in enumerate(handle, 1):
             head = raw_line.split("#", 1)[0]
             if "=" not in head:

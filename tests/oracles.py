@@ -1,18 +1,24 @@
 """Reference oracles for the trend-day join: one keyword tested against one
-text at a time, and one trend-day joined against an event collection; and
-for the simulator's archive lines: one event built as its archive record.
+text at a time, and one trend-day joined against an event collection; for
+`scan`: the hashtag-days of an event collection grouped and scored in one
+loop; and for the simulator's archive lines: one event built as its archive
+record.
 
 The library joins every trend-day in one pass through a keyword index
-(`trendguard.ingest.build_trend_instances`) and writes archive lines from a
-fixed template (`trendguard.simulator.write_stream_jsonl`); the tests check
-both against these direct definitions.
+(`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
+through the same file join (`build_instances_from_files` with no trend
+list), and writes archive lines from a fixed template
+(`trendguard.simulator.write_stream_jsonl`); the tests check each against
+these direct definitions.
 """
 
 from __future__ import annotations
 
+from datetime import date
 from typing import Iterable, Sequence
 
 from trendguard.core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, HASHTAG, Keyword, local_day
+from trendguard.detector import DetectorConfig, Verdict, score_instance
 from trendguard.ingest import (
     Creation,
     Deletion,
@@ -22,6 +28,7 @@ from trendguard.ingest import (
     TweetEvent,
     _InstanceBuilder,
     _note_deletion,
+    day_number_to_date,
     extract_hashtags,
     text_tokens,
 )
@@ -83,6 +90,48 @@ def build_trend_instance(
         elif isinstance(event, Deletion):
             _note_deletion(pending, event.tweet_id, event.time_ms)
     return builder.build(pending)
+
+
+def scan_candidates(
+    events: Iterable[TweetEvent],
+    known_trends: set[tuple[date, str]],
+    config: DetectorConfig,
+    locale: str = DEFAULT_LOCALE,
+    min_tweets: int = 4,
+    tz_offset: int = DEFAULT_TZ_OFFSET,
+) -> list[Verdict]:
+    """Classify hashtag-days that never made the trends list.
+
+    Hashtags are grouped per local day; groups with at least ``min_tweets``
+    tweets that were not trending that day or the next are run through the
+    feature pipeline. Positive verdicts are unsuccessful attacks.
+    """
+    builders: dict[tuple[int, str], _InstanceBuilder] = {}
+    deletions: dict[int, int] = {}
+    for event in events:
+        if isinstance(event, Creation):
+            tweet = event.tweet
+            day = local_day(tweet.created_ms, tz_offset)
+            for tag in extract_hashtags(tweet.text, locale):
+                builder = builders.get((day, tag))
+                if builder is None:
+                    trend = TrendDay(date=day_number_to_date(day),
+                                     keyword=Keyword("#" + tag, tag, HASHTAG))
+                    builder = builders[(day, tag)] = _InstanceBuilder(trend)
+                builder.offer_tweet(tweet)
+        elif isinstance(event, Deletion):
+            _note_deletion(deletions, event.tweet_id, event.time_ms)
+
+    verdicts = []
+    for (day, tag), builder in sorted(builders.items()):
+        if len(builder.tweets) < min_tweets:
+            continue
+        trend = builder.trend
+        next_date = day_number_to_date(day + 1)
+        if (trend.date, tag) in known_trends or (next_date, tag) in known_trends:
+            continue
+        verdicts.append(score_instance(builder.build(deletions), config, locale))
+    return verdicts
 
 
 def event_to_record(event: TweetEvent) -> dict:

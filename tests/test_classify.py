@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
+from trendguard.ingest import _keyword_index
 from trendguard.classify import (
     TURKISH_ALPHABET,
     TweetFlags,
@@ -47,6 +48,37 @@ class TestStripKeywordAndEmoji:
         kw = normalize_keyword(keyword, "tr")
         assert match_keyword(text, kw, "tr")
         assert strip_keyword_and_emoji(text, kw, "tr") == left
+
+
+    def test_emoji_inside_a_token_keeps_an_ngram_the_join_does_not_match(self):
+        kw = normalize_keyword("foo bar", "tr")
+        text = "xx foo\U0001F525bar yy"
+        assert _keyword_index([kw], "tr")(text) == []
+        assert strip_keyword_and_emoji(text, kw, "tr") == "xx foo bar yy"
+
+    def test_emoji_after_a_hashtag_still_strips(self, tag_keyword):
+        assert _keyword_index([tag_keyword], "tr")("x #tag\U0001F525 y")
+        assert strip_keyword_and_emoji("x #tag\U0001F525 y", tag_keyword) == "x y"
+
+
+# Tokens of the generated texts: the keywords' words, other words, emoji
+# alone, emoji glued to a word, and punctuation.
+NGRAM_WORDS = ["foo", "FOO", "bar", "Bar!", "(foo", "baz", "foo\U0001F525bar", "foo\U0001F525",
+               "\U0001F525bar", "\U0001F525", "\u2764\ufe0f", "-", "foo,", "\u00e7ay"]
+NGRAM_KEYWORDS = ["foo bar", "bar foo", "foo", "foo, bar", "bar baz foo", "çay foo"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(words=st.lists(st.sampled_from(NGRAM_WORDS), max_size=8),
+       separator=st.sampled_from([" ", "  ", "\t"]),
+       raw_keyword=st.sampled_from(NGRAM_KEYWORDS), locale=st.sampled_from(["tr", "en"]))
+def test_ngram_strip_drops_a_run_iff_the_join_matches(words, separator, raw_keyword, locale):
+    text = separator.join(words)
+    keyword = normalize_keyword(raw_keyword, locale)
+    matched = bool(_keyword_index([keyword], locale)(text))
+    dropped = strip_keyword_and_emoji(text, keyword, locale) != strip_keyword_and_emoji(
+        text, None, locale)
+    assert matched == dropped
 
 
 class TestIsLexiconTweet:

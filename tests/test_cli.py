@@ -133,6 +133,19 @@ def test_plain_archive_starting_with_codec_magic_bytes(tmp_path, capsys, first):
     assert stats["consistent"]
 
 
+def test_compressed_shard_cut_after_its_first_block(sim_dir, tmp_path, capsys):
+    """A cut shard is counted, not fatal: ingest and detect exit 0."""
+    data = gzip.compress((sim_dir / "stream.jsonl").read_bytes())
+    cut = tmp_path / "cut.jsonl.gz"
+    cut.write_bytes(data[: len(data) // 2])
+    assert main(["ingest", "--stream", str(cut), "--stdout"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["creations"] > 0 and stats["malformed_skipped"] == 1 and stats["consistent"]
+    assert main(["detect", "--stream", str(sim_dir / "stream.jsonl"), str(cut),
+                 "--trends", str(sim_dir / "trends.csv"), "--jobs", "1",
+                 "--out", str(tmp_path / "verdicts.jsonl")]) == 0
+
+
 class TestDetect:
     def test_verdicts_match_truth(self, sim_dir, tmp_path):
         out = tmp_path / "verdicts.jsonl"

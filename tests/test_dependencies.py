@@ -2,8 +2,10 @@
 no third-party numerics, and the project declares no runtime dependency.
 
 A command runs only the layers it uses, while `import trendguard.cli` still
-registers every layer that bench/trace.py binds its wrappers in."""
+registers every layer that bench/trace.py binds its wrappers in. The join's
+private parts stay inside trendguard.ingest."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -124,3 +126,26 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+JOIN_PRIVATE = {"_InstanceBuilder", "_note_deletion", "_Notices"}
+
+
+def test_only_ingest_uses_the_joins_private_names():
+    """Every other layer gets trend instances from the join, never builds
+    them or attaches deletions itself."""
+    found = []
+    for path in sorted((ROOT / "src" / "trendguard").glob("*.py")):
+        if path.stem == "ingest":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names & JOIN_PRIVATE]
+    assert found == []

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from trendguard import detector
 from trendguard.core import PRESETS
-from trendguard.ingest import Creation, Deletion
+from trendguard.ingest import Creation, Deletion, build_trend_instances
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
 from trendguard.detector import (
@@ -383,7 +383,8 @@ class TestLabelAstrobots:
 
 
 class TestScanCandidates:
-    def _events(self, keyword_body, day_noon, n=6, deleted=True):
+    def _discovered(self, keyword_body, day_noon, n=6, deleted=True):
+        """The hashtag-days the join discovers in n tweets of one hashtag."""
         events = []
         for i in range(n):
             tweet = make_tweet(1000 + i, 2000 + i, f"yarım gün #{keyword_body}", day_noon + i * 7,
@@ -392,34 +393,34 @@ class TestScanCandidates:
             if deleted:
                 events.append(Deletion(tweet_id=tweet.id, user_id=tweet.user_id,
                                        time_ms=(day_noon + 120 + i * 5) * 1000))
-        return events
+        return build_trend_instances(None, events)
 
     def test_unsuccessful_attack_flagged(self):
-        events = self._events("gizli", DAY_NOON)
-        verdicts = scan_candidates(events, set(), DetectorConfig())
+        instances = self._discovered("gizli", DAY_NOON)
+        verdicts = scan_candidates(instances, set(), DetectorConfig())
         assert len(verdicts) == 1
         assert verdicts[0].attacked
         assert verdicts[0].trend.keyword.normalized == "gizli"
 
     def test_trending_next_day_excluded(self):
-        events = self._events("gizli", DAY_NOON)
+        instances = self._discovered("gizli", DAY_NOON)
         known = {(date(2019, 6, 19), "gizli")}
-        assert scan_candidates(events, known, DetectorConfig()) == []
+        assert scan_candidates(instances, known, DetectorConfig()) == []
 
     def test_trending_same_day_excluded(self):
-        events = self._events("gizli", DAY_NOON)
+        instances = self._discovered("gizli", DAY_NOON)
         known = {(DAY, "gizli")}
-        assert scan_candidates(events, known, DetectorConfig()) == []
+        assert scan_candidates(instances, known, DetectorConfig()) == []
 
     def test_organic_burst_negative(self):
-        events = self._events("masum", DAY_NOON, deleted=False)
-        verdicts = scan_candidates(events, set(), DetectorConfig())
+        instances = self._discovered("masum", DAY_NOON, deleted=False)
+        verdicts = scan_candidates(instances, set(), DetectorConfig())
         assert len(verdicts) == 1
         assert not verdicts[0].attacked
 
     def test_below_min_tweets_skipped(self):
-        events = self._events("ufak", DAY_NOON, n=3)
-        assert scan_candidates(events, set(), DetectorConfig()) == []
+        instances = self._discovered("ufak", DAY_NOON, n=3)
+        assert scan_candidates(instances, set(), DetectorConfig()) == []
 
     def test_scan_and_evaluate_reach_the_stages_through_detector(self, monkeypatch):
         """Both scorers look the three stages up as detector module globals,
@@ -437,7 +438,7 @@ class TestScanCandidates:
         stages = ["flags_for_instance", "count_features", "classify_trend"]
         for name in stages:
             monkeypatch.setattr(detector, name, counted(name))
-        scan_candidates(self._events("gizli", DAY_NOON), set(), DetectorConfig())
+        scan_candidates(self._discovered("gizli", DAY_NOON), set(), DetectorConfig())
         assert calls == stages
         calls.clear()
         config = ScenarioConfig(n_days=1, organic_per_day=1, attacked_per_day=1,

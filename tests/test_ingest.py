@@ -241,6 +241,37 @@ class TestReadStream:
             assert events == [parse_stream_line(DELETE_LINE)]
             assert (stats.lines_read, stats.malformed_skipped, stats.other_skipped) == (3, 1, 1)
 
+    @pytest.mark.parametrize("archive", ["fuzzed", "gzip", "bz2", "gzip-bad-crc"])
+    def test_compressed_archive_cut_after_its_first_block(self, tmp_path, archive):
+        """A compressed archive that is cut or corrupt after its first block
+        keeps the lines decoded before the fault; the rest is one malformed
+        line."""
+        payload = "".join(STATUS_LINE.replace('"id": 7', f'"id": {i}') + "\n"
+                          for i in range(2000)).encode()
+        if archive == "fuzzed":  # a gzip header and a deflate prefix, then the end
+            data = bytes.fromhex("1f8b08020000" "0d0a1f8b08005a000a")
+        elif archive == "gzip":
+            data = gzip.compress(payload)
+            data = data[: len(data) // 2]
+        elif archive == "bz2":  # two 100 kB blocks, cut inside the second
+            data = bz2.compress(payload, compresslevel=1)
+            data = data[: len(data) * 3 // 4]
+        else:
+            data = gzip.compress(payload)[:-8] + bytes(8)
+        path = tmp_path / "events.jsonl.cut"
+        path.write_bytes(data)
+        for source in (str(path), io.BytesIO(data)):
+            events, stats = read_all(source)
+            assert (stats.malformed_skipped, stats.lines_read) == (1, len(events) + 1)
+            assert stats.consistent
+            assert [e.tweet.id for e in events] == list(range(len(events)))
+            if archive == "fuzzed":
+                assert events == []
+            elif archive == "gzip-bad-crc":  # gzip checks the CRC after the last line
+                assert len(events) == 2000
+            else:
+                assert 0 < len(events) < 2000
+
     def test_lone_surrogate_escape_is_not_a_bad_byte(self):
         # Truncated emoji leave a lone \ud83d in real archives; it was text, not a byte.
         line = STATUS_LINE.replace("a b #Tag", "a b #Tag \\ud83d")
@@ -294,7 +325,7 @@ def _line_events(raw: bytes) -> list:
 def _starts_a_compressed_stream(data: bytes) -> bool:
     """Whether ``data`` starts with a codec's magic bytes and the codec's
     first read accepts it: read_stream then reads it as that codec, and a
-    later corrupt part fails the read."""
+    later corrupt part ends the read."""
     for magic, codec in ((b"\x1f\x8b", gzip), (b"BZh", bz2)):
         if data.startswith(magic):
             try:
@@ -311,7 +342,8 @@ def _starts_a_compressed_stream(data: bytes) -> bool:
 def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
     """Any bytes, gzipped or plain, read without error, one line at a time
     under universal newlines; plain bytes that start with a codec's magic
-    bytes count as plain unless the codec's first read accepts them."""
+    bytes count as plain unless the codec's first read accepts them, and
+    then they read as that codec, still without error."""
     data = b"".join(line + end for line, end in lines)
     if lines and not last_terminated:
         data = data[: -len(lines[-1][1])]
@@ -319,7 +351,9 @@ def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
     expected = [event for raw in raw_lines for event in _line_events(raw)]
 
     sources = [gzip.compress(data)]
-    if not _starts_a_compressed_stream(data):
+    if _starts_a_compressed_stream(data):
+        assert read_all(io.BytesIO(data))[1].consistent
+    else:
         sources.append(data)
     for source in sources:
         events, stats = read_all(io.BytesIO(source))

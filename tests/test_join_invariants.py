@@ -3,7 +3,8 @@ metrics trust without checking: tweets strictly ascending by (created_ms,
 id), deletions only for the instance's tweets and never before their
 creation, and the documented attach rule (the earliest notice for an id
 decides; one before the creation attaches nothing and is counted in
-invalid_deletions). Both joins are checked, on shuffled streams."""
+invalid_deletions). Both joins are checked, on shuffled streams, with the
+trend-day given and as the hashtag-day the join discovers."""
 
 import io
 import tempfile
@@ -16,6 +17,7 @@ from trendguard.ingest import (
     Creation,
     Deletion,
     TrendDay,
+    TrendInstance,
     Tweet,
     build_instances_from_files,
     build_trend_instances,
@@ -71,10 +73,18 @@ def assert_join_invariants(instance, events):
                                              for tid, when in earliest.items())
 
 
+def discovered(instances):
+    """The discovered hashtag-day (DAY, "tag"), empty when no tweet has it."""
+    instance = instances.get(KEY, TrendInstance(TREND))
+    assert instance.keyword == TREND.keyword
+    return instance
+
+
 @settings(max_examples=300, deadline=None)
 @given(events=shuffled_streams())
 def test_one_pass_join_invariants(events):
     assert_join_invariants(build_trend_instances([TREND], events)[KEY], events)
+    assert_join_invariants(discovered(build_trend_instances(None, events)), events)
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,4 +99,6 @@ def test_file_join_invariants(events, split):
             path.write_text(buffer.getvalue(), encoding="utf-8")
             paths.append(str(path))
         instance = build_instances_from_files([TREND], paths)[KEY]
+        found = discovered(build_instances_from_files(None, paths))
     assert_join_invariants(instance, events)
+    assert_join_invariants(found, events)

@@ -10,14 +10,15 @@ import gzip
 import io
 import json
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trendguard import ingest, simulator as sim_mod
-from trendguard.cli import _build_instances
+from trendguard import detector, ingest, simulator as sim_mod
+from trendguard.cli import _build_instances, main
 from trendguard.core import DEFAULT_TZ_OFFSET, normalize_keyword
+from trendguard.detector import DetectorConfig
 from trendguard.ingest import (
     Creation,
     Deletion,
@@ -34,7 +35,8 @@ from trendguard.ingest import (
 )
 
 from conftest import DAY, DAY_NOON
-from oracles import match_keyword
+from oracles import match_keyword, scan_candidates as scan_oracle
+from test_acceptance import _write_big_archive
 
 
 def escape_strings(encoded: str, rng: random.Random, rate: float) -> str:
@@ -480,3 +482,50 @@ def test_id_filtered_read_samples_as_the_full_read(tmp_path, source, gzipped):
     assert stats.lines_read == len(lines) and stats.consistent
     if source == "simulator":  # two to four ids a line, 5 % of them kept
         assert stats.prefiltered > 0.75 * len(lines)
+
+
+def _acceptance_lines(tmp_path) -> list[str]:
+    path = tmp_path / "acceptance.jsonl"
+    _write_big_archive(path, 20_000, [f"konu{i}" for i in range(5)], 18065 * 86400 - 10800)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("source", ["simulator", "acceptance", "escaped"])
+def test_scan_through_the_join_equals_the_scan_oracle(tmp_path, source):
+    """scan reads through the file join's discovery case: the same verdicts
+    as the one-loop reference over every event, for one file or three, plain
+    or bzip2, and the CLI writes them."""
+    lines = {"simulator": _simulator_lines, "escaped": _archive_lines,
+             "acceptance": lambda: _acceptance_lines(tmp_path)}[source]()
+    events = [event for line in lines if (event := parse_stream_line(line)) is not None]
+    config = DetectorConfig()
+    unfiltered = scan_oracle(events, set(), config)
+    assert any(v.attacked for v in unfiltered)
+    # The known-trend filter: one hashtag trended the next day, one that day.
+    first, second = unfiltered[0].trend, unfiltered[1].trend
+    known = {(first.date + timedelta(days=1), first.keyword.normalized),
+             (second.date, second.keyword.normalized)}
+    reference = scan_oracle(events, known, config)
+    assert len(reference) == len(unfiltered) - 2
+
+    for codec in (None, bz2):
+        for n_files in (1, 3):
+            paths = []
+            for index in range(n_files):
+                data = "".join(line + "\n" for line in lines[index::n_files]).encode("utf-8")
+                path = tmp_path / f"{codec is not None}-{n_files}-{index}.jsonl"
+                path.write_bytes(codec.compress(data) if codec else data)
+                paths.append(str(path))
+            stats = ParseStats()
+            instances = build_instances_from_files(None, paths, stats=stats)
+            assert detector.scan_candidates(instances, known, config) == reference
+            assert stats.lines_read == len(lines) and stats.prefiltered > 0 and stats.consistent
+
+    trends = tmp_path / "known.csv"
+    trends.write_text("date,keyword\n" + "".join(f"{day},#{tag}\n" for day, tag in sorted(known)),
+                      encoding="utf-8")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--stream", *paths, "--trends", str(trends), "--out", str(out)]) == 0
+    expected = io.StringIO()
+    detector.write_verdicts_jsonl(expected, reference)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()

@@ -430,6 +430,15 @@ class TestScenarioFiles:
         loaded = load_scenario(str(path))
         assert loaded == config
 
+    def test_scenario_file_with_a_byte_order_mark(self, tmp_path):
+        config = ScenarioConfig(seed=99, n_days=3, params=AttackParams(kappa=5))
+        handle = io.StringIO()
+        save_scenario(config, handle)
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(handle.getvalue().encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + handle.getvalue().encode())
+        assert load_scenario(str(bom)) == load_scenario(str(plain)) == config
+
     @pytest.mark.parametrize("wordlist_path", ['/x/say "hi" #1/words.txt', "/x/it's #1/words.txt"])
     def test_wordlist_path_round_trip(self, tmp_path, wordlist_path):
         config = ScenarioConfig(wordlist_path=wordlist_path)
