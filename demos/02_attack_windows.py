@@ -12,7 +12,7 @@ from trendguard.classify import flags_for_instance
 from trendguard.core import normalize_keyword
 from trendguard.detector import AttackParams, detect_attack_windows
 from trendguard.features import count_features
-from trendguard.ingest import Creation, TrendDay, build_trend_instances
+from trendguard.ingest import TrendDay, Tweet, build_trend_instances
 from trendguard.simulator import gen_attack, gen_organic_trend, load_wordlist
 
 keyword = normalize_keyword("#SahteGundem", "tr")
@@ -35,8 +35,8 @@ trend = TrendDay(date=date(2019, 6, 18), keyword=keyword)
 instance = build_trend_instances([trend], events)[(trend.date, keyword.normalized)]
 flags = flags_for_instance(instance)
 
-sample = next(e.tweet.text for e in attack if isinstance(e, Creation))
-planted_bots = {e.tweet.user_id for e in attack if isinstance(e, Creation)}
+sample = next(e.text for e in attack if isinstance(e, Tweet))
+planted_bots = {e.user_id for e in attack if isinstance(e, Tweet)}
 print(f"a generated attack tweet: {sample!r}")
 print(f"instance: {len(instance.tweets)} tweets, {len(instance.deletions)} deleted\n")
 

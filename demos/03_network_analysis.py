@@ -23,7 +23,7 @@ from trendguard.graph import (
     network_overlap,
     single_attack_filter,
 )
-from trendguard.ingest import Creation, Deletion, TrendDay, Tweet, build_trend_instances
+from trendguard.ingest import Deletion, TrendDay, Tweet, build_trend_instances
 
 rng = random.Random(3)
 DAY_START = 18065 * 86400 - 10800
@@ -47,22 +47,22 @@ for day_offset, (campaign, keywords) in enumerate(CAMPAIGNS.items()):
 
         # Bots: one deleted lexicon tweet each, a subset per trend.
         for bot in rng.sample(list(BOTS), 18):
-            events.append(Creation(Tweet(
+            events.append(Tweet(
                 id=tweet_id, user_id=bot, text=f"yarım gün oyalanma {raw}",
                 created_ms=(base + rng.randint(0, 50)) * 1000,
                 hashtags=(raw[1:],),
-            )))
+            ))
             events.append(Deletion(tweet_id=tweet_id, user_id=bot,
                                    time_ms=(base + 90 + rng.randint(0, 40)) * 1000))
             tweet_id += 1
         # Audience: kept tweets from a consistent interest group.
         for member in rng.sample(audience, 25):
-            events.append(Creation(Tweet(
+            events.append(Tweet(
                 id=tweet_id, user_id=member,
                 text=f"Kampanyaya destek olalım! {raw}",
                 created_ms=(base + 600 + rng.randint(0, 7200)) * 1000,
                 hashtags=(raw[1:],),
-            )))
+            ))
             tweet_id += 1
 
 instances = build_trend_instances(trends, events)

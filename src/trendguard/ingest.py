@@ -65,9 +65,9 @@ class Tweet:
     is_reply: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Creation:
-    tweet: Tweet
+# The old name of a creation event, which is now the Tweet itself; the
+# benchmark's tracer still counts creations by this name.
+Creation = Tweet
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +77,7 @@ class Deletion:
     time_ms: int
 
 
-TweetEvent = Union[Creation, Deletion]
+TweetEvent = Union[Tweet, Deletion]
 
 
 @dataclass
@@ -213,7 +213,7 @@ def _holds_escaped_byte(text: str) -> bool:
     return False
 
 
-def _parse_status(obj: dict) -> Creation:
+def _parse_status(obj: dict) -> Tweet:
     tweet_id = int(obj["id"])
     user = obj.get("user")
     if isinstance(user, dict) and "id" in user:
@@ -252,19 +252,17 @@ def _parse_status(obj: dict) -> Creation:
     if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
         raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
 
-    return Creation(
-        Tweet(
-            id=tweet_id,
-            user_id=user_id,
-            text=text,
-            created_ms=created_ms,
-            hashtags=hashtags,
-            mentions=mentions,
-            urls=urls,
-            is_retweet="retweeted_status" in obj or text.startswith("RT @"),
-            is_reply=obj.get("in_reply_to_status_id") is not None
-            or obj.get("in_reply_to_user_id") is not None,
-        )
+    return Tweet(
+        id=tweet_id,
+        user_id=user_id,
+        text=text,
+        created_ms=created_ms,
+        hashtags=hashtags,
+        mentions=mentions,
+        urls=urls,
+        is_retweet="retweeted_status" in obj or text.startswith("RT @"),
+        is_reply=obj.get("in_reply_to_status_id") is not None
+        or obj.get("in_reply_to_user_id") is not None,
     )
 
 
@@ -290,7 +288,7 @@ _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError
 
 
 def parse_stream_line(line: str) -> Optional[TweetEvent]:
-    """Parse one archive line into a Creation or Deletion; None for a blank
+    """Parse one archive line into a Tweet or Deletion; None for a blank
     line or a record of another kind (limit notices, ...).
 
     Raises MalformedLine on broken syntax, on any record whose fields do
@@ -331,38 +329,35 @@ def _codec(magic: bytes):
     return None, ()
 
 
-def _open_source(source) -> tuple[io.TextIOBase, tuple]:
-    """Open a path or binary stream as text, decompressing gzip or bzip2
-    when the magic bytes say so and the first read decompresses; a file
-    that fails that read is plain text that happens to start with those
-    bytes. A byte that is not UTF-8 decodes to its escape (U+DC80-U+DCFF)
-    instead of failing the read. Returns the handle and what its codec
-    raises on a later block that does not decompress (() for plain text)."""
+def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
+    """Open a binary stream as text, decompressing gzip or bzip2 when the
+    magic bytes say so and the first read decompresses. When that read
+    fails on bytes not in the codec's format, the stream is plain text that
+    happens to start with those bytes, read again from its start; when it
+    ends early, the stream is an archive cut inside its first block. A byte
+    that is not UTF-8 decodes to its escape (U+DC80-U+DCFF) instead of
+    failing the read. Returns the handle and what its codec raises on a
+    later block that does not decompress (() for plain text); the handle is
+    None for a cut archive, and for plain text in a stream that cannot seek
+    back, which the caller counts as one malformed line."""
     if isinstance(source, io.TextIOBase):
         return source, ()
-    if isinstance(source, (str, bytes)):
-        source = source if isinstance(source, str) else source.decode()
-        with open(source, "rb") as probe:
-            magic = probe.read(3)
-    else:
-        if not hasattr(source, "peek"):
-            source = io.BufferedReader(source)
-        magic = source.peek(3)[:3]
-    codec, not_codec = _codec(magic)
+    if not hasattr(source, "peek"):
+        source = io.BufferedReader(source)
+    codec, not_codec = _codec(source.peek(3)[:3])
     if codec is not None:
-        start = None if isinstance(source, str) else source.tell()
+        start = source.tell() if source.seekable() else None
         decoded = codec.open(source, "rb")
         try:
             decoded.peek(1)  # stays buffered: no byte is decompressed twice
-        except not_codec:
-            decoded.close()  # closes only a file the codec opened itself
-            if start is not None:
-                source.seek(start)
+        except not_codec as exc:
+            decoded.close()
+            if isinstance(exc, EOFError) or start is None:
+                return None, ()
+            source.seek(start)
             not_codec = ()
         else:
             source = decoded
-    if isinstance(source, str):
-        source = open(source, "rb")
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
@@ -376,39 +371,47 @@ def read_stream(
 
     Malformed lines are counted in ``stats`` and skipped. A compressed file
     that is cut or corrupt after its first block ends its read there, and
-    the rest counts as one malformed line. ``keep``, when given, is tested
-    on each raw line first: a line it rejects is counted in
-    ``stats.prefiltered`` and never decoded, so it must keep every line the
-    caller could use. The stats object is complete once the iterator is
-    exhausted.
+    the rest counts as one malformed line; one cut inside its first block
+    is one malformed line. ``keep``, when given, is tested on each raw line
+    first: a line it rejects is counted in ``stats.prefiltered`` and never
+    decoded, so it must keep every line the caller could use. The stats
+    object is complete once the iterator is exhausted.
     """
     if stats is None:
         stats = ParseStats()
-    handle, codec_errors = _open_source(source)
-    try:
-        for line in handle:
+    # A path is opened once, so a pipe loses nothing to the codec probe, and
+    # closed here, as a codec given an open file leaves it open.
+    is_path = isinstance(source, (str, bytes))
+    with open(source, "rb") if is_path else nullcontext(source) as binary:
+        handle, codec_errors = _open_source(binary)
+        if handle is None:
             stats.lines_read += 1
-            if keep is not None and not keep(line):
-                stats.prefiltered += 1
-                continue
-            try:
-                event = parse_stream_line(line)
-            except MalformedLine:
-                stats.malformed_skipped += 1
-                continue
-            if event is None:
-                stats.other_skipped += 1
-                continue
-            if isinstance(event, Creation):
-                stats.creations += 1
-            else:
-                stats.deletions += 1
-            yield event
-    except codec_errors:
-        stats.lines_read += 1
-        stats.malformed_skipped += 1
-    finally:
-        handle.close()
+            stats.malformed_skipped += 1
+            return
+        try:
+            for line in handle:
+                stats.lines_read += 1
+                if keep is not None and not keep(line):
+                    stats.prefiltered += 1
+                    continue
+                try:
+                    event = parse_stream_line(line)
+                except MalformedLine:
+                    stats.malformed_skipped += 1
+                    continue
+                if event is None:
+                    stats.other_skipped += 1
+                    continue
+                if isinstance(event, Tweet):
+                    stats.creations += 1
+                else:
+                    stats.deletions += 1
+                yield event
+        except codec_errors:
+            stats.lines_read += 1
+            stats.malformed_skipped += 1
+        finally:
+            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +631,14 @@ def build_trend_instances(
     if trends is None:
         builders: dict[tuple[date, str], _InstanceBuilder] = {}
         for event in events:
-            if isinstance(event, Creation):
-                tweet = event.tweet
-                day = day_number_to_date(local_day(tweet.created_ms, tz_offset))
-                for tag in extract_hashtags(tweet.text, locale):
+            if isinstance(event, Tweet):
+                day = day_number_to_date(local_day(event.created_ms, tz_offset))
+                for tag in extract_hashtags(event.text, locale):
                     builder = builders.get((day, tag))
                     if builder is None:
                         trend = TrendDay(day, Keyword("#" + tag, tag, HASHTAG))
                         builder = builders[day, tag] = _InstanceBuilder(trend)
-                    builder.offer_tweet(tweet)
+                    builder.offer_tweet(event)
             elif isinstance(event, Deletion):
                 _note_deletion(pending, event.tweet_id, event.time_ms)
         return {key: builder.build(pending) for key, builder in builders.items()}
@@ -653,12 +655,11 @@ def build_trend_instances(
     contained = _keyword_index((b.trend.keyword for b in builders.values()), locale)
 
     for event in events:
-        if isinstance(event, Creation):
-            tweet = event.tweet
-            day = local_day(tweet.created_ms, tz_offset)
-            for key in contained(tweet.text):
+        if isinstance(event, Tweet):
+            day = local_day(event.created_ms, tz_offset)
+            for key in contained(event.text):
                 for builder in by_keyword[key].get(day, ()):
-                    builder.offer_tweet(tweet)
+                    builder.offer_tweet(event)
         elif isinstance(event, Deletion):
             _note_deletion(pending, event.tweet_id, event.time_ms)
 
@@ -787,9 +788,9 @@ def _scan_file(job) -> tuple[dict[tuple[date, str], TrendInstance], _Notices, Pa
     events = read_stream(path, stats=stats, keep=keep)
     notices = _Notices()
 
-    def creations() -> Iterator[Creation]:
+    def creations() -> Iterator[Tweet]:
         for event in events:
-            if isinstance(event, Creation):
+            if isinstance(event, Tweet):
                 yield event
             else:
                 notices.add(event.tweet_id, event.time_ms)

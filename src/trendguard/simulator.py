@@ -32,7 +32,6 @@ from .core import (
     span_s,
 )
 from .ingest import (
-    Creation,
     Deletion,
     TrendDay,
     Tweet,
@@ -162,16 +161,15 @@ def gen_attack(
         user_id = user_id_start + i
         words = gen_lexicon_text(wordlist, rng).split()
         geo = _random_geo(rng) if geo_rate > 0 and rng.random() < geo_rate else None
-        tweet = _tweet(
+        events.append(_tweet(
             geo,
             id=tweet_id,
             user_id=user_id,
             text=_place_keyword(words, keyword, rng),
             created_ms=created * 1000,
             hashtags=hashtags,
-        )
+        ))
         deleted = d0 + rng.randint(0, d_budget)
-        events.append(Creation(tweet))
         events.append(Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=deleted * 1000))
 
     _assert_attack_conditions(events, params, n_bots)
@@ -179,7 +177,7 @@ def gen_attack(
 
 
 def _assert_attack_conditions(events: list[TweetEvent], params: AttackParams, n_bots: int) -> None:
-    creations = {e.tweet.id: e.tweet for e in events if isinstance(e, Creation)}
+    creations = {e.id: e for e in events if isinstance(e, Tweet)}
     deletions = {e.tweet_id: e.time_ms for e in events if isinstance(e, Deletion)}
     p = [t.created_ms for t in creations.values()]
     d = [deletions[tid] for tid in creations]
@@ -268,7 +266,7 @@ def gen_organic_trend(
         if is_retweet:
             text = f"RT @user{rng.randint(1, 99999)}: {text}"
         geo = _random_geo(rng) if rng.random() < ORGANIC_GEO_RATE else None
-        tweet = _tweet(
+        events.append(_tweet(
             geo,
             id=tweet_id,
             user_id=user_id,
@@ -279,8 +277,7 @@ def gen_organic_trend(
             urls=urls,
             is_retweet=is_retweet,
             is_reply=is_reply,
-        )
-        events.append(Creation(tweet))
+        ))
         if rng.random() < deletion_rate:
             delay = rng.randint(600, ORGANIC_MAX_DELETION_DELAY)
             events.append(
@@ -322,7 +319,7 @@ def sample_stream(stream: Iterable[TweetEvent], rate: float, seed: int) -> Itera
     """
     kept = id_sampler(rate, seed)
     for event in stream:
-        if kept(event.tweet.id if isinstance(event, Creation) else event.tweet_id):
+        if kept(event.id if isinstance(event, Tweet) else event.tweet_id):
             yield event
 
 
@@ -559,14 +556,13 @@ def _gen_background(
                 tags = (tag,)
             else:
                 tags = ()
-        tweet = Tweet(
+        events.append(Tweet(
             id=tweet_id,
             user_id=user_id,
             text=text,
             created_ms=created * 1000,
             hashtags=tags,
-        )
-        events.append(Creation(tweet))
+        ))
         if deleted:
             delay = rng.randint(300, 6 * 3600)
             events.append(
@@ -577,8 +573,8 @@ def _gen_background(
 
 def _event_order(event: TweetEvent) -> tuple[int, int, int]:
     """Stream order: time (ms), creations before deletions at the same instant, id."""
-    if isinstance(event, Creation):
-        return (event.tweet.created_ms, 0, event.tweet.id)
+    if isinstance(event, Tweet):
+        return (event.created_ms, 0, event.id)
     return (event.time_ms, 1, event.tweet_id)
 
 
@@ -660,10 +656,10 @@ def tee_by_keyword(
     streams.update((k.normalized, []) for k in keywords)
     owner: dict[int, list[tuple[str, str]]] = {}
     for event in events:
-        if isinstance(event, Creation):
-            keys = contained(event.tweet.text)
+        if isinstance(event, Tweet):
+            keys = contained(event.text)
             if keys:
-                owner[event.tweet.id] = keys
+                owner[event.id] = keys
         else:
             keys = owner.get(event.tweet_id, ())
         for _, name in keys:
@@ -700,8 +696,8 @@ def trend_oracle(
         creations: list[tuple[int, int]] = []
         deletions: list[int] = []
         for event in events:
-            if isinstance(event, Creation):
-                creations.append((event.tweet.created_ms // 1000, event.tweet.user_id))
+            if isinstance(event, Tweet):
+                creations.append((event.created_ms // 1000, event.user_id))
             else:
                 deletions.append(event.time_ms // 1000)
         creations.sort()
@@ -841,23 +837,22 @@ def write_stream_jsonl(handle, events: Iterable[TweetEvent]) -> None:
             write(f'{{"delete": {{"status": {{"id": {tid}, "id_str": "{tid}", "user_id": {uid}, '
                   f'"user_id_str": "{uid}"}}, "timestamp_ms": "{event.time_ms}"}}}}\n')
             continue
-        tweet = event.tweet
-        tid, uid, ms = tweet.id, tweet.user_id, tweet.created_ms
+        tid, uid, ms = event.id, event.user_id, event.created_ms
         if ms // 1000 != second:
             second = ms // 1000
             created_at = format_created_at(ms)
-        hashtags = ", ".join([f'{{"text": {encode_basestring(tag)}}}' for tag in tweet.hashtags])
-        urls = ", ".join([f'{{"url": "https://t.co/x{i}"}}' for i in range(tweet.urls)])
-        mentions = ", ".join([f'{{"id": {m}, "id_str": "{m}"}}' for m in tweet.mentions])
-        geo = (f'"geo": {{"coordinates": {json.dumps(tweet.geo)}, "type": "Point"}}, '
-               if isinstance(tweet, GeoTweet) else "")
-        reply = f'"in_reply_to_status_id": {tid - 1}, ' if tweet.is_reply else ""
+        hashtags = ", ".join([f'{{"text": {encode_basestring(tag)}}}' for tag in event.hashtags])
+        urls = ", ".join([f'{{"url": "https://t.co/x{i}"}}' for i in range(event.urls)])
+        mentions = ", ".join([f'{{"id": {m}, "id_str": "{m}"}}' for m in event.mentions])
+        geo = (f'"geo": {{"coordinates": {json.dumps(event.geo)}, "type": "Point"}}, '
+               if isinstance(event, GeoTweet) else "")
+        reply = f'"in_reply_to_status_id": {tid - 1}, ' if event.is_reply else ""
         retweet = (f'"retweeted_status": {{"id": {tid - 1}}}, '
-                   if tweet.is_retweet and not tweet.text.startswith("RT @") else "")
+                   if event.is_retweet and not event.text.startswith("RT @") else "")
         write(f'{{"created_at": "{created_at}", "entities": {{"hashtags": [{hashtags}], '
               f'"urls": [{urls}], "user_mentions": [{mentions}]}}, {geo}"id": {tid}, '
               f'"id_str": "{tid}", {reply}"lang": "tr", {retweet}"source": {_SOURCE}, '
-              f'"text": {encode_basestring(tweet.text)}, "timestamp_ms": "{ms}", '
+              f'"text": {encode_basestring(event.text)}, "timestamp_ms": "{ms}", '
               f'"user": {{"id": {uid}, "id_str": "{uid}"}}}}\n')
 
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import random
+import threading
+from contextlib import contextmanager
 from datetime import date
 
 import pytest
@@ -49,6 +53,48 @@ def read_all(source):
     """Every event of a stream, with the read's counters."""
     stats = ParseStats()
     return list(read_stream(source, stats=stats)), stats
+
+
+@contextmanager
+def fifo_of(directory, data: bytes):
+    """The path of a named pipe that a thread fills with ``data``.
+
+    A spare reader holds the pipe open meanwhile, so a reader that closes
+    the pipe and opens it again finds the writer still writing, not a
+    broken pipe; ``data`` must exceed the pipe's 64 kB buffer for that.
+    """
+    path = os.path.join(directory, "stream.fifo")
+    os.mkfifo(path)
+    spare = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+
+    def write():
+        with open(path, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        os.close(spare)
+        writer.join(timeout=10)
+
+
+def pipe_payload(lines: int = 4000) -> bytes:
+    """Status and deletion lines whose random text keeps them large once
+    gzipped: 4,000 lines are about 0.9 MB, and 0.3 MB gzipped."""
+    rng = random.Random(lines)
+    out = []
+    for i in range(lines):
+        if i % 5 == 4:
+            out.append(f'{{"delete": {{"status": {{"id": {i - 1}, "user_id": {i}}}, '
+                       f'"timestamp_ms": "{1560848400000 + i}"}}}}')
+        else:
+            text = " ".join(f"{rng.getrandbits(64):x}" for _ in range(8)) + " #tag"
+            out.append(f'{{"id": {i}, "user": {{"id": {i}}}, "text": "{text}", '
+                       f'"timestamp_ms": "{1560848400000 + i}", '
+                       f'"entities": {{"hashtags": [{{"text": "tag"}}]}}}}')
+    return ("\n".join(out) + "\n").encode()
 
 
 def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY) -> TrendInstance:

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from trendguard.core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, HASHTAG, Keyword, local_day
 from trendguard.detector import DetectorConfig, Verdict, score_instance
 from trendguard.ingest import (
-    Creation,
     Deletion,
     TrendDay,
     TrendInstance,
@@ -81,12 +80,11 @@ def build_trend_instance(
     keyword = trend.keyword
     pending: dict[int, int] = {}
     for event in events:
-        if isinstance(event, Creation):
-            tweet = event.tweet
-            if _tweet_in_day_window(tweet, builder.day_number, tz_offset) and match_keyword(
-                tweet.text, keyword, locale
+        if isinstance(event, Tweet):
+            if _tweet_in_day_window(event, builder.day_number, tz_offset) and match_keyword(
+                event.text, keyword, locale
             ):
-                builder.offer_tweet(tweet)
+                builder.offer_tweet(event)
         elif isinstance(event, Deletion):
             _note_deletion(pending, event.tweet_id, event.time_ms)
     return builder.build(pending)
@@ -109,16 +107,15 @@ def scan_candidates(
     builders: dict[tuple[int, str], _InstanceBuilder] = {}
     deletions: dict[int, int] = {}
     for event in events:
-        if isinstance(event, Creation):
-            tweet = event.tweet
-            day = local_day(tweet.created_ms, tz_offset)
-            for tag in extract_hashtags(tweet.text, locale):
+        if isinstance(event, Tweet):
+            day = local_day(event.created_ms, tz_offset)
+            for tag in extract_hashtags(event.text, locale):
                 builder = builders.get((day, tag))
                 if builder is None:
                     trend = TrendDay(date=day_number_to_date(day),
                                      keyword=Keyword("#" + tag, tag, HASHTAG))
                     builder = builders[(day, tag)] = _InstanceBuilder(trend)
-                builder.offer_tweet(tweet)
+                builder.offer_tweet(event)
         elif isinstance(event, Deletion):
             _note_deletion(deletions, event.tweet_id, event.time_ms)
 
@@ -147,26 +144,25 @@ def event_to_record(event: TweetEvent) -> dict:
                 "timestamp_ms": str(event.time_ms),
             }
         }
-    tweet = event.tweet
     record = {
-        "created_at": format_created_at(tweet.created_ms),
-        "id": tweet.id,
-        "id_str": str(tweet.id),
-        "text": tweet.text,
-        "user": {"id": tweet.user_id, "id_str": str(tweet.user_id)},
+        "created_at": format_created_at(event.created_ms),
+        "id": event.id,
+        "id_str": str(event.id),
+        "text": event.text,
+        "user": {"id": event.user_id, "id_str": str(event.user_id)},
         "entities": {
-            "hashtags": [{"text": tag} for tag in tweet.hashtags],
-            "user_mentions": [{"id": m, "id_str": str(m)} for m in tweet.mentions],
-            "urls": [{"url": f"https://t.co/x{i}"} for i in range(tweet.urls)],
+            "hashtags": [{"text": tag} for tag in event.hashtags],
+            "user_mentions": [{"id": m, "id_str": str(m)} for m in event.mentions],
+            "urls": [{"url": f"https://t.co/x{i}"} for i in range(event.urls)],
         },
-        "timestamp_ms": str(tweet.created_ms),
+        "timestamp_ms": str(event.created_ms),
         "lang": "tr",
         "source": '<a href="https://twitter.com/download">Twitter for Android</a>',
     }
-    if tweet.is_retweet and not tweet.text.startswith("RT @"):
-        record["retweeted_status"] = {"id": tweet.id - 1}
-    if tweet.is_reply:
-        record["in_reply_to_status_id"] = tweet.id - 1
-    if isinstance(tweet, GeoTweet):
-        record["geo"] = {"type": "Point", "coordinates": list(tweet.geo)}
+    if event.is_retweet and not event.text.startswith("RT @"):
+        record["retweeted_status"] = {"id": event.id - 1}
+    if event.is_reply:
+        record["in_reply_to_status_id"] = event.id - 1
+    if isinstance(event, GeoTweet):
+        record["geo"] = {"type": "Point", "coordinates": list(event.geo)}
     return record

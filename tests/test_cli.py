@@ -1,3 +1,4 @@
+import bz2
 import csv
 import gzip
 import json
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from trendguard.cli import build_parser, main
+
+from conftest import fifo_of, pipe_payload
 
 SCENARIO = """
 n_days = 1
@@ -21,6 +24,22 @@ adoption_tweets_min = 20
 adoption_tweets_max = 40
 seed = 11
 """
+
+
+NOON = 1560848400  # 2019-06-18 09:00:00Z, local noon
+
+
+def write_archive(path, tweets):
+    """An archive of (tweet id, user id, text, created s, deleted s or None)."""
+    lines = []
+    for tid, user, text, created, deleted in tweets:
+        lines.append({"id": tid, "text": text, "user": {"id": user},
+                      "timestamp_ms": str(created * 1000)})
+        if deleted is not None:
+            lines.append({"delete": {"status": {"id": tid, "user_id": user},
+                                     "timestamp_ms": str(deleted * 1000)}})
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +82,17 @@ class TestSimulate:
         assert stats.creations > 0 and stats.malformed_skipped == 0
 
 
+    def test_seed_flag_equals_the_config_seed(self, sim_dir, tmp_path):
+        config = tmp_path / "seed12.cfg"
+        config.write_text(SCENARIO.replace("seed = 11", "seed = 12"))
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        assert main(["simulate", "--config", str(sim_dir.parent / "scenario.cfg"),
+                     "--seed", "12", "--out", str(flagged)]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(configured)]) == 0
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (flagged, configured)]
+        assert files[0] == files[1]
+        assert files[0]["stream.jsonl"] != (sim_dir / "stream.jsonl").read_bytes()
+
     def test_epochs_generate_the_stream_once(self, sim_dir, tmp_path, monkeypatch):
         from trendguard.simulator import LabeledStream
 
@@ -97,6 +127,32 @@ class TestIngest:
         with pytest.raises(SystemExit) as err:
             main(["ingest", "--stream", str(sim_dir / "stream.jsonl")])
         assert err.value.code == 2
+
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_named_pipe_gives_the_stats_of_the_file(self, tmp_path, capsys, gzipped):
+        data = pipe_payload()
+        data = gzip.compress(data) if gzipped else data
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        assert main(["ingest", "--stream", str(path), "--stdout"]) == 0
+        expected = capsys.readouterr().out
+        with fifo_of(tmp_path, data) as fifo:
+            assert main(["ingest", "--stream", fifo, "--stdout"]) == 0
+        assert capsys.readouterr().out == expected
+        assert json.loads(expected)["creations"] == 3200
+
+    def test_archive_cut_inside_its_first_block(self, sim_dir, tmp_path, capsys):
+        """One malformed line, not the compressed bytes read as plain text."""
+        data = (sim_dir / "stream.jsonl").read_bytes()
+        one_block = bz2.compress(data, compresslevel=9)
+        for cut in (one_block[: len(one_block) // 2], gzip.compress(data, mtime=0)[:5]):
+            path = tmp_path / "cut.jsonl"
+            path.write_bytes(cut)
+            assert main(["ingest", "--stream", str(path), "--stdout"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert (stats["lines_read"], stats["malformed_skipped"], stats["creations"]) == (1, 1, 0)
+            assert stats["consistent"]
 
 
 class TestBytesNotUtf8:
@@ -232,6 +288,43 @@ class TestDetect:
         assert "trendguard detect" in capsys.readouterr().err
 
 
+    def test_error_after_an_output_is_open_removes_it(self, sim_dir, tmp_path, capsys):
+        not_a_dir = tmp_path / "a-file"
+        not_a_dir.write_text("")
+        out = tmp_path / "v.jsonl"
+        code = main([
+            "detect", "--stream", str(sim_dir / "stream.jsonl"),
+            "--trends", str(sim_dir / "trends.csv"), "--out", str(out),
+            "--bots-out", str(not_a_dir / "bots.txt"),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert "trendguard detect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, clusters", [
+        ([], [[1, 2, 3]]),
+        (["--alpha-p", "60"], [[1, 2], [2, 3]]),
+        (["--alpha-d", "60"], [[1, 2], [2, 3]]),
+        (["--alpha-p", "60", "--merge-events"], [[1, 2, 3]]),
+    ])
+    def test_window_flags(self, tmp_path, flags, clusters):
+        """Three attack tweets 50 s apart, each deleted 100 s after it was
+        created: a 60 s window holds only neighbours, and merging joins the
+        two overlapping clusters again."""
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (i, 100 + i, "#Dalga bir iki", NOON + 50 * i, NOON + 50 * i + 100)
+            for i in (1, 2, 3)
+        ])
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#Dalga\n")
+        events_out = tmp_path / "events.jsonl"
+        assert main(["detect", "--stream", stream, "--trends", str(trends), "--kappa", "2",
+                     *flags, "--out", str(tmp_path / "v.jsonl"),
+                     "--events-out", str(events_out)]) == 0
+        events = [json.loads(line) for line in events_out.read_text().splitlines()]
+        assert [event["tweet_ids"] for event in events] == clusters
+
+
 class TestFeaturesCmd:
     def test_csv_columns(self, sim_dir, tmp_path):
         out = tmp_path / "features.csv"
@@ -265,6 +358,16 @@ class TestScan:
         assert all("f0x" in kw for kw in positive)
 
 
+    @pytest.mark.parametrize("min_tweets, found", [("5", ["tek"]), ("6", [])])
+    def test_min_tweets(self, tmp_path, capsys, min_tweets, found):
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (i, 100 + i, "#Tek bir iki", NOON + i, None) for i in range(5)
+        ])
+        assert main(["scan", "--stream", stream, "--min-tweets", min_tweets, "--stdout"]) == 0
+        verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [verdict["keyword"] for verdict in verdicts] == found
+
+
 class TestEvaluateCmd:
     def test_sim_dir_report(self, sim_dir, capsys):
         code = main(["evaluate", "--sim", str(sim_dir), "--preset", "lexicon-tree"])
@@ -280,6 +383,17 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--config", str(sim_dir / "scenario.cfg")]) == 0
         in_memory = json.loads(capsys.readouterr().out)
         assert from_files == in_memory
+
+    def test_gzip_sim_dir_gives_the_same_report(self, sim_dir, tmp_path, capsys):
+        gzipped = tmp_path / "gz"
+        assert main(["simulate", "--config", str(sim_dir.parent / "scenario.cfg"), "--gzip",
+                     "--out", str(gzipped)]) == 0
+        assert not (gzipped / "stream.jsonl").exists()
+        reports = []
+        for directory in (sim_dir, gzipped):
+            assert main(["evaluate", "--sim", str(directory)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_needs_sim_or_config(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -455,6 +569,28 @@ class TestMetricsCmd:
             ]
 
 
+    @pytest.mark.parametrize("top_k, fraction", [("2", "0.5"), ("1", "0.0")])
+    def test_top_k(self, tmp_path, top_k, fraction):
+        """#konu, attacked, is listed second: it counts only in a top 2."""
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("")
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#konu\n")
+        epochs = tmp_path / "epochs.csv"
+        epochs.write_text("captured_at,location,rank,keyword,volume\n"
+                          "2019-06-18T12:00:00Z,tr,1,#baska,\n2019-06-18T12:00:00Z,tr,2,#konu,\n")
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(json.dumps({"date": "2019-06-18", "keyword": "konu",
+                                        "attacked": True}) + "\n")
+        out_dir = tmp_path / "metrics"
+        assert main(["metrics", "--stream", str(stream), "--trends", str(trends),
+                     "--epochs", str(epochs), "--verdicts", str(verdicts),
+                     "--top-k", top_k, "--out", str(out_dir)]) == 0
+        assert (out_dir / "prevalence.csv").read_text().splitlines() == [
+            "date,attacked_fraction", f"2019-06-18,{fraction}",
+        ]
+
+
 class TestTimeRule:
     """A span is a difference of whole seconds; ordering uses milliseconds."""
 
@@ -545,6 +681,43 @@ class TestGraphCmd:
         # Users tweet once each, so a 4-core of the bipartite graph keeps
         # nothing in this small scenario.
         assert summary["n_users"] == 0
+
+
+    def test_single_attack_keeps_users_of_two_trends(self, tmp_path):
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (1, 7, "#a bir", NOON, None),
+            (2, 7, "#b bir", NOON + 1, None),
+            (3, 8, "#a iki", NOON + 2, None),
+            (4, 9, "#c uc", NOON + 3, None),
+        ])
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#a\n2019-06-18,#b\n2019-06-18,#c\n")
+        out_dir = tmp_path / "graph"
+        assert main(["graph", "--stream", stream, "--trends", str(trends),
+                     "--single-attack", "--out", str(out_dir)]) == 0
+        assert (out_dir / "edges.csv").read_text().splitlines() == [
+            "source,target,weight,source_kind,target_kind",
+            "a@2019-06-18,7,1,trend,user",
+            "b@2019-06-18,7,1,trend,user",
+        ]
+
+    @pytest.mark.parametrize("days, dormant", [("2", 1), ("3", 0)])
+    def test_dormancy_days(self, tmp_path, days, dormant):
+        """User 7 attacks #a, deleting a lexicon tweet, and posts in #b
+        three days later: dormant under a threshold of 2 days, not 3."""
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (1, 7, "#a bir iki", NOON, NOON + 60),
+            (2, 7, "#b Merhaba dunya.", NOON + 3 * 86400, None),
+        ])
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#a\n2019-06-21,#b\n")
+        out_dir = tmp_path / "graph"
+        assert main(["graph", "--stream", stream, "--trends", str(trends), "--louvain",
+                     "--dormancy-days", days, "--out", str(out_dir)]) == 0
+        assert (out_dir / "communities.csv").read_text().splitlines() == [
+            "community,n_users,n_trends,first_seen_s,last_seen_s,n_dormant",
+            f"0,1,1,{NOON},{NOON},{dormant}",
+        ]
 
 
 class TestParallelJobs:

@@ -3,7 +3,8 @@ no third-party numerics, and the project declares no runtime dependency.
 
 A command runs only the layers it uses, while `import trendguard.cli` still
 registers every layer that bench/trace.py binds its wrappers in. The join's
-private parts stay inside trendguard.ingest."""
+private parts stay inside trendguard.ingest, and a creation event is the
+Tweet itself."""
 
 import ast
 import importlib.util
@@ -149,3 +150,20 @@ def test_only_ingest_uses_the_joins_private_names():
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names & JOIN_PRIVATE]
     assert found == []
+
+
+def test_a_creation_event_is_the_tweet_itself():
+    """No module wraps a tweet into an event or unwraps one: none reads a
+    ``.tweet`` attribute or calls ``Creation``, which is only the old name
+    of Tweet."""
+    found = []
+    for path in sorted((ROOT / "src" / "trendguard").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "tweet":
+                found.append(f"{path.name}:{node.lineno}: .tweet")
+            elif isinstance(node, ast.Call) and "Creation" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}: Creation(...)")
+    assert found == []
+    ingest = importlib.import_module("trendguard.ingest")
+    assert ingest.Creation is ingest.Tweet

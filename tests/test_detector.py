@@ -4,7 +4,7 @@ from itertools import combinations
 
 from trendguard import detector
 from trendguard.core import PRESETS
-from trendguard.ingest import Creation, Deletion, build_trend_instances
+from trendguard.ingest import Deletion, Tweet, build_trend_instances
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
 from trendguard.detector import (
@@ -389,7 +389,7 @@ class TestScanCandidates:
         for i in range(n):
             tweet = make_tweet(1000 + i, 2000 + i, f"yarım gün #{keyword_body}", day_noon + i * 7,
                                hashtags=[keyword_body])
-            events.append(Creation(tweet))
+            events.append(tweet)
             if deleted:
                 events.append(Deletion(tweet_id=tweet.id, user_id=tweet.user_id,
                                        time_ms=(day_noon + 120 + i * 5) * 1000))

@@ -2,6 +2,7 @@ import bz2
 import gzip
 import io
 import json
+import os
 import random
 import re
 import zlib
@@ -13,11 +14,11 @@ from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     BadRank,
     BadTimestamp,
-    Creation,
     Deletion,
     MalformedLine,
     ParseStats,
     TrendDay,
+    Tweet,
     build_trend_instances,
     load_trend_days,
     load_trend_epochs,
@@ -25,7 +26,7 @@ from trendguard.ingest import (
     read_stream,
 )
 
-from conftest import DAY, DAY_NOON, make_tweet, read_all
+from conftest import DAY, DAY_NOON, fifo_of, make_tweet, pipe_payload, read_all
 from oracles import build_trend_instance, match_keyword
 
 STATUS_LINE = json.dumps(
@@ -51,9 +52,8 @@ DELETE_LINE = '{"delete":{"status":{"id":7,"user_id":3},"timestamp_ms":"1000"}}'
 
 class TestParseStreamLine:
     def test_status_record(self):
-        event = parse_stream_line(STATUS_LINE)
-        assert isinstance(event, Creation)
-        tweet = event.tweet
+        tweet = parse_stream_line(STATUS_LINE)
+        assert isinstance(tweet, Tweet)
         assert tweet.id == 7
         assert tweet.user_id == 3
         assert tweet.text == "a b #Tag"
@@ -134,7 +134,7 @@ class TestParseStreamLine:
             }
         )
         event = parse_stream_line(line)
-        assert event.tweet.created_ms == 1560848401 * 1000 + 500
+        assert event.created_ms == 1560848401 * 1000 + 500
 
     def test_retweet_and_reply_flags(self):
         line = json.dumps(
@@ -148,7 +148,7 @@ class TestParseStreamLine:
             }
         )
         event = parse_stream_line(line)
-        assert event.tweet.is_retweet and event.tweet.is_reply
+        assert event.is_retweet and event.is_reply
 
 
 class TestReadStream:
@@ -200,7 +200,7 @@ class TestReadStream:
         path.write_bytes(data)
         for source in (str(path), io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
             events, stats = read_all(source)
-            assert [type(e) for e in events] == [Creation, Deletion]
+            assert [type(e) for e in events] == [Tweet, Deletion]
             assert stats.consistent
 
     def test_prefiltered_lines_counted_not_decoded(self):
@@ -264,7 +264,7 @@ class TestReadStream:
             events, stats = read_all(source)
             assert (stats.malformed_skipped, stats.lines_read) == (1, len(events) + 1)
             assert stats.consistent
-            assert [e.tweet.id for e in events] == list(range(len(events)))
+            assert [e.id for e in events] == list(range(len(events)))
             if archive == "fuzzed":
                 assert events == []
             elif archive == "gzip-bad-crc":  # gzip checks the CRC after the last line
@@ -272,10 +272,50 @@ class TestReadStream:
             else:
                 assert 0 < len(events) < 2000
 
+    def test_compressed_archive_cut_inside_its_first_block(self, tmp_path):
+        """A compressed archive cut before its first block decodes is one
+        malformed line, not plain text: a one-block bz2 cut in half, and a
+        gzip cut inside its 10-byte header, which reads as empty once its
+        first read has failed."""
+        payload = "".join(STATUS_LINE.replace('"id": 7', f'"id": {i}') + "\n"
+                          for i in range(2000)).encode()
+        one_block = bz2.compress(payload, compresslevel=9)
+        for data in (one_block[: len(one_block) // 2], gzip.compress(payload, mtime=0)[:5]):
+            path = tmp_path / "events.jsonl.cut"
+            path.write_bytes(data)
+            for source in (str(path), io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
+                events, stats = read_all(source)
+                assert events == []
+                assert (stats.lines_read, stats.malformed_skipped) == (1, 1)
+                assert stats.consistent
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_named_pipe_reads_whole(self, tmp_path, gzipped):
+        """A path is opened once, so a pipe loses no byte to the codec probe."""
+        data = pipe_payload()
+        data = gzip.compress(data) if gzipped else data
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(data)
+        expected = read_all(str(path))
+        with fifo_of(tmp_path, data) as fifo:
+            assert read_all(fifo) == expected
+        assert expected[1].creations == 3200
+
+    def test_unseekable_stream_a_codec_rejects_is_one_malformed_line(self):
+        """Plain bytes that start with a codec's magic bytes cannot be read
+        again from a stream that cannot seek back: one malformed line."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"BZh not json\n" + DELETE_LINE.encode() + b"\n")
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            events, stats = read_all(pipe)
+        assert events == []
+        assert (stats.lines_read, stats.malformed_skipped) == (1, 1)
+
     def test_lone_surrogate_escape_is_not_a_bad_byte(self):
         # Truncated emoji leave a lone \ud83d in real archives; it was text, not a byte.
         line = STATUS_LINE.replace("a b #Tag", "a b #Tag \\ud83d")
-        assert parse_stream_line(line).tweet.text == "a b #Tag \ud83d"
+        assert parse_stream_line(line).text == "a b #Tag \ud83d"
 
 
 def _universal_lines(data: bytes) -> list[bytes]:
@@ -311,8 +351,8 @@ def _line_events(raw: bytes) -> list:
         alone = list(read_stream(io.BytesIO(b"\n" + raw)))  # no magic bytes first
         assert len(alone) <= 1
         for event in alone:
-            if isinstance(event, Creation):
-                fields = event.tweet.text + "".join(event.tweet.hashtags)
+            if isinstance(event, Tweet):
+                fields = event.text + "".join(event.hashtags)
                 assert not re.search("[\udc80-\udcff]", fields)
         return alone
     try:
@@ -324,13 +364,16 @@ def _line_events(raw: bytes) -> list:
 
 def _starts_a_compressed_stream(data: bytes) -> bool:
     """Whether ``data`` starts with a codec's magic bytes and the codec's
-    first read accepts it: read_stream then reads it as that codec, and a
-    later corrupt part ends the read."""
+    first read accepts it or ends early: read_stream then reads it as that
+    codec, a cut first block being one malformed line, and a later corrupt
+    part ends the read."""
     for magic, codec in ((b"\x1f\x8b", gzip), (b"BZh", bz2)):
         if data.startswith(magic):
             try:
                 codec.open(io.BytesIO(data)).peek(1)
-            except (OSError, EOFError, zlib.error):
+            except EOFError:
+                return True
+            except (OSError, zlib.error):
                 return False
             return True
     return False
@@ -342,8 +385,8 @@ def _starts_a_compressed_stream(data: bytes) -> bool:
 def test_read_stream_of_arbitrary_bytes(lines, last_terminated):
     """Any bytes, gzipped or plain, read without error, one line at a time
     under universal newlines; plain bytes that start with a codec's magic
-    bytes count as plain unless the codec's first read accepts them, and
-    then they read as that codec, still without error."""
+    bytes count as plain unless the codec's first read accepts them or ends
+    early, and then they read as that codec, still without error."""
     data = b"".join(line + end for line, end in lines)
     if lines and not last_terminated:
         data = data[: -len(lines[-1][1])]
@@ -432,7 +475,7 @@ def _day_events():
         make_tweet(4, 13, "çok eski #tag", noon - 2 * 86400),  # two days before
         make_tweet(5, 14, "yarin #tag", noon + 86400),       # day after
     ]
-    events = [Creation(t) for t in tweets]
+    events = list(tweets)
     events.append(Deletion(tweet_id=1, user_id=10, time_ms=(noon + 60) * 1000))
     events.append(Deletion(tweet_id=99, user_id=1, time_ms=noon * 1000))  # orphan
     return events
@@ -464,7 +507,7 @@ class TestBuildTrendInstance:
     def test_negative_lifetime_rejected_and_counted(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = [
-            Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
+            make_tweet(1, 10, "selam #tag", DAY_NOON),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON - 5) * 1000),
         ]
         instance = _join(trend, events)
@@ -476,7 +519,7 @@ class TestBuildTrendInstance:
         the tweet undeleted although a later notice follows the creation."""
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = [
-            Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
+            make_tweet(1, 10, "selam #tag", DAY_NOON),
             Deletion(tweet_id=1, user_id=10, time_ms=DAY_NOON * 1000 - 1),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 5) * 1000),
         ]
@@ -488,7 +531,7 @@ class TestBuildTrendInstance:
     def test_earliest_deletion_wins(self, tag_keyword):
         trend = TrendDay(date=DAY, keyword=tag_keyword)
         events = [
-            Creation(make_tweet(1, 10, "selam #tag", DAY_NOON)),
+            make_tweet(1, 10, "selam #tag", DAY_NOON),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 100) * 1000),
             Deletion(tweet_id=1, user_id=10, time_ms=(DAY_NOON + 50) * 1000),
         ]

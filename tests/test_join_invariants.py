@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
-    Creation,
     Deletion,
     TrendDay,
     TrendInstance,
@@ -44,7 +43,7 @@ def shuffled_streams(draw):
         text, hashtags = draw(st.sampled_from(TEXTS))
         tweet = Tweet(id=tweet_id, user_id=tweet_id + 100, text=text, created_ms=created,
                       hashtags=hashtags)
-        events += [Creation(tweet)] * draw(st.integers(1, 2))
+        events += [tweet] * draw(st.integers(1, 2))
         for offset in draw(st.lists(st.integers(-1500, 3000), max_size=3)):
             events.append(Deletion(tweet_id=tweet_id, user_id=tweet_id + 100,
                                    time_ms=created + offset))
@@ -56,7 +55,7 @@ def shuffled_streams(draw):
 def assert_join_invariants(instance, events):
     keys = [(t.created_ms, t.id) for t in instance.tweets]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    matched = {e.tweet.id for e in events if isinstance(e, Creation) and "#tag" in e.tweet.text}
+    matched = {e.id for e in events if isinstance(e, Tweet) and "#tag" in e.text}
     assert {t.id for t in instance.tweets} == matched
     created = {t.id: t.created_ms for t in instance.tweets}
     assert instance.deletions.keys() <= created.keys()

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
-    Creation,
     Deletion,
     TrendDay,
+    Tweet,
     _creation_filter,
     build_trend_instances,
 )
@@ -55,7 +55,7 @@ def streams(draw):
         make_tweet(i, 100 + i, draw(texts), DAY_NOON + draw(st.integers(-86400, 2 * 86400)))
         for i in range(draw(st.integers(1, 30)))
     ]
-    events = [Creation(tweet) for tweet in tweets]
+    events = list(tweets)
     for tweet in tweets:
         if draw(st.booleans()):
             events.append(Deletion(tweet.id, tweet.user_id, (tweet.created_ms // 1000 + 60) * 1000))
@@ -85,21 +85,21 @@ def test_group_stream_by_keyword_matches_reference(events, locale):
     assert sorted(streams_by_name) == sorted({k.normalized for k in keywords})
     for name, got in streams_by_name.items():
         matched = {
-            e.tweet.id for e in events
-            if isinstance(e, Creation) and any(
-                match_keyword(e.tweet.text, k, locale) for k in keywords if k.normalized == name
+            e.id for e in events
+            if isinstance(e, Tweet) and any(
+                match_keyword(e.text, k, locale) for k in keywords if k.normalized == name
             )
         }
         expected = [
             e for e in events
-            if (e.tweet.id if isinstance(e, Creation) else e.tweet_id) in matched
+            if (e.id if isinstance(e, Tweet) else e.tweet_id) in matched
         ]
         assert got == expected
 
 
 def test_one_word_ngram_matches_the_bare_word():
     keyword = normalize_keyword("galatasaray")
-    events = [Creation(make_tweet(1, 1, "Galatasaray kazandı", DAY_NOON))]
+    events = [make_tweet(1, 1, "Galatasaray kazandı", DAY_NOON)]
     assert match_keyword("Galatasaray kazandı", keyword)
     assert group_stream_by_keyword(events, [keyword]) == {"galatasaray": events}
 
@@ -107,7 +107,7 @@ def test_one_word_ngram_matches_the_bare_word():
 def test_ngram_keyword_tokens_are_cleaned_like_text_tokens():
     trends = [TrendDay(DAY, normalize_keyword("foo, bar")), TrendDay(DAY, normalize_keyword("!!!"))]
     texts = ["foo, bar baz", "foo bar baz", "!!! foo"]
-    events = [Creation(make_tweet(i, i, text, DAY_NOON)) for i, text in enumerate(texts)]
+    events = [make_tweet(i, i, text, DAY_NOON) for i, text in enumerate(texts)]
     instances = build_trend_instances(trends, events)
     assert [t.id for t in instances[(DAY, "foo, bar")].tweets] == [0, 1]
     assert instances[(DAY, "!!!")].tweets == []

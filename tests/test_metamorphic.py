@@ -22,7 +22,7 @@ import pytest
 
 from trendguard import simulator as sim_mod
 from trendguard.cli import main
-from trendguard.ingest import Creation, id_line_filter, load_trend_days, read_stream
+from trendguard.ingest import Tweet, id_line_filter, load_trend_days, read_stream
 from trendguard.detector import DetectorConfig
 from test_golden import SCENARIO
 
@@ -152,7 +152,7 @@ def test_evaluate_samples_by_tweet_id(scenario, variant, tmp_path):
     reference = tmp_path / "reference.json"
     assert main(["evaluate", "--sim", str(sim), "--out", str(reference)]) == 0
     events, report = _sample_and_report([stream], sim)
-    assert any(isinstance(event, Creation) for event in events)
+    assert any(isinstance(event, Tweet) for event in events)
     assert len(events) < len(lines) // 10
 
     config = sim_mod.load_scenario(str(sim / "scenario.cfg"))

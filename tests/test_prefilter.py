@@ -20,11 +20,11 @@ from trendguard.cli import _build_instances, main
 from trendguard.core import DEFAULT_TZ_OFFSET, normalize_keyword
 from trendguard.detector import DetectorConfig
 from trendguard.ingest import (
-    Creation,
     Deletion,
     MalformedLine,
     ParseStats,
     TrendDay,
+    Tweet,
     _creation_filter,
     _may_hold_deletion,
     build_instances_from_files,
@@ -121,7 +121,7 @@ def encoded_lines(draw):
 
 @st.composite
 def unescaped_creation_lines(draw):
-    """Creation lines as the archive writes them, with ensure_ascii=False
+    """Status lines as the archive writes them, with ensure_ascii=False
     and no \\u escape added. The filter keeps any line with a \\u escape,
     so only lines like these show whether it keeps a 'Σ' that the folded
     line spells 'ς' after a short escape."""
@@ -144,9 +144,9 @@ def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
         return
     if isinstance(event, Deletion):
         assert _may_hold_deletion(line)
-    if isinstance(event, Creation):
+    if isinstance(event, Tweet):
         trends = [TrendDay(DAY, normalize_keyword(raw, locale)) for raw in keywords]
-        if any(match_keyword(event.tweet.text, t.keyword, locale) for t in trends):
+        if any(match_keyword(event.text, t.keyword, locale) for t in trends):
             assert _creation_filter(trends, locale)(line)
 
 
@@ -172,7 +172,7 @@ def test_deletion_with_escaped_key_is_kept(key):
 def test_matching_line_is_kept(raw, text, locale):
     line = f'{{"id":1,"text":"{text}","user":{{"id":2}},"timestamp_ms":"5"}}'
     trend = TrendDay(DAY, normalize_keyword(raw, locale))
-    assert match_keyword(parse_stream_line(line).tweet.text, trend.keyword, locale)
+    assert match_keyword(parse_stream_line(line).text, trend.keyword, locale)
     assert _creation_filter([trend], locale)(line)
 
 
@@ -181,7 +181,7 @@ def test_status_line_with_escaped_source_is_dropped():
     line = ('{"id":1,"text":"sadece bir tweet","source":"<a href=\\"http://x\\">app</a>",'
             '"user":{"id":2},"timestamp_ms":"5"}')
     trend = TrendDay(DAY, normalize_keyword("devam etmiyor"))
-    assert parse_stream_line(line).tweet.text == "sadece bir tweet"
+    assert parse_stream_line(line).text == "sadece bir tweet"
     assert not _creation_filter([trend], "tr")(line)
 
 
@@ -216,7 +216,7 @@ fuzz_lines = st.one_of(
 def test_read_stream_never_raises(lines, keep):
     stats = ParseStats()
     for event in read_stream(io.StringIO("\n".join(lines)), stats=stats, keep=keep):
-        assert isinstance(event, (Creation, Deletion))
+        assert isinstance(event, (Tweet, Deletion))
     assert stats.consistent
 
 
@@ -263,9 +263,9 @@ def _trends(lines: list[str]) -> list[TrendDay]:
     tags, ngrams = set(), set()
     for line in lines:
         event = parse_stream_line(line)
-        if isinstance(event, Creation):
-            tags.update(event.tweet.hashtags)
-            tokens = text_tokens(event.tweet.text)
+        if isinstance(event, Tweet):
+            tags.update(event.hashtags)
+            tokens = text_tokens(event.text)
             if len(tokens) >= 2 and not tokens[0].startswith("#") and len(ngrams) < 4:
                 ngrams.add(" ".join(tokens[:2]))
     raws = sorted(f"#{tag}" for tag in tags)[:6] + sorted(ngrams) + [
@@ -429,7 +429,7 @@ def test_id_filter_keeps_every_line_the_sample_keeps(line, rate, seed):
         return
     if event is None:
         return
-    tweet_id = event.tweet.id if isinstance(event, Creation) else event.tweet_id
+    tweet_id = event.id if isinstance(event, Tweet) else event.tweet_id
     if kept(tweet_id):
         assert ingest.id_line_filter(kept)(line)
 
@@ -437,7 +437,7 @@ def test_id_filter_keeps_every_line_the_sample_keeps(line, rate, seed):
 @pytest.mark.parametrize("value", ["5e2", "5E+2", "500.0", '"500"', '" 500"', "true"])
 def test_id_filter_keeps_a_value_that_is_no_integer_literal(value):
     line = f'{{"id": {value}, "text": "x", "user_id": 3, "timestamp_ms": "5"}}'
-    tweet_id = parse_stream_line(line).tweet.id
+    tweet_id = parse_stream_line(line).id
     assert ingest.id_line_filter({tweet_id}.__contains__)(line)
 
 
@@ -478,7 +478,7 @@ def test_id_filtered_read_samples_as_the_full_read(tmp_path, source, gzipped):
                                           rate, seed))
     full = list(sim_mod.sample_stream(read_stream(str(path)), rate, seed))
     assert filtered == full
-    assert {type(event) for event in full} == {Creation, Deletion}
+    assert {type(event) for event in full} == {Tweet, Deletion}
     assert stats.lines_read == len(lines) and stats.consistent
     if source == "simulator":  # two to four ids a line, 5 % of them kept
         assert stats.prefiltered > 0.75 * len(lines)

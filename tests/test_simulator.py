@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import Creation, Deletion
+from trendguard.ingest import Deletion, Tweet
 from trendguard.classify import flags_for_instance, is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
@@ -66,8 +66,8 @@ class TestGenAttack:
         rng = random.Random(5)
         cluster = gen_attack(self.KW, self.PARAMS, 400, 10_000, rng, WORDLIST,
                              creation_span=60)
-        creations = [e.tweet.created_ms // 1000 for e in cluster
-                     if isinstance(e, Creation)]
+        creations = [e.created_ms // 1000 for e in cluster
+                     if isinstance(e, Tweet)]
         deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         assert max(creations) - min(creations) < 60 or max(creations) - min(creations) == 60
@@ -80,12 +80,12 @@ class TestGenAttack:
 
     def test_one_tweet_per_user(self):
         cluster = gen_attack(self.KW, self.PARAMS, 50, 0, random.Random(2), WORDLIST)
-        assert len({e.tweet.user_id for e in cluster if isinstance(e, Creation)}) == 50
+        assert len({e.user_id for e in cluster if isinstance(e, Tweet)}) == 50
 
     def test_detector_round_trip(self):
         rng = random.Random(6)
         cluster = gen_attack(self.KW, self.PARAMS, 12, 50_000, rng, WORDLIST)
-        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
+        tweets = [e for e in cluster if isinstance(e, Tweet)]
         deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#hedef", tweets, deletions)
@@ -105,8 +105,8 @@ class TestGenAttack:
         for event in cluster:
             if isinstance(event, Deletion):
                 continue
-        creations = {e.tweet.id: e.tweet.created_ms // 1000 for e in cluster
-                     if isinstance(e, Creation)}
+        creations = {e.id: e.created_ms // 1000 for e in cluster
+                     if isinstance(e, Tweet)}
         for event in cluster:
             if isinstance(event, Deletion):
                 life = event.time_ms // 1000 - creations[event.tweet_id]
@@ -119,8 +119,8 @@ class TestGenOrganic:
     def test_span_coverage(self):
         rng = random.Random(11)
         cluster = gen_organic_trend(self.KW, 100, 7200, rng, WORDLIST, t0=1000)
-        creations = [e.tweet.created_ms // 1000 for e in cluster
-                     if isinstance(e, Creation)]
+        creations = [e.created_ms // 1000 for e in cluster
+                     if isinstance(e, Tweet)]
         assert min(creations) >= 1000
         assert max(creations) <= 1000 + 7200
         assert max(creations) - min(creations) > 0.8 * 7200
@@ -135,7 +135,7 @@ class TestGenOrganic:
     def test_verdict_negative_under_default_presets(self):
         rng = random.Random(13)
         cluster = gen_organic_trend(self.KW, 3000, 7200, rng, WORDLIST, t0=500_000)
-        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
+        tweets = [e for e in cluster if isinstance(e, Tweet)]
         deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#sohbet", tweets, deletions)
@@ -149,7 +149,7 @@ class TestGenOrganic:
     def test_engagement_mix_produces_variety(self):
         rng = random.Random(14)
         cluster = gen_organic_trend(self.KW, 500, 3600, rng, WORDLIST)
-        tweets = [e.tweet for e in cluster if isinstance(e, Creation)]
+        tweets = [e for e in cluster if isinstance(e, Tweet)]
         assert any(t.is_retweet for t in tweets)
         assert any(t.mentions for t in tweets)
         assert any(t.urls for t in tweets)
@@ -170,14 +170,14 @@ class TestSampleStream:
     def test_binomial_bounds(self):
         events = self._stream(40_000)
         sampled = list(sample_stream(events, 0.01, 1))
-        kept = sum(1 for e in sampled if isinstance(e, Creation))
+        kept = sum(1 for e in sampled if isinstance(e, Tweet))
         # 3 sigma around np = 400
         assert abs(kept - 400) <= 3 * (40_000 * 0.01 * 0.99) ** 0.5
 
     def test_no_orphan_deletions(self):
         events = self._stream(5000)
         sampled = list(sample_stream(events, 0.05, 2))
-        created = {e.tweet.id for e in sampled if isinstance(e, Creation)}
+        created = {e.id for e in sampled if isinstance(e, Tweet)}
         for event in sampled:
             if isinstance(event, Deletion):
                 assert event.tweet_id in created
@@ -194,12 +194,12 @@ class TestSampleStream:
         assert sorted(sample_stream(shuffled, 0.05, 3), key=repr) == sorted(sampled, key=repr)
         kept = id_sampler(0.05, 3)
         assert sampled == [e for e in events
-                           if kept(e.tweet.id if isinstance(e, Creation) else e.tweet_id)]
+                           if kept(e.id if isinstance(e, Tweet) else e.tweet_id)]
 
     def test_deletion_before_its_creation_is_kept(self):
         kept = id_sampler(0.05, 3)
         tweet_id = next(i for i in range(10**6) if kept(i))
-        creation = Creation(make_tweet(tweet_id, 9, "bir iki", 1000))
+        creation = make_tweet(tweet_id, 9, "bir iki", 1000)
         deletion = Deletion(tweet_id=tweet_id, user_id=9, time_ms=2_000_000)
         assert list(sample_stream([deletion, creation], 0.05, 3)) == [deletion, creation]
 
@@ -238,7 +238,7 @@ class TestLabeledStream:
         labeled = build_stream(config)
         last = None
         for event in labeled.events():
-            when = event.tweet.created_ms if isinstance(event, Creation) else event.time_ms
+            when = event.created_ms if isinstance(event, Tweet) else event.time_ms
             if last is not None:
                 assert when >= last
             last = when
@@ -271,7 +271,7 @@ class TestLabeledStream:
                                 adoption_tweets_min=10, adoption_tweets_max=20)
         labeled = build_stream(config)
         events = list(labeled.events())
-        tweets = [e.tweet for e in events if isinstance(e, Creation)]
+        tweets = [e for e in events if isinstance(e, Tweet)]
         deleted = {e.tweet_id for e in events if isinstance(e, Deletion)}
         assert len({t.id for t in tweets}) == len(tweets)
         assert len({t.user_id for t in tweets}) == len(tweets)
@@ -291,8 +291,8 @@ class TestLabeledStream:
         creations = {}
         deletions = {}
         for event in labeled.events():
-            if isinstance(event, Creation):
-                creations[event.tweet.id] = event.tweet
+            if isinstance(event, Tweet):
+                creations[event.id] = event
             else:
                 deletions[event.tweet_id] = event.time_ms
         bots = labeled.truth_bots
@@ -317,16 +317,16 @@ class TestLabeledStream:
         original = list(labeled.events())
         assert len(parsed) == len(original)
         for a, b in zip(original, parsed):
-            if isinstance(a, Creation):
-                assert isinstance(b, Creation)
-                assert a.tweet.id == b.tweet.id
-                assert a.tweet.text == b.tweet.text
-                assert a.tweet.created_ms == b.tweet.created_ms
-                assert a.tweet.hashtags == b.tweet.hashtags
-                assert a.tweet.mentions == b.tweet.mentions
-                assert a.tweet.urls == b.tweet.urls
-                assert a.tweet.is_retweet == b.tweet.is_retweet
-                assert a.tweet.is_reply == b.tweet.is_reply
+            if isinstance(a, Tweet):
+                assert isinstance(b, Tweet)
+                assert a.id == b.id
+                assert a.text == b.text
+                assert a.created_ms == b.created_ms
+                assert a.hashtags == b.hashtags
+                assert a.mentions == b.mentions
+                assert a.urls == b.urls
+                assert a.is_retweet == b.is_retweet
+                assert a.is_reply == b.is_reply
             else:
                 assert isinstance(b, Deletion)
                 assert (a.tweet_id, a.user_id, a.time_ms) == (b.tweet_id, b.user_id, b.time_ms)

@@ -11,7 +11,6 @@ import pytest
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
-    Creation,
     Deletion,
     Tweet,
     load_trend_days,
@@ -64,10 +63,9 @@ def test_two_day_stream_equals_the_oracle(seed):
             if isinstance(event, Deletion):
                 kinds["deletion"] += 1
             else:
-                tweet = event.tweet
-                kinds["geo"] += isinstance(tweet, GeoTweet)
-                kinds["reply"] += tweet.is_reply
-                kinds["mentions"] += bool(tweet.mentions)
+                kinds["geo"] += isinstance(event, GeoTweet)
+                kinds["reply"] += event.is_reply
+                kinds["mentions"] += bool(event.mentions)
             yield event
 
     labeled = build_stream(ScenarioConfig(n_days=2, seed=seed))
@@ -82,7 +80,7 @@ T = DAY_NOON * 1000
 
 def creation(tweet_id=1, text="x", ms=T, user_id=2, geo=None, **fields):
     tweet = replace(make_tweet(tweet_id, user_id, text, 0, **fields), created_ms=ms)
-    return Creation(tweet if geo is None else GeoTweet(geo=geo, **asdict(tweet)))
+    return tweet if geo is None else GeoTweet(geo=geo, **asdict(tweet))
 
 
 EDGE_EVENTS = {
@@ -129,7 +127,7 @@ def pipeline_view(event):
     fields of `Tweet` (a GeoTweet's point is written, never read)."""
     if isinstance(event, Deletion):
         return event
-    return tuple(getattr(event.tweet, f.name) for f in fields(Tweet))
+    return tuple(getattr(event, f.name) for f in fields(Tweet))
 
 
 def assert_reads_back(events, path):
