@@ -87,7 +87,7 @@ def pipe_payload(lines: int = 4000) -> bytes:
     out = []
     for i in range(lines):
         if i % 5 == 4:
-            out.append(f'{{"delete": {{"status": {{"id": {i - 1}, "user_id": {i}}}, '
+            out.append(f'{{"delete": {{"status": {{"id": {i - 1}, "user_id": {i - 1}}}, '
                        f'"timestamp_ms": "{1560848400000 + i}"}}}}')
         else:
             text = " ".join(f"{rng.getrandbits(64):x}" for _ in range(8)) + " #tag"
