@@ -78,6 +78,7 @@ def fifo_of(directory, data: bytes):
     finally:
         os.close(spare)
         writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def pipe_payload(lines: int = 4000) -> bytes:

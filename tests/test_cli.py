@@ -81,7 +81,6 @@ class TestSimulate:
         events, stats = read_all(str(a / "stream.jsonl.gz"))
         assert stats.creations > 0 and stats.malformed_skipped == 0
 
-
     def test_seed_flag_equals_the_config_seed(self, sim_dir, tmp_path):
         config = tmp_path / "seed12.cfg"
         config.write_text(SCENARIO.replace("seed = 11", "seed = 12"))
@@ -127,7 +126,6 @@ class TestIngest:
         with pytest.raises(SystemExit) as err:
             main(["ingest", "--stream", str(sim_dir / "stream.jsonl")])
         assert err.value.code == 2
-
 
     @pytest.mark.parametrize("gzipped", [False, True])
     def test_named_pipe_gives_the_stats_of_the_file(self, tmp_path, capsys, gzipped):
@@ -287,7 +285,6 @@ class TestDetect:
         assert not out.exists()
         assert "trendguard detect" in capsys.readouterr().err
 
-
     def test_error_after_an_output_is_open_removes_it(self, sim_dir, tmp_path, capsys):
         not_a_dir = tmp_path / "a-file"
         not_a_dir.write_text("")
@@ -356,7 +353,6 @@ class TestScan:
         positive = {v["keyword"] for v in verdicts if v["attacked"]}
         assert len(positive) == 2
         assert all("f0x" in kw for kw in positive)
-
 
     @pytest.mark.parametrize("min_tweets, found", [("5", ["tek"]), ("6", [])])
     def test_min_tweets(self, tmp_path, capsys, min_tweets, found):
@@ -568,7 +564,6 @@ class TestMetricsCmd:
                 ["2019-06-18", "foo, bar", "", "0.0"],
             ]
 
-
     @pytest.mark.parametrize("top_k, fraction", [("2", "0.5"), ("1", "0.0")])
     def test_top_k(self, tmp_path, top_k, fraction):
         """#konu, attacked, is listed second: it counts only in a top 2."""
@@ -681,7 +676,6 @@ class TestGraphCmd:
         # Users tweet once each, so a 4-core of the bipartite graph keeps
         # nothing in this small scenario.
         assert summary["n_users"] == 0
-
 
     def test_single_attack_keeps_users_of_two_trends(self, tmp_path):
         stream = write_archive(tmp_path / "stream.jsonl", [
