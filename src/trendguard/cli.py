@@ -66,6 +66,16 @@ graph_mod = _lazy("graph")
 sim_mod = _lazy("simulator")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _add_locale_and_offset(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--locale", default=os.environ.get("TRENDGUARD_LOCALE", DEFAULT_LOCALE),
                         help="locale for case folding (default: tr, env TRENDGUARD_LOCALE)")
@@ -527,12 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True)
     p.add_argument("--predicate", default=UNDELETED, choices=EDGE_PREDICATES)
-    p.add_argument("--kcore", type=int, default=0, help="apply k-core filtering")
+    p.add_argument("--kcore", type=_non_negative_int, default=0,
+                   help="apply k-core filtering (0: off)")
     p.add_argument("--single-attack", action="store_true",
                    help="drop users linked to a single trend")
     p.add_argument("--louvain", action="store_true", help="run community detection")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dormancy-days", type=int, default=365)
+    p.add_argument("--dormancy-days", type=_non_negative_int, default=365)
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     p.set_defaults(func=_cmd_graph)

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import random
+from array import array
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import DELETED_LEXICON, EDGE_PREDICATES, UNDELETED, TrendGuardError, span_s
 from .ingest import TrendInstance
@@ -84,14 +87,16 @@ class Graph:
 
     def edges(self) -> list[tuple[Node, Node, int]]:
         """Each edge once, as (u, v, weight) with u before v, in node order."""
-        key = {node: _node_sort_key(node) for node in self._adj}
-        seen = []
-        for u in sorted(key, key=key.__getitem__):
-            ku = key[u]
-            later = [(v, w) for v, w in self._adj[u].items() if ku < key[v]]
-            later.sort(key=lambda item: key[item[0]])
-            seen.extend((u, v, w) for v, w in later)
-        return seen
+        return list(self._iter_edges())
+
+    def _iter_edges(self) -> Iterator[tuple[Node, Node, int]]:
+        for u in self.nodes():
+            ku = _node_sort_key(u)
+            later = [(kv, v, w) for v, w in self._adj[u].items()
+                     if ku < (kv := _node_sort_key(v))]
+            later.sort(key=itemgetter(0))
+            for _, v, w in later:
+                yield u, v, w
 
     def total_weight(self) -> int:
         # Every edge is counted once from each end.
@@ -218,21 +223,35 @@ def modularity(graph: Graph, assignment: Mapping[Node, int]) -> float:
     return q
 
 
+def _csr(graph: Graph, nodes: list[Node]) -> tuple[array, array, array]:
+    """The graph as flat arrays over node numbers (positions in ``nodes``):
+    node u's neighbors are targets[offsets[u]:offsets[u + 1]], with the
+    same slice of weights."""
+    index = {node: i for i, node in enumerate(nodes)}
+    offsets = array("q", [0])
+    targets = array("q")
+    weights = array("d")
+    for u in nodes:
+        nbrs = graph.neighbors(u)
+        targets.extend(map(index.__getitem__, nbrs))
+        weights.extend(nbrs.values())
+        offsets.append(len(targets))
+    return offsets, targets, weights
+
+
 def _one_level(
-    adj: dict[int, dict[int, float]],
-    loops: dict[int, float],
-    m: float,
+    offsets: array, targets: array, weights: array, loops: list[float], m: float,
     rng: random.Random,
-) -> tuple[dict[int, int], bool]:
+) -> tuple[list[int], bool]:
     """Local-move phase: greedily move nodes to the neighbor community with
     the best modularity gain until no move improves. Ties between equally
     good moves go to the lowest community id; ties with staying put stay.
     """
-    order = sorted(adj)
+    com = list(range(len(loops)))
+    order = com[:]
     rng.shuffle(order)
-    degree = {u: sum(adj[u].values()) + 2.0 * loops.get(u, 0.0) for u in adj}
-    com = {u: u for u in adj}
-    tot = {u: degree[u] for u in adj}
+    degree = [sum(weights[offsets[u]:offsets[u + 1]]) + 2.0 * loops[u] for u in com]
+    tot = degree[:]
     moved_any = False
     while True:
         moves = 0
@@ -240,9 +259,9 @@ def _one_level(
             cu = com[u]
             ku = degree[u]
             links: dict[int, float] = {}
-            for v, w in adj[u].items():
-                cv = com[v]
-                links[cv] = links.get(cv, 0.0) + w
+            for i in range(offsets[u], offsets[u + 1]):
+                cv = com[targets[i]]
+                links[cv] = links.get(cv, 0.0) + weights[i]
             tot[cu] -= ku
             best_c = cu
             best_gain = links.get(cu, 0.0) - tot[cu] * ku / (2.0 * m)
@@ -264,82 +283,83 @@ def _one_level(
 
 
 def _aggregate(
-    adj: dict[int, dict[int, float]],
-    loops: dict[int, float],
-    com: Mapping[int, int],
-) -> tuple[dict[int, dict[int, float]], dict[int, float], dict[int, int]]:
+    offsets: array, targets: array, weights: array, loops: list[float], com: list[int],
+) -> tuple[array, array, array, list[float], list[int]]:
+    """One node per community, numbered by first appearance over the node
+    numbers. Returns the new graph's arrays and loops, and each old node's
+    new number."""
     relabel: dict[int, int] = {}
-    for u in sorted(adj):
-        c = com[u]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    new_adj: dict[int, dict[int, float]] = {relabel[c]: {} for c in relabel}
-    new_loops: dict[int, float] = {relabel[c]: 0.0 for c in relabel}
-    for u, nbrs in adj.items():
-        cu = relabel[com[u]]
-        new_loops[cu] += loops.get(u, 0.0)
-        for v, w in nbrs.items():
-            cv = relabel[com[v]]
-            if cu == cv:
-                # Each undirected edge is seen from both endpoints.
-                new_loops[cu] += w / 2.0
-            else:
-                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    mapping = {u: relabel[com[u]] for u in adj}
-    return new_adj, new_loops, mapping
+    mapping = [relabel.setdefault(c, len(relabel)) for c in com]
+    new_offsets = array("q", [0])
+    new_targets = array("q")
+    new_weights = array("d")
+    new_loops = []
+    members = sorted(range(len(com)), key=mapping.__getitem__)
+    for cu, group in groupby(members, key=mapping.__getitem__):
+        loop = 0.0
+        links: dict[int, float] = {}
+        for u in group:
+            loop += loops[u]
+            for i in range(offsets[u], offsets[u + 1]):
+                cv = mapping[targets[i]]
+                if cv == cu:
+                    # Each undirected edge is seen from both endpoints.
+                    loop += weights[i] / 2.0
+                else:
+                    links[cv] = links.get(cv, 0.0) + weights[i]
+        new_loops.append(loop)
+        new_targets.extend(links)
+        new_weights.extend(links.values())
+        new_offsets.append(len(new_targets))
+    return new_offsets, new_targets, new_weights, new_loops, mapping
 
 
-def _internal_modularity(
-    adj: dict[int, dict[int, float]], loops: dict[int, float], m: float
-) -> float:
+def _internal_modularity(offsets: array, weights: array, loops: list[float], m: float) -> float:
     q = 0.0
-    for u in adj:
-        ku = sum(adj[u].values()) + 2.0 * loops.get(u, 0.0)
-        q += loops.get(u, 0.0) / m - (ku / (2.0 * m)) ** 2
+    for u, loop in enumerate(loops):
+        ku = sum(weights[offsets[u]:offsets[u + 1]]) + 2.0 * loop
+        q += loop / m - (ku / (2.0 * m)) ** 2
     return q
 
 
 def louvain(graph: Graph, seed: int = 0) -> Partition:
     """Two-phase Louvain over the weighted graph, deterministic given a seed.
 
-    The seed only fixes the node visiting order. The reported modularity is
-    cross-checked against modularity() on every run.
+    The seed only fixes the node visiting order. Both phases run on flat
+    arrays over node numbers (Graph.nodes() order); node tuples come back
+    only in the returned Partition. Every degree, link and loop sum is a
+    multiple of 0.5, so it is exact in any order. The reported modularity
+    is cross-checked against modularity() on every run.
     """
     nodes = graph.nodes()
     if not nodes:
         raise EmptyGraph("cannot partition an empty graph")
 
-    index = {node: i for i, node in enumerate(nodes)}
-    adj = {
-        index[u]: {index[v]: float(w) for v, w in graph.neighbors(u).items()} for u in nodes
-    }
-    loops: dict[int, float] = {}
+    offsets, targets, weights = _csr(graph, nodes)
+    loops = [0.0] * len(nodes)
     m = float(graph.total_weight())
 
-    assignment_chain = {i: i for i in range(len(nodes))}
+    chain: Sequence[int] = range(len(nodes))  # each node's community at the current level
     if m > 0.0:
         rng = random.Random(seed)
         while True:
-            com, moved = _one_level(adj, loops, m, rng)
+            com, moved = _one_level(offsets, targets, weights, loops, m, rng)
             if not moved:
                 break
-            adj, loops, mapping = _aggregate(adj, loops, com)
-            assignment_chain = {u: mapping[c] for u, c in assignment_chain.items()}
-            if len(adj) == 1:
+            offsets, targets, weights, loops, mapping = _aggregate(
+                offsets, targets, weights, loops, com
+            )
+            chain = [mapping[c] for c in chain]
+            if len(loops) == 1:
                 break
 
     # Canonical community ids: first appearance over stable node order.
     relabel: dict[int, int] = {}
-    assignment: dict[Node, int] = {}
-    for node in nodes:
-        c = assignment_chain[index[node]]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        assignment[node] = relabel[c]
+    assignment = {node: relabel.setdefault(c, len(relabel)) for node, c in zip(nodes, chain)}
 
     q = modularity(graph, assignment)
     if m > 0.0:
-        internal = _internal_modularity(adj, loops, m)
+        internal = _internal_modularity(offsets, weights, loops, m)
         if abs(internal - q) > 1e-9:
             raise AssertionError(
                 f"louvain bookkeeping drifted from modularity(): {internal} vs {q}"
@@ -447,7 +467,7 @@ def _render_node(node: Node) -> str:
 def write_edge_csv(handle, graph: Graph) -> None:
     writer = csv.writer(handle)
     writer.writerow(["source", "target", "weight", "source_kind", "target_kind"])
-    for u, v, w in graph.edges():
+    for u, v, w in graph._iter_edges():
         writer.writerow([_render_node(u), _render_node(v), w, u[0], v[0]])
 
 

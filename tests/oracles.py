@@ -1,24 +1,27 @@
 """Reference oracles for the trend-day join: one keyword tested against one
 text at a time, and one trend-day joined against an event collection; for
 `scan`: the hashtag-days of an event collection grouped and scored in one
-loop; and for the simulator's archive lines: one event built as its archive
-record.
+loop; for the simulator's archive lines: one event built as its archive
+record; and for Louvain: the two phases over dicts keyed by node.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
 through the same file join (`build_instances_from_files` with no trend
-list), and writes archive lines from a fixed template
-(`trendguard.simulator.write_stream_jsonl`); the tests check each against
+list), writes archive lines from a fixed template
+(`trendguard.simulator.write_stream_jsonl`), and runs Louvain over flat
+int arrays (`trendguard.graph.louvain`); the tests check each against
 these direct definitions.
 """
 
 from __future__ import annotations
 
+import random
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from trendguard.core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, HASHTAG, Keyword, local_day
 from trendguard.detector import DetectorConfig, Verdict, score_instance
+from trendguard.graph import EmptyGraph, Graph, Node, Partition, modularity
 from trendguard.ingest import (
     Deletion,
     TrendDay,
@@ -166,3 +169,132 @@ def event_to_record(event: TweetEvent) -> dict:
     if isinstance(event, GeoTweet):
         record["geo"] = {"type": "Point", "coordinates": list(event.geo)}
     return record
+
+
+def _one_level(
+    adj: dict[int, dict[int, float]],
+    loops: dict[int, float],
+    m: float,
+    rng: random.Random,
+) -> tuple[dict[int, int], bool]:
+    """Local-move phase: greedily move nodes to the neighbor community with
+    the best modularity gain until no move improves. Ties between equally
+    good moves go to the lowest community id; ties with staying put stay.
+    """
+    order = sorted(adj)
+    rng.shuffle(order)
+    degree = {u: sum(adj[u].values()) + 2.0 * loops.get(u, 0.0) for u in adj}
+    com = {u: u for u in adj}
+    tot = {u: degree[u] for u in adj}
+    moved_any = False
+    while True:
+        moves = 0
+        for u in order:
+            cu = com[u]
+            ku = degree[u]
+            links: dict[int, float] = {}
+            for v, w in adj[u].items():
+                cv = com[v]
+                links[cv] = links.get(cv, 0.0) + w
+            tot[cu] -= ku
+            best_c = cu
+            best_gain = links.get(cu, 0.0) - tot[cu] * ku / (2.0 * m)
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                gain = links[c] - tot[c] * ku / (2.0 * m)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            tot[best_c] += ku
+            com[u] = best_c
+            if best_c != cu:
+                moves += 1
+        if moves == 0:
+            break
+        moved_any = True
+    return com, moved_any
+
+
+def _aggregate(
+    adj: dict[int, dict[int, float]],
+    loops: dict[int, float],
+    com: Mapping[int, int],
+) -> tuple[dict[int, dict[int, float]], dict[int, float], dict[int, int]]:
+    relabel: dict[int, int] = {}
+    for u in sorted(adj):
+        c = com[u]
+        if c not in relabel:
+            relabel[c] = len(relabel)
+    new_adj: dict[int, dict[int, float]] = {relabel[c]: {} for c in relabel}
+    new_loops: dict[int, float] = {relabel[c]: 0.0 for c in relabel}
+    for u, nbrs in adj.items():
+        cu = relabel[com[u]]
+        new_loops[cu] += loops.get(u, 0.0)
+        for v, w in nbrs.items():
+            cv = relabel[com[v]]
+            if cu == cv:
+                # Each undirected edge is seen from both endpoints.
+                new_loops[cu] += w / 2.0
+            else:
+                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+    mapping = {u: relabel[com[u]] for u in adj}
+    return new_adj, new_loops, mapping
+
+
+def _internal_modularity(
+    adj: dict[int, dict[int, float]], loops: dict[int, float], m: float
+) -> float:
+    q = 0.0
+    for u in adj:
+        ku = sum(adj[u].values()) + 2.0 * loops.get(u, 0.0)
+        q += loops.get(u, 0.0) / m - (ku / (2.0 * m)) ** 2
+    return q
+
+
+def louvain(graph: Graph, seed: int = 0) -> Partition:
+    """Two-phase Louvain over the weighted graph, deterministic given a seed.
+
+    The seed only fixes the node visiting order. The reported modularity is
+    cross-checked against modularity() on every run.
+    """
+    nodes = graph.nodes()
+    if not nodes:
+        raise EmptyGraph("cannot partition an empty graph")
+
+    index = {node: i for i, node in enumerate(nodes)}
+    adj = {
+        index[u]: {index[v]: float(w) for v, w in graph.neighbors(u).items()} for u in nodes
+    }
+    loops: dict[int, float] = {}
+    m = float(graph.total_weight())
+
+    assignment_chain = {i: i for i in range(len(nodes))}
+    if m > 0.0:
+        rng = random.Random(seed)
+        while True:
+            com, moved = _one_level(adj, loops, m, rng)
+            if not moved:
+                break
+            adj, loops, mapping = _aggregate(adj, loops, com)
+            assignment_chain = {u: mapping[c] for u, c in assignment_chain.items()}
+            if len(adj) == 1:
+                break
+
+    # Canonical community ids: first appearance over stable node order.
+    relabel: dict[int, int] = {}
+    assignment: dict[Node, int] = {}
+    for node in nodes:
+        c = assignment_chain[index[node]]
+        if c not in relabel:
+            relabel[c] = len(relabel)
+        assignment[node] = relabel[c]
+
+    q = modularity(graph, assignment)
+    if m > 0.0:
+        internal = _internal_modularity(adj, loops, m)
+        if abs(internal - q) > 1e-9:
+            raise AssertionError(
+                f"louvain bookkeeping drifted from modularity(): {internal} vs {q}"
+            )
+    return Partition(assignment=assignment, modularity=q)

@@ -898,6 +898,23 @@ class TestParserDefaults:
             build_parser().parse_args(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--kcore", "-1"], ["--dormancy-days", "-5"],
+                                      ["--kcore", "two"]])
+    def test_graph_rejects_negative_counts_before_reading(self, flag, tmp_path, capsys):
+        # The stream does not exist: parsing stops the run before any read.
+        with pytest.raises(SystemExit) as err:
+            main(["graph", "--stream", str(tmp_path / "missing.jsonl"), "--trends",
+                  str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out"), *flag])
+        assert err.value.code == 2
+        assert f"argument {flag[0]}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_graph_kcore_zero_means_off(self):
+        args = build_parser().parse_args(["graph", "--stream", "x", "--trends", "y",
+                                          "--out", "z", "--kcore", "0",
+                                          "--dormancy-days", "0"])
+        assert (args.kcore, args.dormancy_days) == (0, 0)
+
     @pytest.mark.parametrize("argv", [
         ["detect", "--stream", "x", "--trends", "y", "--out", "z"],
         ["scan", "--stream", "x", "--out", "z"],
