@@ -20,7 +20,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     DEFAULT_LOCALE,
@@ -66,14 +66,18 @@ graph_mod = _lazy("graph")
 sim_mod = _lazy("simulator")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type for an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {minimum} or more, got {value}")
+        return value
+
+    return parse
 
 
 def _add_locale_and_offset(parser: argparse.ArgumentParser) -> None:
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", help="known trend-days CSV; candidates trending that day or next are skipped")
     _add_preset(p)
-    p.add_argument("--min-tweets", type=int, default=4)
+    p.add_argument("--min-tweets", type=_int_at_least(0), default=4)
     _add_sink(p, "verdicts JSONL")
     _add_locale_and_offset(p)
     p.set_defaults(func=_cmd_scan)
@@ -528,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trends", required=True)
     p.add_argument("--epochs", required=True, help="captured_at,location,rank,keyword,volume CSV")
     p.add_argument("--verdicts", required=True, help="verdicts JSONL from detect")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_int_at_least(1), default=10)
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     p.set_defaults(func=_cmd_metrics)
@@ -537,13 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--trends", required=True)
     p.add_argument("--predicate", default=UNDELETED, choices=EDGE_PREDICATES)
-    p.add_argument("--kcore", type=_non_negative_int, default=0,
+    p.add_argument("--kcore", type=_int_at_least(0), default=0,
                    help="apply k-core filtering (0: off)")
     p.add_argument("--single-attack", action="store_true",
                    help="drop users linked to a single trend")
     p.add_argument("--louvain", action="store_true", help="run community detection")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dormancy-days", type=_non_negative_int, default=365)
+    p.add_argument("--dormancy-days", type=_int_at_least(0), default=365)
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     p.set_defaults(func=_cmd_graph)

@@ -143,7 +143,7 @@ class TrendEpoch:
 class TrendInstance:
     """A trend-day joined with its associated tweets and their deletion times.
 
-    Only the join (``_InstanceBuilder.build``) makes one; downstream code
+    Only the join (``_instance``) makes one; downstream code
     trusts that ``tweets`` holds distinct ids sorted by (created_ms, id) and
     that ``deletions`` maps a tweet id to its earliest deletion notice (ms).
     When that notice precedes the tweet's creation, nothing is attached,
@@ -532,47 +532,6 @@ def text_tokens(text: str, locale: str = DEFAULT_LOCALE) -> list[str]:
     return [cleaned for token in folded.split() if (cleaned := _clean_token(token))]
 
 
-class _InstanceBuilder:
-    """Accumulates matched tweets for one trend-day."""
-
-    def __init__(self, trend: TrendDay):
-        self.trend = trend
-        self.day_number = trend.day_number()
-        self.tweets: dict[int, Tweet] = {}
-
-    def offer_tweet(self, tweet: Tweet) -> None:
-        self.tweets.setdefault(tweet.id, tweet)
-
-    def build(self, deletions: dict[int, int]) -> TrendInstance:
-        instance = TrendInstance(trend=self.trend)
-        instance.tweets = sorted(self.tweets.values(), key=lambda t: (t.created_ms, t.id))
-        for tweet in instance.tweets:
-            when = deletions.get(tweet.id)
-            if when is None:
-                continue
-            if when < tweet.created_ms:
-                instance.invalid_deletions += 1
-                continue
-            instance.deletions[tweet.id] = when
-        return instance
-
-
-def _note_deletion(pending: dict[int, int], tweet_id: int, when: int) -> None:
-    prior = pending.get(tweet_id)
-    if prior is None or when < prior:
-        pending[tweet_id] = when
-
-
-def _builders(trends: Sequence[TrendDay]) -> dict[tuple[date, str], _InstanceBuilder]:
-    """One builder per unique (date, normalized keyword), input order kept."""
-    builders: dict[tuple[date, str], _InstanceBuilder] = {}
-    for trend in trends:
-        key = (trend.date, trend.keyword.normalized)
-        if key not in builders:
-            builders[key] = _InstanceBuilder(trend)
-    return builders
-
-
 def _keyword_index(
     keywords: Iterable[Keyword], locale: str
 ) -> Callable[[str], list[tuple[str, str]]]:
@@ -609,6 +568,85 @@ def _keyword_index(
     return contained
 
 
+# A join's tweets before deletions attach: by trend-day key, the trend-day
+# and its matched tweets by id, each id's first occurrence kept.
+_Groups = dict[tuple[date, str], tuple[TrendDay, dict[int, Tweet]]]
+
+
+def _route(
+    trends: Optional[Sequence[TrendDay]],
+    events: Iterable[TweetEvent],
+    locale: str,
+    tz_offset: int,
+) -> tuple[_Groups, _Notices]:
+    """One pass over ``events``: each creation filed under every trend-day
+    it joins, each deletion notice packed. The trend-days are a trend
+    list's, all of them in input order, or with ``trends`` None the
+    (local date, tag) days its creations hold, in first-seen order (see
+    build_trend_instances)."""
+    groups: _Groups = {}
+    if trends is None:
+        def joined(tweet: Tweet) -> list[dict[int, Tweet]]:
+            day = day_number_to_date(local_day(tweet.created_ms, tz_offset))
+            found = []
+            for tag in extract_hashtags(tweet.text, locale):
+                group = groups.get((day, tag))
+                if group is None:
+                    group = groups[day, tag] = TrendDay(day, Keyword("#" + tag, tag, HASHTAG)), {}
+                found.append(group[1])
+            return found
+    else:
+        # The tweet maps that take a tweet, by keyword and by the tweet's
+        # local day: a trend-day on day d takes tweets of days d and d-1.
+        by_keyword: dict[tuple[str, str], dict[int, list[dict[int, Tweet]]]] = {}
+        for trend in trends:
+            key = (trend.date, trend.keyword.normalized)
+            if key not in groups:
+                tweets: dict[int, Tweet] = {}
+                groups[key] = trend, tweets
+                by_day = by_keyword.setdefault((trend.keyword.kind, trend.keyword.normalized), {})
+                day = trend.day_number()
+                for taken in (day, day - 1):
+                    by_day.setdefault(taken, []).append(tweets)
+        contained = _keyword_index((trend.keyword for trend, _ in groups.values()), locale)
+
+        def joined(tweet: Tweet) -> list[dict[int, Tweet]]:
+            day = local_day(tweet.created_ms, tz_offset)
+            return [tweets for key in contained(tweet.text) for tweets in by_keyword[key].get(day, ())]
+
+    notices = _Notices()
+    for event in events:
+        if isinstance(event, Tweet):
+            for tweets in joined(event):
+                tweets.setdefault(event.id, event)
+        elif isinstance(event, Deletion):
+            notices.add(event.tweet_id, event.time_ms)
+    return groups, notices
+
+
+def _instance(trend: TrendDay, tweets: dict[int, Tweet], deletions: dict[int, int]) -> TrendInstance:
+    """The trend-day's instance of its matched tweets by id, given the
+    earliest deletion notice (ms) of each tweet id."""
+    instance = TrendInstance(trend=trend)
+    instance.tweets = sorted(tweets.values(), key=lambda t: (t.created_ms, t.id))
+    for tweet in instance.tweets:
+        when = deletions.get(tweet.id)
+        if when is None:
+            continue
+        if when < tweet.created_ms:
+            instance.invalid_deletions += 1
+            continue
+        instance.deletions[tweet.id] = when
+    return instance
+
+
+def _attach(groups: _Groups, notices: _Notices) -> dict[tuple[date, str], TrendInstance]:
+    """Each trend-day's instance, with the earliest notice of each matched
+    tweet attached."""
+    deletions = notices.earliest({tid for _, tweets in groups.values() for tid in tweets})
+    return {key: _instance(trend, tweets, deletions) for key, (trend, tweets) in groups.items()}
+
+
 def build_trend_instances(
     trends: Optional[Sequence[TrendDay]],
     events: Iterable[TweetEvent],
@@ -618,52 +656,15 @@ def build_trend_instances(
     """Join many trend-days against one pass over an event collection.
 
     Returns a mapping keyed by (date, normalized keyword). Matching goes
-    through one keyword index over all trend-days. Deletion notices are
-    buffered in a dict by id (memory proportional to deletions in the
-    input); callers joining large files should use
-    build_instances_from_files, which packs each notice into 16 bytes.
+    through one keyword index over all trend-days. Each deletion notice is
+    packed into 16 bytes until the pass ends, when the earliest notice of
+    each matched tweet is attached.
 
     With ``trends`` None the join discovers its trend-days: a creation goes
     to the instance (its local date, tag) of each tag of extract_hashtags,
     on its own day only, each made on first use with the keyword '#tag'.
     """
-    pending: dict[int, int] = {}
-    if trends is None:
-        builders: dict[tuple[date, str], _InstanceBuilder] = {}
-        for event in events:
-            if isinstance(event, Tweet):
-                day = day_number_to_date(local_day(event.created_ms, tz_offset))
-                for tag in extract_hashtags(event.text, locale):
-                    builder = builders.get((day, tag))
-                    if builder is None:
-                        trend = TrendDay(day, Keyword("#" + tag, tag, HASHTAG))
-                        builder = builders[day, tag] = _InstanceBuilder(trend)
-                    builder.offer_tweet(event)
-            elif isinstance(event, Deletion):
-                _note_deletion(pending, event.tweet_id, event.time_ms)
-        return {key: builder.build(pending) for key, builder in builders.items()}
-
-    builders = _builders(trends)
-    # The builders that take a tweet, by keyword and by the tweet's local
-    # day: a trend-day on day d takes tweets of days d and d-1.
-    by_keyword: dict[tuple[str, str], dict[int, list[_InstanceBuilder]]] = {}
-    for builder in builders.values():
-        keyword = builder.trend.keyword
-        by_day = by_keyword.setdefault((keyword.kind, keyword.normalized), {})
-        for day in (builder.day_number, builder.day_number - 1):
-            by_day.setdefault(day, []).append(builder)
-    contained = _keyword_index((b.trend.keyword for b in builders.values()), locale)
-
-    for event in events:
-        if isinstance(event, Tweet):
-            day = local_day(event.created_ms, tz_offset)
-            for key in contained(event.text):
-                for builder in by_keyword[key].get(day, ()):
-                    builder.offer_tweet(event)
-        elif isinstance(event, Deletion):
-            _note_deletion(pending, event.tweet_id, event.time_ms)
-
-    return {key: builder.build(pending) for key, builder in builders.items()}
+    return _attach(*_route(trends, events, locale, tz_offset))
 
 
 def _escape_sensitive(token: str) -> bool:
@@ -766,18 +767,26 @@ class _Notices:
             self.ids.append(tweet_id)
             self.times.append(when)
         else:
-            _note_deletion(self.wide, tweet_id, when)
+            self.wide[tweet_id] = min(when, self.wide.get(tweet_id, when))
 
-    def note_wanted(self, wanted: set[int], pending: dict[int, int]) -> None:
-        """Note in ``pending`` the earliest notice of each wanted tweet id."""
+    def extend(self, other: _Notices) -> None:
+        self.ids.extend(other.ids)
+        self.times.extend(other.times)
+        for tweet_id, when in other.wide.items():
+            self.add(tweet_id, when)
+
+    def earliest(self, wanted: set[int]) -> dict[int, int]:
+        """The earliest notice (ms) of each wanted tweet id that has one."""
+        found: dict[int, int] = {}
         for tweet_id, when in chain(zip(self.ids, self.times), self.wide.items()):
             if tweet_id in wanted:
-                _note_deletion(pending, tweet_id, when)
+                found[tweet_id] = min(when, found.get(tweet_id, when))
+        return found
 
 
-def _scan_file(job) -> tuple[dict[tuple[date, str], TrendInstance], _Notices, ParseStats]:
-    """One read of one file: the file's instance of each trend-day, with no
-    deletion attached, every deletion notice, and the file's parse counters."""
+def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
+    """One read of one file: its tweets by trend-day, every deletion
+    notice, and the file's parse counters."""
     path, trends, locale, tz_offset = job
     may_match = _creation_filter(trends, locale)
 
@@ -785,17 +794,8 @@ def _scan_file(job) -> tuple[dict[tuple[date, str], TrendInstance], _Notices, Pa
         return '"delete"' in line or may_match(line) or _may_hold_deletion(line)
 
     stats = ParseStats()
-    events = read_stream(path, stats=stats, keep=keep)
-    notices = _Notices()
-
-    def creations() -> Iterator[Tweet]:
-        for event in events:
-            if isinstance(event, Tweet):
-                yield event
-            else:
-                notices.add(event.tweet_id, event.time_ms)
-
-    return build_trend_instances(trends, creations(), locale, tz_offset), notices, stats
+    groups, notices = _route(trends, read_stream(path, stats=stats, keep=keep), locale, tz_offset)
+    return groups, notices, stats
 
 
 def build_instances_from_files(
@@ -849,23 +849,18 @@ def build_instances_from_files(
     ``map_fn`` runs the per-file reads, in file order; a process pool's
     map parallelizes across files with identical results.
     """
-    builders = _builders(trends or ())
-    notices: list[_Notices] = []
-    for instances, file_notices, file_stats in map_fn(
+    groups, notices = _route(trends, (), locale, tz_offset)
+    for file_groups, file_notices, file_stats in map_fn(
         _scan_file, [(path, trends, locale, tz_offset) for path in paths]
     ):
         if stats is not None:
             stats.add(file_stats)
-        notices.append(file_notices)
-        for key, instance in instances.items():
-            builder = builders.get(key)
-            if builder is None:  # a trend-day the discovery case found
-                builder = builders[key] = _InstanceBuilder(instance.trend)
-            for tweet in instance.tweets:
-                builder.offer_tweet(tweet)
-
-    wanted = {tid for builder in builders.values() for tid in builder.tweets}
-    pending: dict[int, int] = {}
-    for file_notices in notices:
-        file_notices.note_wanted(wanted, pending)
-    return {key: builder.build(pending) for key, builder in builders.items()}
+        notices.extend(file_notices)
+        for key, group in file_groups.items():
+            merged = groups.get(key)
+            if merged is None or not merged[1]:
+                groups[key] = group  # a trend-day's first tweets: kept, not copied
+                continue
+            for tweet_id, tweet in group[1].items():
+                merged[1].setdefault(tweet_id, tweet)
+    return _attach(groups, notices)

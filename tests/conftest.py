@@ -14,7 +14,7 @@ from trendguard.ingest import (
     TrendDay,
     TrendInstance,
     Tweet,
-    _InstanceBuilder,
+    _instance,
     read_stream,
 )
 
@@ -101,10 +101,11 @@ def pipe_payload(lines: int = 4000) -> bytes:
 def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY) -> TrendInstance:
     """The instance the join builds from these tweets and the earliest
     deletion notice (ms) of each tweet id."""
-    builder = _InstanceBuilder(TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr")))
+    first: dict[int, Tweet] = {}
     for tweet in tweets:
-        builder.offer_tweet(tweet)
-    return builder.build(deletions_ms)
+        first.setdefault(tweet.id, tweet)
+    return _instance(TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr")), first,
+                     deletions_ms)
 
 
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:

@@ -10,7 +10,9 @@ through the same file join (`build_instances_from_files` with no trend
 list), writes archive lines from a fixed template
 (`trendguard.simulator.write_stream_jsonl`), and runs Louvain over flat
 int arrays (`trendguard.graph.louvain`); the tests check each against
-these direct definitions.
+these direct definitions. The join oracles keep their own instance builder
+and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they share no
+join code with the library.
 """
 
 from __future__ import annotations
@@ -28,13 +30,42 @@ from trendguard.ingest import (
     TrendInstance,
     Tweet,
     TweetEvent,
-    _InstanceBuilder,
-    _note_deletion,
     day_number_to_date,
     extract_hashtags,
     text_tokens,
 )
 from trendguard.simulator import GeoTweet, format_created_at
+
+
+class _InstanceBuilder:
+    """Accumulates matched tweets for one trend-day."""
+
+    def __init__(self, trend: TrendDay):
+        self.trend = trend
+        self.day_number = trend.day_number()
+        self.tweets: dict[int, Tweet] = {}
+
+    def offer_tweet(self, tweet: Tweet) -> None:
+        self.tweets.setdefault(tweet.id, tweet)
+
+    def build(self, deletions: dict[int, int]) -> TrendInstance:
+        instance = TrendInstance(trend=self.trend)
+        instance.tweets = sorted(self.tweets.values(), key=lambda t: (t.created_ms, t.id))
+        for tweet in instance.tweets:
+            when = deletions.get(tweet.id)
+            if when is None:
+                continue
+            if when < tweet.created_ms:
+                instance.invalid_deletions += 1
+                continue
+            instance.deletions[tweet.id] = when
+        return instance
+
+
+def _note_deletion(pending: dict[int, int], tweet_id: int, when: int) -> None:
+    prior = pending.get(tweet_id)
+    if prior is None or when < prior:
+        pending[tweet_id] = when
 
 
 def _ngram_occurs(tokens: Sequence[str], ngram: Sequence[str]) -> bool:

@@ -909,6 +909,29 @@ class TestParserDefaults:
         assert f"argument {flag[0]}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--epochs", "e.csv", "--verdicts", "v.jsonl", "--top-k", "0"],
+        ["metrics", "--epochs", "e.csv", "--verdicts", "v.jsonl", "--top-k", "-1"],
+        ["scan", "--min-tweets", "-5"],
+    ], ids=["top-k-zero", "top-k-negative", "min-tweets-negative"])
+    def test_counts_out_of_range_are_usage_errors_before_reading(self, argv, tmp_path, capsys):
+        # The stream does not exist: parsing stops the run before any read.
+        command, *flags = argv
+        trends = [] if command == "scan" else ["--trends", str(tmp_path / "missing.csv")]
+        with pytest.raises(SystemExit) as err:
+            main([command, "--stream", str(tmp_path / "missing.jsonl"), *trends,
+                  "--out", str(tmp_path / "out"), *flags])
+        assert err.value.code == 2
+        assert f"argument {flags[-2]}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lowest_counts_in_range_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["scan", "--stream", "x", "--out", "z",
+                                  "--min-tweets", "0"]).min_tweets == 0
+        assert parser.parse_args(["metrics", "--stream", "x", "--trends", "y", "--epochs", "e",
+                                  "--verdicts", "v", "--out", "z", "--top-k", "1"]).top_k == 1
+
     def test_graph_kcore_zero_means_off(self):
         args = build_parser().parse_args(["graph", "--stream", "x", "--trends", "y",
                                           "--out", "z", "--kcore", "0",

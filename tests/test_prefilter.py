@@ -2,7 +2,8 @@
 
 Property tests run the line predicates against the parser and the keyword
 matcher on generated records; differential tests compare the prefiltered
-file join, serial and pooled, with the unfiltered join of the same events.
+file join, serial and pooled, with the unfiltered join of the same events
+and with the one-trend-day oracle.
 """
 
 import bz2
@@ -35,7 +36,7 @@ from trendguard.ingest import (
 )
 
 from conftest import DAY, DAY_NOON
-from oracles import match_keyword, scan_candidates as scan_oracle
+from oracles import build_trend_instance, match_keyword, scan_candidates as scan_oracle
 from test_acceptance import _write_big_archive
 
 
@@ -321,6 +322,33 @@ def test_prefiltered_join_equals_unfiltered_join(tmp_path):
     for jobs in (1, 2):
         pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
         assert _as_comparable(pooled) == expected
+
+
+def test_sharded_join_equals_the_one_trend_day_oracle(tmp_path):
+    """The file join against the oracle, which shares no code with it:
+    shards in the order plain, bzip2, gzip, so the earliest of tweet 2's
+    three shard notices is in the last shard, then a shard that repeats
+    tweet 1 with another text, which must lose to the first occurrence."""
+    lines = _archive_lines()
+    trends = _trends(lines)
+    later = tmp_path / "shard3.jsonl"
+    later.write_text(json.dumps({"id": 1, "text": "sonraki kopya #konu tepel sobar",
+                                 "user": {"id": 7}, "timestamp_ms": str(DAY_NOON * 1000 + 1)})
+                     + "\n", encoding="utf-8")
+    shards = _shards(tmp_path, lines)[::-1] + [str(later)]
+    events = [event for shard in shards for event in read_stream(shard)]
+    expected = {}
+    for trend in trends:
+        expected.setdefault((trend.date, trend.keyword.normalized),
+                            build_trend_instance(trend, events))
+    tweets, deletions, invalid = _as_comparable(expected)[(DAY, "konu")]
+    assert [t.text for t in tweets if t.id == 1] == ["erken silinen #Konu tepel sobar"]
+    assert 1 not in deletions and invalid >= 1
+    assert _as_comparable(expected)[(DAY, "tepel sobar")][1][2] == DAY_NOON * 1000 + 6000
+    for jobs in (1, 2):
+        pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
+        assert list(pooled) == list(expected)
+        assert _as_comparable(pooled) == _as_comparable(expected)
 
 
 def test_each_file_is_read_once(tmp_path, monkeypatch):
