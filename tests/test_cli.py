@@ -695,6 +695,24 @@ class TestGraphCmd:
             "b@2019-06-18,7,1,trend,user",
         ]
 
+    def test_nodes_sort_trends_first_then_users_as_strings(self, tmp_path):
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (i, user, f"#{tag} bir", NOON + i, None)
+            for i, (tag, user) in enumerate(
+                (tag, user) for tag in "ba" for user in (100, 9, 10))
+        ])
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#b\n2019-06-18,#a\n")
+        out_dir = tmp_path / "graph"
+        assert main(["graph", "--stream", stream, "--trends", str(trends), "--louvain",
+                     "--out", str(out_dir)]) == 0
+        edges = [row[:2] for row in csv.reader(open(out_dir / "edges.csv"))][1:]
+        assert edges == [[trend, user] for trend in ("a@2019-06-18", "b@2019-06-18")
+                         for user in ("10", "100", "9")]
+        nodes = [row[0] for row in csv.reader(open(out_dir / "partition.csv"))][1:]
+        assert nodes == ["trend:a@2019-06-18", "trend:b@2019-06-18",
+                         "user:10", "user:100", "user:9"]
+
     @pytest.mark.parametrize("days, dormant", [("2", 1), ("3", 0)])
     def test_dormancy_days(self, tmp_path, days, dormant):
         """User 7 attacks #a, deleting a lexicon tweet, and posts in #b

@@ -1,10 +1,11 @@
 """Golden-hash guard over the CLI outputs of one small fixed scenario.
 
 Every output of `simulate` (plain and `--gzip`), `ingest`, `features`,
-`detect`, `scan`, `metrics`, both `graph` predicates and `evaluate --sim`
-must stay byte-identical: a refactor or optimization that changes any of
-them fails here. Each hash was recorded before the code it covers was
-refactored; re-record them only for a deliberate, documented output change.
+`detect`, `scan`, `metrics`, both `graph` predicates (plain and each with a
+filter) and `evaluate --sim` must stay byte-identical: a refactor or
+optimization that changes any of them fails here. Each hash was recorded
+before the code it covers was refactored; re-record them only for a
+deliberate, documented output change.
 """
 
 import hashlib
@@ -87,6 +88,22 @@ GOLDEN = {
         "bf57eb7307d5b4c4d53d1cf5c38722c271cf3cde8bf0561166454b956e8ba028",
     "simgz/truth.csv":
         "8cf68ce52e3f94f690bc1c5e8d46767edfd96d90e4cc9bfd934cbd8c92386eb9",
+    # Added later, recorded on the commit before the graph became one CSR
+    # structure. On this scenario no user posts in two trends: the 1-core
+    # is the whole undeleted graph (2 is the first k that empties it), and
+    # the single-attack filter leaves the deleted-lexicon graph empty.
+    "out/graph-deleted-lexicon-single-attack/edges.csv":
+        "9f73af193e71be66f86583aa820074cd9771186454daccf2e32cc4c4615f2161",
+    "out/graph-deleted-lexicon-single-attack/summary.json":
+        "b4810fc9baac1cb50991af476eb36681b9fec3e621c275438366a8a7ebeb36d6",
+    "out/graph-undeleted-kcore/communities.csv":
+        "aa6f5d61e1c94e8825260946e3d25e05fd03a0039a7bfcaac373368a5b048c4c",
+    "out/graph-undeleted-kcore/edges.csv":
+        "ee2c1238adb2ee9040fb34370e6ebdbae1f24654edb8a59e98c4e3b58764b4b6",
+    "out/graph-undeleted-kcore/partition.csv":
+        "cbcbdf41e25dd7b6b77f29f3b4d834152a75ea0a3d8c9fa471d4af2445dbf423",
+    "out/graph-undeleted-kcore/summary.json":
+        "75498f2800910a678c70edb8492c4a31016619b3227451e241d0b6d1801e6504",
 }
 
 
@@ -119,6 +136,10 @@ def outputs(tmp_path_factory):
          "--out", str(out / "graph-undeleted")],
         ["graph", *stream, "--louvain", "--predicate", "deleted-lexicon",
          "--out", str(out / "graph-deleted-lexicon")],
+        ["graph", *stream, "--louvain", "--predicate", "deleted-lexicon", "--single-attack",
+         "--out", str(out / "graph-deleted-lexicon-single-attack")],
+        ["graph", *stream, "--louvain", "--predicate", "undeleted", "--kcore", "1",
+         "--out", str(out / "graph-undeleted-kcore")],
     ]
     for argv in runs:
         assert main(argv) == 0, argv

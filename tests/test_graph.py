@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from trendguard.graph import (
     modularity,
     network_overlap,
     single_attack_filter,
+    write_edge_csv,
+    write_partition_csv,
 )
 
 from conftest import DAY, DAY_NOON, make_instance, make_tweet
@@ -131,6 +135,27 @@ class TestBuildGraph:
         g1 = build_graph(instances, UNDELETED)
         g2 = build_graph(dict(reversed(list(instances.items()))), UNDELETED)
         assert g1.edges() == g2.edges()
+
+
+def test_nodes_sort_trends_first_then_users_as_strings():
+    """Node order is str order: user "10" before "100" before "9"."""
+    instances = {
+        (DAY, tag): make_instance(f"#{tag}", [
+            make_tweet(base + user, user, f"Görüş! #{tag}", DAY_NOON + user, hashtags=[tag])
+            for user in (100, 9, 10)
+        ], {})
+        for base, tag in ((0, "b"), (1000, "a"))
+    }
+    graph = build_graph(instances, UNDELETED)
+    edges = io.StringIO()
+    write_edge_csv(edges, graph)
+    rows = [row[:2] for row in csv.reader(io.StringIO(edges.getvalue()))][1:]
+    day = DAY.isoformat()
+    assert rows == [[f"{tag}@{day}", user] for tag in "ab" for user in ("10", "100", "9")]
+    partition = io.StringIO()
+    write_partition_csv(partition, louvain(graph, seed=0))
+    nodes = [row[0] for row in csv.reader(io.StringIO(partition.getvalue()))][1:]
+    assert nodes == [f"trend:a@{day}", f"trend:b@{day}", "user:10", "user:100", "user:9"]
 
 
 class TestKCore:
