@@ -75,12 +75,12 @@ print(f"raw: {interest.n_nodes} nodes / {interest.n_edges} edges")
 core = k_core(interest, 4)
 print(f"4-core: {core.n_nodes} nodes / {core.n_edges} edges")
 partition = louvain(core, seed=0)
-n_comm = len(set(partition.assignment.values()))
+n_comm = len(set(partition.communities))
 print(f"louvain: {n_comm} communities, modularity {partition.modularity:.3f}")
 
+assignment = partition.assignment
 for name, audience in AUDIENCES.items():
-    labels = {partition.assignment[(USER, u)] for u in audience
-              if core.has_node((USER, u))}
+    labels = {assignment[(USER, u)] for u in audience if (USER, u) in assignment}
     print(f"  {name} audience maps to community ids {sorted(labels)}")
 
 print("\n== astrobot network (deleted lexicon tweets) ==")
@@ -89,7 +89,7 @@ print(f"raw: {astro.n_nodes} nodes / {astro.n_edges} edges")
 filtered = single_attack_filter(astro)
 print(f"after dropping one-attack users: {filtered.n_nodes} nodes")
 bot_partition = louvain(filtered, seed=0)
-print(f"louvain: {len(set(bot_partition.assignment.values()))} communities, "
+print(f"louvain: {len(set(bot_partition.communities))} communities, "
       f"modularity {bot_partition.modularity:.3f}")
 
 print(f"\nuser overlap between the two networks: "

@@ -372,8 +372,8 @@ def _cmd_graph(args, out: _Outputs) -> int:
     summary = {
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
-        "n_users": graph.count_kind(graph_mod.USER),
-        "n_trends": graph.count_kind(graph_mod.TREND),
+        "n_users": graph.n_nodes - graph.n_trends,
+        "n_trends": graph.n_trends,
     }
 
     if args.louvain and graph.n_nodes:
@@ -381,7 +381,7 @@ def _cmd_graph(args, out: _Outputs) -> int:
         with out.open(out_dir / "partition.csv") as handle:
             graph_mod.write_partition_csv(handle, partition)
         summary["modularity"] = partition.modularity
-        summary["n_communities"] = len(set(partition.assignment.values()))
+        summary["n_communities"] = len(set(partition.communities))
 
         attack_times: dict[int, list[int]] = {}
         for key, instance in instances.items():

@@ -3,8 +3,14 @@ Bipartite user-trend network construction and structure analysis: k-core
 filtering, single-attack noise removal, weighted Newman modularity, and a
 deterministic two-phase Louvain community detection.
 
-Nodes are ("user", id) or ("trend", "keyword@date") tuples; an edge's weight
-counts the qualifying tweets the user posted into the trend.
+A graph is one immutable CSR structure, `BipartiteGraph`. A node's label is
+("user", id) or ("trend", "keyword@date"), and the nodes are numbered once,
+by sorting their labels on (kind, str(id)): every trend comes before every
+user, and user "10" before "100" before "9". Node u's neighbors are
+targets[offsets[u]:offsets[u + 1]] in ascending number, with the same slice
+of weights; an edge's weight counts the qualifying tweets the user posted
+into the trend. The functions below work on node numbers and map them to
+labels only when they write or return.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from __future__ import annotations
 import csv
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
-from itertools import groupby
+from itertools import accumulate, compress, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import DELETED_LEXICON, EDGE_PREDICATES, UNDELETED, TrendGuardError, span_s
 from .ingest import TrendInstance
@@ -36,92 +43,79 @@ class IncompleteAssignment(TrendGuardError):
     """A modularity computation found nodes without a community."""
 
 
-def _node_sort_key(node: Node) -> tuple[str, str]:
-    return (node[0], str(node[1]))
+@dataclass(frozen=True)
+class BipartiteGraph:
+    """Undirected bipartite user-trend graph with positive integer edge
+    weights, as flat arrays over node numbers (see the module docstring)."""
 
+    labels: tuple[Node, ...]
+    offsets: array
+    targets: array
+    weights: array
 
-class Graph:
-    """Undirected bipartite graph with positive integer edge weights; a
-    node's kind (USER or TREND) is its first element."""
-
-    def __init__(self):
-        self._adj: dict[Node, dict[Node, int]] = {}
-
-    def add_node(self, node: Node) -> None:
-        self._adj.setdefault(node, {})
-
-    def add_edge(self, u: Node, v: Node, weight: int = 1) -> None:
-        if u == v:
-            raise ValueError(f"self-loop on {u}")
-        if u not in self._adj or v not in self._adj:
-            raise ValueError("add nodes before edges")
-        if u[0] == v[0]:
-            raise ValueError(f"edge within partition {u[0]}: {u} -- {v}")
-        if weight < 1:
-            raise ValueError("edge weight must be positive")
-        self._adj[u][v] = self._adj[u].get(v, 0) + weight
-        self._adj[v][u] = self._adj[v].get(u, 0) + weight
+    @classmethod
+    def from_edges(
+        cls, edges: Iterable[tuple[object, str, int]], nodes: Iterable[Node] = ()
+    ) -> "BipartiteGraph":
+        """The graph of (user id, trend id, weight) edges, with repeated
+        pairs merged and their weights summed; ``nodes`` adds labels that
+        may have no edge."""
+        pair_weight: dict[tuple[object, str], int] = {}
+        for user, trend, weight in edges:
+            if weight < 1:
+                raise ValueError("edge weight must be positive")
+            pair_weight[user, trend] = pair_weight.get((user, trend), 0) + weight
+        ids = {TREND: {trend for _, trend in pair_weight}, USER: {user for user, _ in pair_weight}}
+        for kind, ident in nodes:
+            ids[kind].add(ident)
+        # The trends, then the users, each by str(id): the labels'
+        # (kind, str(id)) order, sorted per kind to save a key tuple a node.
+        labels = tuple((kind, ident) for kind in (TREND, USER)
+                       for ident in sorted(ids[kind], key=str))
+        n_trends = len(ids[TREND])
+        trends = {ident: t for t, (_, ident) in enumerate(labels[:n_trends])}
+        users = {ident: u for u, (_, ident) in enumerate(labels[n_trends:], n_trends)}
+        by_user = sorted(
+            (users[user], trends[trend], weight) for (user, trend), weight in pair_weight.items()
+        )
+        by_trend = sorted(by_user, key=itemgetter(1))  # stable: users stay ascending
+        degree = [0] * len(labels)
+        for user, trend, _ in by_user:
+            degree[user] += 1
+            degree[trend] += 1
+        # Every trend is numbered before every user, so the trends'
+        # neighbor lists come first.
+        return cls(
+            labels,
+            array("q", accumulate(degree, initial=0)),
+            array("q", [user for user, _, _ in by_trend] + [trend for _, trend, _ in by_user]),
+            array("q", [w for _, _, w in by_trend] + [w for _, _, w in by_user]),
+        )
 
     @property
     def n_nodes(self) -> int:
-        return len(self._adj)
+        return len(self.labels)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.targets) // 2
 
-    def nodes(self) -> list[Node]:
-        return sorted(self._adj, key=_node_sort_key)
+    @property
+    def n_trends(self) -> int:
+        """The trends are nodes 0 .. n_trends - 1; the users follow."""
+        return bisect_left(self.labels, USER, key=itemgetter(0))
 
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for node in self._adj if node[0] == kind)
-
-    def has_node(self, node: Node) -> bool:
-        return node in self._adj
-
-    def degree(self, node: Node) -> int:
-        return len(self._adj[node])
-
-    def neighbors(self, node: Node) -> dict[Node, int]:
-        return self._adj[node]
-
-    def edges(self) -> list[tuple[Node, Node, int]]:
-        """Each edge once, as (u, v, weight) with u before v, in node order."""
-        return list(self._iter_edges())
-
-    def _iter_edges(self) -> Iterator[tuple[Node, Node, int]]:
-        for u in self.nodes():
-            ku = _node_sort_key(u)
-            later = [(kv, v, w) for v, w in self._adj[u].items()
-                     if ku < (kv := _node_sort_key(v))]
-            later.sort(key=itemgetter(0))
-            for _, v, w in later:
-                yield u, v, w
-
+    @property
     def total_weight(self) -> int:
-        # Every edge is counted once from each end.
-        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
-
-    def subgraph(self, keep: set[Node]) -> "Graph":
-        sub = Graph()
-        sub._adj = {u: {v: w for v, w in self._adj[u].items() if v in keep} for u in keep}
-        return sub
-
-
-def user_node(user_id: int) -> Node:
-    return (USER, user_id)
-
-
-def trend_node(instance: TrendInstance) -> Node:
-    trend = instance.trend
-    return (TREND, f"{trend.keyword.normalized}@{trend.date.isoformat()}")
+        # Every edge is stored once from each end.
+        return sum(self.weights) // 2
 
 
 def build_graph(
     instances: Mapping[tuple[date, str], TrendInstance],
     edge_predicate: str = UNDELETED,
     flags: Optional[Mapping[tuple[date, str], Mapping[int, TweetFlags]]] = None,
-) -> Graph:
+) -> BipartiteGraph:
     """One edge per (user, trend) pair with a qualifying tweet; weight counts them.
 
     The "undeleted" predicate builds the interest-group network; the
@@ -133,61 +127,70 @@ def build_graph(
     if edge_predicate == DELETED_LEXICON and flags is None:
         raise ValueError("deleted-lexicon predicate requires tweet flags")
 
-    graph = Graph()
-    for key in sorted(instances):
-        instance = instances[key]
-        tnode = trend_node(instance)
-        for tweet in instance.tweets:
-            deleted = tweet.id in instance.deletions
-            if edge_predicate == UNDELETED:
-                qualifies = not deleted
-            else:
-                qualifies = deleted and flags[key][tweet.id].is_lexicon
-            if not qualifies:
-                continue
-            unode = user_node(tweet.user_id)
-            graph.add_node(unode)
-            graph.add_node(tnode)
-            graph.add_edge(unode, tnode, 1)
-    return graph
+    def qualifying():
+        for key, instance in instances.items():
+            trend = instance.trend
+            trend_id = f"{trend.keyword.normalized}@{trend.date.isoformat()}"
+            for tweet in instance.tweets:
+                deleted = tweet.id in instance.deletions
+                if edge_predicate == UNDELETED:
+                    qualifies = not deleted
+                else:
+                    qualifies = deleted and flags[key][tweet.id].is_lexicon
+                if qualifies:
+                    yield tweet.user_id, trend_id, 1
+
+    return BipartiteGraph.from_edges(qualifying())
 
 
-def k_core(graph: Graph, k: int) -> Graph:
+def _keep(graph: BipartiteGraph, keep: Sequence[bool]) -> BipartiteGraph:
+    """The subgraph induced by the nodes u with keep[u], renumbered in the
+    same order, so each neighbor list stays ascending."""
+    number = list(accumulate(keep, initial=0))  # u's number among the kept nodes
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    new_offsets = array("q", [0])
+    new_targets = array("q")
+    new_weights = array("q")
+    for u in compress(range(graph.n_nodes), keep):
+        for i in range(offsets[u], offsets[u + 1]):
+            v = targets[i]
+            if keep[v]:
+                new_targets.append(number[v])
+                new_weights.append(weights[i])
+        new_offsets.append(len(new_targets))
+    return BipartiteGraph(tuple(compress(graph.labels, keep)), new_offsets, new_targets,
+                          new_weights)
+
+
+def k_core(graph: BipartiteGraph, k: int) -> BipartiteGraph:
     """Maximal subgraph where every node has degree >= k, by iterative peeling."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    degrees = {node: graph.degree(node) for node in graph.nodes()}
-    removed: set[Node] = set()
-    stack = [node for node, deg in degrees.items() if deg < k]
+    offsets, targets = graph.offsets, graph.targets
+    degree = [offsets[u + 1] - offsets[u] for u in range(graph.n_nodes)]
+    keep = [True] * graph.n_nodes
+    stack = [u for u, deg in enumerate(degree) if deg < k]
     while stack:
-        node = stack.pop()
-        if node in removed:
+        u = stack.pop()
+        if not keep[u]:
             continue
-        removed.add(node)
-        for neighbor in graph.neighbors(node):
-            if neighbor in removed:
-                continue
-            degrees[neighbor] -= 1
-            if degrees[neighbor] < k:
-                stack.append(neighbor)
-    keep = {node for node in degrees if node not in removed}
-    return graph.subgraph(keep)
+        keep[u] = False
+        for v in targets[offsets[u]:offsets[u + 1]]:
+            if keep[v]:
+                degree[v] -= 1
+                if degree[v] < k:
+                    stack.append(v)
+    return _keep(graph, keep)
 
 
-def single_attack_filter(graph: Graph) -> Graph:
+def single_attack_filter(graph: BipartiteGraph) -> BipartiteGraph:
     """Drop users linked to a single trend, then trends left isolated."""
-    keep = {
-        node
-        for node in graph.nodes()
-        if node[0] != USER or graph.degree(node) >= 2
-    }
-    trimmed = graph.subgraph(keep)
-    keep = {
-        node
-        for node in trimmed.nodes()
-        if node[0] != TREND or trimmed.degree(node) >= 1
-    }
-    return trimmed.subgraph(keep)
+    offsets, targets = graph.offsets, graph.targets
+    linked = [offsets[u + 1] - offsets[u] >= 2 for u in range(graph.n_nodes)]
+    n_trends = graph.n_trends
+    trends = [any(linked[v] for v in targets[offsets[t]:offsets[t + 1]])
+              for t in range(n_trends)]
+    return _keep(graph, trends + linked[n_trends:])
 
 
 # ---------------------------------------------------------------------------
@@ -196,47 +199,38 @@ def single_attack_filter(graph: Graph) -> Graph:
 
 @dataclass
 class Partition:
-    assignment: dict[Node, int]  # in Graph.nodes() order
+    labels: Sequence[Node]  # the partitioned graph's
+    communities: array  # communities[u] is node u's community
     modularity: float
 
+    @property
+    def assignment(self) -> dict[Node, int]:
+        """Each node's community by label, in node order."""
+        return dict(zip(self.labels, self.communities))
 
-def modularity(graph: Graph, assignment: Mapping[Node, int]) -> float:
-    """Weighted Newman modularity of a complete node-to-community assignment."""
-    for node in graph._adj:
-        if node not in assignment:
-            raise IncompleteAssignment(f"node {node} has no community")
-    m = float(graph.total_weight())
+
+def modularity(graph: BipartiteGraph, communities: Sequence[int]) -> float:
+    """Weighted Newman modularity; ``communities[u]`` is node u's community."""
+    if len(communities) != graph.n_nodes:
+        raise IncompleteAssignment(
+            f"{len(communities)} communities given for {graph.n_nodes} nodes"
+        )
+    m = float(graph.total_weight)
     if m == 0.0:
         return 0.0
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
     # Integer weights: the sums are exact in any order of the adjacency.
     intra: dict[int, int] = {}  # twice the intra-community weight
     degree_sum: dict[int, int] = {}
-    for u, nbrs in graph._adj.items():
-        c = assignment[u]
-        degree_sum[c] = degree_sum.get(c, 0) + sum(nbrs.values())
-        for v, w in nbrs.items():
-            if assignment[v] == c:
-                intra[c] = intra.get(c, 0) + w
+    for u, c in enumerate(communities):
+        degree_sum[c] = degree_sum.get(c, 0) + sum(weights[offsets[u]:offsets[u + 1]])
+        for i in range(offsets[u], offsets[u + 1]):
+            if communities[targets[i]] == c:
+                intra[c] = intra.get(c, 0) + weights[i]
     q = 0.0
     for c in sorted(degree_sum):
         q += intra.get(c, 0) / (2.0 * m) - (degree_sum[c] / (2.0 * m)) ** 2
     return q
-
-
-def _csr(graph: Graph, nodes: list[Node]) -> tuple[array, array, array]:
-    """The graph as flat arrays over node numbers (positions in ``nodes``):
-    node u's neighbors are targets[offsets[u]:offsets[u + 1]], with the
-    same slice of weights."""
-    index = {node: i for i, node in enumerate(nodes)}
-    offsets = array("q", [0])
-    targets = array("q")
-    weights = array("d")
-    for u in nodes:
-        nbrs = graph.neighbors(u)
-        targets.extend(map(index.__getitem__, nbrs))
-        weights.extend(nbrs.values())
-        offsets.append(len(targets))
-    return offsets, targets, weights
 
 
 def _one_level(
@@ -322,24 +316,22 @@ def _internal_modularity(offsets: array, weights: array, loops: list[float], m: 
     return q
 
 
-def louvain(graph: Graph, seed: int = 0) -> Partition:
+def louvain(graph: BipartiteGraph, seed: int = 0) -> Partition:
     """Two-phase Louvain over the weighted graph, deterministic given a seed.
 
-    The seed only fixes the node visiting order. Both phases run on flat
-    arrays over node numbers (Graph.nodes() order); node tuples come back
-    only in the returned Partition. Every degree, link and loop sum is a
-    multiple of 0.5, so it is exact in any order. The reported modularity
-    is cross-checked against modularity() on every run.
+    The seed only fixes the node visiting order. The first level runs on
+    the graph's own arrays. Every degree, link and loop sum is a multiple
+    of 0.5, so it is exact in any order. The reported modularity is
+    cross-checked against modularity() on every run.
     """
-    nodes = graph.nodes()
-    if not nodes:
+    if not graph.n_nodes:
         raise EmptyGraph("cannot partition an empty graph")
 
-    offsets, targets, weights = _csr(graph, nodes)
-    loops = [0.0] * len(nodes)
-    m = float(graph.total_weight())
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    loops = [0.0] * graph.n_nodes
+    m = float(graph.total_weight)
 
-    chain: Sequence[int] = range(len(nodes))  # each node's community at the current level
+    chain: Sequence[int] = range(graph.n_nodes)  # each node's community at the current level
     if m > 0.0:
         rng = random.Random(seed)
         while True:
@@ -353,25 +345,23 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
             if len(loops) == 1:
                 break
 
-    # Canonical community ids: first appearance over stable node order.
+    # Canonical community ids: first appearance over node numbers.
     relabel: dict[int, int] = {}
-    assignment = {node: relabel.setdefault(c, len(relabel)) for node, c in zip(nodes, chain)}
+    communities = array("q", [relabel.setdefault(c, len(relabel)) for c in chain])
 
-    q = modularity(graph, assignment)
+    q = modularity(graph, communities)
     if m > 0.0:
         internal = _internal_modularity(offsets, weights, loops, m)
         if abs(internal - q) > 1e-9:
             raise AssertionError(
                 f"louvain bookkeeping drifted from modularity(): {internal} vs {q}"
             )
-    return Partition(assignment=assignment, modularity=q)
+    return Partition(labels=graph.labels, communities=communities, modularity=q)
 
 
-def network_overlap(a: Graph, b: Graph) -> int:
+def network_overlap(a: BipartiteGraph, b: BipartiteGraph) -> int:
     """Number of user nodes present in both graphs."""
-    users_a = {node for node in a.nodes() if node[0] == USER}
-    users_b = {node for node in b.nodes() if node[0] == USER}
-    return len(users_a & users_b)
+    return len(set(a.labels[a.n_trends:]).intersection(b.labels[b.n_trends:]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +392,32 @@ def community_summary(
     their last undeleted tweet anywhere in the corpus; gaps above
     ``dormancy_s`` seconds flag the user as dormant.
     """
+    labels = partition.labels
+    # A last undeleted tweet is read only for the partition's attackers.
+    attackers = {ident for kind, ident in labels if kind == USER and ident in attack_times}
     last_undeleted: dict[int, int] = {}
     for instance in instances.values():
         for tweet in instance.tweets:
-            if tweet.id in instance.deletions:
+            if tweet.user_id not in attackers or tweet.id in instance.deletions:
                 continue
             prior = last_undeleted.get(tweet.user_id)
             if prior is None or tweet.created_ms > prior:
                 last_undeleted[tweet.user_id] = tweet.created_ms
 
-    members: dict[int, list[Node]] = {}
-    for node, community in partition.assignment.items():
-        members.setdefault(community, []).append(node)
-
+    communities = partition.communities
+    members = sorted(range(len(communities)), key=communities.__getitem__)
     summaries = []
-    for community in sorted(members):
-        nodes = members[community]
-        users = [node[1] for node in nodes if node[0] == USER]
-        n_trends = sum(1 for node in nodes if node[0] == TREND)
+    for community, group in groupby(members, key=communities.__getitem__):
+        n_users = n_trends = 0
         first_seen: Optional[int] = None
         last_seen: Optional[int] = None
         last_attack: dict[int, int] = {}
-        for user in users:
+        for u in group:
+            kind, user = labels[u]
+            if kind == TREND:
+                n_trends += 1
+                continue
+            n_users += 1
             for ts in attack_times.get(user, ()):
                 if first_seen is None or ts < first_seen:
                     first_seen = ts
@@ -445,7 +439,7 @@ def community_summary(
         summaries.append(
             CommunitySummary(
                 community=community,
-                n_users=len(users),
+                n_users=n_users,
                 n_trends=n_trends,
                 first_seen_ms=first_seen,
                 last_seen_ms=last_seen,
@@ -460,19 +454,20 @@ def community_summary(
 # Exports
 # ---------------------------------------------------------------------------
 
-def _render_node(node: Node) -> str:
-    return str(node[1])
-
-
-def write_edge_csv(handle, graph: Graph) -> None:
+def write_edge_csv(handle, graph: BipartiteGraph) -> None:
+    """Each edge once: every node's neighbors with a higher number."""
     writer = csv.writer(handle)
     writer.writerow(["source", "target", "weight", "source_kind", "target_kind"])
-    for u, v, w in graph._iter_edges():
-        writer.writerow([_render_node(u), _render_node(v), w, u[0], v[0]])
+    labels, offsets, targets, weights = graph.labels, graph.offsets, graph.targets, graph.weights
+    for u, (kind, ident) in enumerate(labels):
+        for i in range(offsets[u], offsets[u + 1]):
+            v = targets[i]
+            if v > u:
+                writer.writerow([ident, labels[v][1], weights[i], kind, labels[v][0]])
 
 
 def write_partition_csv(handle, partition: Partition) -> None:
     writer = csv.writer(handle)
     writer.writerow(["node", "community"])
-    for node, community in partition.assignment.items():
-        writer.writerow([f"{node[0]}:{node[1]}", community])
+    for (kind, ident), community in zip(partition.labels, partition.communities):
+        writer.writerow([f"{kind}:{ident}", community])

@@ -2,15 +2,18 @@
 text at a time, and one trend-day joined against an event collection; for
 `scan`: the hashtag-days of an event collection grouped and scored in one
 loop; for the simulator's archive lines: one event built as its archive
-record; and for Louvain: the two phases over dicts keyed by node.
+record; and for the graph: a dict of dicts keyed by node tuples (`Graph`),
+its k-core and single-attack filters, modularity over a node-keyed
+assignment, and Louvain's two phases over dicts keyed by node.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
 through the same file join (`build_instances_from_files` with no trend
 list), writes archive lines from a fixed template
-(`trendguard.simulator.write_stream_jsonl`), and runs Louvain over flat
-int arrays (`trendguard.graph.louvain`); the tests check each against
-these direct definitions. The join oracles keep their own instance builder
+(`trendguard.simulator.write_stream_jsonl`), and keeps the graph as flat
+arrays over node numbers (`trendguard.graph.BipartiteGraph`), on which it
+filters and runs Louvain; the tests check each against these direct
+definitions. The join oracles keep their own instance builder
 and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they share no
 join code with the library.
 """
@@ -18,12 +21,14 @@ join code with the library.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from trendguard.core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, HASHTAG, Keyword, local_day
 from trendguard.detector import DetectorConfig, Verdict, score_instance
-from trendguard.graph import EmptyGraph, Graph, Node, Partition, modularity
+from trendguard.graph import EmptyGraph, IncompleteAssignment, TREND, USER
 from trendguard.ingest import (
     Deletion,
     TrendDay,
@@ -200,6 +205,161 @@ def event_to_record(event: TweetEvent) -> dict:
     if isinstance(event, GeoTweet):
         record["geo"] = {"type": "Point", "coordinates": list(event.geo)}
     return record
+
+
+Node = tuple[str, object]  # ("user", int) | ("trend", str)
+
+
+def _node_sort_key(node: Node) -> tuple[str, str]:
+    return (node[0], str(node[1]))
+
+
+class Graph:
+    """Undirected bipartite graph with positive integer edge weights; a
+    node's kind (USER or TREND) is its first element."""
+
+    def __init__(self):
+        self._adj: dict[Node, dict[Node, int]] = {}
+
+    def add_node(self, node: Node) -> None:
+        self._adj.setdefault(node, {})
+
+    def add_edge(self, u: Node, v: Node, weight: int = 1) -> None:
+        if u == v:
+            raise ValueError(f"self-loop on {u}")
+        if u not in self._adj or v not in self._adj:
+            raise ValueError("add nodes before edges")
+        if u[0] == v[0]:
+            raise ValueError(f"edge within partition {u[0]}: {u} -- {v}")
+        if weight < 1:
+            raise ValueError("edge weight must be positive")
+        self._adj[u][v] = self._adj[u].get(v, 0) + weight
+        self._adj[v][u] = self._adj[v].get(u, 0) + weight
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self._adj)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+
+    def nodes(self) -> list[Node]:
+        return sorted(self._adj, key=_node_sort_key)
+
+    def count_kind(self, kind: str) -> int:
+        return sum(1 for node in self._adj if node[0] == kind)
+
+    def has_node(self, node: Node) -> bool:
+        return node in self._adj
+
+    def degree(self, node: Node) -> int:
+        return len(self._adj[node])
+
+    def neighbors(self, node: Node) -> dict[Node, int]:
+        return self._adj[node]
+
+    def edges(self) -> list[tuple[Node, Node, int]]:
+        """Each edge once, as (u, v, weight) with u before v, in node order."""
+        return list(self._iter_edges())
+
+    def _iter_edges(self) -> Iterator[tuple[Node, Node, int]]:
+        for u in self.nodes():
+            ku = _node_sort_key(u)
+            later = [(kv, v, w) for v, w in self._adj[u].items()
+                     if ku < (kv := _node_sort_key(v))]
+            later.sort(key=itemgetter(0))
+            for _, v, w in later:
+                yield u, v, w
+
+    def total_weight(self) -> int:
+        # Every edge is counted once from each end.
+        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
+
+    def subgraph(self, keep: set[Node]) -> "Graph":
+        sub = Graph()
+        sub._adj = {u: {v: w for v, w in self._adj[u].items() if v in keep} for u in keep}
+        return sub
+
+
+def graph_from_edges(edges, nodes=()) -> Graph:
+    """The graph of (user id, trend id, weight) edges plus the ``nodes``
+    labels, built node by node and edge by edge."""
+    graph = Graph()
+    for node in nodes:
+        graph.add_node(node)
+    for user, trend, weight in edges:
+        graph.add_node((USER, user))
+        graph.add_node((TREND, trend))
+        graph.add_edge((USER, user), (TREND, trend), weight)
+    return graph
+
+
+def k_core(graph: Graph, k: int) -> Graph:
+    """Maximal subgraph where every node has degree >= k, by iterative peeling."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    degrees = {node: graph.degree(node) for node in graph.nodes()}
+    removed: set[Node] = set()
+    stack = [node for node, deg in degrees.items() if deg < k]
+    while stack:
+        node = stack.pop()
+        if node in removed:
+            continue
+        removed.add(node)
+        for neighbor in graph.neighbors(node):
+            if neighbor in removed:
+                continue
+            degrees[neighbor] -= 1
+            if degrees[neighbor] < k:
+                stack.append(neighbor)
+    keep = {node for node in degrees if node not in removed}
+    return graph.subgraph(keep)
+
+
+def single_attack_filter(graph: Graph) -> Graph:
+    """Drop users linked to a single trend, then trends left isolated."""
+    keep = {
+        node
+        for node in graph.nodes()
+        if node[0] != USER or graph.degree(node) >= 2
+    }
+    trimmed = graph.subgraph(keep)
+    keep = {
+        node
+        for node in trimmed.nodes()
+        if node[0] != TREND or trimmed.degree(node) >= 1
+    }
+    return trimmed.subgraph(keep)
+
+
+@dataclass
+class Partition:
+    assignment: dict[Node, int]  # in Graph.nodes() order
+    modularity: float
+
+
+def modularity(graph: Graph, assignment: Mapping[Node, int]) -> float:
+    """Weighted Newman modularity of a complete node-to-community assignment."""
+    for node in graph._adj:
+        if node not in assignment:
+            raise IncompleteAssignment(f"node {node} has no community")
+    m = float(graph.total_weight())
+    if m == 0.0:
+        return 0.0
+    # Integer weights: the sums are exact in any order of the adjacency.
+    intra: dict[int, int] = {}  # twice the intra-community weight
+    degree_sum: dict[int, int] = {}
+    for u, nbrs in graph._adj.items():
+        c = assignment[u]
+        degree_sum[c] = degree_sum.get(c, 0) + sum(nbrs.values())
+        for v, w in nbrs.items():
+            if assignment[v] == c:
+                intra[c] = intra.get(c, 0) + w
+    q = 0.0
+    for c in sorted(degree_sum):
+        q += intra.get(c, 0) / (2.0 * m) - (degree_sum[c] / (2.0 * m)) ** 2
+    return q
 
 
 def _one_level(

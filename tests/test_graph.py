@@ -7,8 +7,8 @@ import pytest
 from trendguard.classify import flags_for_instance
 from trendguard.graph import (
     DELETED_LEXICON,
+    BipartiteGraph,
     EmptyGraph,
-    Graph,
     IncompleteAssignment,
     TREND,
     UNDELETED,
@@ -25,18 +25,36 @@ from trendguard.graph import (
 )
 
 from conftest import DAY, DAY_NOON, make_instance, make_tweet
+import oracles
 
 LEX = "yarım gün #tag"
 
 
-def bipartite(edges):
+def bipartite(edges, nodes=()):
     """Build a user-trend graph from (user_int, trend_str, weight) triples."""
-    g = Graph()
-    for u, t, w in edges:
-        g.add_node((USER, u))
-        g.add_node((TREND, t))
-        g.add_edge((USER, u), (TREND, t), w)
-    return g
+    return BipartiteGraph.from_edges(edges, nodes)
+
+
+def neighbors(graph, label):
+    """A node's neighbors by label, with the edge weights."""
+    u = graph.labels.index(label)
+    span = slice(graph.offsets[u], graph.offsets[u + 1])
+    return {graph.labels[v]: w for v, w in zip(graph.targets[span], graph.weights[span])}
+
+
+def edge_list(graph):
+    """Each edge once as (u, v, weight) labels, u numbered before v, in
+    node order: the oracle Graph.edges() order."""
+    return [(graph.labels[u], graph.labels[v], w)
+            for u in range(graph.n_nodes)
+            for v, w in zip(graph.targets[graph.offsets[u]:graph.offsets[u + 1]],
+                            graph.weights[graph.offsets[u]:graph.offsets[u + 1]])
+            if v > u]
+
+
+def by_number(graph, assignment):
+    """A label-keyed assignment as the list of communities by node number."""
+    return [assignment[label] for label in graph.labels]
 
 
 def peel_oracle(graph, k):
@@ -71,36 +89,41 @@ def modularity_oracle(graph, assignment):
 
 
 def random_bipartite(rng, n_users=25, n_trends=25, p=0.08):
-    g = Graph()
-    for u in range(n_users):
-        g.add_node((USER, u))
-    for t in range(n_trends):
-        g.add_node((TREND, f"t{t}"))
-    for u in range(n_users):
-        for t in range(n_trends):
-            if rng.random() < p:
-                g.add_edge((USER, u), (TREND, f"t{t}"), rng.randint(1, 3))
-    return g
+    """The library graph and the oracle graph of the same random edges,
+    every user and trend a node."""
+    nodes = [(USER, u) for u in range(n_users)] + [(TREND, f"t{t}") for t in range(n_trends)]
+    edges = [(u, f"t{t}", rng.randint(1, 3))
+             for u in range(n_users) for t in range(n_trends) if rng.random() < p]
+    return bipartite(edges, nodes), oracles.graph_from_edges(edges, nodes)
 
 
 class TestGraphBasics:
     def test_weight_accumulates(self):
         g = bipartite([(1, "a", 1), (1, "a", 1)])
         assert g.n_edges == 1
-        assert g.neighbors((USER, 1))[(TREND, "a")] == 2
+        assert neighbors(g, (USER, 1))[(TREND, "a")] == 2
 
     def test_bipartite_enforced(self):
-        g = Graph()
-        g.add_node((USER, 1))
-        g.add_node((USER, 2))
-        with pytest.raises(ValueError):
-            g.add_edge((USER, 1), (USER, 2))
+        # An edge always joins a trend (numbered first) to a user.
+        g = bipartite([(1, "a", 1), (2, "a", 1), (2, "b", 1)])
+        for u in range(g.n_nodes):
+            for v in g.targets[g.offsets[u]:g.offsets[u + 1]]:
+                assert (u < g.n_trends) != (v < g.n_trends)
 
     def test_no_self_loops(self):
-        g = Graph()
-        g.add_node((USER, 1))
+        # The same id as a user and as a trend names two nodes.
+        g = bipartite([("x", "x", 1)])
+        assert g.labels == ((TREND, "x"), (USER, "x"))
+        assert list(g.targets) == [1, 0]
+
+    def test_weight_must_be_positive(self):
         with pytest.raises(ValueError):
-            g.add_edge((USER, 1), (USER, 1))
+            bipartite([(1, "a", 0)])
+
+    def test_isolated_nodes_are_kept(self):
+        g = bipartite([(1, "a", 1)], [(USER, 2), (TREND, "b"), (USER, 1)])
+        assert g.labels == ((TREND, "a"), (TREND, "b"), (USER, 1), (USER, 2))
+        assert (g.n_nodes, g.n_edges, g.n_trends) == (4, 1, 2)
 
 
 class TestBuildGraph:
@@ -118,23 +141,23 @@ class TestBuildGraph:
     def test_undeleted_graph(self):
         instances = self._instances()
         g = build_graph(instances, UNDELETED)
-        assert g.has_node((USER, 2))
-        assert not g.has_node((USER, 1))  # user 1's tweets are all deleted
-        assert g.degree((USER, 2)) == 2
+        assert (USER, 2) in g.labels
+        assert (USER, 1) not in g.labels  # user 1's tweets are all deleted
+        assert len(neighbors(g, (USER, 2))) == 2
 
     def test_deleted_lexicon_graph_weights(self):
         instances = self._instances()
         flags = {key: flags_for_instance(i) for key, i in instances.items()}
         g = build_graph(instances, DELETED_LEXICON, flags)
-        assert g.has_node((USER, 1))
-        assert not g.has_node((USER, 2))
-        assert g.neighbors((USER, 1))[(TREND, f"tag@{DAY.isoformat()}")] == 2
+        assert (USER, 1) in g.labels
+        assert (USER, 2) not in g.labels
+        assert neighbors(g, (USER, 1))[(TREND, f"tag@{DAY.isoformat()}")] == 2
 
     def test_order_independence(self):
         instances = self._instances()
         g1 = build_graph(instances, UNDELETED)
         g2 = build_graph(dict(reversed(list(instances.items()))), UNDELETED)
-        assert g1.edges() == g2.edges()
+        assert edge_list(g1) == edge_list(g2)
 
 
 def test_nodes_sort_trends_first_then_users_as_strings():
@@ -169,30 +192,30 @@ class TestKCore:
         edges.append((9, "a", 1))  # pendant user
         g = bipartite(edges)
         core = k_core(g, 3)
-        assert not core.has_node((USER, 9))
+        assert (USER, 9) not in core.labels
         assert core.n_nodes == 6
-        assert all(core.degree(n) >= 3 for n in core.nodes())
+        assert all(len(neighbors(core, n)) >= 3 for n in core.labels)
 
     def test_matches_peel_oracle_random(self):
         rng = random.Random(71)
         for _ in range(100):
-            g = random_bipartite(rng)
+            g, oracle = random_bipartite(rng)
             for k in (2, 3, 4):
-                assert set(k_core(g, k).nodes()) == peel_oracle(g, k)
+                assert set(k_core(g, k).labels) == peel_oracle(oracle, k)
 
     def test_maximality_on_small_graphs(self):
         rng = random.Random(72)
         for _ in range(20):
-            g = random_bipartite(rng, n_users=8, n_trends=8, p=0.3)
+            g, oracle = random_bipartite(rng, n_users=8, n_trends=8, p=0.3)
             core = k_core(g, 2)
-            survivors = set(core.nodes())
-            for node in g.nodes():
+            survivors = set(core.labels)
+            for node in oracle.nodes():
                 if node in survivors:
                     continue
                 candidate = survivors | {node}
-                degree = sum(1 for nbr in g.neighbors(node) if nbr in candidate)
+                degree = sum(1 for nbr in oracle.neighbors(node) if nbr in candidate)
                 within = all(
-                    sum(1 for nbr in g.neighbors(m) if nbr in candidate) >= 2
+                    sum(1 for nbr in oracle.neighbors(m) if nbr in candidate) >= 2
                     for m in candidate
                 )
                 assert not within or degree < 2
@@ -202,14 +225,14 @@ class TestSingleAttackFilter:
     def test_degree_one_user_removed(self):
         g = bipartite([(1, "a", 5), (2, "a", 1), (2, "b", 1)])
         filtered = single_attack_filter(g)
-        assert not filtered.has_node((USER, 1))
-        assert filtered.has_node((USER, 2))
+        assert (USER, 1) not in filtered.labels
+        assert (USER, 2) in filtered.labels
 
     def test_isolated_trend_removed(self):
         g = bipartite([(1, "a", 1), (2, "b", 1), (2, "c", 1)])
         filtered = single_attack_filter(g)
-        assert not filtered.has_node((TREND, "a"))
-        assert filtered.has_node((TREND, "b"))
+        assert (TREND, "a") not in filtered.labels
+        assert (TREND, "b") in filtered.labels
 
     def test_weight_does_not_save_single_trend_user(self):
         g = bipartite([(1, "a", 99)])
@@ -219,31 +242,20 @@ class TestSingleAttackFilter:
 def clique_pair():
     """Two bipartite 'cliques' (3 users x 3 trends, fully connected) joined
     by a single bridge edge."""
-    g = Graph()
-    for u in range(6):
-        g.add_node((USER, u))
-    for t in range(6):
-        g.add_node((TREND, f"t{t}"))
-    for u in range(3):
-        for t in range(3):
-            g.add_edge((USER, u), (TREND, f"t{t}"), 1)
-    for u in range(3, 6):
-        for t in range(3, 6):
-            g.add_edge((USER, u), (TREND, f"t{t}"), 1)
-    g.add_edge((USER, 0), (TREND, "t3"), 1)
-    return g
+    edges = [(u, f"t{t}", 1) for u in range(3) for t in range(3)]
+    edges += [(u, f"t{t}", 1) for u in range(3, 6) for t in range(3, 6)]
+    edges.append((0, "t3", 1))
+    return bipartite(edges)
 
 
 class TestModularity:
     def test_singletons_nonpositive(self):
         g = clique_pair()
-        assignment = {node: i for i, node in enumerate(g.nodes())}
-        assert modularity(g, assignment) <= 0.0
+        assert modularity(g, range(g.n_nodes)) <= 0.0
 
     def test_one_community_is_zero(self):
         g = clique_pair()
-        assignment = {node: 0 for node in g.nodes()}
-        assert modularity(g, assignment) == pytest.approx(0.0, abs=1e-12)
+        assert modularity(g, [0] * g.n_nodes) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_edge_hand_value(self):
         # Path: u1 - a - u2 - b. m=3 with weights 1,1,1? Use: u1-a, u2-a, u2-b.
@@ -256,24 +268,24 @@ class TestModularity:
         # intra: edge u1-a in c0 (1), edge u2-b in c1 (1); m=3
         # deg sums: c0 = 1+2=3, c1 = 2+1=3
         # Q = (1/3 - (3/6)^2) + (1/3 - (3/6)^2) = 2/3 - 1/2 = 1/6
-        assert modularity(g, assignment) == pytest.approx(1 / 6, abs=1e-12)
+        assert modularity(g, by_number(g, assignment)) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_matches_pair_sum_oracle(self):
         rng = random.Random(73)
         for _ in range(25):
-            g = random_bipartite(rng, n_users=10, n_trends=10, p=0.2)
-            assert g.total_weight() == sum(w for *_, w in g.edges())
-            if g.total_weight() == 0:
+            g, oracle = random_bipartite(rng, n_users=10, n_trends=10, p=0.2)
+            assert g.total_weight == sum(w for *_, w in edge_list(g))
+            if g.total_weight == 0:
                 continue
-            assignment = {node: rng.randint(0, 3) for node in g.nodes()}
-            assert modularity(g, assignment) == pytest.approx(
-                modularity_oracle(g, assignment), abs=1e-9
+            assignment = {node: rng.randint(0, 3) for node in oracle.nodes()}
+            assert modularity(g, by_number(g, assignment)) == pytest.approx(
+                modularity_oracle(oracle, assignment), abs=1e-9
             )
 
     def test_incomplete_assignment(self):
         g = bipartite([(1, "a", 1)])
         with pytest.raises(IncompleteAssignment):
-            modularity(g, {(USER, 1): 0})
+            modularity(g, [0])
 
 
 class TestLouvain:
@@ -291,12 +303,12 @@ class TestLouvain:
     def test_reported_modularity_matches_formula(self):
         rng = random.Random(74)
         for seed in range(10):
-            g = random_bipartite(rng, n_users=15, n_trends=15, p=0.12)
-            if g.total_weight() == 0:
+            g, _ = random_bipartite(rng, n_users=15, n_trends=15, p=0.12)
+            if g.total_weight == 0:
                 continue
             partition = louvain(g, seed=seed)
             assert partition.modularity == pytest.approx(
-                modularity(g, partition.assignment), abs=1e-9
+                modularity(g, partition.communities), abs=1e-9
             )
 
     def test_single_edge_grouped(self):
@@ -308,15 +320,15 @@ class TestLouvain:
     def test_never_below_singletons(self):
         rng = random.Random(75)
         for seed in range(20):
-            g = random_bipartite(rng, n_users=12, n_trends=12, p=0.15)
-            if g.total_weight() == 0:
+            g, _ = random_bipartite(rng, n_users=12, n_trends=12, p=0.15)
+            if g.total_weight == 0:
                 continue
-            singleton_q = modularity(g, {n: i for i, n in enumerate(g.nodes())})
+            singleton_q = modularity(g, range(g.n_nodes))
             assert louvain(g, seed=seed).modularity >= singleton_q - 1e-12
 
     def test_deterministic_given_seed(self):
         rng = random.Random(76)
-        g = random_bipartite(rng, n_users=20, n_trends=20, p=0.1)
+        g, _ = random_bipartite(rng, n_users=20, n_trends=20, p=0.1)
         a = louvain(g, seed=9)
         b = louvain(g, seed=9)
         assert a.assignment == b.assignment
@@ -324,7 +336,7 @@ class TestLouvain:
 
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraph):
-            louvain(Graph(), seed=0)
+            louvain(bipartite([]), seed=0)
 
 
 class TestCommunitySummary:

@@ -1,10 +1,12 @@
-"""Louvain over flat int arrays against the dict-keyed oracle it replaced
-(tests/oracles.py), and a bound on the working memory it allocates.
+"""The CSR graph and its Louvain against the dict-of-dicts graph and the
+dict-keyed Louvain they replaced (tests/oracles.py), and a bound on the
+working memory Louvain allocates.
 
-The two must agree exactly: the same assignment dict, item order
-included, and the same modularity float. Every degree, link and loop sum
-is a multiple of 0.5, so the array version may sum in another order and
-still reach the same bits.
+Built from the same labels and triples, the two graphs must agree
+exactly: the same edge list, k-cores and single-attack filter, the same
+assignment dict, item order included, and the same modularity floats.
+Every degree, link and loop sum is a multiple of 0.5, so the array
+version may sum in another order and still reach the same bits.
 """
 
 import random
@@ -15,52 +17,80 @@ from hypothesis import given, settings, strategies as st
 
 from trendguard.classify import flags_for_instance
 from trendguard.core import DELETED_LEXICON, UNDELETED
-from trendguard.graph import TREND, USER, Graph, build_graph, louvain
+from trendguard.graph import (
+    TREND,
+    USER,
+    BipartiteGraph,
+    build_graph,
+    k_core,
+    louvain,
+    modularity,
+    single_attack_filter,
+)
 from trendguard.ingest import build_trend_instances
 from trendguard.simulator import SCENARIO_LOCALE, ScenarioConfig, build_stream
 
 import oracles
+from test_graph import edge_list
 
 
-def assert_same_partition(graph, seed):
+def both(edges, nodes=()):
+    """The library graph and the oracle graph of the same labels and triples."""
+    return BipartiteGraph.from_edges(edges, nodes), oracles.graph_from_edges(edges, nodes)
+
+
+def assert_same_graph(graph, oracle_graph):
+    assert list(graph.labels) == oracle_graph.nodes()
+    assert edge_list(graph) == oracle_graph.edges()
+
+
+def assert_same_partition(graph, oracle_graph, seed):
     new = louvain(graph, seed=seed)
-    old = oracles.louvain(graph, seed=seed)
+    old = oracles.louvain(oracle_graph, seed=seed)
     assert list(new.assignment.items()) == list(old.assignment.items())
     assert new.modularity == old.modularity
 
 
 @st.composite
 def bipartite_graphs(draw):
-    """Users mostly of degree 1, edge weights 1-5, trends split into
-    groups that users never cross (so several components), and isolated
-    users and trends."""
+    """Both graphs of the same random labels and triples: users mostly of
+    degree 1, edge weights 1-5, some (user, trend) pairs repeated, trends
+    split into groups that users never cross (so several components), and
+    isolated users and trends."""
     n_trends = draw(st.integers(1, 12))
     n_groups = draw(st.integers(1, 4))
-    g = Graph()
-    for t in range(n_trends):
-        g.add_node((TREND, f"t{t}"))
+    nodes = [(TREND, f"t{t}") for t in range(n_trends)]
+    edges = []
     for u in range(draw(st.integers(0, 60))):
-        user = (USER, u)
-        g.add_node(user)
+        nodes.append((USER, u))
         group = draw(st.integers(0, n_groups - 1))
         trends = [t for t in range(n_trends) if t % n_groups == group]
         degree = min(len(trends), draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2, 3, 4])))
         for t in draw(st.permutations(trends))[:degree]:
-            g.add_edge(user, (TREND, f"t{t}"), draw(st.integers(1, 5)))
-    return g
+            for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+                edges.append((u, f"t{t}", draw(st.integers(1, 5))))
+    return both(edges, draw(st.permutations(nodes)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(graph=bipartite_graphs(), seed=st.integers(0, 2**16))
-def test_random_bipartite_graphs_match_the_oracle(graph, seed):
-    assert_same_partition(graph, seed)
+@given(graphs=bipartite_graphs(), seed=st.integers(0, 2**16), data=st.data())
+def test_random_bipartite_graphs_match_the_oracle(graphs, seed, data):
+    graph, oracle_graph = graphs
+    assert_same_graph(graph, oracle_graph)
+    for k in range(1, 5):
+        assert_same_graph(k_core(graph, k), oracles.k_core(oracle_graph, k))
+    assert_same_graph(single_attack_filter(graph), oracles.single_attack_filter(oracle_graph))
+    assert_same_partition(graph, oracle_graph, seed)
+    communities = data.draw(st.lists(st.integers(0, 3), min_size=graph.n_nodes,
+                                     max_size=graph.n_nodes))
+    assert modularity(graph, communities) == oracles.modularity(
+        oracle_graph, dict(zip(graph.labels, communities)))
 
 
 def test_graph_without_edges_matches_the_oracle():
-    g = Graph()
-    for node in [(USER, 3), (USER, 12), (TREND, "a@2019-06-18"), (TREND, "b@2019-06-18")]:
-        g.add_node(node)
-    assert_same_partition(g, 0)
+    g, oracle_graph = both([], [(USER, 3), (USER, 12), (TREND, "a@2019-06-18"),
+                                (TREND, "b@2019-06-18")])
+    assert_same_partition(g, oracle_graph, 0)
     assert louvain(g).modularity == 0.0
 
 
@@ -84,7 +114,9 @@ def test_simulator_graph_matches_the_oracle(simulator_join, predicate):
     seed, instances, flags = simulator_join
     graph = build_graph(instances, predicate, flags)
     assert graph.n_edges > 0
-    assert_same_partition(graph, seed)
+    # Every edge joins a lower-numbered trend to a user.
+    edges = [(user[1], trend[1], w) for trend, user, w in edge_list(graph)]
+    assert_same_partition(graph, oracles.graph_from_edges(edges), seed)
 
 
 def test_working_memory_stays_below_the_graphs_own_size():
@@ -94,16 +126,16 @@ def test_working_memory_stays_below_the_graphs_own_size():
     rng = random.Random(1)
     tracemalloc.start()
     try:
-        g = Graph()
-        trends = [(TREND, f"t{t}") for t in range(40)]
-        for trend in trends:
-            g.add_node(trend)
+        trends = [f"t{t}" for t in range(40)]
+        nodes = [(TREND, trend) for trend in trends]
+        edges = []
         for u in range(3000):
-            user = (USER, u)
-            g.add_node(user)
+            nodes.append((USER, u))
             degree = 1 if rng.random() < 0.9 else rng.randint(2, 5)
             for trend in rng.sample(trends, degree):
-                g.add_edge(user, trend, rng.randint(1, 3))
+                edges.append((u, trend, rng.randint(1, 3)))
+        g = BipartiteGraph.from_edges(edges, nodes)
+        del trends, nodes, edges
         graph_size = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         louvain(g, seed=0)
