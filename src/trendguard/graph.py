@@ -184,7 +184,8 @@ def k_core(graph: BipartiteGraph, k: int) -> BipartiteGraph:
 
 
 def single_attack_filter(graph: BipartiteGraph) -> BipartiteGraph:
-    """Drop users linked to a single trend, then trends left isolated."""
+    """Drop users linked to a single trend, then trends left isolated: one
+    mask keeps the users of two trends or more and the trends they link."""
     offsets, targets = graph.offsets, graph.targets
     linked = [offsets[u + 1] - offsets[u] >= 2 for u in range(graph.n_nodes)]
     n_trends = graph.n_trends

@@ -114,9 +114,20 @@ def test_simulator_graph_matches_the_oracle(simulator_join, predicate):
     seed, instances, flags = simulator_join
     graph = build_graph(instances, predicate, flags)
     assert graph.n_edges > 0
-    # Every edge joins a lower-numbered trend to a user.
-    edges = [(user[1], trend[1], w) for trend, user, w in edge_list(graph)]
-    assert_same_partition(graph, oracles.graph_from_edges(edges), seed)
+    # The oracle graph adds one edge of weight 1 per qualifying tweet.
+    edges = []
+    for key, instance in instances.items():
+        trend = f"{instance.trend.keyword.normalized}@{instance.trend.date.isoformat()}"
+        for tweet in instance.tweets:
+            if predicate == UNDELETED:
+                qualifies = tweet.id not in instance.deletions
+            else:
+                qualifies = tweet.id in instance.deletions and flags[key][tweet.id].is_lexicon
+            if qualifies:
+                edges.append((tweet.user_id, trend, 1))
+    oracle_graph = oracles.graph_from_edges(edges)
+    assert_same_graph(graph, oracle_graph)
+    assert_same_partition(graph, oracle_graph, seed)
 
 
 def test_working_memory_stays_below_the_graphs_own_size():
