@@ -53,19 +53,27 @@ def strip_keyword_and_emoji(
     join reads '#foo' followed by an emoji as '#foo'; an n-gram goes before
     them, as the join reads 'foo', an emoji and 'bar' written together as
     one token: it goes as a run of the text's whitespace tokens, cleaned as
-    text_tokens cleans them, with any punctuation-only tokens inside."""
+    text_tokens cleans them, with any punctuation-only tokens inside.
+
+    The text is folded once and split, not token by token: folding makes
+    and removes no whitespace, and whitespace is neither cased nor
+    case-ignorable, so it ends a final sigma's context as a token's edge
+    does. The folded text's tokens are thus the folds of its tokens."""
     if keyword is None or keyword.kind == HASHTAG:
-        tokens = _EMOJI_RE.sub(" ", text).split()
+        text = _EMOJI_RE.sub(" ", text)
+        tokens = text.split()
         if keyword is None:
             return " ".join(tokens)
         forms = {keyword.normalized, "#" + keyword.normalized}
-        kept = [t for t in tokens if fold_case(t, locale) not in forms]
+        kept = [t for t, folded in zip(tokens, fold_case(text, locale).split())
+                if folded not in forms]
         return " ".join(kept)
 
     tokens = text.split()
     ngram = text_tokens(keyword.normalized, locale)
     n = len(ngram)
-    words = [(i, w) for i, t in enumerate(tokens) if (w := _clean_token(fold_case(t, locale)))]
+    words = [(i, w) for i, folded in enumerate(fold_case(text, locale).split())
+             if (w := _clean_token(folded))]
     dropped: set[int] = set()
     k = 0
     while n and k + n <= len(words):

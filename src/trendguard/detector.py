@@ -14,6 +14,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -252,6 +253,18 @@ def detect_attack_windows(
     The runs, longest first and, among equal lengths, in enumeration order,
     are then kept unless they are a subset of a run kept before them.
 
+    No run is stored as a set. A run is exactly the candidates inside a box:
+    creation index in [lo, hi), the candidates created in [s, s + alpha_p],
+    and rank in [window[a], window[b - 1]]. So run A is a subset of run B
+    iff A's tight bounds lie inside B's box: its first creation index is at
+    or after B's lo (A is canonical, so its first creation second is its s,
+    which is at least B's s), its last creation index is before B's hi, and
+    its first and last ranks lie in B's rank range. If the bounds lie inside
+    the box, every member of A does and so belongs to B; if A is a subset of
+    B, the members that attain A's bounds lie in B's box. A run is kept as
+    (length, lo, last creation index, first rank, last rank, hi), and only
+    the maximal runs have their members listed, one run at a time.
+
     Events are sorted by (start, smallest tweet id). That key can tie (two
     clusters sharing their earliest tweet); tied events keep the order of
     the maximal list: longer first, then first enumerated.
@@ -282,7 +295,7 @@ def detect_attack_windows(
     # past[r]: the first rank deleted after second d[r] + alpha_d.
     past = [bisect_right(d, t + alpha_d) for t in d]
 
-    raw: list[frozenset[int]] = []
+    raw: list[tuple[int, int, int, int, int, int]] = []
     lo = 0
     while lo < n:
         mid = bisect_right(p, p[lo], lo)
@@ -305,27 +318,49 @@ def detect_attack_windows(
             # Canonical iff a tweet created in second p[lo] ranks in [r, window[b - 1]].
             k = bisect_left(anchored, r)
             if k < len(anchored) and anchored[k] <= window[b - 1]:
-                raw.append(frozenset(window[a:b]))
+                last = max(map(by_rank.__getitem__, window[a:b]))
+                raw.append((b - a, lo, last, r, window[b - 1], hi))
         lo = mid
 
-    raw.sort(key=len, reverse=True)
-    maximal: list[frozenset[int]] = []
-    for cluster in raw:
-        if not any(cluster <= kept for kept in maximal):
-            maximal.append(cluster)
+    raw.sort(key=itemgetter(0), reverse=True)  # stable: enumeration order among ties
+    maximal: list[tuple[int, int, int, int, int, int]] = []
+    # The kept runs again, sorted by lo. A box can hold a run only if its lo
+    # is at most the run's lo and p[lo] + alpha_p reaches the run's last
+    # creation second: the boxes tested are one slice of these.
+    by_lo: list[tuple[int, int, int, int, int, int]] = []
+    by_lo_keys: list[int] = []
+    for run in raw:
+        _, run_lo, run_last, low, high, _ = run
+        start = bisect_left(by_lo_keys, bisect_left(p, p[run_last] - alpha_p))
+        stop = bisect_right(by_lo_keys, run_lo, start)
+        if not any(box_low <= low and high <= box_high
+                   for _, _, _, box_low, box_high, _ in by_lo[start:stop]):
+            maximal.append(run)
+            at = bisect_right(by_lo_keys, run_lo)
+            by_lo_keys.insert(at, run_lo)
+            by_lo.insert(at, run)
+    del raw, by_lo
 
+    def members(run: tuple[int, int, int, int, int, int]) -> list[int]:
+        """The ranks of the candidates inside a run's box."""
+        _, run_lo, _, low, high, run_hi = run
+        if run_hi - run_lo <= high - low:
+            return [r for r in rank[run_lo:run_hi] if low <= r <= high]
+        return [r for r in range(low, high + 1) if run_lo <= by_rank[r] < run_hi]
+
+    clusters: Iterable[Iterable[int]] = map(members, maximal)
     if merge_overlapping:
-        maximal = _merge_components(maximal)
+        clusters = _merge_components(clusters)
 
     events = []
-    for cluster in maximal:
-        members = [by_rank[r] for r in cluster]
-        first, last = min(members), max(members)
+    for cluster in clusters:
+        indices = [by_rank[r] for r in cluster]
+        first, last = min(indices), max(indices)
         low, high = min(cluster), max(cluster)
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(cands[j][0].id for j in members),
-                users=frozenset(cands[j][0].user_id for j in members),
+                tweet_ids=frozenset(cands[j][0].id for j in indices),
+                users=frozenset(cands[j][0].user_id for j in indices),
                 start_ms=cands[first][0].created_ms,
                 end_ms=cands[by_rank[high]][1],
                 creation_window_s=p[last] - p[first],
@@ -337,9 +372,10 @@ def detect_attack_windows(
     return events
 
 
-def _merge_components(clusters: list[frozenset[int]]) -> list[frozenset[int]]:
-    """Union clusters that share at least one member, via union-find."""
-    parent = list(range(len(clusters)))
+def _merge_components(clusters: Iterable[Iterable[int]]) -> list[frozenset[int]]:
+    """Union clusters that share at least one member, via union-find, in one
+    pass over the clusters: each member's first cluster owns it."""
+    parent: list[int] = []
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -349,16 +385,18 @@ def _merge_components(clusters: list[frozenset[int]]) -> list[frozenset[int]]:
 
     owner: dict[int, int] = {}
     for idx, cluster in enumerate(clusters):
+        parent.append(idx)
+        root = idx  # the root of idx's set, kept current through its unions
         for member in cluster:
-            if member in owner:
-                a, b = find(owner[member]), find(idx)
-                if a != b:
-                    parent[b] = a
-            else:
-                owner[member] = idx
+            other = owner.setdefault(member, idx)
+            if other != idx:
+                other = find(other)
+                if other != root:
+                    parent[root] = other
+                    root = other
     merged: dict[int, set[int]] = {}
-    for idx, cluster in enumerate(clusters):
-        merged.setdefault(find(idx), set()).update(cluster)
+    for member, idx in owner.items():
+        merged.setdefault(find(idx), set()).add(member)
     return [frozenset(members) for members in merged.values()]
 
 

@@ -21,7 +21,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, chain, compress, groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -59,38 +59,79 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """The graph of (user id, trend id, weight) edges, with repeated
         pairs merged and their weights summed; ``nodes`` adds labels that
-        may have no edge."""
-        pair_weight: dict[tuple[object, str], int] = {}
+        may have no edge.
+
+        The edges are read once into int columns, each edge linked to the
+        user's edge before it. The users are then visited in node order:
+        each user's edges are merged into its neighbor list and appended,
+        user ascending, to the lists of its trends."""
+        trends: dict[object, int] = {}  # trend id -> first-seen index
+        last: dict[object, int] = {}  # user id -> index of its last edge, or -1
+        edge_trend, edge_weight, prior = array("q"), array("q"), array("q")
         for user, trend, weight in edges:
             if weight < 1:
                 raise ValueError("edge weight must be positive")
-            pair_weight[user, trend] = pair_weight.get((user, trend), 0) + weight
-        ids = {TREND: {trend for _, trend in pair_weight}, USER: {user for user, _ in pair_weight}}
+            prior.append(last.get(user, -1))
+            last[user] = len(edge_trend)
+            edge_trend.append(trends.setdefault(trend, len(trends)))
+            edge_weight.append(weight)
         for kind, ident in nodes:
-            ids[kind].add(ident)
+            if kind == TREND:
+                trends.setdefault(ident, len(trends))
+            elif kind == USER:
+                last.setdefault(ident, -1)
+            else:
+                raise ValueError(f"unknown node kind: {kind!r}")
+
         # The trends, then the users, each by str(id): the labels'
         # (kind, str(id)) order, sorted per kind to save a key tuple a node.
-        labels = tuple((kind, ident) for kind in (TREND, USER)
-                       for ident in sorted(ids[kind], key=str))
-        n_trends = len(ids[TREND])
-        trends = {ident: t for t, (_, ident) in enumerate(labels[:n_trends])}
-        users = {ident: u for u, (_, ident) in enumerate(labels[n_trends:], n_trends)}
-        by_user = sorted(
-            (users[user], trends[trend], weight) for (user, trend), weight in pair_weight.items()
-        )
-        by_trend = sorted(by_user, key=itemgetter(1))  # stable: users stay ascending
-        degree = [0] * len(labels)
-        for user, trend, _ in by_user:
-            degree[user] += 1
-            degree[trend] += 1
-        # Every trend is numbered before every user, so the trends'
-        # neighbor lists come first.
-        return cls(
-            labels,
-            array("q", accumulate(degree, initial=0)),
-            array("q", [user for user, _, _ in by_trend] + [trend for _, trend, _ in by_user]),
-            array("q", [w for _, _, w in by_trend] + [w for _, _, w in by_user]),
-        )
+        trend_ids = sorted(trends, key=str)
+        trend_number = array("q", bytes(8 * len(trends)))
+        for t, ident in enumerate(trend_ids):
+            trend_number[trends[ident]] = t
+        del trends
+        user_ids = sorted(last, key=str)
+        n_trends = len(trend_ids)
+        n = n_trends + len(user_ids)
+
+        offsets = array("q", bytes(8 * (n + 1)))
+        user_trend, user_weight = array("q"), array("q")
+        trend_users = [array("q") for _ in trend_ids]
+        trend_weights = [array("q") for _ in trend_ids]
+        for u, user in enumerate(user_ids, n_trends):
+            pairs = []
+            e = last[user]
+            while e >= 0:
+                pairs.append((trend_number[edge_trend[e]], edge_weight[e]))
+                e = prior[e]
+            if len(pairs) > 1:
+                pairs.sort()
+                pairs = [(t, sum(w for _, w in group))
+                         for t, group in groupby(pairs, key=itemgetter(0))]
+            for t, w in pairs:
+                user_trend.append(t)
+                user_weight.append(w)
+                trend_users[t].append(u)
+                trend_weights[t].append(w)
+            offsets[u + 1] = len(user_trend)
+        del last, edge_trend, edge_weight, prior
+
+        # Every trend is numbered before every user, so the trends' lists
+        # come first and the users' start after them.
+        n_edges = len(user_trend)
+        for t in range(n_trends):
+            offsets[t + 1] = offsets[t] + len(trend_users[t])
+        for u in range(n_trends + 1, n + 1):
+            offsets[u] += n_edges
+        targets, weights = array("q"), array("q")
+        for t in range(n_trends):
+            targets += trend_users[t]
+            weights += trend_weights[t]
+        targets += user_trend
+        weights += user_weight
+        labels = tuple(chain(((TREND, ident) for ident in trend_ids),
+                             ((USER, ident) for ident in user_ids)))
+        return cls(labels, offsets, targets, weights)
 
     @property
     def n_nodes(self) -> int:

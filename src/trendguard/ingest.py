@@ -213,7 +213,7 @@ def _holds_escaped_byte(text: str) -> bool:
     return False
 
 
-def _parse_status(obj: dict) -> Tweet:
+def _parse_status(obj: dict, shared: Optional[dict] = None) -> Tweet:
     tweet_id = int(obj["id"])
     user = obj.get("user")
     if isinstance(user, dict) and "id" in user:
@@ -251,6 +251,8 @@ def _parse_status(obj: dict) -> Tweet:
     urls = len(entities.get("urls", ()) or ())
     if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
         raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
+    if shared is not None and hashtags:
+        hashtags = shared.setdefault(hashtags, hashtags)
 
     return Tweet(
         id=tweet_id,
@@ -287,9 +289,13 @@ def _parse_delete(obj: dict) -> Deletion:
 _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def parse_stream_line(line: str) -> Optional[TweetEvent]:
+def parse_stream_line(line: str, shared: Optional[dict] = None) -> Optional[TweetEvent]:
     """Parse one archive line into a Tweet or Deletion; None for a blank
     line or a record of another kind (limit notices, ...).
+
+    ``shared``, when given, maps each hashtags tuple to its first copy: a
+    status whose tags equal an earlier one's gets that tuple, so a read
+    keeps each distinct tag list once.
 
     Raises MalformedLine on broken syntax, on any record whose fields do
     not fit the schema, and on a status whose text or a hashtag holds an
@@ -309,7 +315,7 @@ def parse_stream_line(line: str) -> Optional[TweetEvent]:
         if "delete" in obj:
             return _parse_delete(obj)
         if "id" in obj and ("text" in obj or "extended_tweet" in obj):
-            return _parse_status(obj)
+            return _parse_status(obj, shared)
     except _SCHEMA_ERRORS as exc:
         raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
     return None
@@ -361,6 +367,10 @@ def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
+# The most distinct hashtag tuples one read_stream keeps for sharing.
+_SHARED_TAG_LISTS = 4096
+
+
 def read_stream(
     source,
     *,
@@ -376,9 +386,16 @@ def read_stream(
     first: a line it rejects is counted in ``stats.prefiltered`` and never
     decoded, so it must keep every line the caller could use. The stats
     object is complete once the iterator is exhausted.
+
+    Statuses with equal hashtags share one tuple, within this read only:
+    an attack's thousands of tweets on one tag hold one copy of it. The
+    read forgets its tuples whenever it has _SHARED_TAG_LISTS of them, so
+    the tag lists of tweets that a join drops cost bounded memory however
+    many distinct ones an archive holds.
     """
     if stats is None:
         stats = ParseStats()
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     # A path is opened once, so a pipe loses nothing to the codec probe, and
     # closed here, as a codec given an open file leaves it open.
     is_path = isinstance(source, (str, bytes))
@@ -395,7 +412,7 @@ def read_stream(
                     stats.prefiltered += 1
                     continue
                 try:
-                    event = parse_stream_line(line)
+                    event = parse_stream_line(line, shared)
                 except MalformedLine:
                     stats.malformed_skipped += 1
                     continue
@@ -404,6 +421,8 @@ def read_stream(
                     continue
                 if isinstance(event, Tweet):
                     stats.creations += 1
+                    if len(shared) >= _SHARED_TAG_LISTS:
+                        shared.clear()
                 else:
                     stats.deletions += 1
                 yield event

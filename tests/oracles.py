@@ -2,32 +2,54 @@
 text at a time, and one trend-day joined against an event collection; for
 `scan`: the hashtag-days of an event collection grouped and scored in one
 loop; for the simulator's archive lines: one event built as its archive
-record; and for the graph: a dict of dicts keyed by node tuples (`Graph`),
+record; for the graph: a dict of dicts keyed by node tuples (`Graph`),
 its k-core and single-attack filters, modularity over a node-keyed
-assignment, and Louvain's two phases over dicts keyed by node.
+assignment, and Louvain's two phases over dicts keyed by node; for the
+attack windows: the sweep that keeps every run as a frozenset and tests
+maximality by subset; and for the lexicon classifier: the keyword and emoji
+stripping that folds each token on its own.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
 through the same file join (`build_instances_from_files` with no trend
 list), writes archive lines from a fixed template
-(`trendguard.simulator.write_stream_jsonl`), and keeps the graph as flat
+(`trendguard.simulator.write_stream_jsonl`), keeps the graph as flat
 arrays over node numbers (`trendguard.graph.BipartiteGraph`), on which it
-filters and runs Louvain; the tests check each against these direct
-definitions. The join oracles keep their own instance builder
-and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they share no
-join code with the library.
+filters and runs Louvain, keeps each run of the window sweep as a few
+ints and decides maximality on their bounds
+(`trendguard.detector.detect_attack_windows`), and folds a tweet's text
+once (`trendguard.classify.strip_keyword_and_emoji`); the tests check each
+against these direct definitions. The join oracles keep their own instance
+builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
+share no join code with the library.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from trendguard.core import DEFAULT_LOCALE, DEFAULT_TZ_OFFSET, HASHTAG, Keyword, local_day
-from trendguard.detector import DetectorConfig, Verdict, score_instance
+from trendguard.core import (
+    DEFAULT_LOCALE,
+    DEFAULT_TZ_OFFSET,
+    HASHTAG,
+    Keyword,
+    fold_case,
+    local_day,
+)
+from trendguard.classify import _EMOJI_RE, TweetFlags
+from trendguard.detector import (
+    AttackEvent,
+    AttackParams,
+    DetectorConfig,
+    Verdict,
+    attack_candidates,
+    score_instance,
+)
 from trendguard.graph import EmptyGraph, IncompleteAssignment, TREND, USER
 from trendguard.ingest import (
     Deletion,
@@ -35,6 +57,7 @@ from trendguard.ingest import (
     TrendInstance,
     Tweet,
     TweetEvent,
+    _clean_token,
     day_number_to_date,
     extract_hashtags,
     text_tokens,
@@ -489,3 +512,173 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
                 f"louvain bookkeeping drifted from modularity(): {internal} vs {q}"
             )
     return Partition(assignment=assignment, modularity=q)
+
+
+def detect_attack_windows(
+    instance: TrendInstance,
+    flags: Mapping[int, TweetFlags],
+    params: AttackParams,
+    merge_overlapping: bool = False,
+) -> list[AttackEvent]:
+    """Find every maximal attack cluster in a trend instance.
+
+    A cluster is a candidate subset with at least kappa tweets whose
+    creation span fits alpha_p and deletion span fits alpha_d; maximal means
+    no eligible tweet can be added without breaking a window. Spans are in
+    whole seconds; ties within a second are ordered by milliseconds, then id.
+
+    The enumeration is an integer sweep. Candidates are ranked once by
+    (deleted milliseconds, id). For each distinct creation second s, in
+    ascending order, the creation window holds the candidates created in
+    [s, s + alpha_p], sorted by rank; for each distinct deletion second t in
+    it, ascending, the run of window positions [a, b) deleted in
+    [t, t + alpha_d] is a cluster when it has at least kappa tweets and is
+    canonical: it holds a tweet created in second s itself (else the same run,
+    possibly larger, is met under its true earliest creation second). The
+    test is one bisect into the ranks of the tweets created in second s. A
+    deletion anchor whose right end b does not pass the previous anchor's is
+    skipped: its run is a subset of the previous run, or a duplicate of it.
+    The runs, longest first and, among equal lengths, in enumeration order,
+    are then kept unless they are a subset of a run kept before them.
+
+    Events are sorted by (start, smallest tweet id). That key can tie (two
+    clusters sharing their earliest tweet); tied events keep the order of
+    the maximal list: longer first, then first enumerated.
+
+    Back-to-back bursts produce families of pairwise-overlapping maximal
+    clusters (a window can straddle the tail of one burst and the head of
+    the next). With merge_overlapping, each family of clusters sharing
+    tweets collapses into one summary event whose tweet set is the union;
+    a merged event's spans describe the whole burst region and may exceed
+    alpha_p/alpha_d, unlike the per-cluster guarantees of the default mode.
+    """
+    cands = attack_candidates(instance, flags, params)
+    n = len(cands)
+    kappa = params.kappa
+    if n < kappa:
+        return []
+    alpha_p = params.alpha_p
+    alpha_d = params.alpha_d
+
+    # Candidate index j is creation order; rank r is deletion order. p and d
+    # hold whole seconds, so their differences are spans (core.span_s).
+    p = [t.created_ms // 1000 for t, _ in cands]
+    by_rank = sorted(range(n), key=lambda j: (cands[j][1], cands[j][0].id))
+    rank = [0] * n
+    for r, j in enumerate(by_rank):
+        rank[j] = r
+    d = [cands[j][1] // 1000 for j in by_rank]
+    # past[r]: the first rank deleted after second d[r] + alpha_d.
+    past = [bisect_right(d, t + alpha_d) for t in d]
+
+    raw: list[frozenset[int]] = []
+    lo = 0
+    while lo < n:
+        mid = bisect_right(p, p[lo], lo)
+        hi = bisect_right(p, p[lo] + alpha_p, mid)
+        window = sorted(rank[lo:hi])
+        anchored = sorted(rank[lo:mid])
+        prev_t = None
+        prev_b = -1
+        for a in range(len(window) - kappa + 1):
+            r = window[a]
+            if d[r] == prev_t:
+                continue
+            prev_t = d[r]
+            b = bisect_left(window, past[r], a)
+            if b <= prev_b:  # a subset or duplicate of the previous run
+                continue
+            prev_b = b
+            if b - a < kappa:
+                continue
+            # Canonical iff a tweet created in second p[lo] ranks in [r, window[b - 1]].
+            k = bisect_left(anchored, r)
+            if k < len(anchored) and anchored[k] <= window[b - 1]:
+                raw.append(frozenset(window[a:b]))
+        lo = mid
+
+    raw.sort(key=len, reverse=True)
+    maximal: list[frozenset[int]] = []
+    for cluster in raw:
+        if not any(cluster <= kept for kept in maximal):
+            maximal.append(cluster)
+
+    if merge_overlapping:
+        maximal = _merge_components(maximal)
+
+    events = []
+    for cluster in maximal:
+        members = [by_rank[r] for r in cluster]
+        first, last = min(members), max(members)
+        low, high = min(cluster), max(cluster)
+        events.append(
+            AttackEvent(
+                tweet_ids=frozenset(cands[j][0].id for j in members),
+                users=frozenset(cands[j][0].user_id for j in members),
+                start_ms=cands[first][0].created_ms,
+                end_ms=cands[by_rank[high]][1],
+                creation_window_s=p[last] - p[first],
+                deletion_window_s=d[high] - d[low],
+                max_lifetime_s=max(d[r] - p[by_rank[r]] for r in cluster),
+            )
+        )
+    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids)))
+    return events
+
+
+def _merge_components(clusters: list[frozenset[int]]) -> list[frozenset[int]]:
+    """Union clusters that share at least one member, via union-find."""
+    parent = list(range(len(clusters)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[int, int] = {}
+    for idx, cluster in enumerate(clusters):
+        for member in cluster:
+            if member in owner:
+                a, b = find(owner[member]), find(idx)
+                if a != b:
+                    parent[b] = a
+            else:
+                owner[member] = idx
+    merged: dict[int, set[int]] = {}
+    for idx, cluster in enumerate(clusters):
+        merged.setdefault(find(idx), set()).update(cluster)
+    return [frozenset(members) for members in merged.values()]
+
+
+def strip_keyword_and_emoji(
+    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
+) -> str:
+    """Remove all emoji and every occurrence of the keyword that the join
+    matches; collapse whitespace. A hashtag goes after the emoji, as the
+    join reads '#foo' followed by an emoji as '#foo'; an n-gram goes before
+    them, as the join reads 'foo', an emoji and 'bar' written together as
+    one token: it goes as a run of the text's whitespace tokens, cleaned as
+    text_tokens cleans them, with any punctuation-only tokens inside."""
+    if keyword is None or keyword.kind == HASHTAG:
+        tokens = _EMOJI_RE.sub(" ", text).split()
+        if keyword is None:
+            return " ".join(tokens)
+        forms = {keyword.normalized, "#" + keyword.normalized}
+        kept = [t for t in tokens if fold_case(t, locale) not in forms]
+        return " ".join(kept)
+
+    tokens = text.split()
+    ngram = text_tokens(keyword.normalized, locale)
+    n = len(ngram)
+    words = [(i, w) for i, t in enumerate(tokens) if (w := _clean_token(fold_case(t, locale)))]
+    dropped: set[int] = set()
+    k = 0
+    while n and k + n <= len(words):
+        if [w for _, w in words[k : k + n]] == ngram:
+            dropped.update(range(words[k][0], words[k + n - 1][0] + 1))
+            k += n
+        else:
+            k += 1
+    kept = " ".join(t for i, t in enumerate(tokens) if i not in dropped)
+    return " ".join(_EMOJI_RE.sub(" ", kept).split())

@@ -1,9 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendguard.core import normalize_keyword
+from trendguard.core import fold_case, normalize_keyword
 from trendguard.ingest import _keyword_index
 from trendguard.classify import (
     TURKISH_ALPHABET,
@@ -15,6 +16,7 @@ from trendguard.classify import (
 )
 
 from conftest import make_tweet
+import oracles
 from oracles import match_keyword
 
 
@@ -231,3 +233,48 @@ def test_compute_flags_equals_the_three_classifiers(text, raw_keyword, locale, m
     )
     assert flags.is_lexicon == reference_is_lexicon(text, keyword, locale)
     assert is_lexicon_tweet(text, None, locale) == reference_is_lexicon(text, None, locale)
+
+
+def test_folding_makes_no_whitespace_and_whitespace_ends_a_final_sigma():
+    """Every code point: its fold holds whitespace iff it is whitespace, and
+    a whitespace character folds to itself. No whitespace character is
+    cased or case-ignorable: a capital sigma after a cased letter stays
+    final before it and is not final after it. So a text's folded tokens
+    are its tokens' folds, which strip_keyword_and_emoji relies on."""
+    spaces = []
+    for code_point in range(sys.maxunicode + 1):
+        char = chr(code_point)
+        for locale in ("tr", "en"):
+            folded = fold_case(char, locale)
+            if char.isspace():
+                assert folded == char, hex(code_point)
+            else:
+                assert not any(c.isspace() for c in folded), hex(code_point)
+        if char.isspace():
+            spaces.append(char)
+    assert len(spaces) > 20
+    for space in spaces:
+        assert ("AΣ" + space + "B").lower() == "aς" + space + "b", hex(ord(space))
+        assert ("A" + space + "Σ").lower() == "a" + space + "σ", hex(ord(space))
+
+
+# Words whose folds depend on the locale or on their neighbours: the
+# capital sigma (final or not), and dotted and dotless I.
+FOLD_WORDS = ["Σ", "ΑΣ", "ΑΣΑ", "σ", "ς", "İ", "I", "ı", "i", "İSTANBUL", "ISIK", "#İZMİR",
+              "#IZMIR", "#ızmır", "#izmir", "#ΣΑΣ", "#σας", "ΣΑΣ!", "'Σ'", "ÁΣ", "\U0001F525Σ"]
+FOLD_SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c",
+                   "\u0085", " \t\u00a0 "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(words=st.lists(st.sampled_from(FOLD_WORDS + LEXICON_WORDS[:8]), max_size=8),
+       separators=st.lists(st.sampled_from(FOLD_SEPARATORS), min_size=9, max_size=9),
+       raw_keyword=st.sampled_from(["#izmir", "#İZMİR", "#ΣΑΣ", "#σας", "ısık", "ΑΣ ΑΣΑ",
+                                    "İstanbul ılık", "Σ"]) | st.none(),
+       locale=st.sampled_from(["tr", "en"]))
+def test_folding_the_text_once_equals_folding_each_token(words, separators, raw_keyword,
+                                                         locale):
+    text = "".join(s + w for s, w in zip(separators, words)) + separators[-1]
+    keyword = None if raw_keyword is None else normalize_keyword(raw_keyword, locale)
+    assert strip_keyword_and_emoji(text, keyword, locale) == \
+        oracles.strip_keyword_and_emoji(text, keyword, locale)

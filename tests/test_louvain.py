@@ -154,3 +154,41 @@ def test_working_memory_stays_below_the_graphs_own_size():
     finally:
         tracemalloc.stop()
     assert peak - graph_size <= 1.0 * graph_size
+
+
+def test_from_edges_peak_stays_within_one_and_a_half_graphs():
+    """20,000 users with large int ids over 40 trends, about one edge each,
+    some pairs repeated: the peak that from_edges allocates above the
+    finished graph stays within 1.5 times the graph (a pair dict and twice
+    sorted triples took about 3 times)."""
+    rng = random.Random(2)
+    trends = [f"t{t}@2019-06-18" for t in range(40)]
+    edges = []
+    for _ in range(20000):
+        user = 2**62 + rng.getrandbits(62)
+        for _ in range(1 if rng.random() < 0.95 else 2):
+            edges.append((user, rng.choice(trends), rng.randint(1, 3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = BipartiteGraph.from_edges(edges)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_nodes == 20040
+    assert peak - after <= 1.5 * (after - before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=bipartite_graphs(), data=st.data())
+def test_from_edges_ignores_the_order_of_its_edges(graphs, data):
+    """Each edge split into weight-1 edges and shuffled: users interleave
+    and every pair of weight above 1 repeats."""
+    graph, oracle_graph = graphs
+    split = [(user, trend, 1)
+             for kind, user in graph.labels if kind == USER
+             for (_, trend), weight in oracle_graph.neighbors((USER, user)).items()
+             for _ in range(weight)]
+    shuffled = data.draw(st.permutations(split))
+    assert_same_graph(BipartiteGraph.from_edges(shuffled, graph.labels), oracle_graph)

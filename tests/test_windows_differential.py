@@ -1,17 +1,21 @@
-"""Ordered differential test of the sweep-line window detection.
+"""Ordered differential tests of the sweep-line window detection.
 
 `reference_windows` is the enumeration detect_attack_windows used before
 the sweep: one creation window per distinct creation second, one deletion
 window per distinct deletion second inside it, a canonical-anchor check by
-minimum, and a quadratic maximal-subset filter. The sweep must return the
-very same event list, order included: events sort by (start, smallest id),
-which can tie, and tied events keep the maximal list's order.
+minimum, and a quadratic maximal-subset filter. `oracles.detect_attack_windows`
+is the sweep as it was before its runs became boxes: it keeps every run as
+a frozenset and tests maximality by subset. The library must return the
+very same event list as both, order included: events sort by (start,
+smallest id), which can tie, and tied events keep the maximal list's order.
 """
 
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendguard.classify import TweetFlags
 from trendguard.detector import (
@@ -22,6 +26,7 @@ from trendguard.detector import (
 )
 from trendguard.ingest import Tweet
 
+import oracles
 from conftest import DAY_NOON, join_instance
 
 
@@ -170,6 +175,8 @@ def test_sweep_equals_reference_in_order(seed):
             got = detect_attack_windows(instance, flags, params, merge_overlapping=merge)
             want = reference_windows(instance, flags, params, merge_overlapping=merge)
             assert got == want
+            assert got == oracles.detect_attack_windows(instance, flags, params,
+                                                        merge_overlapping=merge)
             ties += _has_tie(want)
     assert ties, "no tied (start, min id) pair: the tie order went untested"
 
@@ -206,3 +213,81 @@ def test_same_second_creations_keep_millisecond_order():
     first = got[0]
     assert first.start_ms == DAY_NOON * 1000 + 5
     assert first.end_ms == (DAY_NOON + 60) * 1000 + 700
+
+
+def _back_to_back_bursts(rng, n_bursts, size, gap, spread, delay, jitter):
+    """Bursts every ``gap`` seconds: ``size`` bots each post once within
+    ``spread`` seconds of the burst's start and delete within ``jitter``
+    seconds of one wave ``delay`` seconds after it, with distinct large ids.
+    Windows straddle neighbouring bursts, so a few hundred tweets yield
+    hundreds of overlapping maximal clusters."""
+    tweets, deletions, flags = [], {}, {}
+    tweet_id = 10**18
+    for burst in range(n_bursts):
+        start = DAY_NOON + burst * gap
+        for _ in range(size):
+            tweet_id += rng.randint(1, 9)
+            created = (start + rng.randint(0, spread)) * 1000 + rng.randint(0, 999)
+            tweets.append(Tweet(id=tweet_id, user_id=tweet_id - 10**17, text="",
+                                created_ms=created, hashtags=("tag",)))
+            deletions[tweet_id] = (start + delay + rng.randint(0, jitter)) * 1000 \
+                + rng.randint(0, 999)
+            flags[tweet_id] = TweetFlags(is_lexicon=True, is_single_engagement=True)
+    return join_instance("#tag", tweets, deletions), flags
+
+
+@st.composite
+def _window_inputs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        instance, flags = _bursty_instance(rng)
+    else:
+        instance, flags = _back_to_back_bursts(
+            rng, draw(st.integers(1, 8)), draw(st.integers(1, 30)), draw(st.integers(0, 120)),
+            draw(st.integers(0, 90)), draw(st.integers(0, 300)), draw(st.integers(0, 150)))
+    params = AttackParams(kappa=draw(st.integers(1, 8)), alpha_p=draw(st.integers(0, 600)),
+                          alpha_d=draw(st.integers(0, 600)), theta=draw(st.integers(300, 900)))
+    return instance, flags, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_window_inputs(), merge=st.booleans())
+def test_boxes_equal_the_frozenset_sweep(inputs, merge):
+    instance, flags, params = inputs
+    assert detect_attack_windows(instance, flags, params, merge_overlapping=merge) == \
+        oracles.detect_attack_windows(instance, flags, params, merge_overlapping=merge)
+
+
+def _burst_day():
+    """The shape of a heavy attacked trend-day: 360 tweets in 12 bursts
+    90 s apart, each tweet deleted 200-320 s after its burst began."""
+    return _back_to_back_bursts(random.Random(0), 12, 30, 90, 60, 200, 120)
+
+
+def test_burst_day_has_hundreds_of_overlapping_clusters():
+    instance, flags = _burst_day()
+    params = AttackParams()
+    events = detect_attack_windows(instance, flags, params)
+    assert len(events) > 300
+    assert sum(len(e.tweet_ids) for e in events) > 30 * len(instance.tweets)
+    for merge in (False, True):
+        assert detect_attack_windows(instance, flags, params, merge_overlapping=merge) == \
+            oracles.detect_attack_windows(instance, flags, params, merge_overlapping=merge)
+
+
+def test_working_memory_stays_a_quarter_of_the_returned_clusters():
+    """On the burst day, the peak that detect_attack_windows allocates above
+    the list it returns stays within a quarter of that list (a frozenset
+    per raw run took about 1.5 times the list)."""
+    instance, flags = _burst_day()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        events = detect_attack_windows(instance, flags, AttackParams())
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 300
+    returned = after - before
+    assert peak - after <= 0.25 * returned
