@@ -35,7 +35,7 @@ instances = build_trend_instances(labeled.trend_days(), events)
 print(f"sampled corpus joined into {len(instances)} trend instances")
 
 config = DetectorConfig(preset="lexicon-tree")
-verdicts = []
+attacked = []
 flags_by_key = {}
 hits = misses = false_alarms = 0
 for key in sorted(instances):
@@ -43,7 +43,8 @@ for key in sorted(instances):
     flags = flags_by_key[key] = flags_for_instance(instance)
     vector = count_features(instance, flags)
     verdict = classify_trend(vector, config, trend=instance.trend)
-    verdicts.append(verdict)
+    if verdict.attacked:
+        attacked.append((instance, flags))
     truth = labeled.truth[key]
     if verdict.attacked and truth:
         hits += 1
@@ -63,7 +64,7 @@ for key in sorted(instances)[:8]:
     print(f"  {marker} {key[1]:<16} n_deleted_lexicon={vector.n_deleted_lexicon:>3} "
           f"lexicon_deletion_ratio={vector.lexicon_deletion_ratio:.2f}")
 
-bots = label_astrobots(instances.values(), verdicts, flags_by_key)
+bots = label_astrobots(attacked)
 known = bots & labeled.truth_bots
 print(f"\nastrobot labeling: {len(bots)} accounts flagged, "
       f"{len(known)} of them planted bots "

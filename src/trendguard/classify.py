@@ -113,11 +113,14 @@ def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_L
     return not tags
 
 
+# The four flag values, built once and shared by every tweet that has them.
+_FLAGS = {(lexicon, single): TweetFlags(lexicon, single)
+          for lexicon in (False, True) for single in (False, True)}
+
+
 def compute_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> TweetFlags:
-    return TweetFlags(
-        is_lexicon=is_lexicon_tweet(tweet.text, keyword, locale),
-        is_single_engagement=is_single_engagement(tweet, keyword, locale),
-    )
+    return _FLAGS[is_lexicon_tweet(tweet.text, keyword, locale),
+                  is_single_engagement(tweet, keyword, locale)]
 
 
 def flags_for_instance(

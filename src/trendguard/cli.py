@@ -88,7 +88,7 @@ def _add_locale_and_offset(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
                         help="worker processes for multi-file inputs (results identical)")
 
 
@@ -110,10 +110,11 @@ def _add_preset(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa", type=int, default=4, help="minimum cluster size")
-    parser.add_argument("--alpha-p", type=int, default=300, help="creation window seconds")
-    parser.add_argument("--alpha-d", type=int, default=300, help="deletion window seconds")
-    parser.add_argument("--theta", type=int, default=600, help="maximum lifetime seconds")
+    seconds = _int_at_least(0)
+    parser.add_argument("--kappa", type=_int_at_least(1), default=4, help="minimum cluster size")
+    parser.add_argument("--alpha-p", type=seconds, default=300, help="creation window seconds")
+    parser.add_argument("--alpha-d", type=seconds, default=300, help="deletion window seconds")
+    parser.add_argument("--theta", type=seconds, default=600, help="maximum lifetime seconds")
 
 
 def _params_from(args) -> detector.AttackParams:
@@ -223,14 +224,14 @@ def _instances_flags_features(args):
     for key in sorted(instances):
         instance = instances[key]
         flags = classify.flags_for_instance(instance, args.locale)
-        rows.append((key, instance, flags, features.count_features(instance, flags)))
+        rows.append((instance, flags, features.count_features(instance, flags)))
     return rows
 
 
 def _cmd_features(args, out: _Outputs) -> int:
     rows = _instances_flags_features(args)
     with out.sink(args) as handle:
-        features.write_feature_csv(handle, [(instance, vector) for _, instance, _, vector in rows])
+        features.write_feature_csv(handle, [(instance, vector) for instance, _, vector in rows])
     return 0
 
 
@@ -239,23 +240,23 @@ def _cmd_detect(args, out: _Outputs) -> int:
     params = _params_from(args)
     rows = _instances_flags_features(args)
     verdicts = []
-    flags_by_key = {}
-    for key, instance, flags, vector in rows:
-        flags_by_key[key] = flags
-        verdicts.append(detector.classify_trend(vector, config, trend=instance.trend))
+    attacked = []
+    for instance, flags, vector in rows:
+        verdict = detector.classify_trend(vector, config, trend=instance.trend)
+        verdicts.append(verdict)
+        if verdict.attacked:
+            attacked.append((instance, flags))
     with out.sink(args) as handle:
         detector.write_verdicts_jsonl(handle, verdicts)
 
     if args.bots_out:
-        bots = detector.label_astrobots(
-            [instance for _, instance, _, _ in rows], verdicts, flags_by_key, args.tz_offset
-        )
+        bots = detector.label_astrobots(attacked, args.tz_offset)
         with out.open(args.bots_out) as handle:
             detector.write_astrobots(handle, bots)
 
     if args.events_out:
         with out.open(args.events_out) as handle:
-            for key, instance, flags, _ in rows:
+            for instance, flags, _ in rows:
                 for event in detector.detect_attack_windows(
                         instance, flags, params, merge_overlapping=args.merge_events):
                     handle.write(json.dumps({
@@ -309,6 +310,11 @@ def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
 
 def _cmd_metrics(args, out: _Outputs) -> int:
     epochs = load_trend_epochs(args.epochs, args.locale)
+    # Lifecycles read one time series: another location's list would read as an exit.
+    locations = sorted({epoch.location for epoch in epochs})
+    if len(locations) > 1:
+        raise TrendGuardError(f"{args.epochs} holds the locations "
+                              f"{', '.join(map(repr, locations))}; an epochs file must hold one")
     verdict_map = _load_verdict_map(args.verdicts)
     trends = load_trend_days(args.trends, args.locale)
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)

@@ -250,8 +250,12 @@ def detect_attack_windows(
     test is one bisect into the ranks of the tweets created in second s. A
     deletion anchor whose right end b does not pass the previous anchor's is
     skipped: its run is a subset of the previous run, or a duplicate of it.
-    The runs, longest first and, among equal lengths, in enumeration order,
-    are then kept unless they are a subset of a run kept before them.
+
+    Maximality is decided as the sweep meets each run: it is kept unless a
+    kept run of an earlier window holds it. Only such a run can: the run
+    holds a tweet created in its own second s, which no later window holds,
+    and the runs of one window cannot contain each other, as both a and b
+    grow. A run inside a dropped run is inside the kept run that holds it.
 
     No run is stored as a set. A run is exactly the candidates inside a box:
     creation index in [lo, hi), the candidates created in [s, s + alpha_p],
@@ -261,13 +265,13 @@ def detect_attack_windows(
     which is at least B's s), its last creation index is before B's hi, and
     its first and last ranks lie in B's rank range. If the bounds lie inside
     the box, every member of A does and so belongs to B; if A is a subset of
-    B, the members that attain A's bounds lie in B's box. A run is kept as
-    (length, lo, last creation index, first rank, last rank, hi), and only
-    the maximal runs have their members listed, one run at a time.
+    B, the members that attain A's bounds lie in B's box. A kept run is
+    (lo, first rank, last rank, hi), and its members are listed one run at
+    a time.
 
-    Events are sorted by (start, smallest tweet id). That key can tie (two
-    clusters sharing their earliest tweet); tied events keep the order of
-    the maximal list: longer first, then first enumerated.
+    Events are sorted by (start, smallest tweet id, longer first). Only
+    clusters that share their earliest tweet tie on the first two; among
+    equal lengths they keep the sweep's order.
 
     Back-to-back bursts produce families of pairwise-overlapping maximal
     clusters (a window can straddle the tail of one burst and the head of
@@ -295,13 +299,15 @@ def detect_attack_windows(
     # past[r]: the first rank deleted after second d[r] + alpha_d.
     past = [bisect_right(d, t + alpha_d) for t in d]
 
-    raw: list[tuple[int, int, int, int, int, int]] = []
+    # The kept runs, in sweep order, so their lo is sorted.
+    maximal: list[tuple[int, int, int, int]] = []
     lo = 0
     while lo < n:
         mid = bisect_right(p, p[lo], lo)
         hi = bisect_right(p, p[lo] + alpha_p, mid)
         window = sorted(rank[lo:hi])
         anchored = sorted(rank[lo:mid])
+        earlier = len(maximal)  # the runs of earlier windows
         prev_t = None
         prev_b = -1
         for a in range(len(window) - kappa + 1):
@@ -315,35 +321,22 @@ def detect_attack_windows(
             prev_b = b
             if b - a < kappa:
                 continue
-            # Canonical iff a tweet created in second p[lo] ranks in [r, window[b - 1]].
+            high = window[b - 1]
+            # Canonical iff a tweet created in second p[lo] ranks in [r, high].
             k = bisect_left(anchored, r)
-            if k < len(anchored) and anchored[k] <= window[b - 1]:
+            if k < len(anchored) and anchored[k] <= high:
                 last = max(map(by_rank.__getitem__, window[a:b]))
-                raw.append((b - a, lo, last, r, window[b - 1], hi))
+                # Only a box whose p[lo] + alpha_p reaches p[last] can hold the run.
+                start = bisect_left(maximal, bisect_left(p, p[last] - alpha_p), 0, earlier,
+                                    key=itemgetter(0))
+                if not any(box_low <= r and high <= box_high
+                           for _, box_low, box_high, _ in maximal[start:earlier]):
+                    maximal.append((lo, r, high, hi))
         lo = mid
 
-    raw.sort(key=itemgetter(0), reverse=True)  # stable: enumeration order among ties
-    maximal: list[tuple[int, int, int, int, int, int]] = []
-    # The kept runs again, sorted by lo. A box can hold a run only if its lo
-    # is at most the run's lo and p[lo] + alpha_p reaches the run's last
-    # creation second: the boxes tested are one slice of these.
-    by_lo: list[tuple[int, int, int, int, int, int]] = []
-    by_lo_keys: list[int] = []
-    for run in raw:
-        _, run_lo, run_last, low, high, _ = run
-        start = bisect_left(by_lo_keys, bisect_left(p, p[run_last] - alpha_p))
-        stop = bisect_right(by_lo_keys, run_lo, start)
-        if not any(box_low <= low and high <= box_high
-                   for _, _, _, box_low, box_high, _ in by_lo[start:stop]):
-            maximal.append(run)
-            at = bisect_right(by_lo_keys, run_lo)
-            by_lo_keys.insert(at, run_lo)
-            by_lo.insert(at, run)
-    del raw, by_lo
-
-    def members(run: tuple[int, int, int, int, int, int]) -> list[int]:
+    def members(run: tuple[int, int, int, int]) -> list[int]:
         """The ranks of the candidates inside a run's box."""
-        _, run_lo, _, low, high, run_hi = run
+        run_lo, low, high, run_hi = run
         if run_hi - run_lo <= high - low:
             return [r for r in rank[run_lo:run_hi] if low <= r <= high]
         return [r for r in range(low, high + 1) if run_lo <= by_rank[r] < run_hi]
@@ -368,7 +361,7 @@ def detect_attack_windows(
                 max_lifetime_s=max(d[r] - p[by_rank[r]] for r in cluster),
             )
         )
-    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids)))
+    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids), -len(e.tweet_ids)))
     return events
 
 
@@ -405,28 +398,21 @@ def _merge_components(clusters: Iterable[Iterable[int]]) -> list[frozenset[int]]
 # ---------------------------------------------------------------------------
 
 def label_astrobots(
-    instances: Iterable[TrendInstance],
-    verdicts: Iterable[Verdict],
-    flags: Mapping[tuple[date, str], Mapping[int, TweetFlags]],
+    attacked: Iterable[tuple[TrendInstance, Mapping[int, TweetFlags]]],
     tz_offset: int = DEFAULT_TZ_OFFSET,
 ) -> set[int]:
-    """Users who posted a same-day-deleted lexicon tweet into an attacked trend."""
-    attacked_keys = {
-        (v.trend.date, v.trend.keyword.normalized)
-        for v in verdicts
-        if v.attacked and v.trend is not None
-    }
+    """Users who posted a same-day-deleted lexicon tweet into an attacked trend.
+
+    ``attacked`` holds the (instance, flags by tweet id) pairs of the
+    attacked trend-days only; the caller, which holds the verdicts, picks them.
+    """
     bots: set[int] = set()
-    for instance in instances:
-        key = (instance.trend.date, instance.keyword.normalized)
-        if key not in attacked_keys:
-            continue
-        instance_flags = flags[key]
+    for instance, flags in attacked:
         for tweet in instance.tweets:
             deleted_at = instance.deletions.get(tweet.id)
             if deleted_at is None:
                 continue
-            if not instance_flags[tweet.id].is_lexicon:
+            if not flags[tweet.id].is_lexicon:
                 continue
             if local_day(deleted_at, tz_offset) == local_day(tweet.created_ms, tz_offset):
                 bots.add(tweet.user_id)

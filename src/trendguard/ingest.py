@@ -164,10 +164,9 @@ class TrendInstance:
 # Stream line parsing
 # ---------------------------------------------------------------------------
 
-_MONTHS = {
-    "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
-    "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
-}
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTHS = {name: number for number, name in enumerate(_MONTH_NAMES, 1)}
 
 _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
@@ -810,7 +809,7 @@ def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
     may_match = _creation_filter(trends, locale)
 
     def keep(line: str) -> bool:
-        return '"delete"' in line or may_match(line) or _may_hold_deletion(line)
+        return _may_hold_deletion(line) or may_match(line)
 
     stats = ParseStats()
     groups, notices = _route(trends, read_stream(path, stats=stats, keep=keep), locale, tz_offset)

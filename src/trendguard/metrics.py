@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping, Optional, Sequence
@@ -49,7 +50,7 @@ class TrendLifecycle:
         return span_s(self.first_exit_ms, self.first_entry_ms)
 
 
-def lifecycle(keyword: Keyword, epochs: Sequence[TrendEpoch]) -> TrendLifecycle:
+def lifecycle(keyword: Keyword, epochs: Iterable[TrendEpoch]) -> TrendLifecycle:
     """First entry/exit and ranks for a keyword over time-ordered epochs.
 
     Exit time is the capture time of the first epoch missing the keyword
@@ -101,23 +102,23 @@ def trend_day_lifecycles(
     It is the first listing span of the keyword that enters on the trend's
     local day, and it may run past midnight; a span still listed from the
     day before does not enter on the day. Trend-days with no entry on their
-    day get no lifecycle.
+    day get no lifecycle. The entry is looked for among the day's epochs
+    only, and ``lifecycle`` reads from the entry epoch through the span.
     """
-    first_of_day: dict[int, int] = {}
-    for i, epoch in enumerate(epochs):
-        first_of_day.setdefault(local_day(epoch.captured_ms, tz_offset), i)
+    days = [local_day(epoch.captured_ms, tz_offset) for epoch in epochs]
     cycles = {}
     for trend in trends:
         day, normalized = trend.day_number(), trend.keyword.normalized
-        start = first_of_day.get(day, len(epochs))
-        while 0 < start < len(epochs) and epochs[start - 1].rank_of(normalized) is not None:
-            start += 1
-        try:
-            cycle = lifecycle(trend.keyword, epochs[start:])
-        except NeverTrended:
-            continue
-        if local_day(cycle.first_entry_ms, tz_offset) == day:
-            cycles[(trend.date, normalized)] = cycle
+        start = bisect_left(days, day)
+        # Listed in the epoch before the day's first: a span from the day before.
+        listed = start > 0 and epochs[start - 1].rank_of(normalized) is not None
+        for i in range(start, bisect_right(days, day, start)):
+            if epochs[i].rank_of(normalized) is None:
+                listed = False
+            elif not listed:
+                from_entry = map(epochs.__getitem__, range(i, len(epochs)))
+                cycles[(trend.date, normalized)] = lifecycle(trend.keyword, from_entry)
+                break
     return cycles
 
 

@@ -36,6 +36,7 @@ from .ingest import (
     TrendDay,
     Tweet,
     TweetEvent,
+    _MONTH_NAMES,
     _csv_rows,
     _keyword_index,
     _text_input,
@@ -802,8 +803,6 @@ def evaluate(config: DetectorConfig, labeled: LabeledStream) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
-_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
-                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def format_created_at(ms: int) -> str:

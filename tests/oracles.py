@@ -6,8 +6,10 @@ record; for the graph: a dict of dicts keyed by node tuples (`Graph`),
 its k-core and single-attack filters, modularity over a node-keyed
 assignment, and Louvain's two phases over dicts keyed by node; for the
 attack windows: the sweep that keeps every run as a frozenset and tests
-maximality by subset; and for the lexicon classifier: the keyword and emoji
-stripping that folds each token on its own.
+maximality by subset; for the lexicon classifier: the keyword and emoji
+stripping that folds each token on its own; and for the success metrics: a
+trend-day's lifecycle found by reading every epoch from the start of its
+day.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
@@ -18,7 +20,9 @@ arrays over node numbers (`trendguard.graph.BipartiteGraph`), on which it
 filters and runs Louvain, keeps each run of the window sweep as a few
 ints and decides maximality on their bounds
 (`trendguard.detector.detect_attack_windows`), and folds a tweet's text
-once (`trendguard.classify.strip_keyword_and_emoji`); the tests check each
+once (`trendguard.classify.strip_keyword_and_emoji`), and looks for a
+trend-day's entry among its day's epochs only
+(`trendguard.metrics.trend_day_lifecycles`); the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
 share no join code with the library.
@@ -54,6 +58,7 @@ from trendguard.graph import EmptyGraph, IncompleteAssignment, TREND, USER
 from trendguard.ingest import (
     Deletion,
     TrendDay,
+    TrendEpoch,
     TrendInstance,
     Tweet,
     TweetEvent,
@@ -62,6 +67,7 @@ from trendguard.ingest import (
     extract_hashtags,
     text_tokens,
 )
+from trendguard.metrics import NeverTrended, TrendLifecycle
 from trendguard.simulator import GeoTweet, format_created_at
 
 
@@ -682,3 +688,75 @@ def strip_keyword_and_emoji(
             k += 1
     kept = " ".join(t for i, t in enumerate(tokens) if i not in dropped)
     return " ".join(_EMOJI_RE.sub(" ", kept).split())
+
+
+def lifecycle(keyword: Keyword, epochs: Sequence[TrendEpoch]) -> TrendLifecycle:
+    """First entry/exit and ranks for a keyword over time-ordered epochs.
+
+    Exit time is the capture time of the first epoch missing the keyword
+    after its entry (an upper bound within one snapshot interval). A keyword
+    still listed in the final epoch uses that epoch's capture time. Only the
+    first listing span is considered; re-entries start new lifecycles and
+    are ignored here.
+    """
+    normalized = keyword.normalized
+    first_entry = None
+    initial_rank = None
+    best_rank = None
+    first_exit = None
+    last_seen = None
+    for epoch in epochs:
+        rank = epoch.rank_of(normalized)
+        if first_entry is None:
+            if rank is not None:
+                first_entry = epoch.captured_ms
+                initial_rank = rank
+                best_rank = rank
+                last_seen = epoch.captured_ms
+        else:
+            if rank is None:
+                first_exit = epoch.captured_ms
+                break
+            best_rank = min(best_rank, rank)
+            last_seen = epoch.captured_ms
+    if first_entry is None:
+        raise NeverTrended(f"{keyword.raw!r} never appears in the epochs")
+    if first_exit is None:
+        first_exit = last_seen
+    return TrendLifecycle(
+        keyword=keyword,
+        first_entry_ms=first_entry,
+        first_exit_ms=first_exit,
+        initial_rank=initial_rank,
+        best_rank=best_rank,
+    )
+
+
+def trend_day_lifecycles(
+    trends: Iterable[TrendDay],
+    epochs: Sequence[TrendEpoch],
+    tz_offset: int = DEFAULT_TZ_OFFSET,
+) -> dict[tuple[date, str], TrendLifecycle]:
+    """Each trend-day's lifecycle, keyed by (date, normalized keyword).
+
+    It is the first listing span of the keyword that enters on the trend's
+    local day, and it may run past midnight; a span still listed from the
+    day before does not enter on the day. Trend-days with no entry on their
+    day get no lifecycle.
+    """
+    first_of_day: dict[int, int] = {}
+    for i, epoch in enumerate(epochs):
+        first_of_day.setdefault(local_day(epoch.captured_ms, tz_offset), i)
+    cycles = {}
+    for trend in trends:
+        day, normalized = trend.day_number(), trend.keyword.normalized
+        start = first_of_day.get(day, len(epochs))
+        while 0 < start < len(epochs) and epochs[start - 1].rank_of(normalized) is not None:
+            start += 1
+        try:
+            cycle = lifecycle(trend.keyword, epochs[start:])
+        except NeverTrended:
+            continue
+        if local_day(cycle.first_entry_ms, tz_offset) == day:
+            cycles[(trend.date, normalized)] = cycle
+    return cycles

@@ -177,6 +177,21 @@ class TestFlagsAndStats:
         flags = compute_flags(tweet, tag_keyword)
         assert flags.is_lexicon and flags.is_single_engagement
 
+    def test_equal_flags_are_one_object(self, tag_keyword):
+        """A flag pair has four values; every tweet with one value shares it."""
+        tweets = [
+            make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"]),
+            make_tweet(2, 2, "yarım gün #tag", 5, hashtags=["tag"]),
+            make_tweet(3, 3, "Yarım gün #tag", 9, hashtags=["tag"]),
+            make_tweet(4, 4, "yarım gün #tag", 9, hashtags=["tag"], mentions=[7]),
+            make_tweet(5, 5, "Yarım gün #tag", 9, hashtags=["tag"], mentions=[7]),
+            make_tweet(6, 6, "Yarım gün #tag", 9, hashtags=["tag"], mentions=[8]),
+        ]
+        flags = [compute_flags(tweet, tag_keyword) for tweet in tweets]
+        assert len({(f.is_lexicon, f.is_single_engagement) for f in flags}) == 4
+        assert flags[0] is flags[1] and flags[4] is flags[5]
+        assert all(a is b for a in flags for b in flags if a == b)
+
 
 def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
     """The lexicon rule as written before flags stripped each text once."""

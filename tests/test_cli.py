@@ -321,6 +321,25 @@ class TestDetect:
         events = [json.loads(line) for line in events_out.read_text().splitlines()]
         assert [event["tweet_ids"] for event in events] == clusters
 
+    def test_bots_come_from_attacked_trend_days_only(self, tmp_path):
+        """User 200 deletes a lexicon tweet on the day it posted it into
+        #Sakin, which is not attacked: only #Dalga's four deleters are bots."""
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            *((i, 100 + i, "#Dalga bir iki", NOON + 10 * i, NOON + 10 * i + 60)
+              for i in (1, 2, 3, 4)),
+            (5, 200, "#Sakin bir iki", NOON, NOON + 60),
+            (6, 201, "#Sakin bir iki", NOON + 5, None),
+            (7, 202, "#Sakin bir iki", NOON + 9, None),
+        ])
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#Dalga\n2019-06-18,#Sakin\n")
+        out, bots = tmp_path / "v.jsonl", tmp_path / "bots.txt"
+        assert main(["detect", "--stream", stream, "--trends", str(trends), "--jobs", "1",
+                     "--out", str(out), "--bots-out", str(bots)]) == 0
+        verdicts = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {v["keyword"]: v["attacked"] for v in verdicts} == {"dalga": True, "sakin": False}
+        assert bots.read_text() == "101\n102\n103\n104\n"
+
 
 class TestFeaturesCmd:
     def test_csv_columns(self, sim_dir, tmp_path):
@@ -484,6 +503,27 @@ class TestMetricsCmd:
             assert 0.0 <= float(row["attacked_fraction"]) <= 1.0
         hours = list(csv.DictReader(open(out_dir / "entry_hours.csv")))
         assert len(hours) == 24
+
+    def test_epochs_of_two_locations_exit_1_before_any_output(self, tmp_path, capsys):
+        """#foo is listed in turkey from 09:00 to 09:10 beside a world list;
+        read as one series, world's list at 09:00 would end #foo's span."""
+        epochs = tmp_path / "epochs.csv"
+        epochs.write_text("captured_at,location,rank,keyword,volume\n" + "".join(
+            f"2019-06-18T09:{minute:02d}:00Z,{location},1,{keyword},\n"
+            for minute in (0, 5, 10) for location, keyword in (("turkey", "#foo"), ("world", "#bar"))
+        ))
+        stream, trends, verdicts = (tmp_path / "stream.jsonl", tmp_path / "trends.csv",
+                                    tmp_path / "verdicts.jsonl")
+        stream.write_text("")
+        trends.write_text("date,keyword\n2019-06-18,#foo\n")
+        verdicts.write_text(json.dumps({"date": "2019-06-18", "keyword": "foo",
+                                        "attacked": False}) + "\n")
+        out_dir = tmp_path / "metrics"
+        assert main(["metrics", "--stream", str(stream), "--trends", str(trends),
+                     "--epochs", str(epochs), "--verdicts", str(verdicts),
+                     "--out", str(out_dir)]) == 1
+        assert "the locations 'turkey', 'world'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_verdicts_file_with_a_byte_order_mark(self, sim_with_epochs, tmp_path):
         sim = sim_with_epochs
@@ -931,11 +971,19 @@ class TestParserDefaults:
         ["metrics", "--epochs", "e.csv", "--verdicts", "v.jsonl", "--top-k", "0"],
         ["metrics", "--epochs", "e.csv", "--verdicts", "v.jsonl", "--top-k", "-1"],
         ["scan", "--min-tweets", "-5"],
-    ], ids=["top-k-zero", "top-k-negative", "min-tweets-negative"])
+        ["detect", "--kappa", "0"],
+        ["detect", "--alpha-p", "-1"],
+        ["detect", "--alpha-d", "-1"],
+        ["detect", "--theta", "-1"],
+        ["ingest", "--jobs", "-3"],
+        ["detect", "--jobs", "0"],
+    ], ids=["top-k-zero", "top-k-negative", "min-tweets-negative", "kappa-zero",
+            "alpha-p-negative", "alpha-d-negative", "theta-negative", "jobs-negative",
+            "jobs-zero"])
     def test_counts_out_of_range_are_usage_errors_before_reading(self, argv, tmp_path, capsys):
         # The stream does not exist: parsing stops the run before any read.
         command, *flags = argv
-        trends = [] if command == "scan" else ["--trends", str(tmp_path / "missing.csv")]
+        trends = [] if command in ("scan", "ingest") else ["--trends", str(tmp_path / "missing.csv")]
         with pytest.raises(SystemExit) as err:
             main([command, "--stream", str(tmp_path / "missing.jsonl"), *trends,
                   "--out", str(tmp_path / "out"), *flags])

@@ -358,7 +358,12 @@ class TestLabelAstrobots:
             vector = count_features(instance, flags[key])
             verdicts.append(classify_trend(vector, config, trend=instance.trend))
         assert [v.attacked for v in verdicts] == [True, True, False]
-        bots = label_astrobots(instances, verdicts, flags)
+        # The caller passes the attacked trend-days only: user 5 of C is out.
+        attacked = [
+            (instance, flags[(instance.trend.date, instance.keyword.normalized)])
+            for instance, verdict in zip(instances, verdicts) if verdict.attacked
+        ]
+        bots = label_astrobots(attacked)
         assert bots == {1, 2, 4}
 
     def test_cross_midnight_deletion_not_same_day(self):
@@ -377,7 +382,7 @@ class TestLabelAstrobots:
             trend=instance.trend,
         )
         assert verdict.attacked
-        bots = label_astrobots([instance], [verdict], flags)
+        bots = label_astrobots([(instance, flags[(DAY, "tag")])])
         assert 9 not in bots
         assert bots == {1, 2, 3, 4}
 

@@ -1,10 +1,11 @@
 import io
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import TrendDay, load_trend_epochs
+from trendguard.ingest import TrendDay, TrendEpoch, load_trend_epochs
 from trendguard.metrics import (
     NeverTrended,
     NoPriorTweets,
@@ -18,6 +19,7 @@ from trendguard.metrics import (
     volume_report,
 )
 
+import oracles
 from conftest import DAY, DAY_NOON, make_instance, make_tweet
 
 
@@ -148,6 +150,66 @@ class TestTrendDayLifecycles:
         later = listed_epochs([("2019-06-18T12:00:00Z", ()),
                                ("2019-06-19T09:00:00Z", ("#konu",))])
         assert trend_day_lifecycles([konu_day("2019-06-18")], later) == {}
+
+    def test_reads_only_its_day_when_the_keyword_enters_later(self, monkeypatch):
+        """Hourly epochs over 30 days; #konu enters only 29 days after the
+        trend-day. The trend-day asks for its rank in its own day's epochs
+        alone, not in every epoch up to the entry."""
+        start = datetime(2019, 6, 18, tzinfo=timezone.utc)
+        entry = start + timedelta(days=29, hours=12)
+        epochs = listed_epochs([
+            ((start + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+             ("#konu",) if start + timedelta(hours=h) == entry else ())
+            for h in range(30 * 24)
+        ])
+        calls = []
+        rank_of = TrendEpoch.rank_of
+
+        def counted(epoch, normalized):
+            calls.append(epoch)
+            return rank_of(epoch, normalized)
+
+        monkeypatch.setattr(TrendEpoch, "rank_of", counted)
+        assert trend_day_lifecycles([konu_day("2019-06-18")], epochs) == {}
+        # Local 2019-06-18 (UTC+3) holds the epochs from 00:00Z to 20:00Z.
+        assert len(calls) == 21
+        cycles = trend_day_lifecycles([konu_day("2019-07-17")], epochs)
+        assert cycles[(date(2019, 7, 17), "konu")].first_entry_ms == entry.timestamp() * 1000
+
+
+LIFECYCLE_KEYWORDS = [normalize_keyword(raw, "tr") for raw in ("#konu", "#baska", "yeni gün")]
+HALF_HOUR_MS = 1800 * 1000
+JUNE_18_MS = 1560816000 * 1000  # 2019-06-18T00:00Z
+
+
+@st.composite
+def epoch_series(draw):
+    """Half-hourly epochs over about three days, each listing a subset of
+    three keywords in some rank order."""
+    slots = sorted(draw(st.lists(st.integers(0, 160), unique=True, max_size=60)))
+    epochs = []
+    for slot in slots:
+        listed = draw(st.lists(st.sampled_from(LIFECYCLE_KEYWORDS), unique=True))
+        epochs.append(TrendEpoch(
+            captured_ms=JUNE_18_MS + slot * HALF_HOUR_MS, location="tr",
+            entries=tuple((rank, keyword, None) for rank, keyword in enumerate(listed, 1)),
+        ))
+    return epochs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epochs=epoch_series(),
+    trends=st.lists(st.builds(TrendDay,
+                              date=st.dates(date(2019, 6, 16), date(2019, 6, 22)),
+                              keyword=st.sampled_from(LIFECYCLE_KEYWORDS))),
+    tz_offset=st.sampled_from([0, 10800, -18000, 19800]),
+)
+def test_trend_day_lifecycles_match_the_full_scan(epochs, trends, tz_offset):
+    """Reading the day's epochs, then the span from the entry, finds what
+    reading on from the day's first epoch finds."""
+    assert trend_day_lifecycles(trends, epochs, tz_offset) == \
+        oracles.trend_day_lifecycles(trends, epochs, tz_offset)
 
 
 def entry_at(seconds):
