@@ -31,20 +31,19 @@ print(f"scenario: {n_trends} trend-days over {scenario.n_days} days "
 # survive only when the tweet they refer to does.
 events = sample_stream(labeled.events(), scenario.sample_rate, scenario.seed)
 
-instances = build_trend_instances(labeled.trend_days(), events)
+# The join flags each tweet for its trend-day as it files it.
+instances = build_trend_instances(labeled.trend_days(), events, flagger=flags_for_instance())
 print(f"sampled corpus joined into {len(instances)} trend instances")
 
 config = DetectorConfig(preset="lexicon-tree")
 attacked = []
-flags_by_key = {}
 hits = misses = false_alarms = 0
 for key in sorted(instances):
     instance = instances[key]
-    flags = flags_by_key[key] = flags_for_instance(instance)
-    vector = count_features(instance, flags)
+    vector = count_features(instance)
     verdict = classify_trend(vector, config, trend=instance.trend)
     if verdict.attacked:
-        attacked.append((instance, flags))
+        attacked.append(instance)
     truth = labeled.truth[key]
     if verdict.attacked and truth:
         hits += 1
@@ -59,7 +58,7 @@ print(f"\nlexicon-tree verdicts: {hits} hits, {misses} misses, "
 print("\nthe separation the classifier exploits (deleted lexicon tweets per trend):")
 for key in sorted(instances)[:8]:
     instance = instances[key]
-    vector = count_features(instance, flags_by_key[key])
+    vector = count_features(instance)
     marker = "ATTACKED" if labeled.truth[key] else "organic "
     print(f"  {marker} {key[1]:<16} n_deleted_lexicon={vector.n_deleted_lexicon:>3} "
           f"lexicon_deletion_ratio={vector.lexicon_deletion_ratio:.2f}")

@@ -32,15 +32,15 @@ organic = gen_organic_trend(keyword, n_users=120, span=6 * 3600, rng=rng,
 
 events = attack + organic
 trend = TrendDay(date=date(2019, 6, 18), keyword=keyword)
-instance = build_trend_instances([trend], events)[(trend.date, keyword.normalized)]
-flags = flags_for_instance(instance)
+instance = build_trend_instances([trend], events, flagger=flags_for_instance())[
+    (trend.date, keyword.normalized)]
 
 sample = next(e.text for e in attack if isinstance(e, Tweet))
 planted_bots = {e.user_id for e in attack if isinstance(e, Tweet)}
 print(f"a generated attack tweet: {sample!r}")
-print(f"instance: {len(instance.tweets)} tweets, {len(instance.deletions)} deleted\n")
+print(f"instance: {len(instance.ids)} tweets, {len(instance.deletions)} deleted\n")
 
-clusters = detect_attack_windows(instance, flags, params)
+clusters = detect_attack_windows(instance, params)
 print(f"detected {len(clusters)} attack cluster(s):")
 for event in clusters:
     print(f"  {len(event.tweet_ids)} tweets by {len(event.users)} users | "
@@ -50,7 +50,7 @@ for event in clusters:
     planted = event.users & planted_bots
     print(f"  -> {len(planted)}/{len(event.users)} members are the planted bots")
 
-vector = count_features(instance, flags)
+vector = count_features(instance)
 print("\nper-trend features the classifiers consume:")
 print(f"  deleted lexicon tweets : {vector.n_deleted_lexicon} "
       f"(ratio {vector.lexicon_deletion_ratio:.2f})")

@@ -11,7 +11,7 @@ import random
 from datetime import date
 
 from trendguard.classify import flags_for_instance
-from trendguard.core import normalize_keyword
+from trendguard.core import LEXICON, normalize_keyword
 from trendguard.graph import (
     DELETED_LEXICON,
     UNDELETED,
@@ -23,7 +23,7 @@ from trendguard.graph import (
     network_overlap,
     single_attack_filter,
 )
-from trendguard.ingest import Deletion, TrendDay, Tweet, build_trend_instances
+from trendguard.ingest import NOT_DELETED, Deletion, TrendDay, Tweet, build_trend_instances
 
 rng = random.Random(3)
 DAY_START = 18065 * 86400 - 10800
@@ -65,9 +65,7 @@ for day_offset, (campaign, keywords) in enumerate(CAMPAIGNS.items()):
             ))
             tweet_id += 1
 
-instances = build_trend_instances(trends, events)
-
-flags = {key: flags_for_instance(inst) for key, inst in instances.items()}
+instances = build_trend_instances(trends, events, flagger=flags_for_instance())
 
 print("== interest-group network (undeleted tweets) ==")
 interest = build_graph(instances, UNDELETED)
@@ -84,7 +82,7 @@ for name, audience in AUDIENCES.items():
     print(f"  {name} audience maps to community ids {sorted(labels)}")
 
 print("\n== astrobot network (deleted lexicon tweets) ==")
-astro = build_graph(instances, DELETED_LEXICON, flags)
+astro = build_graph(instances, DELETED_LEXICON)
 print(f"raw: {astro.n_nodes} nodes / {astro.n_edges} edges")
 filtered = single_attack_filter(astro)
 print(f"after dropping one-attack users: {filtered.n_nodes} nodes")
@@ -98,9 +96,9 @@ print(f"\nuser overlap between the two networks: "
 
 # Dormancy: bots whose last visible tweet long predates their last attack.
 attack_times = {}
-for key, instance in instances.items():
+for instance in instances.values():
     for tweet in instance.tweets:
-        if tweet.id in instance.deletions and flags[key][tweet.id].is_lexicon:
+        if tweet.deleted_ms != NOT_DELETED and tweet.flags & LEXICON:
             attack_times.setdefault(tweet.user_id, []).append(tweet.created_ms)
 summaries = community_summary(bot_partition, instances, attack_times,
                               dormancy_s=365 * 86400)

@@ -51,12 +51,11 @@ buffer.seek(0)
 epochs = load_trend_epochs(buffer)
 print(f"{len(epochs)} trend-list snapshots, 5 minutes apart")
 
-instances = build_trend_instances(labeled.trend_days(), labeled.events())
+instances = build_trend_instances(labeled.trend_days(), labeled.events(),
+                                  flagger=flags_for_instance())
 verdicts = {}
 for key, instance in instances.items():
-    flags = flags_for_instance(instance)
-    verdicts[key] = classify_trend(count_features(instance, flags),
-                                   DetectorConfig()).attacked
+    verdicts[key] = classify_trend(count_features(instance), DetectorConfig()).attacked
 
 rows = []
 for key, instance in sorted(instances.items()):

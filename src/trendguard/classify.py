@@ -1,6 +1,7 @@
 """
 Per-tweet content classifiers: generated "lexicon" tweets and
-single-engagement tweets.
+single-engagement tweets, and the flag byte the join stores for each
+(tweet, trend-day) pair.
 
 A lexicon tweet is recognized purely from its text once the target keyword
 and emoji are stripped: only alphabetic characters (plus spaces and
@@ -10,11 +11,19 @@ disambiguation parentheses), a non-uppercase start, and 2-9 tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
-from .core import DEFAULT_LOCALE, HASHTAG, Keyword, fold_case
-from .ingest import TrendInstance, Tweet, _clean_token, text_tokens
+from .core import (
+    DEFAULT_LOCALE,
+    HASHTAG,
+    LEXICON,
+    RETWEET,
+    SINGLE_ENGAGEMENT,
+    Keyword,
+    fold_case,
+)
+from .ingest import Tweet, _clean_token, text_tokens
 
 # Letters accepted by the lexicon rule: ASCII plus the Turkish alphabet
 # (including circumflexed vowels seen in loanwords).
@@ -35,14 +44,6 @@ _EMOJI_RE = re.compile(
     "⃣"                 # combining enclosing keycap
     "]+"
 )
-
-
-@dataclass(frozen=True, slots=True)
-class TweetFlags:
-    """Deterministic per-tweet classification flags for a given keyword."""
-
-    is_lexicon: bool
-    is_single_engagement: bool
 
 
 def strip_keyword_and_emoji(
@@ -86,6 +87,15 @@ def strip_keyword_and_emoji(
     return " ".join(_EMOJI_RE.sub(" ", kept).split())
 
 
+@lru_cache(maxsize=1024)
+def _foreign_ascii(normalized: str) -> Callable[[str], Optional[re.Match]]:
+    """A search for an ASCII character that is no letter, no parenthesis, no
+    whitespace and not in '#' + ``normalized``."""
+    foreign = [c for c in map(chr, range(128))
+               if not (c.isalpha() or c in "()" or c.isspace() or c in "#" + normalized)]
+    return re.compile("[" + "".join(f"\\x{ord(c):02x}" for c in foreign) + "]").search
+
+
 def is_lexicon_tweet(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> bool:
@@ -93,7 +103,20 @@ def is_lexicon_tweet(
 
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
+
+    For a hashtag keyword, a text holding an ASCII character that is no
+    letter, no parenthesis, no whitespace and not in '#' + the keyword's
+    normalized form is rejected before anything is stripped. Such a
+    character c survives stripping: the emoji class holds no ASCII
+    character, and a token goes only when its fold is the keyword or
+    '#' + the keyword, while folding maps c to itself (it is no letter),
+    so the fold of a token holding c holds c and is neither. The stripped
+    text keeps that token, and c is not among the allowed characters, as
+    whitespace never survives the split. N-gram keywords skip this test,
+    because the runs they remove can hold punctuation.
     """
+    if keyword is not None and keyword.kind == HASHTAG and _foreign_ascii(keyword.normalized)(text):
+        return False
     stripped = strip_keyword_and_emoji(text, keyword, locale)
     return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()
             and _LEXICON_CHARS.issuperset(stripped))
@@ -113,24 +136,29 @@ def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_L
     return not tags
 
 
-# The four flag values, built once and shared by every tweet that has them.
-_FLAGS = {(lexicon, single): TweetFlags(lexicon, single)
-          for lexicon in (False, True) for single in (False, True)}
+def tweet_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> int:
+    """The flag byte of a tweet joined to a trend-day of ``keyword``: the
+    core.LEXICON, SINGLE_ENGAGEMENT and RETWEET bits."""
+    return ((LEXICON if is_lexicon_tweet(tweet.text, keyword, locale) else 0)
+            | (SINGLE_ENGAGEMENT if is_single_engagement(tweet, keyword, locale) else 0)
+            | (RETWEET if tweet.is_retweet else 0))
 
 
-def compute_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> TweetFlags:
-    return _FLAGS[is_lexicon_tweet(tweet.text, keyword, locale),
-                  is_single_engagement(tweet, keyword, locale)]
+class _Flagger(dict):
+    """tweet_flags for each keyword looked up, made on first use; it
+    pickles with its locale, so a pool's jobs can carry it."""
+
+    def __init__(self, locale: str):
+        super().__init__()
+        self.locale = locale
+
+    def __missing__(self, keyword: Keyword) -> Callable[[Tweet], int]:
+        flag = self[keyword] = partial(tweet_flags, keyword=keyword, locale=self.locale)
+        return flag
 
 
-def flags_for_instance(
-    instance: TrendInstance,
-    locale: str = DEFAULT_LOCALE,
-    tweets: Optional[Iterable[Tweet]] = None,
-) -> dict[int, TweetFlags]:
-    """Flags keyed by tweet id for ``tweets`` of the instance (default: all of them)."""
-    keyword = instance.keyword
-    if tweets is None:
-        tweets = instance.tweets
-    return {t.id: compute_flags(t, keyword, locale) for t in tweets}
-
+def flags_for_instance(locale: str = DEFAULT_LOCALE) -> dict[Keyword, Callable[[Tweet], int]]:
+    """The flagger a join takes (``ingest.build_trend_instances`` and
+    ``build_instances_from_files``): it maps each trend-day's keyword to the
+    function giving the flag byte of a tweet joined to it."""
+    return _Flagger(locale)

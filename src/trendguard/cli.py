@@ -26,11 +26,13 @@ from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
     EDGE_PREDICATES,
+    LEXICON,
     PRESETS,
     UNDELETED,
     TrendGuardError,
 )
 from .ingest import (
+    NOT_DELETED,
     BadRow,
     ParseStats,
     _text_input,
@@ -150,9 +152,12 @@ def _map_fn(jobs: int, n_tasks: int):
             yield pool.map
 
 
-def _build_instances(paths, trends, locale, tz_offset, jobs):
+def _build_instances(paths, trends, locale, tz_offset, jobs, flagged=True):
+    """The join of the trend-days, its tweets flagged unless ``flagged`` is False."""
+    flagger = classify.flags_for_instance(locale) if flagged else None
     with _map_fn(jobs, len(paths)) as map_fn:
-        return build_instances_from_files(trends, paths, locale, tz_offset, map_fn=map_fn)
+        return build_instances_from_files(trends, paths, locale, tz_offset, map_fn=map_fn,
+                                          flagger=flagger)
 
 
 def _stats_worker(path):
@@ -217,35 +222,30 @@ def _cmd_ingest(args, out: _Outputs) -> int:
     return 0
 
 
-def _instances_flags_features(args):
+def _instances_features(args):
     trends = load_trend_days(args.trends, args.locale)
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
-    rows = []
-    for key in sorted(instances):
-        instance = instances[key]
-        flags = classify.flags_for_instance(instance, args.locale)
-        rows.append((instance, flags, features.count_features(instance, flags)))
-    return rows
+    return [(instances[key], features.count_features(instances[key])) for key in sorted(instances)]
 
 
 def _cmd_features(args, out: _Outputs) -> int:
-    rows = _instances_flags_features(args)
+    rows = _instances_features(args)
     with out.sink(args) as handle:
-        features.write_feature_csv(handle, [(instance, vector) for instance, _, vector in rows])
+        features.write_feature_csv(handle, rows)
     return 0
 
 
 def _cmd_detect(args, out: _Outputs) -> int:
     config = _config_from(args)
     params = _params_from(args)
-    rows = _instances_flags_features(args)
+    rows = _instances_features(args)
     verdicts = []
     attacked = []
-    for instance, flags, vector in rows:
+    for instance, vector in rows:
         verdict = detector.classify_trend(vector, config, trend=instance.trend)
         verdicts.append(verdict)
         if verdict.attacked:
-            attacked.append((instance, flags))
+            attacked.append(instance)
     with out.sink(args) as handle:
         detector.write_verdicts_jsonl(handle, verdicts)
 
@@ -256,9 +256,9 @@ def _cmd_detect(args, out: _Outputs) -> int:
 
     if args.events_out:
         with out.open(args.events_out) as handle:
-            for instance, flags, _ in rows:
+            for instance, _ in rows:
                 for event in detector.detect_attack_windows(
-                        instance, flags, params, merge_overlapping=args.merge_events):
+                        instance, params, merge_overlapping=args.merge_events):
                     handle.write(json.dumps({
                         "date": instance.trend.date.isoformat(),
                         "keyword": instance.keyword.normalized,
@@ -279,8 +279,9 @@ def _cmd_scan(args, out: _Outputs) -> int:
     if args.trends:
         for trend in load_trend_days(args.trends, args.locale):
             known.add((trend.date, trend.keyword.normalized))
-    instances = build_instances_from_files(None, args.stream, args.locale, args.tz_offset)
-    verdicts = detector.scan_candidates(instances, known, config, args.locale, args.min_tweets)
+    instances = build_instances_from_files(None, args.stream, args.locale, args.tz_offset,
+                                           flagger=classify.flags_for_instance(args.locale))
+    verdicts = detector.scan_candidates(instances, known, config, args.min_tweets)
     with out.sink(args) as handle:
         detector.write_verdicts_jsonl(handle, verdicts)
     return 0
@@ -317,7 +318,8 @@ def _cmd_metrics(args, out: _Outputs) -> int:
                               f"{', '.join(map(repr, locations))}; an epochs file must hold one")
     verdict_map = _load_verdict_map(args.verdicts)
     trends = load_trend_days(args.trends, args.locale)
-    instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
+    instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs,
+                                 flagged=False)
 
     out_dir = Path(args.out)
     lifecycles = metrics_mod.trend_day_lifecycles(
@@ -357,15 +359,7 @@ def _cmd_metrics(args, out: _Outputs) -> int:
 def _cmd_graph(args, out: _Outputs) -> int:
     trends = load_trend_days(args.trends, args.locale)
     instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
-    # Both the deleted-lexicon edges and the attack times read flags of
-    # deleted tweets only.
-    flags = {
-        key: classify.flags_for_instance(
-            instance, args.locale, [t for t in instance.tweets if t.id in instance.deletions]
-        )
-        for key, instance in instances.items()
-    }
-    graph = graph_mod.build_graph(instances, args.predicate, flags)
+    graph = graph_mod.build_graph(instances, args.predicate)
     if args.single_attack:
         graph = graph_mod.single_attack_filter(graph)
     if args.kcore:
@@ -390,11 +384,11 @@ def _cmd_graph(args, out: _Outputs) -> int:
         summary["n_communities"] = len(set(partition.communities))
 
         attack_times: dict[int, list[int]] = {}
-        for key, instance in instances.items():
-            instance_flags = flags[key]
-            for tweet in instance.tweets:
-                if tweet.id in instance.deletions and instance_flags[tweet.id].is_lexicon:
-                    attack_times.setdefault(tweet.user_id, []).append(tweet.created_ms)
+        for instance in instances.values():
+            for user, created_ms, deleted_ms, flags in zip(
+                    instance.users, instance.created_ms, instance.deleted_ms, instance.flags):
+                if deleted_ms != NOT_DELETED and flags & LEXICON:
+                    attack_times.setdefault(user, []).append(created_ms)
         summaries = graph_mod.community_summary(
             partition, instances, attack_times, dormancy_s=args.dormancy_days * 86400
         )

@@ -56,6 +56,11 @@ def local_hour(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
 HASHTAG = "hashtag"
 NGRAM = "ngram"
 
+# The bits of a joined tweet's flag byte (see classify.tweet_flags).
+LEXICON = 1
+SINGLE_ENGAGEMENT = 2
+RETWEET = 4
+
 
 @dataclass(frozen=True, slots=True)
 class Keyword:

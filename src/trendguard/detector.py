@@ -18,15 +18,15 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .core import (
-    DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
+    LEXICON,
     PRESETS,
+    SINGLE_ENGAGEMENT,
     TrendGuardError,
     local_day,
     span_s,
 )
-from .ingest import TrendDay, TrendInstance, Tweet
-from .classify import TweetFlags, flags_for_instance
+from .ingest import NOT_DELETED, TrendDay, TrendInstance
 from .features import FeatureVector, count_features
 
 
@@ -174,11 +174,10 @@ def classify_trend(
     )
 
 
-def score_instance(instance: TrendInstance, config: DetectorConfig, locale: str) -> Verdict:
-    """The preset's verdict on one trend-day instance: per-tweet flags, then
+def score_instance(instance: TrendInstance, config: DetectorConfig) -> Verdict:
+    """The preset's verdict on one flagged trend-day instance: its
     features, then the rules."""
-    flags = flags_for_instance(instance, locale)
-    return classify_trend(count_features(instance, flags), config, trend=instance.trend)
+    return classify_trend(count_features(instance), config, trend=instance.trend)
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +198,34 @@ class AttackEvent:
     max_lifetime_s: int
 
 
-def attack_candidates(
-    instance: TrendInstance,
-    flags: Mapping[int, TweetFlags],
-    params: AttackParams,
-) -> list[tuple[Tweet, int]]:
-    """(tweet, deletion ms) of the deleted single-engagement tweets eligible
-    for clustering, in creation order.
+def attack_candidates(instance: TrendInstance, params: AttackParams) -> list[int]:
+    """The rows of the deleted single-engagement tweets eligible for
+    clustering, in creation order.
 
     Tweets whose lifetime exceeds theta can belong to no cluster and are
     dropped here. A user contributes at most their earliest eligible tweet,
     so every cluster automatically has one tweet per user. The order is the
     instance's: (created milliseconds, tweet id).
     """
-    per_user: dict[int, tuple[Tweet, int]] = {}
-    for tweet in instance.tweets:
-        deleted_at = instance.deletions.get(tweet.id)
-        if deleted_at is None or tweet.user_id in per_user:
+    created, deleted, flags = instance.created_ms, instance.deleted_ms, instance.flags
+    per_user: dict[int, int] = {}
+    for i, user in enumerate(instance.users):
+        deleted_at = deleted[i]
+        if deleted_at == NOT_DELETED or user in per_user or not flags[i] & SINGLE_ENGAGEMENT:
             continue
-        if not flags[tweet.id].is_single_engagement:
+        if span_s(deleted_at, created[i]) > params.theta:
             continue
-        if span_s(deleted_at, tweet.created_ms) > params.theta:
-            continue
-        per_user[tweet.user_id] = (tweet, deleted_at)
+        per_user[user] = i
     # Insertion order is the creation order of each user's earliest tweet.
     return list(per_user.values())
 
 
 def detect_attack_windows(
     instance: TrendInstance,
-    flags: Mapping[int, TweetFlags],
     params: AttackParams,
     merge_overlapping: bool = False,
 ) -> list[AttackEvent]:
-    """Find every maximal attack cluster in a trend instance.
+    """Find every maximal attack cluster in a flagged trend instance.
 
     A cluster is a candidate subset with at least kappa tweets whose
     creation span fits alpha_p and deletion span fits alpha_d; maximal means
@@ -280,7 +273,7 @@ def detect_attack_windows(
     a merged event's spans describe the whole burst region and may exceed
     alpha_p/alpha_d, unlike the per-cluster guarantees of the default mode.
     """
-    cands = attack_candidates(instance, flags, params)
+    cands = attack_candidates(instance, params)
     n = len(cands)
     kappa = params.kappa
     if n < kappa:
@@ -290,12 +283,15 @@ def detect_attack_windows(
 
     # Candidate index j is creation order; rank r is deletion order. p and d
     # hold whole seconds, so their differences are spans (core.span_s).
-    p = [t.created_ms // 1000 for t, _ in cands]
-    by_rank = sorted(range(n), key=lambda j: (cands[j][1], cands[j][0].id))
+    ids, users = instance.ids, instance.users
+    created = [instance.created_ms[i] for i in cands]
+    deleted = [instance.deleted_ms[i] for i in cands]
+    p = [ms // 1000 for ms in created]
+    by_rank = sorted(range(n), key=lambda j: (deleted[j], ids[cands[j]]))
     rank = [0] * n
     for r, j in enumerate(by_rank):
         rank[j] = r
-    d = [cands[j][1] // 1000 for j in by_rank]
+    d = [deleted[j] // 1000 for j in by_rank]
     # past[r]: the first rank deleted after second d[r] + alpha_d.
     past = [bisect_right(d, t + alpha_d) for t in d]
 
@@ -352,10 +348,10 @@ def detect_attack_windows(
         low, high = min(cluster), max(cluster)
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(cands[j][0].id for j in indices),
-                users=frozenset(cands[j][0].user_id for j in indices),
-                start_ms=cands[first][0].created_ms,
-                end_ms=cands[by_rank[high]][1],
+                tweet_ids=frozenset(ids[cands[j]] for j in indices),
+                users=frozenset(users[cands[j]] for j in indices),
+                start_ms=created[first],
+                end_ms=deleted[by_rank[high]],
                 creation_window_s=p[last] - p[first],
                 deletion_window_s=d[high] - d[low],
                 max_lifetime_s=max(d[r] - p[by_rank[r]] for r in cluster),
@@ -398,24 +394,22 @@ def _merge_components(clusters: Iterable[Iterable[int]]) -> list[frozenset[int]]
 # ---------------------------------------------------------------------------
 
 def label_astrobots(
-    attacked: Iterable[tuple[TrendInstance, Mapping[int, TweetFlags]]],
+    attacked: Iterable[TrendInstance],
     tz_offset: int = DEFAULT_TZ_OFFSET,
 ) -> set[int]:
     """Users who posted a same-day-deleted lexicon tweet into an attacked trend.
 
-    ``attacked`` holds the (instance, flags by tweet id) pairs of the
-    attacked trend-days only; the caller, which holds the verdicts, picks them.
+    ``attacked`` holds the flagged instances of the attacked trend-days
+    only; the caller, which holds the verdicts, picks them.
     """
     bots: set[int] = set()
-    for instance, flags in attacked:
-        for tweet in instance.tweets:
-            deleted_at = instance.deletions.get(tweet.id)
-            if deleted_at is None:
+    for instance in attacked:
+        for user, created_ms, deleted_ms, flags in zip(
+                instance.users, instance.created_ms, instance.deleted_ms, instance.flags):
+            if deleted_ms == NOT_DELETED or not flags & LEXICON:
                 continue
-            if not flags[tweet.id].is_lexicon:
-                continue
-            if local_day(deleted_at, tz_offset) == local_day(tweet.created_ms, tz_offset):
-                bots.add(tweet.user_id)
+            if local_day(deleted_ms, tz_offset) == local_day(created_ms, tz_offset):
+                bots.add(user)
     return bots
 
 
@@ -423,12 +417,12 @@ def scan_candidates(
     instances: Mapping[tuple[date, str], TrendInstance],
     known_trends: set[tuple[date, str]],
     config: DetectorConfig,
-    locale: str = DEFAULT_LOCALE,
     min_tweets: int = 4,
 ) -> list[Verdict]:
     """Classify hashtag-days that never made the trends list.
 
-    ``instances`` are the hashtag-days the join discovers (trends None).
+    ``instances`` are the flagged hashtag-days the join discovers (trends
+    None).
     Those with at least ``min_tweets`` tweets that were not trending that
     day or the next are scored, in key order. Positive verdicts are
     unsuccessful attacks.
@@ -436,11 +430,11 @@ def scan_candidates(
     verdicts = []
     for day, tag in sorted(instances):
         instance = instances[day, tag]
-        if len(instance.tweets) < min_tweets:
+        if len(instance.ids) < min_tweets:
             continue
         if (day, tag) in known_trends or (day + timedelta(days=1), tag) in known_trends:
             continue
-        verdicts.append(score_instance(instance, config, locale))
+        verdicts.append(score_instance(instance, config))
     return verdicts
 
 

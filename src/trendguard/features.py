@@ -12,11 +12,10 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .core import span_s
-from .ingest import TrendInstance, Tweet
-from .classify import TweetFlags
+from .core import LEXICON, RETWEET, SINGLE_ENGAGEMENT, span_s
+from .ingest import NOT_DELETED, TrendInstance
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +86,15 @@ def minute_entropy(times_ms: Iterable[int]) -> float:
     return -pairwise_sum([p * math.log2(p) for p in probs])
 
 
-def initial_deletions(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> int:
+def initial_deletions(instance: TrendInstance) -> int:
     """Length of the creation-ordered prefix of deleted single-engagement tweets.
 
     Ties in creation time break by ascending tweet id. The count stops at
     the first tweet that is kept or engages anything beyond the keyword.
     """
     count = 0
-    for tweet in instance.tweets:
-        flag = flags[tweet.id]
-        if flag.is_single_engagement and tweet.id in instance.deletions:
+    for deleted_ms, flags in zip(instance.deleted_ms, instance.flags):
+        if flags & SINGLE_ENGAGEMENT and deleted_ms != NOT_DELETED:
             count += 1
         else:
             break
@@ -106,61 +104,58 @@ def initial_deletions(instance: TrendInstance, flags: Mapping[int, TweetFlags]) 
 def lifetime_stats(instance: TrendInstance) -> tuple[Optional[float], Optional[float]]:
     """Median and mean deletion-minus-creation lifetime (seconds) over the
     deleted tweets; (None, None) when nothing was deleted."""
-    lifetimes = [span_s(instance.deletions[t.id], t.created_ms)
-                 for t in instance.tweets if t.id in instance.deletions]
+    lifetimes = [span_s(deleted_ms, created_ms)
+                 for created_ms, deleted_ms in zip(instance.created_ms, instance.deleted_ms)
+                 if deleted_ms != NOT_DELETED]
     if not lifetimes:
         return None, None
     return float(statistics.median(lifetimes)), sum(lifetimes) / len(lifetimes)
 
 
-def _candidate_subset(
-    instance: TrendInstance, flags: Mapping[int, TweetFlags]
-) -> list[Tweet]:
-    """Deleted-lexicon tweets if any exist, else deleted single-engagement tweets."""
-    deleted = [t for t in instance.tweets if t.id in instance.deletions]
-    lexicon = [t for t in deleted if flags[t.id].is_lexicon]
-    if lexicon:
-        return lexicon
-    return [t for t in deleted if flags[t.id].is_single_engagement]
+def _candidate_subset(instance: TrendInstance) -> list[int]:
+    """The rows of the deleted lexicon tweets if any exist, else of the
+    deleted single-engagement tweets."""
+    deleted = [i for i, deleted_ms in enumerate(instance.deleted_ms) if deleted_ms != NOT_DELETED]
+    flags = instance.flags
+    return ([i for i in deleted if flags[i] & LEXICON]
+            or [i for i in deleted if flags[i] & SINGLE_ENGAGEMENT])
 
 
-def attack_windows(
-    instance: TrendInstance, flags: Mapping[int, TweetFlags]
-) -> tuple[int, int]:
+def attack_windows(instance: TrendInstance) -> tuple[int, int]:
     """Creation and deletion spans (seconds) over the attack-candidate tweet
     subset; (0, 0) when no deleted lexicon or single-engagement tweet exists.
     """
-    subset = _candidate_subset(instance, flags)
+    subset = _candidate_subset(instance)
     if not subset:
         return 0, 0
-    creations = [t.created_ms for t in subset]
-    deletions = [instance.deletions[t.id] for t in subset]
+    creations = [instance.created_ms[i] for i in subset]
+    deletions = [instance.deleted_ms[i] for i in subset]
     return (
         span_s(max(creations), min(creations)),
         span_s(max(deletions), min(deletions)),
     )
 
 
-def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> FeatureVector:
-    """All counts, ratios, windows, and entropies for one trend instance."""
-    n_tweets = len(instance.tweets)
+def count_features(instance: TrendInstance) -> FeatureVector:
+    """All counts, ratios, windows, and entropies for one trend instance,
+    which the join flagged."""
+    n_tweets = len(instance.ids)
     n_deleted = n_nonretweet = n_deleted_nonretweet = 0
     n_set = n_deleted_set = n_lexicon = n_deleted_lexicon = 0
-    for tweet in instance.tweets:
-        flag = flags[tweet.id]
-        deleted = tweet.id in instance.deletions
+    for deleted_ms, flags in zip(instance.deleted_ms, instance.flags):
+        deleted = deleted_ms != NOT_DELETED
         n_deleted += deleted
-        if not tweet.is_retweet:
+        if not flags & RETWEET:
             n_nonretweet += 1
             n_deleted_nonretweet += deleted
-        if flag.is_single_engagement:
+        if flags & SINGLE_ENGAGEMENT:
             n_set += 1
             n_deleted_set += deleted
-        if flag.is_lexicon:
+        if flags & LEXICON:
             n_lexicon += 1
             n_deleted_lexicon += deleted
 
-    creation_window_s, deletion_window_s = attack_windows(instance, flags)
+    creation_window_s, deletion_window_s = attack_windows(instance)
     lifetime_median_s, lifetime_mean_s = lifetime_stats(instance)
 
     return FeatureVector(
@@ -176,13 +171,13 @@ def count_features(instance: TrendInstance, flags: Mapping[int, TweetFlags]) -> 
         nonretweet_deletion_ratio=_ratio(n_deleted_nonretweet, n_nonretweet),
         set_deletion_ratio=_ratio(n_deleted_set, n_set),
         lexicon_deletion_ratio=_ratio(n_deleted_lexicon, n_lexicon),
-        initial_deletions=initial_deletions(instance, flags),
+        initial_deletions=initial_deletions(instance),
         creation_window_s=creation_window_s,
         deletion_window_s=deletion_window_s,
         lifetime_median_s=lifetime_median_s,
         lifetime_mean_s=lifetime_mean_s,
-        entropy_create=minute_entropy(t.created_ms for t in instance.tweets),
-        entropy_delete=minute_entropy(instance.deletions.values()),
+        entropy_create=minute_entropy(instance.created_ms),
+        entropy_delete=minute_entropy(ms for ms in instance.deleted_ms if ms != NOT_DELETED),
     )
 
 

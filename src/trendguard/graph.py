@@ -25,9 +25,8 @@ from itertools import accumulate, chain, compress, groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DELETED_LEXICON, EDGE_PREDICATES, UNDELETED, TrendGuardError, span_s
-from .ingest import TrendInstance
-from .classify import TweetFlags
+from .core import DELETED_LEXICON, EDGE_PREDICATES, LEXICON, UNDELETED, TrendGuardError, span_s
+from .ingest import NOT_DELETED, TrendInstance
 
 Node = tuple[str, object]  # ("user", int) | ("trend", str)
 
@@ -155,31 +154,32 @@ class BipartiteGraph:
 def build_graph(
     instances: Mapping[tuple[date, str], TrendInstance],
     edge_predicate: str = UNDELETED,
-    flags: Optional[Mapping[tuple[date, str], Mapping[int, TweetFlags]]] = None,
 ) -> BipartiteGraph:
     """One edge per (user, trend) pair with a qualifying tweet; weight counts them.
 
     The "undeleted" predicate builds the interest-group network; the
     "deleted-lexicon" predicate builds the astrobot network and requires
-    per-tweet flags.
+    flagged instances.
     """
     if edge_predicate not in EDGE_PREDICATES:
         raise ValueError(f"unknown edge predicate: {edge_predicate!r}")
-    if edge_predicate == DELETED_LEXICON and flags is None:
-        raise ValueError("deleted-lexicon predicate requires tweet flags")
+    lexicon = edge_predicate == DELETED_LEXICON
+    if lexicon and any(instance.flags is None for instance in instances.values()):
+        raise ValueError("deleted-lexicon predicate requires flagged instances")
 
     def qualifying():
-        for key, instance in instances.items():
+        for instance in instances.values():
             trend = instance.trend
             trend_id = f"{trend.keyword.normalized}@{trend.date.isoformat()}"
-            for tweet in instance.tweets:
-                deleted = tweet.id in instance.deletions
-                if edge_predicate == UNDELETED:
-                    qualifies = not deleted
-                else:
-                    qualifies = deleted and flags[key][tweet.id].is_lexicon
-                if qualifies:
-                    yield tweet.user_id, trend_id, 1
+            if lexicon:
+                rows = zip(instance.users, instance.deleted_ms, instance.flags)
+                users = [user for user, deleted_ms, flags in rows
+                         if deleted_ms != NOT_DELETED and flags & LEXICON]
+            else:
+                users = [user for user, deleted_ms in zip(instance.users, instance.deleted_ms)
+                         if deleted_ms == NOT_DELETED]
+            for user in users:
+                yield user, trend_id, 1
 
     return BipartiteGraph.from_edges(qualifying())
 
@@ -439,12 +439,13 @@ def community_summary(
     attackers = {ident for kind, ident in labels if kind == USER and ident in attack_times}
     last_undeleted: dict[int, int] = {}
     for instance in instances.values():
-        for tweet in instance.tweets:
-            if tweet.user_id not in attackers or tweet.id in instance.deletions:
+        for user, created_ms, deleted_ms in zip(instance.users, instance.created_ms,
+                                                instance.deleted_ms):
+            if user not in attackers or deleted_ms != NOT_DELETED:
                 continue
-            prior = last_undeleted.get(tweet.user_id)
-            if prior is None or tweet.created_ms > prior:
-                last_undeleted[tweet.user_id] = tweet.created_ms
+            prior = last_undeleted.get(user)
+            if prior is None or created_ms > prior:
+                last_undeleted[user] = created_ms
 
     communities = partition.communities
     members = sorted(range(len(communities)), key=communities.__getitem__)

@@ -11,7 +11,6 @@ instance construction is independent of event ordering.
 
 from __future__ import annotations
 
-import calendar
 import csv
 import io
 import json
@@ -19,9 +18,9 @@ import re
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime, timezone
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from datetime import date, datetime, timedelta, timezone
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_LOCALE,
@@ -139,25 +138,70 @@ class TrendEpoch:
         return None
 
 
+# The deletion ms of a tweet that has no deletion attached.
+NOT_DELETED = -2**63
+
+# An int column: an int64 array, or a list once a value lies outside int64.
+Column = Union[array, list]
+
+
+def _column(values: list[int]) -> Column:
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
+class JoinedTweet(NamedTuple):
+    """One row of a TrendInstance."""
+
+    id: int
+    user_id: int
+    created_ms: int
+    deleted_ms: int
+    flags: Optional[int]
+
+
 @dataclass
 class TrendInstance:
-    """A trend-day joined with its associated tweets and their deletion times.
+    """A trend-day joined with its tweets, one column per field.
 
-    Only the join (``_instance``) makes one; downstream code
-    trusts that ``tweets`` holds distinct ids sorted by (created_ms, id) and
-    that ``deletions`` maps a tweet id to its earliest deletion notice (ms).
-    When that notice precedes the tweet's creation, nothing is attached,
-    whatever later notices say, and the tweet counts in ``invalid_deletions``.
+    Only the join (``_instance``) makes one; downstream code trusts that
+    row i of every column is one tweet, that the ids are distinct and the
+    rows sorted by (created_ms, id), and that ``deleted_ms`` holds each
+    tweet's earliest deletion notice (ms), or NOT_DELETED. When that notice
+    precedes the tweet's creation, nothing is attached, whatever later
+    notices say, and the tweet counts in ``invalid_deletions``. A notice at
+    NOT_DELETED itself, the earliest int64 instant, reads as none.
+
+    ``flags`` holds the flag byte of each row (core.LEXICON,
+    SINGLE_ENGAGEMENT and RETWEET bits) as the join's flagger gave it for
+    this trend-day's keyword; it is None when the join had no flagger.
     """
 
     trend: TrendDay
-    tweets: list[Tweet] = field(default_factory=list)
-    deletions: dict[int, int] = field(default_factory=dict)
+    ids: Column = field(default_factory=lambda: array("q"))
+    users: Column = field(default_factory=lambda: array("q"))
+    created_ms: Column = field(default_factory=lambda: array("q"))
+    deleted_ms: Column = field(default_factory=lambda: array("q"))
+    flags: Optional[bytearray] = None
     invalid_deletions: int = 0
 
     @property
     def keyword(self) -> Keyword:
         return self.trend.keyword
+
+    @property
+    def tweets(self) -> list[JoinedTweet]:
+        """The rows, in order; the pipeline itself reads the columns."""
+        flags = repeat(None) if self.flags is None else self.flags
+        return list(map(JoinedTweet, self.ids, self.users, self.created_ms, self.deleted_ms, flags))
+
+    @property
+    def deletions(self) -> dict[int, int]:
+        """The deletion ms of each deleted tweet, by id."""
+        return {tweet_id: when for tweet_id, when in zip(self.ids, self.deleted_ms)
+                if when != NOT_DELETED}
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +215,30 @@ _MONTHS = {name: number for number, name in enumerate(_MONTH_NAMES, 1)}
 _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
 
+# A UTC offset: a sign, then hours and minutes below 60.
+_OFFSET_RE = re.compile(r"([+-])([0-9]{2})([0-5][0-9])")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
 def _parse_created_at(value: str) -> int:
-    """Parse the classic 'Wed Aug 27 13:08:45 +0000 2008' form to epoch seconds."""
+    """Parse the classic 'Wed Aug 27 13:08:45 +0000 2008' form to epoch
+    seconds. An instant that no calendar or clock holds (31 February, hour
+    25, an offset of a day or more or with no sign) is a BadTimestamp."""
     parts = value.split()
     if len(parts) != 6:
         raise BadTimestamp(f"unrecognized created_at: {value!r}")
     try:
-        month = _MONTHS[parts[1]]
-        day = int(parts[2])
-        hh, mm, ss = parts[3].split(":")
-        offset_txt = parts[4]
-        year = int(parts[5])
-        seconds = calendar.timegm((year, month, day, int(hh), int(mm), int(ss), 0, 0, 0))
-        sign = -1 if offset_txt.startswith("-") else 1
-        offset = sign * (int(offset_txt[1:3]) * 3600 + int(offset_txt[3:5]) * 60)
-        return seconds - offset
-    except (KeyError, ValueError, IndexError) as exc:
+        hh, mm, ss = map(int, parts[3].split(":"))
+        offset = _OFFSET_RE.fullmatch(parts[4])
+        if offset is None:
+            raise ValueError("an offset is a sign and HHMM")
+        sign, hours, minutes = offset.groups()
+        shift = timedelta(hours=int(hours), minutes=int(minutes))
+        zone = timezone(-shift if sign == "-" else shift)
+        when = datetime(int(parts[5]), _MONTHS[parts[1]], int(parts[2]), hh, mm, ss, tzinfo=zone)
+        return (when - _EPOCH) // _SECOND
+    except (KeyError, ValueError, OverflowError) as exc:
         raise BadTimestamp(f"unrecognized created_at: {value!r}") from exc
 
 
@@ -586,9 +638,57 @@ def _keyword_index(
     return contained
 
 
-# A join's tweets before deletions attach: by trend-day key, the trend-day
-# and its matched tweets by id, each id's first occurrence kept.
-_Groups = dict[tuple[date, str], tuple[TrendDay, dict[int, Tweet]]]
+# What a join's caller may give it to flag tweets: for each trend-day's
+# keyword, the function giving the flag byte of a tweet joined to it
+# (classify.flags_for_instance makes one).
+Flagger = Mapping[Keyword, Callable[[Tweet], int]]
+
+
+class _Rows:
+    """A trend-day's matched tweets before deletions attach, in the order
+    the join met them: id, user and creation-ms columns, and the flag byte
+    of each (None without a flagger). A value outside int64 turns the three
+    columns into lists."""
+
+    __slots__ = ("trend", "ids", "users", "created_ms", "flags")
+
+    def __init__(self, trend: TrendDay, flagged: bool):
+        self.trend = trend
+        self.ids: Column = array("q")
+        self.users: Column = array("q")
+        self.created_ms: Column = array("q")
+        self.flags = bytearray() if flagged else None
+
+    def add(self, tweet: Tweet, flag: Optional[Callable[[Tweet], int]]) -> None:
+        try:
+            self.ids.append(tweet.id)
+            self.users.append(tweet.user_id)
+            self.created_ms.append(tweet.created_ms)
+        except OverflowError:
+            n = len(self.created_ms)  # appended last: the rows before this one
+            self.ids, self.users, self.created_ms = (
+                [*column[:n], value] for column, value in zip(
+                    (self.ids, self.users, self.created_ms),
+                    (tweet.id, tweet.user_id, tweet.created_ms)))
+        if flag is not None:
+            self.flags.append(flag(tweet))
+
+    def extend(self, other: _Rows) -> None:
+        """Append the rows another read met after these."""
+        if isinstance(self.ids, array) and isinstance(other.ids, array):
+            self.ids.extend(other.ids)
+            self.users.extend(other.users)
+            self.created_ms.extend(other.created_ms)
+        else:
+            self.ids = [*self.ids, *other.ids]
+            self.users = [*self.users, *other.users]
+            self.created_ms = [*self.created_ms, *other.created_ms]
+        if self.flags is not None:
+            self.flags += other.flags
+
+
+# A join's rows before deletions attach, by trend-day key.
+_Groups = dict[tuple[date, str], _Rows]
 
 
 def _route(
@@ -596,73 +696,96 @@ def _route(
     events: Iterable[TweetEvent],
     locale: str,
     tz_offset: int,
+    flagger: Optional[Flagger],
 ) -> tuple[_Groups, _Notices]:
-    """One pass over ``events``: each creation filed under every trend-day
-    it joins, each deletion notice packed. The trend-days are a trend
-    list's, all of them in input order, or with ``trends`` None the
-    (local date, tag) days its creations hold, in first-seen order (see
-    build_trend_instances)."""
+    """One pass over ``events``: each creation filed, with its flag byte,
+    under every trend-day it joins, each deletion notice packed. The
+    trend-days are a trend list's, all of them in input order, or with
+    ``trends`` None the (local date, tag) days its creations hold, in
+    first-seen order (see build_trend_instances)."""
     groups: _Groups = {}
+
+    def open_group(key: tuple[date, str], trend: TrendDay):
+        rows = groups[key] = _Rows(trend, flagger is not None)
+        return rows, None if flagger is None else flagger[trend.keyword]
+
     if trends is None:
-        def joined(tweet: Tweet) -> list[dict[int, Tweet]]:
+        targets = {}
+
+        def joined(tweet: Tweet) -> list:
             day = day_number_to_date(local_day(tweet.created_ms, tz_offset))
             found = []
             for tag in extract_hashtags(tweet.text, locale):
-                group = groups.get((day, tag))
-                if group is None:
-                    group = groups[day, tag] = TrendDay(day, Keyword("#" + tag, tag, HASHTAG)), {}
-                found.append(group[1])
+                target = targets.get((day, tag))
+                if target is None:
+                    trend = TrendDay(day, Keyword("#" + tag, tag, HASHTAG))
+                    target = targets[day, tag] = open_group((day, tag), trend)
+                found.append(target)
             return found
     else:
-        # The tweet maps that take a tweet, by keyword and by the tweet's
-        # local day: a trend-day on day d takes tweets of days d and d-1.
-        by_keyword: dict[tuple[str, str], dict[int, list[dict[int, Tweet]]]] = {}
+        # The (rows, flag) targets that take a tweet, by keyword and by the
+        # tweet's local day: a trend-day on day d takes tweets of days d and d-1.
+        by_keyword: dict[tuple[str, str], dict[int, list]] = {}
         for trend in trends:
             key = (trend.date, trend.keyword.normalized)
             if key not in groups:
-                tweets: dict[int, Tweet] = {}
-                groups[key] = trend, tweets
+                target = open_group(key, trend)
                 by_day = by_keyword.setdefault((trend.keyword.kind, trend.keyword.normalized), {})
                 day = trend.day_number()
                 for taken in (day, day - 1):
-                    by_day.setdefault(taken, []).append(tweets)
-        contained = _keyword_index((trend.keyword for trend, _ in groups.values()), locale)
+                    by_day.setdefault(taken, []).append(target)
+        contained = _keyword_index((rows.trend.keyword for rows in groups.values()), locale)
 
-        def joined(tweet: Tweet) -> list[dict[int, Tweet]]:
+        def joined(tweet: Tweet) -> list:
             day = local_day(tweet.created_ms, tz_offset)
-            return [tweets for key in contained(tweet.text) for tweets in by_keyword[key].get(day, ())]
+            return [target for key in contained(tweet.text) for target in by_keyword[key].get(day, ())]
 
     notices = _Notices()
     for event in events:
         if isinstance(event, Tweet):
-            for tweets in joined(event):
-                tweets.setdefault(event.id, event)
+            for rows, flag in joined(event):
+                rows.add(event, flag)
         elif isinstance(event, Deletion):
             notices.add(event.tweet_id, event.time_ms)
     return groups, notices
 
 
-def _instance(trend: TrendDay, tweets: dict[int, Tweet], deletions: dict[int, int]) -> TrendInstance:
-    """The trend-day's instance of its matched tweets by id, given the
-    earliest deletion notice (ms) of each tweet id."""
-    instance = TrendInstance(trend=trend)
-    instance.tweets = sorted(tweets.values(), key=lambda t: (t.created_ms, t.id))
-    for tweet in instance.tweets:
-        when = deletions.get(tweet.id)
+def _gather(column: Column, order: list[int]) -> Column:
+    return _column(list(map(column.__getitem__, order)))
+
+
+def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
+    """The trend-day's instance of its rows: the first row of each id, sorted
+    by (created ms, id), given the earliest deletion notice (ms) of each
+    tweet id."""
+    ids, created = rows.ids, rows.created_ms
+    n = len(ids)
+    # Each id's last assignment, going backwards, is its first row.
+    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+    order = sorted(first.values(), key=ids.__getitem__)
+    order.sort(key=created.__getitem__)  # stable: equal ms stay in id order
+    instance = TrendInstance(rows.trend, ids=_gather(ids, order), users=_gather(rows.users, order),
+                             created_ms=_gather(created, order))
+    deleted = []
+    for tweet_id, created_ms in zip(instance.ids, instance.created_ms):
+        when = deletions.get(tweet_id)
         if when is None:
-            continue
-        if when < tweet.created_ms:
+            when = NOT_DELETED
+        elif when < created_ms:
             instance.invalid_deletions += 1
-            continue
-        instance.deletions[tweet.id] = when
+            when = NOT_DELETED
+        deleted.append(when)
+    instance.deleted_ms = _column(deleted)
+    if rows.flags is not None:
+        instance.flags = bytearray(map(rows.flags.__getitem__, order))
     return instance
 
 
 def _attach(groups: _Groups, notices: _Notices) -> dict[tuple[date, str], TrendInstance]:
     """Each trend-day's instance, with the earliest notice of each matched
     tweet attached."""
-    deletions = notices.earliest({tid for _, tweets in groups.values() for tid in tweets})
-    return {key: _instance(trend, tweets, deletions) for key, (trend, tweets) in groups.items()}
+    deletions = notices.earliest({tweet_id for rows in groups.values() for tweet_id in rows.ids})
+    return {key: _instance(rows, deletions) for key, rows in groups.items()}
 
 
 def build_trend_instances(
@@ -670,19 +793,22 @@ def build_trend_instances(
     events: Iterable[TweetEvent],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
+    flagger: Optional[Flagger] = None,
 ) -> dict[tuple[date, str], TrendInstance]:
     """Join many trend-days against one pass over an event collection.
 
     Returns a mapping keyed by (date, normalized keyword). Matching goes
-    through one keyword index over all trend-days. Each deletion notice is
-    packed into 16 bytes until the pass ends, when the earliest notice of
-    each matched tweet is attached.
+    through one keyword index over all trend-days. A matched tweet is kept
+    as four ints and, with a ``flagger``, the flag byte it gives for the
+    trend-day's keyword, worked out as the tweet is filed; the Tweet itself
+    is dropped. Each deletion notice is packed into 16 bytes until the pass
+    ends, when the earliest notice of each matched tweet is attached.
 
     With ``trends`` None the join discovers its trend-days: a creation goes
     to the instance (its local date, tag) of each tag of extract_hashtags,
     on its own day only, each made on first use with the keyword '#tag'.
     """
-    return _attach(*_route(trends, events, locale, tz_offset))
+    return _attach(*_route(trends, events, locale, tz_offset, flagger))
 
 
 def _escape_sensitive(token: str) -> bool:
@@ -693,20 +819,26 @@ def _escape_sensitive(token: str) -> bool:
     return any(char in '"\\/σ' or char < " " for char in token)
 
 
-def _creation_filter(trends: Optional[Sequence[TrendDay]], locale: str) -> Callable[[str], bool]:
-    """Keeps every line whose tweet can match one of ``trends``, or hold a
-    hashtag when ``trends`` is None (why, see build_instances_from_files)."""
+def _line_filter(trends: Optional[Sequence[TrendDay]], locale: str) -> Callable[[str], bool]:
+    """Keeps every deletion notice and every line whose tweet can match one
+    of ``trends``, or hold a hashtag when ``trends`` is None (why, see
+    build_instances_from_files): one call a line, the substring tests inline."""
     hashtags = trends is None or any(trend.keyword.kind == HASHTAG for trend in trends)
     ngrams = {tokens for trend in trends or () if trend.keyword.kind != HASHTAG
               if (tokens := tuple(text_tokens(trend.keyword.normalized, locale)))}
     escape = "\\" if any(_escape_sensitive(t) for ngram in ngrams for t in ngram) else "\\u"
 
+    # Each escape the tests look for starts with \u00, which few lines hold.
+    if not ngrams:
+        def keep(line: str) -> bool:
+            return ('"delete"' in line or hashtags and "#" in line
+                    or "\\u00" in line and ("\\u006" in line or "\\u007" in line
+                                          or hashtags and "\\u0023" in line))
+        return keep
+
+    # With an n-gram, every line holding \u (so every escape above) is kept.
     def keep(line: str) -> bool:
-        if hashtags and ("#" in line or "\\u0023" in line):
-            return True
-        if not ngrams:
-            return False
-        if escape in line:
+        if '"delete"' in line or hashtags and "#" in line or escape in line:
             return True
         folded = fold_case(line, locale)
         for ngram in ngrams:
@@ -718,11 +850,6 @@ def _creation_filter(trends: Optional[Sequence[TrendDay]], locale: str) -> Calla
         return False
 
     return keep
-
-
-def _may_hold_deletion(line: str) -> bool:
-    """Keeps every deletion notice (why, see build_instances_from_files)."""
-    return '"delete"' in line or "\\u006" in line or "\\u007" in line
 
 
 # "id" followed by ':' and an integer that ends its value; the group is
@@ -803,16 +930,12 @@ class _Notices:
 
 
 def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
-    """One read of one file: its tweets by trend-day, every deletion
+    """One read of one file: its flagged rows by trend-day, every deletion
     notice, and the file's parse counters."""
-    path, trends, locale, tz_offset = job
-    may_match = _creation_filter(trends, locale)
-
-    def keep(line: str) -> bool:
-        return _may_hold_deletion(line) or may_match(line)
-
+    path, trends, locale, tz_offset, flagger = job
     stats = ParseStats()
-    groups, notices = _route(trends, read_stream(path, stats=stats, keep=keep), locale, tz_offset)
+    events = read_stream(path, stats=stats, keep=_line_filter(trends, locale))
+    groups, notices = _route(trends, events, locale, tz_offset, flagger)
     return groups, notices, stats
 
 
@@ -823,15 +946,18 @@ def build_instances_from_files(
     tz_offset: int = DEFAULT_TZ_OFFSET,
     stats: Optional[ParseStats] = None,
     map_fn: Callable = map,
+    flagger: Optional[Flagger] = None,
 ) -> dict[tuple[date, str], TrendInstance]:
     """One-pass streaming join over archive files with per-trend memory.
 
-    Each file is read once: its matching tweets are kept, and each of its
-    deletion notices is packed into 16 bytes. Once every file is read, the
-    earliest notice of each matched tweet is attached, so peak memory is the
-    matched tweets plus 16 bytes per notice, not the corpus. The result
-    equals ``build_trend_instances(trends, <every file's events>)``, also in
-    its discovery case, ``trends`` None, which finds every hashtag-day.
+    Each file is read once: its matching tweets are kept as rows of ints
+    (flagged by ``flagger``, when given), and each of its deletion notices
+    is packed into 16 bytes. Once every file is read, the earliest notice of
+    each matched tweet is attached, so peak memory is about 33 bytes per
+    matched tweet plus 16 per notice, not the corpus. The result equals
+    ``build_trend_instances(trends, <every file's events>, ..., flagger)``,
+    also in its discovery case, ``trends`` None, which finds every
+    hashtag-day.
 
     Only the lines a raw-line test keeps are decoded; the others are
     counted as ``prefiltered``. The test keeps a line in each of these
@@ -865,20 +991,22 @@ def build_instances_from_files(
 
     ``stats`` receives the read's counters: each archive line once.
     ``map_fn`` runs the per-file reads, in file order; a process pool's
-    map parallelizes across files with identical results.
+    map parallelizes across files with identical results. Each read gets
+    the ``flagger``, so under a pool it must pickle, as
+    classify.flags_for_instance's does, and it returns its rows as int
+    columns, which pickle as raw bytes.
     """
-    groups, notices = _route(trends, (), locale, tz_offset)
+    groups, notices = _route(trends, (), locale, tz_offset, flagger)
     for file_groups, file_notices, file_stats in map_fn(
-        _scan_file, [(path, trends, locale, tz_offset) for path in paths]
+        _scan_file, [(path, trends, locale, tz_offset, flagger) for path in paths]
     ):
         if stats is not None:
             stats.add(file_stats)
         notices.extend(file_notices)
-        for key, group in file_groups.items():
+        for key, rows in file_groups.items():
             merged = groups.get(key)
-            if merged is None or not merged[1]:
-                groups[key] = group  # a trend-day's first tweets: kept, not copied
-                continue
-            for tweet_id, tweet in group[1].items():
-                merged[1].setdefault(tweet_id, tweet)
+            if merged is None or not merged.ids:
+                groups[key] = rows  # a trend-day's first rows: kept, not copied
+            else:
+                merged.extend(rows)
     return _attach(groups, notices)

@@ -26,7 +26,7 @@ from .core import (
     local_hour,
     span_s,
 )
-from .ingest import TrendDay, TrendEpoch, TrendInstance, day_number_to_date
+from .ingest import NOT_DELETED, TrendDay, TrendEpoch, TrendInstance, day_number_to_date
 
 
 class NeverTrended(TrendGuardError):
@@ -127,7 +127,7 @@ def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> int:
     the entry second, rounded; never negative, as every pre-entry second is
     at most the entry second."""
     entry_ms = cycle.first_entry_ms
-    pre_entry = [t.created_ms // 1000 for t in instance.tweets if t.created_ms < entry_ms]
+    pre_entry = [ms // 1000 for ms in instance.created_ms if ms < entry_ms]
     if not pre_entry:
         raise NoPriorTweets(f"no tweets precede entry of {cycle.keyword.raw!r}")
     return round(entry_ms // 1000 - statistics.median(pre_entry))
@@ -135,14 +135,14 @@ def trend_speed(instance: TrendInstance, cycle: TrendLifecycle) -> int:
 
 def pre_entry_deletion_ratio(instance: TrendInstance, cycle: TrendLifecycle) -> float:
     """Among pre-entry tweets, the fraction already deleted before entry."""
+    entry_ms = cycle.first_entry_ms
     total = 0
     deleted = 0
-    for tweet in instance.tweets:
-        if tweet.created_ms >= cycle.first_entry_ms:
+    for created_ms, deleted_ms in zip(instance.created_ms, instance.deleted_ms):
+        if created_ms >= entry_ms:
             continue
         total += 1
-        deleted_at = instance.deletions.get(tweet.id)
-        if deleted_at is not None and deleted_at < cycle.first_entry_ms:
+        if deleted_ms != NOT_DELETED and deleted_ms < entry_ms:
             deleted += 1
     return deleted / total if total else 0.0
 
@@ -223,7 +223,7 @@ def volume_report(
     volumes: dict[str, list[int]] = {"attacked": [], "other": []}
     for key, instance in instances.items():
         label = "attacked" if verdicts.get(key, False) else "other"
-        undeleted[label].append(len(instance.tweets) - len(instance.deletions))
+        undeleted[label].append(instance.deleted_ms.count(NOT_DELETED))
         volume = volume_index.get((instance.trend.day_number(), key[1]))
         if volume is not None:
             volumes[label].append(volume)

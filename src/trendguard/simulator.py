@@ -42,6 +42,7 @@ from .ingest import (
     _text_input,
     build_trend_instances,
 )
+from .classify import flags_for_instance
 from .detector import AttackParams, DetectorConfig, score_instance
 
 
@@ -773,10 +774,11 @@ def score_stream(
                 f"trend-day {trend.date.isoformat()},{trend.keyword.raw} has no truth label"
             )
     sampled = sample_stream(events, scenario.sample_rate, scenario.seed)
-    instances = build_trend_instances(trend_days, sampled, SCENARIO_LOCALE, scenario.tz_offset)
+    instances = build_trend_instances(trend_days, sampled, SCENARIO_LOCALE, scenario.tz_offset,
+                                      flags_for_instance(SCENARIO_LOCALE))
     tp = fp = tn = fn = 0
     for key, instance in instances.items():
-        verdict = score_instance(instance, config, SCENARIO_LOCALE)
+        verdict = score_instance(instance, config)
         if verdict.attacked and truth[key]:
             tp += 1
         elif verdict.attacked:

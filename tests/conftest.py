@@ -8,6 +8,7 @@ from datetime import date
 
 import pytest
 
+from trendguard.classify import flags_for_instance
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     ParseStats,
@@ -15,8 +16,11 @@ from trendguard.ingest import (
     TrendInstance,
     Tweet,
     _instance,
+    _Rows,
     read_stream,
 )
+
+from oracles import flag_byte
 
 # Local noon on 2019-06-18 (UTC+3).
 DAY = date(2019, 6, 18)
@@ -98,14 +102,21 @@ def pipe_payload(lines: int = 4000) -> bytes:
     return ("\n".join(out) + "\n").encode()
 
 
-def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY) -> TrendInstance:
+def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY,
+                  flags=None) -> TrendInstance:
     """The instance the join builds from these tweets and the earliest
-    deletion notice (ms) of each tweet id."""
-    first: dict[int, Tweet] = {}
+    deletion notice (ms) of each tweet id, each tweet flagged as the join's
+    flagger flags it, or as ``flags`` (oracles.TweetFlags by id) says."""
+    trend = TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr"))
+    if flags is None:
+        flag = flags_for_instance("tr")[trend.keyword]
+    else:
+        def flag(tweet: Tweet) -> int:
+            return flag_byte(flags[tweet.id], tweet.is_retweet)
+    rows = _Rows(trend, flagged=True)
     for tweet in tweets:
-        first.setdefault(tweet.id, tweet)
-    return _instance(TrendDay(date=day, keyword=normalize_keyword(keyword_raw, "tr")), first,
-                     deletions_ms)
+        rows.add(tweet, flag)
+    return _instance(rows, deletions_ms)
 
 
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:

@@ -7,9 +7,14 @@ its k-core and single-attack filters, modularity over a node-keyed
 assignment, and Louvain's two phases over dicts keyed by node; for the
 attack windows: the sweep that keeps every run as a frozenset and tests
 maximality by subset; for the lexicon classifier: the keyword and emoji
-stripping that folds each token on its own; and for the success metrics: a
-trend-day's lifecycle found by reading every epoch from the start of its
-day.
+stripping that folds each token on its own, and the lexicon rule that
+always strips first; for the success metrics: a trend-day's lifecycle
+found by reading every epoch from the start of its day; for the stages
+after the join: the Tweet-and-dict path, where an instance holds whole
+Tweets (`TweetInstance`) and a TweetFlags dict by id is computed after the
+join, with the features, attack candidates and astrobot labels that read
+them; and for the file join's raw-line test: the deletion test and the
+creation test as separate calls.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
@@ -20,9 +25,13 @@ arrays over node numbers (`trendguard.graph.BipartiteGraph`), on which it
 filters and runs Louvain, keeps each run of the window sweep as a few
 ints and decides maximality on their bounds
 (`trendguard.detector.detect_attack_windows`), and folds a tweet's text
-once (`trendguard.classify.strip_keyword_and_emoji`), and looks for a
-trend-day's entry among its day's epochs only
-(`trendguard.metrics.trend_day_lifecycles`); the tests check each
+once (`trendguard.classify.strip_keyword_and_emoji`), rejects a hashtag
+keyword's non-lexicon text on one character-class search
+(`trendguard.classify.is_lexicon_tweet`), looks for a trend-day's entry
+among its day's epochs only (`trendguard.metrics.trend_day_lifecycles`),
+flags each tweet as the join files it and keeps a trend-day as int
+columns (`trendguard.ingest.TrendInstance`), and tests each raw line in
+one call (`trendguard.ingest._line_filter`); the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
 share no join code with the library.
@@ -31,8 +40,9 @@ share no join code with the library.
 from __future__ import annotations
 
 import random
+import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -45,30 +55,49 @@ from trendguard.core import (
     fold_case,
     local_day,
 )
-from trendguard.classify import _EMOJI_RE, TweetFlags
+from trendguard import classify
+from trendguard.classify import _EMOJI_RE, _LEXICON_CHARS, is_single_engagement
+from trendguard.core import LEXICON, RETWEET, SINGLE_ENGAGEMENT, span_s
 from trendguard.detector import (
     AttackEvent,
     AttackParams,
     DetectorConfig,
     Verdict,
-    attack_candidates,
-    score_instance,
+    classify_trend,
 )
+from trendguard.features import FeatureVector, _ratio, minute_entropy
 from trendguard.graph import EmptyGraph, IncompleteAssignment, TREND, USER
 from trendguard.ingest import (
+    NOT_DELETED,
     Deletion,
+    JoinedTweet,
     TrendDay,
     TrendEpoch,
-    TrendInstance,
     Tweet,
     TweetEvent,
     _clean_token,
+    _escape_sensitive,
     day_number_to_date,
     extract_hashtags,
     text_tokens,
 )
 from trendguard.metrics import NeverTrended, TrendLifecycle
 from trendguard.simulator import GeoTweet, format_created_at
+
+
+@dataclass
+class TweetInstance:
+    """A trend-day joined with its whole Tweets and a deletion dict, as the
+    library kept it before its instances became int columns."""
+
+    trend: TrendDay
+    tweets: list[Tweet] = field(default_factory=list)
+    deletions: dict[int, int] = field(default_factory=dict)
+    invalid_deletions: int = 0
+
+    @property
+    def keyword(self) -> Keyword:
+        return self.trend.keyword
 
 
 class _InstanceBuilder:
@@ -82,8 +111,8 @@ class _InstanceBuilder:
     def offer_tweet(self, tweet: Tweet) -> None:
         self.tweets.setdefault(tweet.id, tweet)
 
-    def build(self, deletions: dict[int, int]) -> TrendInstance:
-        instance = TrendInstance(trend=self.trend)
+    def build(self, deletions: dict[int, int]) -> TweetInstance:
+        instance = TweetInstance(trend=self.trend)
         instance.tweets = sorted(self.tweets.values(), key=lambda t: (t.created_ms, t.id))
         for tweet in instance.tweets:
             when = deletions.get(tweet.id)
@@ -136,7 +165,7 @@ def build_trend_instance(
     events: Iterable[TweetEvent],
     locale: str = DEFAULT_LOCALE,
     tz_offset: int = DEFAULT_TZ_OFFSET,
-) -> TrendInstance:
+) -> TweetInstance:
     """Join one trend-day against an event collection.
 
     The result is a pure function of the event *set*: shuffling the input
@@ -521,7 +550,7 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
 
 
 def detect_attack_windows(
-    instance: TrendInstance,
+    instance,
     flags: Mapping[int, TweetFlags],
     params: AttackParams,
     merge_overlapping: bool = False,
@@ -760,3 +789,234 @@ def trend_day_lifecycles(
         if local_day(cycle.first_entry_ms, tz_offset) == day:
             cycles[(trend.date, normalized)] = cycle
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# The Tweet-and-dict path: flags as one TweetFlags per tweet id, computed
+# after the join, and the stages that read them with whole Tweets. They take
+# a TweetInstance or anything with the same `tweets` (rows with id, user_id
+# and created_ms) and `deletions`, such as a library instance's views.
+# ---------------------------------------------------------------------------
+
+def is_lexicon_tweet(
+    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
+) -> bool:
+    """True when the text, keyword and emoji removed, looks generated:
+
+    every character alphabetic (or space / parenthesis), first character not
+    uppercase, and 2-9 whitespace tokens.
+    """
+    stripped = classify.strip_keyword_and_emoji(text, keyword, locale)
+    return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()
+            and _LEXICON_CHARS.issuperset(stripped))
+
+
+@dataclass(frozen=True, slots=True)
+class TweetFlags:
+    """Deterministic per-tweet classification flags for a given keyword."""
+
+    is_lexicon: bool
+    is_single_engagement: bool
+
+
+# The four flag values, built once and shared by every tweet that has them.
+_FLAGS = {(lexicon, single): TweetFlags(lexicon, single)
+          for lexicon in (False, True) for single in (False, True)}
+
+
+def compute_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> TweetFlags:
+    return _FLAGS[is_lexicon_tweet(tweet.text, keyword, locale),
+                  is_single_engagement(tweet, keyword, locale)]
+
+
+def flags_for_instance(
+    instance: TweetInstance,
+    locale: str = DEFAULT_LOCALE,
+    tweets: Optional[Iterable[Tweet]] = None,
+) -> dict[int, TweetFlags]:
+    """Flags keyed by tweet id for ``tweets`` of the instance (default: all of them)."""
+    keyword = instance.keyword
+    if tweets is None:
+        tweets = instance.tweets
+    return {t.id: compute_flags(t, keyword, locale) for t in tweets}
+
+
+def flag_byte(flags: TweetFlags, is_retweet: bool) -> int:
+    """The library's flag byte of a tweet with these flags."""
+    return ((LEXICON if flags.is_lexicon else 0)
+            | (SINGLE_ENGAGEMENT if flags.is_single_engagement else 0)
+            | (RETWEET if is_retweet else 0))
+
+
+def joined_rows(instance: TweetInstance, flags: Optional[Mapping[int, TweetFlags]]) -> list:
+    """The rows a library instance of the same join holds (its `tweets`)."""
+    return [JoinedTweet(t.id, t.user_id, t.created_ms, instance.deletions.get(t.id, NOT_DELETED),
+                        None if flags is None else flag_byte(flags[t.id], t.is_retweet))
+            for t in instance.tweets]
+
+
+def initial_deletions(instance, flags: Mapping[int, TweetFlags]) -> int:
+    count = 0
+    for tweet in instance.tweets:
+        flag = flags[tweet.id]
+        if flag.is_single_engagement and tweet.id in instance.deletions:
+            count += 1
+        else:
+            break
+    return count
+
+
+def lifetime_stats(instance) -> tuple[Optional[float], Optional[float]]:
+    lifetimes = [span_s(instance.deletions[t.id], t.created_ms)
+                 for t in instance.tweets if t.id in instance.deletions]
+    if not lifetimes:
+        return None, None
+    return float(statistics.median(lifetimes)), sum(lifetimes) / len(lifetimes)
+
+
+def _candidate_subset(instance, flags: Mapping[int, TweetFlags]) -> list:
+    deleted = [t for t in instance.tweets if t.id in instance.deletions]
+    lexicon = [t for t in deleted if flags[t.id].is_lexicon]
+    if lexicon:
+        return lexicon
+    return [t for t in deleted if flags[t.id].is_single_engagement]
+
+
+def attack_windows(instance, flags: Mapping[int, TweetFlags]) -> tuple[int, int]:
+    subset = _candidate_subset(instance, flags)
+    if not subset:
+        return 0, 0
+    creations = [t.created_ms for t in subset]
+    deletions = [instance.deletions[t.id] for t in subset]
+    return (
+        span_s(max(creations), min(creations)),
+        span_s(max(deletions), min(deletions)),
+    )
+
+
+def count_features(instance: TweetInstance, flags: Mapping[int, TweetFlags]) -> FeatureVector:
+    """All counts, ratios, windows, and entropies for one trend instance."""
+    n_tweets = len(instance.tweets)
+    n_deleted = n_nonretweet = n_deleted_nonretweet = 0
+    n_set = n_deleted_set = n_lexicon = n_deleted_lexicon = 0
+    for tweet in instance.tweets:
+        flag = flags[tweet.id]
+        deleted = tweet.id in instance.deletions
+        n_deleted += deleted
+        if not tweet.is_retweet:
+            n_nonretweet += 1
+            n_deleted_nonretweet += deleted
+        if flag.is_single_engagement:
+            n_set += 1
+            n_deleted_set += deleted
+        if flag.is_lexicon:
+            n_lexicon += 1
+            n_deleted_lexicon += deleted
+
+    creation_window_s, deletion_window_s = attack_windows(instance, flags)
+    lifetime_median_s, lifetime_mean_s = lifetime_stats(instance)
+
+    return FeatureVector(
+        n_tweets=n_tweets,
+        n_deleted=n_deleted,
+        n_nonretweet=n_nonretweet,
+        n_deleted_nonretweet=n_deleted_nonretweet,
+        n_set=n_set,
+        n_deleted_set=n_deleted_set,
+        n_lexicon=n_lexicon,
+        n_deleted_lexicon=n_deleted_lexicon,
+        deletion_ratio=_ratio(n_deleted, n_tweets),
+        nonretweet_deletion_ratio=_ratio(n_deleted_nonretweet, n_nonretweet),
+        set_deletion_ratio=_ratio(n_deleted_set, n_set),
+        lexicon_deletion_ratio=_ratio(n_deleted_lexicon, n_lexicon),
+        initial_deletions=initial_deletions(instance, flags),
+        creation_window_s=creation_window_s,
+        deletion_window_s=deletion_window_s,
+        lifetime_median_s=lifetime_median_s,
+        lifetime_mean_s=lifetime_mean_s,
+        entropy_create=minute_entropy(t.created_ms for t in instance.tweets),
+        entropy_delete=minute_entropy(instance.deletions.values()),
+    )
+
+
+def score_instance(instance: TweetInstance, config: DetectorConfig, locale: str) -> Verdict:
+    flags = flags_for_instance(instance, locale)
+    return classify_trend(count_features(instance, flags), config, trend=instance.trend)
+
+
+def attack_candidates(instance, flags: Mapping[int, TweetFlags], params: AttackParams) -> list:
+    """(tweet, deletion ms) of the deleted single-engagement tweets eligible
+    for clustering, in creation order."""
+    per_user: dict = {}
+    for tweet in instance.tweets:
+        deleted_at = instance.deletions.get(tweet.id)
+        if deleted_at is None or tweet.user_id in per_user:
+            continue
+        if not flags[tweet.id].is_single_engagement:
+            continue
+        if span_s(deleted_at, tweet.created_ms) > params.theta:
+            continue
+        per_user[tweet.user_id] = (tweet, deleted_at)
+    return list(per_user.values())
+
+
+def label_astrobots(attacked, tz_offset: int = DEFAULT_TZ_OFFSET) -> set[int]:
+    """Users who posted a same-day-deleted lexicon tweet into an attacked
+    trend; ``attacked`` holds (instance, flags by tweet id) pairs."""
+    bots: set[int] = set()
+    for instance, flags in attacked:
+        for tweet in instance.tweets:
+            deleted_at = instance.deletions.get(tweet.id)
+            if deleted_at is None:
+                continue
+            if not flags[tweet.id].is_lexicon:
+                continue
+            if local_day(deleted_at, tz_offset) == local_day(tweet.created_ms, tz_offset):
+                bots.add(tweet.user_id)
+    return bots
+
+
+# ---------------------------------------------------------------------------
+# The file join's raw-line test as three calls: the deletion test, then the
+# creation test.
+# ---------------------------------------------------------------------------
+
+def creation_filter(trends: Optional[Sequence[TrendDay]], locale: str):
+    """Keeps every line whose tweet can match one of ``trends``, or hold a
+    hashtag when ``trends`` is None."""
+    hashtags = trends is None or any(trend.keyword.kind == HASHTAG for trend in trends)
+    ngrams = {tokens for trend in trends or () if trend.keyword.kind != HASHTAG
+              if (tokens := tuple(text_tokens(trend.keyword.normalized, locale)))}
+    escape = "\\" if any(_escape_sensitive(t) for ngram in ngrams for t in ngram) else "\\u"
+
+    def keep(line: str) -> bool:
+        if hashtags and ("#" in line or "\\u0023" in line):
+            return True
+        if not ngrams:
+            return False
+        if escape in line:
+            return True
+        folded = fold_case(line, locale)
+        for ngram in ngrams:
+            for token in ngram:
+                if token not in folded:
+                    break
+            else:
+                return True
+        return False
+
+    return keep
+
+
+def may_hold_deletion(line: str) -> bool:
+    """Keeps every deletion notice."""
+    return '"delete"' in line or "\\u006" in line or "\\u007" in line
+
+
+def line_filter(trends: Optional[Sequence[TrendDay]], locale: str):
+    may_match = creation_filter(trends, locale)
+
+    def keep(line: str) -> bool:
+        return may_hold_deletion(line) or may_match(line)
+
+    return keep

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trendguard.classify import flags_for_instance, is_lexicon_tweet
+from trendguard.classify import is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import initial_deletions, minute_entropy
 from trendguard.graph import k_core, louvain, modularity
@@ -143,8 +143,7 @@ def test_acceptance_3_attack_model_conformance():
     oracle_checked = 0
     for i in range(1000):
         instance = _random_detector_instance(rng, max_tweets=12 if i % 2 == 0 else 20)
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, params)
+        events = detect_attack_windows(instance, params)
         for event in events:
             total_events += 1
             assert len(event.tweet_ids) >= params.kappa
@@ -170,8 +169,7 @@ def test_acceptance_4_feature_oracles():
 
     for _ in range(1000):
         instance = random_instance(rng)
-        flags = flags_for_instance(instance)
-        assert initial_deletions(instance, flags) == prefix_oracle(instance, flags)
+        assert initial_deletions(instance) == prefix_oracle(instance)
 
     burst = [(360_000 + i) * 1000 for i in range(50)]
     assert minute_entropy(burst) == 0.0

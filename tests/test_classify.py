@@ -1,18 +1,25 @@
+import pickle
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendguard.core import fold_case, normalize_keyword
+from trendguard.core import (
+    LEXICON,
+    RETWEET,
+    SINGLE_ENGAGEMENT,
+    fold_case,
+    normalize_keyword,
+)
 from trendguard.ingest import _keyword_index
 from trendguard.classify import (
     TURKISH_ALPHABET,
-    TweetFlags,
-    compute_flags,
+    flags_for_instance,
     is_lexicon_tweet,
     is_single_engagement,
     strip_keyword_and_emoji,
+    tweet_flags,
 )
 
 from conftest import make_tweet
@@ -172,25 +179,28 @@ class TestIsSingleEngagement:
 
 
 class TestFlagsAndStats:
-    def test_compute_flags(self, tag_keyword):
+    def test_tweet_flags(self, tag_keyword):
         tweet = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])
-        flags = compute_flags(tweet, tag_keyword)
-        assert flags.is_lexicon and flags.is_single_engagement
+        assert tweet_flags(tweet, tag_keyword) == LEXICON | SINGLE_ENGAGEMENT
+        retweet = make_tweet(2, 1, "RT @a: yarım gün #tag", 0, hashtags=["tag"], is_retweet=True)
+        assert tweet_flags(retweet, tag_keyword) == RETWEET
 
-    def test_equal_flags_are_one_object(self, tag_keyword):
-        """A flag pair has four values; every tweet with one value shares it."""
-        tweets = [
-            make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"]),
-            make_tweet(2, 2, "yarım gün #tag", 5, hashtags=["tag"]),
-            make_tweet(3, 3, "Yarım gün #tag", 9, hashtags=["tag"]),
-            make_tweet(4, 4, "yarım gün #tag", 9, hashtags=["tag"], mentions=[7]),
-            make_tweet(5, 5, "Yarım gün #tag", 9, hashtags=["tag"], mentions=[7]),
-            make_tweet(6, 6, "Yarım gün #tag", 9, hashtags=["tag"], mentions=[8]),
-        ]
-        flags = [compute_flags(tweet, tag_keyword) for tweet in tweets]
-        assert len({(f.is_lexicon, f.is_single_engagement) for f in flags}) == 4
-        assert flags[0] is flags[1] and flags[4] is flags[5]
-        assert all(a is b for a in flags for b in flags if a == b)
+    def test_a_flagger_makes_one_function_per_keyword_and_pickles(self, tag_keyword):
+        """The join looks a trend-day's flag function up by keyword; a pool's
+        jobs carry the flagger, which must pickle with what it has made."""
+        flagger = flags_for_instance("tr")
+        assert len(flagger) == 0
+        flag = flagger[tag_keyword]
+        assert flagger[tag_keyword] is flag and len(flagger) == 1
+        tweets = [make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"]),
+                  make_tweet(2, 2, "Yarım gün #tag", 5, hashtags=["tag"], mentions=[7])]
+        copy = pickle.loads(pickle.dumps(flagger))
+        assert copy.locale == "tr"
+        other = normalize_keyword("#öteki", "tr")
+        for flags in (flagger, copy):
+            assert [flags[tag_keyword](t) for t in tweets] == \
+                [tweet_flags(t, tag_keyword, "tr") for t in tweets] == [LEXICON | SINGLE_ENGAGEMENT, 0]
+            assert flags[other](tweets[0]) == tweet_flags(tweets[0], other, "tr")
 
 
 def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
@@ -234,19 +244,17 @@ def flag_texts(draw):
 @given(text=flag_texts(), raw_keyword=st.sampled_from(FLAG_KEYWORDS),
        locale=st.sampled_from(["tr", "en"]), mentions=st.booleans(),
        extra_tag=st.sampled_from([None, "tepel", "izmir", "diğer"]))
-def test_compute_flags_equals_the_three_classifiers(text, raw_keyword, locale, mentions,
-                                                     extra_tag):
+def test_tweet_flags_equals_the_three_classifiers(text, raw_keyword, locale, mentions,
+                                                   extra_tag):
     keyword = normalize_keyword(raw_keyword, locale)
     hashtags = [w.lstrip("#") for w in text.split() if w.startswith("#")]
     if extra_tag:
         hashtags.append(extra_tag)
     tweet = make_tweet(1, 1, text, 0, hashtags=hashtags, mentions=(7,) if mentions else ())
-    flags = compute_flags(tweet, keyword, locale)
-    assert flags == TweetFlags(
-        is_lexicon_tweet(text, keyword, locale),
-        is_single_engagement(tweet, keyword, locale),
-    )
-    assert flags.is_lexicon == reference_is_lexicon(text, keyword, locale)
+    flags = tweet_flags(tweet, keyword, locale)
+    assert flags == ((LEXICON if is_lexicon_tweet(text, keyword, locale) else 0)
+                     | (SINGLE_ENGAGEMENT if is_single_engagement(tweet, keyword, locale) else 0))
+    assert bool(flags & LEXICON) == reference_is_lexicon(text, keyword, locale)
     assert is_lexicon_tweet(text, None, locale) == reference_is_lexicon(text, None, locale)
 
 
@@ -293,3 +301,26 @@ def test_folding_the_text_once_equals_folding_each_token(words, separators, raw_
     keyword = None if raw_keyword is None else normalize_keyword(raw_keyword, locale)
     assert strip_keyword_and_emoji(text, keyword, locale) == \
         oracles.strip_keyword_and_emoji(text, keyword, locale)
+
+
+# Words around a hashtag keyword: its forms in any case, letters,
+# parentheses, ASCII punctuation and digits (some of them inside the
+# keyword), emoji, keycaps and non-ASCII letters and marks.
+REJECT_WORDS = ["#tag_2019", "#TAG_2019", "tag_2019", "#tag", "tag", "yarım", "gün", "(iki)",
+                "Sobar", "a.b", "x2", "2019", "_", "#", "##tag_2019", "#tag_2019!", "@kişi",
+                "1\ufe0f\u20e3", "#\u20e3", "\U0001F600", "\U0001F525ateş", "ılık", "İ",
+                "tag_2019\U0001F600", "\u00e9t\u00e9", "\u0301", "\u2014"]
+REJECT_KEYWORDS = ["#tag_2019", "#TAG_2019", "#tag", "#2019", "#yarım", "#a.b", "#İzmir"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(words=st.lists(st.sampled_from(REJECT_WORDS) | st.text(max_size=3), max_size=10),
+       separator=st.sampled_from(SEPARATORS + ["\n", "\x1c"]),
+       raw_keyword=st.sampled_from(REJECT_KEYWORDS), locale=st.sampled_from(["tr", "en"]))
+def test_early_reject_equals_stripping_first(words, separator, raw_keyword, locale):
+    """is_lexicon_tweet rejects a hashtag keyword's text that holds a
+    foreign ASCII character before stripping it; the rule as it was, which
+    always strips first (tests/oracles.py), gives the same answer."""
+    text = separator.join(words)
+    keyword = normalize_keyword(raw_keyword, locale)
+    assert is_lexicon_tweet(text, keyword, locale) == oracles.is_lexicon_tweet(text, keyword, locale)

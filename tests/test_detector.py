@@ -2,8 +2,8 @@ import random
 from datetime import date
 from itertools import combinations
 
-from trendguard import detector
-from trendguard.core import PRESETS
+from trendguard import detector, simulator
+from trendguard.core import LEXICON, PRESETS, SINGLE_ENGAGEMENT
 from trendguard.ingest import Deletion, Tweet, build_trend_instances
 from trendguard.classify import flags_for_instance
 from trendguard.features import FeatureVector, count_features
@@ -111,34 +111,35 @@ class TestClassifyTrend:
                 assert after.attacked
 
 
-def bot_instance(n_bots, create_base=DAY_NOON, create_step=10, delete_base=None,
-                 delete_step=15, skip_delete=()):
-    """n_bots users, one lexicon SET tweet each, tight windows."""
+def bot_tweets(n_bots, create_base=DAY_NOON, create_step=10, delete_base=None,
+               delete_step=15, skip_delete=(), first_id=1, first_user=100):
+    """n_bots users, one lexicon SET tweet each, tight windows: the tweets
+    and their deletion seconds by id."""
     delete_base = delete_base if delete_base is not None else create_base + 120
     tweets = []
     deletions = {}
     for i in range(n_bots):
-        tweets.append(make_tweet(i + 1, 100 + i, LEX, create_base + i * create_step,
-                                 hashtags=["tag"]))
-        if i + 1 not in skip_delete:
-            deletions[i + 1] = delete_base + i * delete_step
-    return make_instance("#tag", tweets, deletions)
+        tweets.append(make_tweet(first_id + i, first_user + i, LEX,
+                                 create_base + i * create_step, hashtags=["tag"]))
+        if first_id + i not in skip_delete:
+            deletions[first_id + i] = delete_base + i * delete_step
+    return tweets, deletions
+
+
+def bot_instance(n_bots, **kwargs):
+    return make_instance("#tag", *bot_tweets(n_bots, **kwargs))
 
 
 def oracle_clusters(instance, params, require_lexicon=False):
     """Exhaustive subset search, independent of the detector internals."""
-    from trendguard.classify import compute_flags
-
-    keyword = instance.keyword
     eligible = []
     for tweet in instance.tweets:
         deleted_at = instance.deletions.get(tweet.id)
         if deleted_at is None:
             continue
-        flags = compute_flags(tweet, keyword)
-        if not flags.is_single_engagement:
+        if not tweet.flags & SINGLE_ENGAGEMENT:
             continue
-        if require_lexicon and not flags.is_lexicon:
+        if require_lexicon and not tweet.flags & LEXICON:
             continue
         life = deleted_at // 1000 - tweet.created_ms // 1000
         if life < 0 or life > params.theta:
@@ -172,8 +173,7 @@ class TestDetectAttackWindows:
 
     def test_five_bots_one_event(self):
         instance = bot_instance(5)
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         event = events[0]
         assert event.tweet_ids == frozenset(range(1, 6))
@@ -184,48 +184,39 @@ class TestDetectAttackWindows:
 
     def test_missed_deletion_shrinks_cluster(self):
         instance = bot_instance(5, skip_delete={3})
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         assert events[0].tweet_ids == frozenset({1, 2, 4, 5})
 
     def test_below_kappa_no_event(self):
         instance = bot_instance(3)
-        flags = flags_for_instance(instance)
-        assert detect_attack_windows(instance, flags, self.PARAMS) == []
+        assert detect_attack_windows(instance, self.PARAMS) == []
 
     def test_long_lifetime_tweet_excluded(self):
-        instance = bot_instance(5)
-        instance.deletions[5] = (DAY_NOON + 3 * 3600) * 1000
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        tweets, deletions = bot_tweets(5)
+        deletions[5] = DAY_NOON + 3 * 3600
+        instance = make_instance("#tag", tweets, deletions)
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         assert 5 not in events[0].tweet_ids
 
     def test_one_tweet_per_user_keeps_earliest(self):
-        instance = bot_instance(5)
-        extra = make_tweet(99, 100, LEX, DAY_NOON + 5, hashtags=["tag"])  # user 100 again
-        instance.tweets.append(extra)
-        instance.tweets.sort(key=lambda t: (t.created_ms, t.id))
-        instance.deletions[99] = (DAY_NOON + 130) * 1000
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        tweets, deletions = bot_tweets(5)
+        tweets.append(make_tweet(99, 100, LEX, DAY_NOON + 5, hashtags=["tag"]))  # user 100 again
+        deletions[99] = DAY_NOON + 130
+        instance = make_instance("#tag", tweets, deletions)
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         assert 1 in events[0].tweet_ids and 99 not in events[0].tweet_ids
         assert len(events[0].users) == len(events[0].tweet_ids)
 
     def test_two_separated_bursts(self):
-        first = bot_instance(4)
-        second = bot_instance(4, create_base=DAY_NOON + 7200, delete_base=DAY_NOON + 7300)
-        tweets = list(first.tweets)
-        deletions = {tid: ms // 1000 for tid, ms in first.deletions.items()}
-        for i, tweet in enumerate(second.tweets):
-            clone = make_tweet(50 + i, 500 + i, LEX, tweet.created_ms // 1000, hashtags=["tag"])
-            tweets.append(clone)
-            deletions[clone.id] = second.deletions[tweet.id] // 1000
-        instance = make_instance("#tag", tweets, deletions)
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        tweets, deletions = bot_tweets(4)
+        second, second_deletions = bot_tweets(4, create_base=DAY_NOON + 7200,
+                                              delete_base=DAY_NOON + 7300,
+                                              first_id=50, first_user=500)
+        instance = make_instance("#tag", tweets + second, {**deletions, **second_deletions})
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 2
 
     def test_every_event_satisfies_conditions(self):
@@ -233,8 +224,7 @@ class TestDetectAttackWindows:
         params = self.PARAMS
         for _ in range(300):
             instance = _random_detector_instance(rng)
-            flags = flags_for_instance(instance)
-            for event in detect_attack_windows(instance, flags, params):
+            for event in detect_attack_windows(instance, params):
                 assert len(event.tweet_ids) >= params.kappa
                 assert event.creation_window_s <= params.alpha_p
                 assert event.deletion_window_s <= params.alpha_d
@@ -252,9 +242,8 @@ class TestDetectAttackWindows:
                                      hashtags=["tag"]))
             deletions[i + 1] = base + 120 + (i % 4) * 10
         instance = make_instance("#tag", tweets, deletions)
-        flags = flags_for_instance(instance)
-        unmerged = detect_attack_windows(instance, flags, self.PARAMS)
-        merged = detect_attack_windows(instance, flags, self.PARAMS,
+        unmerged = detect_attack_windows(instance, self.PARAMS)
+        merged = detect_attack_windows(instance, self.PARAMS,
                                        merge_overlapping=True)
         assert len(unmerged) > 1
         assert len(merged) == 1
@@ -263,18 +252,12 @@ class TestDetectAttackWindows:
         assert merged[0].max_lifetime_s <= self.PARAMS.theta
 
     def test_merge_keeps_separated_bursts_apart(self):
-        instance = bot_instance(4)
-        far = bot_instance(4, create_base=DAY_NOON + 7200, delete_base=DAY_NOON + 7300)
-        tweets = list(instance.tweets)
-        deletions = {tid: ms // 1000 for tid, ms in instance.deletions.items()}
-        for i, tweet in enumerate(far.tweets):
-            clone = make_tweet(70 + i, 700 + i, LEX, tweet.created_ms // 1000,
-                               hashtags=["tag"])
-            tweets.append(clone)
-            deletions[clone.id] = far.deletions[tweet.id] // 1000
-        combined = make_instance("#tag", tweets, deletions)
-        flags = flags_for_instance(combined)
-        merged = detect_attack_windows(combined, flags, self.PARAMS,
+        tweets, deletions = bot_tweets(4)
+        far, far_deletions = bot_tweets(4, create_base=DAY_NOON + 7200,
+                                        delete_base=DAY_NOON + 7300,
+                                        first_id=70, first_user=700)
+        combined = make_instance("#tag", tweets + far, {**deletions, **far_deletions})
+        merged = detect_attack_windows(combined, self.PARAMS,
                                        merge_overlapping=True)
         assert len(merged) == 2
 
@@ -284,8 +267,7 @@ class TestDetectAttackWindows:
         checked = 0
         for _ in range(300):
             instance = _random_detector_instance(rng, max_tweets=12)
-            flags = flags_for_instance(instance)
-            got = {e.tweet_ids for e in detect_attack_windows(instance, flags, params)}
+            got = {e.tweet_ids for e in detect_attack_windows(instance, params)}
             expected = oracle_clusters(instance, params)
             assert got == expected
             checked += 1
@@ -346,23 +328,16 @@ class TestLabelAstrobots:
 
     def test_expected_set(self):
         instances = self._fixture()
-        flags = {
-            (i.trend.date, i.keyword.normalized): flags_for_instance(i) for i in instances
-        }
         # Rule 9 holds for all three trends (ratios 1.0, 1.0, 1.0); rule 8
         # separates them.
         config = DetectorConfig(thresholds={"8": 2})
         verdicts = []
         for instance in instances:
-            key = (instance.trend.date, instance.keyword.normalized)
-            vector = count_features(instance, flags[key])
+            vector = count_features(instance)
             verdicts.append(classify_trend(vector, config, trend=instance.trend))
         assert [v.attacked for v in verdicts] == [True, True, False]
         # The caller passes the attacked trend-days only: user 5 of C is out.
-        attacked = [
-            (instance, flags[(instance.trend.date, instance.keyword.normalized)])
-            for instance, verdict in zip(instances, verdicts) if verdict.attacked
-        ]
+        attacked = [instance for instance, verdict in zip(instances, verdicts) if verdict.attacked]
         bots = label_astrobots(attacked)
         assert bots == {1, 2, 4}
 
@@ -376,13 +351,9 @@ class TestLabelAstrobots:
         deletions = {i: late - 500 + i for i in range(1, 5)}
         deletions[9] = day_start + 86400 + 300
         instance = make_instance("#tag", tweets, deletions)
-        flags = {(DAY, "tag"): flags_for_instance(instance)}
-        verdict = classify_trend(
-            count_features(instance, flags[(DAY, "tag")]), DetectorConfig(),
-            trend=instance.trend,
-        )
+        verdict = classify_trend(count_features(instance), DetectorConfig(), trend=instance.trend)
         assert verdict.attacked
-        bots = label_astrobots([(instance, flags[(DAY, "tag")])])
+        bots = label_astrobots([instance])
         assert 9 not in bots
         assert bots == {1, 2, 3, 4}
 
@@ -398,7 +369,7 @@ class TestScanCandidates:
             if deleted:
                 events.append(Deletion(tweet_id=tweet.id, user_id=tweet.user_id,
                                        time_ms=(day_noon + 120 + i * 5) * 1000))
-        return build_trend_instances(None, events)
+        return build_trend_instances(None, events, flagger=flags_for_instance())
 
     def test_unsuccessful_attack_flagged(self):
         instances = self._discovered("gizli", DAY_NOON)
@@ -428,21 +399,23 @@ class TestScanCandidates:
         assert scan_candidates(instances, set(), DetectorConfig()) == []
 
     def test_scan_and_evaluate_reach_the_stages_through_detector(self, monkeypatch):
-        """Both scorers look the three stages up as detector module globals,
-        which is where the benchmark tracer rebinds them."""
+        """Both scorers look their stages up as module globals, which is
+        where the benchmark tracer rebinds them: the two scoring stages in
+        detector, and evaluate's flagger in simulator."""
         calls = []
 
-        def counted(name):
-            stage = getattr(detector, name)
+        def counted(module, name):
+            stage = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return stage(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        stages = ["flags_for_instance", "count_features", "classify_trend"]
+        stages = ["count_features", "classify_trend"]
         for name in stages:
-            monkeypatch.setattr(detector, name, counted(name))
+            counted(detector, name)
+        counted(simulator, "flags_for_instance")
         scan_candidates(self._discovered("gizli", DAY_NOON), set(), DetectorConfig())
         assert calls == stages
         calls.clear()
@@ -451,4 +424,4 @@ class TestScanCandidates:
                                 organic_tweets_min=20, organic_tweets_max=30,
                                 adoption_tweets_min=5, adoption_tweets_max=10)
         evaluate(DetectorConfig(), build_stream(config))
-        assert calls == stages * 2
+        assert calls == ["flags_for_instance"] + stages * 2

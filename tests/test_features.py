@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from trendguard.classify import flags_for_instance
+from trendguard.core import SINGLE_ENGAGEMENT
 from trendguard.features import (
     attack_windows,
     count_features,
@@ -28,12 +28,12 @@ def entropy_oracle(times_ms):
     return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
-def prefix_oracle(instance, flags):
+def prefix_oracle(instance):
     """Walk the creation-ordered list and count the deleted-SET prefix."""
     ordered = sorted(instance.tweets, key=lambda t: (t.created_ms, t.id))
     count = 0
     for tweet in ordered:
-        if flags[tweet.id].is_single_engagement and tweet.id in instance.deletions:
+        if tweet.flags & SINGLE_ENGAGEMENT and tweet.id in instance.deletions:
             count += 1
         else:
             return count
@@ -41,6 +41,12 @@ def prefix_oracle(instance, flags):
 
 
 def random_instance(rng, n=None):
+    return make_instance("#tag", *random_tweets(rng, n))
+
+
+def random_tweets(rng, n=None):
+    """Up to 20 lexicon, organic and engaging tweets, and the deletion
+    seconds of some, by id."""
     n = rng.randint(0, 20) if n is None else n
     tweets = []
     deletions = {}
@@ -60,7 +66,7 @@ def random_instance(rng, n=None):
                                  hashtags=tags, mentions=mentions, urls=urls))
         if rng.random() < 0.6:
             deletions[i] = created + rng.randint(1, 1200)
-    return make_instance("#tag", tweets, deletions)
+    return tweets, deletions
 
 
 class TestMinuteEntropy:
@@ -101,8 +107,7 @@ class TestInitialDeletions:
     def test_prefix_stops_at_kept(self):
         tweets = [make_tweet(i, i, LEX, i * 10, hashtags=["tag"]) for i in range(1, 5)]
         instance = make_instance("#tag", tweets, {1: 100, 2: 100, 4: 100})
-        flags = flags_for_instance(instance)
-        assert initial_deletions(instance, flags) == 2
+        assert initial_deletions(instance) == 2
 
     def test_first_element_breaks_prefix(self):
         tweets = [
@@ -111,22 +116,19 @@ class TestInitialDeletions:
             make_tweet(3, 3, LEX, 20, hashtags=["tag"]),
         ]
         instance = make_instance("#tag", tweets, {1: 100, 2: 100, 3: 100})
-        flags = flags_for_instance(instance)
-        assert initial_deletions(instance, flags) == 0
+        assert initial_deletions(instance) == 0
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(21)
         for _ in range(300):
             instance = random_instance(rng)
-            flags = flags_for_instance(instance)
-            assert initial_deletions(instance, flags) == prefix_oracle(instance, flags)
+            assert initial_deletions(instance) == prefix_oracle(instance)
 
     def test_never_exceeds_deleted_set_count(self):
         rng = random.Random(22)
         for _ in range(100):
             instance = random_instance(rng)
-            flags = flags_for_instance(instance)
-            vector = count_features(instance, flags)
+            vector = count_features(instance)
             assert vector.initial_deletions <= vector.n_deleted_set
 
 
@@ -154,27 +156,23 @@ class TestAttackWindows:
         tweets = [make_tweet(i, i, LEX, i * 10, hashtags=["tag"]) for i in range(6)]
         deletions = {i: 1000 + i * 15 for i in range(6)}
         instance = make_instance("#tag", tweets, deletions)
-        flags = flags_for_instance(instance)
-        cw, dw = attack_windows(instance, flags)
+        cw, dw = attack_windows(instance)
         assert cw == 50
         assert dw == 75
 
     def test_single_candidate_zero_windows(self):
         instance = make_instance("#tag", [make_tweet(1, 1, LEX, 5, hashtags=["tag"])], {1: 80})
-        flags = flags_for_instance(instance)
-        assert attack_windows(instance, flags) == (0, 0)
+        assert attack_windows(instance) == (0, 0)
 
     def test_no_candidates_zero_windows(self):
         instance = make_instance("#tag", [make_tweet(1, 1, LEX, 5, hashtags=["tag"])], {})
-        flags = flags_for_instance(instance)
-        assert attack_windows(instance, flags) == (0, 0)
+        assert attack_windows(instance) == (0, 0)
 
     def test_set_fallback_when_no_lexicon(self):
         # Deleted SET tweets that are not lexicon (organic text) still give windows.
         tweets = [make_tweet(i, i, ORGANIC, i * 10, hashtags=["tag"]) for i in range(1, 4)]
         instance = make_instance("#tag", tweets, {1: 100, 2: 110, 3: 140})
-        flags = flags_for_instance(instance)
-        cw, dw = attack_windows(instance, flags)
+        cw, dw = attack_windows(instance)
         assert cw == 20
         assert dw == 40
 
@@ -183,14 +181,14 @@ class TestCountFeatures:
     def test_basic_ratio(self):
         tweets = [make_tweet(i, i, ORGANIC, i, hashtags=["tag"]) for i in range(1, 11)]
         instance = make_instance("#tag", tweets, {i: 5000 for i in range(1, 6)})
-        vector = count_features(instance, flags_for_instance(instance))
+        vector = count_features(instance)
         assert vector.n_tweets == 10
         assert vector.n_deleted == 5
         assert vector.deletion_ratio == pytest.approx(0.5)
 
     def test_empty_instance_all_zero(self):
         instance = make_instance("#tag", [], {})
-        vector = count_features(instance, {})
+        vector = count_features(instance)
         assert vector.n_tweets == 0
         assert vector.deletion_ratio == 0.0
         assert vector.lexicon_deletion_ratio == 0.0
@@ -201,33 +199,28 @@ class TestCountFeatures:
         tweets = [make_tweet(i, i, LEX, i, hashtags=["tag"]) for i in range(1, 9)]
         tweets += [make_tweet(i, i, ORGANIC, i, hashtags=["tag"]) for i in (9, 10)]
         instance = make_instance("#tag", tweets, {i: 900 for i in range(1, 9)})
-        vector = count_features(instance, flags_for_instance(instance))
+        vector = count_features(instance)
         assert vector.lexicon_deletion_ratio == pytest.approx(1.0)
         assert vector.deletion_ratio == pytest.approx(0.8)
         assert vector.n_deleted_lexicon == 8
 
     def test_scale_consistency_under_duplication(self):
         rng = random.Random(31)
-        instance = random_instance(rng, n=12)
-        flags = flags_for_instance(instance)
-        before = count_features(instance, flags)
+        tweets, deletions = random_tweets(rng, n=12)
+        before = count_features(make_instance("#tag", tweets, deletions))
 
         clones = []
         extra_deletions = {}
-        for tweet in instance.tweets:
+        for tweet in tweets:
             clone = make_tweet(tweet.id + 1000, tweet.user_id + 1000, tweet.text,
                                tweet.created_ms // 1000, hashtags=tweet.hashtags,
                                mentions=tweet.mentions, urls=tweet.urls,
                                is_retweet=tweet.is_retweet, is_reply=tweet.is_reply)
             clones.append(clone)
-            if tweet.id in instance.deletions:
-                extra_deletions[clone.id] = instance.deletions[tweet.id] // 1000
-        doubled = make_instance(
-            "#tag",
-            list(instance.tweets) + clones,
-            {tid: ms // 1000 for tid, ms in instance.deletions.items()} | extra_deletions,
-        )
-        after = count_features(doubled, flags_for_instance(doubled))
+            if tweet.id in deletions:
+                extra_deletions[clone.id] = deletions[tweet.id]
+        doubled = make_instance("#tag", tweets + clones, deletions | extra_deletions)
+        after = count_features(doubled)
         assert after.n_tweets == 2 * before.n_tweets
         assert after.n_deleted == 2 * before.n_deleted
         assert after.n_deleted_lexicon == 2 * before.n_deleted_lexicon

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from trendguard.classify import flags_for_instance
 from trendguard.graph import (
     DELETED_LEXICON,
     BipartiteGraph,
@@ -147,8 +146,7 @@ class TestBuildGraph:
 
     def test_deleted_lexicon_graph_weights(self):
         instances = self._instances()
-        flags = {key: flags_for_instance(i) for key, i in instances.items()}
-        g = build_graph(instances, DELETED_LEXICON, flags)
+        g = build_graph(instances, DELETED_LEXICON)
         assert (USER, 1) in g.labels
         assert (USER, 2) not in g.labels
         assert neighbors(g, (USER, 1))[(TREND, f"tag@{DAY.isoformat()}")] == 2

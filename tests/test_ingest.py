@@ -20,12 +20,15 @@ from trendguard.ingest import (
     ParseStats,
     TrendDay,
     Tweet,
+    _parse_created_at,
     build_trend_instances,
     load_trend_days,
     load_trend_epochs,
     parse_stream_line,
     read_stream,
 )
+
+from trendguard.simulator import format_created_at
 
 from conftest import DAY, DAY_NOON, fifo_of, make_tweet, pipe_payload, read_all
 from oracles import build_trend_instance, match_keyword
@@ -593,3 +596,53 @@ class TestBuildTrendInstance:
             multi = combined[(trend.date, trend.keyword.normalized)]
             assert [t.id for t in multi.tweets] == [t.id for t in single.tweets]
             assert multi.deletions == single.deletions
+
+
+class TestCreatedAt:
+    @pytest.mark.parametrize("value, seconds", [
+        ("Wed Aug 27 13:08:45 +0000 2008", 1219842525),
+        ("Wed Aug 27 13:08:45 -0130 2008", 1219842525 + 5400),   # west of UTC: later
+        ("Wed Aug 27 13:08:45 +0130 2008", 1219842525 - 5400),
+        ("Wed Aug 27 13:08:45 +2359 2008", 1219842525 - 86340),
+        ("Thu Feb 29 00:00:00 +0000 2024", 1709164800),           # a leap day
+        ("Thu Jan 01 00:00:00 +0000 1970", 0),
+    ])
+    def test_valid_instant(self, value, seconds):
+        assert _parse_created_at(value) == seconds
+
+    @pytest.mark.parametrize("value", [
+        "Wed Feb 31 13:08:45 +0000 2019",   # no 31 February
+        "Fri Feb 29 13:08:45 +0000 2019",   # not a leap year
+        "Wed Aug 00 13:08:45 +0000 2019",   # day 0
+        "Wed Aug 27 25:08:45 +0000 2019",   # hour 25
+        "Wed Aug 27 13:61:45 +0000 2019",   # minute 61
+        "Wed Aug 27 13:08:61 +0000 2019",   # second 61
+        "Wed Aug 27 13:08:45 +9999 2019",   # offset beyond a day, minutes beyond 59
+        "Wed Aug 27 13:08:45 +0060 2019",   # offset minute 60
+        "Wed Aug 27 13:08:45 +2400 2019",   # an offset of a whole day
+        "Wed Aug 27 13:08:45 0000 2019",    # no sign
+        "Wed Aug 27 13:08:45 +000 2019",    # three digits
+        "Wed Aug 27 13:08:45 +00:00 2019",
+        "Wed Aug 27 13:08 +0000 2019",
+        "Wed Aug 27 13:08:45 +0000 0",      # year 0
+        "Wed Aug 27 13:08:45 +0000 10000",
+        "Wed Aug 27 13:08:45 +0000 99999999999999999999999",
+        "Wed Sep 31 13:08:45 +0000 2019",
+        "Wed Aut 27 13:08:45 +0000 2019",
+    ])
+    def test_impossible_instant_is_a_bad_timestamp(self, value):
+        with pytest.raises(BadTimestamp):
+            _parse_created_at(value)
+
+    def test_read_stream_counts_it_malformed(self):
+        line = json.dumps({"id": 1, "text": "x", "user": {"id": 2},
+                           "created_at": "Wed Feb 31 13:08:45 +0000 2019"})
+        events, stats = read_all(io.StringIO(line + "\n"))
+        assert events == [] and stats.malformed_skipped == 1 and stats.consistent
+
+    @settings(max_examples=500, deadline=None)
+    @given(ms=st.integers(-62135596800000, 253402300799999))
+    def test_round_trip_with_the_simulator_writer(self, ms):
+        """Every instant of years 1-9999 that the simulator writes reads back
+        as its whole second."""
+        assert _parse_created_at(format_created_at(ms)) == ms // 1000

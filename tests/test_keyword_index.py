@@ -11,7 +11,7 @@ from trendguard.ingest import (
     Deletion,
     TrendDay,
     Tweet,
-    _creation_filter,
+    _line_filter,
     build_trend_instances,
 )
 from trendguard.simulator import group_stream_by_keyword
@@ -113,5 +113,5 @@ def test_ngram_keyword_tokens_are_cleaned_like_text_tokens():
     assert instances[(DAY, "!!!")].tweets == []
     assert [match_keyword(text, trends[0].keyword) for text in texts] == [True, True, False]
     assert not any(match_keyword(text, trends[1].keyword) for text in texts)
-    keep = _creation_filter(trends, "tr")
+    keep = _line_filter(trends, "tr")
     assert [keep(f'{{"id":1,"text":"{text}"}}') for text in texts] == [True, True, False]

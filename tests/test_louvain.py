@@ -101,28 +101,34 @@ def simulator_join(request):
                             attacks_per_day=6, background_per_day=300,
                             sample_rate=1.0, seed=request.param)
     labeled = build_stream(config)
-    instances = build_trend_instances(labeled.trend_days(), labeled.events(),
-                                      SCENARIO_LOCALE, config.tz_offset)
-    flags = {key: flags_for_instance(instance, SCENARIO_LOCALE)
-             for key, instance in instances.items()}
-    return request.param, instances, flags
+    events = list(labeled.events())
+    instances = build_trend_instances(labeled.trend_days(), events, SCENARIO_LOCALE,
+                                      config.tz_offset, flags_for_instance(SCENARIO_LOCALE))
+    # The same trend-days joined and flagged the way they were before the
+    # join flagged them: whole Tweets and a TweetFlags dict per trend-day.
+    joined = {}
+    for trend in labeled.trend_days():
+        instance = oracles.build_trend_instance(trend, events, SCENARIO_LOCALE, config.tz_offset)
+        joined[trend.date, trend.keyword.normalized] = (
+            instance, oracles.flags_for_instance(instance, SCENARIO_LOCALE))
+    return request.param, instances, joined
 
 
 @pytest.mark.parametrize("predicate", [UNDELETED, DELETED_LEXICON])
 def test_simulator_graph_matches_the_oracle(simulator_join, predicate):
     # The seed picks both the scenario and Louvain's visiting order.
-    seed, instances, flags = simulator_join
-    graph = build_graph(instances, predicate, flags)
+    seed, instances, joined = simulator_join
+    graph = build_graph(instances, predicate)
     assert graph.n_edges > 0
     # The oracle graph adds one edge of weight 1 per qualifying tweet.
     edges = []
-    for key, instance in instances.items():
+    for instance, flags in joined.values():
         trend = f"{instance.trend.keyword.normalized}@{instance.trend.date.isoformat()}"
         for tweet in instance.tweets:
             if predicate == UNDELETED:
                 qualifies = tweet.id not in instance.deletions
             else:
-                qualifies = tweet.id in instance.deletions and flags[key][tweet.id].is_lexicon
+                qualifies = tweet.id in instance.deletions and flags[tweet.id].is_lexicon
             if qualifies:
                 edges.append((tweet.user_id, trend, 1))
     oracle_graph = oracles.graph_from_edges(edges)

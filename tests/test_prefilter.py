@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trendguard import detector, ingest, simulator as sim_mod
+from trendguard.classify import flags_for_instance
 from trendguard.cli import _build_instances, main
 from trendguard.core import DEFAULT_TZ_OFFSET, normalize_keyword
 from trendguard.detector import DetectorConfig
@@ -26,8 +27,7 @@ from trendguard.ingest import (
     ParseStats,
     TrendDay,
     Tweet,
-    _creation_filter,
-    _may_hold_deletion,
+    _line_filter,
     build_instances_from_files,
     build_trend_instances,
     parse_stream_line,
@@ -35,6 +35,7 @@ from trendguard.ingest import (
     text_tokens,
 )
 
+import oracles
 from conftest import DAY, DAY_NOON
 from oracles import build_trend_instance, match_keyword, scan_candidates as scan_oracle
 from test_acceptance import _write_big_archive
@@ -143,12 +144,29 @@ def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
         event = parse_stream_line(line)
     except MalformedLine:
         return
+    trends = [TrendDay(DAY, normalize_keyword(raw, locale)) for raw in keywords]
     if isinstance(event, Deletion):
-        assert _may_hold_deletion(line)
+        assert _line_filter([], locale)(line) and _line_filter(trends, locale)(line)
     if isinstance(event, Tweet):
-        trends = [TrendDay(DAY, normalize_keyword(raw, locale)) for raw in keywords]
         if any(match_keyword(event.text, t.keyword, locale) for t in trends):
-            assert _creation_filter(trends, locale)(line)
+            assert _line_filter(trends, locale)(line)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    line=encoded_lines() | unescaped_creation_lines() | st.text(max_size=40),
+    keywords=st.none()
+    | st.lists(st.sampled_from(TREND_KEYWORDS), unique=True)
+    | st.lists(st.sampled_from(SIGMA_KEYWORDS), min_size=1, unique=True),
+    locale=st.sampled_from(["tr", "en"]),
+)
+def test_one_line_test_keeps_what_the_deletion_and_creation_tests_kept(line, keywords, locale):
+    """The inline raw-line test keeps exactly the lines that the deletion
+    test or the creation test kept, for hashtag and n-gram trend lists and
+    for discovery (None)."""
+    trends = None if keywords is None else [TrendDay(DAY, normalize_keyword(raw, locale))
+                                            for raw in keywords]
+    assert _line_filter(trends, locale)(line) == oracles.line_filter(trends, locale)(line)
 
 
 @pytest.mark.parametrize("key", ["\\u0064elete", "d\\u0065lete", "de\\u006cete", "de\\u006Cete",
@@ -156,7 +174,7 @@ def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
 def test_deletion_with_escaped_key_is_kept(key):
     line = f'{{"{key}":{{"status":{{"id":1,"user_id":2}},"timestamp_ms":"5"}}}}'
     assert isinstance(parse_stream_line(line), Deletion)
-    assert _may_hold_deletion(line)
+    assert _line_filter([], "tr")(line)
 
 
 @pytest.mark.parametrize("raw, text, locale", [
@@ -174,7 +192,7 @@ def test_matching_line_is_kept(raw, text, locale):
     line = f'{{"id":1,"text":"{text}","user":{{"id":2}},"timestamp_ms":"5"}}'
     trend = TrendDay(DAY, normalize_keyword(raw, locale))
     assert match_keyword(parse_stream_line(line).text, trend.keyword, locale)
-    assert _creation_filter([trend], locale)(line)
+    assert _line_filter([trend], locale)(line)
 
 
 def test_status_line_with_escaped_source_is_dropped():
@@ -183,7 +201,7 @@ def test_status_line_with_escaped_source_is_dropped():
             '"user":{"id":2},"timestamp_ms":"5"}')
     trend = TrendDay(DAY, normalize_keyword("devam etmiyor"))
     assert parse_stream_line(line).text == "sadece bir tweet"
-    assert not _creation_filter([trend], "tr")(line)
+    assert not _line_filter([trend], "tr")(line)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +228,10 @@ fuzz_lines = st.one_of(
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lines=st.lists(fuzz_lines, max_size=8),
-       keep=st.sampled_from([None, _may_hold_deletion,
+       keep=st.sampled_from([None, _line_filter([], "tr"),
                              ingest.id_line_filter(sim_mod.id_sampler(0.5, 1)),
-                             _creation_filter([TrendDay(DAY, normalize_keyword("#konu")),
-                                               TrendDay(DAY, normalize_keyword("a b"))], "tr")]))
+                             _line_filter([TrendDay(DAY, normalize_keyword("#konu")),
+                                           TrendDay(DAY, normalize_keyword("a b"))], "tr")]))
 def test_read_stream_never_raises(lines, keep):
     stats = ParseStats()
     for event in read_stream(io.StringIO("\n".join(lines)), stats=stats, keep=keep):
@@ -275,6 +293,9 @@ def _trends(lines: list[str]) -> list[TrendDay]:
     return [TrendDay(day, normalize_keyword(raw)) for raw in raws for day in days]
 
 
+FLAGGER = flags_for_instance("tr")
+
+
 def _as_comparable(instances):
     return {key: (inst.tweets, inst.deletions, inst.invalid_deletions)
             for key, inst in instances.items()}
@@ -299,7 +320,8 @@ def test_prefiltered_join_equals_unfiltered_join(tmp_path):
     trends = _trends(lines)
     plain = tmp_path / "archive.jsonl"
     plain.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    reference = _as_comparable(build_trend_instances(trends, read_stream(str(plain))))
+    reference = _as_comparable(build_trend_instances(trends, read_stream(str(plain)),
+                                                     flagger=FLAGGER))
     assert any(tweets for tweets, _, _ in reference.values())
     assert any(deletions for _, deletions, _ in reference.values())
     assert any(invalid for _, _, invalid in reference.values())
@@ -312,13 +334,13 @@ def test_prefiltered_join_equals_unfiltered_join(tmp_path):
     bzipped.write_bytes(bz2.compress(crlf.read_bytes()))
     for path in (plain, crlf, zipped, bzipped):
         stats = ParseStats()
-        joined = build_instances_from_files(trends, [str(path)], stats=stats)
+        joined = build_instances_from_files(trends, [str(path)], stats=stats, flagger=FLAGGER)
         assert _as_comparable(joined) == reference
         assert stats.lines_read == len(lines) and stats.prefiltered > 0 and stats.consistent
 
     shards = _shards(tmp_path, lines)
     unfiltered = (event for shard in shards for event in read_stream(shard))
-    expected = _as_comparable(build_trend_instances(trends, unfiltered))
+    expected = _as_comparable(build_trend_instances(trends, unfiltered, flagger=FLAGGER))
     for jobs in (1, 2):
         pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
         assert _as_comparable(pooled) == expected
@@ -341,14 +363,18 @@ def test_sharded_join_equals_the_one_trend_day_oracle(tmp_path):
     for trend in trends:
         expected.setdefault((trend.date, trend.keyword.normalized),
                             build_trend_instance(trend, events))
-    tweets, deletions, invalid = _as_comparable(expected)[(DAY, "konu")]
-    assert [t.text for t in tweets if t.id == 1] == ["erken silinen #Konu tepel sobar"]
-    assert 1 not in deletions and invalid >= 1
-    assert _as_comparable(expected)[(DAY, "tepel sobar")][1][2] == DAY_NOON * 1000 + 6000
+    konu = expected[(DAY, "konu")]
+    assert [(t.text, t.user_id) for t in konu.tweets if t.id == 1] == \
+        [("erken silinen #Konu tepel sobar", 9)]
+    assert 1 not in konu.deletions and konu.invalid_deletions >= 1
+    assert expected[(DAY, "tepel sobar")].deletions[2] == DAY_NOON * 1000 + 6000
+    # The oracle's Tweets and TweetFlags as the rows of library instances.
+    rows = {key: (oracles.joined_rows(inst, oracles.flags_for_instance(inst)), inst.deletions,
+                  inst.invalid_deletions) for key, inst in expected.items()}
     for jobs in (1, 2):
         pooled = _build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, jobs)
         assert list(pooled) == list(expected)
-        assert _as_comparable(pooled) == _as_comparable(expected)
+        assert _as_comparable(pooled) == rows
 
 
 def test_each_file_is_read_once(tmp_path, monkeypatch):
@@ -387,11 +413,11 @@ def test_values_outside_int64_attach_as_in_the_event_join(tmp_path):
         shards.append(str(shard))
     trends = [TrendDay(DAY, normalize_keyword("#konu"))]
     unfiltered = (event for shard in shards for event in read_stream(shard))
-    expected = _as_comparable(build_trend_instances(trends, unfiltered))
+    expected = _as_comparable(build_trend_instances(trends, unfiltered, flagger=FLAGGER))
     tweets, deletions, invalid = expected[(DAY, "konu")]
     assert [t.id for t in tweets] == [7, 8, 2**63]
     assert deletions == {2**63: created + 5000, 8: created + 3000} and invalid == 1
-    assert _as_comparable(build_instances_from_files(trends, shards)) == expected
+    assert _as_comparable(build_instances_from_files(trends, shards, flagger=FLAGGER)) == expected
     assert _as_comparable(_build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, 2)) == expected
 
 
@@ -545,7 +571,7 @@ def test_scan_through_the_join_equals_the_scan_oracle(tmp_path, source):
                 path.write_bytes(codec.compress(data) if codec else data)
                 paths.append(str(path))
             stats = ParseStats()
-            instances = build_instances_from_files(None, paths, stats=stats)
+            instances = build_instances_from_files(None, paths, stats=stats, flagger=FLAGGER)
             assert detector.scan_candidates(instances, known, config) == reference
             assert stats.lines_read == len(lines) and stats.prefiltered > 0 and stats.consistent
 

@@ -7,7 +7,7 @@ import pytest
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import Deletion, Tweet
-from trendguard.classify import flags_for_instance, is_lexicon_tweet
+from trendguard.classify import is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
 from trendguard.simulator import (
@@ -89,8 +89,7 @@ class TestGenAttack:
         deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#hedef", tweets, deletions)
-        flags = flags_for_instance(instance)
-        events = detect_attack_windows(instance, flags, self.PARAMS)
+        events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         assert events[0].tweet_ids == frozenset(t.id for t in tweets)
 
@@ -139,8 +138,7 @@ class TestGenOrganic:
         deletions = {e.tweet_id: e.time_ms // 1000 for e in cluster
                      if isinstance(e, Deletion)}
         instance = make_instance("#sohbet", tweets, deletions)
-        flags = flags_for_instance(instance)
-        vector = count_features(instance, flags)
+        vector = count_features(instance)
         for preset in ("lexicon-tree", "lexicon-agnostic-tree", "ratio-only"):
             from trendguard.detector import classify_trend
 

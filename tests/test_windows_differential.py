@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendguard.classify import TweetFlags
 from trendguard.detector import (
     AttackEvent,
     AttackParams,
@@ -28,6 +27,7 @@ from trendguard.ingest import Tweet
 
 import oracles
 from conftest import DAY_NOON, join_instance
+from oracles import TweetFlags
 
 
 def reference_candidates(instance, flags, params, require_lexicon=False):
@@ -150,7 +150,7 @@ def _bursty_instance(rng):
         else:
             continue
         deletions[tweet_id] = deleted * 1000 + rng.choice(millis)
-    return join_instance("#tag", tweets, deletions), flags
+    return join_instance("#tag", tweets, deletions, flags=flags), flags
 
 
 def _random_params(rng):
@@ -172,7 +172,7 @@ def test_sweep_equals_reference_in_order(seed):
         instance, flags = _bursty_instance(rng)
         params = _random_params(rng)
         for merge in (False, True):
-            got = detect_attack_windows(instance, flags, params, merge_overlapping=merge)
+            got = detect_attack_windows(instance, params, merge_overlapping=merge)
             want = reference_windows(instance, flags, params, merge_overlapping=merge)
             assert got == want
             assert got == oracles.detect_attack_windows(instance, flags, params,
@@ -190,7 +190,7 @@ def test_extreme_windows_equal_reference():
             for alpha in (0, 600):
                 params = AttackParams(kappa=kappa, alpha_p=alpha,
                                       alpha_d=600 - alpha, theta=900)
-                assert detect_attack_windows(instance, flags, params) == \
+                assert detect_attack_windows(instance, params) == \
                     reference_windows(instance, flags, params)
 
 
@@ -205,9 +205,9 @@ def test_same_second_creations_keep_millisecond_order():
               for i in created]
     instance = join_instance("#tag", tweets, {
         1: (DAY_NOON + 60) * 1000 + 10, 2: (DAY_NOON + 60) * 1000 + 700,
-        3: (DAY_NOON + 61) * 1000, 4: (DAY_NOON + 60) * 1000 + 10})
+        3: (DAY_NOON + 61) * 1000, 4: (DAY_NOON + 60) * 1000 + 10}, flags=flags)
     params = AttackParams(kappa=2, alpha_p=0, alpha_d=0)
-    got = detect_attack_windows(instance, flags, params)
+    got = detect_attack_windows(instance, params)
     assert got == reference_windows(instance, flags, params)
     assert [sorted(e.tweet_ids) for e in got] == [[1, 2]]
     first = got[0]
@@ -233,7 +233,7 @@ def _back_to_back_bursts(rng, n_bursts, size, gap, spread, delay, jitter):
             deletions[tweet_id] = (start + delay + rng.randint(0, jitter)) * 1000 \
                 + rng.randint(0, 999)
             flags[tweet_id] = TweetFlags(is_lexicon=True, is_single_engagement=True)
-    return join_instance("#tag", tweets, deletions), flags
+    return join_instance("#tag", tweets, deletions, flags=flags), flags
 
 
 @st.composite
@@ -254,7 +254,7 @@ def _window_inputs(draw):
 @given(inputs=_window_inputs(), merge=st.booleans())
 def test_boxes_equal_the_frozenset_sweep(inputs, merge):
     instance, flags, params = inputs
-    assert detect_attack_windows(instance, flags, params, merge_overlapping=merge) == \
+    assert detect_attack_windows(instance, params, merge_overlapping=merge) == \
         oracles.detect_attack_windows(instance, flags, params, merge_overlapping=merge)
 
 
@@ -267,11 +267,11 @@ def _burst_day():
 def test_burst_day_has_hundreds_of_overlapping_clusters():
     instance, flags = _burst_day()
     params = AttackParams()
-    events = detect_attack_windows(instance, flags, params)
+    events = detect_attack_windows(instance, params)
     assert len(events) > 300
     assert sum(len(e.tweet_ids) for e in events) > 30 * len(instance.tweets)
     for merge in (False, True):
-        assert detect_attack_windows(instance, flags, params, merge_overlapping=merge) == \
+        assert detect_attack_windows(instance, params, merge_overlapping=merge) == \
             oracles.detect_attack_windows(instance, flags, params, merge_overlapping=merge)
 
 
@@ -284,7 +284,7 @@ def test_working_memory_stays_a_quarter_of_the_returned_clusters():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        events = detect_attack_windows(instance, flags, AttackParams())
+        events = detect_attack_windows(instance, AttackParams())
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
