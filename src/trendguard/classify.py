@@ -11,7 +11,7 @@ disambiguation parentheses), a non-uppercase start, and 2-9 tokens.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 from .core import (
@@ -87,13 +87,13 @@ def strip_keyword_and_emoji(
     return " ".join(_EMOJI_RE.sub(" ", kept).split())
 
 
-@lru_cache(maxsize=1024)
-def _foreign_ascii(normalized: str) -> Callable[[str], Optional[re.Match]]:
-    """A search for an ASCII character that is no letter, no parenthesis, no
-    whitespace and not in '#' + ``normalized``."""
-    foreign = [c for c in map(chr, range(128))
-               if not (c.isalpha() or c in "()" or c.isspace() or c in "#" + normalized)]
-    return re.compile("[" + "".join(f"\\x{ord(c):02x}" for c in foreign) + "]").search
+# An ASCII character that is no letter, digit, '_', parenthesis, whitespace
+# or '#'. A hashtag keyword seldom holds one: hashtags are letters, digits
+# and '_'.
+_FOREIGN_ASCII = re.compile(
+    "[" + "".join(f"\\x{i:02x}" for i in range(128)
+                  if not (chr(i).isalnum() or chr(i) in "_()#" or chr(i).isspace())) + "]"
+).search
 
 
 def is_lexicon_tweet(
@@ -104,18 +104,19 @@ def is_lexicon_tweet(
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
 
-    For a hashtag keyword, a text holding an ASCII character that is no
-    letter, no parenthesis, no whitespace and not in '#' + the keyword's
-    normalized form is rejected before anything is stripped. Such a
-    character c survives stripping: the emoji class holds no ASCII
+    For a hashtag keyword whose normalized form holds no _FOREIGN_ASCII
+    character, a text holding one is rejected before anything is stripped.
+    Such a character c survives stripping: the emoji class holds no ASCII
     character, and a token goes only when its fold is the keyword or
     '#' + the keyword, while folding maps c to itself (it is no letter),
-    so the fold of a token holding c holds c and is neither. The stripped
+    so the fold of a token holding c holds c. Neither form holds c, as c is
+    not '#' and the keyword holds no _FOREIGN_ASCII character. The stripped
     text keeps that token, and c is not among the allowed characters, as
     whitespace never survives the split. N-gram keywords skip this test,
     because the runs they remove can hold punctuation.
     """
-    if keyword is not None and keyword.kind == HASHTAG and _foreign_ascii(keyword.normalized)(text):
+    if (keyword is not None and keyword.kind == HASHTAG and _FOREIGN_ASCII(text)
+            and not _FOREIGN_ASCII(keyword.normalized)):
         return False
     stripped = strip_keyword_and_emoji(text, keyword, locale)
     return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()

@@ -14,6 +14,10 @@ import csv
 import importlib.util
 import io
 import json
+# argparse's gettext imports locale on the first message it translates;
+# importing it here pays that once with the other imports, not inside main
+# (whose time bench/trace.py splits into spans).
+import locale  # noqa: F401
 import os
 import sys
 from contextlib import ExitStack, contextmanager

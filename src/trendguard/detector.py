@@ -207,7 +207,7 @@ def attack_candidates(instance: TrendInstance, params: AttackParams) -> list[int
     so every cluster automatically has one tweet per user. The order is the
     instance's: (created milliseconds, tweet id).
     """
-    created, deleted, flags = instance.created_ms, instance.deleted_ms, instance.flags
+    created, deleted, flags = instance.created_ms, instance.deleted_ms, instance.flag_bytes()
     per_user: dict[int, int] = {}
     for i, user in enumerate(instance.users):
         deleted_at = deleted[i]
@@ -405,7 +405,7 @@ def label_astrobots(
     bots: set[int] = set()
     for instance in attacked:
         for user, created_ms, deleted_ms, flags in zip(
-                instance.users, instance.created_ms, instance.deleted_ms, instance.flags):
+                instance.users, instance.created_ms, instance.deleted_ms, instance.flag_bytes()):
             if deleted_ms == NOT_DELETED or not flags & LEXICON:
                 continue
             if local_day(deleted_ms, tz_offset) == local_day(created_ms, tz_offset):

@@ -93,7 +93,7 @@ def initial_deletions(instance: TrendInstance) -> int:
     the first tweet that is kept or engages anything beyond the keyword.
     """
     count = 0
-    for deleted_ms, flags in zip(instance.deleted_ms, instance.flags):
+    for deleted_ms, flags in zip(instance.deleted_ms, instance.flag_bytes()):
         if flags & SINGLE_ENGAGEMENT and deleted_ms != NOT_DELETED:
             count += 1
         else:
@@ -116,7 +116,7 @@ def _candidate_subset(instance: TrendInstance) -> list[int]:
     """The rows of the deleted lexicon tweets if any exist, else of the
     deleted single-engagement tweets."""
     deleted = [i for i, deleted_ms in enumerate(instance.deleted_ms) if deleted_ms != NOT_DELETED]
-    flags = instance.flags
+    flags = instance.flag_bytes()
     return ([i for i in deleted if flags[i] & LEXICON]
             or [i for i in deleted if flags[i] & SINGLE_ENGAGEMENT])
 
@@ -142,7 +142,7 @@ def count_features(instance: TrendInstance) -> FeatureVector:
     n_tweets = len(instance.ids)
     n_deleted = n_nonretweet = n_deleted_nonretweet = 0
     n_set = n_deleted_set = n_lexicon = n_deleted_lexicon = 0
-    for deleted_ms, flags in zip(instance.deleted_ms, instance.flags):
+    for deleted_ms, flags in zip(instance.deleted_ms, instance.flag_bytes()):
         deleted = deleted_ms != NOT_DELETED
         n_deleted += deleted
         if not flags & RETWEET:

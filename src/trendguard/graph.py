@@ -164,15 +164,13 @@ def build_graph(
     if edge_predicate not in EDGE_PREDICATES:
         raise ValueError(f"unknown edge predicate: {edge_predicate!r}")
     lexicon = edge_predicate == DELETED_LEXICON
-    if lexicon and any(instance.flags is None for instance in instances.values()):
-        raise ValueError("deleted-lexicon predicate requires flagged instances")
 
     def qualifying():
         for instance in instances.values():
             trend = instance.trend
             trend_id = f"{trend.keyword.normalized}@{trend.date.isoformat()}"
             if lexicon:
-                rows = zip(instance.users, instance.deleted_ms, instance.flags)
+                rows = zip(instance.users, instance.deleted_ms, instance.flag_bytes())
                 users = [user for user, deleted_ms, flags in rows
                          if deleted_ms != NOT_DELETED and flags & LEXICON]
             else:

@@ -191,15 +191,24 @@ class TrendInstance:
     def keyword(self) -> Keyword:
         return self.trend.keyword
 
+    def flag_bytes(self) -> bytearray:
+        """``flags``, or a ValueError when the join had no flagger."""
+        if self.flags is None:
+            raise ValueError(f"trend-day {self.trend.keyword.normalized}@{self.trend.date} was "
+                             "joined without a flagger; its tweets have no flags")
+        return self.flags
+
     @property
     def tweets(self) -> list[JoinedTweet]:
-        """The rows, in order; the pipeline itself reads the columns."""
+        """The rows, in order, built anew on each access; the pipeline
+        itself reads the columns."""
         flags = repeat(None) if self.flags is None else self.flags
         return list(map(JoinedTweet, self.ids, self.users, self.created_ms, self.deleted_ms, flags))
 
     @property
     def deletions(self) -> dict[int, int]:
-        """The deletion ms of each deleted tweet, by id."""
+        """The deletion ms of each deleted tweet, by id, built anew on each
+        access."""
         return {tweet_id: when for tweet_id, when in zip(self.ids, self.deleted_ms)
                 if when != NOT_DELETED}
 
@@ -648,7 +657,11 @@ class _Rows:
     """A trend-day's matched tweets before deletions attach, in the order
     the join met them: id, user and creation-ms columns, and the flag byte
     of each (None without a flagger). A value outside int64 turns the three
-    columns into lists."""
+    columns into lists.
+
+    A repeated id is filed and flagged again, and _instance keeps its first
+    row: a set of the ids seen would cost more a row than the columns do
+    (about 64 B against 25), to save work on input that seldom repeats."""
 
     __slots__ = ("trend", "ids", "users", "created_ms", "flags")
 
@@ -738,7 +751,9 @@ def _route(
 
         def joined(tweet: Tweet) -> list:
             day = local_day(tweet.created_ms, tz_offset)
-            return [target for key in contained(tweet.text) for target in by_keyword[key].get(day, ())]
+            # An n-gram's key comes once per occurrence; file the tweet once.
+            return [target for key in dict.fromkeys(contained(tweet.text))
+                    for target in by_keyword[key].get(day, ())]
 
     notices = _Notices()
     for event in events:

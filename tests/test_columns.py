@@ -6,12 +6,19 @@ the joined trend-days hold.
 
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.classify import flags_for_instance
 from trendguard.core import normalize_keyword
-from trendguard.detector import AttackParams, detect_attack_windows, label_astrobots
-from trendguard.features import count_features
+from trendguard.detector import (
+    AttackParams,
+    attack_candidates,
+    detect_attack_windows,
+    label_astrobots,
+)
+from trendguard.features import attack_windows, count_features, initial_deletions
+from trendguard.graph import DELETED_LEXICON, UNDELETED, build_graph
 from trendguard.ingest import Deletion, TrendDay, Tweet, build_trend_instances
 from trendguard.simulator import SCENARIO_LOCALE, ScenarioConfig, build_stream
 
@@ -99,3 +106,42 @@ def test_joined_heap_per_tweet():
     joined = sum(len(instance.ids) for instance in instances.values())
     assert joined > 1000
     assert held <= 64 * joined
+
+
+@pytest.mark.parametrize("stage", [
+    count_features, initial_deletions, attack_windows,
+    lambda instance: attack_candidates(instance, AttackParams()),
+    lambda instance: detect_attack_windows(instance, AttackParams()),
+    lambda instance: label_astrobots([instance]),
+    lambda instance: build_graph({(DAY, "tag"): instance}, DELETED_LEXICON),
+], ids=["count_features", "initial_deletions", "attack_windows", "attack_candidates",
+        "detect_attack_windows", "label_astrobots", "build_graph"])
+def test_a_stage_that_reads_flags_names_an_unflagged_join(stage):
+    """A join without a flagger leaves flags None; each stage that reads
+    them says so instead of failing on None."""
+    events = [Tweet(id=1, user_id=2, text="yarım gün #tag", created_ms=DAY_NOON * 1000,
+                    hashtags=("tag",)),
+              Deletion(tweet_id=1, user_id=2, time_ms=DAY_NOON * 1000 + 60_000)]
+    instance = build_trend_instances(TRENDS[:1], events)[DAY, "tag"]
+    assert instance.flags is None
+    with pytest.raises(ValueError, match="joined without a flagger"):
+        stage(instance)
+    assert build_graph({(DAY, "tag"): instance}, UNDELETED).n_edges == 0
+
+
+def test_a_tweet_holding_an_ngram_twice_is_filed_and_flagged_once():
+    flagged = []
+
+    class CountingFlagger(dict):
+        def __missing__(self, keyword):
+            def flag(tweet):
+                flagged.append(tweet.id)
+                return 0
+            self[keyword] = flag
+            return flag
+
+    events = [Tweet(id=1, user_id=2, text="tepel sobar, yine Tepel Sobar",
+                    created_ms=DAY_NOON * 1000)]
+    instance = build_trend_instances(TRENDS[1:], events, flagger=CountingFlagger())
+    assert list(instance[DAY, "tepel sobar"].ids) == [1]
+    assert flagged == [1]

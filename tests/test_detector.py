@@ -133,8 +133,9 @@ def bot_instance(n_bots, **kwargs):
 def oracle_clusters(instance, params, require_lexicon=False):
     """Exhaustive subset search, independent of the detector internals."""
     eligible = []
+    deletions = instance.deletions  # a view, built on each access
     for tweet in instance.tweets:
-        deleted_at = instance.deletions.get(tweet.id)
+        deleted_at = deletions.get(tweet.id)
         if deleted_at is None:
             continue
         if not tweet.flags & SINGLE_ENGAGEMENT:

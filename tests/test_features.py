@@ -31,9 +31,10 @@ def entropy_oracle(times_ms):
 def prefix_oracle(instance):
     """Walk the creation-ordered list and count the deleted-SET prefix."""
     ordered = sorted(instance.tweets, key=lambda t: (t.created_ms, t.id))
+    deletions = instance.deletions  # a view, built on each access
     count = 0
     for tweet in ordered:
-        if tweet.flags & SINGLE_ENGAGEMENT and tweet.id in instance.deletions:
+        if tweet.flags & SINGLE_ENGAGEMENT and tweet.id in deletions:
             count += 1
         else:
             return count

@@ -32,8 +32,9 @@ from oracles import TweetFlags
 
 def reference_candidates(instance, flags, params, require_lexicon=False):
     eligible = []
+    deletions = instance.deletions  # a view, built on each access
     for tweet in instance.tweets:
-        deleted_at = instance.deletions.get(tweet.id)
+        deleted_at = deletions.get(tweet.id)
         if deleted_at is None:
             continue
         flag = flags[tweet.id]
