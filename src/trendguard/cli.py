@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 from .core import (
     DEFAULT_LOCALE,
     DEFAULT_TZ_OFFSET,
+    DELETED_LEXICON,
     EDGE_PREDICATES,
     LEXICON,
     PRESETS,
@@ -362,7 +363,8 @@ def _cmd_metrics(args, out: _Outputs) -> int:
 
 def _cmd_graph(args, out: _Outputs) -> int:
     trends = load_trend_days(args.trends, args.locale)
-    instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs)
+    instances = _build_instances(args.stream, trends, args.locale, args.tz_offset, args.jobs,
+                                 flagged=args.louvain or args.predicate == DELETED_LEXICON)
     graph = graph_mod.build_graph(instances, args.predicate)
     if args.single_attack:
         graph = graph_mod.single_attack_filter(graph)
@@ -390,7 +392,7 @@ def _cmd_graph(args, out: _Outputs) -> int:
         attack_times: dict[int, list[int]] = {}
         for instance in instances.values():
             for user, created_ms, deleted_ms, flags in zip(
-                    instance.users, instance.created_ms, instance.deleted_ms, instance.flags):
+                    instance.users, instance.created_ms, instance.deleted_ms, instance.flag_bytes()):
                 if deleted_ms != NOT_DELETED and flags & LEXICON:
                     attack_times.setdefault(user, []).append(created_ms)
         summaries = graph_mod.community_summary(

@@ -19,7 +19,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
@@ -138,18 +138,9 @@ class TrendEpoch:
         return None
 
 
-# The deletion ms of a tweet that has no deletion attached.
+# The deletion ms of a tweet that has no deletion attached: the one int64
+# that no parsed id or instant takes (see _int64).
 NOT_DELETED = -2**63
-
-# An int column: an int64 array, or a list once a value lies outside int64.
-Column = Union[array, list]
-
-
-def _column(values: list[int]) -> Column:
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
 
 
 class JoinedTweet(NamedTuple):
@@ -171,8 +162,8 @@ class TrendInstance:
     rows sorted by (created_ms, id), and that ``deleted_ms`` holds each
     tweet's earliest deletion notice (ms), or NOT_DELETED. When that notice
     precedes the tweet's creation, nothing is attached, whatever later
-    notices say, and the tweet counts in ``invalid_deletions``. A notice at
-    NOT_DELETED itself, the earliest int64 instant, reads as none.
+    notices say, and the tweet counts in ``invalid_deletions``. The four
+    int columns are int64 arrays.
 
     ``flags`` holds the flag byte of each row (core.LEXICON,
     SINGLE_ENGAGEMENT and RETWEET bits) as the join's flagger gave it for
@@ -180,10 +171,10 @@ class TrendInstance:
     """
 
     trend: TrendDay
-    ids: Column = field(default_factory=lambda: array("q"))
-    users: Column = field(default_factory=lambda: array("q"))
-    created_ms: Column = field(default_factory=lambda: array("q"))
-    deleted_ms: Column = field(default_factory=lambda: array("q"))
+    ids: array = field(default_factory=lambda: array("q"))
+    users: array = field(default_factory=lambda: array("q"))
+    created_ms: array = field(default_factory=lambda: array("q"))
+    deleted_ms: array = field(default_factory=lambda: array("q"))
     flags: Optional[bytearray] = None
     invalid_deletions: int = 0
 
@@ -251,10 +242,29 @@ def _parse_created_at(value: str) -> int:
         raise BadTimestamp(f"unrecognized created_at: {value!r}") from exc
 
 
+_INT64 = 2**63
+
+
+def _int64(value) -> int:
+    """An id or instant as the archive writes it, a JSON integer or a string
+    of ASCII digits with an optional leading '-', in (-2**63, 2**63). Any
+    other value (a bool, a float, a padded or underscored string, a digit
+    that is not ASCII) is a ValueError, which fails the line's schema."""
+    if type(value) is int:
+        number = value
+    elif type(value) is str and value.isascii() and value.removeprefix("-").isdigit():
+        number = int(value)
+    else:
+        raise ValueError(f"not an int64 id or instant: {value!r}")
+    if -_INT64 < number < _INT64:
+        return number
+    raise ValueError(f"outside int64: {value!r}")
+
+
 def _event_ms(obj: dict) -> int:
     ms = obj.get("timestamp_ms")
     if ms is not None:
-        return int(ms)
+        return _int64(ms)
     created = obj.get("created_at")
     if created is None:
         raise BadTimestamp("record has neither timestamp_ms nor created_at")
@@ -273,13 +283,13 @@ def _holds_escaped_byte(text: str) -> bool:
     return False
 
 
-def _parse_status(obj: dict, shared: Optional[dict] = None) -> Tweet:
-    tweet_id = int(obj["id"])
+def _parse_status(obj: dict) -> Tweet:
+    tweet_id = _int64(obj["id"])
     user = obj.get("user")
     if isinstance(user, dict) and "id" in user:
-        user_id = int(user["id"])
+        user_id = _int64(user["id"])
     elif "user_id" in obj:
-        user_id = int(obj["user_id"])
+        user_id = _int64(obj["user_id"])
     else:
         raise MalformedLine(f"status {tweet_id} has no user id")
 
@@ -311,8 +321,6 @@ def _parse_status(obj: dict, shared: Optional[dict] = None) -> Tweet:
     urls = len(entities.get("urls", ()) or ())
     if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
         raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
-    if shared is not None and hashtags:
-        hashtags = shared.setdefault(hashtags, hashtags)
 
     return Tweet(
         id=tweet_id,
@@ -331,7 +339,7 @@ def _parse_status(obj: dict, shared: Optional[dict] = None) -> Tweet:
 def _parse_delete(obj: dict) -> Deletion:
     delete = obj["delete"]
     status = delete["status"]
-    tweet_id = int(status["id"])
+    tweet_id = _int64(status["id"])
     user_raw = status.get("user_id", status.get("user_id_str", 0))
     try:
         user_id = int(user_raw)
@@ -340,23 +348,21 @@ def _parse_delete(obj: dict) -> Deletion:
     ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
     if ms is None:
         raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
-    return Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=int(ms))
+    return Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=_int64(ms))
 
 
 # What the record parsers raise on a field of the wrong JSON type or value:
-# a missing key, int() of a non-number, null, list or infinity, .get on a
-# non-object, iterating a number, indexing a string by key.
+# a missing key, a value _int64 rejects, int() of null, a list or infinity,
+# .get on a non-object, iterating a number, indexing a string by key.
 _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def parse_stream_line(line: str, shared: Optional[dict] = None) -> Optional[TweetEvent]:
+def parse_stream_line(line: str) -> Optional[TweetEvent]:
     """Parse one archive line into a Tweet or Deletion; None for a blank
     line or a record of another kind (limit notices, ...).
 
-    ``shared``, when given, maps each hashtags tuple to its first copy: a
-    status whose tags equal an earlier one's gets that tuple, so a read
-    keeps each distinct tag list once.
-
+    A status's id, user id and timestamp_ms, and a notice's status id and
+    timestamp_ms, are read by _int64, so every one lies in (-2**63, 2**63).
     Raises MalformedLine on broken syntax, on any record whose fields do
     not fit the schema, and on a status whose text or a hashtag holds an
     escaped byte (see _open_source); callers are expected to count these
@@ -375,7 +381,7 @@ def parse_stream_line(line: str, shared: Optional[dict] = None) -> Optional[Twee
         if "delete" in obj:
             return _parse_delete(obj)
         if "id" in obj and ("text" in obj or "extended_tweet" in obj):
-            return _parse_status(obj, shared)
+            return _parse_status(obj)
     except _SCHEMA_ERRORS as exc:
         raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
     return None
@@ -427,10 +433,6 @@ def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
-# The most distinct hashtag tuples one read_stream keeps for sharing.
-_SHARED_TAG_LISTS = 4096
-
-
 def read_stream(
     source,
     *,
@@ -445,17 +447,11 @@ def read_stream(
     is one malformed line. ``keep``, when given, is tested on each raw line
     first: a line it rejects is counted in ``stats.prefiltered`` and never
     decoded, so it must keep every line the caller could use. The stats
-    object is complete once the iterator is exhausted.
-
-    Statuses with equal hashtags share one tuple, within this read only:
-    an attack's thousands of tweets on one tag hold one copy of it. The
-    read forgets its tuples whenever it has _SHARED_TAG_LISTS of them, so
-    the tag lists of tweets that a join drops cost bounded memory however
-    many distinct ones an archive holds.
+    object is complete once the iterator is exhausted. A line whose ids or
+    instants are not int64 (see _int64) counts as malformed.
     """
     if stats is None:
         stats = ParseStats()
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     # A path is opened once, so a pipe loses nothing to the codec probe, and
     # closed here, as a codec given an open file leaves it open.
     is_path = isinstance(source, (str, bytes))
@@ -472,7 +468,7 @@ def read_stream(
                     stats.prefiltered += 1
                     continue
                 try:
-                    event = parse_stream_line(line, shared)
+                    event = parse_stream_line(line)
                 except MalformedLine:
                     stats.malformed_skipped += 1
                     continue
@@ -481,8 +477,6 @@ def read_stream(
                     continue
                 if isinstance(event, Tweet):
                     stats.creations += 1
-                    if len(shared) >= _SHARED_TAG_LISTS:
-                        shared.clear()
                 else:
                     stats.deletions += 1
                 yield event
@@ -655,9 +649,8 @@ Flagger = Mapping[Keyword, Callable[[Tweet], int]]
 
 class _Rows:
     """A trend-day's matched tweets before deletions attach, in the order
-    the join met them: id, user and creation-ms columns, and the flag byte
-    of each (None without a flagger). A value outside int64 turns the three
-    columns into lists.
+    the join met them: int64 id, user and creation-ms columns, and the flag
+    byte of each (None without a flagger).
 
     A repeated id is filed and flagged again, and _instance keeps its first
     row: a set of the ids seen would cost more a row than the columns do
@@ -667,35 +660,23 @@ class _Rows:
 
     def __init__(self, trend: TrendDay, flagged: bool):
         self.trend = trend
-        self.ids: Column = array("q")
-        self.users: Column = array("q")
-        self.created_ms: Column = array("q")
+        self.ids = array("q")
+        self.users = array("q")
+        self.created_ms = array("q")
         self.flags = bytearray() if flagged else None
 
     def add(self, tweet: Tweet, flag: Optional[Callable[[Tweet], int]]) -> None:
-        try:
-            self.ids.append(tweet.id)
-            self.users.append(tweet.user_id)
-            self.created_ms.append(tweet.created_ms)
-        except OverflowError:
-            n = len(self.created_ms)  # appended last: the rows before this one
-            self.ids, self.users, self.created_ms = (
-                [*column[:n], value] for column, value in zip(
-                    (self.ids, self.users, self.created_ms),
-                    (tweet.id, tweet.user_id, tweet.created_ms)))
+        self.ids.append(tweet.id)
+        self.users.append(tweet.user_id)
+        self.created_ms.append(tweet.created_ms)
         if flag is not None:
             self.flags.append(flag(tweet))
 
     def extend(self, other: _Rows) -> None:
         """Append the rows another read met after these."""
-        if isinstance(self.ids, array) and isinstance(other.ids, array):
-            self.ids.extend(other.ids)
-            self.users.extend(other.users)
-            self.created_ms.extend(other.created_ms)
-        else:
-            self.ids = [*self.ids, *other.ids]
-            self.users = [*self.users, *other.users]
-            self.created_ms = [*self.created_ms, *other.created_ms]
+        self.ids.extend(other.ids)
+        self.users.extend(other.users)
+        self.created_ms.extend(other.created_ms)
         if self.flags is not None:
             self.flags += other.flags
 
@@ -765,8 +746,8 @@ def _route(
     return groups, notices
 
 
-def _gather(column: Column, order: list[int]) -> Column:
-    return _column(list(map(column.__getitem__, order)))
+def _gather(column: array, order: list[int]) -> array:
+    return array("q", map(column.__getitem__, order))
 
 
 def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
@@ -781,7 +762,7 @@ def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
     order.sort(key=created.__getitem__)  # stable: equal ms stay in id order
     instance = TrendInstance(rows.trend, ids=_gather(ids, order), users=_gather(rows.users, order),
                              created_ms=_gather(created, order))
-    deleted = []
+    deleted = instance.deleted_ms
     for tweet_id, created_ms in zip(instance.ids, instance.created_ms):
         when = deletions.get(tweet_id)
         if when is None:
@@ -790,7 +771,6 @@ def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
             instance.invalid_deletions += 1
             when = NOT_DELETED
         deleted.append(when)
-    instance.deleted_ms = _column(deleted)
     if rows.flags is not None:
         instance.flags = bytearray(map(rows.flags.__getitem__, order))
     return instance
@@ -817,7 +797,9 @@ def build_trend_instances(
     as four ints and, with a ``flagger``, the flag byte it gives for the
     trend-day's keyword, worked out as the tweet is filed; the Tweet itself
     is dropped. Each deletion notice is packed into 16 bytes until the pass
-    ends, when the earliest notice of each matched tweet is attached.
+    ends, when the earliest notice of each matched tweet is attached. So
+    every id, user id and instant of ``events`` must lie in (-2**63, 2**63),
+    as the parser's and the simulator's do.
 
     With ``trends`` None the join discovers its trend-days: a creation goes
     to the instance (its local date, tag) of each tag of extract_hashtags,
@@ -880,14 +862,16 @@ def id_line_filter(kept: Callable[[int], bool]) -> Callable[[str], bool]:
     '"id"' is not followed by JSON whitespace, ':', an integer literal
     -?[0-9]+, whitespace and ',' or '}', or ``kept`` accepts one of the
     integers so found. Why no event ``kept`` accepts is lost: the event's
-    id is int() of the value of a key "id", the status's own or its delete
+    id is _int64 of the value of a key "id", the status's own or its delete
     notice's. Without those two escapes, the only ones of 'i' and 'd', the
     key is spelled '"id"' in the line, and JSON puts whitespace and ':'
     between a key and its value. When the value is a JSON integer, that
     literal is the whole value, followed by whitespace and the ',' or '}'
-    that ends an object member, and int() gives the integer the line
-    spells; any other value (a string, a float, an exponent, true) leaves
-    the group empty, which keeps the line. Every occurrence is tested, so
+    that ends an object member, and _int64 gives the integer the line
+    spells or fails the line; any other value (a digit string, which
+    _int64 reads, or a float, an exponent, true, which fail the line)
+    leaves the group empty, which keeps the line. So the filter keeps a
+    superset of the lines the parser accepts. Every occurrence is tested, so
     a duplicated key (the last one wins) and the ids of nested objects are
     covered; a '"id"' that is no key, such as the value of "lang", keeps
     the line or adds an integer, which only keeps more. An integer with
@@ -908,37 +892,26 @@ def id_line_filter(kept: Callable[[int], bool]) -> Callable[[str], bool]:
     return keep
 
 
-_INT64 = 2**63
-
-
 class _Notices:
     """Deletion notices packed as two parallel int64 columns, tweet id and
-    time: 16 bytes a notice, several times less than a dict entry. A notice
-    with a value outside int64 (the parser accepts any int) goes to
-    ``wide``, which keeps each id's earliest time."""
+    time: 16 bytes a notice, several times less than a dict entry."""
 
     def __init__(self):
         self.ids = array("q")
         self.times = array("q")
-        self.wide: dict[int, int] = {}
 
     def add(self, tweet_id: int, when: int) -> None:
-        if -_INT64 <= tweet_id < _INT64 and -_INT64 <= when < _INT64:
-            self.ids.append(tweet_id)
-            self.times.append(when)
-        else:
-            self.wide[tweet_id] = min(when, self.wide.get(tweet_id, when))
+        self.ids.append(tweet_id)
+        self.times.append(when)
 
     def extend(self, other: _Notices) -> None:
         self.ids.extend(other.ids)
         self.times.extend(other.times)
-        for tweet_id, when in other.wide.items():
-            self.add(tweet_id, when)
 
     def earliest(self, wanted: set[int]) -> dict[int, int]:
         """The earliest notice (ms) of each wanted tweet id that has one."""
         found: dict[int, int] = {}
-        for tweet_id, when in chain(zip(self.ids, self.times), self.wide.items()):
+        for tweet_id, when in zip(self.ids, self.times):
             if tweet_id in wanted:
                 found[tweet_id] = min(when, found.get(tweet_id, when))
         return found

@@ -2,7 +2,9 @@
 text at a time, and one trend-day joined against an event collection; for
 `scan`: the hashtag-days of an event collection grouped and scored in one
 loop; for the simulator's archive lines: one event built as its archive
-record; for the graph: a dict of dicts keyed by node tuples (`Graph`),
+record; for the parser's ids and instants: the int64 a field value
+spells, by one regular expression; for the graph: a dict of dicts keyed
+by node tuples (`Graph`),
 its k-core and single-attack filters, modularity over a node-keyed
 assignment, and Louvain's two phases over dicts keyed by node; for the
 attack windows: the sweep that keeps every run as a frozenset and tests
@@ -40,6 +42,7 @@ share no join code with the library.
 from __future__ import annotations
 
 import random
+import re
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -263,6 +266,17 @@ def event_to_record(event: TweetEvent) -> dict:
     if isinstance(event, GeoTweet):
         record["geo"] = {"type": "Point", "coordinates": list(event.geo)}
     return record
+
+
+def int64_field(value) -> Optional[int]:
+    """The id or instant a status's or notice's field holds: the int of a
+    JSON integer or of an optional '-' and ASCII digits, when it lies
+    strictly inside int64's range; None for any other value."""
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and -2**63 < value < 2**63:
+        return value
+    return None
 
 
 Node = tuple[str, object]  # ("user", int) | ("trend", str)

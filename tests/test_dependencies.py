@@ -100,14 +100,17 @@ def tiny(tmp_path_factory):
     ("detect", ["classify", "features", "detector"]),
     ("scan", ["classify", "features", "detector"]),
     ("metrics", ["metrics"]),
-    ("graph", ["classify", "graph"]),
+    ("graph", ["graph"]),
     ("simulate", ["classify", "features", "detector", "simulator"]),
     ("evaluate", ["classify", "features", "detector", "simulator"]),
+    ("graph --louvain", ["classify", "graph"]),
+    ("graph --predicate deleted-lexicon", ["classify", "graph"]),
 ])
 def test_a_command_runs_only_the_layers_it_uses(tiny, tmp_path, command, layers):
     sim = tiny / "sim"
     stream, trends = ["--stream", str(sim / "stream.jsonl")], ["--trends", str(sim / "trends.csv")]
     out = ["--out", str(tmp_path / "out")]
+    name, *options = command.split()
     argv = {
         "ingest": [*stream, *out],
         "features": [*stream, *trends, *out],
@@ -118,8 +121,8 @@ def test_a_command_runs_only_the_layers_it_uses(tiny, tmp_path, command, layers)
         "graph": [*stream, *trends, *out],
         "simulate": ["--config", str(tiny / "scenario.cfg"), *out],
         "evaluate": ["--sim", str(sim), *out],
-    }[command]
-    ran = _layers_run(command, *argv)["ran"]
+    }[name]
+    ran = _layers_run(name, *argv, *options)["ran"]
     assert sorted(ran) == sorted(["ingest", *layers])
 
 
@@ -129,7 +132,7 @@ def test_no_runtime_dependencies():
     assert project["dependencies"] == []
 
 
-JOIN_PRIVATE = {"_route", "_attach", "_instance", "_Notices"}
+JOIN_PRIVATE = {"_route", "_attach", "_instance", "_Notices", "_Rows"}
 
 
 def test_only_ingest_uses_the_joins_private_names():

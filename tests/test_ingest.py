@@ -10,7 +10,6 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendguard import ingest
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     BadRank,
@@ -329,39 +328,15 @@ def _status_line(tweet_id: int, tags) -> str:
 
 
 class TestSharedHashtags:
+    """Statuses that share hashtags: a read yields what each line parses to."""
+
     TAGS = [["Tag", "b"], ["Tag"], ["Tag", "b"], ["tag"], ["Tag"], [], ["Tag", "b"], []]
     LINES = [_status_line(i, tags) for i, tags in enumerate(TAGS, 1)]
 
-    def read(self):
-        return read_all(io.BytesIO(("\n".join(self.LINES) + "\n").encode()))[0]
-
-    def test_equal_hashtags_are_one_tuple_within_a_read(self):
-        tweets = self.read()
-        for a in tweets:
-            for b in tweets:
-                assert (a.hashtags is b.hashtags) == (a.hashtags == b.hashtags)
-
-    def test_two_reads_share_nothing(self):
-        first, second = self.read(), self.read()
-        for a, b in zip(first, second):
-            assert a == b
-            if a.hashtags:  # () is one object in CPython
-                assert a.hashtags is not b.hashtags
-
     def test_events_equal_parse_stream_line_alone(self):
-        lines = self.LINES + [STATUS_LINE, DELETE_LINE]
-        alone = [parse_stream_line(line) for line in lines]
-        shared: dict = {}
-        assert [parse_stream_line(line, shared) for line in lines] == alone
-        assert self.read() == alone[:len(self.LINES)]
-
-    def test_a_read_forgets_its_tuples_when_it_holds_the_most(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_SHARED_TAG_LISTS", 2)
-        tweets = self.read()
-        # ("Tag", "b") and ("Tag",) fill the dict; the third status gets a new copy.
-        assert tweets[0].hashtags == tweets[2].hashtags
-        assert tweets[0].hashtags is not tweets[2].hashtags
-        assert tweets == [parse_stream_line(line) for line in self.LINES]
+        alone = [parse_stream_line(line) for line in self.LINES]
+        assert [tweet.hashtags for tweet in alone] == list(map(tuple, self.TAGS))
+        assert read_all(io.BytesIO(("\n".join(self.LINES) + "\n").encode()))[0] == alone
 
 
 def _universal_lines(data: bytes) -> list[bytes]:

@@ -393,8 +393,8 @@ def test_each_file_is_read_once(tmp_path, monkeypatch):
 
 
 def test_values_outside_int64_attach_as_in_the_event_join(tmp_path):
-    """The file join packs notices into int64 columns; an id or a time
-    outside int64 must still attach, or be rejected, as unpacked."""
+    """An id or a time outside int64 makes its line malformed in every
+    join, serial or pooled; the lines around it join as before."""
     created = DAY_NOON * 1000
     events = [
         {"id": 2**63, "text": "#konu büyük", "user": {"id": 1}, "timestamp_ms": str(created)},
@@ -412,12 +412,17 @@ def test_values_outside_int64_attach_as_in_the_event_join(tmp_path):
         shard.write_text("".join(json.dumps(r) + "\n" for r in part), encoding="utf-8")
         shards.append(str(shard))
     trends = [TrendDay(DAY, normalize_keyword("#konu"))]
-    unfiltered = (event for shard in shards for event in read_stream(shard))
+    stats = ParseStats()
+    unfiltered = (event for shard in shards for event in read_stream(shard, stats=stats))
     expected = _as_comparable(build_trend_instances(trends, unfiltered, flagger=FLAGGER))
+    assert (stats.malformed_skipped, stats.lines_read) == (4, 8) and stats.consistent
     tweets, deletions, invalid = expected[(DAY, "konu")]
-    assert [t.id for t in tweets] == [7, 8, 2**63]
-    assert deletions == {2**63: created + 5000, 8: created + 3000} and invalid == 1
-    assert _as_comparable(build_instances_from_files(trends, shards, flagger=FLAGGER)) == expected
+    assert [t.id for t in tweets] == [7, 8]
+    assert deletions == {7: created + 1000, 8: created + 3000} and invalid == 0
+    stats = ParseStats()
+    assert _as_comparable(build_instances_from_files(trends, shards, stats=stats,
+                                                     flagger=FLAGGER)) == expected
+    assert stats.malformed_skipped == 4 and stats.consistent
     assert _as_comparable(_build_instances(shards, trends, "tr", DEFAULT_TZ_OFFSET, 2)) == expected
 
 
@@ -490,8 +495,15 @@ def test_id_filter_keeps_every_line_the_sample_keeps(line, rate, seed):
 
 @pytest.mark.parametrize("value", ["5e2", "5E+2", "500.0", '"500"', '" 500"', "true"])
 def test_id_filter_keeps_a_value_that_is_no_integer_literal(value):
+    """The filter keeps each line for the id a bare int() reads from its
+    value, though of these only a digit string is an id the parser accepts."""
     line = f'{{"id": {value}, "text": "x", "user_id": 3, "timestamp_ms": "5"}}'
-    tweet_id = parse_stream_line(line).id
+    tweet_id = 1 if value == "true" else 500
+    if value == '"500"':
+        assert parse_stream_line(line).id == tweet_id
+    else:
+        with pytest.raises(MalformedLine):
+            parse_stream_line(line)
     assert ingest.id_line_filter({tweet_id}.__contains__)(line)
 
 

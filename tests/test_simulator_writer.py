@@ -139,8 +139,19 @@ def assert_reads_back(events, path):
     assert list(map(pipeline_view, parsed)) == list(map(pipeline_view, events))
 
 
+# Edge events whose id lies outside int64: the parser counts each as malformed.
+OUTSIDE_INT64 = ["id at 2**63", "id above 2**63", "deletion above 2**63"]
+
+
 def test_parser_reads_back_every_edge_event(tmp_path):
-    assert_reads_back(EDGE_EVENTS.values(), tmp_path / "stream.jsonl")
+    assert_reads_back([event for name, event in EDGE_EVENTS.items() if name not in OUTSIDE_INT64],
+                      tmp_path / "stream.jsonl")
+    for name in OUTSIDE_INT64:
+        path = tmp_path / "outside.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_stream_jsonl(handle, [EDGE_EVENTS[name]])
+        parsed, stats = read_all(str(path))
+        assert parsed == [] and (stats.malformed_skipped, stats.lines_read) == (1, 1), name
 
 
 def test_parser_reads_back_a_two_day_stream(tmp_path):
