@@ -11,7 +11,6 @@ disambiguation parentheses), a non-uppercase start, and 2-9 tokens.
 from __future__ import annotations
 
 import re
-from functools import partial
 from typing import Callable, Optional
 
 from .core import (
@@ -46,6 +45,40 @@ _EMOJI_RE = re.compile(
 )
 
 
+def _stripper(keyword: Optional[Keyword], locale: str) -> Callable[[str], list[str]]:
+    """strip_keyword_and_emoji for one keyword, as the whitespace tokens it
+    leaves, with the keyword's forms worked out once."""
+    if keyword is None:
+        return lambda text: _EMOJI_RE.sub(" ", text).split()
+    if keyword.kind == HASHTAG:
+        forms = {keyword.normalized, "#" + keyword.normalized}
+
+        def strip_hashtag(text: str) -> list[str]:
+            text = _EMOJI_RE.sub(" ", text)
+            return [t for t, folded in zip(text.split(), fold_case(text, locale).split())
+                    if folded not in forms]
+        return strip_hashtag
+
+    ngram = text_tokens(keyword.normalized, locale)
+    n = len(ngram)
+
+    def strip_ngram(text: str) -> list[str]:
+        tokens = text.split()
+        words = [(i, w) for i, folded in enumerate(fold_case(text, locale).split())
+                 if (w := _clean_token(folded))]
+        dropped: set[int] = set()
+        k = 0
+        while n and k + n <= len(words):
+            if [w for _, w in words[k : k + n]] == ngram:
+                dropped.update(range(words[k][0], words[k + n - 1][0] + 1))
+                k += n
+            else:
+                k += 1
+        kept = " ".join(t for i, t in enumerate(tokens) if i not in dropped)
+        return _EMOJI_RE.sub(" ", kept).split()
+    return strip_ngram
+
+
 def strip_keyword_and_emoji(
     text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
 ) -> str:
@@ -60,31 +93,7 @@ def strip_keyword_and_emoji(
     and removes no whitespace, and whitespace is neither cased nor
     case-ignorable, so it ends a final sigma's context as a token's edge
     does. The folded text's tokens are thus the folds of its tokens."""
-    if keyword is None or keyword.kind == HASHTAG:
-        text = _EMOJI_RE.sub(" ", text)
-        tokens = text.split()
-        if keyword is None:
-            return " ".join(tokens)
-        forms = {keyword.normalized, "#" + keyword.normalized}
-        kept = [t for t, folded in zip(tokens, fold_case(text, locale).split())
-                if folded not in forms]
-        return " ".join(kept)
-
-    tokens = text.split()
-    ngram = text_tokens(keyword.normalized, locale)
-    n = len(ngram)
-    words = [(i, w) for i, folded in enumerate(fold_case(text, locale).split())
-             if (w := _clean_token(folded))]
-    dropped: set[int] = set()
-    k = 0
-    while n and k + n <= len(words):
-        if [w for _, w in words[k : k + n]] == ngram:
-            dropped.update(range(words[k][0], words[k + n - 1][0] + 1))
-            k += n
-        else:
-            k += 1
-    kept = " ".join(t for i, t in enumerate(tokens) if i not in dropped)
-    return " ".join(_EMOJI_RE.sub(" ", kept).split())
+    return " ".join(_stripper(keyword, locale)(text))
 
 
 # An ASCII character that is no letter, digit, '_', parenthesis, whitespace
@@ -94,6 +103,22 @@ _FOREIGN_ASCII = re.compile(
     "[" + "".join(f"\\x{i:02x}" for i in range(128)
                   if not (chr(i).isalnum() or chr(i) in "_()#" or chr(i).isspace())) + "]"
 ).search
+
+
+def _lexicon_test(keyword: Optional[Keyword], locale: str) -> Callable[[str], bool]:
+    """is_lexicon_tweet for one keyword: its stripper, and whether its texts
+    take the early reject, worked out once."""
+    strip = _stripper(keyword, locale)
+    early = (keyword is not None and keyword.kind == HASHTAG
+             and not _FOREIGN_ASCII(keyword.normalized))
+
+    def is_lexicon(text: str) -> bool:
+        if early and _FOREIGN_ASCII(text):
+            return False
+        tokens = strip(text)
+        return (2 <= len(tokens) <= 9 and not tokens[0][0].isupper()
+                and _LEXICON_CHARS.issuperset("".join(tokens)))
+    return is_lexicon
 
 
 def is_lexicon_tweet(
@@ -115,12 +140,28 @@ def is_lexicon_tweet(
     whitespace never survives the split. N-gram keywords skip this test,
     because the runs they remove can hold punctuation.
     """
-    if (keyword is not None and keyword.kind == HASHTAG and _FOREIGN_ASCII(text)
-            and not _FOREIGN_ASCII(keyword.normalized)):
-        return False
-    stripped = strip_keyword_and_emoji(text, keyword, locale)
-    return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()
-            and _LEXICON_CHARS.issuperset(stripped))
+    return _lexicon_test(keyword, locale)(text)
+
+
+def _flag_function(keyword: Keyword, locale: str) -> Callable[[Tweet], int]:
+    """tweet_flags for one keyword, its lexicon test worked out once. It
+    reads the fields that a Tweet and the parser's decoded status share."""
+    is_lexicon = _lexicon_test(keyword, locale)
+    normalized = keyword.normalized
+    hashtag = keyword.kind == HASHTAG
+
+    def flag(tweet) -> int:
+        bits = LEXICON if is_lexicon(tweet.text) else 0
+        if tweet.is_retweet:
+            return bits | RETWEET
+        if tweet.is_reply or tweet.mentions or tweet.urls:
+            return bits
+        # Single engagement: no hashtag but the keyword (none for an n-gram).
+        for tag in tweet.hashtags:
+            if not hashtag or fold_case(tag, locale) != normalized:
+                return bits
+        return bits | SINGLE_ENGAGEMENT
+    return flag
 
 
 def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
@@ -129,37 +170,38 @@ def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_L
     No retweet, no reply, no mentions, no urls, and no hashtag other than
     the target (n-gram targets admit no hashtags at all).
     """
-    if tweet.is_retweet or tweet.is_reply or tweet.mentions or tweet.urls:
-        return False
-    tags = {fold_case(tag, locale) for tag in tweet.hashtags}
-    if keyword.kind == HASHTAG:
-        return tags <= {keyword.normalized}
-    return not tags
+    return bool(_flag_function(keyword, locale)(tweet) & SINGLE_ENGAGEMENT)
 
 
 def tweet_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> int:
     """The flag byte of a tweet joined to a trend-day of ``keyword``: the
     core.LEXICON, SINGLE_ENGAGEMENT and RETWEET bits."""
-    return ((LEXICON if is_lexicon_tweet(tweet.text, keyword, locale) else 0)
-            | (SINGLE_ENGAGEMENT if is_single_engagement(tweet, keyword, locale) else 0)
-            | (RETWEET if tweet.is_retweet else 0))
+    return _flag_function(keyword, locale)(tweet)
 
 
 class _Flagger(dict):
-    """tweet_flags for each keyword looked up, made on first use; it
-    pickles with its locale, so a pool's jobs can carry it."""
+    """The flag function of each keyword looked up, made on first use. It
+    pickles as its locale alone, as its functions are closures: a pool's
+    job gets an empty flagger, which makes them anew."""
 
     def __init__(self, locale: str):
         super().__init__()
         self.locale = locale
 
     def __missing__(self, keyword: Keyword) -> Callable[[Tweet], int]:
-        flag = self[keyword] = partial(tweet_flags, keyword=keyword, locale=self.locale)
+        flag = self[keyword] = _flag_function(keyword, self.locale)
         return flag
+
+    def __reduce__(self):
+        return _Flagger, (self.locale,)
 
 
 def flags_for_instance(locale: str = DEFAULT_LOCALE) -> dict[Keyword, Callable[[Tweet], int]]:
     """The flagger a join takes (``ingest.build_trend_instances`` and
     ``build_instances_from_files``): it maps each trend-day's keyword to the
-    function giving the flag byte of a tweet joined to it."""
+    function giving the flag byte of a tweet joined to it, made when the
+    keyword is first looked up. It is empty when returned. A function reads
+    the fields that a Tweet and the parser's decoded status share, so the
+    file join flags a line without building its Tweet; the flagger pickles,
+    empty, into a process pool's jobs."""
     return _Flagger(locale)

@@ -40,6 +40,7 @@ from .ingest import (
     NOT_DELETED,
     BadRow,
     ParseStats,
+    _read_records,
     _text_input,
     build_instances_from_files,
     id_line_filter,
@@ -166,8 +167,10 @@ def _build_instances(paths, trends, locale, tz_offset, jobs, flagged=True):
 
 
 def _stats_worker(path):
+    """The ParseStats of one file, drained from the line loop without
+    building an event per line."""
     stats = ParseStats()
-    for _ in read_stream(path, stats=stats):
+    for _ in _read_records(path, stats, None):
         pass
     return stats
 

@@ -16,6 +16,7 @@ import io
 import json
 import re
 from array import array
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
@@ -261,100 +262,118 @@ def _int64(value) -> int:
     raise ValueError(f"outside int64: {value!r}")
 
 
-def _event_ms(obj: dict) -> int:
-    ms = obj.get("timestamp_ms")
-    if ms is not None:
-        return _int64(ms)
-    created = obj.get("created_at")
-    if created is None:
-        raise BadTimestamp("record has neither timestamp_ms nor created_at")
-    return _parse_created_at(created) * 1000
-
-
 # A byte of an archive that is not UTF-8, as read_stream decodes it.
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 
-
-def _holds_escaped_byte(text: str) -> bool:
-    try:
-        text.encode()  # fast for the common case: no lone surrogate at all
-    except UnicodeEncodeError:
-        return _ESCAPED_BYTE_RE.search(text) is not None
-    return False
+# The JSON value a string starts with, and the index where it ends.
+_decode_json = json.JSONDecoder().raw_decode
 
 
-def _parse_status(obj: dict) -> Tweet:
-    tweet_id = _int64(obj["id"])
-    user = obj.get("user")
-    if isinstance(user, dict) and "id" in user:
-        user_id = _int64(user["id"])
-    elif "user_id" in obj:
-        user_id = _int64(obj["user_id"])
-    else:
-        raise MalformedLine(f"status {tweet_id} has no user id")
-
-    extended = obj.get("extended_tweet")
-    if isinstance(extended, dict) and extended.get("full_text"):
-        text = extended["full_text"]
-        entities = extended.get("entities") or obj.get("entities") or {}
-    else:
-        text = obj.get("text")
-        entities = obj.get("entities") or {}
-    if not isinstance(text, str):
-        raise MalformedLine(f"status {tweet_id} has no text")
-
-    try:
-        created_ms = _event_ms(obj)
-    except BadTimestamp as exc:
-        raise MalformedLine(str(exc)) from exc
-
-    hashtags = tuple(
-        h["text"]
-        for h in entities.get("hashtags", ())
-        if isinstance(h, dict) and isinstance(h.get("text"), str)
-    )
-    mentions = tuple(
-        int(m["id"])
-        for m in entities.get("user_mentions", ())
-        if isinstance(m, dict) and m.get("id") is not None
-    )
-    urls = len(entities.get("urls", ()) or ())
-    if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
-        raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
-
-    return Tweet(
-        id=tweet_id,
-        user_id=user_id,
-        text=text,
-        created_ms=created_ms,
-        hashtags=hashtags,
-        mentions=mentions,
-        urls=urls,
-        is_retweet="retweeted_status" in obj or text.startswith("RT @"),
-        is_reply=obj.get("in_reply_to_status_id") is not None
-        or obj.get("in_reply_to_user_id") is not None,
-    )
+# A decoded status: a Tweet's fields, in Tweet's order, which the join and
+# the flag functions read as a Tweet's.
+_Status = namedtuple("_Status", [tweet_field.name for tweet_field in fields(Tweet)])
 
 
-def _parse_delete(obj: dict) -> Deletion:
-    delete = obj["delete"]
-    status = delete["status"]
-    tweet_id = _int64(status["id"])
-    user_raw = status.get("user_id", status.get("user_id_str", 0))
-    try:
-        user_id = int(user_raw)
-    except (TypeError, ValueError, OverflowError):
-        user_id = 0
-    ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
-    if ms is None:
-        raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
-    return Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=_int64(ms))
-
-
-# What the record parsers raise on a field of the wrong JSON type or value:
-# a missing key, a value _int64 rejects, int() of null, a list or infinity,
+# What the decoder raises on a field of the wrong JSON type or value: a
+# missing key, a value _int64 rejects, int() of null, a list or infinity,
 # .get on a non-object, iterating a number, indexing a string by key.
 _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def _decode(line: str) -> Union[_Status, tuple[int, int, int], None]:
+    """The record of one archive line: a status's _Status, a delete
+    notice's (tweet id, user id, ms), in Deletion's order, or None for a
+    blank line or a record of another kind. Raises MalformedLine as
+    parse_stream_line says; every reader of the package decodes through
+    here."""
+    stripped = line.strip()
+    if not stripped:
+        return None
+    try:
+        obj, end = _decode_json(stripped)
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
+        raise MalformedLine(f"invalid JSON: {exc}") from exc
+    if end != len(stripped):  # stripped, so only a value can follow
+        raise MalformedLine("invalid JSON: extra data after the value")
+    if not isinstance(obj, dict):
+        raise MalformedLine("line is not a JSON object")
+    try:
+        if "delete" in obj:
+            delete = obj["delete"]
+            status = delete["status"]
+            tweet_id = _int64(status["id"])
+            user_raw = status.get("user_id", status.get("user_id_str", 0))
+            try:
+                user_id = int(user_raw)
+            except (TypeError, ValueError, OverflowError):
+                user_id = 0
+            ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
+            if ms is None:
+                raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
+            return tweet_id, user_id, _int64(ms)
+        if "id" not in obj or "text" not in obj and "extended_tweet" not in obj:
+            return None
+
+        tweet_id = _int64(obj["id"])
+        user = obj.get("user")
+        if isinstance(user, dict) and "id" in user:
+            user_id = _int64(user["id"])
+        elif "user_id" in obj:
+            user_id = _int64(obj["user_id"])
+        else:
+            raise MalformedLine(f"status {tweet_id} has no user id")
+
+        extended = obj.get("extended_tweet")
+        if isinstance(extended, dict) and extended.get("full_text"):
+            text = extended["full_text"]
+            entities = extended.get("entities") or obj.get("entities") or {}
+        else:
+            text = obj.get("text")
+            entities = obj.get("entities") or {}
+        if not isinstance(text, str):
+            raise MalformedLine(f"status {tweet_id} has no text")
+
+        ms = obj.get("timestamp_ms")
+        if ms is not None:
+            created_ms = _int64(ms)
+        else:
+            created = obj.get("created_at")
+            if created is None:
+                raise MalformedLine("record has neither timestamp_ms nor created_at")
+            try:
+                created_ms = _parse_created_at(created) * 1000
+            except BadTimestamp as exc:
+                raise MalformedLine(str(exc)) from exc
+
+        # Each list is mostly empty; no other value equals [].
+        hashtags = entities.get("hashtags", ())
+        hashtags = () if hashtags == [] else tuple(
+            h["text"] for h in hashtags if isinstance(h, dict) and isinstance(h.get("text"), str)
+        )
+        mentions = entities.get("user_mentions", ())
+        mentions = () if mentions == [] else tuple(
+            int(m["id"]) for m in mentions if isinstance(m, dict) and m.get("id") is not None
+        )
+        urls = len(entities.get("urls", ()) or ())
+        try:
+            text.encode()  # fast for the common case: no lone surrogate at all
+            for tag in hashtags:
+                tag.encode()
+        except UnicodeEncodeError:
+            if any(map(_ESCAPED_BYTE_RE.search, (text, *hashtags))):
+                raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8") from None
+    except _SCHEMA_ERRORS as exc:
+        raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
+
+    return _Status(
+        tweet_id, user_id, text, created_ms, hashtags, mentions, urls,
+        "retweeted_status" in obj or text.startswith("RT @"),
+        obj.get("in_reply_to_status_id") is not None or obj.get("in_reply_to_user_id") is not None,
+    )
+
+
+def _event(record: Union[_Status, tuple[int, int, int]]) -> TweetEvent:
+    return Tweet(*record) if type(record) is _Status else Deletion(*record)
 
 
 def parse_stream_line(line: str) -> Optional[TweetEvent]:
@@ -367,24 +386,11 @@ def parse_stream_line(line: str) -> Optional[TweetEvent]:
     not fit the schema, and on a status whose text or a hashtag holds an
     escaped byte (see _open_source); callers are expected to count these
     rather than abort. No other exception escapes for any input string.
+    The line goes through the decoder that read_stream and the file join
+    use, and the event is built from the record it gives.
     """
-    stripped = line.strip()
-    if not stripped:
-        return None
-    try:
-        obj = json.loads(stripped)
-    except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
-        raise MalformedLine(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedLine("line is not a JSON object")
-    try:
-        if "delete" in obj:
-            return _parse_delete(obj)
-        if "id" in obj and ("text" in obj or "extended_tweet" in obj):
-            return _parse_status(obj)
-    except _SCHEMA_ERRORS as exc:
-        raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
-    return None
+    record = _decode(line)
+    return None if record is None else _event(record)
 
 
 def _codec(magic: bytes):
@@ -433,6 +439,52 @@ def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
+def _read_records(
+    source, stats: ParseStats, keep: Optional[Callable[[str], bool]]
+) -> Iterator[Union[_Status, tuple[int, int, int]]]:
+    """The one line loop: the record (see _decode) of each line of a path or
+    binary stream that ``keep`` keeps and that decodes to an event, counting
+    every line in ``stats`` when the read ends (see read_stream)."""
+    lines = prefiltered = malformed = other = creations = deletions = 0
+    try:
+        # A path is opened once, so a pipe loses nothing to the codec probe,
+        # and closed here, as a codec given an open file leaves it open.
+        is_path = isinstance(source, (str, bytes))
+        with open(source, "rb") if is_path else nullcontext(source) as binary:
+            handle, codec_errors = _open_source(binary)
+            if handle is None:
+                lines = malformed = 1
+                return
+            try:
+                for line in handle:
+                    lines += 1
+                    if keep is not None and not keep(line):
+                        prefiltered += 1
+                        continue
+                    try:
+                        record = _decode(line)
+                    except MalformedLine:
+                        malformed += 1
+                        continue
+                    if record is None:
+                        other += 1
+                        continue
+                    if type(record) is _Status:
+                        creations += 1
+                    else:
+                        deletions += 1
+                    yield record
+            except codec_errors:
+                lines += 1
+                malformed += 1
+            finally:
+                handle.close()
+    finally:
+        stats.add(ParseStats(lines_read=lines, creations=creations, deletions=deletions,
+                             malformed_skipped=malformed, other_skipped=other,
+                             prefiltered=prefiltered))
+
+
 def read_stream(
     source,
     *,
@@ -446,45 +498,15 @@ def read_stream(
     the rest counts as one malformed line; one cut inside its first block
     is one malformed line. ``keep``, when given, is tested on each raw line
     first: a line it rejects is counted in ``stats.prefiltered`` and never
-    decoded, so it must keep every line the caller could use. The stats
-    object is complete once the iterator is exhausted. A line whose ids or
-    instants are not int64 (see _int64) counts as malformed.
+    decoded, so it must keep every line the caller could use. The counts are
+    added to ``stats`` once the iterator is exhausted or closed. A line whose
+    ids or instants are not int64 (see _int64) counts as malformed.
+
+    Each event is built from the record of the one line loop and decoder
+    that the file join reads without building events.
     """
-    if stats is None:
-        stats = ParseStats()
-    # A path is opened once, so a pipe loses nothing to the codec probe, and
-    # closed here, as a codec given an open file leaves it open.
-    is_path = isinstance(source, (str, bytes))
-    with open(source, "rb") if is_path else nullcontext(source) as binary:
-        handle, codec_errors = _open_source(binary)
-        if handle is None:
-            stats.lines_read += 1
-            stats.malformed_skipped += 1
-            return
-        try:
-            for line in handle:
-                stats.lines_read += 1
-                if keep is not None and not keep(line):
-                    stats.prefiltered += 1
-                    continue
-                try:
-                    event = parse_stream_line(line)
-                except MalformedLine:
-                    stats.malformed_skipped += 1
-                    continue
-                if event is None:
-                    stats.other_skipped += 1
-                    continue
-                if isinstance(event, Tweet):
-                    stats.creations += 1
-                else:
-                    stats.deletions += 1
-                yield event
-        except codec_errors:
-            stats.lines_read += 1
-            stats.malformed_skipped += 1
-        finally:
-            handle.close()
+    for record in _read_records(source, ParseStats() if stats is None else stats, keep):
+        yield _event(record)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +664,8 @@ def _keyword_index(
 
 
 # What a join's caller may give it to flag tweets: for each trend-day's
-# keyword, the function giving the flag byte of a tweet joined to it
+# keyword, the function giving the flag byte of a tweet joined to it, which
+# reads the fields a Tweet and a decoded _Status share
 # (classify.flags_for_instance makes one).
 Flagger = Mapping[Keyword, Callable[[Tweet], int]]
 
@@ -665,12 +688,12 @@ class _Rows:
         self.created_ms = array("q")
         self.flags = bytearray() if flagged else None
 
-    def add(self, tweet: Tweet, flag: Optional[Callable[[Tweet], int]]) -> None:
-        self.ids.append(tweet.id)
-        self.users.append(tweet.user_id)
-        self.created_ms.append(tweet.created_ms)
+    def add(self, status: Union[Tweet, _Status], flag: Optional[Callable[[Tweet], int]]) -> None:
+        self.ids.append(status.id)
+        self.users.append(status.user_id)
+        self.created_ms.append(status.created_ms)
         if flag is not None:
-            self.flags.append(flag(tweet))
+            self.flags.append(flag(status))
 
     def extend(self, other: _Rows) -> None:
         """Append the rows another read met after these."""
@@ -684,65 +707,80 @@ class _Rows:
 # A join's rows before deletions attach, by trend-day key.
 _Groups = dict[tuple[date, str], _Rows]
 
+# The day numbers that a datetime.date holds.
+_DATED_DAYS = range(1 - _EPOCH_ORDINAL, date.max.toordinal() + 1 - _EPOCH_ORDINAL)
+
 
 def _route(
     trends: Optional[Sequence[TrendDay]],
-    events: Iterable[TweetEvent],
+    records: Iterable[Union[Tweet, _Status, tuple[int, int, int]]],
     locale: str,
     tz_offset: int,
     flagger: Optional[Flagger],
 ) -> tuple[_Groups, _Notices]:
-    """One pass over ``events``: each creation filed, with its flag byte,
-    under every trend-day it joins, each deletion notice packed. The
-    trend-days are a trend list's, all of them in input order, or with
-    ``trends`` None the (local date, tag) days its creations hold, in
-    first-seen order (see build_trend_instances)."""
+    """The one filing loop, a pass over ``records``: each status, a Tweet
+    or a decoded _Status, filed with its flag byte under every trend-day it
+    joins, and each notice's (tweet id, user id, ms) packed. The trend-days
+    are a trend list's, all of them in input order, or with ``trends`` None
+    the (local date, tag) days its statuses hold, in first-seen order (see
+    build_trend_instances)."""
     groups: _Groups = {}
 
     def open_group(key: tuple[date, str], trend: TrendDay):
         rows = groups[key] = _Rows(trend, flagger is not None)
         return rows, None if flagger is None else flagger[trend.keyword]
 
+    # The (rows, flag) targets that take a status, by the kind and normalized
+    # form of a keyword it holds and by its local day: a trend list's
+    # trend-day on day d takes statuses of days d and d-1, a discovered one
+    # those of its own day.
+    targets: dict[tuple[str, str, int], list] = {}
     if trends is None:
-        targets = {}
-
-        def joined(tweet: Tweet) -> list:
-            day = day_number_to_date(local_day(tweet.created_ms, tz_offset))
+        def joined(status) -> list:
+            day = local_day(status.created_ms, tz_offset)
+            if day not in _DATED_DAYS:
+                return []
             found = []
-            for tag in extract_hashtags(tweet.text, locale):
-                target = targets.get((day, tag))
-                if target is None:
-                    trend = TrendDay(day, Keyword("#" + tag, tag, HASHTAG))
-                    target = targets[day, tag] = open_group((day, tag), trend)
-                found.append(target)
+            for tag in extract_hashtags(status.text, locale):
+                key = (HASHTAG, tag, day)
+                if key not in targets:
+                    when = day_number_to_date(day)
+                    trend = TrendDay(when, Keyword("#" + tag, tag, HASHTAG))
+                    targets[key] = [open_group((when, tag), trend)]
+                found += targets[key]
             return found
     else:
-        # The (rows, flag) targets that take a tweet, by keyword and by the
-        # tweet's local day: a trend-day on day d takes tweets of days d and d-1.
-        by_keyword: dict[tuple[str, str], dict[int, list]] = {}
         for trend in trends:
             key = (trend.date, trend.keyword.normalized)
             if key not in groups:
                 target = open_group(key, trend)
-                by_day = by_keyword.setdefault((trend.keyword.kind, trend.keyword.normalized), {})
                 day = trend.day_number()
                 for taken in (day, day - 1):
-                    by_day.setdefault(taken, []).append(target)
-        contained = _keyword_index((rows.trend.keyword for rows in groups.values()), locale)
+                    targets.setdefault((trend.keyword.kind, key[1], taken), []).append(target)
+        ngrams = [rows.trend.keyword for rows in groups.values()
+                  if rows.trend.keyword.kind != HASHTAG]
+        hashtags = len(ngrams) < len(groups)
+        contained = _keyword_index(ngrams, locale)
 
-        def joined(tweet: Tweet) -> list:
-            day = local_day(tweet.created_ms, tz_offset)
-            # An n-gram's key comes once per occurrence; file the tweet once.
-            return [target for key in dict.fromkeys(contained(tweet.text))
-                    for target in by_keyword[key].get(day, ())]
+        def joined(status) -> list:
+            day = local_day(status.created_ms, tz_offset)
+            found = []
+            if hashtags:
+                for tag in extract_hashtags(status.text, locale):
+                    found += targets.get((HASHTAG, tag, day), ())
+            if ngrams:
+                # An n-gram's key comes once per occurrence; file the status once.
+                for kind, name in dict.fromkeys(contained(status.text)):
+                    found += targets.get((kind, name, day), ())
+            return found
 
     notices = _Notices()
-    for event in events:
-        if isinstance(event, Tweet):
-            for rows, flag in joined(event):
-                rows.add(event, flag)
-        elif isinstance(event, Deletion):
-            notices.add(event.tweet_id, event.time_ms)
+    for record in records:
+        if type(record) is tuple:
+            notices.add(record[0], record[2])
+        else:
+            for rows, flag in joined(record):
+                rows.add(record, flag)
     return groups, notices
 
 
@@ -792,20 +830,26 @@ def build_trend_instances(
 ) -> dict[tuple[date, str], TrendInstance]:
     """Join many trend-days against one pass over an event collection.
 
-    Returns a mapping keyed by (date, normalized keyword). Matching goes
-    through one keyword index over all trend-days. A matched tweet is kept
-    as four ints and, with a ``flagger``, the flag byte it gives for the
-    trend-day's keyword, worked out as the tweet is filed; the Tweet itself
-    is dropped. Each deletion notice is packed into 16 bytes until the pass
-    ends, when the earliest notice of each matched tweet is attached. So
-    every id, user id and instant of ``events`` must lie in (-2**63, 2**63),
-    as the parser's and the simulator's do.
+    Returns a mapping keyed by (date, normalized keyword). The events go
+    through the filing loop of the file join (build_instances_from_files),
+    which reads the same fields of a Tweet as of a decoded line. A hashtag
+    trend-day is found by looking each folded tag of a tweet's text up by
+    keyword and day, an n-gram one through one index of every n-gram. A
+    matched tweet is kept as four ints and, with a ``flagger``, the flag
+    byte it gives for the trend-day's keyword, worked out as the tweet is
+    filed; the Tweet itself is dropped. Each deletion notice is packed into
+    16 bytes until the pass ends, when the earliest notice of each matched
+    tweet is attached. So every id, user id and instant of ``events`` must
+    lie in (-2**63, 2**63), as the parser's and the simulator's do.
 
     With ``trends`` None the join discovers its trend-days: a creation goes
     to the instance (its local date, tag) of each tag of extract_hashtags,
-    on its own day only, each made on first use with the keyword '#tag'.
+    on its own day only, each made on first use with the keyword '#tag'. A
+    creation whose local day no datetime.date holds goes to none.
     """
-    return _attach(*_route(trends, events, locale, tz_offset, flagger))
+    records = (event if isinstance(event, Tweet) else (event.tweet_id, event.user_id, event.time_ms)
+               for event in events if isinstance(event, (Tweet, Deletion)))
+    return _attach(*_route(trends, records, locale, tz_offset, flagger))
 
 
 def _escape_sensitive(token: str) -> bool:
@@ -922,8 +966,8 @@ def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
     notice, and the file's parse counters."""
     path, trends, locale, tz_offset, flagger = job
     stats = ParseStats()
-    events = read_stream(path, stats=stats, keep=_line_filter(trends, locale))
-    groups, notices = _route(trends, events, locale, tz_offset, flagger)
+    records = _read_records(path, stats, _line_filter(trends, locale))
+    groups, notices = _route(trends, records, locale, tz_offset, flagger)
     return groups, notices, stats
 
 
@@ -938,11 +982,14 @@ def build_instances_from_files(
 ) -> dict[tuple[date, str], TrendInstance]:
     """One-pass streaming join over archive files with per-trend memory.
 
-    Each file is read once: its matching tweets are kept as rows of ints
-    (flagged by ``flagger``, when given), and each of its deletion notices
-    is packed into 16 bytes. Once every file is read, the earliest notice of
-    each matched tweet is attached, so peak memory is about 33 bytes per
-    matched tweet plus 16 per notice, not the corpus. The result equals
+    Each file is read once, through the line loop and decoder that
+    read_stream builds its events from, but no Tweet or Deletion is built:
+    each decoded status is filed and flagged from its fields. Its matching
+    tweets are kept as rows of ints (flagged by ``flagger``, when given),
+    and each of its deletion notices is packed into 16 bytes. Once every
+    file is read, the earliest notice of each matched tweet is attached, so
+    peak memory is about 33 bytes per matched tweet plus 16 per notice, not
+    the corpus. The result equals
     ``build_trend_instances(trends, <every file's events>, ..., flagger)``,
     also in its discovery case, ``trends`` None, which finds every
     hashtag-day.
@@ -981,7 +1028,8 @@ def build_instances_from_files(
     ``map_fn`` runs the per-file reads, in file order; a process pool's
     map parallelizes across files with identical results. Each read gets
     the ``flagger``, so under a pool it must pickle, as
-    classify.flags_for_instance's does, and it returns its rows as int
+    classify.flags_for_instance's does (empty, after the lookups that made
+    its trend-days' functions here), and it returns its rows as int
     columns, which pickle as raw bytes.
     """
     groups, notices = _route(trends, (), locale, tz_offset, flagger)

@@ -15,8 +15,11 @@ found by reading every epoch from the start of its day; for the stages
 after the join: the Tweet-and-dict path, where an instance holds whole
 Tweets (`TweetInstance`) and a TweetFlags dict by id is computed after the
 join, with the features, attack candidates and astrobot labels that read
-them; and for the file join's raw-line test: the deletion test and the
-creation test as separate calls.
+them; for the file join's raw-line test: the deletion test and the
+creation test as separate calls; and for the parser and the flags: a line
+parsed into a frozen Tweet or Deletion through one call per layer and
+field, read_stream counting as it goes, and a tweet's flag byte worked out
+per call.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
@@ -32,8 +35,11 @@ keyword's non-lexicon text on one character-class search
 (`trendguard.classify.is_lexicon_tweet`), looks for a trend-day's entry
 among its day's epochs only (`trendguard.metrics.trend_day_lifecycles`),
 flags each tweet as the join files it and keeps a trend-day as int
-columns (`trendguard.ingest.TrendInstance`), and tests each raw line in
-one call (`trendguard.ingest._line_filter`); the tests check each
+columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
+call (`trendguard.ingest._line_filter`), decodes each kept line once into
+the fields the join files (`trendguard.ingest._decode`) and flags them
+with one function per keyword (`trendguard.classify.flags_for_instance`);
+the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
 share no join code with the library.
@@ -41,14 +47,17 @@ share no join code with the library.
 
 from __future__ import annotations
 
+import io
+import json
 import random
 import re
 import statistics
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from trendguard.core import (
     DEFAULT_LOCALE,
@@ -59,7 +68,7 @@ from trendguard.core import (
     local_day,
 )
 from trendguard import classify
-from trendguard.classify import _EMOJI_RE, _LEXICON_CHARS, is_single_engagement
+from trendguard.classify import _EMOJI_RE, _LEXICON_CHARS
 from trendguard.core import LEXICON, RETWEET, SINGLE_ENGAGEMENT, span_s
 from trendguard.detector import (
     AttackEvent,
@@ -72,14 +81,21 @@ from trendguard.features import FeatureVector, _ratio, minute_entropy
 from trendguard.graph import EmptyGraph, IncompleteAssignment, TREND, USER
 from trendguard.ingest import (
     NOT_DELETED,
+    BadTimestamp,
     Deletion,
     JoinedTweet,
+    MalformedLine,
+    ParseStats,
     TrendDay,
     TrendEpoch,
     Tweet,
     TweetEvent,
+    _ESCAPED_BYTE_RE,
     _clean_token,
     _escape_sensitive,
+    _int64,
+    _open_source,
+    _parse_created_at,
     day_number_to_date,
     extract_hashtags,
     text_tokens,
@@ -1034,3 +1050,248 @@ def line_filter(trends: Optional[Sequence[TrendDay]], locale: str):
         return may_hold_deletion(line) or may_match(line)
 
     return keep
+
+
+# ---------------------------------------------------------------------------
+# The parser and the flag functions as the library wrote them before one
+# decoder and one per-keyword flag function replaced them: a line parsed
+# through parse_stream_line, _parse_status, _event_ms and _int64 into a
+# frozen Tweet or Deletion, read_stream counting each line as it goes, and
+# a tweet's flags worked out per call (tweet_flags takes this module's
+# is_lexicon_tweet, the rule that always strips first). The discovery join
+# files a creation as scan_candidates does, under no hashtag-day when no
+# datetime.date holds its local day.
+# ---------------------------------------------------------------------------
+
+def _event_ms(obj: dict) -> int:
+    ms = obj.get("timestamp_ms")
+    if ms is not None:
+        return _int64(ms)
+    created = obj.get("created_at")
+    if created is None:
+        raise BadTimestamp("record has neither timestamp_ms nor created_at")
+    return _parse_created_at(created) * 1000
+
+
+# A byte of an archive that is not UTF-8, as read_stream decodes it.
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
+
+def _holds_escaped_byte(text: str) -> bool:
+    try:
+        text.encode()  # fast for the common case: no lone surrogate at all
+    except UnicodeEncodeError:
+        return _ESCAPED_BYTE_RE.search(text) is not None
+    return False
+
+
+def _parse_status(obj: dict) -> Tweet:
+    tweet_id = _int64(obj["id"])
+    user = obj.get("user")
+    if isinstance(user, dict) and "id" in user:
+        user_id = _int64(user["id"])
+    elif "user_id" in obj:
+        user_id = _int64(obj["user_id"])
+    else:
+        raise MalformedLine(f"status {tweet_id} has no user id")
+
+    extended = obj.get("extended_tweet")
+    if isinstance(extended, dict) and extended.get("full_text"):
+        text = extended["full_text"]
+        entities = extended.get("entities") or obj.get("entities") or {}
+    else:
+        text = obj.get("text")
+        entities = obj.get("entities") or {}
+    if not isinstance(text, str):
+        raise MalformedLine(f"status {tweet_id} has no text")
+
+    try:
+        created_ms = _event_ms(obj)
+    except BadTimestamp as exc:
+        raise MalformedLine(str(exc)) from exc
+
+    hashtags = tuple(
+        h["text"]
+        for h in entities.get("hashtags", ())
+        if isinstance(h, dict) and isinstance(h.get("text"), str)
+    )
+    mentions = tuple(
+        int(m["id"])
+        for m in entities.get("user_mentions", ())
+        if isinstance(m, dict) and m.get("id") is not None
+    )
+    urls = len(entities.get("urls", ()) or ())
+    if _holds_escaped_byte(text) or any(map(_holds_escaped_byte, hashtags)):
+        raise MalformedLine(f"status {tweet_id} holds a byte that is not UTF-8")
+
+    return Tweet(
+        id=tweet_id,
+        user_id=user_id,
+        text=text,
+        created_ms=created_ms,
+        hashtags=hashtags,
+        mentions=mentions,
+        urls=urls,
+        is_retweet="retweeted_status" in obj or text.startswith("RT @"),
+        is_reply=obj.get("in_reply_to_status_id") is not None
+        or obj.get("in_reply_to_user_id") is not None,
+    )
+
+
+def _parse_delete(obj: dict) -> Deletion:
+    delete = obj["delete"]
+    status = delete["status"]
+    tweet_id = _int64(status["id"])
+    user_raw = status.get("user_id", status.get("user_id_str", 0))
+    try:
+        user_id = int(user_raw)
+    except (TypeError, ValueError, OverflowError):
+        user_id = 0
+    ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
+    if ms is None:
+        raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
+    return Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=_int64(ms))
+
+
+# What the record parsers raise on a field of the wrong JSON type or value:
+# a missing key, a value _int64 rejects, int() of null, a list or infinity,
+# .get on a non-object, iterating a number, indexing a string by key.
+_SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def parse_stream_line(line: str) -> Optional[TweetEvent]:
+    """Parse one archive line into a Tweet or Deletion; None for a blank
+    line or a record of another kind (limit notices, ...).
+
+    A status's id, user id and timestamp_ms, and a notice's status id and
+    timestamp_ms, are read by _int64, so every one lies in (-2**63, 2**63).
+    Raises MalformedLine on broken syntax, on any record whose fields do
+    not fit the schema, and on a status whose text or a hashtag holds an
+    escaped byte (see _open_source); callers are expected to count these
+    rather than abort. No other exception escapes for any input string.
+    """
+    stripped = line.strip()
+    if not stripped:
+        return None
+    try:
+        obj = json.loads(stripped)
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
+        raise MalformedLine(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedLine("line is not a JSON object")
+    try:
+        if "delete" in obj:
+            return _parse_delete(obj)
+        if "id" in obj and ("text" in obj or "extended_tweet" in obj):
+            return _parse_status(obj)
+    except _SCHEMA_ERRORS as exc:
+        raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
+    return None
+
+
+
+def read_stream(
+    source,
+    *,
+    stats: Optional[ParseStats] = None,
+    keep: Optional[Callable[[str], bool]] = None,
+) -> Iterator[TweetEvent]:
+    """Stream TweetEvents from a path or binary stream, one pass, bounded memory.
+
+    Malformed lines are counted in ``stats`` and skipped. A compressed file
+    that is cut or corrupt after its first block ends its read there, and
+    the rest counts as one malformed line; one cut inside its first block
+    is one malformed line. ``keep``, when given, is tested on each raw line
+    first: a line it rejects is counted in ``stats.prefiltered`` and never
+    decoded, so it must keep every line the caller could use. The stats
+    object is complete once the iterator is exhausted. A line whose ids or
+    instants are not int64 (see _int64) counts as malformed.
+    """
+    if stats is None:
+        stats = ParseStats()
+    # A path is opened once, so a pipe loses nothing to the codec probe, and
+    # closed here, as a codec given an open file leaves it open.
+    is_path = isinstance(source, (str, bytes))
+    with open(source, "rb") if is_path else nullcontext(source) as binary:
+        handle, codec_errors = _open_source(binary)
+        if handle is None:
+            stats.lines_read += 1
+            stats.malformed_skipped += 1
+            return
+        try:
+            for line in handle:
+                stats.lines_read += 1
+                if keep is not None and not keep(line):
+                    stats.prefiltered += 1
+                    continue
+                try:
+                    event = parse_stream_line(line)
+                except MalformedLine:
+                    stats.malformed_skipped += 1
+                    continue
+                if event is None:
+                    stats.other_skipped += 1
+                    continue
+                if isinstance(event, Tweet):
+                    stats.creations += 1
+                else:
+                    stats.deletions += 1
+                yield event
+        except codec_errors:
+            stats.lines_read += 1
+            stats.malformed_skipped += 1
+        finally:
+            handle.close()
+
+
+
+def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
+    """True when the tweet engages nothing but the target keyword.
+
+    No retweet, no reply, no mentions, no urls, and no hashtag other than
+    the target (n-gram targets admit no hashtags at all).
+    """
+    if tweet.is_retweet or tweet.is_reply or tweet.mentions or tweet.urls:
+        return False
+    tags = {fold_case(tag, locale) for tag in tweet.hashtags}
+    if keyword.kind == HASHTAG:
+        return tags <= {keyword.normalized}
+    return not tags
+
+
+def tweet_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> int:
+    """The flag byte of a tweet joined to a trend-day of ``keyword``: the
+    core.LEXICON, SINGLE_ENGAGEMENT and RETWEET bits."""
+    return ((LEXICON if is_lexicon_tweet(tweet.text, keyword, locale) else 0)
+            | (SINGLE_ENGAGEMENT if is_single_engagement(tweet, keyword, locale) else 0)
+            | (RETWEET if tweet.is_retweet else 0))
+
+
+
+_DATED_DAYS = range(date.min.toordinal() - date(1970, 1, 1).toordinal(),
+                    date.max.toordinal() - date(1970, 1, 1).toordinal() + 1)
+
+
+def discover_instances(
+    events: Iterable[TweetEvent],
+    locale: str = DEFAULT_LOCALE,
+    tz_offset: int = DEFAULT_TZ_OFFSET,
+) -> dict[tuple[date, str], TweetInstance]:
+    """Each (local date, tag) hashtag-day of the creations' own days, joined
+    with its creations and their deletions."""
+    builders: dict[tuple[date, str], _InstanceBuilder] = {}
+    deletions: dict[int, int] = {}
+    for event in events:
+        if isinstance(event, Tweet):
+            day = local_day(event.created_ms, tz_offset)
+            if day not in _DATED_DAYS:
+                continue
+            for tag in extract_hashtags(event.text, locale):
+                key = (day_number_to_date(day), tag)
+                if key not in builders:
+                    trend = TrendDay(key[0], Keyword("#" + tag, tag, HASHTAG))
+                    builders[key] = _InstanceBuilder(trend)
+                builders[key].offer_tweet(event)
+        elif isinstance(event, Deletion):
+            _note_deletion(deletions, event.tweet_id, event.time_ms)
+    return {key: builder.build(deletions) for key, builder in builders.items()}

@@ -382,6 +382,16 @@ class TestScan:
         verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [verdict["keyword"] for verdict in verdicts] == found
 
+    @pytest.mark.parametrize("ms", ["9223372036854775807", "-9223372036854775807"])
+    def test_an_instant_no_date_holds_makes_no_candidate(self, tmp_path, capsys, ms):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"id": 1, "user": {"id": 2}, "text": "#a b", "timestamp_ms": "%s"}\n'
+                          % ms, encoding="utf-8")
+        assert main(["scan", "--stream", str(stream), "--min-tweets", "1", "--stdout"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["ingest", "--stream", str(stream), "--stdout"]) == 0
+        assert json.loads(capsys.readouterr().out)["creations"] == 1
+
 
 class TestEvaluateCmd:
     def test_sim_dir_report(self, sim_dir, capsys):

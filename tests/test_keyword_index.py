@@ -1,6 +1,7 @@
-"""The one keyword index, used by build_trend_instances and
-group_stream_by_keyword, assigns a tweet exactly the keywords that the
-reference match_keyword accepts."""
+"""The keyword matching of build_trend_instances (a hashtag looked up by
+keyword and day, an n-gram through the keyword index) and of
+group_stream_by_keyword (the keyword index) assigns a tweet exactly the
+keywords that the reference match_keyword accepts."""
 
 from datetime import timedelta
 

@@ -381,13 +381,13 @@ def test_each_file_is_read_once(tmp_path, monkeypatch):
     lines = _archive_lines()
     shards = _shards(tmp_path, lines)
     reads = []
-    real_read_stream = ingest.read_stream
+    real_read_records = ingest._read_records
 
-    def counting_read_stream(source, **kwargs):
+    def counting_read_records(source, *args):
         reads.append(source)
-        return real_read_stream(source, **kwargs)
+        return real_read_records(source, *args)
 
-    monkeypatch.setattr(ingest, "read_stream", counting_read_stream)
+    monkeypatch.setattr(ingest, "_read_records", counting_read_records)
     build_instances_from_files(_trends(lines), shards)
     assert sorted(reads) == sorted(shards)
 
