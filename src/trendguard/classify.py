@@ -144,8 +144,7 @@ def is_lexicon_tweet(
 
 
 def _flag_function(keyword: Keyword, locale: str) -> Callable[[Tweet], int]:
-    """tweet_flags for one keyword, its lexicon test worked out once. It
-    reads the fields that a Tweet and the parser's decoded status share."""
+    """tweet_flags for one keyword, its lexicon test worked out once."""
     is_lexicon = _lexicon_test(keyword, locale)
     normalized = keyword.normalized
     hashtag = keyword.kind == HASHTAG
@@ -200,8 +199,6 @@ def flags_for_instance(locale: str = DEFAULT_LOCALE) -> dict[Keyword, Callable[[
     """The flagger a join takes (``ingest.build_trend_instances`` and
     ``build_instances_from_files``): it maps each trend-day's keyword to the
     function giving the flag byte of a tweet joined to it, made when the
-    keyword is first looked up. It is empty when returned. A function reads
-    the fields that a Tweet and the parser's decoded status share, so the
-    file join flags a line without building its Tweet; the flagger pickles,
+    keyword is first looked up. It is empty when returned, and pickles,
     empty, into a process pool's jobs."""
     return _Flagger(locale)

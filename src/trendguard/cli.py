@@ -40,7 +40,6 @@ from .ingest import (
     NOT_DELETED,
     BadRow,
     ParseStats,
-    _read_records,
     _text_input,
     build_instances_from_files,
     id_line_filter,
@@ -167,10 +166,9 @@ def _build_instances(paths, trends, locale, tz_offset, jobs, flagged=True):
 
 
 def _stats_worker(path):
-    """The ParseStats of one file, drained from the line loop without
-    building an event per line."""
+    """The ParseStats of one file, drained from read_stream."""
     stats = ParseStats()
-    for _ in _read_records(path, stats, None):
+    for _ in read_stream(path, stats=stats):
         pass
     return stats
 

@@ -16,7 +16,6 @@ import io
 import json
 import re
 from array import array
-from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
@@ -52,8 +51,7 @@ class BadRow(TrendGuardError):
     reader needs."""
 
 
-@dataclass(frozen=True, slots=True)
-class Tweet:
+class Tweet(NamedTuple):
     id: int
     user_id: int
     text: str
@@ -70,8 +68,7 @@ class Tweet:
 Creation = Tweet
 
 
-@dataclass(frozen=True, slots=True)
-class Deletion:
+class Deletion(NamedTuple):
     tweet_id: int
     user_id: int
     time_ms: int
@@ -269,23 +266,24 @@ _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 _decode_json = json.JSONDecoder().raw_decode
 
 
-# A decoded status: a Tweet's fields, in Tweet's order, which the join and
-# the flag functions read as a Tweet's.
-_Status = namedtuple("_Status", [tweet_field.name for tweet_field in fields(Tweet)])
-
-
 # What the decoder raises on a field of the wrong JSON type or value: a
 # missing key, a value _int64 rejects, int() of null, a list or infinity,
 # .get on a non-object, iterating a number, indexing a string by key.
 _SCHEMA_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def _decode(line: str) -> Union[_Status, tuple[int, int, int], None]:
-    """The record of one archive line: a status's _Status, a delete
-    notice's (tweet id, user id, ms), in Deletion's order, or None for a
-    blank line or a record of another kind. Raises MalformedLine as
-    parse_stream_line says; every reader of the package decodes through
-    here."""
+def parse_stream_line(line: str) -> Optional[TweetEvent]:
+    """Parse one archive line into a Tweet or Deletion; None for a blank
+    line or a record of another kind (limit notices, ...). Every reader of
+    the package decodes through here.
+
+    A status's id, user id and timestamp_ms, and a notice's status id and
+    timestamp_ms, are read by _int64, so every one lies in (-2**63, 2**63).
+    Raises MalformedLine on broken syntax, on any record whose fields do
+    not fit the schema, and on a status whose text or a hashtag holds an
+    escaped byte (see _open_source); callers are expected to count these
+    rather than abort. No other exception escapes for any input string.
+    """
     stripped = line.strip()
     if not stripped:
         return None
@@ -310,7 +308,7 @@ def _decode(line: str) -> Union[_Status, tuple[int, int, int], None]:
             ms = delete.get("timestamp_ms", obj.get("timestamp_ms"))
             if ms is None:
                 raise MalformedLine(f"delete notice for {tweet_id} lacks timestamp_ms")
-            return tweet_id, user_id, _int64(ms)
+            return Deletion(tweet_id, user_id, _int64(ms))
         if "id" not in obj or "text" not in obj and "extended_tweet" not in obj:
             return None
 
@@ -365,32 +363,11 @@ def _decode(line: str) -> Union[_Status, tuple[int, int, int], None]:
     except _SCHEMA_ERRORS as exc:
         raise MalformedLine(f"record does not fit the schema: {exc!r}") from exc
 
-    return _Status(
+    return Tweet(
         tweet_id, user_id, text, created_ms, hashtags, mentions, urls,
         "retweeted_status" in obj or text.startswith("RT @"),
         obj.get("in_reply_to_status_id") is not None or obj.get("in_reply_to_user_id") is not None,
     )
-
-
-def _event(record: Union[_Status, tuple[int, int, int]]) -> TweetEvent:
-    return Tweet(*record) if type(record) is _Status else Deletion(*record)
-
-
-def parse_stream_line(line: str) -> Optional[TweetEvent]:
-    """Parse one archive line into a Tweet or Deletion; None for a blank
-    line or a record of another kind (limit notices, ...).
-
-    A status's id, user id and timestamp_ms, and a notice's status id and
-    timestamp_ms, are read by _int64, so every one lies in (-2**63, 2**63).
-    Raises MalformedLine on broken syntax, on any record whose fields do
-    not fit the schema, and on a status whose text or a hashtag holds an
-    escaped byte (see _open_source); callers are expected to count these
-    rather than abort. No other exception escapes for any input string.
-    The line goes through the decoder that read_stream and the file join
-    use, and the event is built from the record it gives.
-    """
-    record = _decode(line)
-    return None if record is None else _event(record)
 
 
 def _codec(magic: bytes):
@@ -439,12 +416,24 @@ def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
 
 
-def _read_records(
-    source, stats: ParseStats, keep: Optional[Callable[[str], bool]]
-) -> Iterator[Union[_Status, tuple[int, int, int]]]:
-    """The one line loop: the record (see _decode) of each line of a path or
-    binary stream that ``keep`` keeps and that decodes to an event, counting
-    every line in ``stats`` when the read ends (see read_stream)."""
+def read_stream(
+    source,
+    *,
+    stats: Optional[ParseStats] = None,
+    keep: Optional[Callable[[str], bool]] = None,
+) -> Iterator[TweetEvent]:
+    """The one line loop: stream TweetEvents from a path or binary stream,
+    one pass, bounded memory.
+
+    Malformed lines are counted in ``stats`` and skipped. A compressed file
+    that is cut or corrupt after its first block ends its read there, and
+    the rest counts as one malformed line; one cut inside its first block
+    is one malformed line. ``keep``, when given, is tested on each raw line
+    first: a line it rejects is counted in ``stats.prefiltered`` and never
+    decoded, so it must keep every line the caller could use. The counts are
+    added to ``stats`` once the iterator is exhausted or closed. A line whose
+    ids or instants are not int64 (see _int64) counts as malformed.
+    """
     lines = prefiltered = malformed = other = creations = deletions = 0
     try:
         # A path is opened once, so a pipe loses nothing to the codec probe,
@@ -462,51 +451,28 @@ def _read_records(
                         prefiltered += 1
                         continue
                     try:
-                        record = _decode(line)
+                        event = parse_stream_line(line)
                     except MalformedLine:
                         malformed += 1
                         continue
-                    if record is None:
+                    if event is None:
                         other += 1
                         continue
-                    if type(record) is _Status:
-                        creations += 1
-                    else:
+                    if type(event) is Deletion:
                         deletions += 1
-                    yield record
+                    else:
+                        creations += 1
+                    yield event
             except codec_errors:
                 lines += 1
                 malformed += 1
             finally:
                 handle.close()
     finally:
-        stats.add(ParseStats(lines_read=lines, creations=creations, deletions=deletions,
-                             malformed_skipped=malformed, other_skipped=other,
-                             prefiltered=prefiltered))
-
-
-def read_stream(
-    source,
-    *,
-    stats: Optional[ParseStats] = None,
-    keep: Optional[Callable[[str], bool]] = None,
-) -> Iterator[TweetEvent]:
-    """Stream TweetEvents from a path or binary stream, one pass, bounded memory.
-
-    Malformed lines are counted in ``stats`` and skipped. A compressed file
-    that is cut or corrupt after its first block ends its read there, and
-    the rest counts as one malformed line; one cut inside its first block
-    is one malformed line. ``keep``, when given, is tested on each raw line
-    first: a line it rejects is counted in ``stats.prefiltered`` and never
-    decoded, so it must keep every line the caller could use. The counts are
-    added to ``stats`` once the iterator is exhausted or closed. A line whose
-    ids or instants are not int64 (see _int64) counts as malformed.
-
-    Each event is built from the record of the one line loop and decoder
-    that the file join reads without building events.
-    """
-    for record in _read_records(source, ParseStats() if stats is None else stats, keep):
-        yield _event(record)
+        if stats is not None:
+            stats.add(ParseStats(lines_read=lines, creations=creations, deletions=deletions,
+                                 malformed_skipped=malformed, other_skipped=other,
+                                 prefiltered=prefiltered))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +630,7 @@ def _keyword_index(
 
 
 # What a join's caller may give it to flag tweets: for each trend-day's
-# keyword, the function giving the flag byte of a tweet joined to it, which
-# reads the fields a Tweet and a decoded _Status share
+# keyword, the function giving the flag byte of a tweet joined to it
 # (classify.flags_for_instance makes one).
 Flagger = Mapping[Keyword, Callable[[Tweet], int]]
 
@@ -688,12 +653,12 @@ class _Rows:
         self.created_ms = array("q")
         self.flags = bytearray() if flagged else None
 
-    def add(self, status: Union[Tweet, _Status], flag: Optional[Callable[[Tweet], int]]) -> None:
-        self.ids.append(status.id)
-        self.users.append(status.user_id)
-        self.created_ms.append(status.created_ms)
+    def add(self, tweet: Tweet, flag: Optional[Callable[[Tweet], int]]) -> None:
+        self.ids.append(tweet.id)
+        self.users.append(tweet.user_id)
+        self.created_ms.append(tweet.created_ms)
         if flag is not None:
-            self.flags.append(flag(status))
+            self.flags.append(flag(tweet))
 
     def extend(self, other: _Rows) -> None:
         """Append the rows another read met after these."""
@@ -713,17 +678,16 @@ _DATED_DAYS = range(1 - _EPOCH_ORDINAL, date.max.toordinal() + 1 - _EPOCH_ORDINA
 
 def _route(
     trends: Optional[Sequence[TrendDay]],
-    records: Iterable[Union[Tweet, _Status, tuple[int, int, int]]],
+    events: Iterable[TweetEvent],
     locale: str,
     tz_offset: int,
     flagger: Optional[Flagger],
 ) -> tuple[_Groups, _Notices]:
-    """The one filing loop, a pass over ``records``: each status, a Tweet
-    or a decoded _Status, filed with its flag byte under every trend-day it
-    joins, and each notice's (tweet id, user id, ms) packed. The trend-days
-    are a trend list's, all of them in input order, or with ``trends`` None
-    the (local date, tag) days its statuses hold, in first-seen order (see
-    build_trend_instances)."""
+    """The one filing loop, a pass over ``events``: each Tweet filed with
+    its flag byte under every trend-day it joins, and each Deletion's tweet
+    id and ms packed. The trend-days are a trend list's, all of them in
+    input order, or with ``trends`` None the (local date, tag) days its
+    statuses hold, in first-seen order (see build_trend_instances)."""
     groups: _Groups = {}
 
     def open_group(key: tuple[date, str], trend: TrendDay):
@@ -775,12 +739,12 @@ def _route(
             return found
 
     notices = _Notices()
-    for record in records:
-        if type(record) is tuple:
-            notices.add(record[0], record[2])
+    for event in events:
+        if type(event) is Deletion:
+            notices.add(event.tweet_id, event.time_ms)
         else:
-            for rows, flag in joined(record):
-                rows.add(record, flag)
+            for rows, flag in joined(event):
+                rows.add(event, flag)
     return groups, notices
 
 
@@ -832,9 +796,9 @@ def build_trend_instances(
 
     Returns a mapping keyed by (date, normalized keyword). The events go
     through the filing loop of the file join (build_instances_from_files),
-    which reads the same fields of a Tweet as of a decoded line. A hashtag
-    trend-day is found by looking each folded tag of a tweet's text up by
-    keyword and day, an n-gram one through one index of every n-gram. A
+    which files whatever is not a Deletion as a Tweet. A hashtag trend-day
+    is found by looking each folded tag of a tweet's text up by keyword and
+    day, an n-gram one through one index of every n-gram. A
     matched tweet is kept as four ints and, with a ``flagger``, the flag
     byte it gives for the trend-day's keyword, worked out as the tweet is
     filed; the Tweet itself is dropped. Each deletion notice is packed into
@@ -847,9 +811,7 @@ def build_trend_instances(
     on its own day only, each made on first use with the keyword '#tag'. A
     creation whose local day no datetime.date holds goes to none.
     """
-    records = (event if isinstance(event, Tweet) else (event.tweet_id, event.user_id, event.time_ms)
-               for event in events if isinstance(event, (Tweet, Deletion)))
-    return _attach(*_route(trends, records, locale, tz_offset, flagger))
+    return _attach(*_route(trends, events, locale, tz_offset, flagger))
 
 
 def _escape_sensitive(token: str) -> bool:
@@ -966,8 +928,8 @@ def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
     notice, and the file's parse counters."""
     path, trends, locale, tz_offset, flagger = job
     stats = ParseStats()
-    records = _read_records(path, stats, _line_filter(trends, locale))
-    groups, notices = _route(trends, records, locale, tz_offset, flagger)
+    events = read_stream(path, stats=stats, keep=_line_filter(trends, locale))
+    groups, notices = _route(trends, events, locale, tz_offset, flagger)
     return groups, notices, stats
 
 
@@ -982,14 +944,12 @@ def build_instances_from_files(
 ) -> dict[tuple[date, str], TrendInstance]:
     """One-pass streaming join over archive files with per-trend memory.
 
-    Each file is read once, through the line loop and decoder that
-    read_stream builds its events from, but no Tweet or Deletion is built:
-    each decoded status is filed and flagged from its fields. Its matching
-    tweets are kept as rows of ints (flagged by ``flagger``, when given),
-    and each of its deletion notices is packed into 16 bytes. Once every
-    file is read, the earliest notice of each matched tweet is attached, so
-    peak memory is about 33 bytes per matched tweet plus 16 per notice, not
-    the corpus. The result equals
+    Each file is read once, through read_stream. Its matching tweets are
+    kept as rows of ints (flagged by ``flagger``, when given), and each of
+    its deletion notices is packed into 16 bytes. Once every file is read,
+    the earliest notice of each matched tweet is attached, so peak memory
+    is about 33 bytes per matched tweet plus 16 per notice, not the
+    corpus. The result equals
     ``build_trend_instances(trends, <every file's events>, ..., flagger)``,
     also in its discovery case, ``trends`` None, which finds every
     hashtag-day.

@@ -95,12 +95,27 @@ def _random_geo(rng: random.Random) -> tuple[float, float]:
     return (rng.uniform(36.0, 42.0), rng.uniform(26.0, 45.0))
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class GeoTweet(Tweet):
     """A simulated tweet that carries a (lat, lon) point; the writer emits
-    it as the record's `geo`, which no reader of the archive uses."""
+    it as the record's `geo`, which no reader of the archive uses. The point
+    is read-only and survives pickling, copying and _replace; equality, as
+    a tuple's, compares the Tweet fields alone."""
 
     geo: tuple[float, float]
+
+    def __new__(cls, *args, geo: tuple[float, float], **fields):
+        tweet = super().__new__(cls, *args, **fields)
+        object.__setattr__(tweet, "geo", geo)
+        return tweet
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a GeoTweet")
+
+    def __getnewargs_ex__(self):
+        return tuple(self), {"geo": self.geo}
+
+    def _replace(self, **changes):
+        return GeoTweet(**{**self._asdict(), "geo": self.geo, **changes})
 
 
 def _tweet(geo: Optional[tuple[float, float]], **fields) -> Tweet:
@@ -620,6 +635,7 @@ def _generate_events(
             ready = buckets.pop(day)
             ready.sort(key=_event_order)
             yield from ready
+            del ready  # not held while the next day is generated
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +672,14 @@ def tee_by_keyword(
     keywords = list(keywords)
     contained = _keyword_index(keywords, locale)
     streams.update((k.normalized, []) for k in keywords)
-    owner: dict[int, list[tuple[str, str]]] = {}
+    # Each tweet's keys, one tuple shared by every tweet with the same keys.
+    owner: dict[int, tuple[tuple[str, str], ...]] = {}
+    shared: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
     for event in events:
         if isinstance(event, Tweet):
-            keys = contained(event.text)
+            keys = tuple(contained(event.text))
             if keys:
-                owner[event.id] = keys
+                owner[event.id] = shared.setdefault(keys, keys)
         else:
             keys = owner.get(event.tweet_id, ())
         for _, name in keys:

@@ -37,8 +37,8 @@ among its day's epochs only (`trendguard.metrics.trend_day_lifecycles`),
 flags each tweet as the join files it and keeps a trend-day as int
 columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
 call (`trendguard.ingest._line_filter`), decodes each kept line once into
-the fields the join files (`trendguard.ingest._decode`) and flags them
-with one function per keyword (`trendguard.classify.flags_for_instance`);
+the Tweet the join files (`trendguard.ingest.parse_stream_line`) and flags
+it with one function per keyword (`trendguard.classify.flags_for_instance`);
 the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they

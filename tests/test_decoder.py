@@ -1,5 +1,5 @@
-"""The file join decodes each kept line once into a record, files it through
-the one filing loop and flags it with one function per keyword. Over
+"""The file join decodes each kept line once into a Tweet or Deletion, files
+it through the one filing loop and flags it with one function per keyword. Over
 generated archive lines it must equal the join of the oracles: the parser
 and flag functions as they were before (a frozen Tweet per status, flags
 worked out per call) and the per-trend-day and discovery joins of
@@ -26,7 +26,6 @@ from trendguard.ingest import (
     ParseStats,
     TrendDay,
     Tweet,
-    _Status,
     build_instances_from_files,
     build_trend_instances,
     parse_stream_line,
@@ -287,7 +286,6 @@ def test_a_keywords_flag_function_equals_the_oracle_flags(words, separator, raw_
     expected = oracles.tweet_flags(tweet, keyword, locale)
     flag = flags_for_instance(locale)[keyword]
     assert flag(tweet) == expected
-    assert flag(_Status(*fields)) == expected
 
 
 @pytest.mark.parametrize("ms", ["9223372036854775807", "-9223372036854775807"])

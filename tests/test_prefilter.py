@@ -381,13 +381,13 @@ def test_each_file_is_read_once(tmp_path, monkeypatch):
     lines = _archive_lines()
     shards = _shards(tmp_path, lines)
     reads = []
-    real_read_records = ingest._read_records
+    real_read_stream = ingest.read_stream
 
-    def counting_read_records(source, *args):
+    def counting_read_stream(source, **kwargs):
         reads.append(source)
-        return real_read_records(source, *args)
+        return real_read_stream(source, **kwargs)
 
-    monkeypatch.setattr(ingest, "_read_records", counting_read_records)
+    monkeypatch.setattr(ingest, "read_stream", counting_read_stream)
     build_instances_from_files(_trends(lines), shards)
     assert sorted(reads) == sorted(shards)
 

@@ -1,5 +1,8 @@
+import copy
 import io
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 
@@ -11,6 +14,7 @@ from trendguard.classify import is_lexicon_tweet
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
 from trendguard.simulator import (
+    GeoTweet,
     InfeasibleParams,
     ScenarioConfig,
     WordlistTooSmall,
@@ -215,6 +219,38 @@ class TestSampleStream:
         assert all(map(id_sampler(1.0, seed), [0, 2**64 - 1, -1]))
 
 
+GEO_TWEET = GeoTweet(1, 2, "x #a", 3, hashtags=("a",), geo=(41.0, 29.0))
+
+
+class TestEventRecords:
+    """Events are read-only tuples; a GeoTweet is a Tweet that keeps its point."""
+
+    @pytest.mark.parametrize("event", [make_tweet(1, 2, "x", 0), Deletion(1, 2, 3), GEO_TWEET])
+    def test_no_field_can_be_assigned(self, event):
+        names = event._fields + (("geo",) if isinstance(event, GeoTweet) else ())
+        for name in names + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+
+    @pytest.mark.parametrize("clone", [
+        *(lambda event, protocol=protocol: pickle.loads(pickle.dumps(event, protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy, copy.deepcopy,
+    ])
+    def test_a_geo_tweet_keeps_its_point(self, clone):
+        cloned = clone(GEO_TWEET)
+        assert type(cloned) is GeoTweet and isinstance(cloned, Tweet)
+        assert cloned == GEO_TWEET and cloned.geo == (41.0, 29.0)
+
+    def test_replace_keeps_the_point(self):
+        moved = GEO_TWEET._replace(text="y")
+        assert (moved.text, moved.geo) == ("y", (41.0, 29.0))
+
+    def test_a_geo_tweet_needs_its_point(self):
+        with pytest.raises(TypeError):
+            GeoTweet(1, 2, "x", 3)
+
+
 class TestLabeledStream:
     def test_deterministic_serialization(self):
         config = ScenarioConfig(n_days=1, organic_per_day=2,
@@ -227,6 +263,27 @@ class TestLabeledStream:
         write_stream_jsonl(second, build_stream(config).events())
         assert first.getvalue() == second.getvalue()
         assert first.getvalue()
+
+    def test_a_drained_stream_holds_about_one_day(self):
+        """events() lets each day go once it is yielded, so draining three
+        days peaks well under the stream held as a list."""
+        config = ScenarioConfig(n_days=3, organic_per_day=0, attacked_per_day=0,
+                                attacks_per_day=0, background_per_day=1500)
+        labeled = build_stream(config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in labeled.events():
+                pass
+            drained = tracemalloc.get_traced_memory()[1] - before
+            before = tracemalloc.get_traced_memory()[0]
+            events = list(labeled.events())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(events) > 4000
+        assert drained < 0.6 * held
 
     def test_events_time_ordered(self):
         config = ScenarioConfig(n_days=2, organic_per_day=2,

@@ -4,7 +4,6 @@ sidecars read back through the loaders whatever a keyword holds."""
 
 import io
 import json
-from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -79,8 +78,8 @@ T = DAY_NOON * 1000
 
 
 def creation(tweet_id=1, text="x", ms=T, user_id=2, geo=None, **fields):
-    tweet = replace(make_tweet(tweet_id, user_id, text, 0, **fields), created_ms=ms)
-    return tweet if geo is None else GeoTweet(geo=geo, **asdict(tweet))
+    tweet = make_tweet(tweet_id, user_id, text, 0, **fields)._replace(created_ms=ms)
+    return tweet if geo is None else GeoTweet(geo=geo, **tweet._asdict())
 
 
 EDGE_EVENTS = {
@@ -127,7 +126,7 @@ def pipeline_view(event):
     fields of `Tweet` (a GeoTweet's point is written, never read)."""
     if isinstance(event, Deletion):
         return event
-    return tuple(getattr(event, f.name) for f in fields(Tweet))
+    return tuple(getattr(event, name) for name in Tweet._fields)
 
 
 def assert_reads_back(events, path):
