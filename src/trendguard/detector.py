@@ -432,7 +432,8 @@ def scan_candidates(
         instance = instances[day, tag]
         if len(instance.ids) < min_tweets:
             continue
-        if (day, tag) in known_trends or (day + timedelta(days=1), tag) in known_trends:
+        if (day, tag) in known_trends or (
+                day < date.max and (day + timedelta(days=1), tag) in known_trends):
             continue
         verdicts.append(score_instance(instance, config))
     return verdicts

@@ -155,10 +155,11 @@ class JoinedTweet(NamedTuple):
 class TrendInstance:
     """A trend-day joined with its tweets, one column per field.
 
-    Only the join (``_instance``) makes one; downstream code trusts that
-    row i of every column is one tweet, that the ids are distinct and the
-    rows sorted by (created_ms, id), and that ``deleted_ms`` holds each
-    tweet's earliest deletion notice (ms), or NOT_DELETED. When that notice
+    Only the join makes one: it opens the instance, files its rows, and
+    settles it in place (``_instance``). Downstream code trusts that row i
+    of every column is one tweet, that the ids are distinct and the rows
+    sorted by (created_ms, id), and that ``deleted_ms`` holds each tweet's
+    earliest deletion notice (ms), or NOT_DELETED. When that notice
     precedes the tweet's creation, nothing is attached, whatever later
     notices say, and the tweet counts in ``invalid_deletions``. The four
     int columns are int64 arrays.
@@ -635,42 +636,8 @@ def _keyword_index(
 Flagger = Mapping[Keyword, Callable[[Tweet], int]]
 
 
-class _Rows:
-    """A trend-day's matched tweets before deletions attach, in the order
-    the join met them: int64 id, user and creation-ms columns, and the flag
-    byte of each (None without a flagger).
-
-    A repeated id is filed and flagged again, and _instance keeps its first
-    row: a set of the ids seen would cost more a row than the columns do
-    (about 64 B against 25), to save work on input that seldom repeats."""
-
-    __slots__ = ("trend", "ids", "users", "created_ms", "flags")
-
-    def __init__(self, trend: TrendDay, flagged: bool):
-        self.trend = trend
-        self.ids = array("q")
-        self.users = array("q")
-        self.created_ms = array("q")
-        self.flags = bytearray() if flagged else None
-
-    def add(self, tweet: Tweet, flag: Optional[Callable[[Tweet], int]]) -> None:
-        self.ids.append(tweet.id)
-        self.users.append(tweet.user_id)
-        self.created_ms.append(tweet.created_ms)
-        if flag is not None:
-            self.flags.append(flag(tweet))
-
-    def extend(self, other: _Rows) -> None:
-        """Append the rows another read met after these."""
-        self.ids.extend(other.ids)
-        self.users.extend(other.users)
-        self.created_ms.extend(other.created_ms)
-        if self.flags is not None:
-            self.flags += other.flags
-
-
-# A join's rows before deletions attach, by trend-day key.
-_Groups = dict[tuple[date, str], _Rows]
+# A join's trend-day instances by key, unsettled until _attach.
+_Groups = dict[tuple[date, str], TrendInstance]
 
 # The day numbers that a datetime.date holds.
 _DATED_DAYS = range(1 - _EPOCH_ORDINAL, date.max.toordinal() + 1 - _EPOCH_ORDINAL)
@@ -691,13 +658,14 @@ def _route(
     groups: _Groups = {}
 
     def open_group(key: tuple[date, str], trend: TrendDay):
-        rows = groups[key] = _Rows(trend, flagger is not None)
-        return rows, None if flagger is None else flagger[trend.keyword]
+        flags = None if flagger is None else bytearray()
+        instance = groups[key] = TrendInstance(trend, flags=flags)
+        return instance, None if flagger is None else flagger[trend.keyword]
 
-    # The (rows, flag) targets that take a status, by the kind and normalized
-    # form of a keyword it holds and by its local day: a trend list's
-    # trend-day on day d takes statuses of days d and d-1, a discovered one
-    # those of its own day.
+    # The (instance, flag) targets that take a status, by the kind and
+    # normalized form of a keyword it holds and by its local day: a trend
+    # list's trend-day on day d takes statuses of days d and d-1, a
+    # discovered one those of its own day.
     targets: dict[tuple[str, str, int], list] = {}
     if trends is None:
         def joined(status) -> list:
@@ -721,8 +689,8 @@ def _route(
                 day = trend.day_number()
                 for taken in (day, day - 1):
                     targets.setdefault((trend.keyword.kind, key[1], taken), []).append(target)
-        ngrams = [rows.trend.keyword for rows in groups.values()
-                  if rows.trend.keyword.kind != HASHTAG]
+        ngrams = [instance.keyword for instance in groups.values()
+                  if instance.keyword.kind != HASHTAG]
         hashtags = len(ngrams) < len(groups)
         contained = _keyword_index(ngrams, locale)
 
@@ -743,8 +711,12 @@ def _route(
         if type(event) is Deletion:
             notices.add(event.tweet_id, event.time_ms)
         else:
-            for rows, flag in joined(event):
-                rows.add(event, flag)
+            for instance, flag in joined(event):
+                instance.ids.append(event.id)
+                instance.users.append(event.user_id)
+                instance.created_ms.append(event.created_ms)
+                if flag is not None:
+                    instance.flags.append(flag(event))
     return groups, notices
 
 
@@ -752,18 +724,26 @@ def _gather(column: array, order: list[int]) -> array:
     return array("q", map(column.__getitem__, order))
 
 
-def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
-    """The trend-day's instance of its rows: the first row of each id, sorted
-    by (created ms, id), given the earliest deletion notice (ms) of each
-    tweet id."""
-    ids, created = rows.ids, rows.created_ms
+def _instance(instance: TrendInstance, deletions: dict[int, int]) -> None:
+    """Settle a trend-day's instance in place, given the earliest deletion
+    notice (ms) of each tweet id: keep the first row of each id, sort the
+    rows by (created ms, id), and fill ``deleted_ms``.
+
+    The join files a repeated id and flags it again, in the order it meets
+    it, and only this step drops the repeats: a set of the ids seen would
+    cost more a row than the columns do (about 64 B against 25), to save
+    work on input that seldom repeats."""
+    ids, created = instance.ids, instance.created_ms
     n = len(ids)
     # Each id's last assignment, going backwards, is its first row.
     first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
     order = sorted(first.values(), key=ids.__getitem__)
     order.sort(key=created.__getitem__)  # stable: equal ms stay in id order
-    instance = TrendInstance(rows.trend, ids=_gather(ids, order), users=_gather(rows.users, order),
-                             created_ms=_gather(created, order))
+    instance.ids = _gather(ids, order)
+    instance.users = _gather(instance.users, order)
+    instance.created_ms = _gather(created, order)
+    if instance.flags is not None:
+        instance.flags = bytearray(map(instance.flags.__getitem__, order))
     deleted = instance.deleted_ms
     for tweet_id, created_ms in zip(instance.ids, instance.created_ms):
         when = deletions.get(tweet_id)
@@ -773,16 +753,16 @@ def _instance(rows: _Rows, deletions: dict[int, int]) -> TrendInstance:
             instance.invalid_deletions += 1
             when = NOT_DELETED
         deleted.append(when)
-    if rows.flags is not None:
-        instance.flags = bytearray(map(rows.flags.__getitem__, order))
-    return instance
 
 
-def _attach(groups: _Groups, notices: _Notices) -> dict[tuple[date, str], TrendInstance]:
-    """Each trend-day's instance, with the earliest notice of each matched
-    tweet attached."""
-    deletions = notices.earliest({tweet_id for rows in groups.values() for tweet_id in rows.ids})
-    return {key: _instance(rows, deletions) for key, rows in groups.items()}
+def _attach(groups: _Groups, notices: _Notices) -> _Groups:
+    """Each trend-day's instance, settled with the earliest notice of each
+    matched tweet attached."""
+    deletions = notices.earliest({tweet_id for instance in groups.values()
+                                  for tweet_id in instance.ids})
+    for instance in groups.values():
+        _instance(instance, deletions)
+    return groups
 
 
 def build_trend_instances(
@@ -924,8 +904,8 @@ class _Notices:
 
 
 def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
-    """One read of one file: its flagged rows by trend-day, every deletion
-    notice, and the file's parse counters."""
+    """One read of one file: its unsettled trend-day instances, every
+    deletion notice, and the file's parse counters."""
     path, trends, locale, tz_offset, flagger = job
     stats = ParseStats()
     events = read_stream(path, stats=stats, keep=_line_filter(trends, locale))
@@ -999,10 +979,14 @@ def build_instances_from_files(
         if stats is not None:
             stats.add(file_stats)
         notices.extend(file_notices)
-        for key, rows in file_groups.items():
+        for key, instance in file_groups.items():
             merged = groups.get(key)
             if merged is None or not merged.ids:
-                groups[key] = rows  # a trend-day's first rows: kept, not copied
+                groups[key] = instance  # a trend-day's first rows: kept, not copied
             else:
-                merged.extend(rows)
+                merged.ids.extend(instance.ids)
+                merged.users.extend(instance.users)
+                merged.created_ms.extend(instance.created_ms)
+                if flagger is not None:
+                    merged.flags += instance.flags
     return _attach(groups, notices)

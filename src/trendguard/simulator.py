@@ -117,6 +117,11 @@ class GeoTweet(Tweet):
     def _replace(self, **changes):
         return GeoTweet(**{**self._asdict(), "geo": self.geo, **changes})
 
+    @classmethod
+    def _make(cls, iterable):
+        raise TypeError("GeoTweet._make cannot give the required geo point; "
+                        "call GeoTweet(*fields, geo=point)")
+
 
 def _tweet(geo: Optional[tuple[float, float]], **fields) -> Tweet:
     return Tweet(**fields) if geo is None else GeoTweet(geo=geo, **fields)

@@ -16,7 +16,6 @@ from trendguard.ingest import (
     TrendInstance,
     Tweet,
     _instance,
-    _Rows,
     read_stream,
 )
 
@@ -113,10 +112,14 @@ def join_instance(keyword_raw: str, tweets, deletions_ms, day: date = DAY,
     else:
         def flag(tweet: Tweet) -> int:
             return flag_byte(flags[tweet.id], tweet.is_retweet)
-    rows = _Rows(trend, flagged=True)
+    instance = TrendInstance(trend, flags=bytearray())
     for tweet in tweets:
-        rows.add(tweet, flag)
-    return _instance(rows, deletions_ms)
+        instance.ids.append(tweet.id)
+        instance.users.append(tweet.user_id)
+        instance.created_ms.append(tweet.created_ms)
+        instance.flags.append(flag(tweet))
+    _instance(instance, deletions_ms)
+    return instance
 
 
 def make_instance(keyword_raw: str, tweets, deletions, day: date = DAY) -> TrendInstance:

@@ -392,6 +392,16 @@ class TestScan:
         assert main(["ingest", "--stream", str(stream), "--stdout"]) == 0
         assert json.loads(capsys.readouterr().out)["creations"] == 1
 
+    def test_the_last_day_a_date_holds_is_scored(self, tmp_path, capsys):
+        last_noon = 253402257600  # 9999-12-31 12:00:00Z
+        stream = write_archive(tmp_path / "stream.jsonl", [
+            (i, 100 + i, "#sontag bir iki", last_noon + i, last_noon + 60) for i in range(5)
+        ])
+        assert main(["scan", "--stream", stream, "--stdout"]) == 0
+        verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(verdict["keyword"], verdict["date"]) for verdict in verdicts] == [
+            ("sontag", "9999-12-31")]
+
 
 class TestEvaluateCmd:
     def test_sim_dir_report(self, sim_dir, capsys):

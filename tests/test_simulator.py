@@ -250,6 +250,10 @@ class TestEventRecords:
         with pytest.raises(TypeError):
             GeoTweet(1, 2, "x", 3)
 
+    def test_make_cannot_drop_the_point(self):
+        with pytest.raises(TypeError, match="geo"):
+            GeoTweet._make(tuple(GEO_TWEET))
+
 
 class TestLabeledStream:
     def test_deterministic_serialization(self):
