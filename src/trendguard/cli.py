@@ -148,12 +148,13 @@ def _config_from(args) -> detector.DetectorConfig:
 
 @contextmanager
 def _map_fn(jobs: int, n_tasks: int):
-    """A process pool's map when both jobs and tasks exceed one, else builtin map."""
-    if jobs <= 1 or n_tasks <= 1:
+    """A process pool's map with min(jobs, tasks, CPUs) workers, or builtin map for one."""
+    workers = min(jobs, n_tasks, os.cpu_count() or 1)
+    if workers <= 1:
         yield map
     else:
         from concurrent.futures import ProcessPoolExecutor  # not paid by serial runs
-        with ProcessPoolExecutor(max_workers=min(jobs, n_tasks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield pool.map
 
 

@@ -16,7 +16,7 @@ import io
 import json
 import re
 from array import array
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
@@ -385,7 +385,7 @@ def _codec(magic: bytes):
     return None, ()
 
 
-def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
+def _open_source(source, stack: ExitStack) -> tuple[Optional[io.TextIOBase], tuple]:
     """Open a binary stream as text, decompressing gzip or bzip2 when the
     magic bytes say so and the first read decompresses. When that read
     fails on bytes not in the codec's format, the stream is plain text that
@@ -395,26 +395,29 @@ def _open_source(source) -> tuple[Optional[io.TextIOBase], tuple]:
     failing the read. Returns the handle and what its codec raises on a
     later block that does not decompress (() for plain text); the handle is
     None for a cut archive, and for plain text in a stream that cannot seek
-    back, which the caller counts as one malformed line."""
+    back, which the caller counts as one malformed line. Each wrapper made
+    here is closed or detached as ``stack`` exits, leaving ``source`` open."""
     if isinstance(source, io.TextIOBase):
         return source, ()
     if not hasattr(source, "peek"):
         source = io.BufferedReader(source)
+        stack.callback(source.detach)
     codec, not_codec = _codec(source.peek(3)[:3])
     if codec is not None:
         start = source.tell() if source.seekable() else None
-        decoded = codec.open(source, "rb")
+        decoded = stack.enter_context(codec.open(source, "rb"))  # its close leaves source open
         try:
             decoded.peek(1)  # stays buffered: no byte is decompressed twice
         except not_codec as exc:
-            decoded.close()
             if isinstance(exc, EOFError) or start is None:
                 return None, ()
             source.seek(start)
             not_codec = ()
         else:
             source = decoded
-    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape"), not_codec
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+    stack.callback(text.detach)
+    return text, not_codec
 
 
 def read_stream(
@@ -432,16 +435,17 @@ def read_stream(
     is one malformed line. ``keep``, when given, is tested on each raw line
     first: a line it rejects is counted in ``stats.prefiltered`` and never
     decoded, so it must keep every line the caller could use. The counts are
-    added to ``stats`` once the iterator is exhausted or closed. A line whose
-    ids or instants are not int64 (see _int64) counts as malformed.
+    added to ``stats`` once the iterator is exhausted or closed, and then a
+    path's file is closed; a stream the caller gave is left open. A line
+    whose ids or instants are not int64 (see _int64) counts as malformed.
     """
     lines = prefiltered = malformed = other = creations = deletions = 0
     try:
-        # A path is opened once, so a pipe loses nothing to the codec probe,
-        # and closed here, as a codec given an open file leaves it open.
+        # A path is opened once, so a pipe loses nothing to the codec probe.
         is_path = isinstance(source, (str, bytes))
-        with open(source, "rb") if is_path else nullcontext(source) as binary:
-            handle, codec_errors = _open_source(binary)
+        with ExitStack() as stack:
+            binary = stack.enter_context(open(source, "rb")) if is_path else source
+            handle, codec_errors = _open_source(binary, stack)
             if handle is None:
                 lines = malformed = 1
                 return
@@ -467,8 +471,6 @@ def read_stream(
             except codec_errors:
                 lines += 1
                 malformed += 1
-            finally:
-                handle.close()
     finally:
         if stats is not None:
             stats.add(ParseStats(lines_read=lines, creations=creations, deletions=deletions,
@@ -636,88 +638,111 @@ def _keyword_index(
 Flagger = Mapping[Keyword, Callable[[Tweet], int]]
 
 
-# A join's trend-day instances by key, unsettled until _attach.
+# A join's trend-day instances by key, unsettled until _Join.settle.
 _Groups = dict[tuple[date, str], TrendInstance]
 
 # The day numbers that a datetime.date holds.
 _DATED_DAYS = range(1 - _EPOCH_ORDINAL, date.max.toordinal() + 1 - _EPOCH_ORDINAL)
 
 
-def _route(
-    trends: Optional[Sequence[TrendDay]],
-    events: Iterable[TweetEvent],
-    locale: str,
-    tz_offset: int,
-    flagger: Optional[Flagger],
-) -> tuple[_Groups, _Notices]:
-    """The one filing loop, a pass over ``events``: each Tweet filed with
-    its flag byte under every trend-day it joins, and each Deletion's tweet
-    id and ms packed. The trend-days are a trend list's, all of them in
-    input order, or with ``trends`` None the (local date, tag) days its
-    statuses hold, in first-seen order (see build_trend_instances)."""
-    groups: _Groups = {}
+class _Join:
+    """One join's state, built once for all its reads: the trend-days that
+    take a status (see build_trend_instances), by keyword and local day,
+    and the raw-line test ``keep``. It pickles as its arguments."""
 
-    def open_group(key: tuple[date, str], trend: TrendDay):
-        flags = None if flagger is None else bytearray()
-        instance = groups[key] = TrendInstance(trend, flags=flags)
-        return instance, None if flagger is None else flagger[trend.keyword]
+    def __init__(self, trends: Optional[Sequence[TrendDay]], locale: str = DEFAULT_LOCALE,
+                 tz_offset: int = DEFAULT_TZ_OFFSET, flagger: Optional[Flagger] = None):
+        self.args = trends, locale, tz_offset, flagger
+        self.flagger = flagger
+        hashtags, ngrams = True, []
+        if trends is None:
+            def trend_of(key: tuple[date, str]) -> TrendDay:
+                return TrendDay(key[0], Keyword("#" + key[1], key[1], HASHTAG))
 
-    # The (instance, flag) targets that take a status, by the kind and
-    # normalized form of a keyword it holds and by its local day: a trend
-    # list's trend-day on day d takes statuses of days d and d-1, a
-    # discovered one those of its own day.
-    targets: dict[tuple[str, str, int], list] = {}
-    if trends is None:
-        def joined(status) -> list:
-            day = local_day(status.created_ms, tz_offset)
-            if day not in _DATED_DAYS:
-                return []
-            found = []
-            for tag in extract_hashtags(status.text, locale):
-                key = (HASHTAG, tag, day)
-                if key not in targets:
-                    when = day_number_to_date(day)
-                    trend = TrendDay(when, Keyword("#" + tag, tag, HASHTAG))
-                    targets[key] = [open_group((when, tag), trend)]
-                found += targets[key]
-            return found
-    else:
-        for trend in trends:
-            key = (trend.date, trend.keyword.normalized)
-            if key not in groups:
-                target = open_group(key, trend)
+            def joined(status) -> list:
+                day = local_day(status.created_ms, tz_offset)
+                if day not in _DATED_DAYS:
+                    return []
+                when = day_number_to_date(day)
+                return [(when, tag) for tag in extract_hashtags(status.text, locale)]
+        else:
+            # The first trend-day of each key, in list order.
+            self.trends: dict[tuple[date, str], TrendDay] = {}
+            targets: dict[tuple[str, str, int], list] = {}
+            for trend in trends:
+                self.trends.setdefault((trend.date, trend.keyword.normalized), trend)
+            for key, trend in self.trends.items():
                 day = trend.day_number()
                 for taken in (day, day - 1):
-                    targets.setdefault((trend.keyword.kind, key[1], taken), []).append(target)
-        ngrams = [instance.keyword for instance in groups.values()
-                  if instance.keyword.kind != HASHTAG]
-        hashtags = len(ngrams) < len(groups)
-        contained = _keyword_index(ngrams, locale)
+                    targets.setdefault((trend.keyword.kind, key[1], taken), []).append(key)
+            trend_of = self.trends.__getitem__
+            ngrams = [trend.keyword for trend in self.trends.values()
+                      if trend.keyword.kind != HASHTAG]
+            hashtags = len(ngrams) < len(self.trends)
+            contained = _keyword_index(ngrams, locale)
 
-        def joined(status) -> list:
-            day = local_day(status.created_ms, tz_offset)
-            found = []
-            if hashtags:
-                for tag in extract_hashtags(status.text, locale):
-                    found += targets.get((HASHTAG, tag, day), ())
-            if ngrams:
-                # An n-gram's key comes once per occurrence; file the status once.
-                for kind, name in dict.fromkeys(contained(status.text)):
-                    found += targets.get((kind, name, day), ())
-            return found
+            def joined(status) -> list:
+                day = local_day(status.created_ms, tz_offset)
+                found = []
+                if hashtags:
+                    for tag in extract_hashtags(status.text, locale):
+                        found += targets.get((HASHTAG, tag, day), ())
+                if ngrams:
+                    # An n-gram's key comes once per occurrence; file the status once.
+                    for kind, name in dict.fromkeys(contained(status.text)):
+                        found += targets.get((kind, name, day), ())
+                return found
+        self.joined = joined
+        self.trend_of = trend_of
+        self.keep = _line_test(hashtags, ngrams, locale)
 
-    notices = _Notices()
-    for event in events:
-        if type(event) is Deletion:
-            notices.add(event.tweet_id, event.time_ms)
-        else:
-            for instance, flag in joined(event):
+    def __reduce__(self):
+        return _Join, self.args
+
+    def open_instance(self, trend: TrendDay) -> TrendInstance:
+        return TrendInstance(trend, flags=None if self.flagger is None else bytearray())
+
+    def file(self, events: Iterable[TweetEvent]) -> tuple[_Groups, _Notices]:
+        """The one filing loop: each Tweet filed, with its flag byte, under
+        each trend-day it joins, opened at its first tweet; each Deletion packed."""
+        joined, trend_of, flagger = self.joined, self.trend_of, self.flagger
+        targets: dict[tuple[date, str], tuple] = {}
+        notices = _Notices()
+        noted_ids, noted_times = notices.ids.append, notices.times.append
+        for event in events:
+            if type(event) is Deletion:
+                noted_ids(event.tweet_id)
+                noted_times(event.time_ms)
+                continue
+            for key in joined(event):
+                try:
+                    instance, flag = targets[key]
+                except KeyError:
+                    trend = trend_of(key)
+                    flag = None if flagger is None else flagger[trend.keyword]
+                    instance, flag = targets[key] = self.open_instance(trend), flag
                 instance.ids.append(event.id)
                 instance.users.append(event.user_id)
                 instance.created_ms.append(event.created_ms)
                 if flag is not None:
                     instance.flags.append(flag(event))
-    return groups, notices
+        return {key: instance for key, (instance, _) in targets.items()}, notices
+
+    def scan(self, path) -> tuple[_Groups, _Notices, ParseStats]:
+        """file() of the lines of a file that ``keep`` keeps, and its counters."""
+        stats = ParseStats()
+        return *self.file(read_stream(path, stats=stats, keep=self.keep)), stats
+
+    def settle(self, groups: _Groups, notices: _Notices) -> _Groups:
+        """The join's result, from every trend-day filled and every notice."""
+        if self.args[0] is not None:
+            groups = {key: groups[key] if key in groups else self.open_instance(trend)
+                      for key, trend in self.trends.items()}
+        deletions = notices.earliest({tweet_id for instance in groups.values()
+                                      for tweet_id in instance.ids})
+        for instance in groups.values():
+            _instance(instance, deletions)
+        return groups
 
 
 def _gather(column: array, order: list[int]) -> array:
@@ -755,16 +780,6 @@ def _instance(instance: TrendInstance, deletions: dict[int, int]) -> None:
         deleted.append(when)
 
 
-def _attach(groups: _Groups, notices: _Notices) -> _Groups:
-    """Each trend-day's instance, settled with the earliest notice of each
-    matched tweet attached."""
-    deletions = notices.earliest({tweet_id for instance in groups.values()
-                                  for tweet_id in instance.ids})
-    for instance in groups.values():
-        _instance(instance, deletions)
-    return groups
-
-
 def build_trend_instances(
     trends: Optional[Sequence[TrendDay]],
     events: Iterable[TweetEvent],
@@ -774,24 +789,27 @@ def build_trend_instances(
 ) -> dict[tuple[date, str], TrendInstance]:
     """Join many trend-days against one pass over an event collection.
 
-    Returns a mapping keyed by (date, normalized keyword). The events go
-    through the filing loop of the file join (build_instances_from_files),
-    which files whatever is not a Deletion as a Tweet. A hashtag trend-day
-    is found by looking each folded tag of a tweet's text up by keyword and
-    day, an n-gram one through one index of every n-gram. A
-    matched tweet is kept as four ints and, with a ``flagger``, the flag
-    byte it gives for the trend-day's keyword, worked out as the tweet is
-    filed; the Tweet itself is dropped. Each deletion notice is packed into
-    16 bytes until the pass ends, when the earliest notice of each matched
-    tweet is attached. So every id, user id and instant of ``events`` must
-    lie in (-2**63, 2**63), as the parser's and the simulator's do.
+    Returns a mapping keyed by (date, normalized keyword), in trend-list
+    order (the first trend-day of each key, empty ones included). A tweet
+    joins a trend-day on day d when its local day is d or d-1 and its text
+    holds the keyword: a hashtag as a folded tag, an n-gram as a run of
+    tokens. The events go through the file join's filing loop, which files
+    whatever is not a Deletion as a Tweet, keeping a matched tweet as four
+    ints and, with a ``flagger``, the flag byte it gives for the
+    trend-day's keyword, worked out as the tweet is filed; the Tweet itself
+    is dropped. Each deletion notice is packed into 16 bytes until the pass
+    ends, when the earliest notice of each matched tweet is attached. So
+    every id, user id and instant of ``events`` must lie in (-2**63,
+    2**63), as the parser's and the simulator's do.
 
-    With ``trends`` None the join discovers its trend-days: a creation goes
-    to the instance (its local date, tag) of each tag of extract_hashtags,
-    on its own day only, each made on first use with the keyword '#tag'. A
-    creation whose local day no datetime.date holds goes to none.
+    With ``trends`` None the join discovers its trend-days, in the order it
+    meets them (one tweet's in set order): a creation goes to the instance
+    (its local date, tag) of each tag of extract_hashtags, on its own day
+    only, made on first use with the keyword '#tag'. A creation whose local
+    day no datetime.date holds goes to none.
     """
-    return _attach(*_route(trends, events, locale, tz_offset, flagger))
+    join = _Join(trends, locale, tz_offset, flagger)
+    return join.settle(*join.file(events))
 
 
 def _escape_sensitive(token: str) -> bool:
@@ -802,13 +820,13 @@ def _escape_sensitive(token: str) -> bool:
     return any(char in '"\\/σ' or char < " " for char in token)
 
 
-def _line_filter(trends: Optional[Sequence[TrendDay]], locale: str) -> Callable[[str], bool]:
-    """Keeps every deletion notice and every line whose tweet can match one
-    of ``trends``, or hold a hashtag when ``trends`` is None (why, see
-    build_instances_from_files): one call a line, the substring tests inline."""
-    hashtags = trends is None or any(trend.keyword.kind == HASHTAG for trend in trends)
-    ngrams = {tokens for trend in trends or () if trend.keyword.kind != HASHTAG
-              if (tokens := tuple(text_tokens(trend.keyword.normalized, locale)))}
+def _line_test(hashtags: bool, ngrams: Sequence[Keyword], locale: str) -> Callable[[str], bool]:
+    """Keeps every deletion notice and every line whose tweet can hold a
+    hashtag, when ``hashtags``, or match one of the n-gram keywords
+    ``ngrams`` (why, see build_instances_from_files): one call a line, the
+    substring tests inline."""
+    ngrams = {tokens for keyword in ngrams
+              if (tokens := tuple(text_tokens(keyword.normalized, locale)))}
     escape = "\\" if any(_escape_sensitive(t) for ngram in ngrams for t in ngram) else "\\u"
 
     # Each escape the tests look for starts with \u00, which few lines hold.
@@ -886,10 +904,6 @@ class _Notices:
         self.ids = array("q")
         self.times = array("q")
 
-    def add(self, tweet_id: int, when: int) -> None:
-        self.ids.append(tweet_id)
-        self.times.append(when)
-
     def extend(self, other: _Notices) -> None:
         self.ids.extend(other.ids)
         self.times.extend(other.times)
@@ -903,16 +917,6 @@ class _Notices:
         return found
 
 
-def _scan_file(job) -> tuple[_Groups, _Notices, ParseStats]:
-    """One read of one file: its unsettled trend-day instances, every
-    deletion notice, and the file's parse counters."""
-    path, trends, locale, tz_offset, flagger = job
-    stats = ParseStats()
-    events = read_stream(path, stats=stats, keep=_line_filter(trends, locale))
-    groups, notices = _route(trends, events, locale, tz_offset, flagger)
-    return groups, notices, stats
-
-
 def build_instances_from_files(
     trends: Optional[Sequence[TrendDay]],
     paths: Sequence[str],
@@ -924,15 +928,12 @@ def build_instances_from_files(
 ) -> dict[tuple[date, str], TrendInstance]:
     """One-pass streaming join over archive files with per-trend memory.
 
-    Each file is read once, through read_stream. Its matching tweets are
-    kept as rows of ints (flagged by ``flagger``, when given), and each of
-    its deletion notices is packed into 16 bytes. Once every file is read,
-    the earliest notice of each matched tweet is attached, so peak memory
-    is about 33 bytes per matched tweet plus 16 per notice, not the
-    corpus. The result equals
-    ``build_trend_instances(trends, <every file's events>, ..., flagger)``,
-    also in its discovery case, ``trends`` None, which finds every
-    hashtag-day.
+    Each file is read once, through read_stream, and filed as
+    build_trend_instances files events; the earliest notice of each matched
+    tweet is attached once every file is read. So peak memory is about 33
+    bytes per matched tweet plus 16 per notice, not the corpus, and the
+    result equals ``build_trend_instances(trends, <every file's events>,
+    ..., flagger)``, also in its discovery case, ``trends`` None.
 
     Only the lines a raw-line test keeps are decoded; the others are
     counted as ``prefiltered``. The test keeps a line in each of these
@@ -967,26 +968,24 @@ def build_instances_from_files(
     ``stats`` receives the read's counters: each archive line once.
     ``map_fn`` runs the per-file reads, in file order; a process pool's
     map parallelizes across files with identical results. Each read gets
-    the ``flagger``, so under a pool it must pickle, as
-    classify.flags_for_instance's does (empty, after the lookups that made
-    its trend-days' functions here), and it returns its rows as int
-    columns, which pickle as raw bytes.
+    the join's state, whose ``flagger`` must pickle under a pool, as
+    classify.flags_for_instance's does (empty: a task makes its functions
+    anew), and returns only the trend-days its file filled, their rows as
+    int columns, which pickle as raw bytes.
     """
-    groups, notices = _route(trends, (), locale, tz_offset, flagger)
-    for file_groups, file_notices, file_stats in map_fn(
-        _scan_file, [(path, trends, locale, tz_offset, flagger) for path in paths]
-    ):
+    join = _Join(trends, locale, tz_offset, flagger)
+    groups: _Groups = {}
+    notices = _Notices()
+    for file_groups, file_notices, file_stats in map_fn(join.scan, paths):
         if stats is not None:
             stats.add(file_stats)
         notices.extend(file_notices)
         for key, instance in file_groups.items():
-            merged = groups.get(key)
-            if merged is None or not merged.ids:
-                groups[key] = instance  # a trend-day's first rows: kept, not copied
-            else:
+            merged = groups.setdefault(key, instance)  # a trend-day's first rows: kept, not copied
+            if merged is not instance:
                 merged.ids.extend(instance.ids)
                 merged.users.extend(instance.users)
                 merged.created_ms.extend(instance.created_ms)
                 if flagger is not None:
                     merged.flags += instance.flags
-    return _attach(groups, notices)
+    return join.settle(groups, notices)

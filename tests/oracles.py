@@ -36,7 +36,7 @@ keyword's non-lexicon text on one character-class search
 among its day's epochs only (`trendguard.metrics.trend_day_lifecycles`),
 flags each tweet as the join files it and keeps a trend-day as int
 columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
-call (`trendguard.ingest._line_filter`), decodes each kept line once into
+call (`trendguard.ingest._Join.keep`), decodes each kept line once into
 the Tweet the join files (`trendguard.ingest.parse_stream_line`) and flags
 it with one function per keyword (`trendguard.classify.flags_for_instance`);
 the tests check each
@@ -53,7 +53,7 @@ import random
 import re
 import statistics
 from bisect import bisect_left, bisect_right
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
@@ -1210,10 +1210,11 @@ def read_stream(
     if stats is None:
         stats = ParseStats()
     # A path is opened once, so a pipe loses nothing to the codec probe, and
-    # closed here, as a codec given an open file leaves it open.
+    # closed here; a stream the caller gave stays open.
     is_path = isinstance(source, (str, bytes))
-    with open(source, "rb") if is_path else nullcontext(source) as binary:
-        handle, codec_errors = _open_source(binary)
+    with ExitStack() as stack:
+        binary = stack.enter_context(open(source, "rb")) if is_path else source
+        handle, codec_errors = _open_source(binary, stack)
         if handle is None:
             stats.lines_read += 1
             stats.malformed_skipped += 1
@@ -1240,8 +1241,6 @@ def read_stream(
         except codec_errors:
             stats.lines_read += 1
             stats.malformed_skipped += 1
-        finally:
-            handle.close()
 
 
 

@@ -1,14 +1,16 @@
 import bz2
+import concurrent.futures
 import csv
 import gzip
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from trendguard.cli import build_parser, main
+from trendguard.cli import _map_fn, build_parser, main
 
 from conftest import fifo_of, pipe_payload
 
@@ -831,6 +833,35 @@ class TestParallelJobs:
         stats = json.loads(capsys.readouterr().out)
         assert stats["lines_read"] == len(lines)
         assert stats["consistent"]
+
+    def test_the_pool_starts_no_more_workers_than_cpus(self, monkeypatch):
+        """--jobs 5000 over a day of minute files starts os.cpu_count()
+        workers, not 1,440; one worker is builtin map. No process starts."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for jobs, tasks in [(5000, 1440), (3, 1440), (5000, 2)]:
+            with _map_fn(jobs, tasks) as map_fn:
+                assert list(map_fn(abs, [-1, 2])) == [1, 2]
+        assert started == [4, 3, 2]
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            with _map_fn(5000, 1440) as map_fn:
+                assert map_fn is map
+        assert started == [4, 3, 2]
 
 
 class TestThresholdOverride:

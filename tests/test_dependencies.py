@@ -132,7 +132,7 @@ def test_no_runtime_dependencies():
     assert project["dependencies"] == []
 
 
-JOIN_PRIVATE = {"_route", "_attach", "_instance", "_Notices"}
+JOIN_PRIVATE = {"_Join", "_instance", "_Notices"}
 
 
 def test_only_ingest_uses_the_joins_private_names():

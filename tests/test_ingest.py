@@ -10,6 +10,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trendguard import ingest
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     BadRank,
@@ -314,6 +315,45 @@ class TestReadStream:
             events, stats = read_all(pipe)
         assert events == []
         assert (stats.lines_read, stats.malformed_skipped) == (1, 1)
+
+    @pytest.mark.parametrize("codec, wrap", [
+        *[pytest.param(codec, wrap, id=f"{codec}-{name}") for codec in (None, "gzip", "bz2")
+          for name, wrap in [("BytesIO", io.BytesIO),
+                             ("BufferedReader", lambda data: io.BufferedReader(io.BytesIO(data)))]],
+        pytest.param(None, lambda data: io.StringIO(data.decode()), id="StringIO"),
+    ])
+    def test_a_callers_stream_stays_open(self, codec, wrap):
+        """read_stream closes only what it opened, after a full read and
+        after its iterator is closed early."""
+        payload = (STATUS_LINE + "\n" + DELETE_LINE + "\n").encode()
+        data = {None: payload, "gzip": gzip.compress(payload), "bz2": bz2.compress(payload)}[codec]
+        stream = wrap(data)
+        assert [type(e) for e in read_all(stream)[0]] == [Tweet, Deletion]
+        assert not stream.closed
+        stream = wrap(data)
+        events = read_stream(stream)
+        assert type(next(events)) is Tweet
+        events.close()
+        assert not stream.closed
+        assert stream.read(0) in (b"", "")
+
+    @pytest.mark.parametrize("codec", [None, "gzip", "bz2"])
+    def test_a_paths_file_is_closed(self, tmp_path, monkeypatch, codec):
+        payload = (STATUS_LINE + "\n" + DELETE_LINE + "\n").encode()
+        path = tmp_path / "events"
+        path.write_bytes({None: payload, "gzip": gzip.compress(payload),
+                          "bz2": bz2.compress(payload)}[codec])
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+        monkeypatch.setattr(ingest, "open", recording_open, raising=False)
+        assert len(read_all(str(path))[0]) == 2
+        events = read_stream(str(path))
+        next(events)
+        events.close()
+        assert len(opened) == 2 and all(handle.closed for handle in opened)
 
     def test_lone_surrogate_escape_is_not_a_bad_byte(self):
         # Truncated emoji leave a lone \ud83d in real archives; it was text, not a byte.

@@ -12,7 +12,7 @@ from trendguard.ingest import (
     Deletion,
     TrendDay,
     Tweet,
-    _line_filter,
+    _Join,
     build_trend_instances,
 )
 from trendguard.simulator import group_stream_by_keyword
@@ -114,5 +114,5 @@ def test_ngram_keyword_tokens_are_cleaned_like_text_tokens():
     assert instances[(DAY, "!!!")].tweets == []
     assert [match_keyword(text, trends[0].keyword) for text in texts] == [True, True, False]
     assert not any(match_keyword(text, trends[1].keyword) for text in texts)
-    keep = _line_filter(trends, "tr")
+    keep = _Join(trends, "tr").keep
     assert [keep(f'{{"id":1,"text":"{text}"}}') for text in texts] == [True, True, False]

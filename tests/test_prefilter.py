@@ -27,7 +27,7 @@ from trendguard.ingest import (
     ParseStats,
     TrendDay,
     Tweet,
-    _line_filter,
+    _Join,
     build_instances_from_files,
     build_trend_instances,
     parse_stream_line,
@@ -146,10 +146,10 @@ def test_predicates_keep_every_line_that_can_matter(line, keywords, locale):
         return
     trends = [TrendDay(DAY, normalize_keyword(raw, locale)) for raw in keywords]
     if isinstance(event, Deletion):
-        assert _line_filter([], locale)(line) and _line_filter(trends, locale)(line)
+        assert _Join([], locale).keep(line) and _Join(trends, locale).keep(line)
     if isinstance(event, Tweet):
         if any(match_keyword(event.text, t.keyword, locale) for t in trends):
-            assert _line_filter(trends, locale)(line)
+            assert _Join(trends, locale).keep(line)
 
 
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -166,7 +166,7 @@ def test_one_line_test_keeps_what_the_deletion_and_creation_tests_kept(line, key
     for discovery (None)."""
     trends = None if keywords is None else [TrendDay(DAY, normalize_keyword(raw, locale))
                                             for raw in keywords]
-    assert _line_filter(trends, locale)(line) == oracles.line_filter(trends, locale)(line)
+    assert _Join(trends, locale).keep(line) == oracles.line_filter(trends, locale)(line)
 
 
 @pytest.mark.parametrize("key", ["\\u0064elete", "d\\u0065lete", "de\\u006cete", "de\\u006Cete",
@@ -174,7 +174,7 @@ def test_one_line_test_keeps_what_the_deletion_and_creation_tests_kept(line, key
 def test_deletion_with_escaped_key_is_kept(key):
     line = f'{{"{key}":{{"status":{{"id":1,"user_id":2}},"timestamp_ms":"5"}}}}'
     assert isinstance(parse_stream_line(line), Deletion)
-    assert _line_filter([], "tr")(line)
+    assert _Join([], "tr").keep(line)
 
 
 @pytest.mark.parametrize("raw, text, locale", [
@@ -192,7 +192,7 @@ def test_matching_line_is_kept(raw, text, locale):
     line = f'{{"id":1,"text":"{text}","user":{{"id":2}},"timestamp_ms":"5"}}'
     trend = TrendDay(DAY, normalize_keyword(raw, locale))
     assert match_keyword(parse_stream_line(line).text, trend.keyword, locale)
-    assert _line_filter([trend], locale)(line)
+    assert _Join([trend], locale).keep(line)
 
 
 def test_status_line_with_escaped_source_is_dropped():
@@ -201,7 +201,7 @@ def test_status_line_with_escaped_source_is_dropped():
             '"user":{"id":2},"timestamp_ms":"5"}')
     trend = TrendDay(DAY, normalize_keyword("devam etmiyor"))
     assert parse_stream_line(line).text == "sadece bir tweet"
-    assert not _line_filter([trend], "tr")(line)
+    assert not _Join([trend], "tr").keep(line)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +228,10 @@ fuzz_lines = st.one_of(
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lines=st.lists(fuzz_lines, max_size=8),
-       keep=st.sampled_from([None, _line_filter([], "tr"),
+       keep=st.sampled_from([None, _Join([], "tr").keep,
                              ingest.id_line_filter(sim_mod.id_sampler(0.5, 1)),
-                             _line_filter([TrendDay(DAY, normalize_keyword("#konu")),
-                                           TrendDay(DAY, normalize_keyword("a b"))], "tr")]))
+                             _Join([TrendDay(DAY, normalize_keyword("#konu")),
+                                    TrendDay(DAY, normalize_keyword("a b"))], "tr").keep]))
 def test_read_stream_never_raises(lines, keep):
     stats = ParseStats()
     for event in read_stream(io.StringIO("\n".join(lines)), stats=stats, keep=keep):
