@@ -11,7 +11,7 @@ import random
 from datetime import date
 
 from trendguard.classify import flags_for_instance
-from trendguard.core import LEXICON, normalize_keyword
+from trendguard.core import normalize_keyword
 from trendguard.graph import (
     DELETED_LEXICON,
     UNDELETED,
@@ -23,7 +23,7 @@ from trendguard.graph import (
     network_overlap,
     single_attack_filter,
 )
-from trendguard.ingest import NOT_DELETED, Deletion, TrendDay, Tweet, build_trend_instances
+from trendguard.ingest import Deletion, TrendDay, Tweet, build_trend_instances
 
 rng = random.Random(3)
 DAY_START = 18065 * 86400 - 10800
@@ -95,13 +95,7 @@ print(f"\nuser overlap between the two networks: "
       f"(bots push trends, audiences talk; the roles barely mix)")
 
 # Dormancy: bots whose last visible tweet long predates their last attack.
-attack_times = {}
-for instance in instances.values():
-    for tweet in instance.tweets:
-        if tweet.deleted_ms != NOT_DELETED and tweet.flags & LEXICON:
-            attack_times.setdefault(tweet.user_id, []).append(tweet.created_ms)
-summaries = community_summary(bot_partition, instances, attack_times,
-                              dormancy_s=365 * 86400)
+summaries = community_summary(bot_partition, instances, dormancy_s=365 * 86400)
 for summary in summaries:
     print(f"community {summary.community}: {summary.n_users} bots over "
           f"{summary.n_trends} trends, {len(summary.dormant_users)} dormant")

@@ -46,8 +46,19 @@ _EMOJI_RE = re.compile(
 
 
 def _stripper(keyword: Optional[Keyword], locale: str) -> Callable[[str], list[str]]:
-    """strip_keyword_and_emoji for one keyword, as the whitespace tokens it
-    leaves, with the keyword's forms worked out once."""
+    """The whitespace tokens a text keeps once all emoji and every
+    occurrence of ``keyword`` that the join matches are removed, the
+    keyword's forms worked out once; with ``keyword`` None, only the emoji
+    go. A hashtag goes after the emoji, as the join reads '#foo' followed
+    by an emoji as '#foo'; an n-gram goes before them, as the join reads
+    'foo', an emoji and 'bar' written together as one token: it goes as a
+    run of the text's whitespace tokens, cleaned as text_tokens cleans
+    them, with any punctuation-only tokens inside.
+
+    The text is folded once and split, not token by token: folding makes
+    and removes no whitespace, and whitespace is neither cased nor
+    case-ignorable, so it ends a final sigma's context as a token's edge
+    does. The folded text's tokens are thus the folds of its tokens."""
     if keyword is None:
         return lambda text: _EMOJI_RE.sub(" ", text).split()
     if keyword.kind == HASHTAG:
@@ -79,23 +90,6 @@ def _stripper(keyword: Optional[Keyword], locale: str) -> Callable[[str], list[s
     return strip_ngram
 
 
-def strip_keyword_and_emoji(
-    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
-) -> str:
-    """Remove all emoji and every occurrence of the keyword that the join
-    matches; collapse whitespace. A hashtag goes after the emoji, as the
-    join reads '#foo' followed by an emoji as '#foo'; an n-gram goes before
-    them, as the join reads 'foo', an emoji and 'bar' written together as
-    one token: it goes as a run of the text's whitespace tokens, cleaned as
-    text_tokens cleans them, with any punctuation-only tokens inside.
-
-    The text is folded once and split, not token by token: folding makes
-    and removes no whitespace, and whitespace is neither cased nor
-    case-ignorable, so it ends a final sigma's context as a token's edge
-    does. The folded text's tokens are thus the folds of its tokens."""
-    return " ".join(_stripper(keyword, locale)(text))
-
-
 # An ASCII character that is no letter, digit, '_', parenthesis, whitespace
 # or '#'. A hashtag keyword seldom holds one: hashtags are letters, digits
 # and '_'.
@@ -106,8 +100,22 @@ _FOREIGN_ASCII = re.compile(
 
 
 def _lexicon_test(keyword: Optional[Keyword], locale: str) -> Callable[[str], bool]:
-    """is_lexicon_tweet for one keyword: its stripper, and whether its texts
-    take the early reject, worked out once."""
+    """Whether a text joined to ``keyword`` (or, None, bare text) looks
+    generated once the keyword and emoji are stripped: every character
+    alphabetic (or space / parenthesis), first character not uppercase, and
+    2-9 whitespace tokens. The stripper, and whether texts take the early
+    reject, are worked out once.
+
+    For a hashtag keyword whose normalized form holds no _FOREIGN_ASCII
+    character, a text holding one is rejected before anything is stripped.
+    Such a character c survives stripping: the emoji class holds no ASCII
+    character, and a token goes only when its fold is the keyword or
+    '#' + the keyword, while folding maps c to itself (it is no letter),
+    so the fold of a token holding c holds c. Neither form holds c, as c is
+    not '#' and the keyword holds no _FOREIGN_ASCII character. The stripped
+    text keeps that token, and c is not among the allowed characters, as
+    whitespace never survives the split. N-gram keywords skip this test,
+    because the runs they remove can hold punctuation."""
     strip = _stripper(keyword, locale)
     early = (keyword is not None and keyword.kind == HASHTAG
              and not _FOREIGN_ASCII(keyword.normalized))
@@ -121,30 +129,14 @@ def _lexicon_test(keyword: Optional[Keyword], locale: str) -> Callable[[str], bo
     return is_lexicon
 
 
-def is_lexicon_tweet(
-    text: str, keyword: Optional[Keyword] = None, locale: str = DEFAULT_LOCALE
-) -> bool:
-    """True when the text, keyword and emoji removed, looks generated:
-
-    every character alphabetic (or space / parenthesis), first character not
-    uppercase, and 2-9 whitespace tokens.
-
-    For a hashtag keyword whose normalized form holds no _FOREIGN_ASCII
-    character, a text holding one is rejected before anything is stripped.
-    Such a character c survives stripping: the emoji class holds no ASCII
-    character, and a token goes only when its fold is the keyword or
-    '#' + the keyword, while folding maps c to itself (it is no letter),
-    so the fold of a token holding c holds c. Neither form holds c, as c is
-    not '#' and the keyword holds no _FOREIGN_ASCII character. The stripped
-    text keeps that token, and c is not among the allowed characters, as
-    whitespace never survives the split. N-gram keywords skip this test,
-    because the runs they remove can hold punctuation.
-    """
-    return _lexicon_test(keyword, locale)(text)
-
-
 def _flag_function(keyword: Keyword, locale: str) -> Callable[[Tweet], int]:
-    """tweet_flags for one keyword, its lexicon test worked out once."""
+    """The flag byte of a tweet joined to a trend-day of ``keyword``, its
+    lexicon test worked out once: the core.LEXICON, SINGLE_ENGAGEMENT and
+    RETWEET bits.
+
+    A single-engagement tweet engages nothing but the target keyword: no
+    retweet, no reply, no mentions, no urls, and no hashtag other than the
+    target (n-gram targets admit no hashtags at all)."""
     is_lexicon = _lexicon_test(keyword, locale)
     normalized = keyword.normalized
     hashtag = keyword.kind == HASHTAG
@@ -161,21 +153,6 @@ def _flag_function(keyword: Keyword, locale: str) -> Callable[[Tweet], int]:
                 return bits
         return bits | SINGLE_ENGAGEMENT
     return flag
-
-
-def is_single_engagement(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> bool:
-    """True when the tweet engages nothing but the target keyword.
-
-    No retweet, no reply, no mentions, no urls, and no hashtag other than
-    the target (n-gram targets admit no hashtags at all).
-    """
-    return bool(_flag_function(keyword, locale)(tweet) & SINGLE_ENGAGEMENT)
-
-
-def tweet_flags(tweet: Tweet, keyword: Keyword, locale: str = DEFAULT_LOCALE) -> int:
-    """The flag byte of a tweet joined to a trend-day of ``keyword``: the
-    core.LEXICON, SINGLE_ENGAGEMENT and RETWEET bits."""
-    return _flag_function(keyword, locale)(tweet)
 
 
 class _Flagger(dict):

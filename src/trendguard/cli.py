@@ -31,13 +31,11 @@ from .core import (
     DEFAULT_TZ_OFFSET,
     DELETED_LEXICON,
     EDGE_PREDICATES,
-    LEXICON,
     PRESETS,
     UNDELETED,
     TrendGuardError,
 )
 from .ingest import (
-    NOT_DELETED,
     BadRow,
     ParseStats,
     _text_input,
@@ -194,9 +192,15 @@ class _Outputs:
 
     @contextmanager
     def sink(self, args):
-        """stdout under --stdout, else the tracked file --out."""
+        """stdout under --stdout, else the tracked file --out: UTF-8 text
+        with newlines untranslated either way, whatever stdout's encoding."""
         if args.stdout:
-            yield sys.stdout
+            sys.stdout.flush()
+            handle = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+            try:
+                yield handle
+            finally:
+                handle.detach()  # flushed, and stdout left open
         else:
             with self.open(args.out) as handle:
                 yield handle
@@ -391,14 +395,8 @@ def _cmd_graph(args, out: _Outputs) -> int:
         summary["modularity"] = partition.modularity
         summary["n_communities"] = len(set(partition.communities))
 
-        attack_times: dict[int, list[int]] = {}
-        for instance in instances.values():
-            for user, created_ms, deleted_ms, flags in zip(
-                    instance.users, instance.created_ms, instance.deleted_ms, instance.flag_bytes()):
-                if deleted_ms != NOT_DELETED and flags & LEXICON:
-                    attack_times.setdefault(user, []).append(created_ms)
         summaries = graph_mod.community_summary(
-            partition, instances, attack_times, dormancy_s=args.dormancy_days * 86400
+            partition, instances, dormancy_s=args.dormancy_days * 86400
         )
         with out.open(out_dir / "communities.csv") as handle:
             handle.write("community,n_users,n_trends,first_seen_s,last_seen_s,n_dormant\n")

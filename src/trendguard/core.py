@@ -56,7 +56,7 @@ def local_hour(ms: int, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
 HASHTAG = "hashtag"
 NGRAM = "ngram"
 
-# The bits of a joined tweet's flag byte (see classify.tweet_flags).
+# The bits of a joined tweet's flag byte (see classify.flags_for_instance).
 LEXICON = 1
 SINGLE_ENGAGEMENT = 2
 RETWEET = 4

@@ -422,54 +422,54 @@ class CommunitySummary:
 def community_summary(
     partition: Partition,
     instances: Mapping[tuple[date, str], TrendInstance],
-    attack_times: Mapping[int, Iterable[int]],
     dormancy_s: int = 365 * 86400,
 ) -> list[CommunitySummary]:
     """Sizes, first/last attack participation, and per-user dormancy gaps.
 
-    ``attack_times`` maps a user to the ms times of their attack tweets. A
-    user's dormancy gap is the absolute span between their last attack and
-    their last undeleted tweet anywhere in the corpus; gaps above
-    ``dormancy_s`` seconds flag the user as dormant.
+    A user's attack tweets are their deleted lexicon tweets: the rows of
+    ``instances`` with a deletion and the core.LEXICON flag, so the join
+    needs a flagger. A community is first and last seen at the earliest
+    and latest creation of its users' attack tweets. A user's dormancy gap
+    is the absolute span between their last attack and their last
+    undeleted tweet anywhere in the corpus; gaps above ``dormancy_s``
+    seconds flag the user as dormant.
     """
+    first_attack: dict[int, int] = {}
+    last_attack: dict[int, int] = {}
+    for instance in instances.values():
+        for user, created_ms, deleted_ms, flags in zip(instance.users, instance.created_ms,
+                                                       instance.deleted_ms, instance.flag_bytes()):
+            if deleted_ms != NOT_DELETED and flags & LEXICON:
+                first_attack[user] = min(created_ms, first_attack.get(user, created_ms))
+                last_attack[user] = max(created_ms, last_attack.get(user, created_ms))
     labels = partition.labels
     # A last undeleted tweet is read only for the partition's attackers.
-    attackers = {ident for kind, ident in labels if kind == USER and ident in attack_times}
+    attackers = {ident for kind, ident in labels if kind == USER and ident in last_attack}
     last_undeleted: dict[int, int] = {}
     for instance in instances.values():
         for user, created_ms, deleted_ms in zip(instance.users, instance.created_ms,
                                                 instance.deleted_ms):
-            if user not in attackers or deleted_ms != NOT_DELETED:
-                continue
-            prior = last_undeleted.get(user)
-            if prior is None or created_ms > prior:
-                last_undeleted[user] = created_ms
+            if user in attackers and deleted_ms == NOT_DELETED:
+                last_undeleted[user] = max(created_ms, last_undeleted.get(user, created_ms))
 
     communities = partition.communities
     members = sorted(range(len(communities)), key=communities.__getitem__)
     summaries = []
     for community, group in groupby(members, key=communities.__getitem__):
         n_users = n_trends = 0
-        first_seen: Optional[int] = None
-        last_seen: Optional[int] = None
-        last_attack: dict[int, int] = {}
+        own = []
         for u in group:
             kind, user = labels[u]
             if kind == TREND:
                 n_trends += 1
                 continue
             n_users += 1
-            for ts in attack_times.get(user, ()):
-                if first_seen is None or ts < first_seen:
-                    first_seen = ts
-                if last_seen is None or ts > last_seen:
-                    last_seen = ts
-                prior = last_attack.get(user)
-                if prior is None or ts > prior:
-                    last_attack[user] = ts
+            if user in attackers:
+                own.append(user)
+        own.sort()
         gaps = []
         dormant = []
-        for user in sorted(last_attack):
+        for user in own:
             undeleted_at = last_undeleted.get(user)
             if undeleted_at is None:
                 continue
@@ -482,8 +482,8 @@ def community_summary(
                 community=community,
                 n_users=n_users,
                 n_trends=n_trends,
-                first_seen_ms=first_seen,
-                last_seen_ms=last_seen,
+                first_seen_ms=min(map(first_attack.__getitem__, own), default=None),
+                last_seen_ms=max(map(last_attack.__getitem__, own), default=None),
                 dormancy_gaps=gaps,
                 dormant_users=dormant,
             )

@@ -483,8 +483,8 @@ def read_stream(
 # ---------------------------------------------------------------------------
 
 def _parse_iso_ms(value: str) -> int:
-    """An ISO 8601 instant as epoch ms, truncated to the second (UTC when
-    it names no offset)."""
+    """An ISO 8601 instant as epoch ms, floored to the whole second (UTC
+    when it names no offset)."""
     text = value.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -494,7 +494,7 @@ def _parse_iso_ms(value: str) -> int:
         raise BadTimestamp(f"unparsable timestamp: {value!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) * 1000
+    return (dt - _EPOCH) // _SECOND * 1000
 
 
 def _text_input(source):
@@ -664,7 +664,7 @@ class _Join:
                 if day not in _DATED_DAYS:
                     return []
                 when = day_number_to_date(day)
-                return [(when, tag) for tag in extract_hashtags(status.text, locale)]
+                return [(when, tag) for tag in sorted(extract_hashtags(status.text, locale))]
         else:
             # The first trend-day of each key, in list order.
             self.trends: dict[tuple[date, str], TrendDay] = {}
@@ -803,7 +803,7 @@ def build_trend_instances(
     2**63), as the parser's and the simulator's do.
 
     With ``trends`` None the join discovers its trend-days, in the order it
-    meets them (one tweet's in set order): a creation goes to the instance
+    meets them (one tweet's by sorted tag): a creation goes to the instance
     (its local date, tag) of each tag of extract_hashtags, on its own day
     only, made on first use with the keyword '#tag'. A creation whose local
     day no datetime.date holds goes to none.

@@ -30,9 +30,9 @@ arrays over node numbers (`trendguard.graph.BipartiteGraph`), on which it
 filters and runs Louvain, keeps each run of the window sweep as a few
 ints and decides maximality on their bounds
 (`trendguard.detector.detect_attack_windows`), and folds a tweet's text
-once (`trendguard.classify.strip_keyword_and_emoji`), rejects a hashtag
-keyword's non-lexicon text on one character-class search
-(`trendguard.classify.is_lexicon_tweet`), looks for a trend-day's entry
+once (`trendguard.classify._stripper`), rejects a hashtag keyword's
+non-lexicon text on one character-class search
+(`trendguard.classify._lexicon_test`), looks for a trend-day's entry
 among its day's epochs only (`trendguard.metrics.trend_day_lifecycles`),
 flags each tweet as the join files it and keeps a trend-day as int
 columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
@@ -836,7 +836,7 @@ def is_lexicon_tweet(
     every character alphabetic (or space / parenthesis), first character not
     uppercase, and 2-9 whitespace tokens.
     """
-    stripped = classify.strip_keyword_and_emoji(text, keyword, locale)
+    stripped = " ".join(classify._stripper(keyword, locale)(text))
     return (2 <= len(stripped.split()) <= 9 and not stripped[0].isupper()
             and _LEXICON_CHARS.issuperset(stripped))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trendguard.classify import is_lexicon_tweet
+from trendguard.classify import _lexicon_test
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import initial_deletions, minute_entropy
 from trendguard.graph import k_core, louvain, modularity
@@ -122,12 +122,13 @@ def test_acceptance_2_lexicon_round_trip():
     wordlist = load_wordlist()
     rng = random.Random(2025)
     started = time.monotonic()
-    positives = sum(is_lexicon_tweet(gen_lexicon_text(wordlist, rng)) for _ in range(10_000))
+    is_lexicon = _lexicon_test(None, "tr")  # the paper's rule on bare text
+    positives = sum(is_lexicon(gen_lexicon_text(wordlist, rng)) for _ in range(10_000))
     assert positives == 10_000, f"only {positives}/10000 classified lexicon"
 
     fixture = NEGATIVE_FIXTURE
     assert len(fixture) == 50
-    negatives = sum(not is_lexicon_tweet(text) for text in fixture)
+    negatives = sum(not is_lexicon(text) for text in fixture)
     assert negatives == 50, f"only {negatives}/50 classified non-lexicon"
     elapsed = time.monotonic() - started
     print(f"\n[ACCEPTANCE 2] PASS lexicon round trip: 10000/10000 positive, "

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.core import (
+    DEFAULT_LOCALE,
     LEXICON,
     RETWEET,
     SINGLE_ENGAGEMENT,
@@ -13,14 +14,7 @@ from trendguard.core import (
     normalize_keyword,
 )
 from trendguard.ingest import _keyword_index
-from trendguard.classify import (
-    TURKISH_ALPHABET,
-    flags_for_instance,
-    is_lexicon_tweet,
-    is_single_engagement,
-    strip_keyword_and_emoji,
-    tweet_flags,
-)
+from trendguard.classify import TURKISH_ALPHABET, _lexicon_test, _stripper, flags_for_instance
 
 from conftest import make_tweet
 import oracles
@@ -30,23 +24,23 @@ from oracles import match_keyword
 class TestStripKeywordAndEmoji:
     def test_hashtag_removed(self):
         kw = normalize_keyword("#DonaldTrump", "tr")
-        out = strip_keyword_and_emoji("apple to cycle #DonaldTrump trigonometry", kw)
-        assert out == "apple to cycle trigonometry"
+        out = _stripper(kw, "tr")("apple to cycle #DonaldTrump trigonometry")
+        assert out == ["apple", "to", "cycle", "trigonometry"]
 
     def test_keyword_only_becomes_empty(self, tag_keyword):
-        assert strip_keyword_and_emoji("#tag", tag_keyword) == ""
+        assert _stripper(tag_keyword, "tr")("#tag") == []
 
     def test_emoji_removed(self, tag_keyword):
-        assert strip_keyword_and_emoji("ok \U0001F600 ok", tag_keyword) == "ok ok"
-        assert strip_keyword_and_emoji("fire\U0001F525works", tag_keyword) == "fire works"
+        strip = _stripper(tag_keyword, "tr")
+        assert strip("ok \U0001F600 ok") == ["ok", "ok"]
+        assert strip("fire\U0001F525works") == ["fire", "works"]
 
     def test_ngram_sequence_removed(self):
         kw = normalize_keyword("YSK'dan CHP", "tr")
-        out = strip_keyword_and_emoji("karar YSK'dan CHP hakkında", kw)
-        assert out == "karar hakkında"
+        assert _stripper(kw, "tr")("karar YSK'dan CHP hakkında") == ["karar", "hakkında"]
 
     def test_case_folded_occurrences(self, tag_keyword):
-        assert strip_keyword_and_emoji("x #TAG y #Tag z", tag_keyword) == "x y z"
+        assert _stripper(tag_keyword, "tr")("x #TAG y #Tag z") == ["x", "y", "z"]
 
     @pytest.mark.parametrize("keyword, text, left", [
         ("foo, bar", "foo bar baz", "baz"),
@@ -56,18 +50,18 @@ class TestStripKeywordAndEmoji:
     def test_ngram_stripped_where_the_join_matches(self, keyword, text, left):
         kw = normalize_keyword(keyword, "tr")
         assert match_keyword(text, kw, "tr")
-        assert strip_keyword_and_emoji(text, kw, "tr") == left
+        assert _stripper(kw, "tr")(text) == left.split()
 
 
     def test_emoji_inside_a_token_keeps_an_ngram_the_join_does_not_match(self):
         kw = normalize_keyword("foo bar", "tr")
         text = "xx foo\U0001F525bar yy"
         assert _keyword_index([kw], "tr")(text) == []
-        assert strip_keyword_and_emoji(text, kw, "tr") == "xx foo bar yy"
+        assert _stripper(kw, "tr")(text) == ["xx", "foo", "bar", "yy"]
 
     def test_emoji_after_a_hashtag_still_strips(self, tag_keyword):
         assert _keyword_index([tag_keyword], "tr")("x #tag\U0001F525 y")
-        assert strip_keyword_and_emoji("x #tag\U0001F525 y", tag_keyword) == "x y"
+        assert _stripper(tag_keyword, "tr")("x #tag\U0001F525 y") == ["x", "y"]
 
 
 # Tokens of the generated texts: the keywords' words, other words, emoji
@@ -85,89 +79,91 @@ def test_ngram_strip_drops_a_run_iff_the_join_matches(words, separator, raw_keyw
     text = separator.join(words)
     keyword = normalize_keyword(raw_keyword, locale)
     matched = bool(_keyword_index([keyword], locale)(text))
-    dropped = strip_keyword_and_emoji(text, keyword, locale) != strip_keyword_and_emoji(
-        text, None, locale)
+    dropped = _stripper(keyword, locale)(text) != _stripper(None, locale)(text)
     assert matched == dropped
+
+
+# The lexicon rule on bare text, with no keyword to strip.
+is_lexicon = _lexicon_test(None, DEFAULT_LOCALE)
 
 
 class TestIsLexiconTweet:
     def test_paper_frequent_lexicon_tweet(self):
-        assert is_lexicon_tweet("tenkidi kaynaştırabilme siperisaika")
+        assert is_lexicon("tenkidi kaynaştırabilme siperisaika")
 
     def test_uppercase_and_punctuation_rejected(self):
-        assert not is_lexicon_tweet("Easy come easy go.")
+        assert not is_lexicon("Easy come easy go.")
 
     def test_single_token_rejected(self):
-        assert not is_lexicon_tweet("kelime")
+        assert not is_lexicon("kelime")
 
     def test_ten_tokens_rejected(self):
-        assert not is_lexicon_tweet(" ".join(["kelime"] * 10))
+        assert not is_lexicon(" ".join(["kelime"] * 10))
 
     def test_nine_tokens_accepted(self):
-        assert is_lexicon_tweet(" ".join(["kelime"] * 9))
+        assert is_lexicon(" ".join(["kelime"] * 9))
 
     def test_two_tokens_accepted(self):
-        assert is_lexicon_tweet("yarım gün")
+        assert is_lexicon("yarım gün")
 
     def test_parentheses_allowed(self):
-        assert is_lexicon_tweet("elma (meyve) dolaşmak")
+        assert is_lexicon("elma (meyve) dolaşmak")
 
     def test_digits_rejected(self):
-        assert not is_lexicon_tweet("kelime 123 kelime")
+        assert not is_lexicon("kelime 123 kelime")
 
     def test_keyword_excluded_before_counting(self, tag_keyword):
         # Keyword adds a token and a '#'; both must be ignored.
-        assert is_lexicon_tweet("yarım gün #tag", tag_keyword)
+        assert _lexicon_test(tag_keyword, "tr")("yarım gün #tag")
 
     def test_whitespace_invariance(self):
         rng = random.Random(2)
         text = "tenkidi kaynaştırabilme siperisaika"
         for _ in range(20):
             padded = " " * rng.randint(0, 3) + text + " " * rng.randint(0, 3)
-            assert is_lexicon_tweet(padded)
+            assert is_lexicon(padded)
 
     def test_emoji_do_not_count_as_tokens(self):
-        assert is_lexicon_tweet("yarım gün \U0001F600")
-        assert not is_lexicon_tweet("kelime \U0001F600")  # one real token
+        assert is_lexicon("yarım gün \U0001F600")
+        assert not is_lexicon("kelime \U0001F600")  # one real token
 
 
 class TestIsSingleEngagement:
-    def test_plain_lexicon_tweet_with_target(self, tag_keyword):
-        tweet = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])
-        assert is_single_engagement(tweet, tag_keyword)
+    @pytest.fixture
+    def single(self, tag_keyword):
+        """Whether the #tag flag function gives a tweet the SINGLE_ENGAGEMENT bit."""
+        flag = flags_for_instance("tr")[tag_keyword]
+        return lambda tweet: bool(flag(tweet) & SINGLE_ENGAGEMENT)
 
-    def test_mention_breaks_it(self, tag_keyword):
-        tweet = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], mentions=[5])
-        assert not is_single_engagement(tweet, tag_keyword)
+    def test_plain_lexicon_tweet_with_target(self, single):
+        assert single(make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"]))
 
-    def test_retweet_breaks_it(self, tag_keyword):
+    def test_mention_breaks_it(self, single):
+        assert not single(make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], mentions=[5]))
+
+    def test_retweet_breaks_it(self, single):
         tweet = make_tweet(1, 1, "RT @x: yarım gün #tag", 0, hashtags=["tag"], is_retweet=True)
-        assert not is_single_engagement(tweet, tag_keyword)
+        assert not single(tweet)
 
-    def test_url_and_reply_break_it(self, tag_keyword):
-        assert not is_single_engagement(
-            make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], urls=1), tag_keyword
-        )
-        assert not is_single_engagement(
-            make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], is_reply=True), tag_keyword
-        )
+    def test_url_and_reply_break_it(self, single):
+        assert not single(make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], urls=1))
+        assert not single(make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"], is_reply=True))
 
-    def test_foreign_hashtag_breaks_it(self, tag_keyword):
-        tweet = make_tweet(1, 1, "yarım gün #tag #other", 0, hashtags=["tag", "other"])
-        assert not is_single_engagement(tweet, tag_keyword)
+    def test_foreign_hashtag_breaks_it(self, single):
+        assert not single(make_tweet(1, 1, "yarım gün #tag #other", 0, hashtags=["tag", "other"]))
 
     def test_ngram_keyword_admits_no_hashtags(self):
-        kw = normalize_keyword("ysk'dan chp", "tr")
+        flag = flags_for_instance("tr")[normalize_keyword("ysk'dan chp", "tr")]
         clean = make_tweet(1, 1, "ysk'dan chp karar", 0, hashtags=[])
         tagged = make_tweet(2, 1, "ysk'dan chp karar #x", 0, hashtags=["x"])
-        assert is_single_engagement(clean, kw)
-        assert not is_single_engagement(tagged, kw)
+        assert flag(clean) & SINGLE_ENGAGEMENT
+        assert not flag(tagged) & SINGLE_ENGAGEMENT
 
-    def test_monotone_under_added_engagement(self, tag_keyword):
+    def test_monotone_under_added_engagement(self, single):
         rng = random.Random(7)
         for _ in range(50):
             base = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])
-            assert is_single_engagement(base, tag_keyword)
+            assert single(base)
             spoiled = [
                 make_tweet(1, 1, base.text, 0, hashtags=["tag"], mentions=[rng.randint(1, 9)]),
                 make_tweet(1, 1, base.text, 0, hashtags=["tag"], urls=1),
@@ -175,15 +171,16 @@ class TestIsSingleEngagement:
                 make_tweet(1, 1, base.text, 0, hashtags=["tag"], is_retweet=True),
                 make_tweet(1, 1, base.text, 0, hashtags=["tag"], is_reply=True),
             ]
-            assert not any(is_single_engagement(s, tag_keyword) for s in spoiled)
+            assert not any(map(single, spoiled))
 
 
 class TestFlagsAndStats:
     def test_tweet_flags(self, tag_keyword):
+        flag = flags_for_instance("tr")[tag_keyword]
         tweet = make_tweet(1, 1, "yarım gün #tag", 0, hashtags=["tag"])
-        assert tweet_flags(tweet, tag_keyword) == LEXICON | SINGLE_ENGAGEMENT
+        assert flag(tweet) == LEXICON | SINGLE_ENGAGEMENT
         retweet = make_tweet(2, 1, "RT @a: yarım gün #tag", 0, hashtags=["tag"], is_retweet=True)
-        assert tweet_flags(retweet, tag_keyword) == RETWEET
+        assert flag(retweet) == RETWEET
 
     def test_a_flagger_makes_one_function_per_keyword_and_pickles(self, tag_keyword):
         """The join looks a trend-day's flag function up by keyword; a pool's
@@ -199,13 +196,14 @@ class TestFlagsAndStats:
         other = normalize_keyword("#öteki", "tr")
         for flags in (flagger, copy):
             assert [flags[tag_keyword](t) for t in tweets] == \
-                [tweet_flags(t, tag_keyword, "tr") for t in tweets] == [LEXICON | SINGLE_ENGAGEMENT, 0]
-            assert flags[other](tweets[0]) == tweet_flags(tweets[0], other, "tr")
+                [oracles.tweet_flags(t, tag_keyword, "tr") for t in tweets] == \
+                [LEXICON | SINGLE_ENGAGEMENT, 0]
+            assert flags[other](tweets[0]) == oracles.tweet_flags(tweets[0], other, "tr")
 
 
 def reference_is_lexicon(text, keyword, locale, alphabet=TURKISH_ALPHABET):
     """The lexicon rule as written before flags stripped each text once."""
-    stripped = strip_keyword_and_emoji(text, keyword, locale)
+    stripped = " ".join(_stripper(keyword, locale)(text))
     if not stripped:
         return False
     allowed = set(alphabet)
@@ -251,11 +249,10 @@ def test_tweet_flags_equals_the_three_classifiers(text, raw_keyword, locale, men
     if extra_tag:
         hashtags.append(extra_tag)
     tweet = make_tweet(1, 1, text, 0, hashtags=hashtags, mentions=(7,) if mentions else ())
-    flags = tweet_flags(tweet, keyword, locale)
-    assert flags == ((LEXICON if is_lexicon_tweet(text, keyword, locale) else 0)
-                     | (SINGLE_ENGAGEMENT if is_single_engagement(tweet, keyword, locale) else 0))
+    flags = flags_for_instance(locale)[keyword](tweet)
+    assert flags == oracles.tweet_flags(tweet, keyword, locale)
     assert bool(flags & LEXICON) == reference_is_lexicon(text, keyword, locale)
-    assert is_lexicon_tweet(text, None, locale) == reference_is_lexicon(text, None, locale)
+    assert _lexicon_test(None, locale)(text) == reference_is_lexicon(text, None, locale)
 
 
 def test_folding_makes_no_whitespace_and_whitespace_ends_a_final_sigma():
@@ -263,7 +260,7 @@ def test_folding_makes_no_whitespace_and_whitespace_ends_a_final_sigma():
     a whitespace character folds to itself. No whitespace character is
     cased or case-ignorable: a capital sigma after a cased letter stays
     final before it and is not final after it. So a text's folded tokens
-    are its tokens' folds, which strip_keyword_and_emoji relies on."""
+    are its tokens' folds, which classify._stripper relies on."""
     spaces = []
     for code_point in range(sys.maxunicode + 1):
         char = chr(code_point)
@@ -299,7 +296,7 @@ def test_folding_the_text_once_equals_folding_each_token(words, separators, raw_
                                                          locale):
     text = "".join(s + w for s, w in zip(separators, words)) + separators[-1]
     keyword = None if raw_keyword is None else normalize_keyword(raw_keyword, locale)
-    assert strip_keyword_and_emoji(text, keyword, locale) == \
+    assert " ".join(_stripper(keyword, locale)(text)) == \
         oracles.strip_keyword_and_emoji(text, keyword, locale)
 
 
@@ -318,9 +315,9 @@ REJECT_KEYWORDS = ["#tag_2019", "#TAG_2019", "#tag", "#2019", "#yarım", "#a.b",
        separator=st.sampled_from(SEPARATORS + ["\n", "\x1c"]),
        raw_keyword=st.sampled_from(REJECT_KEYWORDS), locale=st.sampled_from(["tr", "en"]))
 def test_early_reject_equals_stripping_first(words, separator, raw_keyword, locale):
-    """is_lexicon_tweet rejects a hashtag keyword's text that holds a
+    """The lexicon test rejects a hashtag keyword's text that holds a
     foreign ASCII character before stripping it; the rule as it was, which
     always strips first (tests/oracles.py), gives the same answer."""
     text = separator.join(words)
     keyword = normalize_keyword(raw_keyword, locale)
-    assert is_lexicon_tweet(text, keyword, locale) == oracles.is_lexicon_tweet(text, keyword, locale)
+    assert _lexicon_test(keyword, locale)(text) == oracles.is_lexicon_tweet(text, keyword, locale)

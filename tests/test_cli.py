@@ -202,6 +202,26 @@ def test_compressed_shard_cut_after_its_first_block(sim_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "verdicts.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+@pytest.mark.parametrize("command", ["features", "detect"])
+def test_stdout_writes_the_bytes_of_the_out_file(sim_dir, tmp_path, command, encoding):
+    """--stdout writes UTF-8, newlines untranslated, as --out does, whatever
+    stdout's encoding: the scenario's keywords hold an 'ı', which neither
+    encoding has."""
+    argv = [command, "--stream", str(sim_dir / "stream.jsonl"),
+            "--trends", str(sim_dir / "trends.csv")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONIOENCODING=encoding,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "trendguard", *argv, "--stdout"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert command == "detect" or "ı".encode() in proc.stdout
+
+
 class TestDetect:
     def test_verdicts_match_truth(self, sim_dir, tmp_path):
         out = tmp_path / "verdicts.jsonl"

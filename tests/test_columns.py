@@ -18,7 +18,14 @@ from trendguard.detector import (
     label_astrobots,
 )
 from trendguard.features import attack_windows, count_features, initial_deletions
-from trendguard.graph import DELETED_LEXICON, UNDELETED, build_graph
+from trendguard.graph import (
+    DELETED_LEXICON,
+    UNDELETED,
+    BipartiteGraph,
+    build_graph,
+    community_summary,
+    louvain,
+)
 from trendguard.ingest import Deletion, TrendDay, Tweet, build_trend_instances
 from trendguard.simulator import SCENARIO_LOCALE, ScenarioConfig, build_stream
 
@@ -114,8 +121,10 @@ def test_joined_heap_per_tweet():
     lambda instance: detect_attack_windows(instance, AttackParams()),
     lambda instance: label_astrobots([instance]),
     lambda instance: build_graph({(DAY, "tag"): instance}, DELETED_LEXICON),
+    lambda instance: community_summary(
+        louvain(BipartiteGraph.from_edges([(2, "tag", 1)]), seed=0), {(DAY, "tag"): instance}),
 ], ids=["count_features", "initial_deletions", "attack_windows", "attack_candidates",
-        "detect_attack_windows", "label_astrobots", "build_graph"])
+        "detect_attack_windows", "label_astrobots", "build_graph", "community_summary"])
 def test_a_stage_that_reads_flags_names_an_unflagged_join(stage):
     """A join without a flagger leaves flags None; each stage that reads
     them says so instead of failing on None."""

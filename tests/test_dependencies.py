@@ -3,8 +3,8 @@ no third-party numerics, and the project declares no runtime dependency.
 
 A command runs only the layers it uses, while `import trendguard.cli` still
 registers every layer that bench/trace.py binds its wrappers in. The join's
-private parts stay inside trendguard.ingest, and a creation event is the
-Tweet itself."""
+private parts stay inside trendguard.ingest, a creation event is the Tweet
+itself, and no public name of the package is there for the tests alone."""
 
 import ast
 import importlib.util
@@ -39,12 +39,12 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
-def _traced_layers() -> list[str]:
-    """The layers whose functions bench/trace.py wraps."""
+def _trace_layers() -> dict[str, tuple[str, ...]]:
+    """The functions bench/trace.py wraps, by layer."""
     spec = importlib.util.spec_from_file_location("bench_trace", ROOT / "bench" / "trace.py")
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
-    return list(trace.LAYERS)
+    return trace.LAYERS
 
 
 # Prints which layers have run: a layer not yet executed is still the lazy
@@ -62,7 +62,7 @@ print(json.dumps({"registered": registered, "ran": ran}))
 
 
 def _layers_run(*argv: str) -> dict:
-    out = _python(_RAN, json.dumps(_traced_layers()), *argv)
+    out = _python(_RAN, json.dumps(list(_trace_layers())), *argv)
     return json.loads(out.splitlines()[-1])  # after what the command printed
 
 
@@ -170,3 +170,36 @@ def test_a_creation_event_is_the_tweet_itself():
     assert found == []
     ingest = importlib.import_module("trendguard.ingest")
     assert ingest.Creation is ingest.Tweet
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """The names, attributes and imported names that a syntax tree holds."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_function_and_class_has_a_caller_beside_the_tests():
+    """Each public top-level function and class of the package is named in
+    src/ outside its own definition, in a demo, or in bench/trace.py,
+    whose LAYERS name the functions it wraps."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "trendguard").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _referenced(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(statement.name)
+                if not statement.name.startswith("_"):
+                    defined.append((path.name, statement.name))
+            used |= names
+    for path in [*sorted((ROOT / "demos").glob("*.py")), ROOT / "bench" / "trace.py"]:
+        used |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    for names in _trace_layers().values():
+        used.update(names)
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []

@@ -1,9 +1,11 @@
 import csv
 import io
 import random
+from datetime import timedelta
 
 import pytest
 
+from trendguard.core import LEXICON, SINGLE_ENGAGEMENT
 from trendguard.graph import (
     DELETED_LEXICON,
     BipartiteGraph,
@@ -339,26 +341,34 @@ class TestLouvain:
 
 class TestCommunitySummary:
     def test_sizes_and_dormancy(self):
+        """The attack tweets are the flagged join's deleted lexicon rows:
+        user 1's on a trend-day a year before their kept tweet, user 2's
+        ten days before theirs. User 2's later deleted tweet is no attack,
+        as it is not lexicon."""
         g = bipartite([(1, "a", 1), (2, "a", 1)])
         partition = louvain(g, seed=0)
         year = 365 * 86400
+        long_ago, lately = DAY_NOON - 370 * 86400, DAY_NOON - 10 * 86400
 
-        tweets = [
-            make_tweet(1, 1, "Kalıcı görüş burada! #a", DAY_NOON, hashtags=["a"]),
-            make_tweet(2, 2, "Sohbet devam ediyor! #a", DAY_NOON, hashtags=["a"]),
-        ]
-        instance = make_instance("#a", tweets, {})
-        attack_times = {
-            1: [(DAY_NOON - 370 * 86400) * 1000],  # gap over a year: dormant
-            2: [(DAY_NOON - 10 * 86400) * 1000],
-        }
-        summaries = community_summary(partition, {(DAY, "a"): instance}, attack_times,
-                                      dormancy_s=year)
+        kept = make_instance("#a", [
+            make_tweet(1, 1, "Kalıcı görüş burada! #a", DAY_NOON),
+            make_tweet(2, 2, "Sohbet devam ediyor! #a", DAY_NOON),
+        ], {})
+        old = make_instance("#b", [make_tweet(3, 1, "yarım gün #b", long_ago)],
+                            {3: long_ago + 60}, day=DAY - timedelta(days=370))
+        recent = make_instance("#c", [make_tweet(4, 2, "yarım gün #c", lately),
+                                      make_tweet(5, 2, "Sohbet bitti! #c", lately + 3600)],
+                               {4: lately + 60, 5: lately + 4000}, day=DAY - timedelta(days=10))
+        assert list(old.flags) == [LEXICON | SINGLE_ENGAGEMENT]
+        assert [flags & LEXICON for flags in recent.flags] == [LEXICON, 0]
+        instances = {(instance.trend.date, instance.keyword.normalized): instance
+                     for instance in (old, recent, kept)}
+        summaries = community_summary(partition, instances, dormancy_s=year)
         assert len(summaries) == 1
         summary = summaries[0]
         assert summary.n_users == 2 and summary.n_trends == 1
-        assert summary.first_seen_ms == (DAY_NOON - 370 * 86400) * 1000
-        assert summary.last_seen_ms == (DAY_NOON - 10 * 86400) * 1000
+        assert summary.first_seen_ms == long_ago * 1000
+        assert summary.last_seen_ms == lately * 1000
         gaps = dict(summary.dormancy_gaps)
         assert gaps[1] == 370 * 86400
         assert summary.dormant_users == [1]

@@ -21,6 +21,7 @@ from trendguard.ingest import (
     TrendDay,
     Tweet,
     _parse_created_at,
+    _parse_iso_ms,
     build_trend_instances,
     load_trend_days,
     load_trend_epochs,
@@ -611,6 +612,22 @@ class TestBuildTrendInstance:
             multi = combined[(trend.date, trend.keyword.normalized)]
             assert [t.id for t in multi.tweets] == [t.id for t in single.tweets]
             assert multi.deletions == single.deletions
+
+
+@pytest.mark.parametrize("value, ms", [
+    ("2019-06-18T09:00:00Z", 1560848400000),
+    ("2019-06-18T12:00:00+03:00", 1560848400000),
+    ("2019-06-18T09:00:00", 1560848400000),              # no offset: UTC
+    ("2019-06-18T09:00:00.999Z", 1560848400000),
+    ("1970-01-01T00:00:00Z", 0),
+    ("1969-12-31T23:59:59.500Z", -1000),                 # floored, not truncated toward 0
+    ("1969-12-31T23:59:59Z", -1000),
+    ("9999-12-31T23:59:59.999999Z", 253402300799000),    # past a float's precision
+    ("0001-01-01T00:00:00Z", -62135596800000),
+])
+def test_iso_instant_is_its_whole_second_exactly(value, ms):
+    """A trend snapshot's time reads as its second, in integers throughout."""
+    assert _parse_iso_ms(value) == ms
 
 
 class TestCreatedAt:

@@ -8,7 +8,10 @@ import bz2
 import gzip
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import timedelta
 from pathlib import Path
@@ -201,3 +204,39 @@ def test_serial_pooled_and_in_memory_joins_agree(tmp_path, pool, discover, flagg
         assert filled == [(DAY, "konu"), (DAY, "gundem"), (DAY, "tepel sobar"),
                           (DAY + timedelta(days=1), "konu")]
         assert any(instance.invalid_deletions for instance in serial.values())
+
+
+_DISCOVER = """
+from trendguard.ingest import Tweet, build_trend_instances
+print([tag for _, tag in build_trend_instances(None, [Tweet(1, 1, "#gama #alfa #beta", 1560852000000)])])
+"""
+
+
+def test_discovery_order_holds_under_every_hash_seed():
+    """One tweet's hashtag-days are discovered in tag order, not in the
+    order of a set of strings, which the interpreter's hash seed sets."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    orders = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        orders.add(subprocess.run([sys.executable, "-c", _DISCOVER], env=env, capture_output=True,
+                                  text=True, check=True, timeout=60).stdout)
+    assert orders == {"['alfa', 'beta', 'gama']\n"}
+
+
+def test_pooled_and_serial_discovery_find_one_key_order(tmp_path, pool):
+    """Each file starts with a tweet of four tags new to the join, which a
+    spawned worker, under its own hash seed, files as the serial join does."""
+    paths = []
+    for index in range(4):
+        tags = [f"#{name}{index}" for name in ("dort", "bir", "uc", "iki")]
+        path = tmp_path / f"part{index}.jsonl"
+        path.write_text(_status(index * 10, 1, " ".join(tags), DAY_NOON) + "\n"
+                        + _status(index * 10 + 1, 2, tags[0] + " yine", DAY_NOON + 60) + "\n")
+        paths.append(str(path))
+    serial = build_instances_from_files(None, paths, "tr")
+    pooled = build_instances_from_files(None, paths, "tr", map_fn=pool.map)
+    assert _rows(serial) == _rows(pooled)
+    assert list(serial) == [(DAY, f"{name}{index}") for index in range(4)
+                            for name in ("bir", "dort", "iki", "uc")]

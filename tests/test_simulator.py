@@ -10,7 +10,7 @@ import pytest
 
 from trendguard.core import normalize_keyword
 from trendguard.ingest import Deletion, Tweet
-from trendguard.classify import is_lexicon_tweet
+from trendguard.classify import _lexicon_test
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
 from trendguard.simulator import (
@@ -46,8 +46,9 @@ class TestLexiconText:
 
     def test_round_trip_classification(self):
         rng = random.Random(8)
+        is_lexicon = _lexicon_test(None, "tr")
         for _ in range(1000):
-            assert is_lexicon_tweet(gen_lexicon_text(WORDLIST, rng))
+            assert is_lexicon(gen_lexicon_text(WORDLIST, rng))
 
     def test_token_counts_in_band(self):
         rng = random.Random(9)
