@@ -43,6 +43,7 @@ from .ingest import (
     id_line_filter,
     load_trend_days,
     load_trend_epochs,
+    parse_date,
     read_stream,
 )
 
@@ -313,7 +314,7 @@ def _load_verdict_map(path) -> dict[tuple[date, str], bool]:
                     raise ValueError("a verdict record needs date, keyword and attacked")
                 if not isinstance(record["keyword"], str) or not isinstance(record["attacked"], bool):
                     raise ValueError("a verdict's keyword must be a string and attacked a boolean")
-                key = (date.fromisoformat(record["date"]), record["keyword"])
+                key = (parse_date(record["date"]), record["keyword"])
                 mapping[key] = mapping.get(key, False) or record["attacked"]
             except (TypeError, ValueError) as exc:
                 raise BadRow(f"{path}:{lineno}: {exc}") from exc

@@ -482,10 +482,35 @@ def read_stream(
 # Trend snapshot files
 # ---------------------------------------------------------------------------
 
+# The ISO 8601 forms the package reads. From Python 3.11 on, fromisoformat
+# reads more (20190618, 2019-W25-3, +0300, a 1-digit fraction) than 3.10
+# does, so each text is matched here first: a date is YYYY-MM-DD, and an
+# instant is one 3.10 reads (a 'T' or blank after the date, then hours with
+# optional minutes, seconds and a 3- or 6-digit fraction, and an optional
+# +HH:MM[:SS[.ffffff]] offset) or that with 'Z' for its offset.
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_ISO_INSTANT_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
+def parse_date(text: str) -> date:
+    """A YYYY-MM-DD date: the one form of a date that every file, record
+    and scenario the package reads may hold."""
+    if _ISO_DATE_RE.fullmatch(text) is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_iso_ms(value: str) -> int:
     """An ISO 8601 instant as epoch ms, floored to the whole second (UTC
     when it names no offset)."""
     text = value.strip()
+    if _ISO_INSTANT_RE.fullmatch(text) is None:
+        raise BadTimestamp(f"unparsable timestamp: {value!r}")
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
@@ -535,11 +560,13 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
     """Load a `captured_at,location,rank,keyword,volume` CSV into epochs.
 
     Rows sharing (captured_at, location) form one epoch; ranks must be the
-    contiguous sequence 1..n. An empty volume cell means the platform
-    reported none.
+    contiguous sequence 1..n. A volume is plain digits, and an empty volume
+    cell means the platform reported none.
     """
     def parse(row):
         volume = (row.get("volume") or "").strip()
+        if volume and _DIGITS_RE.fullmatch(volume) is None:
+            raise ValueError(f"a volume must be plain digits, got {volume!r}")
         key = (_parse_iso_ms(row["captured_at"]), (row.get("location") or "").strip())
         rank = int(row["rank"])
         return key, (rank, normalize_keyword(row["keyword"], locale), int(volume) if volume else None)
@@ -565,7 +592,7 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
 def load_trend_days(source, locale: str = DEFAULT_LOCALE) -> list[TrendDay]:
     """Load a `date,keyword` CSV into unique TrendDays, input order preserved."""
     def parse(row):
-        return TrendDay(date.fromisoformat(row["date"].strip()), normalize_keyword(row["keyword"], locale))
+        return TrendDay(parse_date(row["date"].strip()), normalize_keyword(row["keyword"], locale))
 
     days: dict[tuple[date, str], TrendDay] = {}
     with _text_input(source) as handle:

@@ -16,11 +16,14 @@ import json
 import random
 import re
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, get_type_hints
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, get_type_hints,
+)
 
 from .core import (
     DEFAULT_LOCALE,
@@ -41,6 +44,7 @@ from .ingest import (
     _keyword_index,
     _text_input,
     build_trend_instances,
+    parse_date,
 )
 from .classify import flags_for_instance
 from .detector import AttackParams, DetectorConfig, score_instance
@@ -391,6 +395,15 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
+        for name, least in (("epoch_seconds", 1), ("attack_creation_span", 0),
+                            ("attack_deletion_span", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for count, least in (("bots", 1), ("organic_tweets", 0), ("adoption_tweets", 0)):
+            low, high = getattr(self, f"{count}_min"), getattr(self, f"{count}_max")
+            if not least <= low <= high:
+                raise ValueError(f"{count}_min and {count}_max must hold "
+                                 f"{least} <= {count}_min <= {count}_max, got {low} and {high}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -647,18 +660,27 @@ def _generate_events(
 # Toy trending oracle with the deletion-penalty countermeasure
 # ---------------------------------------------------------------------------
 
+class KeywordStream(NamedTuple):
+    """One keyword's share of a stream as int columns, in stream order: each
+    matched tweet's creation ms and user, and the ms of each of its deletion notices."""
+
+    created_ms: array
+    user_ids: array
+    deleted_ms: array
+
+
 def group_stream_by_keyword(
     events: Iterable[TweetEvent],
     keywords: Iterable[Keyword],
     locale: str = DEFAULT_LOCALE,
-) -> dict[str, list[TweetEvent]]:
-    """Split a stream into per-keyword event lists keyed by normalized form.
+) -> dict[str, KeywordStream]:
+    """Split a stream into one KeywordStream per keyword, keyed by normalized form.
 
-    A tweet joins the list of every keyword its text contains, matched as
-    the trend-day join matches them (keywords that share a normalized form
-    share one list); deletions follow their tweet.
+    A tweet joins the stream of every keyword its text contains, once each,
+    matched as the trend-day join matches them (keywords that share a
+    normalized form share one stream); its later deletion notices follow it.
     """
-    streams: dict[str, list[TweetEvent]] = {}
+    streams: dict[str, KeywordStream] = {}
     for _ in tee_by_keyword(events, keywords, streams, locale):
         pass
     return streams
@@ -667,31 +689,30 @@ def group_stream_by_keyword(
 def tee_by_keyword(
     events: Iterable[TweetEvent],
     keywords: Iterable[Keyword],
-    streams: dict[str, list[TweetEvent]],
+    streams: dict[str, KeywordStream],
     locale: str = DEFAULT_LOCALE,
 ) -> Iterator[TweetEvent]:
     """Yield ``events`` unchanged while filing them into ``streams`` as
     group_stream_by_keyword does, so the pass that writes a stream can
-    group it too.
+    group it too. It keeps ints, never an event.
     """
     keywords = list(keywords)
     contained = _keyword_index(keywords, locale)
-    streams.update((k.normalized, []) for k in keywords)
-    # Each tweet's keys, one tuple shared by every tweet with the same keys.
-    owner: dict[int, tuple[tuple[str, str], ...]] = {}
-    shared: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
+    streams.update((k.normalized, KeywordStream(array("q"), array("q"), array("q"))) for k in keywords)
+    owner: dict[int, tuple[str, ...]] = {}  # each matched tweet's names
+    names_of: dict[tuple, tuple[str, ...]] = {}  # each key tuple's names, each name once
     for event in events:
         if isinstance(event, Tweet):
-            keys = tuple(contained(event.text))
-            if keys:
-                owner[event.id] = shared.setdefault(keys, keys)
+            if keys := tuple(contained(event.text)):
+                names = owner[event.id] = names_of.get(keys) or names_of.setdefault(
+                    keys, tuple(dict.fromkeys(name for _, name in keys)))
+                for name in names:
+                    created_ms, user_ids, _ = streams[name]
+                    created_ms.append(event.created_ms)
+                    user_ids.append(event.user_id)
         else:
-            keys = owner.get(event.tweet_id, ())
-        for _, name in keys:
-            stream = streams[name]
-            # A key can repeat, and keywords can share a list: add once.
-            if not stream or stream[-1] is not event:
-                stream.append(event)
+            for name in owner.get(event.tweet_id, ()):
+                streams[name].deleted_ms.append(event.time_ms)
         yield event
 
 
@@ -703,12 +724,12 @@ ORACLE_PENALTY_WEIGHT = 2.0
 
 
 def trend_oracle(
-    streams: Mapping[str, Sequence[TweetEvent]],
+    streams: Mapping[str, KeywordStream],
     mitigation: bool = False,
     epoch_seconds: int = 300,
 ) -> list[tuple[int, list[str]]]:
     """Rank keywords every epoch by distinct posting users in a trailing
-    window of ORACLE_WINDOW_S seconds.
+    window of ORACLE_WINDOW_S seconds, each event in the second of its ms.
 
     With mitigation on, each deletion in the window subtracts
     ORACLE_PENALTY_WEIGHT from the score, so a mass-deleted burst scores
@@ -716,17 +737,10 @@ def trend_oracle(
     keywords best first) pairs.
     """
     per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
-    bounds: list[int] = []  # each keyword's first and last event time
-    for key, events in streams.items():
-        creations: list[tuple[int, int]] = []
-        deletions: list[int] = []
-        for event in events:
-            if isinstance(event, Tweet):
-                creations.append((event.created_ms // 1000, event.user_id))
-            else:
-                deletions.append(event.time_ms // 1000)
-        creations.sort()
-        deletions.sort()
+    bounds: list[int] = []  # each keyword's first and last event second
+    for key, (created_ms, user_ids, deleted_ms) in streams.items():
+        creations = sorted(zip([ms // 1000 for ms in created_ms], user_ids))
+        deletions = sorted(ms // 1000 for ms in deleted_ms)
         if creations:
             bounds += (creations[0][0], creations[-1][0])
         bounds += deletions[:1] + deletions[-1:]
@@ -920,7 +934,7 @@ def write_epochs_csv(
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:
     def parse(row):
-        key = (date.fromisoformat(row["date"]), normalize_keyword(row["keyword"], locale).normalized)
+        key = (parse_date(row["date"]), normalize_keyword(row["keyword"], locale).normalized)
         return key, bool(int(row["attacked"]))
 
     with _text_input(path) as handle:
@@ -939,7 +953,7 @@ _PARAM_FIELDS = get_type_hints(AttackParams)
 _PARSERS = {
     int: int,
     float: float,
-    date: date.fromisoformat,
+    date: parse_date,
     Optional[str]: str,
 }
 

@@ -16,10 +16,12 @@ after the join: the Tweet-and-dict path, where an instance holds whole
 Tweets (`TweetInstance`) and a TweetFlags dict by id is computed after the
 join, with the features, attack candidates and astrobot labels that read
 them; for the file join's raw-line test: the deletion test and the
-creation test as separate calls; and for the parser and the flags: a line
+creation test as separate calls; for the parser and the flags: a line
 parsed into a frozen Tweet or Deletion through one call per layer and
 field, read_stream counting as it goes, and a tweet's flag byte worked out
-per call.
+per call; and for the toy trend oracle: the grouping that keeps each
+keyword's matched events whole, and the ranking that splits them again
+into (second, user) pairs and deletion seconds.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
@@ -38,7 +40,9 @@ flags each tweet as the join files it and keeps a trend-day as int
 columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
 call (`trendguard.ingest._Join.keep`), decodes each kept line once into
 the Tweet the join files (`trendguard.ingest.parse_stream_line`) and flags
-it with one function per keyword (`trendguard.classify.flags_for_instance`);
+it with one function per keyword (`trendguard.classify.flags_for_instance`),
+and files each keyword's share of a simulated stream as int columns that
+the toy oracle ranks (`trendguard.simulator.KeywordStream`);
 the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
@@ -94,6 +98,7 @@ from trendguard.ingest import (
     _clean_token,
     _escape_sensitive,
     _int64,
+    _keyword_index,
     _open_source,
     _parse_created_at,
     day_number_to_date,
@@ -101,7 +106,13 @@ from trendguard.ingest import (
     text_tokens,
 )
 from trendguard.metrics import NeverTrended, TrendLifecycle
-from trendguard.simulator import GeoTweet, format_created_at
+from trendguard.simulator import (
+    ORACLE_PENALTY_WEIGHT,
+    ORACLE_TOP_K,
+    ORACLE_WINDOW_S,
+    GeoTweet,
+    format_created_at,
+)
 
 
 @dataclass
@@ -1285,7 +1296,7 @@ def discover_instances(
             day = local_day(event.created_ms, tz_offset)
             if day not in _DATED_DAYS:
                 continue
-            for tag in extract_hashtags(event.text, locale):
+            for tag in sorted(extract_hashtags(event.text, locale)):
                 key = (day_number_to_date(day), tag)
                 if key not in builders:
                     trend = TrendDay(key[0], Keyword("#" + tag, tag, HASHTAG))
@@ -1294,3 +1305,114 @@ def discover_instances(
         elif isinstance(event, Deletion):
             _note_deletion(deletions, event.tweet_id, event.time_ms)
     return {key: builder.build(deletions) for key, builder in builders.items()}
+
+
+def group_stream_by_keyword(
+    events: Iterable[TweetEvent],
+    keywords: Iterable[Keyword],
+    locale: str = DEFAULT_LOCALE,
+) -> dict[str, list[TweetEvent]]:
+    """Split a stream into per-keyword event lists keyed by normalized form.
+
+    A tweet joins the list of every keyword its text contains, matched as
+    the trend-day join matches them (keywords that share a normalized form
+    share one list); deletions follow their tweet.
+    """
+    streams: dict[str, list[TweetEvent]] = {}
+    for _ in tee_by_keyword(events, keywords, streams, locale):
+        pass
+    return streams
+
+
+def tee_by_keyword(
+    events: Iterable[TweetEvent],
+    keywords: Iterable[Keyword],
+    streams: dict[str, list[TweetEvent]],
+    locale: str = DEFAULT_LOCALE,
+) -> Iterator[TweetEvent]:
+    """Yield ``events`` unchanged while filing them into ``streams`` as
+    group_stream_by_keyword does, so the pass that writes a stream can
+    group it too.
+    """
+    keywords = list(keywords)
+    contained = _keyword_index(keywords, locale)
+    streams.update((k.normalized, []) for k in keywords)
+    # Each tweet's keys, one tuple shared by every tweet with the same keys.
+    owner: dict[int, tuple[tuple[str, str], ...]] = {}
+    shared: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
+    for event in events:
+        if isinstance(event, Tweet):
+            keys = tuple(contained(event.text))
+            if keys:
+                owner[event.id] = shared.setdefault(keys, keys)
+        else:
+            keys = owner.get(event.tweet_id, ())
+        for _, name in keys:
+            stream = streams[name]
+            # A key can repeat, and keywords can share a list: add once.
+            if not stream or stream[-1] is not event:
+                stream.append(event)
+        yield event
+
+
+def trend_oracle(
+    streams: Mapping[str, Sequence[TweetEvent]],
+    mitigation: bool = False,
+    epoch_seconds: int = 300,
+) -> list[tuple[int, list[str]]]:
+    """Rank keywords every epoch by distinct posting users in a trailing
+    window of ORACLE_WINDOW_S seconds.
+
+    With mitigation on, each deletion in the window subtracts
+    ORACLE_PENALTY_WEIGHT from the score, so a mass-deleted burst scores
+    itself out of the list. Returns (epoch time ms, top ORACLE_TOP_K
+    keywords best first) pairs.
+    """
+    per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
+    bounds: list[int] = []  # each keyword's first and last event time
+    for key, events in streams.items():
+        creations: list[tuple[int, int]] = []
+        deletions: list[int] = []
+        for event in events:
+            if isinstance(event, Tweet):
+                creations.append((event.created_ms // 1000, event.user_id))
+            else:
+                deletions.append(event.time_ms // 1000)
+        creations.sort()
+        deletions.sort()
+        if creations:
+            bounds += (creations[0][0], creations[-1][0])
+        bounds += deletions[:1] + deletions[-1:]
+        per_keyword[key] = (creations, deletions)
+    if not bounds:
+        return []
+
+    first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
+    last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
+    epochs = range(first_epoch, last_epoch + 1, epoch_seconds)
+    w = ORACLE_WINDOW_S
+
+    scored: list[list[tuple[float, str]]] = [[] for _ in epochs]
+    for key, (creations, deletions) in per_keyword.items():
+        users: dict[int, int] = {}  # posts per user in the window
+        lo = hi = 0  # the window's creations are creations[lo:hi]
+        for t, ranked in zip(epochs, scored):
+            while hi < len(creations) and creations[hi][0] <= t:
+                user = creations[hi][1]
+                users[user] = users.get(user, 0) + 1
+                hi += 1
+            while lo < hi and creations[lo][0] <= t - w:
+                user = creations[lo][1]
+                users[user] -= 1
+                if users[user] == 0:
+                    del users[user]
+                lo += 1
+            score = float(len(users))
+            if mitigation:
+                score -= ORACLE_PENALTY_WEIGHT * (
+                    bisect_right(deletions, t) - bisect_right(deletions, t - w)
+                )
+            if score > 0:
+                ranked.append((-score, key))
+    return [(t * 1000, [key for _, key in sorted(ranked)[:ORACLE_TOP_K]])
+            for t, ranked in zip(epochs, scored)]

@@ -567,6 +567,22 @@ class TestMetricsCmd:
         assert "the locations 'turkey', 'world'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_a_verdict_date_is_yyyy_mm_dd(self, tmp_path, capsys):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("")
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,keyword\n2019-06-18,#foo\n")
+        epochs = tmp_path / "epochs.csv"
+        epochs.write_text("captured_at,location,rank,keyword,volume\n"
+                          "2019-06-18T12:00:00Z,tr,1,#foo,\n")
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(json.dumps({"date": "20190618", "keyword": "foo",
+                                        "attacked": False}) + "\n")
+        assert main(["metrics", "--stream", str(stream), "--trends", str(trends),
+                     "--epochs", str(epochs), "--verdicts", str(verdicts),
+                     "--out", str(tmp_path / "metrics")]) == 1
+        assert f"{verdicts}:1: not a YYYY-MM-DD date: '20190618'" in capsys.readouterr().err
+
     def test_verdicts_file_with_a_byte_order_mark(self, sim_with_epochs, tmp_path):
         sim = sim_with_epochs
         inputs = ["--stream", str(sim / "stream.jsonl"), "--trends", str(sim / "trends.csv")]

@@ -241,8 +241,7 @@ def test_the_file_join_equals_the_oracle_join(pool, lines, trend_list, discover,
             joined = build_instances_from_files(trends, paths, locale, DEFAULT_TZ_OFFSET,
                                                 stats=stats, map_fn=map_fn, flagger=flagger)
             assert library_rows(joined) == expected
-            if trends is not None:
-                assert list(joined) == list(expected)
+            assert list(joined) == list(expected)
             assert stats == expected_stats and stats.consistent
 
 

@@ -4,7 +4,8 @@ no third-party numerics, and the project declares no runtime dependency.
 A command runs only the layers it uses, while `import trendguard.cli` still
 registers every layer that bench/trace.py binds its wrappers in. The join's
 private parts stay inside trendguard.ingest, a creation event is the Tweet
-itself, and no public name of the package is there for the tests alone."""
+itself, a date or instant is read by ingest's two readers alone, and no
+public name of the package is there for the tests alone."""
 
 import ast
 import importlib.util
@@ -170,6 +171,24 @@ def test_a_creation_event_is_the_tweet_itself():
     assert found == []
     ingest = importlib.import_module("trendguard.ingest")
     assert ingest.Creation is ingest.Tweet
+
+
+# The functions that check a text against the forms every supported Python
+# reads alike before they hand it to fromisoformat.
+ISO_READERS = {("ingest.py", "parse_date"), ("ingest.py", "_parse_iso_ms")}
+
+
+def test_only_the_iso_readers_use_fromisoformat():
+    """fromisoformat reads more forms from Python 3.11 on than on 3.10, so
+    no other function calls it or hands it on."""
+    found = []
+    for path in sorted((ROOT / "src" / "trendguard").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(statement, "name", None)) in ISO_READERS:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(statement)
+                      if isinstance(node, ast.Attribute) and node.attr == "fromisoformat"]
+    assert found == []
 
 
 def _referenced(tree: ast.AST) -> set[str]:

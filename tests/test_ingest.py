@@ -14,6 +14,7 @@ from trendguard import ingest
 from trendguard.core import normalize_keyword
 from trendguard.ingest import (
     BadRank,
+    BadRow,
     BadTimestamp,
     Deletion,
     MalformedLine,
@@ -32,6 +33,7 @@ from trendguard.ingest import (
 from trendguard.simulator import format_created_at
 
 from conftest import DAY, DAY_NOON, fifo_of, make_tweet, pipe_payload, read_all
+from date_forms import DATES, INSTANTS, check_date, check_instant
 from oracles import build_trend_instance, match_keyword
 
 STATUS_LINE = json.dumps(
@@ -490,6 +492,13 @@ class TestTrendFiles:
         with pytest.raises(BadRank):
             load_trend_epochs(io.StringIO(csv_text))
 
+    @pytest.mark.parametrize("volume", ["-5", "1_000", "+5", "1e3", "٥", "0x10"])
+    def test_a_volume_is_plain_digits(self, volume):
+        csv_text = f"captured_at,location,rank,keyword,volume\n2019-06-18T12:00:00Z,tr,1,#a,{volume}\n"
+        with pytest.raises(BadRow) as raised:
+            load_trend_epochs(io.StringIO(csv_text))
+        assert str(raised.value).startswith("<input>:2: a volume must be plain digits")
+
     def test_bad_timestamp(self):
         csv_text = "captured_at,location,rank,keyword,volume\nnot-a-time,tr,1,#a,\n"
         with pytest.raises(BadTimestamp):
@@ -628,6 +637,16 @@ class TestBuildTrendInstance:
 def test_iso_instant_is_its_whole_second_exactly(value, ms):
     """A trend snapshot's time reads as its second, in integers throughout."""
     assert _parse_iso_ms(value) == ms
+
+
+@pytest.mark.parametrize("text, expected", DATES.items())
+def test_a_date_means_the_same_on_every_python(text, expected):
+    check_date(text, expected)
+
+
+@pytest.mark.parametrize("text, expected", INSTANTS.items())
+def test_a_captured_at_means_the_same_on_every_python(text, expected):
+    check_instant(text, expected)
 
 
 class TestCreatedAt:

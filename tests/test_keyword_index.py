@@ -1,7 +1,9 @@
 """The keyword matching of build_trend_instances (a hashtag looked up by
 keyword and day, an n-gram through the keyword index) and of
 group_stream_by_keyword (the keyword index) assigns a tweet exactly the
-keywords that the reference match_keyword accepts."""
+keywords that the reference match_keyword accepts; the toy trend oracle
+ranks the grouping's int columns as the event-list oracle ranks its
+events."""
 
 from datetime import timedelta
 
@@ -15,8 +17,9 @@ from trendguard.ingest import (
     _Join,
     build_trend_instances,
 )
-from trendguard.simulator import group_stream_by_keyword
+from trendguard.simulator import group_stream_by_keyword, trend_oracle
 
+import oracles
 from conftest import DAY, DAY_NOON, make_tweet
 from oracles import build_trend_instance, match_keyword
 
@@ -46,6 +49,18 @@ TRENDS = (
 )
 
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=7).map(" ".join)
+
+
+def columns(events):
+    """The KeywordStream columns that hold an event list, as lists."""
+    tweets = [e for e in events if isinstance(e, Tweet)]
+    return [[t.created_ms for t in tweets], [t.user_id for t in tweets],
+            [e.time_ms for e in events if isinstance(e, Deletion)]]
+
+
+def as_lists(grouped):
+    """group_stream_by_keyword's columns as lists, by name."""
+    return {name: [list(column) for column in stream] for name, stream in grouped.items()}
 
 
 @st.composite
@@ -82,7 +97,7 @@ def test_build_trend_instances_matches_reference(events, locale):
 @given(events=streams(), locale=st.sampled_from(["tr", "en"]))
 def test_group_stream_by_keyword_matches_reference(events, locale):
     keywords = [normalize_keyword(raw, locale) for raw, _ in TRENDS]
-    streams_by_name = group_stream_by_keyword(events, keywords, locale)
+    streams_by_name = as_lists(group_stream_by_keyword(events, keywords, locale))
     assert sorted(streams_by_name) == sorted({k.normalized for k in keywords})
     for name, got in streams_by_name.items():
         matched = {
@@ -95,14 +110,38 @@ def test_group_stream_by_keyword_matches_reference(events, locale):
             e for e in events
             if (e.id if isinstance(e, Tweet) else e.tweet_id) in matched
         ]
-        assert got == expected
+        assert got == columns(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=streams(), locale=st.sampled_from(["tr", "en"]), data=st.data())
+def test_trend_oracle_ranks_the_columns_as_the_event_oracle(events, locale, data):
+    """In stream order and shuffled, where a deletion notice can come before
+    its tweet and then follows none. Each event's time moves by up to a
+    second either way, some first onto an epoch's edge (a multiple of 300 s)."""
+    def moved(ms):
+        if data.draw(st.booleans()):
+            ms = ms // 300_000 * 300_000
+        return ms + data.draw(st.integers(-999, 999))
+
+    keywords = [normalize_keyword(raw, locale) for raw, _ in TRENDS]
+    events = [e._replace(created_ms=moved(e.created_ms)) if isinstance(e, Tweet)
+              else e._replace(time_ms=moved(e.time_ms)) for e in events]
+    for stream in (events, data.draw(st.permutations(events))):
+        grouped = group_stream_by_keyword(stream, keywords, locale)
+        expected = oracles.group_stream_by_keyword(stream, keywords, locale)
+        assert as_lists(grouped) == {name: columns(held) for name, held in expected.items()}
+        for mitigation in (False, True):
+            for epoch_seconds in (300, 900):
+                assert trend_oracle(grouped, mitigation, epoch_seconds) == \
+                    oracles.trend_oracle(expected, mitigation, epoch_seconds)
 
 
 def test_one_word_ngram_matches_the_bare_word():
     keyword = normalize_keyword("galatasaray")
     events = [make_tweet(1, 1, "Galatasaray kazandı", DAY_NOON)]
     assert match_keyword("Galatasaray kazandı", keyword)
-    assert group_stream_by_keyword(events, [keyword]) == {"galatasaray": events}
+    assert as_lists(group_stream_by_keyword(events, [keyword])) == {"galatasaray": columns(events)}
 
 
 def test_ngram_keyword_tokens_are_cleaned_like_text_tokens():

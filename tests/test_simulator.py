@@ -9,13 +9,14 @@ from datetime import date, timedelta
 import pytest
 
 from trendguard.core import normalize_keyword
-from trendguard.ingest import Deletion, Tweet
+from trendguard.ingest import BadRow, Deletion, Tweet
 from trendguard.classify import _lexicon_test
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
 from trendguard.features import count_features
 from trendguard.simulator import (
     GeoTweet,
     InfeasibleParams,
+    SCENARIO_LOCALE,
     ScenarioConfig,
     WordlistTooSmall,
     build_stream,
@@ -23,6 +24,7 @@ from trendguard.simulator import (
     gen_attack,
     gen_lexicon_text,
     gen_organic_trend,
+    group_stream_by_keyword,
     id_sampler,
     load_scenario,
     load_truth_csv,
@@ -423,7 +425,7 @@ class TestTrendOracle:
         rng = random.Random(21)
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
-        streams = {"saldiri": cluster}
+        streams = group_stream_by_keyword(cluster, [kw], "tr")
         epochs = trend_oracle(streams, mitigation=False)
         assert any("saldiri" in top for _, top in epochs)
 
@@ -432,7 +434,7 @@ class TestTrendOracle:
         rng = random.Random(21)
         cluster = gen_attack(kw, AttackParams(), 400, 10_020, rng, WORDLIST,
                              creation_span=55, deletion_span=55, deletion_lag=5)
-        streams = {"saldiri": cluster}
+        streams = group_stream_by_keyword(cluster, [kw], "tr")
         epochs = trend_oracle(streams, mitigation=True)
         assert not any("saldiri" in top for _, top in epochs)
 
@@ -441,13 +443,31 @@ class TestTrendOracle:
         rng = random.Random(22)
         cluster = gen_organic_trend(kw, 2000, 4 * 3600, rng, WORDLIST, t0=9000,
                                     deletion_rate=0.023)
-        streams = {"dogal": cluster}
+        streams = group_stream_by_keyword(cluster, [kw], "tr")
         off = trend_oracle(streams, mitigation=False)
         on = trend_oracle(streams, mitigation=True)
         entered_off = {ts // 1000 for ts, top in off if "dogal" in top}
         entered_on = {ts // 1000 for ts, top in on if "dogal" in top}
         assert entered_off
         assert len(entered_on) >= 0.9 * len(entered_off)
+
+    def test_the_grouping_holds_ints_not_events(self):
+        # The bench's smoke scenario: once the grouping returns, each matched
+        # creation costs its columns' ints, not a kept Tweet and its text.
+        config = ScenarioConfig(n_days=1, organic_per_day=3, attacked_per_day=1,
+                                attacks_per_day=4, background_per_day=400)
+        labeled = build_stream(config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values(),
+                                              SCENARIO_LOCALE)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        matched = sum(len(stream.created_ms) for stream in streams.values())
+        assert matched > 5000
+        assert held <= 96 * matched
 
 
 class TestPlantedPrevalence:
@@ -526,13 +546,32 @@ class TestScenarioFiles:
         ("start_date = 2019-02-30\n", ":1: "),
         ("sample_rate = 2\n", ": sample_rate"),
         ("kappa = 0\n", ": kappa"),
-    ], ids=["seed", "start_date", "sample_rate", "kappa"])
+        ("start_date = 20190618\n", ":1: not a YYYY-MM-DD date"),
+        ("epoch_seconds = 0\n", ": epoch_seconds"),
+        ("epoch_seconds = -300\n", ": epoch_seconds"),
+        ("bots_min = 700\n", ": bots_min"),
+        ("bots_min = 0\n", ": bots_min"),
+        ("organic_tweets_min = -1\n", ": organic_tweets_min"),
+        ("adoption_tweets_min = 50\nadoption_tweets_max = 40\n", ": adoption_tweets_min"),
+        ("attack_creation_span = -5\n", ": attack_creation_span"),
+        ("attack_deletion_span = -1\n", ": attack_deletion_span"),
+    ], ids=["seed", "start_date", "sample_rate", "kappa", "start_date_basic_form",
+            "epoch_seconds_0", "epoch_seconds_negative", "bots_min_above_max", "bots_min_0",
+            "organic_tweets_min_negative", "adoption_tweets_min_above_max",
+            "attack_creation_span_negative", "attack_deletion_span_negative"])
     def test_bad_value_names_file_and_line(self, tmp_path, text, prefix):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ValueError) as raised:
             load_scenario(str(path))
         assert str(raised.value).startswith(f"{path}{prefix}")
+
+    def test_a_truth_date_is_yyyy_mm_dd(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("date,keyword,attacked\n2019-W25-3,#Tag,1\n")
+        with pytest.raises(BadRow) as raised:
+            load_truth_csv(str(path))
+        assert str(raised.value) == f"{path}:2: not a YYYY-MM-DD date: '2019-W25-3'"
 
     def test_quoted_value_keeps_a_hash(self, tmp_path):
         wordlist = tmp_path / 'wl#1 "x"' / "words.txt"
