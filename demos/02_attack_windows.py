@@ -47,7 +47,7 @@ for event in clusters:
           f"creation span {event.creation_window_s}s | "
           f"deletion span {event.deletion_window_s}s | "
           f"max lifetime {event.max_lifetime_s}s")
-    planted = event.users & planted_bots
+    planted = set(event.users) & planted_bots
     print(f"  -> {len(planted)}/{len(event.users)} members are the planted bots")
 
 vector = count_features(instance)

@@ -274,8 +274,8 @@ def _cmd_detect(args, out: _Outputs) -> int:
                     handle.write(json.dumps({
                         "date": instance.trend.date.isoformat(),
                         "keyword": instance.keyword.normalized,
-                        "tweet_ids": sorted(event.tweet_ids),
-                        "users": sorted(event.users),
+                        "tweet_ids": list(event.tweet_ids),
+                        "users": list(event.users),
                         "start_s": event.start_ms // 1000,
                         "end_s": event.end_ms // 1000,
                         "creation_window_s": event.creation_window_s,

@@ -11,10 +11,11 @@ the configured attack parameters, with at most one tweet per user.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -187,10 +188,14 @@ def score_instance(instance: TrendInstance, config: DetectorConfig) -> Verdict:
 @dataclass(frozen=True, slots=True)
 class AttackEvent:
     """A concrete tweet cluster satisfying all attack-model conditions: from
-    its first creation to its last deletion, with its spans in seconds."""
+    its first creation to its last deletion, with its spans in seconds.
 
-    tweet_ids: frozenset[int]
-    users: frozenset[int]
+    ``tweet_ids`` and ``users`` are int64 columns in ascending order, 8
+    bytes a member; a cluster has one tweet per user, so the users are
+    distinct and as many as the tweets."""
+
+    tweet_ids: array
+    users: array
     start_ms: int
     end_ms: int
     creation_window_s: int
@@ -284,16 +289,19 @@ def detect_attack_windows(
     # Candidate index j is creation order; rank r is deletion order. p and d
     # hold whole seconds, so their differences are spans (core.span_s).
     ids, users = instance.ids, instance.users
-    created = [instance.created_ms[i] for i in cands]
-    deleted = [instance.deleted_ms[i] for i in cands]
-    p = [ms // 1000 for ms in created]
+    # The candidates' times are int64 arrays: they live beside the events
+    # being returned, and a list would hold an int object for each. The
+    # ranks, small ints read for every member, stay lists.
+    created = array("q", map(instance.created_ms.__getitem__, cands))
+    deleted = array("q", map(instance.deleted_ms.__getitem__, cands))
+    p = array("q", (ms // 1000 for ms in created))
     by_rank = sorted(range(n), key=lambda j: (deleted[j], ids[cands[j]]))
     rank = [0] * n
     for r, j in enumerate(by_rank):
         rank[j] = r
-    d = [deleted[j] // 1000 for j in by_rank]
+    d = array("q", (deleted[j] // 1000 for j in by_rank))
     # past[r]: the first rank deleted after second d[r] + alpha_d.
-    past = [bisect_right(d, t + alpha_d) for t in d]
+    past = array("q", (bisect_right(d, t + alpha_d) for t in d))
 
     # The kept runs, in sweep order, so their lo is sorted.
     maximal: list[tuple[int, int, int, int]] = []
@@ -343,21 +351,25 @@ def detect_attack_windows(
 
     events = []
     for cluster in clusters:
-        indices = [by_rank[r] for r in cluster]
-        first, last = min(indices), max(indices)
+        # In creation order, the rows ascend, and ids that follow creation
+        # time (as snowflake ids do) come nearly sorted to the sort below.
+        indices = sorted(map(by_rank.__getitem__, cluster))
+        rows = list(map(cands.__getitem__, indices))
+        first, last = indices[0], indices[-1]
         low, high = min(cluster), max(cluster)
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(ids[cands[j]] for j in indices),
-                users=frozenset(users[cands[j]] for j in indices),
+                tweet_ids=array("q", sorted(map(ids.__getitem__, rows))),
+                users=array("q", sorted(map(users.__getitem__, rows))),
                 start_ms=created[first],
                 end_ms=deleted[by_rank[high]],
                 creation_window_s=p[last] - p[first],
                 deletion_window_s=d[high] - d[low],
-                max_lifetime_s=max(d[r] - p[by_rank[r]] for r in cluster),
+                max_lifetime_s=max(map(sub, map(d.__getitem__, cluster),
+                                       map(p.__getitem__, map(by_rank.__getitem__, cluster)))),
             )
         )
-    events.sort(key=lambda e: (e.start_ms, min(e.tweet_ids), -len(e.tweet_ids)))
+    events.sort(key=lambda e: (e.start_ms, e.tweet_ids[0], -len(e.tweet_ids)))
     return events
 
 

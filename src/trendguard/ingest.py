@@ -560,16 +560,19 @@ def load_trend_epochs(source, locale: str = DEFAULT_LOCALE) -> list[TrendEpoch]:
     """Load a `captured_at,location,rank,keyword,volume` CSV into epochs.
 
     Rows sharing (captured_at, location) form one epoch; ranks must be the
-    contiguous sequence 1..n. A volume is plain digits, and an empty volume
-    cell means the platform reported none.
+    contiguous sequence 1..n. A rank and a volume are plain ASCII digits,
+    and an empty volume cell means the platform reported none.
     """
     def parse(row):
         volume = (row.get("volume") or "").strip()
         if volume and _DIGITS_RE.fullmatch(volume) is None:
             raise ValueError(f"a volume must be plain digits, got {volume!r}")
         key = (_parse_iso_ms(row["captured_at"]), (row.get("location") or "").strip())
-        rank = int(row["rank"])
-        return key, (rank, normalize_keyword(row["keyword"], locale), int(volume) if volume else None)
+        rank = row["rank"].strip()
+        if _DIGITS_RE.fullmatch(rank) is None:
+            raise ValueError(f"a rank must be plain digits, got {rank!r}")
+        return key, (int(rank), normalize_keyword(row["keyword"], locale),
+                     int(volume) if volume else None)
 
     grouped: dict[tuple[int, str], list[tuple[int, Keyword, Optional[int]]]] = {}
     with _text_input(source) as handle:
@@ -761,12 +764,20 @@ class _Join:
         return *self.file(read_stream(path, stats=stats, keep=self.keep)), stats
 
     def settle(self, groups: _Groups, notices: _Notices) -> _Groups:
-        """The join's result, from every trend-day filled and every notice."""
+        """The join's result, from every trend-day filled and every notice.
+
+        The earliest notice of each id is taken from the smaller side: from
+        every notice when there are no more of them than matched rows, else
+        from the notices of a set of the matched ids. Only matched ids are
+        looked up, so both give the same result."""
         if self.args[0] is not None:
             groups = {key: groups[key] if key in groups else self.open_instance(trend)
                       for key, trend in self.trends.items()}
-        deletions = notices.earliest({tweet_id for instance in groups.values()
-                                      for tweet_id in instance.ids})
+        if len(notices.ids) <= sum(len(instance.ids) for instance in groups.values()):
+            deletions = notices.earliest()
+        else:
+            deletions = notices.earliest({tweet_id for instance in groups.values()
+                                          for tweet_id in instance.ids})
         for instance in groups.values():
             _instance(instance, deletions)
         return groups
@@ -935,11 +946,12 @@ class _Notices:
         self.ids.extend(other.ids)
         self.times.extend(other.times)
 
-    def earliest(self, wanted: set[int]) -> dict[int, int]:
-        """The earliest notice (ms) of each wanted tweet id that has one."""
+    def earliest(self, wanted: Optional[set[int]] = None) -> dict[int, int]:
+        """The earliest notice (ms) of each noticed tweet id, or of each
+        wanted one."""
         found: dict[int, int] = {}
         for tweet_id, when in zip(self.ids, self.times):
-            if tweet_id in wanted:
+            if wanted is None or tweet_id in wanted:
                 found[tweet_id] = min(when, found.get(tweet_id, when))
         return found
 

@@ -933,9 +933,14 @@ def write_epochs_csv(
 
 
 def load_truth_csv(path: str, locale: str = DEFAULT_LOCALE) -> dict[tuple[date, str], bool]:
+    """Each trend-day's truth label, as write_truth_csv writes it: `attacked`
+    is 0 or 1."""
     def parse(row):
         key = (parse_date(row["date"]), normalize_keyword(row["keyword"], locale).normalized)
-        return key, bool(int(row["attacked"]))
+        attacked = row["attacked"].strip()
+        if attacked not in ("0", "1"):
+            raise ValueError(f"attacked must be 0 or 1, got {attacked!r}")
+        return key, attacked == "1"
 
     with _text_input(path) as handle:
         return dict(_csv_rows(handle, ("date", "keyword", "attacked"), parse))

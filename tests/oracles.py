@@ -56,6 +56,7 @@ import json
 import random
 import re
 import statistics
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -689,8 +690,8 @@ def detect_attack_windows(
         low, high = min(cluster), max(cluster)
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(cands[j][0].id for j in members),
-                users=frozenset(cands[j][0].user_id for j in members),
+                tweet_ids=array("q", sorted({cands[j][0].id for j in members})),
+                users=array("q", sorted({cands[j][0].user_id for j in members})),
                 start_ms=cands[first][0].created_ms,
                 end_ms=cands[by_rank[high]][1],
                 creation_window_s=p[last] - p[first],

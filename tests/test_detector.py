@@ -177,7 +177,7 @@ class TestDetectAttackWindows:
         events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
         event = events[0]
-        assert event.tweet_ids == frozenset(range(1, 6))
+        assert list(event.tweet_ids) == [1, 2, 3, 4, 5]
         assert len(event.users) == 5
         assert event.creation_window_s <= self.PARAMS.alpha_p
         assert event.deletion_window_s <= self.PARAMS.alpha_d
@@ -187,7 +187,7 @@ class TestDetectAttackWindows:
         instance = bot_instance(5, skip_delete={3})
         events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
-        assert events[0].tweet_ids == frozenset({1, 2, 4, 5})
+        assert list(events[0].tweet_ids) == [1, 2, 4, 5]
 
     def test_below_kappa_no_event(self):
         instance = bot_instance(3)
@@ -248,7 +248,7 @@ class TestDetectAttackWindows:
                                        merge_overlapping=True)
         assert len(unmerged) > 1
         assert len(merged) == 1
-        assert merged[0].tweet_ids == frozenset(range(1, 9))
+        assert list(merged[0].tweet_ids) == list(range(1, 9))
         assert len(merged[0].users) == 8
         assert merged[0].max_lifetime_s <= self.PARAMS.theta
 
@@ -268,8 +268,8 @@ class TestDetectAttackWindows:
         checked = 0
         for _ in range(300):
             instance = _random_detector_instance(rng, max_tweets=12)
-            got = {e.tweet_ids for e in detect_attack_windows(instance, params)}
-            expected = oracle_clusters(instance, params)
+            got = {tuple(e.tweet_ids) for e in detect_attack_windows(instance, params)}
+            expected = {tuple(sorted(ids)) for ids in oracle_clusters(instance, params)}
             assert got == expected
             checked += 1
         assert checked == 300

@@ -117,6 +117,11 @@ class TestGraphBasics:
         assert g.labels == ((TREND, "x"), (USER, "x"))
         assert list(g.targets) == [1, 0]
 
+    def test_user_ids_must_print_apart(self):
+        """Users are numbered in str order, so 1 and "1" cannot both be ids."""
+        with pytest.raises(ValueError, match="print alike"):
+            BipartiteGraph.from_edges([(1, "a", 1), ("1", "a", 1), (1, "b", 1)])
+
     def test_weight_must_be_positive(self):
         with pytest.raises(ValueError):
             bipartite([(1, "a", 0)])
@@ -372,6 +377,23 @@ class TestCommunitySummary:
         gaps = dict(summary.dormancy_gaps)
         assert gaps[1] == 370 * 86400
         assert summary.dormant_users == [1]
+
+    def test_first_and_last_attack_ignore_the_instance_order(self):
+        """User 1 attacks on two trend-days. Whichever comes first in the
+        mapping, the community is first seen at the earlier attack and last
+        seen at the later one, and the dormancy gap runs from the later."""
+        partition = louvain(bipartite([(1, "a", 1)]), seed=0)
+        early, late = DAY_NOON - 20 * 86400, DAY_NOON - 10 * 86400
+        kept = make_instance("#a", [make_tweet(1, 1, "Kalıcı görüş burada! #a", DAY_NOON)], {})
+        attacks = [make_instance(f"#{tag}", [make_tweet(tweet_id, 1, f"yarım gün #{tag}", when)],
+                                 {tweet_id: when + 60}, day=DAY - timedelta(days=days))
+                   for tag, tweet_id, when, days in (("b", 2, early, 20), ("c", 3, late, 10))]
+        for order in (attacks, attacks[::-1]):
+            instances = {(instance.trend.date, instance.keyword.normalized): instance
+                         for instance in (*order, kept)}
+            [summary] = community_summary(partition, instances)
+            assert (summary.first_seen_ms, summary.last_seen_ms) == (early * 1000, late * 1000)
+            assert summary.dormancy_gaps == [(1, 10 * 86400)]
 
 
 class TestOverlap:

@@ -499,6 +499,18 @@ class TestTrendFiles:
             load_trend_epochs(io.StringIO(csv_text))
         assert str(raised.value).startswith("<input>:2: a volume must be plain digits")
 
+    @pytest.mark.parametrize("rank", ["+1", "٢", "-1", "1_0", "1.0", "0x1", ""])
+    def test_a_rank_is_plain_digits(self, rank):
+        csv_text = f"captured_at,location,rank,keyword,volume\n2019-06-18T12:00:00Z,tr,{rank},#a,\n"
+        with pytest.raises(BadRow) as raised:
+            load_trend_epochs(io.StringIO(csv_text))
+        assert str(raised.value) == f"<input>:2: a rank must be plain digits, got {rank!r}"
+
+    def test_a_plain_rank_may_be_padded(self):
+        csv_text = "captured_at,location,rank,keyword,volume\n2019-06-18T12:00:00Z,tr, 1 ,#a,\n"
+        [epoch] = load_trend_epochs(io.StringIO(csv_text))
+        assert [rank for rank, _, _ in epoch.entries] == [1]
+
     def test_bad_timestamp(self):
         csv_text = "captured_at,location,rank,keyword,volume\nnot-a-time,tr,1,#a,\n"
         with pytest.raises(BadTimestamp):

@@ -52,6 +52,30 @@ def shuffled_streams(draw):
     return draw(st.permutations(events))
 
 
+@st.composite
+def lopsided_streams(draw, fewer_notices):
+    """Matching tweets, some created twice, with repeated and pre-creation
+    notices and an orphan, shaped so that the notices are fewer than the
+    matched rows or outnumber them: the join takes each earliest notice
+    from the smaller side."""
+    tweets, notices = [], []
+    per_id = (0, 2) if fewer_notices else (2, 4)
+    for tweet_id in draw(st.lists(st.integers(1, 40), min_size=1,
+                                  max_size=15 if fewer_notices else 4, unique=True)):
+        created = (DAY_NOON + draw(st.integers(0, 2))) * 1000 + draw(st.sampled_from(MILLIS))
+        tweet = Tweet(id=tweet_id, user_id=tweet_id + 100, text="bir #tag", created_ms=created,
+                      hashtags=("tag",))
+        tweets += [tweet] * draw(st.integers(1, 2))
+        notices += [Deletion(tweet_id=tweet_id, user_id=tweet_id + 100, time_ms=created + offset)
+                    for offset in draw(st.lists(st.integers(-1500, 3000),
+                                                min_size=per_id[0], max_size=per_id[1]))]
+    notices.append(Deletion(tweet_id=41, user_id=0, time_ms=DAY_NOON * 1000))
+    if fewer_notices:
+        notices = draw(st.permutations(notices))[:len(tweets) - 1]
+    assert (len(notices) < len(tweets)) == fewer_notices
+    return draw(st.permutations(tweets + notices))
+
+
 def assert_join_invariants(instance, events):
     keys = [(t.created_ms, t.id) for t in instance.tweets]
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -101,3 +125,13 @@ def test_file_join_invariants(events, split):
         found = discovered(build_instances_from_files(None, paths))
     assert_join_invariants(instance, events)
     assert_join_invariants(found, events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fewer_notices=st.booleans())
+def test_invariants_hold_whichever_side_is_smaller(data, fewer_notices):
+    """The notices fewer than the matched rows, or more: the same
+    deletions and invalid_deletions either way."""
+    events = data.draw(lopsided_streams(fewer_notices))
+    assert_join_invariants(build_trend_instances([TREND], events)[KEY], events)
+    assert_join_invariants(discovered(build_trend_instances(None, events)), events)

@@ -16,21 +16,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendguard.classify import flags_for_instance
-from trendguard.core import DELETED_LEXICON, UNDELETED
+from trendguard.core import DELETED_LEXICON, LEXICON, UNDELETED, normalize_keyword
 from trendguard.graph import (
     TREND,
     USER,
     BipartiteGraph,
     build_graph,
+    community_summary,
     k_core,
     louvain,
     modularity,
     single_attack_filter,
 )
-from trendguard.ingest import build_trend_instances
+from trendguard.ingest import TrendDay, TrendInstance, _instance, build_trend_instances
 from trendguard.simulator import SCENARIO_LOCALE, ScenarioConfig, build_stream
 
 import oracles
+from conftest import DAY, DAY_NOON
 from test_graph import edge_list
 
 
@@ -198,3 +200,69 @@ def test_from_edges_ignores_the_order_of_its_edges(graphs, data):
              for _ in range(weight)]
     shuffled = data.draw(st.permutations(split))
     assert_same_graph(BipartiteGraph.from_edges(shuffled, graph.labels), oracle_graph)
+
+
+def generated_instances(n_users, n_trends, seed):
+    """Flagged hashtag-days of n_users users with large int ids: 90 % of
+    them tweet into one trend, the rest into 2-4, and one in ten also
+    posts a deleted lexicon tweet into each of their trends."""
+    rng = random.Random(seed)
+    instances = [TrendInstance(TrendDay(DAY, normalize_keyword(f"#t{t}", "tr")),
+                               flags=bytearray()) for t in range(n_trends)]
+    deletions = {}
+    tweet_id = 0
+    for _ in range(n_users):
+        user = 2**62 + rng.getrandbits(61)
+        attacker = rng.random() < 0.1
+        for t in rng.sample(range(n_trends), 1 if rng.random() < 0.9 else rng.randint(2, 4)):
+            for deleted in (False, True) if attacker else (False,):
+                tweet_id += 1
+                created_ms = (DAY_NOON + rng.randrange(-40000, 40000)) * 1000
+                instances[t].ids.append(tweet_id)
+                instances[t].users.append(user)
+                instances[t].created_ms.append(created_ms)
+                instances[t].flags.append(LEXICON)
+                if deleted:
+                    deletions[tweet_id] = created_ms + rng.randrange(1, 10**6)
+    for instance in instances:
+        _instance(instance, deletions)
+    return {(DAY, instance.keyword.normalized): instance for instance in instances}
+
+
+def test_build_graph_keeps_at_most_80_bytes_a_node():
+    """20,000 users over 40 trends: the graph that build_graph keeps holds
+    each node's id and offset and its share of the edges, 80 B a node at
+    most (a label tuple a node took about 150 B)."""
+    instances = generated_instances(20000, 40, seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(instances, UNDELETED)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_nodes == 20040
+    assert graph.n_edges > 22000
+    assert after - before <= 80 * graph.n_nodes
+
+
+def test_community_summary_peak_stays_below_the_graphs_own_size():
+    """On the same graph, one user in ten an attacker: the peak that
+    community_summary allocates above the partition stays within the
+    graph's traced size (about 0.6 times; ordering the nodes by community
+    with a sorted list took about 1.2 times)."""
+    instances = generated_instances(20000, 40, seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(instances, UNDELETED)
+        graph_size = tracemalloc.get_traced_memory()[0] - before
+        partition = louvain(graph, seed=0)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        summaries = community_summary(partition, instances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(s.dormancy_gaps) for s in summaries) > 1500
+    assert peak - held <= 1.0 * graph_size

@@ -98,7 +98,7 @@ class TestGenAttack:
         instance = make_instance("#hedef", tweets, deletions)
         events = detect_attack_windows(instance, self.PARAMS)
         assert len(events) == 1
-        assert events[0].tweet_ids == frozenset(t.id for t in tweets)
+        assert list(events[0].tweet_ids) == sorted(t.id for t in tweets)
 
     def test_infeasible_theta(self):
         params = AttackParams(theta=1)
@@ -572,6 +572,21 @@ class TestScenarioFiles:
         with pytest.raises(BadRow) as raised:
             load_truth_csv(str(path))
         assert str(raised.value) == f"{path}:2: not a YYYY-MM-DD date: '2019-W25-3'"
+
+    @pytest.mark.parametrize("attacked", ["-1", "2", "1_0", "01", "true", "٠", ""])
+    def test_a_truth_label_is_0_or_1(self, tmp_path, attacked):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"date,keyword,attacked\n2019-06-18,#Tag,1\n2019-06-18,#b,{attacked}\n",
+                        encoding="utf-8")
+        with pytest.raises(BadRow) as raised:
+            load_truth_csv(str(path))
+        assert str(raised.value) == f"{path}:3: attacked must be 0 or 1, got {attacked!r}"
+
+    def test_truth_labels_read_back(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("date,keyword,attacked\n2019-06-18,#Tag,1\n2019-06-18,#b, 0\n")
+        assert load_truth_csv(str(path)) == {(date(2019, 6, 18), "tag"): True,
+                                             (date(2019, 6, 18), "b"): False}
 
     def test_quoted_value_keeps_a_hash(self, tmp_path):
         wordlist = tmp_path / 'wl#1 "x"' / "words.txt"

@@ -12,6 +12,7 @@ smallest id), which can tie, and tied events keep the maximal list's order.
 
 import random
 import tracemalloc
+from array import array
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -107,8 +108,8 @@ def reference_windows(instance, flags, params, require_lexicon=False,
         deletions = [d // 1000 for _, d in members]
         events.append(
             AttackEvent(
-                tweet_ids=frozenset(t.id for t, _ in members),
-                users=frozenset(t.user_id for t, _ in members),
+                tweet_ids=array("q", sorted({t.id for t, _ in members})),
+                users=array("q", sorted({t.user_id for t, _ in members})),
                 start_ms=min((t.created_ms for t, _ in members)),
                 end_ms=max((d for _, d in members)),
                 creation_window_s=max(creations) - min(creations),
@@ -292,3 +293,20 @@ def test_working_memory_stays_a_quarter_of_the_returned_clusters():
     assert len(events) > 300
     returned = after - before
     assert peak - after <= 0.25 * returned
+
+
+def test_returned_clusters_hold_at_most_40_bytes_a_member():
+    """On the burst day, the returned list holds each cluster's tweet ids
+    and users as int64 columns: at most 40 B per (event, member) pair,
+    the event's own fields included (two frozensets took about 256 B)."""
+    instance, flags = _burst_day()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = detect_attack_windows(instance, AttackParams())
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = sum(len(event.tweet_ids) for event in events)
+    assert pairs > 30 * len(instance.ids)
+    assert after - before <= 40 * pairs
