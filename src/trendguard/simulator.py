@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_TZ_OFFSET,
     Keyword,
     TrendGuardError,
-    local_day,
     normalize_keyword,
     span_s,
 )
@@ -127,8 +126,8 @@ class GeoTweet(Tweet):
                         "call GeoTweet(*fields, geo=point)")
 
 
-def _tweet(geo: Optional[tuple[float, float]], **fields) -> Tweet:
-    return Tweet(**fields) if geo is None else GeoTweet(geo=geo, **fields)
+def _tweet(geo: Optional[tuple[float, float]], *fields) -> Tweet:
+    return Tweet(*fields) if geo is None else GeoTweet(*fields, geo=geo)
 
 
 def _keyword_hashtags(keyword: Keyword) -> tuple[str, ...]:
@@ -187,16 +186,10 @@ def gen_attack(
         user_id = user_id_start + i
         words = gen_lexicon_text(wordlist, rng).split()
         geo = _random_geo(rng) if geo_rate > 0 and rng.random() < geo_rate else None
-        events.append(_tweet(
-            geo,
-            id=tweet_id,
-            user_id=user_id,
-            text=_place_keyword(words, keyword, rng),
-            created_ms=created * 1000,
-            hashtags=hashtags,
-        ))
+        text = _place_keyword(words, keyword, rng)
+        events.append(_tweet(geo, tweet_id, user_id, text, created * 1000, hashtags))
         deleted = d0 + rng.randint(0, d_budget)
-        events.append(Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=deleted * 1000))
+        events.append(Deletion(tweet_id, user_id, deleted * 1000))
 
     _assert_attack_conditions(events, params, n_bots)
     return events
@@ -292,23 +285,11 @@ def gen_organic_trend(
         if is_retweet:
             text = f"RT @user{rng.randint(1, 99999)}: {text}"
         geo = _random_geo(rng) if rng.random() < ORGANIC_GEO_RATE else None
-        events.append(_tweet(
-            geo,
-            id=tweet_id,
-            user_id=user_id,
-            text=text,
-            created_ms=created * 1000,
-            hashtags=tags,
-            mentions=mentions,
-            urls=urls,
-            is_retweet=is_retweet,
-            is_reply=is_reply,
-        ))
+        events.append(_tweet(geo, tweet_id, user_id, text, created * 1000, tags, mentions, urls,
+                             is_retweet, is_reply))
         if rng.random() < deletion_rate:
             delay = rng.randint(600, ORGANIC_MAX_DELETION_DELAY)
-            events.append(
-                Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=(created + delay) * 1000)
-            )
+            events.append(Deletion(tweet_id, user_id, (created + delay) * 1000))
     return events
 
 
@@ -591,46 +572,78 @@ def _gen_background(
                 tags = (tag,)
             else:
                 tags = ()
-        events.append(Tweet(
-            id=tweet_id,
-            user_id=user_id,
-            text=text,
-            created_ms=created * 1000,
-            hashtags=tags,
-        ))
+        events.append(Tweet(tweet_id, user_id, text, created * 1000, tags))
         if deleted:
             delay = rng.randint(300, 6 * 3600)
-            events.append(
-                Deletion(tweet_id=tweet_id, user_id=user_id, time_ms=(created + delay) * 1000)
-            )
+            events.append(Deletion(tweet_id, user_id, (created + delay) * 1000))
     return events
 
 
-def _event_order(event: TweetEvent) -> tuple[int, int, int]:
-    """Stream order: time (ms), creations before deletions at the same instant, id."""
-    if isinstance(event, Tweet):
-        return (event.created_ms, 0, event.id)
-    return (event.time_ms, 1, event.tweet_id)
+class _Hour:
+    """One local hour's events as columns, in the order they were generated:
+    each event's key (ms * 2 for a creation, ms * 2 + 1 for a deletion
+    notice), id and user; a creation's text and the tail of its Tweet fields
+    after `created_ms` (None for a notice); and each GeoTweet's point by
+    position."""
+
+    __slots__ = ("keys", "ids", "users", "texts", "tails", "geo")
+
+    def __init__(self):
+        self.keys, self.ids, self.users = array("q"), array("q"), array("q")
+        self.texts, self.tails, self.geo = [], [], {}
+
+    def events(self) -> Iterator[TweetEvent]:
+        """The events in stream order: time (ms), creations before notices
+        at the same instant, then id; each built as it is yielded."""
+        keys, ids, users, texts, tails, geo = (
+            self.keys, self.ids, self.users, self.texts, self.tails, self.geo)
+        order = sorted(range(len(keys)), key=ids.__getitem__)
+        order.sort(key=keys.__getitem__)  # stable: ties stay in id order
+        for i in order:
+            key = keys[i]
+            if key & 1:
+                yield Deletion(ids[i], users[i], key >> 1)
+            elif i in geo:
+                yield GeoTweet(ids[i], users[i], texts[i], key >> 1, *tails[i], geo=geo[i])
+            else:
+                yield Tweet(ids[i], users[i], texts[i], key >> 1, *tails[i])
 
 
 def _generate_events(
     config: ScenarioConfig, plan: list[_DayPlan], wordlist: Sequence[str]
 ) -> Iterator[TweetEvent]:
     rng = random.Random(f"{config.seed}:events")
-    # Events wait in the bucket of their local day. No day generates an
-    # event before its own start, so a day's bucket is complete once that
-    # day is generated; after the last day every bucket is.
-    buckets: dict[int, list[TweetEvent]] = {}
+    # Events wait in the buffer of their local hour. No day generates an
+    # event before its own start, so the hours of a day are complete once
+    # that day is generated; after the last day every hour is.
+    hours: dict[int, _Hour] = {}
+    shared: dict[tuple, tuple] = {}  # one tail tuple for every equal tail
 
-    def bucket(events: Iterable[TweetEvent]) -> None:
+    def file(events: list[TweetEvent]) -> None:
         for event in events:
-            day = local_day(_event_order(event)[0], config.tz_offset)
-            buckets.setdefault(day, []).append(event)
+            if isinstance(event, Tweet):
+                ms = event.created_ms
+                key, text, tail = ms * 2, event.text, event[4:]
+                tail = shared.setdefault(tail, tail)
+            else:
+                ms = event.time_ms
+                key, text, tail = ms * 2 + 1, None, None
+            hour = (ms // 1000 + config.tz_offset) // 3600
+            if (buffer := hours.get(hour)) is None:
+                buffer = hours[hour] = _Hour()
+            if isinstance(event, GeoTweet):
+                buffer.geo[len(buffer.keys)] = event.geo
+            # A Tweet's and a Deletion's first two fields are the id and the user.
+            buffer.keys.append(key)
+            buffer.ids.append(event[0])
+            buffer.users.append(event[1])
+            buffer.texts.append(text)
+            buffer.tails.append(tail)
 
     for day_plan in plan:
         for trend in day_plan.trends:
             for wave in trend.waves:
-                bucket(gen_attack(
+                file(gen_attack(
                     trend.keyword, config.params, wave.n_bots, wave.t0, rng, wordlist,
                     tweet_id_start=wave.tweet_id_start,
                     user_id_start=wave.tweet_id_start + _USER_ID_OFFSET,
@@ -639,21 +652,20 @@ def _generate_events(
                     deletion_lag=config.attack_deletion_lag, geo_rate=0.05,
                 ))
             if trend.organic_users:
-                bucket(gen_organic_trend(
+                file(gen_organic_trend(
                     trend.keyword, trend.organic_users, trend.organic_span, rng, wordlist,
                     t0=trend.organic_start, tweet_id_start=trend.organic_tweet_id_start,
                     user_id_start=trend.organic_tweet_id_start + _USER_ID_OFFSET,
                     deletion_rate=config.organic_deletion_rate,
                     lexicon_rate=config.organic_lexicon_rate,
                 ))
-        bucket(_gen_background(config, day_plan, rng, wordlist))
+        file(_gen_background(config, day_plan, rng, wordlist))
+        shared.clear()  # so the interned tails do not grow with the stream
 
         last = day_plan is plan[-1]
-        for day in sorted(d for d in buckets if last or d <= day_plan.day_number):
-            ready = buckets.pop(day)
-            ready.sort(key=_event_order)
-            yield from ready
-            del ready  # not held while the next day is generated
+        end = (day_plan.day_number + 1) * 24  # the first hour of the next day
+        for hour in sorted(h for h in hours if last or h < end):
+            yield from hours.pop(hour).events()
 
 
 # ---------------------------------------------------------------------------
@@ -695,25 +707,59 @@ def tee_by_keyword(
     """Yield ``events`` unchanged while filing them into ``streams`` as
     group_stream_by_keyword does, so the pass that writes a stream can
     group it too. It keeps ints, never an event.
+
+    Creations are filed as they pass; deletion notices once the events end
+    or the tee is closed, so ``streams`` is complete only then.
     """
     keywords = list(keywords)
     contained = _keyword_index(keywords, locale)
     streams.update((k.normalized, KeywordStream(array("q"), array("q"), array("q"))) for k in keywords)
-    owner: dict[int, tuple[str, ...]] = {}  # each matched tweet's names
-    names_of: dict[tuple, tuple[str, ...]] = {}  # each key tuple's names, each name once
-    for event in events:
-        if isinstance(event, Tweet):
-            if keys := tuple(contained(event.text)):
-                names = owner[event.id] = names_of.get(keys) or names_of.setdefault(
-                    keys, tuple(dict.fromkeys(name for _, name in keys)))
-                for name in names:
-                    created_ms, user_ids, _ = streams[name]
-                    created_ms.append(event.created_ms)
-                    user_ids.append(event.user_id)
-        else:
-            for name in owner.get(event.tweet_id, ()):
-                streams[name].deleted_ms.append(event.time_ms)
-        yield event
+    slot_of: dict[tuple, int] = {}  # each key tuple's slot in `names`
+    names: list[tuple[str, ...]] = []  # each slot's names, each name once
+    # Each matched tweet's id, stream position and names slot; each notice's
+    # id, stream position and ms.
+    tweets = tweet_ids, tweet_positions, slots = array("q"), array("q"), array("q")
+    notices = notice_ids, notice_positions, notice_ms = array("q"), array("q"), array("q")
+    try:
+        for position, event in enumerate(events):
+            if isinstance(event, Tweet):
+                if keys := tuple(contained(event.text)):
+                    if (slot := slot_of.get(keys)) is None:
+                        slot = slot_of[keys] = len(names)
+                        names.append(tuple(dict.fromkeys(name for _, name in keys)))
+                    for name in names[slot]:
+                        created_ms, user_ids, _ = streams[name]
+                        created_ms.append(event.created_ms)
+                        user_ids.append(event.user_id)
+                    tweet_ids.append(event.id)
+                    tweet_positions.append(position)
+                    slots.append(slot)
+            else:
+                notice_ids.append(event.tweet_id)
+                notice_positions.append(position)
+                notice_ms.append(event.time_ms)
+            yield event
+    finally:
+        _file_notices(streams, names, tweets, notices)
+
+
+def _file_notices(streams: dict[str, KeywordStream], names: list[tuple[str, ...]],
+                  tweets: tuple[array, ...], notices: tuple[array, ...]) -> None:
+    """File each notice, in stream order, under the names of the latest
+    earlier matched tweet with its id. Only ids that some notice names are
+    remembered, as the walk passes their tweets."""
+    tweet_ids, tweet_positions, slots = tweets
+    named = set(notices[0])
+    owner: dict[int, int] = {}  # a named id's latest matched slot so far
+    i, n = 0, len(tweet_ids)
+    for tweet_id, position, ms in zip(*notices):
+        while i < n and tweet_positions[i] < position:
+            if tweet_ids[i] in named:
+                owner[tweet_ids[i]] = slots[i]
+            i += 1
+        if (slot := owner.get(tweet_id)) is not None:
+            for name in names[slot]:
+                streams[name].deleted_ms.append(ms)
 
 
 # The toy oracle's trailing window (seconds), list length, and the score
@@ -736,25 +782,22 @@ def trend_oracle(
     itself out of the list. Returns (epoch time ms, top ORACLE_TOP_K
     keywords best first) pairs.
     """
-    per_keyword: dict[str, tuple[list[tuple[int, int]], list[int]]] = {}
-    bounds: list[int] = []  # each keyword's first and last event second
-    for key, (created_ms, user_ids, deleted_ms) in streams.items():
-        creations = sorted(zip([ms // 1000 for ms in created_ms], user_ids))
-        deletions = sorted(ms // 1000 for ms in deleted_ms)
-        if creations:
-            bounds += (creations[0][0], creations[-1][0])
-        bounds += deletions[:1] + deletions[-1:]
-        per_keyword[key] = (creations, deletions)
-    if not bounds:
+    columns = [column for stream in streams.values()
+               for column in (stream.created_ms, stream.deleted_ms) if column]
+    if not columns:
         return []
 
-    first_epoch = (min(bounds) // epoch_seconds + 1) * epoch_seconds
-    last_epoch = (max(bounds) // epoch_seconds + 1) * epoch_seconds
+    # Epoch bounds from each column's first and last event second.
+    first_epoch = (min(map(min, columns)) // 1000 // epoch_seconds + 1) * epoch_seconds
+    last_epoch = (max(map(max, columns)) // 1000 // epoch_seconds + 1) * epoch_seconds
     epochs = range(first_epoch, last_epoch + 1, epoch_seconds)
     w = ORACLE_WINDOW_S
 
     scored: list[list[tuple[float, str]]] = [[] for _ in epochs]
-    for key, (creations, deletions) in per_keyword.items():
+    # One keyword's sorted creations and deletions at a time.
+    for key, (created_ms, user_ids, deleted_ms) in streams.items():
+        creations = sorted(zip([ms // 1000 for ms in created_ms], user_ids))
+        deletions = sorted(ms // 1000 for ms in deleted_ms)
         users: dict[int, int] = {}  # posts per user in the window
         lo = hi = 0  # the window's creations are creations[lo:hi]
         for t, ranked in zip(epochs, scored):

@@ -19,9 +19,11 @@ them; for the file join's raw-line test: the deletion test and the
 creation test as separate calls; for the parser and the flags: a line
 parsed into a frozen Tweet or Deletion through one call per layer and
 field, read_stream counting as it goes, and a tweet's flag byte worked out
-per call; and for the toy trend oracle: the grouping that keeps each
+per call; for the toy trend oracle: the grouping that keeps each
 keyword's matched events whole, and the ranking that splits them again
-into (second, user) pairs and deletion seconds.
+into (second, user) pairs and deletion seconds; and for the simulator's
+stream: each local day's events held whole and sorted on a (ms, kind, id)
+tuple a piece.
 
 The library joins every trend-day in one pass through a keyword index
 (`trendguard.ingest.build_trend_instances`), finds `scan`'s hashtag-days
@@ -41,8 +43,10 @@ columns (`trendguard.ingest.TrendInstance`), tests each raw line in one
 call (`trendguard.ingest._Join.keep`), decodes each kept line once into
 the Tweet the join files (`trendguard.ingest.parse_stream_line`) and flags
 it with one function per keyword (`trendguard.classify.flags_for_instance`),
-and files each keyword's share of a simulated stream as int columns that
-the toy oracle ranks (`trendguard.simulator.KeywordStream`);
+files each keyword's share of a simulated stream as int columns that
+the toy oracle ranks (`trendguard.simulator.KeywordStream`), and holds
+each local hour of a generated stream as columns until its day is
+complete (`trendguard.simulator._Hour`);
 the tests check each
 against these direct definitions. The join oracles keep their own instance
 builder and deletion dict (`_InstanceBuilder`, `_note_deletion`), so they
@@ -112,7 +116,13 @@ from trendguard.simulator import (
     ORACLE_TOP_K,
     ORACLE_WINDOW_S,
     GeoTweet,
+    ScenarioConfig,
+    _DayPlan,
+    _USER_ID_OFFSET,
+    _gen_background,
     format_created_at,
+    gen_attack,
+    gen_organic_trend,
 )
 
 
@@ -1417,3 +1427,53 @@ def trend_oracle(
                 ranked.append((-score, key))
     return [(t * 1000, [key for _, key in sorted(ranked)[:ORACLE_TOP_K]])
             for t, ranked in zip(epochs, scored)]
+
+
+def _event_order(event: TweetEvent) -> tuple[int, int, int]:
+    """Stream order: time (ms), creations before deletions at the same instant, id."""
+    if isinstance(event, Tweet):
+        return (event.created_ms, 0, event.id)
+    return (event.time_ms, 1, event.tweet_id)
+
+
+def _generate_events(
+    config: ScenarioConfig, plan: list[_DayPlan], wordlist: Sequence[str]
+) -> Iterator[TweetEvent]:
+    rng = random.Random(f"{config.seed}:events")
+    # Events wait in the bucket of their local day. No day generates an
+    # event before its own start, so a day's bucket is complete once that
+    # day is generated; after the last day every bucket is.
+    buckets: dict[int, list[TweetEvent]] = {}
+
+    def bucket(events: Iterable[TweetEvent]) -> None:
+        for event in events:
+            day = local_day(_event_order(event)[0], config.tz_offset)
+            buckets.setdefault(day, []).append(event)
+
+    for day_plan in plan:
+        for trend in day_plan.trends:
+            for wave in trend.waves:
+                bucket(gen_attack(
+                    trend.keyword, config.params, wave.n_bots, wave.t0, rng, wordlist,
+                    tweet_id_start=wave.tweet_id_start,
+                    user_id_start=wave.tweet_id_start + _USER_ID_OFFSET,
+                    creation_span=config.attack_creation_span,
+                    deletion_span=config.attack_deletion_span,
+                    deletion_lag=config.attack_deletion_lag, geo_rate=0.05,
+                ))
+            if trend.organic_users:
+                bucket(gen_organic_trend(
+                    trend.keyword, trend.organic_users, trend.organic_span, rng, wordlist,
+                    t0=trend.organic_start, tweet_id_start=trend.organic_tweet_id_start,
+                    user_id_start=trend.organic_tweet_id_start + _USER_ID_OFFSET,
+                    deletion_rate=config.organic_deletion_rate,
+                    lexicon_rate=config.organic_lexicon_rate,
+                ))
+        bucket(_gen_background(config, day_plan, rng, wordlist))
+
+        last = day_plan is plan[-1]
+        for day in sorted(d for d in buckets if last or d <= day_plan.day_number):
+            ready = buckets.pop(day)
+            ready.sort(key=_event_order)
+            yield from ready
+            del ready  # not held while the next day is generated

@@ -1,11 +1,13 @@
 """The keyword matching of build_trend_instances (a hashtag looked up by
 keyword and day, an n-gram through the keyword index) and of
 group_stream_by_keyword (the keyword index) assigns a tweet exactly the
-keywords that the reference match_keyword accepts; the toy trend oracle
-ranks the grouping's int columns as the event-list oracle ranks its
-events."""
+keywords that the reference match_keyword accepts, and a deletion notice
+those of the latest earlier matched tweet with its id; a tee closed early
+has filed what it passed; the toy trend oracle ranks the grouping's int
+columns as the event-list oracle ranks its events."""
 
 from datetime import timedelta
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from trendguard.ingest import (
     _Join,
     build_trend_instances,
 )
-from trendguard.simulator import group_stream_by_keyword, trend_oracle
+from trendguard.simulator import group_stream_by_keyword, tee_by_keyword, trend_oracle
 
 import oracles
 from conftest import DAY, DAY_NOON, make_tweet
@@ -65,16 +67,19 @@ def as_lists(grouped):
 
 @st.composite
 def streams(draw):
-    """Creations from the day before DAY to two days after, then deletion
-    notices for some of them."""
-    tweets = [
-        make_tweet(i, 100 + i, draw(texts), DAY_NOON + draw(st.integers(-86400, 2 * 86400)))
-        for i in range(draw(st.integers(1, 30)))
-    ]
-    events = list(tweets)
-    for tweet in tweets:
-        if draw(st.booleans()):
-            events.append(Deletion(tweet.id, tweet.user_id, (tweet.created_ms // 1000 + 60) * 1000))
+    """Creations from the day before DAY to two days after, where an id can
+    repeat with a matched or an unmatched text, and up to three deletion
+    notices for each id, each anywhere in the stream: before its tweet, or
+    between two tweets with its id."""
+    events = []
+    for _ in range(draw(st.integers(1, 30))):
+        tweet_id = draw(st.integers(0, 19))
+        seconds = DAY_NOON + draw(st.integers(-86400, 2 * 86400))
+        events.append(make_tweet(tweet_id, 100 + tweet_id, draw(texts), seconds))
+    for tweet in {tweet.id: tweet for tweet in events}.values():
+        for _ in range(draw(st.integers(0, 3))):
+            ms = (tweet.created_ms // 1000 + draw(st.integers(-60, 600))) * 1000
+            events.insert(draw(st.integers(0, len(events))), Deletion(tweet.id, tweet.user_id, ms))
     return events
 
 
@@ -99,18 +104,31 @@ def test_group_stream_by_keyword_matches_reference(events, locale):
     keywords = [normalize_keyword(raw, locale) for raw, _ in TRENDS]
     streams_by_name = as_lists(group_stream_by_keyword(events, keywords, locale))
     assert sorted(streams_by_name) == sorted({k.normalized for k in keywords})
-    for name, got in streams_by_name.items():
-        matched = {
-            e.id for e in events
-            if isinstance(e, Tweet) and any(
-                match_keyword(e.text, k, locale) for k in keywords if k.normalized == name
-            )
-        }
-        expected = [
-            e for e in events
-            if (e.id if isinstance(e, Tweet) else e.tweet_id) in matched
-        ]
-        assert got == columns(expected)
+    expected = {name: [] for name in streams_by_name}
+    owner = {}  # each id's latest matched names
+    for event in events:
+        if isinstance(event, Tweet):
+            names = {k.normalized for k in keywords if match_keyword(event.text, k, locale)}
+            if names:
+                owner[event.id] = names
+        else:
+            names = owner.get(event.tweet_id, ())
+        for name in names:
+            expected[name].append(event)
+    assert streams_by_name == {name: columns(held) for name, held in expected.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=streams(), locale=st.sampled_from(["tr", "en"]), data=st.data())
+def test_a_tee_closed_early_has_filed_what_it_passed(events, locale, data):
+    keywords = [normalize_keyword(raw, locale) for raw, _ in TRENDS]
+    k = data.draw(st.integers(1, len(events)))
+    grouped = {}
+    tee = tee_by_keyword(events, keywords, grouped, locale)
+    assert list(islice(tee, k)) == events[:k]
+    tee.close()
+    expected = oracles.group_stream_by_keyword(events[:k], keywords, locale)
+    assert as_lists(grouped) == {name: columns(held) for name, held in expected.items()}
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,11 +4,12 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
 
-from trendguard.core import normalize_keyword
+from trendguard.core import DEFAULT_TZ_OFFSET, local_day, normalize_keyword
 from trendguard.ingest import BadRow, Deletion, Tweet
 from trendguard.classify import _lexicon_test
 from trendguard.detector import AttackParams, DetectorConfig, detect_attack_windows
@@ -19,6 +20,7 @@ from trendguard.simulator import (
     SCENARIO_LOCALE,
     ScenarioConfig,
     WordlistTooSmall,
+    _generate_events,
     build_stream,
     evaluate,
     gen_attack,
@@ -35,9 +37,35 @@ from trendguard.simulator import (
     write_stream_jsonl,
 )
 
+import oracles
 from conftest import make_instance, make_tweet, read_all
 
 WORDLIST = load_wordlist()
+
+# Three days of every event kind at a fraction of the default size:
+# attacks (some GeoTweets), organic and adoption tweets, background, and
+# deletions that land on the next day.
+SMALL_DAYS = ScenarioConfig(n_days=3, organic_per_day=3, attacked_per_day=1,
+                            attacks_per_day=4, background_per_day=400)
+# Smaller still, with two attacked trends a day, for the differential tests.
+DIFFERENTIAL = ScenarioConfig(organic_per_day=3, attacked_per_day=2, attacks_per_day=4,
+                              background_per_day=300, organic_tweets_min=150,
+                              organic_tweets_max=400, adoption_tweets_min=80,
+                              adoption_tweets_max=200, bots_min=20, bots_max=80)
+
+
+def event_ms(event):
+    return event.created_ms if isinstance(event, Tweet) else event.time_ms
+
+
+def described(events):
+    """Each event's type, fields and, for a GeoTweet, point."""
+    return [(type(e), tuple(e), getattr(e, "geo", None)) for e in events]
+
+
+def reversed_trends(plan):
+    """The plan with each day's trends generated in reverse id order."""
+    return [replace(day, trends=day.trends[::-1]) for day in plan]
 
 
 class TestLexiconText:
@@ -272,11 +300,13 @@ class TestLabeledStream:
         assert first.getvalue()
 
     def test_a_drained_stream_holds_about_one_day(self):
-        """events() lets each day go once it is yielded, so draining three
-        days peaks well under the stream held as a list."""
-        config = ScenarioConfig(n_days=3, organic_per_day=0, attacked_per_day=0,
-                                attacks_per_day=0, background_per_day=1500)
-        labeled = build_stream(config)
+        """events() lets each day go once it is yielded, and holds a day as
+        columns, not events: draining three days peaks at under 300 bytes an
+        event of the largest local day (events held whole take about 415),
+        and well under the stream held as a list."""
+        labeled = build_stream(SMALL_DAYS)
+        largest_day = max(Counter(local_day(event_ms(e), labeled.config.tz_offset)
+                                  for e in labeled.events()).values())
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -289,8 +319,36 @@ class TestLabeledStream:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(events) > 4000
-        assert drained < 0.6 * held
+        assert len(events) > 2 * largest_day > 12000
+        assert drained <= 300 * largest_day
+        assert drained < 0.4 * held
+
+    @pytest.mark.parametrize("tz_offset", [DEFAULT_TZ_OFFSET, 19800, -12600])
+    @pytest.mark.parametrize("n_days", [1, 2, 3])
+    def test_events_equal_the_day_sorting_oracle(self, n_days, tz_offset):
+        """The hour columns yield the events, their types and GeoTweet
+        points that sorting each local day's events whole yields; also when
+        each day's trends are generated in reverse id order."""
+        labeled = build_stream(replace(DIFFERENTIAL, n_days=n_days, tz_offset=tz_offset))
+        for plan in (labeled._plan, reversed_trends(labeled._plan)):
+            got = list(_generate_events(labeled.config, plan, labeled.wordlist))
+            expected = list(oracles._generate_events(labeled.config, plan, labeled.wordlist))
+            assert described(got) == described(expected)
+            assert any(isinstance(e, GeoTweet) for e in got)
+
+    def test_ties_in_time_and_kind_go_by_id(self, monkeypatch):
+        """With each day's trends generated in reverse, events of two trends
+        share an instant and a kind out of id order: the oracle's order
+        differs from one on (ms, kind) alone, and events() keeps the id."""
+        labeled = build_stream(replace(DIFFERENTIAL, n_days=2))
+        plan = reversed_trends(labeled._plan)
+        got = list(_generate_events(labeled.config, plan, labeled.wordlist))
+        expected = list(oracles._generate_events(labeled.config, plan, labeled.wordlist))
+        order = oracles._event_order
+        monkeypatch.setattr(oracles, "_event_order", lambda event: order(event)[:2])
+        by_time_and_kind = list(oracles._generate_events(labeled.config, plan, labeled.wordlist))
+        assert described(by_time_and_kind) != described(expected)
+        assert described(got) == described(expected)
 
     def test_events_time_ordered(self):
         config = ScenarioConfig(n_days=2, organic_per_day=2,
@@ -468,6 +526,26 @@ class TestTrendOracle:
         matched = sum(len(stream.created_ms) for stream in streams.values())
         assert matched > 5000
         assert held <= 96 * matched
+
+    def test_the_oracle_holds_one_keyword_at_a_time(self):
+        """trend_oracle sorts and scores one keyword's creations at a time:
+        its traced peak stays under 320 bytes an event of the largest
+        keyword stream, about twice that stream's (second, user) pairs.
+        With all 12 keywords' pairs alive at once it reads about 630."""
+        labeled = build_stream(SMALL_DAYS)
+        streams = group_stream_by_keyword(labeled.events(), labeled.keywords.values(),
+                                          SCENARIO_LOCALE)
+        largest = max(len(s.created_ms) + len(s.deleted_ms) for s in streams.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            epochs = trend_oracle(streams, epoch_seconds=labeled.config.epoch_seconds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(streams) == 12 and any(top for _, top in epochs)
+        assert peak <= 320 * largest
 
 
 class TestPlantedPrevalence:
